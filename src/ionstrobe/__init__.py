@@ -54,17 +54,20 @@ from .dynamics import (
     free_evolve,
     mw_rotation,
     run_pulse_train,
+    run_pulse_train_block,
 )
 from .sequence import (
     PatternField,
     ScanRecord,
     ScanSpec,
+    SequenceFringe,
     SequenceSpec,
     characterize_reference_fringe,
     interleaved_reference,
     run_scan,
     run_sequence,
     sample_detection,
+    sequence_fringe,
     static_pattern_probe,
 )
 from .fitting import (

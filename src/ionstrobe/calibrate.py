@@ -32,9 +32,9 @@ from .hilbert import (
 from .sequence import (
     ScanSpec,
     SequenceSpec,
-    _SequenceRunner,
     characterize_reference_fringe,
     run_scan,
+    sequence_fringe,
 )
 
 
@@ -215,13 +215,10 @@ def tune_pulse_train(
 def _branch_fringes(
     spec: SequenceSpec, theta0: float, alpha_grid: np.ndarray, phi_points: int
 ) -> list[CosineFit]:
-    phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
-    fits = []
-    for mag in alpha_grid:
-        runner = _SequenceRunner(replace(spec, excitation=CoherentAmp(float(mag), theta0)))
-        samples = [(float(phi), runner.evaluate(float(phi))[0], 0.0) for phi in phis]
-        fits.append(fit_cosine(samples))
-    return fits
+    return [
+        sequence_fringe(replace(spec, excitation=CoherentAmp(float(mag), theta0))).fit(phi_points)
+        for mag in alpha_grid
+    ]
 
 
 def build_decode_tables(

@@ -2,9 +2,10 @@
 
 Commands: ramsey-scan, pattern-scan, trace-phase-space, squeeze-scan,
 calibrate-train, build-tables, stability. All take --config and --out,
-plus optional --seed (overrides detection.base_seed) and --threads.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-Outputs are bit-stable: identical config and seed give identical bytes.
+plus optional --seed (overrides detection.base_seed) and --threads (accepted
+and ignored). Exit codes: 0 success, 2 configuration error, 3 numerical
+failure. Outputs are bit-stable: identical config and seed give identical
+bytes at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _tuned_sequence(cfg: dict):
 def cmd_ramsey_scan(cfg: dict, args) -> None:
     spec, _ = _tuned_sequence(cfg)
     scan = cfgmod.build_scan_spec(cfg)
-    records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan), threads=args.threads)
+    records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan))
     rows = [
         (r.outer, r.phi, r.p_down_mean, r.p_down_sem, r.sigma_z, r.delta_n) for r in records
     ]
@@ -98,15 +99,14 @@ def cmd_squeeze_scan(cfg: dict, args) -> None:
         raise ConfigError("squeeze-scan needs state.zeta_abs > 0")
     spec, _ = _tuned_sequence(cfg)
     scan = cfgmod.build_scan_spec(cfg)
-    records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan), threads=args.threads)
+    records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan))
     columns = ["outer", "phi_rad", "p_down", "p_down_sem", "sigma_z", "delta_n"]
     rows = [(r.outer, r.phi, r.p_down_mean, r.p_down_sem, r.sigma_z, r.delta_n) for r in records]
     write_table(args.out, "squeezed-state stroboscopic scan", columns, rows, cfg,
                 cfg["detection"]["base_seed"])
     # companion back-action table on the phi-decimated grid
     ba_scan = replace(scan, phi_grid=scan.phi_grid[::2])
-    ba_records = run_scan(ba_scan, spec, drift_phases=_drift_for_scan(cfg, ba_scan),
-                          threads=args.threads)
+    ba_records = run_scan(ba_scan, spec, drift_phases=_drift_for_scan(cfg, ba_scan))
     ba_rows = [(r.outer, r.phi, r.p_down_mean, r.p_down_sem, r.sigma_z, r.delta_n)
                for r in ba_records]
     write_table(_sibling_path(args.out, "backaction"), "squeezed-state back-action scan",
@@ -224,11 +224,10 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     base_scan = cfgmod.build_scan_spec(cfg)
     scan = replace(base_scan, outer_grid=theta_grid, outer_var="theta0")
     spec_exc = replace(spec, excitation=CoherentAmp(alpha, 0.0))
-    records = run_scan(scan, spec_exc, drift_phases=_drift_for_scan(cfg, scan),
-                       threads=args.threads)
+    records = run_scan(scan, spec_exc, drift_phases=_drift_for_scan(cfg, scan))
     ref_scan = replace(scan, base_seed=scan.base_seed + (1 << 22))
     ref_records = run_scan(ref_scan, replace(spec, excitation=CoherentAmp(0.0, 0.0)),
-                           drift_phases=_drift_for_scan(cfg, ref_scan), threads=args.threads)
+                           drift_phases=_drift_for_scan(cfg, ref_scan))
 
     sem_floor = (
         1.0 / (2.0 * scan.shots) if cfg["detection"]["mode"] == "shots" else None
@@ -342,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override detection.base_seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for scan evaluation")
+                       help="ignored; accepted so existing command lines keep working")
     return parser
 
 

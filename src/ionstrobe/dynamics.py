@@ -5,11 +5,11 @@ rotating-wave approximation applied, so the spin term reduces to the
 detuning. One flash is propagated by a single dense matrix exponential
 of the piecewise-constant Hamiltonian
 
-    H/hbar = w_m a_dag a + (d/2) sigma_z + (W/2) (e^{i phi} C sigma_+ + h.c.)
+    H/hbar = w_m a_dag a + (d/2) sigma_z + (W/2) (e^{-i phi} C sigma_+ + h.c.)
 
 with C = exp[i eta (a + a_dag)]. Flash unitaries are cached at phase 0;
 the drive phase enters through the exact conjugation
-H(phi) = V(phi) H(0) V(phi)^dag with V = exp(i phi sigma_z / 2).
+H(phi) = V(phi) H(0) V(phi)^dag with V = exp(-i phi sigma_z / 2).
 """
 
 from __future__ import annotations
@@ -96,9 +96,13 @@ def free_evolve(state: SpinMotionState, mode: ModeParams, t: float) -> SpinMotio
     return SpinMotionState(amps, n)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)
 def _flash_unitary(fock_dim: int, eta: float, rabi: float, detuning: float, freq: float, dt: float) -> np.ndarray:
-    """Flash propagator exp(-i H dt) at drive phase zero, cached per parameter set."""
+    """Flash propagator exp(-i H dt) at drive phase zero, cached per parameter set.
+
+    The cache is small on purpose: the pi/2 tuner tries a new Rabi rate on
+    every evaluation, and at fock_dim 232 each discarded unitary holds 3.4 MB.
+    """
     spec = HilbertSpec(fock_dim=fock_dim, tail_tol=0.5)
     _, _, n_op = build_mode_operators(spec)
     c = coupling_operator(eta, spec)
@@ -115,6 +119,17 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, detuning: float, freq
     u = (v * np.exp(-1j * w * dt)) @ v.conj().T
     u.setflags(write=False)
     return u
+
+
+def _drive_frame(fock_dim: int, phi: float) -> np.ndarray:
+    """Diagonal of V(phi) = exp(-i phi sigma_z / 2) in the spin-major basis.
+
+    The drive phase sets the rotation azimuth: the sigma_+ term carries
+    e^{-i phi}, so the flash propagator at phase phi is V U(0) V^dag.
+    """
+    return np.concatenate(
+        [np.full(fock_dim, np.exp(1j * phi / 2.0)), np.full(fock_dim, np.exp(-1j * phi / 2.0))]
+    )
 
 
 def flash_evolve(
@@ -139,11 +154,7 @@ def flash_evolve(
     if phi == 0.0:
         amps = u0 @ state.amplitudes
     else:
-        # The drive phase sets the rotation azimuth: the sigma_+ term carries
-        # e^{-i phi}, so U(phi) = V U(0) V^dag with V = exp(-i phi sigma_z / 2).
-        v = np.concatenate(
-            [np.full(n, np.exp(1j * phi / 2.0)), np.full(n, np.exp(-1j * phi / 2.0))]
-        )
+        v = _drive_frame(n, phi)
         amps = v * (u0 @ (np.conj(v) * state.amplitudes))
     out = SpinMotionState(amps, n)
     if hilbert is not None:
@@ -189,6 +200,66 @@ def run_pulse_train(
         if gap > 0:
             out = free_evolve(out, mode, gap)
     return out
+
+
+def run_pulse_train_block(
+    states: list[SpinMotionState],
+    train: PulseTrainSpec,
+    mode: ModeParams,
+    frame: FrameParams,
+    hilbert: HilbertSpec,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Propagate the spin-down and spin-up parts of many states as one block.
+
+    Free motion commutes with V(phi), so the train at base phase
+    train.base_phase + phi maps state l to
+    V(phi) (e^{-i phi/2} down[:, l] + e^{i phi/2} up[:, l]), where down and
+    up are the returned (2N, L) images of each state's down and up parts
+    under the train as given. Every population of the output is therefore
+    |down|^2 + |up|^2 + 2 Re(conj(down) up e^{i phi}), exactly, for any phi.
+
+    After every flash the watchdog checks, for every state, the supremum
+    over phi of the top-Fock-tail population; the third return value is the
+    largest such supremum seen.
+    """
+    n = hilbert.fock_dim
+    n_states = len(states)
+    block = np.zeros((2 * n, 2 * n_states), dtype=complex)
+    for col, state in enumerate(states):
+        down, up = state.spin_blocks()
+        block[:n, col] = down
+        block[n:, n_states + col] = up
+    drive = train.drive
+    u0 = _flash_unitary(n, drive.eta, drive.rabi, frame.detuning, mode.freq, train.flash_dur)
+    gap = train.cycle_dur - train.flash_dur
+    gap_phases = np.tile(np.exp(-1j * mode.freq * gap * np.arange(n)), 2)[:, None]
+    k_tail = hilbert.tail_levels
+    max_tail = 0.0
+    for k in range(train.n_flashes):
+        v = _drive_frame(n, train.base_phase + k * train.phase_step)[:, None]
+        block = v * (u0 @ (np.conj(v) * block))
+        tail = np.concatenate([block[n - k_tail : n], block[2 * n - k_tail :]])
+        t0 = np.sum(np.abs(tail) ** 2, axis=0)
+        t1 = np.sum(np.conj(tail[:, :n_states]) * tail[:, n_states:], axis=0)
+        sup = t0[:n_states] + t0[n_states:] + 2.0 * np.abs(t1)
+        worst = int(np.argmax(sup))
+        max_tail = max(max_tail, float(sup[worst]))
+        if sup[worst] >= hilbert.tail_tol:
+            phi_worst = (train.base_phase - np.angle(t1[worst])) % (2.0 * math.pi)
+            raise TruncationError(
+                f"flash {k + 1} of {train.n_flashes} leaks up to {sup[worst]:.3e} into "
+                f"the top {k_tail} Fock levels at base phase {phi_worst:.4f} rad "
+                f"(tol {hilbert.tail_tol:g}); increase fock_dim"
+            )
+        if gap > 0:
+            block = gap_phases * block
+    down, up = block[:, :n_states], block[:, n_states:]
+    norm0 = np.sum(np.abs(block) ** 2, axis=0)
+    norm1 = np.sum(np.conj(down) * up, axis=0)
+    deviation = np.abs(norm0[:n_states] + norm0[n_states:] - 1.0) + 2.0 * np.abs(norm1)
+    if np.max(deviation) > 2e-10:
+        raise ValueError(f"train output norm deviates from 1 by up to {np.max(deviation):.3e}")
+    return down, up, max_tail
 
 
 def back_action(initial: SpinMotionState, final: SpinMotionState) -> BackActionResult:

@@ -11,12 +11,22 @@ a free pre-delay of one motional period minus half a flash aligns every
 flash center with the nominal wave-packet phase, so a displacement phase
 of zero means "wave packet at maximum position at the sampling times".
 Dephasing enters as a classical contrast envelope over the train duration.
+
+Every observable is an exact cosine in the analysis phase phi. Free motion
+commutes with V(phi) = exp(-i phi sigma_z / 2), so the train at base phase
+phi is V(phi) T V(phi)^dag with T the train at phi = 0. The final V leaves
+populations alone and the initial V^dag only puts e^{-i phi/2} and
+e^{+i phi/2} on the down and up parts of the pre-train state. Propagating
+those two parts through T once therefore gives
+p_down(phi) = c0 + 2 Re(c1 e^{i phi}), and the same form for <n> and for
+the top-Fock-tail population after every flash, whose supremum over phi,
+T0 + 2 |T1|, is what the truncation watchdog checks. SequenceFringe holds
+these coefficients, so one propagation per sequence serves any phase grid.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -28,7 +38,7 @@ from .dynamics import (
     apply_dephasing,
     free_evolve,
     mw_rotation,
-    run_pulse_train,
+    run_pulse_train_block,
 )
 from .errors import ConfigError, IonstrobeError, TruncationError
 from .fitting import CosineFit, fit_cosine
@@ -43,13 +53,13 @@ from .hilbert import (
     check_truncation,
     displacement_operator,
     expect_n,
-    expect_sigma_z,
     make_initial_state,
     squeeze_operator,
     thermal_ensemble,
 )
 
 REFERENCE_SEED_OFFSET = 1 << 20  # separates reference from measurement detection streams
+REFERENCE_FIT_POINTS = 8  # phases sampled to fit the alpha = 0 reference fringe
 
 
 @dataclass(frozen=True)
@@ -153,48 +163,79 @@ def _apply_excitation(state: SpinMotionState, excitation) -> SpinMotionState:
     return SpinMotionState(np.concatenate(blocks), n)
 
 
-class _SequenceRunner:
-    """Caches the state just before the analysis train for repeated phi probes."""
+@dataclass(frozen=True)
+class SequenceFringe:
+    """Thermal-averaged observables of one sequence as exact functions of phi.
 
-    def __init__(self, spec: SequenceSpec):
-        self.spec = spec
-        levels, weights = thermal_ensemble(
-            spec.mode.n_th, spec.thermal_samples, spec.thermal_seed
-        )
-        self.weights = weights
-        self.envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
-        pre_delay = spec.pre_delay()
-        self.pre_train = []
-        self.n_initial = []
-        for level in levels:
-            st = make_initial_state(SPIN_DOWN, int(level), spec.hilbert)
-            st = _apply_excitation(st, spec.excitation)
-            self.n_initial.append(expect_n(st))
-            if pre_delay > 0:
-                st = free_evolve(st, spec.mode, pre_delay)
-            st = mw_rotation(st, math.pi / 2.0, spec.sync_phase)
-            self.pre_train.append(st)
-        for st in self.pre_train:
-            rep = check_truncation(st, spec.hilbert)
-            if not rep.passed:
-                raise TruncationError(
-                    f"excitation leaves {rep.tail_population:.3e} in the top "
-                    f"{rep.tail_levels} Fock levels (tol {rep.tail_tol:g}); "
-                    "increase fock_dim"
-                )
+    p_down(phi) = p0 + 2 Re(p1 e^{i phi}) with the dephasing envelope folded
+    into (p0, p1), and delta_n(phi) = n0 + 2 Re(n1 e^{i phi}). max_tail is
+    the largest top-Fock-tail population over every flash, thermal level
+    and analysis phase.
+    """
+
+    p0: float
+    p1: complex
+    n0: float
+    n1: complex
+    max_tail: float
 
     def evaluate(self, phi: float) -> tuple[float, float]:
-        """(p_down, delta_n) at analysis phase phi, thermal averaged."""
-        spec = self.spec
-        train = replace(spec.analysis, base_phase=phi)
-        p_down = 0.0
-        delta_n = 0.0
-        for w, st, n0 in zip(self.weights, self.pre_train, self.n_initial):
-            out = run_pulse_train(st, train, spec.mode, spec.frame, spec.hilbert)
-            p_down += w * (1.0 - expect_sigma_z(out)) / 2.0
-            delta_n += w * (expect_n(out) - n0)
-        p_down = 0.5 + (p_down - 0.5) * self.envelope
+        """(p_down, delta_n) at analysis phase phi; p_down clamped to [0, 1]."""
+        rot = complex(math.cos(phi), math.sin(phi))
+        p_down = self.p0 + 2.0 * (self.p1 * rot).real
+        delta_n = self.n0 + 2.0 * (self.n1 * rot).real
         return min(max(p_down, 0.0), 1.0), delta_n
+
+    def fit(self, n_points: int) -> CosineFit:
+        """Cosine fit of p_down sampled at n_points phases evenly over 2 pi."""
+        phis = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+        return fit_cosine([(float(phi), self.evaluate(float(phi))[0], 0.0) for phi in phis])
+
+
+def sequence_fringe(spec: SequenceSpec) -> SequenceFringe:
+    """Propagate every thermal level of `spec` once and return its fringe.
+
+    The pre-train states are split into spin-down and spin-up parts and
+    pushed through the analysis train at phi = 0 as one block; the phase
+    dependence follows exactly (see run_pulse_train_block).
+    """
+    levels, weights = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
+    envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
+    pre_delay = spec.pre_delay()
+    pre_train = []
+    n_initial = []
+    for level in levels:
+        st = make_initial_state(SPIN_DOWN, int(level), spec.hilbert)
+        st = _apply_excitation(st, spec.excitation)
+        n_initial.append(expect_n(st))
+        if pre_delay > 0:
+            st = free_evolve(st, spec.mode, pre_delay)
+        st = mw_rotation(st, math.pi / 2.0, spec.sync_phase)
+        pre_train.append(st)
+    for st in pre_train:
+        rep = check_truncation(st, spec.hilbert)
+        if not rep.passed:
+            raise TruncationError(
+                f"excitation leaves {rep.tail_population:.3e} in the top "
+                f"{rep.tail_levels} Fock levels (tol {rep.tail_tol:g}); "
+                "increase fock_dim"
+            )
+    train = replace(spec.analysis, base_phase=0.0)
+    down, up, max_tail = run_pulse_train_block(
+        pre_train, train, spec.mode, spec.frame, spec.hilbert
+    )
+    pop0 = np.abs(down) ** 2 + np.abs(up) ** 2
+    pop1 = np.conj(down) * up
+    n = spec.hilbert.fock_dim
+    quanta = np.tile(np.arange(n), 2)
+    p0 = float(weights @ np.sum(pop0[:n], axis=0))
+    return SequenceFringe(
+        p0=0.5 + (p0 - 0.5) * envelope,
+        p1=complex(weights @ np.sum(pop1[:n], axis=0)) * envelope,
+        n0=float(weights @ (quanta @ pop0 - np.asarray(n_initial))),
+        n1=complex(weights @ (quanta @ pop1)),
+        max_tail=max_tail,
+    )
 
 
 def run_sequence(spec: SequenceSpec, phi: float) -> tuple[float, float]:
@@ -204,7 +245,7 @@ def run_sequence(spec: SequenceSpec, phi: float) -> tuple[float, float]:
     back-action delta<n> between the post-excitation and post-analysis
     states.
     """
-    return _SequenceRunner(spec).evaluate(phi)
+    return sequence_fringe(spec).evaluate(phi)
 
 
 def sample_detection(p_down: float, shots: int, seed) -> tuple[float, float]:
@@ -242,12 +283,11 @@ def reference_spec(spec: SequenceSpec) -> SequenceSpec:
     return replace(spec, excitation=None)
 
 
-def characterize_reference_fringe(spec: SequenceSpec, n_points: int = 8) -> CosineFit:
+def characterize_reference_fringe(
+    spec: SequenceSpec, n_points: int = REFERENCE_FIT_POINTS
+) -> CosineFit:
     """Analytic fringe of the alpha = 0 sequence; exact cosine by construction."""
-    runner = _SequenceRunner(reference_spec(spec))
-    phis = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    samples = [(float(phi), runner.evaluate(float(phi))[0], 0.0) for phi in phis]
-    return fit_cosine(samples)
+    return sequence_fringe(reference_spec(spec)).fit(n_points)
 
 
 def _invert_reference(p_meas: float, fringe: CosineFit) -> float:
@@ -262,12 +302,12 @@ def run_scan(
     scan: ScanSpec,
     spec: SequenceSpec,
     drift_phases: np.ndarray | None = None,
-    threads: int = 1,
 ) -> list[ScanRecord]:
     """Evaluate the sequence over (outer, phi) grids, outer-major.
 
-    Per-point detection seeds are base_seed + point index. When
-    interleave_reference is set, every measurement is preceded by an
+    Each outer value is propagated once; its phi points are read from the
+    resulting fringe. Per-point detection seeds are base_seed + point index.
+    When interleave_reference is set, every measurement is preceded by an
     alpha = 0 reference realization at mid-fringe whose inferred drift is
     subtracted from the measurement's phase coordinate. drift_phases, if
     given, supplies one injected apparatus phase per realization.
@@ -281,68 +321,52 @@ def run_scan(
             f"need {n_points * reals_per_point}"
         )
 
-    ref_runner = None
-    ref_fringe = None
-    if scan.interleave_reference:
-        ref_runner = _SequenceRunner(reference_spec(spec))
-        ref_fringe = characterize_reference_fringe(spec)
-        phi_ref = ref_fringe.phase + math.pi / 2.0
-
-    records: list[ScanRecord | None] = [None] * n_points
-
     def _drift(real_index: int) -> float:
         if drift_phases is None:
             return 0.0
         return float(drift_phases[real_index])
 
-    def _one_point(args):
-        outer_idx, outer, runner, phi_idx, phi = args
-        idx = outer_idx * n_phi + phi_idx
+    if scan.interleave_reference:
+        ref = sequence_fringe(reference_spec(spec))
+        ref_fit = ref.fit(REFERENCE_FIT_POINTS)
+        phi_ref = ref_fit.phase + math.pi / 2.0
+
+    records = []
+    for outer_idx, outer in enumerate(scan.outer_grid):
         try:
+            fringe = sequence_fringe(_with_outer(spec, scan.outer_var, outer))
+        except IonstrobeError as exc:
+            raise type(exc)(f"at scan point (outer={outer:g}): {exc}") from exc
+        for phi_idx, phi in enumerate(scan.phi_grid):
+            idx = outer_idx * n_phi + phi_idx
             if scan.interleave_reference:
                 ref_real, meas_real = 2 * idx, 2 * idx + 1
-                p_ref = ref_runner.evaluate(phi_ref + _drift(ref_real))[0]
+                p_ref = ref.evaluate(phi_ref + _drift(ref_real))[0]
                 if scan.detection_mode == "shots":
                     p_ref, _ = sample_detection(
                         p_ref, scan.shots, scan.base_seed + idx + REFERENCE_SEED_OFFSET
                     )
-                drift_hat = _invert_reference(p_ref, ref_fringe)
-                p, dn = runner.evaluate(phi + _drift(meas_real))
+                drift_hat = _invert_reference(p_ref, ref_fit)
+                p, dn = fringe.evaluate(phi + _drift(meas_real))
                 phi_out = phi + drift_hat
             else:
-                p, dn = runner.evaluate(phi + _drift(idx))
+                p, dn = fringe.evaluate(phi + _drift(idx))
                 phi_out = phi
             if scan.detection_mode == "shots":
                 mean, sem = sample_detection(p, scan.shots, scan.base_seed + idx)
             else:
                 mean, sem = p, 0.0
-        except IonstrobeError as exc:
-            raise type(exc)(f"at scan point (outer={outer:g}, phi={phi:g}): {exc}") from exc
-        records[idx] = ScanRecord(
-            phi=phi_out,
-            outer=outer,
-            p_down_mean=mean,
-            p_down_sem=sem,
-            sigma_z=1.0 - 2.0 * mean,
-            delta_n=dn,
-        )
-
-    tasks = []
-    for outer_idx, outer in enumerate(scan.outer_grid):
-        try:
-            runner = _SequenceRunner(_with_outer(spec, scan.outer_var, outer))
-        except IonstrobeError as exc:
-            raise type(exc)(f"at scan point (outer={outer:g}): {exc}") from exc
-        for phi_idx, phi in enumerate(scan.phi_grid):
-            tasks.append((outer_idx, outer, runner, phi_idx, phi))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(_one_point, tasks))
-    else:
-        for task in tasks:
-            _one_point(task)
-    return records  # type: ignore[return-value]
+            records.append(
+                ScanRecord(
+                    phi=phi_out,
+                    outer=outer,
+                    p_down_mean=mean,
+                    p_down_sem=sem,
+                    sigma_z=1.0 - 2.0 * mean,
+                    delta_n=dn,
+                )
+            )
+    return records
 
 
 def static_pattern_probe(x, z, pattern: PatternField, contrast: float | None = None):

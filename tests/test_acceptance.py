@@ -42,9 +42,9 @@ from ionstrobe.hilbert import expect_sigma_z
 from ionstrobe.sequence import (
     ScanSpec,
     SequenceSpec,
-    _SequenceRunner,
     characterize_reference_fringe,
     run_scan,
+    sequence_fringe,
 )
 from ionstrobe.tableio import read_table
 
@@ -134,8 +134,8 @@ def test_criterion_05_encoding_linearity(tuned_headline_small, headline_units):
     xs, phases = [], []
     for alpha in np.arange(0.0, 3.01, 0.5):
         for theta0, sign in ((0.0, 1.0), (math.pi, -1.0)):
-            runner = _SequenceRunner(replace(spec, excitation=CoherentAmp(alpha, theta0)))
-            fit = fit_cosine([(p, runner.evaluate(p)[0], 0.0) for p in phis])
+            fringe = sequence_fringe(replace(spec, excitation=CoherentAmp(alpha, theta0)))
+            fit = fit_cosine([(p, fringe.evaluate(p)[0], 0.0) for p in phis])
             xs.append(sign * 2.0 * headline_units.x_zpf * alpha)
             phases.append(math.remainder(fit.phase - anchor, 2.0 * math.pi))
     slope = float(np.polyfit(xs, phases, 1)[0])
@@ -153,8 +153,8 @@ def test_criterion_06_contrast_ordering_and_backaction(tuned_headline_small):
     phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     contrasts = {}
     for theta0 in (0.0, math.pi / 2):
-        runner = _SequenceRunner(replace(spec, excitation=CoherentAmp(3.0, theta0)))
-        contrasts[theta0] = fit_cosine([(p, runner.evaluate(p)[0], 0.0) for p in phis]).contrast
+        fringe = sequence_fringe(replace(spec, excitation=CoherentAmp(3.0, theta0)))
+        contrasts[theta0] = fit_cosine([(p, fringe.evaluate(p)[0], 0.0) for p in phis]).contrast
     ordering_ok = contrasts[math.pi / 2] < contrasts[0.0]
 
     worst_dn = 0.0
@@ -212,8 +212,8 @@ def test_criterion_08_phase_space_round_trip(tuned_headline_large, headline_deco
     thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     fits = []
     for theta0 in thetas:
-        runner = _SequenceRunner(replace(spec, excitation=CoherentAmp(6.5, theta0)))
-        fits.append(fit_cosine([(p, runner.evaluate(p)[0], 0.0) for p in phis]))
+        fringe = sequence_fringe(replace(spec, excitation=CoherentAmp(6.5, theta0)))
+        fits.append(fit_cosine([(p, fringe.evaluate(p)[0], 0.0) for p in phis]))
     phases = unwrap_sweep_phases([f.phase - anchor for f in fits])
     amp_x = 2.0 * headline_units.x_zpf * 6.5
     amp_p = 2.0 * headline_units.p_zpf * 6.5
@@ -251,8 +251,8 @@ def test_criterion_09_squeezed_scan():
     boot = {0.0: [], math.pi: []}
     rng = np.random.default_rng(4242)
     for zeta0 in (0.0, math.pi):
-        runner = _SequenceRunner(replace(spec, excitation=SqueezeParam(1.0, zeta0)))
-        p_true = np.array([runner.evaluate(float(p))[0] for p in phis])
+        fringe = sequence_fringe(replace(spec, excitation=SqueezeParam(1.0, zeta0)))
+        p_true = np.array([fringe.evaluate(float(p))[0] for p in phis])
         counts = rng.binomial(shots, p_true)
         p_hat = counts / shots
         sem = np.sqrt(p_hat * (1 - p_hat) / shots)
@@ -272,8 +272,8 @@ def test_criterion_09_squeezed_scan():
     for mag in (0.25, 0.5, 1.0):
         cs = {}
         for zeta0 in (0.0, math.pi):
-            runner = _SequenceRunner(replace(spec, excitation=SqueezeParam(mag, zeta0)))
-            cs[zeta0] = fit_cosine([(p, runner.evaluate(float(p))[0], 0.0) for p in phis]).contrast
+            fringe = sequence_fringe(replace(spec, excitation=SqueezeParam(mag, zeta0)))
+            cs[zeta0] = fit_cosine([(p, fringe.evaluate(float(p))[0], 0.0) for p in phis]).contrast
         diffs.append(abs(cs[0.0] - cs[math.pi]))
     monotone_ok = diffs[0] < diffs[1] < diffs[2]
     elapsed = time.time() - start

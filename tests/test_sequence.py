@@ -5,17 +5,35 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionstrobe import (
+    SPIN_DOWN,
     CoherentAmp,
     DriveParams,
     FrameParams,
     HilbertSpec,
     ModeParams,
+    SpinMotionState,
     SqueezeParam,
+    check_truncation,
+    displacement_operator,
+    expect_n,
+    expect_sigma_z,
+    make_initial_state,
+    squeeze_operator,
+    thermal_ensemble,
 )
-from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec
-from ionstrobe.errors import ConfigError
+from ionstrobe.dynamics import (
+    DephasingSpec,
+    PulseTrainSpec,
+    apply_dephasing,
+    free_evolve,
+    mw_rotation,
+    run_pulse_train,
+)
+from ionstrobe.errors import ConfigError, TruncationError
 from ionstrobe.fitting import fit_cosine
 from ionstrobe.sequence import (
     PatternField,
@@ -27,6 +45,7 @@ from ionstrobe.sequence import (
     run_scan,
     run_sequence,
     sample_detection,
+    sequence_fringe,
     static_pattern_probe,
 )
 
@@ -129,6 +148,96 @@ class TestRunSequence:
         assert p_deph == pytest.approx(0.5 + (p_plain - 0.5) * env, abs=1e-12)
 
 
+def reference_observables(spec, phi):
+    """(p_down, delta_n, sigma_z, worst tail) at phi from per-phase train runs.
+
+    Builds the pre-train state of every thermal level with the full
+    displacement or squeeze unitary, runs run_pulse_train at base phase phi,
+    and thermal-averages; the tail is the largest top-Fock population seen
+    after any flash of any level.
+    """
+    levels, weights = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
+    envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
+    train = replace(spec.analysis, base_phase=phi)
+    p_down = delta_n = sigma_z = tail = 0.0
+    for w, level in zip(weights, levels):
+        state = make_initial_state(SPIN_DOWN, int(level), spec.hilbert)
+        exc = spec.excitation
+        if isinstance(exc, CoherentAmp):
+            op = displacement_operator(exc, spec.hilbert)
+        elif isinstance(exc, SqueezeParam):
+            op = squeeze_operator(exc, spec.hilbert)
+        else:
+            op = np.eye(spec.hilbert.fock_dim)
+        blocks = [op @ block for block in state.spin_blocks()]
+        state = SpinMotionState(np.concatenate(blocks), state.fock_dim)
+        n_initial = expect_n(state)
+        state = free_evolve(state, spec.mode, spec.pre_delay())
+        state = mw_rotation(state, math.pi / 2.0, spec.sync_phase)
+        for k in range(1, train.n_flashes + 1):
+            prefix = run_pulse_train(state, replace(train, n_flashes=k), spec.mode, spec.frame)
+            tail = max(tail, check_truncation(prefix, spec.hilbert).tail_population)
+        out = run_pulse_train(state, train, spec.mode, spec.frame)
+        p_down += w * (1.0 - expect_sigma_z(out)) / 2.0
+        delta_n += w * (expect_n(out) - n_initial)
+        sigma_z += w * expect_sigma_z(out)
+    return 0.5 + (p_down - 0.5) * envelope, delta_n, envelope * sigma_z, tail
+
+
+excitations = st.one_of(
+    st.none(),
+    st.builds(CoherentAmp, st.floats(0.1, 1.5), st.floats(0.0, 2.0 * math.pi)),
+    st.builds(SqueezeParam, st.floats(0.05, 0.3), st.floats(0.0, 2.0 * math.pi)),
+)
+
+
+class TestSequenceFringe:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        excitation=excitations,
+        phase_step=st.floats(0.02, 0.6) | st.floats(-0.6, -0.02),
+        rabi_scale=st.floats(0.5, 3.0),
+        eta=st.floats(0.0, 0.5),
+        n_th=st.floats(0.3, 1.0),
+        envelope=st.sampled_from(["gaussian", "exponential"]),
+        tau=st.floats(2e-6, 20e-6),
+        phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+    )
+    def test_matches_per_phase_reference(
+        self, excitation, phase_step, rabi_scale, eta, n_th, envelope, tau, phis
+    ):
+        base = make_spec(
+            fock_dim=40, eta=eta, rabi_scale=rabi_scale, excitation=excitation,
+            n_th=n_th, envelope=envelope, n_flashes=5,
+        )
+        spec = replace(
+            base,
+            hilbert=HilbertSpec(fock_dim=40, tail_tol=0.5),
+            analysis=replace(base.analysis, phase_step=phase_step),
+            dephasing=DephasingSpec(tau=tau, envelope=envelope),
+        )
+        levels, _ = thermal_ensemble(n_th, spec.thermal_samples, spec.thermal_seed)
+        assert len(levels) >= 2
+        fringe = sequence_fringe(spec)
+        for phi in phis:
+            p_ref, dn_ref, sz_ref, tail_ref = reference_observables(spec, phi)
+            p, dn = fringe.evaluate(phi)
+            assert abs(p - p_ref) <= 1e-12
+            assert abs(dn - dn_ref) <= 1e-12
+            assert abs((1.0 - 2.0 * p) - sz_ref) <= 1e-12
+            # the reported tail is a supremum over phi; allow only rounding
+            assert fringe.max_tail >= tail_ref - 1e-15
+
+    def test_truncation_names_outer_and_flash(self):
+        # level 21 of the n_th = 2 ensemble passes the pre-train check at
+        # fock_dim 33 and is pushed into the top Fock levels by the flashes
+        spec = make_spec(fock_dim=33, excitation=CoherentAmp(0.5, 0.0), n_th=2.0)
+        scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=[1.25], outer_var="theta0")
+        message = r"outer=1\.25\): flash \d+ of 30 .* at base phase"
+        with pytest.raises(TruncationError, match=message):
+            run_scan(scan, spec)
+
+
 class TestSampleDetection:
     def test_certain_outcome(self):
         assert sample_detection(1.0, 37, seed=0) == (1.0, 0.0)
@@ -208,13 +317,6 @@ class TestRunScan:
         first = run_scan(scan, spec)
         second = run_scan(scan, spec)
         assert first == second
-
-    def test_threads_match_serial(self):
-        spec = make_spec(fock_dim=32, excitation=CoherentAmp(1.0, 0.0))
-        scan = ScanSpec(phi_grid=np.linspace(0, 2 * math.pi, 6), outer_grid=[0.0, 1.0], outer_var="theta0")
-        serial = run_scan(scan, spec, threads=1)
-        parallel = run_scan(scan, spec, threads=4)
-        assert serial == parallel
 
     def test_envelope_only_contrast_motion_insensitive(self):
         # the envelope-only limit is exact when the analysis drive cannot
