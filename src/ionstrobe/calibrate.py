@@ -14,20 +14,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import eval_laguerre
 
 from .dynamics import run_pulse_train
 from .errors import CalibrationError, DecodeError
 from .fitting import CosineFit, fit_cosine
 from .hilbert import (
     HBAR,
-    SPIN_DOWN,
     CoherentAmp,
     UnitScale,
     expect_sigma_z,
-    make_initial_state,
-    thermal_ensemble,
+    thermal_ground_states,
 )
 from .sequence import (
     ScanSpec,
@@ -65,6 +61,9 @@ class DecodeTables:
     build_config: dict
 
     def __post_init__(self):
+        # scipy is imported here, not at module level, to keep it off the CLI's import path
+        from scipy.interpolate import PchipInterpolator
+
         self._check_monotone(self.pos_phi0, self.pos_x, "position")
         self._check_monotone(self.mom_c[::-1], self.mom_p[::-1], "momentum")
         self._pos_interp = PchipInterpolator(self.pos_phi0, self.pos_x)
@@ -117,6 +116,23 @@ class DecodedPoint:
     p_clamped: bool = False
 
 
+def _laguerre(levels: np.ndarray, x: float) -> np.ndarray:
+    """Laguerre polynomials L_n(x) for integer levels n >= 0.
+
+    Uses the recurrence of scipy.special.eval_laguerre for integer n
+    (d_1 = -x, d_{k+1} = -x p_k / (k+1) + k d_k / (k+1), p_{k+1} = p_k + d_{k+1}),
+    so the values agree with it bit for bit.
+    """
+    vals = [1.0]
+    d = -x
+    p = 1.0 + d
+    for k in range(1, int(np.max(levels)) + 1):
+        vals.append(p)
+        d = -x / (k + 1.0) * p + (k / (k + 1.0)) * d
+        p = p + d
+    return np.array(vals)[np.asarray(levels, dtype=int)]
+
+
 def golden_section(f, lo: float, hi: float, xtol: float = 1e-6, max_iter: int = 100):
     """Minimize a unimodal scalar function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -164,8 +180,9 @@ def tune_pulse_train(
         raise CalibrationError("tol must be positive")
 
     train = spec.analysis
-    levels, weights = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
-    states = [make_initial_state(SPIN_DOWN, int(n), spec.hilbert) for n in levels]
+    levels, weights, states = thermal_ground_states(
+        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
+    )
     n_evals = 0
 
     def objective(phase_step: float, rabi_scale: float) -> float:
@@ -184,9 +201,7 @@ def tune_pulse_train(
 
     # analytic starting point: thermally weighted Debye-Waller carrier rate
     eta = train.drive.eta
-    dw = math.exp(-(eta**2) / 2.0) * float(
-        np.dot(weights, eval_laguerre(levels, eta**2))
-    )
+    dw = math.exp(-(eta**2) / 2.0) * float(np.dot(weights, _laguerre(levels, eta**2)))
     theta_full = train.n_flashes * train.drive.rabi * train.flash_dur * max(dw, 1e-12)
     scale = (math.pi / 2.0) / theta_full
     step = train.phase_step

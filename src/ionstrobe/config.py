@@ -11,6 +11,7 @@ period, and a 70 us gaussian coherence envelope.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -135,6 +136,12 @@ def _check_type(section: str, key: str, value, default) -> None:
             raise ConfigError(f"{section}.{key} must be a list")
 
 
+def _check_finite(section: str, key: str, value) -> None:
+    items = value if isinstance(value, list) else [value]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ConfigError(f"{section}.{key} must be finite, got {value}")
+
+
 def merge_config(user: dict | None) -> dict:
     """Validate a user document against the schema and merge over defaults."""
     merged = {s: dict(keys) for s, keys in DEFAULTS.items()}
@@ -151,6 +158,7 @@ def merge_config(user: dict | None) -> dict:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown config key '{section}.{key}'")
             _check_type(section, key, value, DEFAULTS[section][key])
+            _check_finite(section, key, value)
             default = DEFAULTS[section][key]
             if isinstance(default, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
                 value = float(value)
@@ -158,12 +166,27 @@ def merge_config(user: dict | None) -> dict:
     return merged
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 3e5 and 1e-9.
+
+    PyYAML resolves plain scalars by YAML 1.1, where a float needs a dot
+    and a signed exponent, so 3e5 would load as a string.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        doc = yaml.safe_load(p.read_text())
+        doc = yaml.load(p.read_text(), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {p} is not valid YAML: {exc}") from exc
     return merge_config(doc)

@@ -10,6 +10,13 @@ of the piecewise-constant Hamiltonian
 with C = exp[i eta (a + a_dag)]. Flash unitaries are cached at phase 0;
 the drive phase enters through the exact conjugation
 H(phi) = V(phi) H(0) V(phi)^dag with V = exp(-i phi sigma_z / 2).
+
+The flash exponential is taken in the i^n gauge G = diag(i^n) on each spin
+block. G^dag a G = i a, so G^dag C G = exp[eta (a_dag - a)] is real
+orthogonal and H'(0) = diag(G, G)^dag H(0) diag(G, G) is real symmetric:
+a real eigendecomposition of H'(0) gives U(0) = diag(G, G) exp(-i H'(0) dt)
+diag(G, G)^dag. Both diag(G, G) and V(phi) are diagonal, so they commute
+and the drive-phase conjugation is unchanged.
 """
 
 from __future__ import annotations
@@ -27,10 +34,10 @@ from .hilbert import (
     HilbertSpec,
     ModeParams,
     SpinMotionState,
-    build_mode_operators,
     check_truncation,
     coupling_operator,
     expect_n,
+    quadrature_gauge,
 )
 
 
@@ -100,23 +107,28 @@ def free_evolve(state: SpinMotionState, mode: ModeParams, t: float) -> SpinMotio
 def _flash_unitary(fock_dim: int, eta: float, rabi: float, detuning: float, freq: float, dt: float) -> np.ndarray:
     """Flash propagator exp(-i H dt) at drive phase zero, cached per parameter set.
 
+    In the gauge diag(G, G), G = diag(i^n), H is real symmetric (see the
+    module docstring), so one real eigh gives H' = Q diag(w) Q^T and
+    U = diag(G, G) Q e^{-i w dt} Q^T diag(G, G)^dag.
+
     The cache is small on purpose: the pi/2 tuner tries a new Rabi rate on
     every evaluation, and at fock_dim 232 each discarded unitary holds 3.4 MB.
     """
-    spec = HilbertSpec(fock_dim=fock_dim, tail_tol=0.5)
-    _, _, n_op = build_mode_operators(spec)
-    c = coupling_operator(eta, spec)
+    g = quadrature_gauge(fock_dim)
+    c = coupling_operator(eta, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5))
+    r = (np.conj(g)[:, None] * c * g).real  # G^dag C G = exp[eta (a_dag - a)]
     dim = 2 * fock_dim
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     # spin-major blocks: [dd, du; ud, uu] with sigma_z = diag(-1, +1)
-    diag_mode = freq * np.diag(n_op).real
-    h[:fock_dim, :fock_dim] = np.diag(diag_mode - detuning / 2.0)
-    h[fock_dim:, fock_dim:] = np.diag(diag_mode + detuning / 2.0)
+    diag_mode = freq * np.arange(fock_dim)
+    h[np.diag_indices(dim)] = np.concatenate([diag_mode - detuning / 2.0, diag_mode + detuning / 2.0])
     # (W/2) (C sigma_+ + C^dag sigma_-): sigma_+ = |up><down|
-    h[fock_dim:, :fock_dim] = (rabi / 2.0) * c
-    h[:fock_dim, fock_dim:] = (rabi / 2.0) * c.conj().T
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * dt)) @ v.conj().T
+    h[fock_dim:, :fock_dim] = (rabi / 2.0) * r
+    h[:fock_dim, fock_dim:] = (rabi / 2.0) * r.T
+    w, q = np.linalg.eigh(h)
+    u = (q * np.cos(w * dt)) @ q.T - 1j * ((q * np.sin(w * dt)) @ q.T)
+    gg = np.tile(g, 2)
+    u = gg[:, None] * u * np.conj(gg)
     u.setflags(write=False)
     return u
 

@@ -97,9 +97,8 @@ def fit_cosine(samples, sem_floor: float | None = None) -> CosineFit:
     sem_floor : float, optional
         Lower bound on the per-point sem, typically 1/(2 shots).
 
-    The internal parameters (offset, C cos phi0, C sin phi0) make the
-    model linear; a discrete quadrature projection seeds Gauss-Newton,
-    which converges when the step norm drops below 1e-10.
+    The model is linear in (offset, C cos phi0, C sin phi0), so the fit is
+    one weighted least-squares solve of the normal equations.
     """
     phi, p, sem = _unpack_samples(samples)
     if phi.size < 5:
@@ -109,21 +108,10 @@ def fit_cosine(samples, sem_floor: float | None = None) -> CosineFit:
         raise FitError(f"phase span {span:.3f} rad is degenerate (< pi)")
     w = _weights_from_sems(sem, sem_floor)
 
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    # quadrature projection initialization
-    beta = np.array([np.mean(p), 2.0 * np.mean(p * cos_phi), 2.0 * np.mean(p * sin_phi)])
-
-    jac = np.column_stack([np.ones_like(phi), cos_phi, sin_phi])
+    jac = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
     jtw = jac.T * w
     normal = jtw @ jac
-    for _ in range(GN_MAX_ITER):
-        resid = p - jac @ beta
-        step = np.linalg.solve(normal, jtw @ resid)
-        beta = beta + step
-        if np.linalg.norm(step) < GN_STEP_TOL:
-            break
-    else:
-        raise FitError("cosine fit did not converge")
+    beta = np.linalg.solve(normal, jtw @ p)
 
     resid = p - jac @ beta
     residual_rms = float(np.sqrt(np.mean(resid**2)))

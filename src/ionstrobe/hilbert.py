@@ -12,8 +12,10 @@ population is P_down = (1 - <sigma_z>) / 2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -210,16 +212,50 @@ def _expi_hermitian(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
+def quadrature_gauge(fock_dim: int) -> np.ndarray:
+    """Diagonal of the gauge G = diag(i^n).
+
+    G^dag a G = i a, so G^dag (a + a_dag) G = i (a - a_dag): the gauge turns
+    exp(i t (a + a_dag)) into the real orthogonal exp(t (a_dag - a)).
+    """
+    return np.array([1.0, 1j, -1.0, -1j])[np.arange(fock_dim) % 4]
+
+
+@lru_cache(maxsize=4)
+def _quadrature_eigh(fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real eigendecomposition (lam, V) of the position quadrature X = a + a_dag."""
+    root = np.sqrt(np.arange(1.0, fock_dim))
+    lam, v = np.linalg.eigh(np.diag(root, 1) + np.diag(root, -1))
+    lam.setflags(write=False)
+    v.setflags(write=False)
+    return lam, v
+
+
+def _expi_quadrature(t: float, fock_dim: int) -> np.ndarray:
+    """exp(i t X) = V e^{i t lam} V^T from the cached real eigendecomposition of X."""
+    lam, v = _quadrature_eigh(fock_dim)
+    return (v * np.cos(t * lam)) @ v.T + 1j * ((v * np.sin(t * lam)) @ v.T)
+
+
 def coupling_operator(eta: float, spec: HilbertSpec) -> np.ndarray:
-    """Traveling-wave coupling matrix exp[i eta (a + a_dag)] on the Fock space."""
+    """Traveling-wave coupling matrix C = exp[i eta (a + a_dag)] on the Fock space.
+
+    Built as V e^{i eta lam} V^T from one cached real eigendecomposition of
+    X = a + a_dag per fock_dim. In the gauge G = diag(i^n), G^dag C G =
+    exp[eta (a_dag - a)] is real orthogonal.
+    """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    a, a_dag, _ = build_mode_operators(spec)
-    return _expi_hermitian(eta * (a + a_dag).real.astype(float))
+    return _expi_quadrature(eta, spec.fock_dim)
 
 
 def displacement_operator(alpha, spec: HilbertSpec) -> np.ndarray:
     """Coherent displacement D(alpha) = exp(alpha a_dag - alpha* a).
+
+    With alpha = r e^{i theta} and R = diag(e^{i theta n}), D(alpha) =
+    R G exp(-i r X) G^dag R^dag in the gauge G = diag(i^n), where
+    G exp(-i r X) G^dag = exp[r (a_dag - a)]; exp(-i r X) comes from the
+    same cached real eigendecomposition of X as coupling_operator.
 
     Raises TruncationError unless fock_dim >= 4 |alpha|^2 + 20, which keeps
     the Poisson tail of the displaced vacuum below ~1e-6.
@@ -233,9 +269,9 @@ def displacement_operator(alpha, spec: HilbertSpec) -> np.ndarray:
             f"fock_dim={spec.fock_dim} too small for |alpha|={abs(alpha):.3g} "
             f"(need >= {math.ceil(needed)})"
         )
-    a, a_dag, _ = build_mode_operators(spec)
-    gen = alpha * a_dag - np.conj(alpha) * a  # anti-Hermitian
-    return _expi_hermitian(-1j * gen)
+    n = spec.fock_dim
+    rot = np.exp(1j * cmath.phase(alpha) * np.arange(n)) * quadrature_gauge(n)
+    return rot[:, None] * _expi_quadrature(-abs(alpha), n) * np.conj(rot)
 
 
 def squeeze_operator(zeta, spec: HilbertSpec) -> np.ndarray:
@@ -295,6 +331,23 @@ def thermal_ensemble(n_th: float, samples: int, seed) -> tuple[np.ndarray, np.nd
     draws = rng.geometric(1.0 / (1.0 + n_th), size=samples) - 1
     levels, counts = np.unique(draws, return_counts=True)
     return levels, counts / float(samples)
+
+
+def thermal_ground_states(
+    n_th: float, samples: int, seed, spec: HilbertSpec
+) -> tuple[np.ndarray, np.ndarray, list[SpinMotionState]]:
+    """thermal_ensemble's (levels, weights) and |down> (x) |n> for each level.
+
+    Raises TruncationError when a drawn level lies outside the Fock space.
+    """
+    levels, weights = thermal_ensemble(n_th, samples, seed)
+    top = int(levels[-1])
+    if top >= spec.fock_dim:
+        raise TruncationError(
+            f"thermal draw reached Fock level {top} at n_th={n_th:g}, outside "
+            f"fock_dim={spec.fock_dim}; increase fock_dim"
+        )
+    return levels, weights, [make_initial_state(SPIN_DOWN, int(n), spec) for n in levels]
 
 
 def expect(observable: np.ndarray, state: SpinMotionState):

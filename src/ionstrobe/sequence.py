@@ -43,7 +43,6 @@ from .dynamics import (
 from .errors import ConfigError, IonstrobeError, TruncationError
 from .fitting import CosineFit, fit_cosine
 from .hilbert import (
-    SPIN_DOWN,
     CoherentAmp,
     FrameParams,
     HilbertSpec,
@@ -53,9 +52,8 @@ from .hilbert import (
     check_truncation,
     displacement_operator,
     expect_n,
-    make_initial_state,
     squeeze_operator,
-    thermal_ensemble,
+    thermal_ground_states,
 )
 
 REFERENCE_SEED_OFFSET = 1 << 20  # separates reference from measurement detection streams
@@ -199,13 +197,14 @@ def sequence_fringe(spec: SequenceSpec) -> SequenceFringe:
     pushed through the analysis train at phi = 0 as one block; the phase
     dependence follows exactly (see run_pulse_train_block).
     """
-    levels, weights = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
+    _, weights, ground = thermal_ground_states(
+        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
+    )
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
     pre_delay = spec.pre_delay()
     pre_train = []
     n_initial = []
-    for level in levels:
-        st = make_initial_state(SPIN_DOWN, int(level), spec.hilbert)
+    for st in ground:
         st = _apply_excitation(st, spec.excitation)
         n_initial.append(expect_n(st))
         if pre_delay > 0:

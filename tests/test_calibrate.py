@@ -93,6 +93,12 @@ class TestTunePulseTrain:
         _, tuning = tuned_spec
         assert tuning.achieved_sigma_z < 0.01
 
+    def test_headline_tuning_reproduced(self, tuned_headline_small):
+        # recorded with a complex-eigh flash propagator; the real-gauge build must agree
+        _, tuning = tuned_headline_small
+        assert tuning.rabi_scale == pytest.approx(0.2794704389395366, abs=1e-12)
+        assert tuning.phase_step == pytest.approx(0.0, abs=1e-12)
+
     def test_tuned_train_on_thermal_state(self, tuned_spec):
         spec, _ = tuned_spec
         p_down, _ = run_sequence(replace(spec, dephasing=DephasingSpec(envelope="none")), 0.0)

@@ -1,12 +1,15 @@
 """Config validation and end-to-end CLI runs on small workloads."""
 
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import ionstrobe
 from ionstrobe.cli import main
 from ionstrobe.config import (
     DEFAULTS,
@@ -70,6 +73,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.yaml")
 
+    def test_yaml_exponent_floats(self, tmp_path):
+        cfg = load_config(write_cfg(
+            tmp_path, "drive: {rabi_hz: 3e5}\nhilbert: {fock_dim: 64, tail_tol: 1e-4}\n"
+            "mode: {freq_hz: +1.3E6}\nscan: {outer_values: [1e-1, 2]}\n"
+        ))
+        assert cfg["drive"]["rabi_hz"] == 3e5
+        assert cfg["hilbert"]["tail_tol"] == 1e-4
+        assert cfg["hilbert"]["fock_dim"] == 64 and isinstance(cfg["hilbert"]["fock_dim"], int)
+        assert cfg["mode"]["freq_hz"] == 1.3e6
+        assert cfg["scan"]["outer_values"] == [0.1, 2]
+
+    @pytest.mark.parametrize("text,key", [
+        ("drive: {rabi_hz: .nan}", "drive.rabi_hz"),
+        ("mode: {n_th: .inf}", "mode.n_th"),
+        ("train: {rabi_scale: -.inf}", "train.rabi_scale"),
+        ("scan: {outer_values: [0.0, .nan]}", "scan.outer_values"),
+    ])
+    def test_non_finite_rejected(self, tmp_path, capsys, text, key):
+        path = write_cfg(tmp_path, text + "\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["ramsey-scan", "--config", path, "--out", str(tmp_path / "x.txt")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_units_and_scan_builders(self):
         cfg = merge_config({"scan": {"phi_num": 4, "outer_values": [0.5]}})
         units = build_units(cfg)
@@ -124,6 +151,17 @@ class TestCliRamseyScan:
         bad = FAST_SCAN.replace("alpha_abs: 1.0", "alpha_abs: 4.0")
         cfg = write_cfg(tmp_path, bad)
         assert main(["ramsey-scan", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 3
+
+    @pytest.mark.parametrize("rabi_scale", ["auto", "0.2795"])
+    def test_thermal_draw_past_fock_space(self, tmp_path, capsys, rabi_scale):
+        # n_th = 50 draws levels far above 32; the tuner ("auto") or the scan reports it
+        cfg = write_cfg(tmp_path, FAST_SCAN.replace("fock_dim: 48", "fock_dim: 32")
+                        .replace("rabi_scale: 0.2795", f"rabi_scale: {rabi_scale}")
+                        .replace("state: {alpha_abs: 1.0}", "state: {alpha_abs: 0.0}")
+                        + "mode: {n_th: 50}\n")
+        assert main(["ramsey-scan", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 3
+        err = capsys.readouterr().err
+        assert "Fock level" in err and "n_th=50" in err and "fock_dim=32" in err
 
     def test_threads_identical_output(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SCAN)
@@ -274,6 +312,14 @@ class TestCliBuildAndTrace:
         assert main(["trace-phase-space", "--config", cfg, "--out", out2]) == 0
         assert tables_path.stat().st_mtime_ns == mtime  # cache hit, not rebuilt
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+
+def test_cli_import_leaves_scipy_out():
+    # a fresh interpreter, so modules the test session imported do not count
+    src = str(Path(ionstrobe.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import ionstrobe.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestDemoConfigs:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionstrobe import (
     CoherentAmp,
@@ -23,6 +25,7 @@ from ionstrobe import (
 )
 from ionstrobe.dynamics import (
     BackActionResult,
+    _flash_unitary,
     DephasingSpec,
     PulseTrainSpec,
     apply_dephasing,
@@ -238,3 +241,38 @@ class TestDephasing:
     def test_exponential(self):
         spec = DephasingSpec(tau=50e-6, envelope="exponential")
         assert apply_dephasing(0.5, spec, 50e-6) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
+
+
+def complex_flash_unitary(fock_dim, eta, rabi, detuning, freq, dt):
+    """Reference flash propagator: complex Hermitian H and one complex eigh."""
+    root = np.sqrt(np.arange(1.0, fock_dim))
+    w, v = np.linalg.eigh(eta * (np.diag(root, 1) + np.diag(root, -1)))
+    c = (v * np.exp(1j * w)) @ v.conj().T
+    dim = 2 * fock_dim
+    h = np.zeros((dim, dim), dtype=complex)
+    diag_mode = freq * np.arange(fock_dim)
+    h[:fock_dim, :fock_dim] = np.diag(diag_mode - detuning / 2.0)
+    h[fock_dim:, fock_dim:] = np.diag(diag_mode + detuning / 2.0)
+    h[fock_dim:, :fock_dim] = (rabi / 2.0) * c
+    h[:fock_dim, fock_dim:] = (rabi / 2.0) * c.conj().T
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+
+
+class TestGaugeFlashUnitary:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fock_dim=st.integers(4, 64),
+        eta=st.floats(0.0, 1.0),
+        rabi_hz=st.floats(0.0, 1e6),
+        detuning_hz=st.floats(-2e5, 2e5),
+        freq_hz=st.floats(0.2e6, 2e6),
+        dt=st.floats(10e-9, 200e-9),
+    )
+    def test_matches_complex_eigh(self, fock_dim, eta, rabi_hz, detuning_hz, freq_hz, dt):
+        args = (fock_dim, eta, 2 * math.pi * rabi_hz, 2 * math.pi * detuning_hz,
+                2 * math.pi * freq_hz, dt)
+        u = _flash_unitary(*args)
+        ref = complex_flash_unitary(*args)
+        assert np.max(np.abs(u - ref)) < 1e-12
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2 * fock_dim))) < 1e-12

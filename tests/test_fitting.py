@@ -84,6 +84,22 @@ class TestCosineFit:
         fit = fit_cosine(fringe_samples(0.5, 0.5, -math.pi))
         assert -math.pi < fit.phase <= math.pi
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_lstsq_on_scaled_design(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 40))
+        phi = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+        phi[-1] = phi[0] + math.pi + rng.uniform(0.0, math.pi)
+        p = rng.uniform(0.0, 1.0, n)
+        sem = rng.uniform(0.002, 0.05, n)
+        fit = fit_cosine(list(zip(phi, p, sem)), sem_floor=0.004)
+        root_w = 1.0 / np.maximum(sem, 0.004)
+        design = np.column_stack([np.ones(n), np.cos(phi), np.sin(phi)])
+        ref, *_ = np.linalg.lstsq(design * root_w[:, None], p * root_w, rcond=None)
+        half = 0.5 * fit.contrast
+        got = [fit.offset, half * math.cos(fit.phase), half * math.sin(fit.phase)]
+        assert np.max(np.abs(np.array(got) - ref)) < 1e-12
+
 
 def pattern_points(wavelength, rotation, amplitude, extent=200e-9, n=26, sem=0.0, phase=0.4):
     grid = np.linspace(-extent, extent, n)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import eval_genlaguerre
 
 from ionstrobe import (
@@ -134,6 +135,14 @@ class TestDisplacement:
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             displacement_operator(CoherentAmp(3.0), HilbertSpec(fock_dim=40))
+
+    @pytest.mark.parametrize("alpha", [0.3 - 0.2j, 1.5 + 1.1j, -2.0 + 0.5j, -1.2j, 2.5])
+    def test_matches_expm_of_generator(self, alpha):
+        # the gauge construction against the truncated generator exponentiated directly
+        spec = HilbertSpec(fock_dim=48)
+        a, a_dag, _ = build_mode_operators(spec)
+        ref = expm(alpha * a_dag - np.conj(alpha) * a)
+        assert np.max(np.abs(displacement_operator(alpha, spec) - ref)) < 1e-12
 
     def test_position_expectation(self):
         spec = HilbertSpec(fock_dim=32)
