@@ -63,7 +63,6 @@ from .sequence import (
     SequenceFringe,
     SequenceSpec,
     characterize_reference_fringe,
-    interleaved_reference,
     run_scan,
     run_sequence,
     sample_detection,

@@ -14,6 +14,7 @@ import argparse
 import copy
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .calibrate import (
+    apply_tuning,
     build_decode_tables,
     noise_floor_estimate,
     tune_pulse_train,
@@ -65,16 +67,21 @@ def _drift_for_scan(cfg: dict, scan: ScanSpec) -> np.ndarray | None:
     return trace.phase[:n_real]
 
 
+@contextmanager
+def _naming(key: str):
+    """Re-raise a config, file or parse error inside the block as a ConfigError naming `key`."""
+    try:
+        yield
+    except (ConfigError, OSError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _tuned_sequence(cfg: dict):
-    tuning = cfgmod.resolve_tuning(cfg)
-    spec = cfgmod.build_sequence_spec(
-        cfg, rabi_scale=tuning.rabi_scale, phase_step=tuning.phase_step
-    )
-    return spec, tuning
+    return apply_tuning(cfgmod.build_sequence_spec(cfg), cfgmod.resolve_tuning(cfg))
 
 
 def cmd_ramsey_scan(cfg: dict, args) -> None:
-    spec, _ = _tuned_sequence(cfg)
+    spec = _tuned_sequence(cfg)
     scan = cfgmod.build_scan_spec(cfg)
     records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan))
     rows = [
@@ -97,7 +104,7 @@ def cmd_squeeze_scan(cfg: dict, args) -> None:
     cfg["train"]["cycle_ns"] = 0.0
     if cfg["state"]["zeta_abs"] <= 0:
         raise ConfigError("squeeze-scan needs state.zeta_abs > 0")
-    spec, _ = _tuned_sequence(cfg)
+    spec = _tuned_sequence(cfg)
     scan = cfgmod.build_scan_spec(cfg)
     records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan))
     columns = ["outer", "phi_rad", "p_down", "p_down_sem", "sigma_z", "delta_n"]
@@ -172,47 +179,41 @@ def _decode_config_subset(cfg: dict) -> dict:
     return {k: cfg[k] for k in keys}
 
 
+def _build_tables(cfg: dict, spec, subset: dict):
+    """Decode tables over the alpha grid 0, alpha_step, ... up to alpha_max."""
+    dec = cfg["decode"]
+    alpha_grid = np.arange(0.0, dec["alpha_max"] + dec["alpha_step"] / 2.0, dec["alpha_step"])
+    return build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid,
+                               phi_points=dec["phi_points"], config_note=subset)
+
+
 def _resolve_tables(cfg: dict, spec):
     """Load decode tables if cached with a matching config hash, else build."""
     subset = _decode_config_subset(cfg)
     want_hash = config_hash(subset)
     path = cfg["decode"]["tables_path"]
     if path and Path(path).exists():
-        tables, stored = read_decode_tables(path)
+        with _naming("decode.tables_path"):
+            tables, stored = read_decode_tables(path)
         if stored == want_hash:
             return tables
-    units = cfgmod.build_units(cfg)
-    alpha_grid = np.arange(
-        0.0, cfg["decode"]["alpha_max"] + cfg["decode"]["alpha_step"] / 2.0,
-        cfg["decode"]["alpha_step"],
-    )
-    tables = build_decode_tables(
-        spec, units, alpha_grid, phi_points=cfg["decode"]["phi_points"], config_note=subset
-    )
+    tables = _build_tables(cfg, spec, subset)
     if path:
         # round-trip through the serialized form so cache hits and misses
         # decode through bit-identical table values
-        write_decode_tables(tables, path, config=subset)
-        tables, _ = read_decode_tables(path)
+        with _naming("decode.tables_path"):
+            write_decode_tables(tables, path, config=subset)
+            tables, _ = read_decode_tables(path)
     return tables
 
 
 def cmd_build_tables(cfg: dict, args) -> None:
-    spec, _ = _tuned_sequence(cfg)
-    units = cfgmod.build_units(cfg)
-    alpha_grid = np.arange(
-        0.0, cfg["decode"]["alpha_max"] + cfg["decode"]["alpha_step"] / 2.0,
-        cfg["decode"]["alpha_step"],
-    )
     subset = _decode_config_subset(cfg)
-    tables = build_decode_tables(
-        spec, units, alpha_grid, phi_points=cfg["decode"]["phi_points"], config_note=subset
-    )
-    write_decode_tables(tables, args.out, config=subset)
+    write_decode_tables(_build_tables(cfg, _tuned_sequence(cfg), subset), args.out, config=subset)
 
 
 def cmd_trace_phase_space(cfg: dict, args) -> None:
-    spec, _ = _tuned_sequence(cfg)
+    spec = _tuned_sequence(cfg)
     if cfg["state"]["zeta_abs"] > 0:
         raise ConfigError("trace-phase-space decodes coherent displacements; unset state.zeta_abs")
     alpha = cfg["state"]["alpha_abs"]
@@ -290,19 +291,22 @@ def cmd_stability(cfg: dict, args) -> None:
     model = cfgmod.build_noise_model(cfg)
     st = cfg["stability"]
     seed = cfg["detection"]["base_seed"]
-    trace = simulate_phase_trace(model, st["duration_s"], seed=seed)
-    corrected = apply_reference_correction(trace, st["reference_interval_s"])
+    with _naming("stability.duration_s"):
+        trace = simulate_phase_trace(model, st["duration_s"], seed=seed)
+    with _naming("stability.reference_interval_s"):
+        corrected = apply_reference_correction(trace, st["reference_interval_s"])
     rows = []
-    for window in st["windows_s"]:
-        rows.append(
-            (
-                window,
-                math.degrees(windowed_phase_stat(trace, window, "window_std")),
-                math.degrees(windowed_phase_stat(trace, window, "two_sample")),
-                math.degrees(windowed_phase_stat(corrected, window, "window_std")),
-                math.degrees(windowed_phase_stat(corrected, window, "two_sample")),
+    with _naming("stability.windows_s"):
+        for window in st["windows_s"]:
+            rows.append(
+                (
+                    window,
+                    math.degrees(windowed_phase_stat(trace, window, "window_std")),
+                    math.degrees(windowed_phase_stat(trace, window, "two_sample")),
+                    math.degrees(windowed_phase_stat(corrected, window, "window_std")),
+                    math.degrees(windowed_phase_stat(corrected, window, "two_sample")),
+                )
             )
-        )
     write_table(
         args.out,
         "phase stability report",
@@ -350,7 +354,7 @@ def main(argv=None) -> int:
     try:
         cfg = cfgmod.load_config(args.config)
         if args.seed is not None:
-            cfg["detection"]["base_seed"] = args.seed
+            cfg["detection"]["base_seed"] = cfgmod.check_value("detection", "base_seed", args.seed)
         COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"ionstrobe: config error: {exc}", file=sys.stderr)

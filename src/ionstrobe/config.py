@@ -1,19 +1,23 @@
 """Strict hierarchical run configuration.
 
-Configs are YAML documents with a fixed schema: unknown keys are hard
-errors (silent typos are the dominant failure mode in physics configs),
-and every physical quantity carries its unit in the key name. Defaults
-mirror the headline experimental parameters: a 25 amu ion on a 1.3 MHz
-mode driven at eta = 0.4 with 30 flashes of 100 ns, one per motional
-period, and a 70 us gaussian coherence envelope.
+Configs are YAML documents with a fixed schema, SCHEMA: unknown keys are
+hard errors (silent typos are the dominant failure mode in physics
+configs), every physical quantity carries its unit in the key name, and
+each key's range is the precondition the simulator enforces, checked at
+load so that every config error names its `section.key`. Defaults mirror
+the headline experimental parameters: a 25 amu ion on a 1.3 MHz mode
+driven at eta = 0.4 with 30 flashes of 100 ns, one per motional period,
+and a 70 us gaussian coherence envelope.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -37,132 +41,151 @@ from .stability import PhaseNoiseModel
 
 TWO_PI = 2.0 * math.pi
 
-DEFAULTS: dict = {
-    "hilbert": {"fock_dim": 128, "tail_tol": 1e-4},
+
+class Key(NamedTuple):
+    """A value is one of `words`, or has the type of `default` (any number where
+    that is a float or a word) and lies in the interval `range`, as does every
+    element of a non-empty list. Every number must be finite as a float."""
+
+    default: object
+    range: str | None = None
+    words: tuple = ()
+
+
+ANY = "(-inf, inf)"
+
+SCHEMA: dict[str, dict[str, Key]] = {
+    "hilbert": {"fock_dim": Key(128, "[2, inf)"), "tail_tol": Key(1e-4, "(0, 1)")},
     "mode": {
-        "freq_hz": 1.3e6,
-        "n_th": 0.15,
-        "mode_angle_deg": 0.0,
-        "thermal_samples": 200,
-        "thermal_seed": 3,
+        "freq_hz": Key(1.3e6, "(0, inf)"),
+        "n_th": Key(0.15, "[0, inf)"),
+        "mode_angle_deg": Key(0.0, "[-90, 90]"),
+        "thermal_samples": Key(200, "[1, inf)"),
+        "thermal_seed": Key(3, "[0, inf)"),
     },
-    "units": {"mass_amu": 25.0, "hbar": HBAR},
+    "units": {"mass_amu": Key(25.0, "(0, inf)"), "hbar": Key(HBAR, "(0, inf)")},
     "drive": {
-        "rabi_hz": 0.3e6,
-        "eta": 0.40,  # or "geometry" to derive from the wave pattern
-        "eff_wavelength_nm": 140.0,
-        "pattern_rotation_rad": 0.840,
+        "rabi_hz": Key(0.3e6, "[0, inf)"),
+        "eta": Key(0.40, "[0, inf)", ("geometry",)),  # geometry: from the wave pattern
+        "eff_wavelength_nm": Key(140.0, "(0, inf)"),
+        "pattern_rotation_rad": Key(0.840, ANY),
     },
     "train": {
-        "n_flashes": 30,
-        "flash_ns": 100.0,
-        "cycle_ns": 0.0,  # 0 means cycles_per_flash motional periods
-        "cycles_per_flash": 1,
-        "dphi_rad": 0.0,
-        "rabi_scale": "auto",  # or an explicit multiplier
-        "tune_tol": 5e-3,
+        "n_flashes": Key(30, "[1, inf)"),
+        "flash_ns": Key(100.0, "(0, inf)"),
+        "cycle_ns": Key(0.0, ANY),  # 0 or less means cycles_per_flash motional periods
+        "cycles_per_flash": Key(1, "[1, inf)"),
+        "dphi_rad": Key(0.0, ANY),
+        "rabi_scale": Key("auto", "[0, inf)", ("auto",)),  # auto: run the pi/2 tuner
+        "tune_tol": Key(5e-3, "(0, inf)"),
     },
     "state": {
-        "alpha_abs": 0.0,
-        "alpha_phase_rad": 0.0,
-        "zeta_abs": 0.0,
-        "zeta_phase_rad": 0.0,
+        "alpha_abs": Key(0.0, "[0, inf)"),
+        "alpha_phase_rad": Key(0.0, ANY),
+        "zeta_abs": Key(0.0, "[0, inf)"),
+        "zeta_phase_rad": Key(0.0, ANY),
     },
-    "dephasing": {"tau_us": 70.0, "envelope": "gaussian"},
+    "dephasing": {
+        "tau_us": Key(70.0, ANY),
+        "envelope": Key("gaussian", None, ("gaussian", "exponential", "none")),
+    },
     "scan": {
-        "phi_start_rad": 0.0,
-        "phi_stop_rad": TWO_PI,
-        "phi_num": 30,
-        "outer_var": "none",
-        "outer_values": [0.0],
-        "interleave_reference": False,
-        "inject_phase_noise": False,
+        "phi_start_rad": Key(0.0, ANY),
+        "phi_stop_rad": Key(TWO_PI, ANY),
+        "phi_num": Key(30, "[1, inf)"),
+        "outer_var": Key("none", None, ("none", "theta0", "zeta0", "alpha_abs")),
+        "outer_values": Key([0.0], ANY),
+        "interleave_reference": Key(False),
+        "inject_phase_noise": Key(False),
     },
-    "detection": {"mode": "analytic", "shots": 250, "base_seed": 20260810},
+    "detection": {
+        "mode": Key("analytic", None, ("analytic", "shots")),
+        "shots": Key(250, "[1, inf)"),
+        "base_seed": Key(20260810, "[0, inf)"),
+    },
     "pattern": {
-        "wavelength_nm": 138.0,
-        "rotation_rad": 0.840,
-        "phase_origin_rad": 0.0,
-        "contrast": 0.76,
-        "extent_nm": 200.0,
-        "nx": 26,
-        "nz": 26,
-        "bootstrap": 32,
+        "wavelength_nm": Key(138.0, "(0, inf)"),
+        "rotation_rad": Key(0.840, ANY),
+        "phase_origin_rad": Key(0.0, ANY),
+        "contrast": Key(0.76, "[-1, 1]"),
+        "extent_nm": Key(200.0, ANY),
+        "nx": Key(26, "[0, inf)"),
+        "nz": Key(26, "[0, inf)"),
+        "bootstrap": Key(32, "[4, inf)"),
     },
     "decode": {
-        "alpha_max": 7.2,
-        "alpha_step": 0.4,
-        "phi_points": 16,
-        "tables_path": "",
+        "alpha_max": Key(7.2, "[0, inf)"),
+        "alpha_step": Key(0.4, "(0, inf)"),
+        "phi_points": Key(16, "[5, inf)"),
+        "tables_path": Key(""),
     },
     "stability": {
-        "white_sigma_rad": 0.0,
-        "rw_sigma_rad_per_sqrt_s": 0.0,
-        "drift_rate_rad_per_s": 0.0,
-        "sample_interval_s": 0.2,
-        "duration_s": 650.0,
-        "windows_s": [2.0, 40.0, 200.0],
-        "reference_interval_s": 10.0,
+        "white_sigma_rad": Key(0.0, "[0, inf)"),
+        "rw_sigma_rad_per_sqrt_s": Key(0.0, "[0, inf)"),
+        "drift_rate_rad_per_s": Key(0.0, ANY),
+        "sample_interval_s": Key(0.2, "(0, inf)"),
+        "duration_s": Key(650.0, "(0, inf)"),
+        "windows_s": Key([2.0, 40.0, 200.0], "(0, inf)"),
+        "reference_interval_s": Key(10.0, "(0, inf)"),
     },
 }
 
-# keys whose values may legitimately take more than one type
-_POLYMORPHIC = {
-    ("drive", "eta"): (float, str),
-    ("train", "rabi_scale"): (float, str),
-}
+DEFAULTS: dict = {s: {k: e.default for k, e in keys.items()} for s, keys in SCHEMA.items()}
 
 
-def _check_type(section: str, key: str, value, default) -> None:
-    if (section, key) in _POLYMORPHIC:
-        allowed = _POLYMORPHIC[(section, key)]
-        if isinstance(value, bool) or not isinstance(value, allowed + (int,)):
-            raise ConfigError(f"{section}.{key} has invalid type {type(value).__name__}")
-        return
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{section}.{key} must be a boolean")
-    elif isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{section}.{key} must be an integer")
-    elif isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{key} must be a number")
-    elif isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{section}.{key} must be a string")
-    elif isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{section}.{key} must be a list")
+def _is_number(key: Key, value) -> bool:
+    kinds = int if type(key.default) is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not abs(value) <= sys.float_info.max:
+        return False
+    lo, hi = (float(end) for end in key.range[1:-1].split(","))
+    above = lo < value if key.range[0] == "(" else lo <= value
+    return above and (value < hi if key.range[-1] == ")" else value <= hi)
 
 
-def _check_finite(section: str, key: str, value) -> None:
-    items = value if isinstance(value, list) else [value]
-    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-        raise ConfigError(f"{section}.{key} must be finite, got {value}")
+def _accepts(key: Key, value) -> bool:
+    if isinstance(value, str) and value in key.words:
+        return True
+    if key.range is None:
+        return not key.words and type(value) is type(key.default)
+    if isinstance(key.default, list):
+        return isinstance(value, list) and bool(value) and all(_is_number(key, v) for v in value)
+    return _is_number(key, value)
+
+
+def _describe(key: Key) -> str:
+    if key.range is None:
+        return "one of " + ", ".join(key.words) if key.words else f"a {type(key.default).__name__}"
+    what = "an integer" if type(key.default) is int else "a number"
+    what = "a non-empty list of numbers" if isinstance(key.default, list) else what
+    return f"{what} in {key.range}" + "".join(f" or '{w}'" for w in key.words)
+
+
+def check_value(section: str, key: str, value):
+    """`value` validated against SCHEMA[section][key]; numbers for float keys become floats."""
+    entry = SCHEMA[section][key]
+    if not _accepts(entry, value):
+        raise ConfigError(f"{section}.{key} must be {_describe(entry)}, got {value!r}")
+    if isinstance(entry.default, float) and value not in entry.words:
+        return float(value)
+    return value
 
 
 def merge_config(user: dict | None) -> dict:
-    """Validate a user document against the schema and merge over defaults."""
+    """Validate a user document against SCHEMA and merge it over the defaults."""
     merged = {s: dict(keys) for s, keys in DEFAULTS.items()}
     if user is None:
         return merged
     if not isinstance(user, dict):
         raise ConfigError("config root must be a mapping of sections")
     for section, entries in user.items():
-        if section not in DEFAULTS:
+        if section not in SCHEMA:
             raise ConfigError(f"unknown config section '{section}'")
         if not isinstance(entries, dict):
             raise ConfigError(f"section '{section}' must be a mapping")
         for key, value in entries.items():
-            if key not in DEFAULTS[section]:
+            if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key '{section}.{key}'")
-            _check_type(section, key, value, DEFAULTS[section][key])
-            _check_finite(section, key, value)
-            default = DEFAULTS[section][key]
-            if isinstance(default, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
-                value = float(value)
-            merged[section][key] = value
+            merged[section][key] = check_value(section, key, value)
     return merged
 
 
@@ -197,11 +220,12 @@ def mode_freq(cfg: dict) -> float:
 
 
 def build_units(cfg: dict) -> UnitScale:
-    return UnitScale.for_mode(
-        mass=cfg["units"]["mass_amu"] * ATOMIC_MASS,
-        freq=mode_freq(cfg),
-        hbar=cfg["units"]["hbar"],
-    )
+    mass, hbar = cfg["units"]["mass_amu"] * ATOMIC_MASS, cfg["units"]["hbar"]
+    try:
+        return UnitScale.for_mode(mass=mass, freq=mode_freq(cfg), hbar=hbar)
+    except (ArithmeticError, ValueError) as exc:
+        keys = "units.mass_amu, units.hbar and mode.freq_hz"
+        raise ConfigError(f"{keys} give no finite zero-point scales ({exc})") from exc
 
 
 def build_mode(cfg: dict) -> ModeParams:
@@ -214,22 +238,15 @@ def build_mode(cfg: dict) -> ModeParams:
 
 def resolve_eta(cfg: dict) -> float:
     eta = cfg["drive"]["eta"]
-    if isinstance(eta, str):
-        if eta != "geometry":
-            raise ConfigError(f"drive.eta must be a number or 'geometry', got '{eta}'")
-        projection = cfg["drive"]["pattern_rotation_rad"] - math.radians(
-            cfg["mode"]["mode_angle_deg"]
-        )
-        return derive_lamb_dicke(
-            mass=cfg["units"]["mass_amu"] * ATOMIC_MASS,
-            freq=mode_freq(cfg),
-            eff_wavelength=cfg["drive"]["eff_wavelength_nm"] * 1e-9,
-            projection_angle=projection,
-            hbar=cfg["units"]["hbar"],
-        )
-    if eta < 0:
-        raise ConfigError("drive.eta must be >= 0")
-    return float(eta)
+    if eta != "geometry":
+        return float(eta)
+    units = build_units(cfg)  # names the unit keys if the zero-point scale is not finite
+    projection = cfg["drive"]["pattern_rotation_rad"] - math.radians(cfg["mode"]["mode_angle_deg"])
+    if abs(projection) > math.pi / 2:
+        raise ConfigError("drive.eta: geometry needs drive.pattern_rotation_rad minus "
+                          "mode.mode_angle_deg within pi/2")
+    wavelength = cfg["drive"]["eff_wavelength_nm"] * 1e-9
+    return derive_lamb_dicke(units.mass, mode_freq(cfg), wavelength, projection, hbar=units.hbar)
 
 
 def cycle_duration(cfg: dict) -> float:
@@ -238,36 +255,44 @@ def cycle_duration(cfg: dict) -> float:
     return cfg["train"]["cycles_per_flash"] * TWO_PI / mode_freq(cfg)
 
 
-def build_train(cfg: dict, rabi_scale: float = 1.0, phase_step: float | None = None) -> PulseTrainSpec:
+def build_train(cfg: dict) -> PulseTrainSpec:
+    """The untuned train: the configured Rabi rate and dphi_rad (see apply_tuning)."""
+    flash, cycle = cfg["train"]["flash_ns"] * 1e-9, cycle_duration(cfg)
+    if flash > cycle:
+        raise ConfigError(f"train.flash_ns ({flash * 1e9:g} ns) exceeds the {cycle * 1e9:g} ns cycle: "
+                          "train.cycle_ns, or else train.cycles_per_flash periods of mode.freq_hz")
     return PulseTrainSpec(
         n_flashes=cfg["train"]["n_flashes"],
-        flash_dur=cfg["train"]["flash_ns"] * 1e-9,
-        cycle_dur=cycle_duration(cfg),
+        flash_dur=flash,
+        cycle_dur=cycle,
         base_phase=0.0,
-        phase_step=cfg["train"]["dphi_rad"] if phase_step is None else phase_step,
-        drive=DriveParams(rabi=TWO_PI * cfg["drive"]["rabi_hz"] * rabi_scale, eta=resolve_eta(cfg)),
+        phase_step=cfg["train"]["dphi_rad"],
+        drive=DriveParams(rabi=TWO_PI * cfg["drive"]["rabi_hz"], eta=resolve_eta(cfg)),
     )
 
 
 def build_excitation(cfg: dict):
     state = cfg["state"]
     if state["alpha_abs"] > 0 and state["zeta_abs"] > 0:
-        raise ConfigError("state: set alpha_abs or zeta_abs, not both")
+        raise ConfigError("state.alpha_abs and state.zeta_abs: set one, not both")
     if state["zeta_abs"] > 0:
         return SqueezeParam(state["zeta_abs"], state["zeta_phase_rad"])
     return CoherentAmp(state["alpha_abs"], state["alpha_phase_rad"])
 
 
 def build_dephasing(cfg: dict) -> DephasingSpec:
-    return DephasingSpec(tau=cfg["dephasing"]["tau_us"] * 1e-6, envelope=cfg["dephasing"]["envelope"])
+    deph = cfg["dephasing"]
+    if deph["envelope"] != "none" and deph["tau_us"] <= 0:
+        raise ConfigError("dephasing.tau_us must be > 0 unless dephasing.envelope is none")
+    return DephasingSpec(tau=deph["tau_us"] * 1e-6, envelope=deph["envelope"])
 
 
-def build_sequence_spec(cfg: dict, rabi_scale: float = 1.0, phase_step: float | None = None) -> SequenceSpec:
+def build_sequence_spec(cfg: dict) -> SequenceSpec:
     return SequenceSpec(
         hilbert=HilbertSpec(fock_dim=cfg["hilbert"]["fock_dim"], tail_tol=cfg["hilbert"]["tail_tol"]),
         mode=build_mode(cfg),
         frame=FrameParams(),
-        analysis=build_train(cfg, rabi_scale=rabi_scale, phase_step=phase_step),
+        analysis=build_train(cfg),
         excitation=build_excitation(cfg),
         dephasing=build_dephasing(cfg),
         thermal_samples=cfg["mode"]["thermal_samples"],
@@ -277,9 +302,12 @@ def build_sequence_spec(cfg: dict, rabi_scale: float = 1.0, phase_step: float | 
 
 def build_scan_spec(cfg: dict) -> ScanSpec:
     scan = cfg["scan"]
-    phi_grid = np.linspace(
-        scan["phi_start_rad"], scan["phi_stop_rad"], scan["phi_num"], endpoint=False
-    )
+    outer, squeezed = scan["outer_var"], cfg["state"]["zeta_abs"] > 0
+    if (outer == "theta0" and squeezed) or (outer == "zeta0" and not squeezed):
+        raise ConfigError(f"scan.outer_var {outer} needs state.zeta_abs {'= 0' if squeezed else '> 0'}")
+    if outer == "alpha_abs" and min(scan["outer_values"]) < 0:
+        raise ConfigError("scan.outer_values must be >= 0 when scan.outer_var is alpha_abs")
+    phi_grid = np.linspace(scan["phi_start_rad"], scan["phi_stop_rad"], scan["phi_num"], endpoint=False)
     return ScanSpec(
         phi_grid=tuple(phi_grid),
         outer_grid=tuple(float(v) for v in scan["outer_values"]),
@@ -301,40 +329,10 @@ def build_noise_model(cfg: dict) -> PhaseNoiseModel:
     )
 
 
-_TUNING_CACHE: dict[tuple, TrainTuning] = {}
-
-
 def resolve_tuning(cfg: dict) -> TrainTuning:
-    """Explicit (dphi_rad, rabi_scale) from the config, or run the tuner.
-
-    Auto-tuning runs on the alpha = 0 sequence and is cached in-process on
-    the parameters that matter for the train dynamics.
-    """
+    """Explicit (dphi_rad, rabi_scale) from the config, or tune the alpha = 0 sequence."""
     scale = cfg["train"]["rabi_scale"]
-    if not isinstance(scale, str):
-        return TrainTuning(
-            phase_step=cfg["train"]["dphi_rad"],
-            rabi_scale=float(scale),
-            achieved_sigma_z=math.nan,
-        )
     if scale != "auto":
-        raise ConfigError(f"train.rabi_scale must be a number or 'auto', got '{scale}'")
-    key = (
-        cfg["hilbert"]["fock_dim"],
-        cfg["mode"]["freq_hz"],
-        cfg["mode"]["n_th"],
-        cfg["mode"]["thermal_samples"],
-        cfg["mode"]["thermal_seed"],
-        cfg["drive"]["rabi_hz"],
-        resolve_eta(cfg),
-        cfg["train"]["n_flashes"],
-        cfg["train"]["flash_ns"],
-        cycle_duration(cfg),
-        cfg["train"]["dphi_rad"],
-        cfg["train"]["tune_tol"],
-    )
-    if key not in _TUNING_CACHE:
-        base = build_sequence_spec(cfg)
-        base = replace(base, excitation=CoherentAmp(0.0, 0.0))
-        _TUNING_CACHE[key] = tune_pulse_train(base, tol=cfg["train"]["tune_tol"])
-    return _TUNING_CACHE[key]
+        return TrainTuning(cfg["train"]["dphi_rad"], float(scale), math.nan)
+    base = replace(build_sequence_spec(cfg), excitation=CoherentAmp(0.0, 0.0))
+    return tune_pulse_train(base, tol=cfg["train"]["tune_tol"])

@@ -384,24 +384,3 @@ def static_pattern_probe(x, z, pattern: PatternField, contrast: float | None = N
     out = 0.5 + 0.5 * c * np.cos(u + pattern.phase_origin)
     return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
-
-def interleaved_reference(
-    pairs: list[tuple[ScanRecord, ScanRecord]],
-    fringe: CosineFit,
-) -> list[ScanRecord]:
-    """Correct measurement phase coordinates using adjacent alpha = 0 references.
-
-    Each pair is (measurement, reference) with the reference taken at
-    mid-fringe. The drift inferred from the reference detection is added
-    to the measurement's phase coordinate so corrected records lie on the
-    drift-free fringe; re-estimating the drift from a corrected reference
-    gives zero by construction.
-    """
-    corrected = []
-    for pair in pairs:
-        if len(pair) != 2 or pair[1] is None:
-            raise ConfigError("every measurement record needs a reference record")
-        meas, ref = pair
-        drift_hat = _invert_reference(ref.p_down_mean, fringe)
-        corrected.append(replace(meas, phi=meas.phi + drift_hat))
-    return corrected

@@ -8,19 +8,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ionstrobe
 from ionstrobe.cli import main
 from ionstrobe.config import (
     DEFAULTS,
+    SCHEMA,
+    build_dephasing,
+    build_excitation,
+    build_mode,
+    build_noise_model,
     build_scan_spec,
     build_sequence_spec,
+    build_train,
     build_units,
     load_config,
     merge_config,
     resolve_eta,
+    resolve_tuning,
 )
-from ionstrobe.errors import ConfigError
+from ionstrobe.errors import ConfigError, TruncationError
 from ionstrobe.tableio import read_table
 
 FAST_SCAN = """
@@ -75,14 +84,16 @@ class TestConfig:
 
     def test_yaml_exponent_floats(self, tmp_path):
         cfg = load_config(write_cfg(
-            tmp_path, "drive: {rabi_hz: 3e5}\nhilbert: {fock_dim: 64, tail_tol: 1e-4}\n"
-            "mode: {freq_hz: +1.3E6}\nscan: {outer_values: [1e-1, 2]}\n"
+            tmp_path, "drive: {rabi_hz: 3e5, eta: 1}\nhilbert: {fock_dim: 64, tail_tol: 1e-4}\n"
+            "mode: {freq_hz: +1.3E6}\nscan: {outer_values: [1e-1, 2]}\ntrain: {rabi_scale: 1}\n"
         ))
         assert cfg["drive"]["rabi_hz"] == 3e5
         assert cfg["hilbert"]["tail_tol"] == 1e-4
         assert cfg["hilbert"]["fock_dim"] == 64 and isinstance(cfg["hilbert"]["fock_dim"], int)
         assert cfg["mode"]["freq_hz"] == 1.3e6
         assert cfg["scan"]["outer_values"] == [0.1, 2]
+        # numbers for float keys become floats; a number-or-word key keeps what it was given
+        assert type(cfg["drive"]["eta"]) is float and type(cfg["train"]["rabi_scale"]) is int
 
     @pytest.mark.parametrize("text,key", [
         ("drive: {rabi_hz: .nan}", "drive.rabi_hz"),
@@ -97,6 +108,12 @@ class TestConfig:
         assert main(["ramsey-scan", "--config", path, "--out", str(tmp_path / "x.txt")]) == 2
         assert key in capsys.readouterr().err
 
+    def test_tuning_follows_tail_tol(self):
+        # the same train tuned under a looser watchdog must not stand in for a strict one
+        resolve_tuning(merge_config({"hilbert": {"fock_dim": 8, "tail_tol": 0.5}}))
+        with pytest.raises(TruncationError, match="top 1 Fock levels"):
+            resolve_tuning(merge_config({"hilbert": {"fock_dim": 8, "tail_tol": 1e-6}}))
+
     def test_units_and_scan_builders(self):
         cfg = merge_config({"scan": {"phi_num": 4, "outer_values": [0.5]}})
         units = build_units(cfg)
@@ -104,6 +121,73 @@ class TestConfig:
         scan = build_scan_spec(cfg)
         assert len(scan.phi_grid) == 4
         assert scan.outer_grid == (0.5,)
+
+
+SCHEMA_KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
+SCHEMA_WORDS = sorted({word for keys in SCHEMA.values() for entry in keys.values() for word in entry.words})
+SPEC_BUILDERS = (build_units, build_mode, resolve_eta, build_train, build_excitation,
+                 build_dephasing, build_sequence_spec, build_scan_spec, build_noise_model)
+SCALARS = st.one_of(
+    # bounded so that no accepted grid size allocates much; the huge ints
+    # are past float range and must be rejected at load
+    st.integers(-10**4, 10**4),
+    st.sampled_from([10**400, -10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.sampled_from(SCHEMA_WORDS),
+    st.booleans(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SCHEMA_KEYS), st.one_of(SCALARS, st.lists(SCALARS, max_size=4)))
+def test_any_value_builds_or_names_its_key(section_key, value):
+    section, key = section_key
+    try:
+        cfg = merge_config({section: {key: value}})
+        for build in SPEC_BUILDERS:
+            build(cfg)
+    except ConfigError as exc:
+        assert f"{section}.{key}" in str(exc)
+
+
+# (command, config text, extra arguments, key the message must name)
+BAD_INPUTS = [
+    ("ramsey-scan", "hilbert: {fock_dim: 1}", [], "hilbert.fock_dim"),
+    ("ramsey-scan", "hilbert: {tail_tol: 2}", [], "hilbert.tail_tol"),
+    ("ramsey-scan", "dephasing: {tau_us: 0}", [], "dephasing.tau_us"),
+    ("ramsey-scan", "dephasing: {envelope: boxcar}", [], "dephasing.envelope"),
+    ("ramsey-scan", "train: {n_flashes: 0}", [], "train.n_flashes"),
+    ("ramsey-scan", "train: {flash_ns: 0}", [], "train.flash_ns"),
+    ("ramsey-scan", "train: {flash_ns: 1000}", [], "train.flash_ns"),
+    ("ramsey-scan", "train: {cycles_per_flash: 0}", [], "train.cycles_per_flash"),
+    ("ramsey-scan", "train: {rabi_scale: -1}", [], "train.rabi_scale"),
+    ("ramsey-scan", "train: {tune_tol: 0}", [], "train.tune_tol"),
+    ("ramsey-scan", "drive: {rabi_hz: -1}", [], "drive.rabi_hz"),
+    ("ramsey-scan", "mode: {freq_hz: -1}", [], "mode.freq_hz"),
+    ("ramsey-scan", "mode: {n_th: -1}", [], "mode.n_th"),
+    ("ramsey-scan", "mode: {mode_angle_deg: 100}", [], "mode.mode_angle_deg"),
+    ("ramsey-scan", "mode: {thermal_samples: 0}", [], "mode.thermal_samples"),
+    ("ramsey-scan", "state: {alpha_abs: -1}", [], "state.alpha_abs"),
+    ("ramsey-scan", "scan: {outer_values: [a]}", [], "scan.outer_values"),
+    ("ramsey-scan", "scan: {outer_var: foo}", [], "scan.outer_var"),
+    ("ramsey-scan", "scan: {phi_num: 0}", [], "scan.phi_num"),
+    ("ramsey-scan", "detection: {shots: 0}", [], "detection.shots"),
+    ("ramsey-scan", "detection: {base_seed: -1}", [], "detection.base_seed"),
+    ("ramsey-scan", "units: {mass_amu: 0}\ndrive: {eta: geometry}", [], "units.mass_amu"),
+    ("build-tables", "decode: {alpha_step: 0}", [], "decode.alpha_step"),
+    ("build-tables", "decode: {phi_points: 2}", [], "decode.phi_points"),
+    ("pattern-scan", "pattern: {wavelength_nm: 0}", [], "pattern.wavelength_nm"),
+    ("stability", "stability: {windows_s: [0.1]}", [], "stability.windows_s"),
+    ("stability", "", ["--seed", "-3"], "detection.base_seed"),
+]
+
+
+@pytest.mark.parametrize("command,text,extra,key", BAD_INPUTS)
+def test_config_error_names_key(tmp_path, capsys, command, text, extra, key):
+    path = write_cfg(tmp_path, text + "\n")
+    assert main([command, "--config", path, "--out", str(tmp_path / "x.txt"), *extra]) == 2
+    assert key in capsys.readouterr().err
 
 
 class TestCliRamseyScan:

@@ -33,15 +33,13 @@ from ionstrobe.dynamics import (
     mw_rotation,
     run_pulse_train,
 )
-from ionstrobe.errors import ConfigError, TruncationError
+from ionstrobe.errors import TruncationError
 from ionstrobe.fitting import fit_cosine
 from ionstrobe.sequence import (
     PatternField,
-    ScanRecord,
     ScanSpec,
     SequenceSpec,
     characterize_reference_fringe,
-    interleaved_reference,
     run_scan,
     run_sequence,
     sample_detection,
@@ -420,6 +418,12 @@ class TestInterleavedReference:
         fit_base = fit_cosine([(r.phi, r.p_down_mean, 0.0) for r in baseline])
         residual = abs(math.remainder(fit_corr.phase - fit_base.phase, 2 * math.pi))
         assert residual < 0.05 * 0.5
+        # the same drift on each reference and its measurement is recovered
+        # exactly under analytic detection
+        shared = np.repeat(np.linspace(-0.25, 0.5, n), 2)
+        _, _, exact = self._scan(drift=shared, n=n)
+        recovered = [rec.phi - phi for rec, phi in zip(exact, scan.phi_grid)]
+        np.testing.assert_allclose(recovered, shared[::2], atol=1e-10)
 
     def test_white_noise_penalty_bound(self):
         n, sigma = 60, 0.1
@@ -433,25 +437,3 @@ class TestInterleavedReference:
             effective = scan.phi_grid[idx] + drift[2 * idx + 1]
             errors.append(rec.phi - effective)
         assert np.std(errors) <= math.sqrt(2) * sigma * 1.15
-
-    def test_direct_op_requires_pairs(self):
-        spec = make_spec(fock_dim=32)
-        fringe = characterize_reference_fringe(spec)
-        rec = ScanRecord(phi=0.0, outer=0.0, p_down_mean=0.5, p_down_sem=0.0, sigma_z=0.0, delta_n=0.0)
-        with pytest.raises(ConfigError):
-            interleaved_reference([(rec, None)], fringe)
-
-    def test_direct_op_zero_mean_residuals(self):
-        spec = make_spec(fock_dim=32, excitation=CoherentAmp(1.0, 0.0))
-        fringe = characterize_reference_fringe(spec)
-        phi_ref = fringe.phase + math.pi / 2
-        drifts = [0.05, -0.1, 0.2]
-        pairs = []
-        for d in drifts:
-            p_ref = fringe.offset + 0.5 * fringe.contrast * math.cos(phi_ref + d - fringe.phase)
-            ref = ScanRecord(phi=phi_ref, outer=0.0, p_down_mean=p_ref, p_down_sem=0.0, sigma_z=1 - 2 * p_ref, delta_n=0.0)
-            meas = ScanRecord(phi=1.0, outer=0.0, p_down_mean=0.6, p_down_sem=0.0, sigma_z=-0.2, delta_n=0.0)
-            pairs.append((meas, ref))
-        corrected = interleaved_reference(pairs, fringe)
-        recovered = [rec.phi - 1.0 for rec in corrected]
-        np.testing.assert_allclose(recovered, drifts, atol=1e-10)
