@@ -1,6 +1,13 @@
 """Shared fixtures: tuned headline-parameter sequences at two space sizes."""
 
 import math
+import os
+
+# The suite's matrices are at most a few hundred wide, where OpenBLAS worker
+# threads gain nothing; waking one on an idle second CPU can stall a single
+# eigh or matmul by ~0.3 s, enough to break the wall-time bounds of
+# test_acceptance. Set before numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

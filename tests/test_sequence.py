@@ -418,10 +418,13 @@ class TestInterleavedReference:
         fit_base = fit_cosine([(r.phi, r.p_down_mean, 0.0) for r in baseline])
         residual = abs(math.remainder(fit_corr.phase - fit_base.phase, 2 * math.pi))
         assert residual < 0.05 * 0.5
+
+    def test_direct_op_zero_mean_residuals(self):
         # the same drift on each reference and its measurement is recovered
         # exactly under analytic detection
+        n = 20
         shared = np.repeat(np.linspace(-0.25, 0.5, n), 2)
-        _, _, exact = self._scan(drift=shared, n=n)
+        _, scan, exact = self._scan(drift=shared, n=n)
         recovered = [rec.phi - phi for rec, phi in zip(exact, scan.phi_grid)]
         np.testing.assert_allclose(recovered, shared[::2], atol=1e-10)
 
