@@ -68,11 +68,12 @@ def _drift_for_scan(cfg: dict, scan: ScanSpec) -> np.ndarray | None:
 
 
 @contextmanager
-def _naming(key: str):
-    """Re-raise a config, file or parse error inside the block as a ConfigError naming `key`."""
+def _naming(key: str, errors=(ConfigError, OSError, ValueError)):
+    """Re-raise an error of type `errors` (by default a config, file or parse
+    error) inside the block as a ConfigError naming `key`."""
     try:
         yield
-    except (ConfigError, OSError, ValueError) as exc:
+    except errors as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -352,10 +353,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = cfgmod.load_config(args.config)
+        with _naming(f"--config {args.config}", OSError):
+            cfg = cfgmod.load_config(args.config)
         if args.seed is not None:
             cfg["detection"]["base_seed"] = cfgmod.check_value("detection", "base_seed", args.seed)
-        COMMANDS[args.command](cfg, args)
+        # the commands read no file but decode.tables_path, whose errors
+        # already name it, so a file error here is from writing --out
+        with _naming(f"--out {args.out}", OSError):
+            COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"ionstrobe: config error: {exc}", file=sys.stderr)
         return 2

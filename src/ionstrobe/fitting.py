@@ -17,6 +17,9 @@ from .errors import FitError
 
 GN_STEP_TOL = 1e-10
 GN_MAX_ITER = 100
+# coarse (wavelength, rotation) grid that seeds the pattern fit's refinement
+GRID_N_LAMBDA = 48
+GRID_N_THETA = 60
 
 
 @dataclass
@@ -158,61 +161,99 @@ def _pattern_design(x, z, wavelength, rotation):
     return u, np.cos(u), np.sin(u)
 
 
-def _pattern_linear_sse(x, z, p, w, wavelength, rotation):
-    """Best (b, c) for fixed (wavelength, rotation); returns (sse, b, c)."""
-    _, cos_u, sin_u = _pattern_design(x, z, wavelength, rotation)
-    jac = np.column_stack([cos_u, sin_u])
-    jtw = jac.T * w
-    try:
-        coef = np.linalg.solve(jtw @ jac, jtw @ (p - 0.5))
-    except np.linalg.LinAlgError:
-        return math.inf, 0.0, 0.0
-    resid = (p - 0.5) - jac @ coef
-    return float(np.dot(w * resid, resid)), float(coef[0]), float(coef[1])
-
-
-def fit_wave_pattern(points, sem_floor: float | None = None, n_lambda: int = 48, n_theta: int = 60) -> PatternFit:
-    """Fit the traveling-wave fringe pattern over a 2D displacement scan.
-
-    Parameters
-    ----------
-    points : sequence of (x, z, p_down, sem)
-        At least 30 points; the scan must extend over at least one
-        wavelength along the fitted wave vector.
-    sem_floor : float, optional
-        Per-point sem floor, typically 1/(2 shots).
-    n_lambda, n_theta : int
-        Resolution of the coarse initialization grid over wavelength and
-        pattern rotation.
-
-    A coarse grid over (wavelength, rotation) with an exact linear
-    subproblem in the oscillation quadratures seeds a damped Gauss-Newton
-    refinement of all four parameters.
-    """
+def _pattern_arrays(points):
     arr = np.asarray([tuple(s) for s in points], dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise FitError("points must be (x, z, p_down, sem) quadruples")
     if arr.shape[0] < 30:
         raise FitError(f"need at least 30 points, got {arr.shape[0]}")
-    x, z, p, sem = arr.T
-    w = _weights_from_sems(sem, sem_floor)
+    return arr.T
 
+
+def _phase_filler(x, z, thetas):
+    """Return fill(k, out), which writes exp(i k (x sin th + z cos th)) into out[th, point].
+
+    When the coordinates repeat, as on a scan grid, exp(i k x sin th) and
+    exp(i k z cos th) are tabulated over the distinct x and z and multiplied
+    per point; otherwise each point gets its own cos and sin. Either way a
+    call costs at most one cos and sin per point and rotation.
+    """
+    sin_t, cos_t = np.sin(thetas), np.cos(thetas)
+    ux, ix = np.unique(x, return_inverse=True)
+    uz, iz = np.unique(z, return_inverse=True)
+    if ux.size + uz.size < x.size:
+        factor = np.empty((thetas.size, x.size), dtype=complex)
+
+        def fill(k, out):
+            np.take(np.exp(1j * np.outer(k * sin_t, ux)), ix, axis=1, out=out)
+            np.take(np.exp(1j * np.outer(k * cos_t, uz)), iz, axis=1, out=factor)
+            np.multiply(out, factor, out=out)
+    else:
+        u = np.empty((thetas.size, x.size))
+
+        def fill(k, out):
+            np.multiply.outer(k * sin_t, x, out=u)
+            np.multiply.outer(k * cos_t, z, out=out.real)  # out.real as scratch
+            np.add(u, out.real, out=u)
+            np.cos(u, out=out.real)
+            np.sin(u, out=out.imag)
+
+    return fill
+
+
+def _grid_seeds(x, z, w, y):
+    """Best coarse-grid cell (b, c, wavelength, rotation) for each column of y = p - 1/2.
+
+    At a fixed (wavelength, rotation) the model b cos u + c sin u is linear,
+    and (b, c) solve its 2x2 weighted normal equations in closed form; the
+    least-squares SSE is sum w y^2 - b r1 - c r2 with (r1, r2) their right-
+    hand side. The grid is evaluated one wavelength row at a time into
+    preallocated buffers, one (2 x N) product per rotation: batching per
+    rotation keeps each product on one BLAS thread, since waking a second
+    thread costs more than a product this small. The columns of y share the
+    normal matrices, so each extra column costs one more right-hand side.
+    Ties go to the first cell in (wavelength, rotation) order.
+    """
     diag_extent = math.hypot(x.max() - x.min(), z.max() - z.min())
     if diag_extent <= 0:
         raise FitError("degenerate scan extent")
+    lambdas = np.geomspace(diag_extent / 20.0, 2.0 * diag_extent, GRID_N_LAMBDA)
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, GRID_N_THETA, endpoint=False)
+    fill = _phase_filler(x, z, thetas)
 
-    lambdas = np.geomspace(diag_extent / 20.0, 2.0 * diag_extent, n_lambda)
-    thetas = np.linspace(-math.pi / 2, math.pi / 2, n_theta, endpoint=False)
-    best = (math.inf, lambdas[0], 0.0, 0.0, 0.0)
-    for lam in lambdas:
-        for th in thetas:
-            sse, b, c = _pattern_linear_sse(x, z, p, w, lam, th)
-            if sse < best[0]:
-                best = (sse, lam, th, b, c)
-    _, lam, th, b, c = best
+    n_cols = y.shape[1]
+    cols = np.arange(n_cols)
+    sse_zero = np.einsum("n,nm->m", w, y * y)
+    e_iu = np.empty((GRID_N_THETA, x.size), dtype=complex)
+    # (rotation, cos u | sin u, point), a view of e_iu
+    cs = e_iu.view(float).reshape(GRID_N_THETA, x.size, 2).transpose(0, 2, 1)
+    w_cs = np.empty(cs.shape)
+    row_sse = np.empty((GRID_N_LAMBDA, n_cols))
+    row_seeds = np.empty((GRID_N_LAMBDA, n_cols, 4))
+    for i, lam in enumerate(lambdas):
+        fill(2.0 * math.pi / lam, e_iu)
+        np.multiply(cs, w, out=w_cs)
+        normal = w_cs @ cs.transpose(0, 2, 1)
+        rhs = w_cs @ y
+        r1, r2 = rhs[:, 0], rhs[:, 1]
+        a11, a12, a22 = normal[:, 0, 0, None], normal[:, 0, 1, None], normal[:, 1, 1, None]
+        det = a11 * a22 - a12 * a12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = (a22 * r1 - a12 * r2) / det
+            c = (a11 * r2 - a12 * r1) / det
+            sse = sse_zero - b * r1 - c * r2
+        sse[~((det > 0) & np.isfinite(sse))] = math.inf
+        row = np.argmin(sse, axis=0)
+        row_sse[i] = sse[row, cols]
+        row_seeds[i] = np.column_stack(
+            [b[row, cols], c[row, cols], np.full(n_cols, lam), thetas[row]]
+        )
+    return row_seeds[np.argmin(row_sse, axis=0), cols]
 
-    # Gauss-Newton on (b, c, lambda, theta) with step damping
-    params = np.array([b, c, lam, th])
+
+def _refine_pattern(x, z, p, w, seed) -> PatternFit:
+    """Damped Gauss-Newton on (b, c, lambda, theta) from a coarse-grid seed."""
+    params = np.array(seed)
 
     def model_resid(q):
         bb, cc, ll, tt = q
@@ -280,24 +321,52 @@ def fit_wave_pattern(points, sem_floor: float | None = None, n_lambda: int = 48,
     )
 
 
+def fit_wave_pattern(points, sem_floor: float | None = None) -> PatternFit:
+    """Fit the traveling-wave fringe pattern over a 2D displacement scan.
+
+    Parameters
+    ----------
+    points : sequence of (x, z, p_down, sem)
+        At least 30 points; the scan must extend over at least one
+        wavelength along the fitted wave vector.
+    sem_floor : float, optional
+        Per-point sem floor, typically 1/(2 shots).
+
+    A coarse grid of GRID_N_LAMBDA wavelengths (geometric, from 1/20 to 2
+    scan diagonals) by GRID_N_THETA rotations seeds a damped Gauss-Newton
+    refinement of all four parameters. At each grid cell the oscillation
+    quadratures solve a 2x2 weighted normal equation in closed form; the
+    cells are evaluated in batches, one wavelength row of rotations at a
+    time, and the cell of least SSE is the seed.
+    """
+    x, z, p, sem = _pattern_arrays(points)
+    w = _weights_from_sems(sem, sem_floor)
+    seed = _grid_seeds(x, z, w, (p - 0.5)[:, None])[0]
+    return _refine_pattern(x, z, p, w, seed)
+
+
 def bootstrap_pattern_uncertainty(
     points, fit: PatternFit, n_boot: int = 32, seed: int = 0, sem_floor: float | None = None
 ) -> dict:
     """Parametric bootstrap of the pattern fit: resample p around the model.
 
-    Returns standard deviations of wavelength and rotation over refits.
+    Each resample is refitted as fit_wave_pattern would, but the coarse
+    grid is evaluated once for all resamples, since they share the points
+    and their weights. Returns standard deviations of wavelength and
+    rotation over refits.
     """
-    arr = np.asarray([tuple(s) for s in points], dtype=float)
-    x, z, _, sem = arr.T
+    x, z, _, sem = _pattern_arrays(points)
     model_p = fit.model(x, z)
     sigma = np.maximum(sem, 1e-6 if sem_floor is None else sem_floor)
     rng = np.random.default_rng(seed)
+    p_star = np.empty((x.size, n_boot))
+    for k in range(n_boot):
+        p_star[:, k] = np.clip(model_p + rng.normal(0.0, sigma), 0.0, 1.0)
+    w = _weights_from_sems(sem, sem_floor)
     lams, ths = [], []
-    for _ in range(n_boot):
-        p_star = np.clip(model_p + rng.normal(0.0, sigma), 0.0, 1.0)
-        resampled = np.column_stack([x, z, p_star, sem])
+    for p_k, grid_seed in zip(p_star.T, _grid_seeds(x, z, w, p_star - 0.5)):
         try:
-            refit = fit_wave_pattern(resampled, sem_floor=sem_floor)
+            refit = _refine_pattern(x, z, p_k, w, grid_seed)
         except FitError:
             continue
         lams.append(refit.wavelength)

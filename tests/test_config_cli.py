@@ -299,6 +299,19 @@ class TestCliStability:
         assert t_cols == ["t_s", "phase_rad"]
         assert t_rows.shape[0] == 3251
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "stab.txt")
+        assert main(["stability", "--config", "configs/table-stability-ac.yaml", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and out in err
+
+    def test_config_directory_exit_code(self, tmp_path, capsys):
+        out = str(tmp_path / "stab.txt")
+        assert main(["stability", "--config", "configs", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--config configs" in err
+        assert not Path(out).exists()
+
 
 class TestCliCalibrateTrain:
     def test_summary(self, tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ionstrobe import fitting
 from ionstrobe.errors import FitError
 from ionstrobe.fitting import (
     bootstrap_pattern_uncertainty,
@@ -162,3 +163,91 @@ class TestPatternFit:
         assert unc["wavelength_std"] < 2e-9
         assert unc["rotation_std"] < 0.03
         assert abs(fit.wavelength - 138e-9) < 2 * unc["wavelength_std"] + 1e-9
+
+
+def shot_noised(pts, seed, shots=250):
+    rng = np.random.default_rng(seed)
+    p_hat = rng.binomial(shots, np.clip(pts[:, 2], 0, 1)) / shots
+    sem = np.sqrt(p_hat * (1 - p_hat) / shots)
+    return np.column_stack([pts[:, 0], pts[:, 1], p_hat, sem])
+
+
+def scattered_points(n, seed, shared_x=0):
+    """Shot-noised pattern at n random (x, z); the first shared_x points share one x."""
+    rng = np.random.default_rng(seed)
+    x, z = rng.uniform(-200e-9, 200e-9, (2, n))
+    x[:shared_x] = x[0]
+    u = 2 * math.pi * (x * math.sin(0.840) + z * math.cos(0.840)) / 138e-9
+    return shot_noised(np.column_stack([x, z, 0.5 + 0.38 * np.cos(u + 0.4), np.zeros(n)]), seed)
+
+
+def reference_grid(x, z, p, w):
+    """The coarse grid cell by cell, one 2x2 solve each: [(sse, b, c, lambda, theta)]."""
+    diag = math.hypot(np.ptp(x), np.ptp(z))
+    lambdas = np.geomspace(diag / 20.0, 2.0 * diag, fitting.GRID_N_LAMBDA)
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, fitting.GRID_N_THETA, endpoint=False)
+    cells = []
+    for lam in lambdas:
+        for th in thetas:
+            u = 2.0 * math.pi * (x * math.sin(th) + z * math.cos(th)) / lam
+            jac = np.column_stack([np.cos(u), np.sin(u)])
+            jtw = jac.T * w
+            coef = np.linalg.solve(jtw @ jac, jtw @ (p - 0.5))
+            resid = (p - 0.5) - jac @ coef
+            cells.append((float(np.dot(w * resid, resid)), coef[0], coef[1], lam, th))
+    return cells
+
+
+GRID_INPUTS = {
+    "grid noiseless": (pattern_points(138e-9, 0.840, 0.76), None),
+    "grid shot-noised": (shot_noised(pattern_points(138e-9, 0.840, 0.76), 5), 1.0 / 500),
+    "scattered distinct": (scattered_points(200, 7), 1.0 / 500),
+    "scattered, one x row": (scattered_points(200, 8, shared_x=26), 1.0 / 500),
+    "grid plus a repeated x row": (
+        np.vstack([pattern_points(138e-9, 0.840, 0.76), pattern_points(138e-9, 0.840, 0.76)[:26]]),
+        None,
+    ),
+}
+
+
+class TestBatchedGrid:
+    @pytest.mark.parametrize("name", GRID_INPUTS)
+    def test_matches_per_cell_reference(self, name):
+        points, sem_floor = GRID_INPUTS[name]
+        x, z, p, sem = points.T
+        w = fitting._weights_from_sems(sem, sem_floor)
+        cells = reference_grid(x, z, p, w)
+        sses = np.array([cell[0] for cell in cells])
+        best = int(np.argmin(sses))  # the first minimum, as the loop kept it
+        _, b, c, lam, th = cells[best]
+        seed = fitting._grid_seeds(x, z, w, (p - 0.5)[:, None])[0]
+        ties = np.flatnonzero(sses <= sses[best] * (1.0 + 1e-12))
+        if ties.size == 1:
+            assert (seed[2], seed[3]) == (lam, th)
+            assert np.max(np.abs(seed[:2] - [b, c])) <= 1e-9 * math.hypot(b, c)
+        ref_fit = fitting._refine_pattern(x, z, p, w, np.array([b, c, lam, th]))
+        fit = fit_wave_pattern(points, sem_floor=sem_floor)
+        assert fit.wavelength == pytest.approx(ref_fit.wavelength, rel=1e-9)
+        assert fit.rotation == pytest.approx(ref_fit.rotation, rel=1e-9, abs=1e-12)
+        assert fit.amplitude == pytest.approx(ref_fit.amplitude, rel=1e-9)
+
+    def test_bootstrap_matches_independent_refits(self):
+        floor = 1.0 / 500
+        points = shot_noised(pattern_points(138e-9, 0.840, 0.76), 9)
+        fit = fit_wave_pattern(points, sem_floor=floor)
+        unc = bootstrap_pattern_uncertainty(points, fit, n_boot=32, seed=3, sem_floor=floor)
+        x, z, _, sem = points.T
+        model_p = fit.model(x, z)
+        rng = np.random.default_rng(3)
+        lams, ths = [], []
+        for _ in range(32):
+            p_star = np.clip(model_p + rng.normal(0.0, np.maximum(sem, floor)), 0.0, 1.0)
+            try:
+                refit = fit_wave_pattern(np.column_stack([x, z, p_star, sem]), sem_floor=floor)
+            except FitError:
+                continue
+            lams.append(refit.wavelength)
+            ths.append(refit.rotation)
+        assert unc["n_successful"] == len(lams)
+        assert unc["wavelength_std"] == pytest.approx(np.std(lams, ddof=1), rel=1e-9)
+        assert unc["rotation_std"] == pytest.approx(np.std(ths, ddof=1), rel=1e-9)
