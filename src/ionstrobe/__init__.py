@@ -66,7 +66,7 @@ from .sequence import (
     run_scan,
     run_sequence,
     sample_detection,
-    sequence_fringe,
+    sequence_fringes,
     static_pattern_probe,
 )
 from .fitting import (

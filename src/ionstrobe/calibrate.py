@@ -2,10 +2,10 @@
 
 The tuner adjusts (per-flash phase step, Rabi scale) of the stroboscopic
 train until the bare train acts as a pi/2 rotation on the thermal alpha=0
-state. Decode tables are then built by simulating phase scans over a grid
-of displacement amplitudes and tabulating fitted fringe phase against true
-position (turning points, theta0 in {0, pi}) and fitted contrast against
-true momentum magnitude (theta0 = pi/2).
+state. Decode tables are then built from the exact fringes of a grid of
+displacement amplitudes, tabulating fringe phase against true position
+(turning points, theta0 in {0, pi}) and fringe contrast against true
+momentum magnitude (theta0 = pi/2).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .sequence import (
     SequenceSpec,
     characterize_reference_fringe,
     run_scan,
-    sequence_fringe,
+    sequence_fringes,
 )
 
 
@@ -227,28 +227,19 @@ def tune_pulse_train(
     )
 
 
-def _branch_fringes(
-    spec: SequenceSpec, theta0: float, alpha_grid: np.ndarray, phi_points: int
-) -> list[CosineFit]:
-    return [
-        sequence_fringe(replace(spec, excitation=CoherentAmp(float(mag), theta0))).fit(phi_points)
-        for mag in alpha_grid
-    ]
-
-
 def build_decode_tables(
     spec: SequenceSpec,
     units: UnitScale,
     alpha_grid,
-    phi_points: int = 16,
     config_note: dict | None = None,
 ) -> DecodeTables:
-    """Simulate phase scans over |alpha| and tabulate the decode maps.
+    """Tabulate the decode maps from the exact fringes over |alpha|.
 
     The position branch runs at the turning points theta0 in {0, pi} where
     the encoding is a pure fringe shift; phases are unwrapped along the
     amplitude grid and anchored to the alpha = 0 fringe. The momentum
-    branch runs at theta0 = pi/2 where only the contrast responds.
+    branch runs at theta0 = pi/2 where only the contrast responds. One
+    sequence_fringes call serves all three branches.
     """
     alphas = np.asarray(sorted(set(float(a) for a in alpha_grid)))
     if alphas[0] != 0.0:
@@ -256,9 +247,9 @@ def build_decode_tables(
     if len(alphas) < 3:
         raise DecodeError("alpha grid must contain at least 3 amplitudes")
 
-    plus = _branch_fringes(spec, 0.0, alphas, phi_points)
-    minus = _branch_fringes(spec, math.pi, alphas, phi_points)
-    mom = _branch_fringes(spec, math.pi / 2.0, alphas, phi_points)
+    thetas = (0.0, math.pi, math.pi / 2.0)
+    fringes = sequence_fringes(spec, [CoherentAmp(float(a), t) for a in alphas for t in thetas])
+    plus, minus, mom = fringes[0::3], fringes[1::3], fringes[2::3]
 
     anchor = plus[0].phase
     phi_plus = np.unwrap([f.phase - anchor for f in plus])
@@ -273,7 +264,6 @@ def build_decode_tables(
 
     config = dict(config_note or {})
     config.setdefault("alpha_max", float(alphas[-1]))
-    config.setdefault("phi_points", phi_points)
     return DecodeTables(
         pos_x=pos_x, pos_phi0=pos_phi0, mom_p=mom_p, mom_c=mom_c, build_config=config
     )

@@ -24,7 +24,6 @@ from . import config as cfgmod
 from .calibrate import (
     apply_tuning,
     build_decode_tables,
-    noise_floor_estimate,
     tune_pulse_train,
     unwrap_sweep_phases,
 )
@@ -184,8 +183,7 @@ def _build_tables(cfg: dict, spec, subset: dict):
     """Decode tables over the alpha grid 0, alpha_step, ... up to alpha_max."""
     dec = cfg["decode"]
     alpha_grid = np.arange(0.0, dec["alpha_max"] + dec["alpha_step"] / 2.0, dec["alpha_step"])
-    return build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid,
-                               phi_points=dec["phi_points"], config_note=subset)
+    return build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid, config_note=subset)
 
 
 def _resolve_tables(cfg: dict, spec):

@@ -116,7 +116,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "decode": {
         "alpha_max": Key(7.2, "[0, inf)"),
         "alpha_step": Key(0.4, "(0, inf)"),
-        "phi_points": Key(16, "[5, inf)"),
         "tables_path": Key(""),
     },
     "stability": {

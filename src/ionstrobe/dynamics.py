@@ -220,7 +220,7 @@ def run_pulse_train_block(
     mode: ModeParams,
     frame: FrameParams,
     hilbert: HilbertSpec,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagate the spin-down and spin-up parts of many states as one block.
 
     Free motion commutes with V(phi), so the train at base phase
@@ -231,8 +231,8 @@ def run_pulse_train_block(
     |down|^2 + |up|^2 + 2 Re(conj(down) up e^{i phi}), exactly, for any phi.
 
     After every flash the watchdog checks, for every state, the supremum
-    over phi of the top-Fock-tail population; the third return value is the
-    largest such supremum seen.
+    over phi of the top-Fock-tail population; the third return value holds
+    each state's largest one, and a TruncationError's index the failing state.
     """
     n = hilbert.fock_dim
     n_states = len(states)
@@ -246,25 +246,30 @@ def run_pulse_train_block(
     gap = train.cycle_dur - train.flash_dur
     gap_phases = np.tile(np.exp(-1j * mode.freq * gap * np.arange(n)), 2)[:, None]
     k_tail = hilbert.tail_levels
-    max_tail = 0.0
+    max_tail = np.zeros(n_states)
+    spare = np.empty_like(block)  # two reused buffers bound the working set
     for k in range(train.n_flashes):
         v = _drive_frame(n, train.base_phase + k * train.phase_step)[:, None]
-        block = v * (u0 @ (np.conj(v) * block))
+        block *= np.conj(v)
+        np.matmul(u0, block, out=spare)
+        block, spare = spare, block
+        block *= v
         tail = np.concatenate([block[n - k_tail : n], block[2 * n - k_tail :]])
         t0 = np.sum(np.abs(tail) ** 2, axis=0)
         t1 = np.sum(np.conj(tail[:, :n_states]) * tail[:, n_states:], axis=0)
         sup = t0[:n_states] + t0[n_states:] + 2.0 * np.abs(t1)
+        np.maximum(max_tail, sup, out=max_tail)
         worst = int(np.argmax(sup))
-        max_tail = max(max_tail, float(sup[worst]))
         if sup[worst] >= hilbert.tail_tol:
             phi_worst = (train.base_phase - np.angle(t1[worst])) % (2.0 * math.pi)
             raise TruncationError(
                 f"flash {k + 1} of {train.n_flashes} leaks up to {sup[worst]:.3e} into "
                 f"the top {k_tail} Fock levels at base phase {phi_worst:.4f} rad "
-                f"(tol {hilbert.tail_tol:g}); increase fock_dim"
+                f"(tol {hilbert.tail_tol:g}); increase fock_dim",
+                index=worst,
             )
         if gap > 0:
-            block = gap_phases * block
+            block *= gap_phases
     down, up = block[:, :n_states], block[:, n_states:]
     norm0 = np.sum(np.abs(block) ** 2, axis=0)
     norm1 = np.sum(np.conj(down) * up, axis=0)

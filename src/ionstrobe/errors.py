@@ -10,7 +10,11 @@ class ConfigError(IonstrobeError):
 
 
 class TruncationError(IonstrobeError):
-    """Fock-space truncation is inadequate for the requested state or evolution."""
+    """Fock-space truncation is inadequate; `index` places the failure in a batch."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DimensionMismatchError(IonstrobeError):

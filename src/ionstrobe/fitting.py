@@ -9,7 +9,7 @@ reported non-negative with the sign absorbed into the phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,13 +21,15 @@ those two parts through T once therefore gives
 p_down(phi) = c0 + 2 Re(c1 e^{i phi}), and the same form for <n> and for
 the top-Fock-tail population after every flash, whose supremum over phi,
 T0 + 2 |T1|, is what the truncation watchdog checks. SequenceFringe holds
-these coefficients, so one propagation per sequence serves any phase grid.
+these coefficients, so one propagation serves any phase grid and gives the
+offset, contrast and phase in closed form; sequence_fringes propagates many
+excitations, each distinct one once, through the shared train as one block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +43,6 @@ from .dynamics import (
     run_pulse_train_block,
 )
 from .errors import ConfigError, IonstrobeError, TruncationError
-from .fitting import CosineFit, fit_cosine
 from .hilbert import (
     CoherentAmp,
     FrameParams,
@@ -57,7 +58,6 @@ from .hilbert import (
 )
 
 REFERENCE_SEED_OFFSET = 1 << 20  # separates reference from measurement detection streams
-REFERENCE_FIT_POINTS = 8  # phases sampled to fit the alpha = 0 reference fringe
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,7 @@ def _apply_excitation(state: SpinMotionState, excitation) -> SpinMotionState:
     else:
         raise ConfigError(f"unsupported excitation {type(excitation).__name__}")
     phases = np.exp(1j * rot * np.arange(n))
-    blocks = []
-    for block in state.spin_blocks():
-        blocks.append(phases * (op @ (np.conj(phases) * block)))
+    blocks = [phases * (op @ (np.conj(phases) * block)) for block in state.spin_blocks()]
     return SpinMotionState(np.concatenate(blocks), n)
 
 
@@ -177,6 +175,17 @@ class SequenceFringe:
     n1: complex
     max_tail: float
 
+    @property
+    def contrast(self) -> float:
+        """Peak-to-peak amplitude of p_down over phi."""
+        return 4.0 * abs(self.p1)
+
+    @property
+    def phase(self) -> float:
+        """phi0 of p_down = p0 + (contrast/2) cos(phi - phi0), in (-pi, pi]."""
+        phase = math.atan2(-self.p1.imag, self.p1.real)
+        return math.pi if phase == -math.pi else phase
+
     def evaluate(self, phi: float) -> tuple[float, float]:
         """(p_down, delta_n) at analysis phase phi; p_down clamped to [0, 1]."""
         rot = complex(math.cos(phi), math.sin(phi))
@@ -184,57 +193,62 @@ class SequenceFringe:
         delta_n = self.n0 + 2.0 * (self.n1 * rot).real
         return min(max(p_down, 0.0), 1.0), delta_n
 
-    def fit(self, n_points: int) -> CosineFit:
-        """Cosine fit of p_down sampled at n_points phases evenly over 2 pi."""
-        phis = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-        return fit_cosine([(float(phi), self.evaluate(float(phi))[0], 0.0) for phi in phis])
 
+def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
+    """The fringe of `spec` under each of `excitations`, from one block propagation.
 
-def sequence_fringe(spec: SequenceSpec) -> SequenceFringe:
-    """Propagate every thermal level of `spec` once and return its fringe.
-
-    The pre-train states are split into spin-down and spin-up parts and
-    pushed through the analysis train at phi = 0 as one block; the phase
-    dependence follows exactly (see run_pulse_train_block).
+    The thermal levels of every distinct excitation (all no-kick ones, None
+    or zero magnitude, are one) are split into spin-down and spin-up parts
+    and pushed through the train at phi = 0 (see run_pulse_train_block). A
+    TruncationError's index is the position of a failing excitation.
     """
+    kicks = [None if e is None or e.magnitude == 0.0 else e for e in excitations]
+    distinct = list(dict.fromkeys(kicks))
+    if not distinct:
+        return []
     _, weights, ground = thermal_ground_states(
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
     )
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
     pre_delay = spec.pre_delay()
-    pre_train = []
-    n_initial = []
-    for st in ground:
-        st = _apply_excitation(st, spec.excitation)
-        n_initial.append(expect_n(st))
-        if pre_delay > 0:
-            st = free_evolve(st, spec.mode, pre_delay)
-        st = mw_rotation(st, math.pi / 2.0, spec.sync_phase)
-        pre_train.append(st)
-    for st in pre_train:
-        rep = check_truncation(st, spec.hilbert)
-        if not rep.passed:
-            raise TruncationError(
-                f"excitation leaves {rep.tail_population:.3e} in the top "
-                f"{rep.tail_levels} Fock levels (tol {rep.tail_tol:g}); "
-                "increase fock_dim"
-            )
+    pre_train, n_initial = [], []
+    for kick in distinct:
+        for st in ground:
+            st = _apply_excitation(st, kick)
+            n_initial.append(expect_n(st))
+            if pre_delay > 0:
+                st = free_evolve(st, spec.mode, pre_delay)
+            st = mw_rotation(st, math.pi / 2.0, spec.sync_phase)
+            rep = check_truncation(st, spec.hilbert)
+            if not rep.passed:
+                raise TruncationError(
+                    f"excitation leaves {rep.tail_population:.3e} in the top "
+                    f"{rep.tail_levels} Fock levels (tol {rep.tail_tol:g}); "
+                    "increase fock_dim",
+                    index=kicks.index(kick),
+                )
+            pre_train.append(st)
     train = replace(spec.analysis, base_phase=0.0)
-    down, up, max_tail = run_pulse_train_block(
-        pre_train, train, spec.mode, spec.frame, spec.hilbert
-    )
+    try:
+        down, up, max_tail = run_pulse_train_block(
+            pre_train, train, spec.mode, spec.frame, spec.hilbert
+        )
+    except TruncationError as exc:
+        exc.index = kicks.index(distinct[exc.index // len(ground)])
+        raise
+    shape = (len(distinct), len(ground))  # rows: excitations; columns: thermal levels
     pop0 = np.abs(down) ** 2 + np.abs(up) ** 2
     pop1 = np.conj(down) * up
     n = spec.hilbert.fock_dim
     quanta = np.tile(np.arange(n), 2)
-    p0 = float(weights @ np.sum(pop0[:n], axis=0))
-    return SequenceFringe(
-        p0=0.5 + (p0 - 0.5) * envelope,
-        p1=complex(weights @ np.sum(pop1[:n], axis=0)) * envelope,
-        n0=float(weights @ (quanta @ pop0 - np.asarray(n_initial))),
-        n1=complex(weights @ (quanta @ pop1)),
-        max_tail=max_tail,
-    )
+    p0 = 0.5 + (np.sum(pop0[:n], axis=0).reshape(shape) @ weights - 0.5) * envelope
+    p1 = (np.sum(pop1[:n], axis=0).reshape(shape) @ weights) * envelope
+    n0 = (quanta @ pop0 - np.asarray(n_initial)).reshape(shape) @ weights
+    n1 = (quanta @ pop1).reshape(shape) @ weights
+    tails = max_tail.reshape(shape).max(axis=1)
+    columns = (c.tolist() for c in (p0, p1, n0, n1, tails))
+    fringes = [SequenceFringe(*coefficients) for coefficients in zip(*columns)]
+    return [fringes[distinct.index(kick)] for kick in kicks]
 
 
 def run_sequence(spec: SequenceSpec, phi: float) -> tuple[float, float]:
@@ -244,7 +258,7 @@ def run_sequence(spec: SequenceSpec, phi: float) -> tuple[float, float]:
     back-action delta<n> between the post-excitation and post-analysis
     states.
     """
-    return sequence_fringe(spec).evaluate(phi)
+    return sequence_fringes(spec, [spec.excitation])[0].evaluate(phi)
 
 
 def sample_detection(p_down: float, shots: int, seed) -> tuple[float, float]:
@@ -259,41 +273,28 @@ def sample_detection(p_down: float, shots: int, seed) -> tuple[float, float]:
     return mean, sem
 
 
-def _with_outer(spec: SequenceSpec, outer_var: str, value: float) -> SequenceSpec:
-    if outer_var == "none":
-        return spec
-    exc = spec.excitation
-    if outer_var == "theta0":
-        if not isinstance(exc, CoherentAmp):
-            raise ConfigError("outer_var 'theta0' needs a coherent excitation")
-        return replace(spec, excitation=replace(exc, phase=value))
-    if outer_var == "zeta0":
-        if not isinstance(exc, SqueezeParam):
-            raise ConfigError("outer_var 'zeta0' needs a squeeze excitation")
-        return replace(spec, excitation=replace(exc, phase=value))
+def _outer_excitation(exc, outer_var: str, value: float):
+    """The excitation `exc` with the scan's outer variable (see ScanSpec) set to `value`."""
     if outer_var == "alpha_abs":
-        base_phase = exc.phase if isinstance(exc, CoherentAmp) else 0.0
-        return replace(spec, excitation=CoherentAmp(magnitude=value, phase=base_phase))
-    raise ConfigError(f"unknown outer_var '{outer_var}'")
+        return CoherentAmp(value, exc.phase if isinstance(exc, CoherentAmp) else 0.0)
+    if outer_var == "none":
+        return exc
+    kind, name = (CoherentAmp, "coherent") if outer_var == "theta0" else (SqueezeParam, "squeeze")
+    if not isinstance(exc, kind):
+        raise ConfigError(f"outer_var '{outer_var}' needs a {name} excitation")
+    return replace(exc, phase=value)
 
 
-def reference_spec(spec: SequenceSpec) -> SequenceSpec:
-    """The alpha = 0 phase-reference variant of a sequence."""
-    return replace(spec, excitation=None)
+def characterize_reference_fringe(spec: SequenceSpec) -> SequenceFringe:
+    """Fringe of the alpha = 0 variant of `spec`, the phase reference."""
+    return sequence_fringes(spec, [None])[0]
 
 
-def characterize_reference_fringe(
-    spec: SequenceSpec, n_points: int = REFERENCE_FIT_POINTS
-) -> CosineFit:
-    """Analytic fringe of the alpha = 0 sequence; exact cosine by construction."""
-    return sequence_fringe(reference_spec(spec)).fit(n_points)
-
-
-def _invert_reference(p_meas: float, fringe: CosineFit) -> float:
+def _invert_reference(p_meas: float, fringe: SequenceFringe) -> float:
     """Drift estimate from one mid-fringe reference detection."""
     if fringe.contrast <= 0:
         return 0.0
-    arg = (fringe.offset - p_meas) * 2.0 / fringe.contrast
+    arg = (fringe.p0 - p_meas) * 2.0 / fringe.contrast
     return math.asin(min(max(arg, -1.0), 1.0))
 
 
@@ -304,8 +305,9 @@ def run_scan(
 ) -> list[ScanRecord]:
     """Evaluate the sequence over (outer, phi) grids, outer-major.
 
-    Each outer value is propagated once; its phi points are read from the
-    resulting fringe. Per-point detection seeds are base_seed + point index.
+    One sequence_fringes call propagates every outer value (one more the
+    interleaved alpha = 0 reference); every phi point is read from those
+    fringes. Per-point detection seeds are base_seed + point index.
     When interleave_reference is set, every measurement is preceded by an
     alpha = 0 reference realization at mid-fringe whose inferred drift is
     subtracted from the measurement's phase coordinate. drift_phases, if
@@ -326,16 +328,18 @@ def run_scan(
         return float(drift_phases[real_index])
 
     if scan.interleave_reference:
-        ref = sequence_fringe(reference_spec(spec))
-        ref_fit = ref.fit(REFERENCE_FIT_POINTS)
-        phi_ref = ref_fit.phase + math.pi / 2.0
+        ref = characterize_reference_fringe(spec)
+        phi_ref = ref.phase + math.pi / 2.0
+
+    try:
+        kicks = [_outer_excitation(spec.excitation, scan.outer_var, v) for v in scan.outer_grid]
+        fringes = sequence_fringes(spec, kicks)
+    except IonstrobeError as exc:
+        outer = scan.outer_grid[getattr(exc, "index", None) or 0]
+        raise type(exc)(f"at scan point (outer={outer:g}): {exc}") from exc
 
     records = []
-    for outer_idx, outer in enumerate(scan.outer_grid):
-        try:
-            fringe = sequence_fringe(_with_outer(spec, scan.outer_var, outer))
-        except IonstrobeError as exc:
-            raise type(exc)(f"at scan point (outer={outer:g}): {exc}") from exc
+    for outer_idx, (outer, fringe) in enumerate(zip(scan.outer_grid, fringes)):
         for phi_idx, phi in enumerate(scan.phi_grid):
             idx = outer_idx * n_phi + phi_idx
             if scan.interleave_reference:
@@ -345,7 +349,7 @@ def run_scan(
                     p_ref, _ = sample_detection(
                         p_ref, scan.shots, scan.base_seed + idx + REFERENCE_SEED_OFFSET
                     )
-                drift_hat = _invert_reference(p_ref, ref_fit)
+                drift_hat = _invert_reference(p_ref, ref)
                 p, dn = fringe.evaluate(phi + _drift(meas_real))
                 phi_out = phi + drift_hat
             else:

@@ -71,4 +71,4 @@ def tuned_headline_large():
 @pytest.fixture(scope="session")
 def headline_decode_tables(tuned_headline_large, headline_units):
     spec, _ = tuned_headline_large
-    return build_decode_tables(spec, headline_units, np.arange(0.0, 7.3, 0.4), phi_points=16)
+    return build_decode_tables(spec, headline_units, np.arange(0.0, 7.3, 0.4))

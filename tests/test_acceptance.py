@@ -44,7 +44,7 @@ from ionstrobe.sequence import (
     SequenceSpec,
     characterize_reference_fringe,
     run_scan,
-    sequence_fringe,
+    sequence_fringes,
 )
 from ionstrobe.tableio import read_table
 
@@ -134,7 +134,7 @@ def test_criterion_05_encoding_linearity(tuned_headline_small, headline_units):
     xs, phases = [], []
     for alpha in np.arange(0.0, 3.01, 0.5):
         for theta0, sign in ((0.0, 1.0), (math.pi, -1.0)):
-            fringe = sequence_fringe(replace(spec, excitation=CoherentAmp(alpha, theta0)))
+            fringe = sequence_fringes(spec, [CoherentAmp(alpha, theta0)])[0]
             fit = fit_cosine([(p, fringe.evaluate(p)[0], 0.0) for p in phis])
             xs.append(sign * 2.0 * headline_units.x_zpf * alpha)
             phases.append(math.remainder(fit.phase - anchor, 2.0 * math.pi))
@@ -153,7 +153,7 @@ def test_criterion_06_contrast_ordering_and_backaction(tuned_headline_small):
     phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     contrasts = {}
     for theta0 in (0.0, math.pi / 2):
-        fringe = sequence_fringe(replace(spec, excitation=CoherentAmp(3.0, theta0)))
+        fringe = sequence_fringes(spec, [CoherentAmp(3.0, theta0)])[0]
         contrasts[theta0] = fit_cosine([(p, fringe.evaluate(p)[0], 0.0) for p in phis]).contrast
     ordering_ok = contrasts[math.pi / 2] < contrasts[0.0]
 
@@ -212,7 +212,7 @@ def test_criterion_08_phase_space_round_trip(tuned_headline_large, headline_deco
     thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     fits = []
     for theta0 in thetas:
-        fringe = sequence_fringe(replace(spec, excitation=CoherentAmp(6.5, theta0)))
+        fringe = sequence_fringes(spec, [CoherentAmp(6.5, theta0)])[0]
         fits.append(fit_cosine([(p, fringe.evaluate(p)[0], 0.0) for p in phis]))
     phases = unwrap_sweep_phases([f.phase - anchor for f in fits])
     amp_x = 2.0 * headline_units.x_zpf * 6.5
@@ -251,7 +251,7 @@ def test_criterion_09_squeezed_scan():
     boot = {0.0: [], math.pi: []}
     rng = np.random.default_rng(4242)
     for zeta0 in (0.0, math.pi):
-        fringe = sequence_fringe(replace(spec, excitation=SqueezeParam(1.0, zeta0)))
+        fringe = sequence_fringes(spec, [SqueezeParam(1.0, zeta0)])[0]
         p_true = np.array([fringe.evaluate(float(p))[0] for p in phis])
         counts = rng.binomial(shots, p_true)
         p_hat = counts / shots
@@ -272,7 +272,7 @@ def test_criterion_09_squeezed_scan():
     for mag in (0.25, 0.5, 1.0):
         cs = {}
         for zeta0 in (0.0, math.pi):
-            fringe = sequence_fringe(replace(spec, excitation=SqueezeParam(mag, zeta0)))
+            fringe = sequence_fringes(spec, [SqueezeParam(mag, zeta0)])[0]
             cs[zeta0] = fit_cosine([(p, fringe.evaluate(float(p))[0], 0.0) for p in phis]).contrast
         diffs.append(abs(cs[0.0] - cs[math.pi]))
     monotone_ok = diffs[0] < diffs[1] < diffs[2]
@@ -346,7 +346,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         "trace-phase-space": (
             "hilbert: {fock_dim: 64}\ntrain: {rabi_scale: 0.2795}\n"
             "state: {alpha_abs: 1.0}\n"
-            "decode: {alpha_max: 2.0, alpha_step: 0.5, phi_points: 8}\n"
+            "decode: {alpha_max: 2.0, alpha_step: 0.5}\n"
             "scan: {phi_num: 8, outer_var: theta0, outer_values: [0.0, 1.5707963, 3.1415927]}\n"
             "detection: {mode: shots, shots: 128, base_seed: 9}\n"
         ),
@@ -359,7 +359,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         "calibrate-train": "hilbert: {fock_dim: 48}\nmode: {thermal_samples: 100}\n",
         "build-tables": (
             "hilbert: {fock_dim: 64}\ntrain: {rabi_scale: 0.2795}\n"
-            "decode: {alpha_max: 2.0, alpha_step: 0.5, phi_points: 8}\n"
+            "decode: {alpha_max: 2.0, alpha_step: 0.5}\n"
         ),
         "stability": "stability: {white_sigma_rad: 0.2, rw_sigma_rad_per_sqrt_s: 0.01}\n",
     }

@@ -125,7 +125,7 @@ class TestTunePulseTrain:
 def small_tables(tuned_spec):
     spec, _ = tuned_spec
     spec96 = replace(spec, hilbert=HilbertSpec(fock_dim=112))
-    return build_decode_tables(spec96, UNITS, np.arange(0.0, 4.51, 0.5), phi_points=16), spec96
+    return build_decode_tables(spec96, UNITS, np.arange(0.0, 4.51, 0.5)), spec96
 
 
 class TestDecodeTables:
@@ -205,7 +205,7 @@ class TestDecodeTables:
             )
             base = alpha_zero_spec(fock_dim=64, eta=eta)
             tuned = apply_tuning(base, tune_pulse_train(base, tol=5e-3))
-            tables = build_decode_tables(tuned, UNITS, [0.0, 1.0, 2.0], phi_points=12)
+            tables = build_decode_tables(tuned, UNITS, [0.0, 1.0, 2.0])
             slopes[angle_deg] = np.polyfit(tables.pos_x, tables.pos_phi0, 1)[0]
         assert slopes[5.0] < slopes[0.0]
 

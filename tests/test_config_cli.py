@@ -359,7 +359,7 @@ class TestCliBuildAndTrace:
             "hilbert: {fock_dim: 80}\n"
             "train: {rabi_scale: 0.2795}\n"
             "state: {alpha_abs: 2.0}\n"
-            "decode: {alpha_max: 3.0, alpha_step: 0.5, phi_points: 12, tables_path: '%s'}\n"
+            "decode: {alpha_max: 3.0, alpha_step: 0.5, tables_path: '%s'}\n"
             "scan:\n"
             "  phi_num: 12\n"
             "  outer_var: theta0\n"
@@ -398,7 +398,7 @@ class TestCliBuildAndTrace:
             "hilbert: {fock_dim: 64}\n"
             "train: {rabi_scale: 0.2795}\n"
             "state: {alpha_abs: 1.0}\n"
-            "decode: {alpha_max: 2.0, alpha_step: 0.5, phi_points: 8, tables_path: '%s'}\n"
+            "decode: {alpha_max: 2.0, alpha_step: 0.5, tables_path: '%s'}\n"
             "scan: {phi_num: 8, outer_var: theta0, outer_values: [0.0, 1.5707963, 3.1415927, 4.712389]}\n"
             "detection: {mode: analytic, base_seed: 56}\n"
         ) % tables_path

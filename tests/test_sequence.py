@@ -33,17 +33,20 @@ from ionstrobe.dynamics import (
     mw_rotation,
     run_pulse_train,
 )
+import ionstrobe.sequence as sequence_module
+from ionstrobe.calibrate import build_decode_tables
 from ionstrobe.errors import TruncationError
 from ionstrobe.fitting import fit_cosine
 from ionstrobe.sequence import (
     PatternField,
     ScanSpec,
+    SequenceFringe,
     SequenceSpec,
     characterize_reference_fringe,
     run_scan,
     run_sequence,
     sample_detection,
-    sequence_fringe,
+    sequence_fringes,
     static_pattern_probe,
 )
 
@@ -184,15 +187,20 @@ def reference_observables(spec, phi):
 
 excitations = st.one_of(
     st.none(),
+    st.builds(CoherentAmp, st.just(0.0), st.floats(0.0, 2.0 * math.pi)),
     st.builds(CoherentAmp, st.floats(0.1, 1.5), st.floats(0.0, 2.0 * math.pi)),
     st.builds(SqueezeParam, st.floats(0.05, 0.3), st.floats(0.0, 2.0 * math.pi)),
+)
+# 1-4 excitations drawn from a smaller pool, so repeats are common
+excitation_lists = st.lists(excitations, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=4)
 )
 
 
 class TestSequenceFringe:
     @settings(max_examples=50, deadline=None)
     @given(
-        excitation=excitations,
+        batch=excitation_lists,
         phase_step=st.floats(0.02, 0.6) | st.floats(-0.6, -0.02),
         rabi_scale=st.floats(0.5, 3.0),
         eta=st.floats(0.0, 0.5),
@@ -202,10 +210,10 @@ class TestSequenceFringe:
         phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
     )
     def test_matches_per_phase_reference(
-        self, excitation, phase_step, rabi_scale, eta, n_th, envelope, tau, phis
+        self, batch, phase_step, rabi_scale, eta, n_th, envelope, tau, phis
     ):
         base = make_spec(
-            fock_dim=40, eta=eta, rabi_scale=rabi_scale, excitation=excitation,
+            fock_dim=40, eta=eta, rabi_scale=rabi_scale,
             n_th=n_th, envelope=envelope, n_flashes=5,
         )
         spec = replace(
@@ -216,15 +224,63 @@ class TestSequenceFringe:
         )
         levels, _ = thermal_ensemble(n_th, spec.thermal_samples, spec.thermal_seed)
         assert len(levels) >= 2
-        fringe = sequence_fringe(spec)
-        for phi in phis:
-            p_ref, dn_ref, sz_ref, tail_ref = reference_observables(spec, phi)
-            p, dn = fringe.evaluate(phi)
-            assert abs(p - p_ref) <= 1e-12
-            assert abs(dn - dn_ref) <= 1e-12
-            assert abs((1.0 - 2.0 * p) - sz_ref) <= 1e-12
-            # the reported tail is a supremum over phi; allow only rounding
-            assert fringe.max_tail >= tail_ref - 1e-15
+        fringes = sequence_fringes(spec, batch)
+        assert len(fringes) == len(batch)
+        for excitation, fringe in zip(batch, fringes):
+            alone = sequence_fringes(spec, [excitation])[0]
+            # each fringe's own tail, not the largest of the whole block
+            assert fringe.max_tail == pytest.approx(alone.max_tail, rel=1e-9, abs=1e-300)
+            for phi in phis:
+                ref = reference_observables(replace(spec, excitation=excitation), phi)
+                p_ref, dn_ref, sz_ref, tail_ref = ref
+                p, dn = fringe.evaluate(phi)
+                assert abs(p - p_ref) <= 1e-12
+                assert abs(dn - dn_ref) <= 1e-12
+                assert abs((1.0 - 2.0 * p) - sz_ref) <= 1e-12
+                # the reported tail is a supremum over phi; allow only rounding
+                assert fringe.max_tail >= tail_ref - 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p0=st.floats(0.3, 0.7),
+        p1_abs=st.floats(1e-3, 0.07),
+        p1_arg=st.floats(-4.0, 4.0) | st.sampled_from([0.0, math.pi, -math.pi, math.pi / 2]),
+        n_points=st.integers(5, 16),
+    )
+    def test_closed_form_matches_fit(self, p0, p1_abs, p1_arg, n_points):
+        fringe = SequenceFringe(p0=p0, p1=p1_abs * complex(math.cos(p1_arg), math.sin(p1_arg)),
+                                n0=0.0, n1=0j, max_tail=0.0)
+        phis = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+        fit = fit_cosine([(phi, fringe.evaluate(phi)[0], 0.0) for phi in phis])
+        assert abs(fringe.p0 - fit.offset) <= 1e-12
+        assert abs(fringe.contrast - fit.contrast) <= 1e-12
+        assert abs(math.remainder(fringe.phase - fit.phase, 2.0 * math.pi)) <= 1e-12
+        assert -math.pi < fringe.phase <= math.pi
+
+    def test_deduplicates_block_columns(self, monkeypatch, headline_units):
+        widths = []
+        block = sequence_module.run_pulse_train_block
+
+        def counting(states, *args):
+            widths.append(len(states))
+            return block(states, *args)
+
+        monkeypatch.setattr(sequence_module, "run_pulse_train_block", counting)
+        # near the tuned pi/2 train, so the decode tables are monotone
+        spec = make_spec(fock_dim=40, rabi_scale=0.2795, excitation=CoherentAmp(0.0, 0.0),
+                         n_th=0.15, envelope="gaussian")
+        levels, _ = thermal_ensemble(0.15, spec.thermal_samples, spec.thermal_seed)
+        assert len(levels) >= 2
+        assert sequence_fringes(spec, []) == [] and widths == []
+        thetas = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
+        scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=thetas, outer_var="theta0")
+        run_scan(scan, spec)
+        assert widths == [len(levels)]
+
+        widths.clear()
+        alphas = [0.0, 0.5, 1.0, 1.5]
+        build_decode_tables(spec, headline_units, alphas)
+        assert widths == [(3 * len(alphas) - 2) * len(levels)]
 
     def test_truncation_names_outer_and_flash(self):
         # level 21 of the n_th = 2 ensemble passes the pre-train check at
