@@ -2,10 +2,14 @@
 
 The tuner adjusts (per-flash phase step, Rabi scale) of the stroboscopic
 train until the bare train acts as a pi/2 rotation on the thermal alpha=0
-state. Decode tables are then built from the exact fringes of a grid of
-displacement amplitudes, tabulating fringe phase against true position
-(turning points, theta0 in {0, pi}) and fringe contrast against true
-momentum magnitude (theta0 = pi/2).
+state. Its search propagates the thermal levels as one block in the
+smallest Fock space of 32, 64, 128, ... levels whose tail stays negligible,
+and the point it returns is checked once at the configured fock_dim and
+tail_tol, state by state through run_pulse_train. Decode tables are then
+built from the exact fringes of a grid of displacement amplitudes,
+tabulating fringe phase against true position (turning points, theta0 in
+{0, pi}) and fringe contrast against true momentum magnitude
+(theta0 = pi/2).
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import run_pulse_train
-from .errors import CalibrationError, DecodeError
+from .dynamics import PulseTrainSpec, run_pulse_train, run_pulse_train_block
+from .errors import CalibrationError, DecodeError, TruncationError
 from .fitting import CosineFit, fit_cosine
 from .hilbert import (
     HBAR,
     CoherentAmp,
+    HilbertSpec,
     UnitScale,
     expect_sigma_z,
     thermal_ground_states,
@@ -154,58 +159,66 @@ def golden_section(f, lo: float, hi: float, xtol: float = 1e-6, max_iter: int = 
     return (c, fc) if fc < fd else (d, fd)
 
 
+def _scaled_train(train: PulseTrainSpec, phase_step: float, rabi_scale: float) -> PulseTrainSpec:
+    """The train with this phase step and its Rabi rate times rabi_scale."""
+    drive = replace(train.drive, rabi=train.drive.rabi * rabi_scale)
+    return replace(train, phase_step=phase_step, drive=drive)
+
+
 def apply_tuning(spec: SequenceSpec, tuning: TrainTuning) -> SequenceSpec:
     """Sequence with the tuned phase step and Rabi scale folded into the train."""
-    train = spec.analysis
-    drive = replace(train.drive, rabi=train.drive.rabi * tuning.rabi_scale)
-    return replace(spec, analysis=replace(train, phase_step=tuning.phase_step, drive=drive))
+    train = _scaled_train(spec.analysis, tuning.phase_step, tuning.rabi_scale)
+    return replace(spec, analysis=train)
 
 
-def tune_pulse_train(
+# The tuner searches in Fock spaces of 32, 64, 128, ... levels below the
+# configured one. A smaller space is kept only while every evaluation's top-Fock
+# tail stays under SEARCH_TAIL_BOUND: truncation then moves |<sigma_z>| by about
+# the tail population, far below double rounding, so the search probes the
+# same points it would probe at the configured size.
+FIRST_SEARCH_DIM = 32
+SEARCH_TAIL_BOUND = 1e-20
+
+
+def _search_spaces(hilbert: HilbertSpec):
+    """The spaces to search in, smallest first; the configured space is last."""
+    dim = FIRST_SEARCH_DIM
+    while dim < hilbert.fock_dim:
+        yield HilbertSpec(fock_dim=dim, tail_tol=SEARCH_TAIL_BOUND)
+        dim *= 2
+    yield hilbert
+
+
+def _search(
     spec: SequenceSpec,
-    tol: float = 5e-3,
-    max_sweeps: int = 6,
-    xtol: float = 1e-6,
+    hilbert: HilbertSpec,
+    start: tuple[float, float],
+    tol: float,
+    max_sweeps: int,
+    xtol: float,
 ) -> TrainTuning:
-    """Calibrate (phase_step, rabi_scale) so the bare train is a pi/2 pulse.
+    """Coordinate descent on |<sigma_z>| in the Fock space `hilbert`.
 
-    Derivative-free coordinate descent with golden-section line searches,
-    minimizing |<sigma_z>| of the train applied to |down> with the thermal
-    motional ensemble of `spec` (the alpha = 0 sequence). Returns as soon
-    as a probed point satisfies the tolerance.
+    Each evaluation propagates the thermal levels as one block and reads
+    sigma_z at base phase offset 0 in closed form. Raises TruncationError
+    when the thermal draw or any evaluation's tail exceeds hilbert.tail_tol.
     """
-    if spec.excitation is not None and getattr(spec.excitation, "magnitude", 0.0) != 0.0:
-        raise CalibrationError("tuning runs on the alpha = 0 sequence")
-    if tol <= 0:
-        raise CalibrationError("tol must be positive")
-
-    train = spec.analysis
-    levels, weights, states = thermal_ground_states(
-        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
+    n = hilbert.fock_dim
+    _, weights, states = thermal_ground_states(
+        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, hilbert
     )
     n_evals = 0
 
     def objective(phase_step: float, rabi_scale: float) -> float:
         nonlocal n_evals
         n_evals += 1
-        trial = replace(
-            train,
-            phase_step=phase_step,
-            drive=replace(train.drive, rabi=train.drive.rabi * rabi_scale),
-        )
-        sz = 0.0
-        for w, st in zip(weights, states):
-            out = run_pulse_train(st, trial, spec.mode, spec.frame, spec.hilbert)
-            sz += w * expect_sigma_z(out)
-        return abs(sz)
+        trial = _scaled_train(spec.analysis, phase_step, rabi_scale)
+        down, up, _ = run_pulse_train_block(states, trial, spec.mode, spec.frame, hilbert)
+        out = down + up  # each state's image at phi = 0
+        sz = np.sum(np.abs(out[n:]) ** 2, axis=0) - np.sum(np.abs(out[:n]) ** 2, axis=0)
+        return abs(float(np.dot(weights, sz)))
 
-    # analytic starting point: thermally weighted Debye-Waller carrier rate
-    eta = train.drive.eta
-    dw = math.exp(-(eta**2) / 2.0) * float(np.dot(weights, _laguerre(levels, eta**2)))
-    theta_full = train.n_flashes * train.drive.rabi * train.flash_dur * max(dw, 1e-12)
-    scale = (math.pi / 2.0) / theta_full
-    step = train.phase_step
-
+    step, scale = start
     best = (step, scale, objective(step, scale))
     if best[2] <= tol:
         return TrainTuning(step, scale, best[2], n_evals)
@@ -224,6 +237,66 @@ def tune_pulse_train(
     raise CalibrationError(
         f"tuner stalled at |<sigma_z>| = {best[2]:.3e} (tol {tol:g}) "
         f"after {n_evals} evaluations"
+    )
+
+
+def tune_pulse_train(
+    spec: SequenceSpec,
+    tol: float = 5e-3,
+    max_sweeps: int = 6,
+    xtol: float = 1e-6,
+) -> TrainTuning:
+    """Calibrate (phase_step, rabi_scale) so the bare train is a pi/2 pulse.
+
+    Derivative-free coordinate descent with golden-section line searches,
+    minimizing |<sigma_z>| of the train applied to |down> with the thermal
+    motional ensemble of `spec` (the alpha = 0 sequence). The search stops
+    as soon as a probed point satisfies the tolerance.
+
+    The search runs in the smallest of 32, 64, 128, ... Fock levels (below
+    spec.hilbert.fock_dim) whose thermal draw fits and whose every evaluation
+    keeps its tail under SEARCH_TAIL_BOUND, else at the configured size
+    under spec.hilbert.tail_tol. The returned point is then evaluated once
+    more at the configured fock_dim, state by state through run_pulse_train
+    with the tail_tol watchdog: that check gives achieved_sigma_z, and if it
+    misses tol the search moves to the next space. n_evaluations counts the
+    probes of the search that returned the point, not the check. A fock_dim
+    too small for the tuned train raises TruncationError.
+    """
+    if spec.excitation is not None and getattr(spec.excitation, "magnitude", 0.0) != 0.0:
+        raise CalibrationError("tuning runs on the alpha = 0 sequence")
+    if tol <= 0:
+        raise CalibrationError("tol must be positive")
+
+    train = spec.analysis
+    levels, weights, states = thermal_ground_states(
+        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
+    )
+    # analytic starting point: thermally weighted Debye-Waller carrier rate
+    eta = train.drive.eta
+    dw = math.exp(-(eta**2) / 2.0) * float(np.dot(weights, _laguerre(levels, eta**2)))
+    theta_full = train.n_flashes * train.drive.rabi * train.flash_dur * max(dw, 1e-12)
+    start = (train.phase_step, (math.pi / 2.0) / theta_full)
+
+    for hilbert in _search_spaces(spec.hilbert):
+        try:
+            tuning = _search(spec, hilbert, start, tol, max_sweeps, xtol)
+        except TruncationError:
+            if hilbert is spec.hilbert:
+                raise
+            continue
+        # the check at the configured size, also leaving its flash unitary cached
+        tuned = _scaled_train(train, tuning.phase_step, tuning.rabi_scale)
+        sz = 0.0
+        for w, st in zip(weights, states):
+            out = run_pulse_train(st, tuned, spec.mode, spec.frame, spec.hilbert)
+            sz += w * expect_sigma_z(out)
+        achieved = abs(sz)
+        if achieved <= tol:
+            return replace(tuning, achieved_sigma_z=achieved)
+    raise CalibrationError(
+        f"tuned point reaches |<sigma_z>| = {achieved:.3e} at fock_dim "
+        f"{spec.hilbert.fock_dim}, above tol {tol:g}"
     )
 
 

@@ -112,7 +112,10 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, detuning: float, freq
     U = diag(G, G) Q e^{-i w dt} Q^T diag(G, G)^dag.
 
     The cache is small on purpose: the pi/2 tuner tries a new Rabi rate on
-    every evaluation, and at fock_dim 232 each discarded unitary holds 3.4 MB.
+    every evaluation. It searches in a small Fock space (a 32-level unitary
+    holds 64 KB) and leaves only its final check's configured-size unitary
+    (3.4 MB at fock_dim 232) in the cache, where the scans and decode
+    tables that follow reuse it.
     """
     g = quadrature_gauge(fock_dim)
     c = coupling_operator(eta, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5))

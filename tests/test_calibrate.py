@@ -19,9 +19,13 @@ from ionstrobe import (
     expect_sigma_z,
     make_initial_state,
 )
+from ionstrobe import calibrate
 from ionstrobe.calibrate import (
+    FIRST_SEARCH_DIM,
+    SEARCH_TAIL_BOUND,
     DecodeTables,
     TrainTuning,
+    _laguerre,
     apply_tuning,
     build_decode_tables,
     decode_observables,
@@ -31,10 +35,13 @@ from ionstrobe.calibrate import (
     tune_pulse_train,
     unwrap_sweep_phases,
 )
-from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec, run_pulse_train
-from ionstrobe.errors import CalibrationError, DecodeError
+from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec, run_pulse_train, run_pulse_train_block
+from ionstrobe.errors import CalibrationError, DecodeError, TruncationError
 from ionstrobe.fitting import fit_cosine
+from ionstrobe.hilbert import thermal_ensemble, thermal_ground_states
 from ionstrobe.sequence import SequenceSpec, characterize_reference_fringe, run_sequence
+
+from conftest import headline_sequence_spec
 
 OMEGA = 2.0 * math.pi * 1.3e6
 CYCLE = 2.0 * math.pi / OMEGA
@@ -119,6 +126,100 @@ class TestTunePulseTrain:
         spec = alpha_zero_spec()
         with pytest.raises(CalibrationError):
             tune_pulse_train(replace(spec, excitation=CoherentAmp(2.0, 0.0)), tol=1e-2)
+
+
+def reference_tune(spec, tol, max_sweeps=6, xtol=1e-6):
+    """The tuner with every probe at the configured size, state by state
+    through run_pulse_train: the reference the small-space search must match."""
+    train = spec.analysis
+    levels, weights, states = thermal_ground_states(
+        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
+    )
+    n_evals = 0
+
+    def objective(phase_step, rabi_scale):
+        nonlocal n_evals
+        n_evals += 1
+        trial = replace(
+            train,
+            phase_step=phase_step,
+            drive=replace(train.drive, rabi=train.drive.rabi * rabi_scale),
+        )
+        sz = 0.0
+        for w, st in zip(weights, states):
+            out = run_pulse_train(st, trial, spec.mode, spec.frame, spec.hilbert)
+            sz += w * expect_sigma_z(out)
+        return abs(sz)
+
+    eta = train.drive.eta
+    dw = math.exp(-(eta**2) / 2.0) * float(np.dot(weights, _laguerre(levels, eta**2)))
+    theta_full = train.n_flashes * train.drive.rabi * train.flash_dur * max(dw, 1e-12)
+    scale = (math.pi / 2.0) / theta_full
+    step = train.phase_step
+
+    val = objective(step, scale)
+    if val <= tol:
+        return TrainTuning(step, scale, val, n_evals)
+    for _ in range(max_sweeps):
+        scale, val = golden_section(lambda s: objective(step, s), 0.5 * scale, 1.5 * scale, xtol)
+        if val <= tol:
+            return TrainTuning(step, scale, val, n_evals)
+        step, val = golden_section(lambda d: objective(d, scale), step - 0.2, step + 0.2, xtol)
+        if val <= tol:
+            return TrainTuning(step, scale, val, n_evals)
+    raise CalibrationError(f"reference tuner stalled after {n_evals} evaluations")
+
+
+class TestSmallSpaceSearch:
+    """tune_pulse_train searches in a small Fock space on the block propagator;
+    its result must equal the reference tuner's bit for bit."""
+
+    @pytest.mark.parametrize("fock_dim", [64, 112])
+    def test_headline_matches_reference(self, fock_dim):
+        spec = headline_sequence_spec(fock_dim)
+        assert tune_pulse_train(spec, tol=5e-3) == reference_tune(spec, 5e-3)
+
+    def test_one_flash_train_matches_reference(self):
+        # fig2b: a single 903 ns flash in a 910 ns cycle at fock_dim 48
+        spec = alpha_zero_spec(fock_dim=48)
+        one_flash = replace(spec.analysis, n_flashes=1, flash_dur=903e-9, cycle_dur=910e-9)
+        spec = replace(spec, analysis=one_flash)
+        assert tune_pulse_train(spec, tol=5e-3) == reference_tune(spec, 5e-3)
+
+    def test_thermal_draw_above_first_space(self):
+        # the draw reaches level 34: the search skips 32 levels and runs at 64
+        spec = replace(alpha_zero_spec(fock_dim=96, eta=0.3, n_th=15.0), thermal_samples=5)
+        levels, _ = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
+        assert levels[-1] >= FIRST_SEARCH_DIM
+        assert tune_pulse_train(spec, tol=5e-3) == reference_tune(spec, 5e-3)
+
+    def test_drive_tail_above_search_bound(self):
+        # at eta = 2 the 32-level space passes the configured watchdog but not
+        # the search bound, and a search there lands on a different point
+        spec = alpha_zero_spec(fock_dim=64, eta=2.0, n_th=0.0)
+        spec = replace(spec, hilbert=HilbertSpec(fock_dim=64, tail_tol=1e-2))
+        ref = reference_tune(spec, 5e-3)
+        small = HilbertSpec(fock_dim=FIRST_SEARCH_DIM, tail_tol=spec.hilbert.tail_tol)
+        _, _, states = thermal_ground_states(
+            spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, small
+        )
+        tuned = apply_tuning(spec, ref).analysis
+        _, _, tail = run_pulse_train_block(states, tuned, spec.mode, spec.frame, small)
+        assert SEARCH_TAIL_BOUND < tail.max() < spec.hilbert.tail_tol
+        assert tune_pulse_train(spec, tol=5e-3) == ref
+
+    def test_check_rejects_point_that_misses_tol(self, monkeypatch):
+        # with the search bound opened up, the 32-level search returns a point
+        # that misses tol at 64 levels; the tuner must search again there
+        monkeypatch.setattr(calibrate, "SEARCH_TAIL_BOUND", 0.5)
+        spec = alpha_zero_spec(fock_dim=64, eta=2.0, n_th=0.0)
+        spec = replace(spec, hilbert=HilbertSpec(fock_dim=64, tail_tol=1e-2))
+        assert tune_pulse_train(spec, tol=3e-7) == reference_tune(spec, 3e-7)
+
+    def test_leaking_configured_space_raises(self):
+        spec = alpha_zero_spec(fock_dim=40, eta=2.0)
+        with pytest.raises(TruncationError, match=r"top 2 Fock levels .*\(tol 0\.0001\)"):
+            tune_pulse_train(spec, tol=5e-3)
 
 
 @pytest.fixture(scope="module")
