@@ -49,6 +49,49 @@ class TrainTuning:
     n_evaluations: int = 0
 
 
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, limited to keep the end piece's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x: np.ndarray, y: np.ndarray):
+    """Monotone piecewise cubic Hermite interpolant through (x, y).
+
+    x must be strictly increasing. Interior slopes are the Fritsch-Butland
+    weighted harmonic mean of the adjacent secants, or 0 where the secants
+    differ in sign or either is 0; end slopes follow `_end_slope` (Moler's
+    pchiptx); two knots give the straight line. Beyond the knots the end
+    cubics extrapolate. Slopes, coefficients and evaluation follow the
+    operation order of scipy.interpolate.PchipInterpolator.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        d = np.array([m[0], m[0]])
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        ends = (_end_slope(h[0], h[1], m[0], m[1]), _end_slope(h[-1], h[-2], m[-1], m[-2]))
+        d = np.concatenate(([ends[0]], np.where(flat, 0.0, inner), [ends[1]]))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c3, c2, c1, c0 = y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h
+
+    def interp(v):
+        i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, h.size - 1)
+        s = v - x[i]
+        return c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
+
+    return interp
+
+
 @dataclass
 class DecodeTables:
     """Monotone maps from fringe observables to motional observables.
@@ -66,13 +109,10 @@ class DecodeTables:
     build_config: dict
 
     def __post_init__(self):
-        # scipy is imported here, not at module level, to keep it off the CLI's import path
-        from scipy.interpolate import PchipInterpolator
-
         self._check_monotone(self.pos_phi0, self.pos_x, "position")
         self._check_monotone(self.mom_c[::-1], self.mom_p[::-1], "momentum")
-        self._pos_interp = PchipInterpolator(self.pos_phi0, self.pos_x)
-        self._mom_interp = PchipInterpolator(self.mom_c[::-1], self.mom_p[::-1])
+        self._pos_interp = pchip(self.pos_phi0, self.pos_x)
+        self._mom_interp = pchip(self.mom_c[::-1], self.mom_p[::-1])
 
     @staticmethod
     def _check_monotone(key: np.ndarray, value: np.ndarray, name: str):

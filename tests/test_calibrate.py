@@ -2,9 +2,14 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
+from scipy.special import eval_laguerre
 
 from ionstrobe import (
     ATOMIC_MASS,
@@ -32,9 +37,11 @@ from ionstrobe.calibrate import (
     derive_lamb_dicke,
     golden_section,
     noise_floor_estimate,
+    pchip,
     tune_pulse_train,
     unwrap_sweep_phases,
 )
+from ionstrobe.config import build_train, load_config
 from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec, run_pulse_train, run_pulse_train_block
 from ionstrobe.errors import CalibrationError, DecodeError, TruncationError
 from ionstrobe.fitting import fit_cosine
@@ -309,6 +316,64 @@ class TestDecodeTables:
             tables = build_decode_tables(tuned, UNITS, [0.0, 1.0, 2.0])
             slopes[angle_deg] = np.polyfit(tables.pos_x, tables.pos_phi0, 1)[0]
         assert slopes[5.0] < slopes[0.0]
+
+
+@st.composite
+def pchip_knots(draw, shape=None):
+    """2-40 strictly increasing knots and values of one shape: increasing,
+    decreasing, non-monotone, or with flat runs (zero secants)."""
+    n = draw(st.integers(2, 40))
+    steps = st.floats(1e-3, 10.0)
+    x = draw(st.floats(-100.0, 100.0)) + np.cumsum(draw(st.lists(steps, min_size=n, max_size=n)))
+    shape = shape or draw(st.sampled_from(["increasing", "decreasing", "non-monotone", "flat runs"]))
+    if shape == "non-monotone":
+        # a 1e-5 grid keeps the secants far from overflow in the harmonic mean
+        y = np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))) / 1e5
+    elif shape == "flat runs":
+        jumps = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 0.25])
+        y = np.cumsum(draw(st.lists(jumps, min_size=n, max_size=n)))
+    else:
+        y = np.cumsum(draw(st.lists(steps, min_size=n, max_size=n)))
+        y = -y if shape == "decreasing" else y
+    return x, y
+
+
+class TestPchip:
+    """The decode tables' monotone cubic Hermite interpolant against scipy's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pchip_knots(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_matches_scipy(self, knots, fractions):
+        x, y = knots
+        h = np.diff(x)
+        interior = (x[:-1, None] + np.outer(h, fractions)).ravel()
+        ends = [x[0] - 0.5 * h[0], x[0], x[-1], x[-1] + 0.5 * h[-1]]
+        v = np.concatenate([x, interior, ends])
+        expected = PchipInterpolator(x, y)(v)
+        np.testing.assert_allclose(
+            pchip(x, y)(v), expected, rtol=1e-14, atol=1e-14 * np.max(np.abs(y))
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["increasing", "decreasing"]).flatmap(pchip_knots))
+    def test_strictly_monotone_data_gives_monotone_interpolant(self, knots):
+        x, y = knots
+        steps = np.diff(pchip(x, y)(np.linspace(x[0], x[-1], 4001)))
+        sign = 1.0 if y[-1] > y[0] else -1.0
+        assert np.all(sign * steps >= -4 * np.finfo(float).eps * np.max(np.abs(y)))
+
+    def test_two_knots_give_a_line(self):
+        line = pchip(np.array([1.0, 3.0]), np.array([2.0, -2.0]))
+        np.testing.assert_allclose(line(np.array([0.0, 1.0, 2.0, 2.5, 3.0])), [4.0, 2.0, 0.0, -1.0, -2.0])
+
+
+def test_laguerre_equals_scipy():
+    # the tuner's Debye-Waller start point needs L_n(eta^2); take eta from every demo config
+    configs = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
+    etas = {build_train(load_config(path)).drive.eta for path in configs}
+    levels = np.arange(81)
+    for x in sorted({eta**2 for eta in etas} | {0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.7, 10.0, 50.0}):
+        assert np.array_equal(_laguerre(levels, x), eval_laguerre(levels, x)), x
 
 
 class TestUnwrap:

@@ -1,5 +1,6 @@
 """Config validation and end-to-end CLI runs on small workloads."""
 
+import ast
 import math
 import subprocess
 import sys
@@ -352,21 +353,24 @@ class TestCliSqueezeScan:
         assert main(["squeeze-scan", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 2
 
 
+# a small trace-phase-space run; %s is decode.tables_path
+SMALL_TRACE_CONFIG = (
+    "hilbert: {fock_dim: 80}\n"
+    "train: {rabi_scale: 0.2795}\n"
+    "state: {alpha_abs: 2.0}\n"
+    "decode: {alpha_max: 3.0, alpha_step: 0.5, tables_path: '%s'}\n"
+    "scan:\n"
+    "  phi_num: 12\n"
+    "  outer_var: theta0\n"
+    "  outer_values: [0.0, 0.7853982, 1.5707963, 2.3561945, 3.1415927, 3.9269908, 4.712389, 5.4977871]\n"
+    "detection: {mode: analytic, base_seed: 55}\n"
+)
+
+
 class TestCliBuildAndTrace:
     def test_tables_then_trace(self, tmp_path):
         tables_path = tmp_path / "tables.txt"
-        base = (
-            "hilbert: {fock_dim: 80}\n"
-            "train: {rabi_scale: 0.2795}\n"
-            "state: {alpha_abs: 2.0}\n"
-            "decode: {alpha_max: 3.0, alpha_step: 0.5, tables_path: '%s'}\n"
-            "scan:\n"
-            "  phi_num: 12\n"
-            "  outer_var: theta0\n"
-            "  outer_values: [0.0, 0.7853982, 1.5707963, 2.3561945, 3.1415927, 3.9269908, 4.712389, 5.4977871]\n"
-            "detection: {mode: analytic, base_seed: 55}\n"
-        ) % tables_path
-        cfg = write_cfg(tmp_path, base)
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
         out_tab = str(tmp_path / "built.txt")
         assert main(["build-tables", "--config", cfg, "--out", out_tab]) == 0
         from ionstrobe.tableio import read_decode_tables
@@ -411,12 +415,41 @@ class TestCliBuildAndTrace:
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
-def test_cli_import_leaves_scipy_out():
-    # a fresh interpreter, so modules the test session imported do not count
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # a fresh interpreter, so modules the test session imported do not count;
+    # after the import, one trace builds the decode tables and a second reads them back
     src = str(Path(ionstrobe.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import ionstrobe.cli; print('scipy' in sys.modules)"
+    tables_path = tmp_path / "tables.txt"
+    cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
+    trace = "assert main(['trace-phase-space', '--config', %r, '--out', %r]) == 0"
+    code = "\n".join([
+        f"import sys; sys.path.insert(0, {src!r})",
+        "from pathlib import Path",
+        "from ionstrobe.cli import main",
+        "print('scipy' in sys.modules)",
+        trace % (cfg, str(tmp_path / "t1.txt")),
+        f"mtime = Path({str(tables_path)!r}).stat().st_mtime_ns",
+        trace % (cfg, str(tmp_path / "t2.txt")),
+        f"print(Path({str(tables_path)!r}).stat().st_mtime_ns == mtime, 'scipy' in sys.modules)",
+    ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    # no scipy after the import; a cache hit, and still no scipy, after both runs
+    assert out.stdout.split() == ["False", "True", "False"]
+
+
+def test_runtime_imports_are_stdlib_numpy_yaml():
+    # every absolute import in the package, also those inside functions
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "ionstrobe"}
+    package = Path(ionstrobe.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert {name for name in found if name[1] not in allowed} == set()
+    assert ("calibrate.py", "numpy") in found
 
 
 class TestDemoConfigs:
