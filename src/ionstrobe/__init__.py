@@ -82,7 +82,6 @@ from .calibrate import (
     TrainTuning,
     apply_tuning,
     build_decode_tables,
-    decode_observables,
     derive_lamb_dicke,
     noise_floor_estimate,
     tune_pulse_train,

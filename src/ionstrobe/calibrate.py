@@ -9,7 +9,8 @@ tail_tol, state by state through run_pulse_train. Decode tables are then
 built from the exact fringes of a grid of displacement amplitudes,
 tabulating fringe phase against true position (turning points, theta0 in
 {0, pi}) and fringe contrast against true momentum magnitude
-(theta0 = pi/2).
+(theta0 = pi/2); DecodeTables.decode is the one call that turns a fringe's
+(phase, contrast) back into (position, momentum magnitude).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dynamics import PulseTrainSpec, run_pulse_train, run_pulse_train_block
 from .errors import CalibrationError, DecodeError, TruncationError
-from .fitting import CosineFit, fit_cosine
+from .fitting import fit_cosine
 from .hilbert import (
     HBAR,
     CoherentAmp,
@@ -92,23 +93,38 @@ def pchip(x: np.ndarray, y: np.ndarray):
     return interp
 
 
+@dataclass(frozen=True)
+class DecodedPoint:
+    x: float
+    p_mag: float
+    x_clamped: bool = False
+    p_clamped: bool = False
+
+
 @dataclass
 class DecodeTables:
     """Monotone maps from fringe observables to motional observables.
 
-    pos_x / pos_phi0: planted position (m) against fitted fringe phase,
-    anchored so the alpha = 0 entry sits at phi0 = 0. mom_p / mom_c:
-    planted momentum magnitude (kg m/s) against fitted contrast, anchored
-    at the alpha = 0 contrast maximum.
+    One entry per displacement amplitude, alpha = 0 first: the planted
+    position x = 2 x_zpf alpha (m), the fringe phases phi_plus and phi_minus
+    at the turning points theta0 = 0 and pi (unwrapped along the amplitudes,
+    anchored so the alpha = 0 entry sits at 0), the planted momentum
+    magnitude p = 2 p_zpf alpha (kg m/s), and the fringe contrast at
+    theta0 = pi/2. The derived position map pos_x / pos_phi0 joins both
+    branches, -x at phi_minus and +x at phi_plus; the momentum map is
+    mom_p / mom_c, anchored at the alpha = 0 contrast maximum.
     """
 
-    pos_x: np.ndarray
-    pos_phi0: np.ndarray
-    mom_p: np.ndarray
-    mom_c: np.ndarray
-    build_config: dict
+    x: np.ndarray
+    phi_plus: np.ndarray
+    phi_minus: np.ndarray
+    p: np.ndarray
+    contrast: np.ndarray
 
     def __post_init__(self):
+        self.pos_x = np.concatenate([-self.x[:0:-1], self.x])
+        self.pos_phi0 = np.concatenate([self.phi_minus[:0:-1], self.phi_plus])
+        self.mom_p, self.mom_c = self.p, self.contrast
         self._check_monotone(self.pos_phi0, self.pos_x, "position")
         self._check_monotone(self.mom_c[::-1], self.mom_p[::-1], "momentum")
         self._pos_interp = pchip(self.pos_phi0, self.pos_x)
@@ -152,13 +168,16 @@ class DecodeTables:
             "contrast", strict,
         )
 
+    def decode(self, phase: float, contrast: float, strict: bool = True) -> DecodedPoint:
+        """Position and momentum magnitude from one fringe.
 
-@dataclass(frozen=True)
-class DecodedPoint:
-    x: float
-    p_mag: float
-    x_clamped: bool = False
-    p_clamped: bool = False
+        The phase must already be relative to the alpha = 0 reference fringe
+        (and unwrapped if a sweep crossed +-pi); clamping and strict follow
+        decode_position and decode_momentum.
+        """
+        x, x_clamped = self.decode_position(phase, strict)
+        p, p_clamped = self.decode_momentum(contrast, strict)
+        return DecodedPoint(x=x, p_mag=p, x_clamped=x_clamped, p_clamped=p_clamped)
 
 
 def _laguerre(levels: np.ndarray, x: float) -> np.ndarray:
@@ -340,15 +359,10 @@ def tune_pulse_train(
     )
 
 
-def build_decode_tables(
-    spec: SequenceSpec,
-    units: UnitScale,
-    alpha_grid,
-    config_note: dict | None = None,
-) -> DecodeTables:
+def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> DecodeTables:
     """Tabulate the decode maps from the exact fringes over |alpha|.
 
-    The position branch runs at the turning points theta0 in {0, pi} where
+    The position branches run at the turning points theta0 in {0, pi} where
     the encoding is a pure fringe shift; phases are unwrapped along the
     amplitude grid and anchored to the alpha = 0 fringe. The momentum
     branch runs at theta0 = pi/2 where only the contrast responds. One
@@ -365,32 +379,13 @@ def build_decode_tables(
     plus, minus, mom = fringes[0::3], fringes[1::3], fringes[2::3]
 
     anchor = plus[0].phase
-    phi_plus = np.unwrap([f.phase - anchor for f in plus])
-    phi_minus = np.unwrap([f.phase - anchor for f in minus])
-
-    x_plus = 2.0 * units.x_zpf * alphas
-    pos_x = np.concatenate([-x_plus[:0:-1], x_plus])
-    pos_phi0 = np.concatenate([phi_minus[:0:-1], phi_plus])
-
-    mom_p = 2.0 * units.p_zpf * alphas
-    mom_c = np.array([f.contrast for f in mom])
-
-    config = dict(config_note or {})
-    config.setdefault("alpha_max", float(alphas[-1]))
     return DecodeTables(
-        pos_x=pos_x, pos_phi0=pos_phi0, mom_p=mom_p, mom_c=mom_c, build_config=config
+        x=2.0 * units.x_zpf * alphas,
+        phi_plus=np.unwrap([f.phase - anchor for f in plus]),
+        phi_minus=np.unwrap([f.phase - anchor for f in minus]),
+        p=2.0 * units.p_zpf * alphas,
+        contrast=np.array([f.contrast for f in mom]),
     )
-
-
-def decode_observables(fit: CosineFit, tables: DecodeTables) -> DecodedPoint:
-    """Position and momentum magnitude from one fitted fringe.
-
-    The fit phase must already be expressed relative to the alpha = 0
-    reference fringe (and unwrapped if the sweep crossed +-pi).
-    """
-    x, x_clamped = tables.decode_position(fit.phase)
-    p, p_clamped = tables.decode_momentum(fit.contrast)
-    return DecodedPoint(x=x, p_mag=p, x_clamped=x_clamped, p_clamped=p_clamped)
 
 
 def derive_lamb_dicke(
@@ -458,8 +453,7 @@ def noise_floor_estimate(
             sem_floor=sem_floor,
         )
         rel_phase = math.remainder(fit.phase - anchor, 2.0 * math.pi)
-        x, _ = tables.decode_position(rel_phase)
-        p, _ = tables.decode_momentum(min(fit.contrast, float(tables.mom_c[0])))
-        xs.append(x)
-        ps.append(p)
+        point = tables.decode(rel_phase, min(fit.contrast, float(tables.mom_c[0])))
+        xs.append(point.x)
+        ps.append(point.p_mag)
     return float(np.std(xs)), float(np.std(ps))

@@ -179,36 +179,33 @@ def _decode_config_subset(cfg: dict) -> dict:
     return {k: cfg[k] for k in keys}
 
 
-def _build_tables(cfg: dict, spec, subset: dict):
+def _build_tables(cfg: dict, spec):
     """Decode tables over the alpha grid 0, alpha_step, ... up to alpha_max."""
     dec = cfg["decode"]
     alpha_grid = np.arange(0.0, dec["alpha_max"] + dec["alpha_step"] / 2.0, dec["alpha_step"])
-    return build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid, config_note=subset)
+    return build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
 
 
 def _resolve_tables(cfg: dict, spec):
-    """Load decode tables if cached with a matching config hash, else build."""
+    """Load decode tables if cached with a matching config hash, else build
+    (and cache) them; a table file of another format version is rebuilt."""
     subset = _decode_config_subset(cfg)
-    want_hash = config_hash(subset)
     path = cfg["decode"]["tables_path"]
     if path and Path(path).exists():
         with _naming("decode.tables_path"):
             tables, stored = read_decode_tables(path)
-        if stored == want_hash:
+        if tables is not None and stored == config_hash(subset):
             return tables
-    tables = _build_tables(cfg, spec, subset)
+    tables = _build_tables(cfg, spec)
     if path:
-        # round-trip through the serialized form so cache hits and misses
-        # decode through bit-identical table values
         with _naming("decode.tables_path"):
-            write_decode_tables(tables, path, config=subset)
-            tables, _ = read_decode_tables(path)
+            write_decode_tables(tables, path, subset)
     return tables
 
 
 def cmd_build_tables(cfg: dict, args) -> None:
-    subset = _decode_config_subset(cfg)
-    write_decode_tables(_build_tables(cfg, _tuned_sequence(cfg), subset), args.out, config=subset)
+    tables = _build_tables(cfg, _tuned_sequence(cfg))
+    write_decode_tables(tables, args.out, _decode_config_subset(cfg))
 
 
 def cmd_trace_phase_space(cfg: dict, args) -> None:
@@ -217,17 +214,16 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
         raise ConfigError("trace-phase-space decodes coherent displacements; unset state.zeta_abs")
     alpha = cfg["state"]["alpha_abs"]
     tables = _resolve_tables(cfg, spec)
-    units = cfgmod.build_units(cfg)
     anchor = characterize_reference_fringe(spec).phase
 
     theta_grid = tuple(float(v) for v in cfg["scan"]["outer_values"])
     base_scan = cfgmod.build_scan_spec(cfg)
     scan = replace(base_scan, outer_grid=theta_grid, outer_var="theta0")
-    spec_exc = replace(spec, excitation=CoherentAmp(alpha, 0.0))
-    records = run_scan(scan, spec_exc, drift_phases=_drift_for_scan(cfg, scan))
+    # the reference scan differs only in its seeds, so it sees the same drift
+    drift = _drift_for_scan(cfg, scan)
+    records = run_scan(scan, replace(spec, excitation=CoherentAmp(alpha, 0.0)), drift)
     ref_scan = replace(scan, base_seed=scan.base_seed + (1 << 22))
-    ref_records = run_scan(ref_scan, replace(spec, excitation=CoherentAmp(0.0, 0.0)),
-                           drift_phases=_drift_for_scan(cfg, ref_scan))
+    ref_records = run_scan(ref_scan, replace(spec, excitation=CoherentAmp(0.0, 0.0)), drift)
 
     sem_floor = (
         1.0 / (2.0 * scan.shots) if cfg["detection"]["mode"] == "shots" else None
@@ -244,20 +240,18 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
             )
         return fits
 
+    sweep, refs = _sweep_fits(records), _sweep_fits(ref_records)
+    row_sets = (
+        (alpha, sweep, unwrap_sweep_phases([f.phase - anchor for f in sweep])),
+        (0.0, refs, [math.remainder(f.phase - anchor, 2.0 * math.pi) for f in refs]),
+    )
     rows = []
-    sweep = _sweep_fits(records)
-    phases = unwrap_sweep_phases([f.phase - anchor for f in sweep])
     # decode-domain violations are flagged per row, never fatal for a trace
-    for theta0, fit, phase in zip(theta_grid, sweep, phases):
-        x, xc = tables.decode_position(phase, strict=False)
-        p, pc = tables.decode_momentum(fit.contrast, strict=False)
-        rows.append((theta0, alpha, phase, fit.contrast, x * 1e9, p / 1e-27,
-                     float(xc or pc)))
-    for theta0, fit in zip(theta_grid, _sweep_fits(ref_records)):
-        phase = math.remainder(fit.phase - anchor, 2.0 * math.pi)
-        x, xc = tables.decode_position(phase, strict=False)
-        p, pc = tables.decode_momentum(fit.contrast, strict=False)
-        rows.append((theta0, 0.0, phase, fit.contrast, x * 1e9, p / 1e-27, float(xc or pc)))
+    for row_alpha, fits, phases in row_sets:
+        for theta0, fit, phase in zip(theta_grid, fits, phases):
+            point = tables.decode(phase, fit.contrast, strict=False)
+            rows.append((theta0, row_alpha, phase, fit.contrast, point.x * 1e9,
+                         point.p_mag / 1e-27, float(point.x_clamped or point.p_clamped)))
     write_table(
         args.out,
         "decoded phase-space trace",

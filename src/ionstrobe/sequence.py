@@ -305,9 +305,9 @@ def run_scan(
 ) -> list[ScanRecord]:
     """Evaluate the sequence over (outer, phi) grids, outer-major.
 
-    One sequence_fringes call propagates every outer value (one more the
-    interleaved alpha = 0 reference); every phi point is read from those
-    fringes. Per-point detection seeds are base_seed + point index.
+    One sequence_fringes call propagates every outer value and, with
+    interleave_reference, the alpha = 0 reference; every phi point is read
+    from those fringes. Per-point detection seeds are base_seed + point index.
     When interleave_reference is set, every measurement is preceded by an
     alpha = 0 reference realization at mid-fringe whose inferred drift is
     subtracted from the measurement's phase coordinate. drift_phases, if
@@ -327,16 +327,19 @@ def run_scan(
             return 0.0
         return float(drift_phases[real_index])
 
-    if scan.interleave_reference:
-        ref = characterize_reference_fringe(spec)
-        phi_ref = ref.phase + math.pi / 2.0
-
     try:
         kicks = [_outer_excitation(spec.excitation, scan.outer_var, v) for v in scan.outer_grid]
-        fringes = sequence_fringes(spec, kicks)
+        fringes = sequence_fringes(spec, kicks + [None] * scan.interleave_reference)
     except IonstrobeError as exc:
-        outer = scan.outer_grid[getattr(exc, "index", None) or 0]
-        raise type(exc)(f"at scan point (outer={outer:g}): {exc}") from exc
+        index = getattr(exc, "index", None) or 0
+        if index < len(scan.outer_grid):
+            where = f"at scan point (outer={scan.outer_grid[index]:g})"
+        else:
+            where = "in the alpha = 0 reference"
+        raise type(exc)(f"{where}: {exc}") from exc
+    if scan.interleave_reference:
+        ref = fringes.pop()
+        phi_ref = ref.phase + math.pi / 2.0
 
     records = []
     for outer_idx, (outer, fringe) in enumerate(zip(scan.outer_grid, fringes)):

@@ -4,7 +4,9 @@ Every table is plain whitespace-separated text: a comment header naming
 the columns (units embedded in the names), numeric rows at 12 significant
 digits, and a comment footer carrying the seed, the config hash, and the
 full effective config as a YAML block. Identical config and seed produce
-byte-identical files.
+byte-identical files. Decode tables are ordinary tables titled
+DECODE_TABLE_FORMAT, one row per amplitude, written at 17 significant
+digits so every value reads back bit for bit, and with no seed line.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import yaml
 from .calibrate import DecodeTables
 from .errors import ConfigError
 
-DECODE_TABLE_FORMAT = "ionstrobe-decode-tables v1"
+DECODE_TABLE_NAME = "ionstrobe-decode-tables"
+DECODE_TABLE_FORMAT = f"{DECODE_TABLE_NAME} v2"
+DECODE_TABLE_COLUMNS = ["x_m", "phi_plus_rad", "phi_minus_rad", "p_kgms", "contrast"]
 
 
-def format_number(value) -> str:
-    return f"{float(value):.12g}"
+def format_number(value, digits: int = 12) -> str:
+    return f"{float(value):.{digits}g}"
 
 
 def config_hash(config: dict) -> str:
@@ -42,18 +46,21 @@ def write_table(
     columns: list[str],
     rows,
     config: dict,
-    seed: int,
+    seed: int | None,
     summary_lines: list[str] | None = None,
+    digits: int = 12,
 ) -> None:
+    """Write a table; rows at `digits` significant digits, no seed line for seed=None."""
     lines = [f"# {title}", f"# columns: {' '.join(columns)}"]
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(f"row width {len(row)} does not match {len(columns)} columns")
-        lines.append(" ".join(format_number(v) for v in row))
+        lines.append(" ".join(format_number(v, digits) for v in row))
     for extra in summary_lines or []:
         lines.append(f"# {extra}")
     lines.append(f"# config_hash: {config_hash(config)}")
-    lines.append(f"# seed: {seed:d}")
+    if seed is not None:
+        lines.append(f"# seed: {seed:d}")
     lines.extend(config_echo_lines(config))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -85,70 +92,33 @@ def read_table(path) -> tuple[list[str], np.ndarray, dict]:
                 meta["summary"].append(body)
         elif line.strip():
             rows.append([float(v) for v in line.split()])
+            if len(rows[-1]) != len(columns):
+                raise ValueError(f"row of {len(rows[-1])} values under {len(columns)} columns")
     if config_lines:
         meta["config"] = yaml.safe_load("\n".join(config_lines))
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(columns)))
     return columns, data, meta
 
 
-def write_decode_tables(tables: DecodeTables, path, config: dict | None = None) -> None:
-    """Serialize decode tables to the versioned text format.
+def write_decode_tables(tables: DecodeTables, path, config: dict) -> None:
+    """Write decode tables as a DECODE_TABLE_FORMAT table hashing `config`."""
+    rows = zip(tables.x, tables.phi_plus, tables.phi_minus, tables.p, tables.contrast)
+    write_table(path, DECODE_TABLE_FORMAT, DECODE_TABLE_COLUMNS, rows, config, None, digits=17)
 
-    Sections: `position` with columns (x_m, phi0_rad) and `momentum` with
-    columns (p_kgms, contrast).
+
+def read_decode_tables(path) -> tuple[DecodeTables | None, str]:
+    """Load decode tables; returns (tables, stored config hash).
+
+    A decode-table file of another format version gives tables None, so a
+    cache treats it as a miss; any other file raises ConfigError.
     """
-    cfg = config if config is not None else tables.build_config
-    lines = [
-        f"# {DECODE_TABLE_FORMAT}",
-        f"# config_hash: {config_hash(cfg)}",
-        "# section: position",
-        "# columns: x_m phi0_rad",
-    ]
-    for x, phi in zip(tables.pos_x, tables.pos_phi0):
-        lines.append(f"{format_number(x)} {format_number(phi)}")
-    lines.append("# section: momentum")
-    lines.append("# columns: p_kgms contrast")
-    for p, c in zip(tables.mom_p, tables.mom_c):
-        lines.append(f"{format_number(p)} {format_number(c)}")
-    lines.extend(config_echo_lines(cfg))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_decode_tables(path) -> tuple[DecodeTables, str]:
-    """Load decode tables; returns (tables, stored config hash)."""
-    section = None
-    stored_hash = ""
-    pos: list[list[float]] = []
-    mom: list[list[float]] = []
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith(f"# {DECODE_TABLE_FORMAT}"):
-        raise ConfigError(f"{path} is not a {DECODE_TABLE_FORMAT} file")
-    for line in text[1:]:
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("section:"):
-                section = body.split(":", 1)[1].strip()
-            elif body.startswith("config_hash:"):
-                stored_hash = body.split(":", 1)[1].strip()
-            elif body == "config:":
-                break
-            continue
-        if not line.strip():
-            continue
-        values = [float(v) for v in line.split()]
-        if section == "position":
-            pos.append(values)
-        elif section == "momentum":
-            mom.append(values)
-    if not pos or not mom:
-        raise ConfigError(f"{path} is missing decode table sections")
-    pos_arr = np.asarray(pos)
-    mom_arr = np.asarray(mom)
-    tables = DecodeTables(
-        pos_x=pos_arr[:, 0],
-        pos_phi0=pos_arr[:, 1],
-        mom_p=mom_arr[:, 0],
-        mom_c=mom_arr[:, 1],
-        build_config={"loaded_from": str(path)},
-    )
-    return tables, stored_hash
+    columns, rows, meta = read_table(path)
+    title, stored_hash = meta.get("title", ""), meta.get("config_hash", "")
+    if title.startswith(f"{DECODE_TABLE_NAME} v") and title != DECODE_TABLE_FORMAT:
+        return None, stored_hash
+    if title != DECODE_TABLE_FORMAT or columns != DECODE_TABLE_COLUMNS or len(rows) < 3:
+        raise ConfigError(
+            f"{path} is not an {DECODE_TABLE_FORMAT} file with columns "
+            f"{' '.join(DECODE_TABLE_COLUMNS)} over at least 3 amplitudes"
+        )
+    return DecodeTables(*rows.T), stored_hash

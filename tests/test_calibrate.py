@@ -33,7 +33,6 @@ from ionstrobe.calibrate import (
     _laguerre,
     apply_tuning,
     build_decode_tables,
-    decode_observables,
     derive_lamb_dicke,
     golden_section,
     noise_floor_estimate,
@@ -276,8 +275,8 @@ class TestDecodeTables:
         phis = np.linspace(0, 2 * math.pi, 16, endpoint=False)
         anchor = characterize_reference_fringe(spec).phase
         fit = fit_cosine([(p, run_sequence(spec, p)[0], 0.0) for p in phis])
-        fit.phase = math.remainder(fit.phase - anchor, 2 * math.pi)
-        decoded = decode_observables(fit, tables)
+        phase = math.remainder(fit.phase - anchor, 2 * math.pi)
+        decoded = tables.decode(phase, fit.contrast)
         assert abs(decoded.x) < 0.5e-9
         assert abs(decoded.p_mag) / 1e-27 < 2.0
 
@@ -296,11 +295,11 @@ class TestDecodeTables:
     def test_non_monotone_table_reports_interval(self):
         with pytest.raises(DecodeError, match="monotone"):
             DecodeTables(
-                pos_x=np.array([-1.0, 0.0, 1.0]),
-                pos_phi0=np.array([-0.5, 0.4, 0.3]),
-                mom_p=np.array([0.0, 1.0]),
-                mom_c=np.array([0.9, 0.5]),
-                build_config={},
+                x=np.array([0.0, 1.0]),
+                phi_plus=np.array([0.4, 0.3]),
+                phi_minus=np.array([0.4, -0.5]),
+                p=np.array([0.0, 1.0]),
+                contrast=np.array([0.9, 0.5]),
             )
 
     def test_mode_angle_shifts_calibration(self, tuned_spec):

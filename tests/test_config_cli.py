@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ionstrobe
-from ionstrobe.cli import main
+from ionstrobe.calibrate import DecodeTables
+from ionstrobe.cli import _decode_config_subset, main
 from ionstrobe.config import (
     DEFAULTS,
     SCHEMA,
@@ -31,7 +32,7 @@ from ionstrobe.config import (
     resolve_tuning,
 )
 from ionstrobe.errors import ConfigError, TruncationError
-from ionstrobe.tableio import read_table
+from ionstrobe.tableio import config_hash, read_decode_tables, read_table, write_decode_tables
 
 FAST_SCAN = """
 hilbert: {fock_dim: 48}
@@ -373,8 +374,6 @@ class TestCliBuildAndTrace:
         cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
         out_tab = str(tmp_path / "built.txt")
         assert main(["build-tables", "--config", cfg, "--out", out_tab]) == 0
-        from ionstrobe.tableio import read_decode_tables
-
         tables, stored_hash = read_decode_tables(out_tab)
         assert tables.pos_x.size == 13
         assert stored_hash
@@ -397,22 +396,63 @@ class TestCliBuildAndTrace:
         assert np.max(np.abs(refs[:, 4])) < 1.0
 
     def test_trace_reuses_cached_tables(self, tmp_path):
+        # a cold cache, a warm one and no cache decode through the same table values
         tables_path = tmp_path / "tables.txt"
-        base = (
-            "hilbert: {fock_dim: 64}\n"
-            "train: {rabi_scale: 0.2795}\n"
-            "state: {alpha_abs: 1.0}\n"
-            "decode: {alpha_max: 2.0, alpha_step: 0.5, tables_path: '%s'}\n"
-            "scan: {phi_num: 8, outer_var: theta0, outer_values: [0.0, 1.5707963, 3.1415927, 4.712389]}\n"
-            "detection: {mode: analytic, base_seed: 56}\n"
-        ) % tables_path
-        cfg = write_cfg(tmp_path, base)
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
         out1, out2 = str(tmp_path / "t1.txt"), str(tmp_path / "t2.txt")
         assert main(["trace-phase-space", "--config", cfg, "--out", out1]) == 0
         mtime = tables_path.stat().st_mtime_ns
         assert main(["trace-phase-space", "--config", cfg, "--out", out2]) == 0
         assert tables_path.stat().st_mtime_ns == mtime  # cache hit, not rebuilt
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
+        assert _trace_rows(tmp_path, "") == _trace_rows(tmp_path, tables_path)
+
+    def test_older_table_version_is_rebuilt(self, tmp_path):
+        # a v1 file whose hash matches the config is a cache miss, not a decode source
+        tables_path = tmp_path / "tables.txt"
+        cfg = load_config(write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path))
+        tables_path.write_text(
+            "# ionstrobe-decode-tables v1\n"
+            f"# config_hash: {config_hash(_decode_config_subset(cfg))}\n"
+            "# section: position\n# columns: x_m phi0_rad\n-1 -0.3\n0 0\n1 0.3\n"
+            "# section: momentum\n# columns: p_kgms contrast\n0 0.9\n1 0.5\n"
+        )
+        rows = _trace_rows(tmp_path, tables_path)
+        tables, stored_hash = read_decode_tables(tables_path)
+        assert tables is not None and tables.x.size == 7
+        assert stored_hash == config_hash(_decode_config_subset(cfg))
+        assert rows == _trace_rows(tmp_path, "")
+
+    def test_foreign_table_file_names_key(self, tmp_path, capsys):
+        tables_path = tmp_path / "tables.txt"
+        tables_path.write_text("not a table\n")
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
+        out = str(tmp_path / "t.txt")
+        assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 2
+        assert "decode.tables_path" in capsys.readouterr().err
+        assert tables_path.read_text() == "not a table\n"
+
+
+def _trace_rows(tmp_path, tables_path) -> list[str]:
+    """The data lines of a SMALL_TRACE_CONFIG trace with this decode.tables_path."""
+    cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path, name="rows.yaml")
+    out = tmp_path / "rows.txt"
+    assert main(["trace-phase-space", "--config", cfg, "--out", str(out)]) == 0
+    return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_decode_tables_round_trip_exactly(tmp_path):
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0], np.cumsum(rng.random(6))]) * 1e-8 / 3.0
+    phi = np.concatenate([[0.0], np.cumsum(rng.random(6))]) / 7.0
+    tables = DecodeTables(x=x, phi_plus=phi, phi_minus=-phi * (1.0 + rng.random(7) / 10.0),
+                          p=x * 0.3, contrast=0.8 - phi / 11.0)
+    path = tmp_path / "tables.txt"
+    write_decode_tables(tables, path, {"decode": {"alpha_max": 2.0}})
+    back, stored_hash = read_decode_tables(path)
+    assert stored_hash == config_hash({"decode": {"alpha_max": 2.0}})
+    for name in ("x", "phi_plus", "phi_minus", "p", "contrast", "pos_x", "pos_phi0"):
+        assert np.array_equal(getattr(back, name), getattr(tables, name)), name
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):

@@ -278,6 +278,11 @@ class TestSequenceFringe:
         assert widths == [len(levels)]
 
         widths.clear()
+        kicked = replace(spec, excitation=CoherentAmp(0.5, 0.0))
+        run_scan(replace(scan, interleave_reference=True), kicked)
+        assert widths == [(len(thetas) + 1) * len(levels)]  # the reference rides along
+
+        widths.clear()
         alphas = [0.0, 0.5, 1.0, 1.5]
         build_decode_tables(spec, headline_units, alphas)
         assert widths == [(3 * len(alphas) - 2) * len(levels)]
@@ -289,6 +294,18 @@ class TestSequenceFringe:
         scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=[1.25], outer_var="theta0")
         message = r"outer=1\.25\): flash \d+ of 30 .* at base phase"
         with pytest.raises(TruncationError, match=message):
+            run_scan(scan, spec)
+
+    def test_truncation_in_reference_is_named(self, monkeypatch):
+        # a failing column past the outer grid is the interleaved reference's
+        def failing(states, *args):
+            raise TruncationError("flash 1 of 30 leaks", index=len(states) - 1)
+
+        monkeypatch.setattr(sequence_module, "run_pulse_train_block", failing)
+        spec = make_spec(fock_dim=40, excitation=CoherentAmp(0.5, 0.0))
+        scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=[0.0, 1.25], outer_var="theta0",
+                        interleave_reference=True)
+        with pytest.raises(TruncationError, match="in the alpha = 0 reference: flash 1"):
             run_scan(scan, spec)
 
 
