@@ -66,6 +66,8 @@ from .sequence import (
     run_scan,
     run_sequence,
     sample_detection,
+    sample_scan,
+    scan_fringes,
     sequence_fringes,
     static_pattern_probe,
 )
@@ -83,6 +85,7 @@ from .calibrate import (
     apply_tuning,
     build_decode_tables,
     derive_lamb_dicke,
+    fit_scan,
     noise_floor_estimate,
     tune_pulse_train,
     unwrap_sweep_phases,

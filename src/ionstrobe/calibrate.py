@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import PulseTrainSpec, run_pulse_train, run_pulse_train_block
 from .errors import CalibrationError, DecodeError, TruncationError
-from .fitting import fit_cosine
+from .fitting import CosineFit, fit_cosine
 from .hilbert import (
     HBAR,
     CoherentAmp,
@@ -32,10 +32,11 @@ from .hilbert import (
     thermal_ground_states,
 )
 from .sequence import (
+    ScanRecord,
     ScanSpec,
     SequenceSpec,
-    characterize_reference_fringe,
-    run_scan,
+    sample_scan,
+    scan_fringes,
     sequence_fringes,
 )
 
@@ -415,6 +416,18 @@ def unwrap_sweep_phases(phases) -> np.ndarray:
     return out
 
 
+def fit_scan(scan: ScanSpec, records: list[ScanRecord]) -> list[CosineFit]:
+    """One fit_cosine per outer value of `scan` over its phi sweep in `records`,
+    with the sems floored at 1/(2 shots) under shot detection."""
+    n_phi = len(scan.phi_grid)
+    sem_floor = 1.0 / (2.0 * scan.shots) if scan.detection_mode == "shots" else None
+    return [
+        fit_cosine([(r.phi, r.p_down_mean, r.p_down_sem) for r in records[k : k + n_phi]],
+                   sem_floor=sem_floor)
+        for k in range(0, len(scan.outer_grid) * n_phi, n_phi)
+    ]
+
+
 def noise_floor_estimate(
     spec: SequenceSpec,
     tables: DecodeTables,
@@ -429,29 +442,23 @@ def noise_floor_estimate(
     Repeats the full encode/decode round trip (shot-sampled scan with
     interleaved phase referencing, fringe fit, table lookup) and returns
     the standard deviations of decoded position and momentum magnitude.
-    `shots=None` runs the analytic no-noise limit.
+    Every repeat samples the one alpha = 0 fringe, which is also the phase
+    anchor, with its own detection seeds. `shots=None` runs the analytic
+    no-noise limit.
     """
     if n_repeats < 20:
         raise CalibrationError(f"need at least 20 repeats, got {n_repeats}")
-    base = replace(spec, excitation=CoherentAmp(0.0, 0.0))
-    anchor = characterize_reference_fringe(base).phase
+    if shots is not None and shots < 1:
+        raise CalibrationError(f"shots must be >= 1 or None, got {shots}")
+    scan = ScanSpec(phi_grid=tuple(phi_grid), outer_var="alpha_abs", shots=shots or 1,
+                    detection_mode="analytic" if shots is None else "shots",
+                    interleave_reference=True)
+    fringes = scan_fringes(scan, replace(spec, excitation=CoherentAmp(0.0, 0.0)))
+    anchor = fringes[-1].phase
     xs, ps = [], []
     for r in range(n_repeats):
-        scan = ScanSpec(
-            phi_grid=tuple(phi_grid),
-            outer_grid=(0.0,),
-            outer_var="alpha_abs",
-            detection_mode="analytic" if shots is None else "shots",
-            shots=shots or 1,
-            base_seed=seed + (1 << 24) * r,
-            interleave_reference=True,
-        )
-        records = run_scan(scan, base, drift_phases=drift_phases)
-        sem_floor = None if shots is None else 1.0 / (2.0 * shots)
-        fit = fit_cosine(
-            [(rec.phi, rec.p_down_mean, rec.p_down_sem) for rec in records],
-            sem_floor=sem_floor,
-        )
+        repeat = replace(scan, base_seed=seed + (1 << 24) * r)
+        fit = fit_scan(repeat, sample_scan(repeat, fringes, drift_phases))[0]
         rel_phase = math.remainder(fit.phase - anchor, 2.0 * math.pi)
         point = tables.decode(rel_phase, min(fit.contrast, float(tables.mom_c[0])))
         xs.append(point.x)

@@ -24,11 +24,12 @@ from . import config as cfgmod
 from .calibrate import (
     apply_tuning,
     build_decode_tables,
+    fit_scan,
     tune_pulse_train,
     unwrap_sweep_phases,
 )
-from .errors import ConfigError, FitError, IonstrobeError
-from .fitting import bootstrap_pattern_uncertainty, fit_cosine, fit_wave_pattern
+from .errors import ConfigError, DecodeError, FitError, IonstrobeError
+from .fitting import bootstrap_pattern_uncertainty, fit_wave_pattern
 from .hilbert import CoherentAmp
 from .sequence import (
     PatternField,
@@ -36,6 +37,8 @@ from .sequence import (
     characterize_reference_fringe,
     run_scan,
     sample_detection,
+    sample_scan,
+    scan_fringes,
     static_pattern_probe,
 )
 from .stability import apply_reference_correction, simulate_phase_trace, windowed_phase_stat
@@ -80,21 +83,17 @@ def _tuned_sequence(cfg: dict):
     return apply_tuning(cfgmod.build_sequence_spec(cfg), cfgmod.resolve_tuning(cfg))
 
 
+def _write_scan(path, title: str, records, cfg: dict) -> None:
+    rows = [(r.outer, r.phi, r.p_down_mean, r.p_down_sem, r.sigma_z, r.delta_n) for r in records]
+    write_table(path, title, ["outer", "phi_rad", "p_down", "p_down_sem", "sigma_z", "delta_n"],
+                rows, cfg, cfg["detection"]["base_seed"])
+
+
 def cmd_ramsey_scan(cfg: dict, args) -> None:
     spec = _tuned_sequence(cfg)
     scan = cfgmod.build_scan_spec(cfg)
     records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan))
-    rows = [
-        (r.outer, r.phi, r.p_down_mean, r.p_down_sem, r.sigma_z, r.delta_n) for r in records
-    ]
-    write_table(
-        args.out,
-        "stroboscopic Ramsey scan",
-        ["outer", "phi_rad", "p_down", "p_down_sem", "sigma_z", "delta_n"],
-        rows,
-        cfg,
-        cfg["detection"]["base_seed"],
-    )
+    _write_scan(args.out, "stroboscopic Ramsey scan", records, cfg)
 
 
 def cmd_squeeze_scan(cfg: dict, args) -> None:
@@ -106,18 +105,14 @@ def cmd_squeeze_scan(cfg: dict, args) -> None:
         raise ConfigError("squeeze-scan needs state.zeta_abs > 0")
     spec = _tuned_sequence(cfg)
     scan = cfgmod.build_scan_spec(cfg)
-    records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan))
-    columns = ["outer", "phi_rad", "p_down", "p_down_sem", "sigma_z", "delta_n"]
-    rows = [(r.outer, r.phi, r.p_down_mean, r.p_down_sem, r.sigma_z, r.delta_n) for r in records]
-    write_table(args.out, "squeezed-state stroboscopic scan", columns, rows, cfg,
-                cfg["detection"]["base_seed"])
-    # companion back-action table on the phi-decimated grid
+    fringes = scan_fringes(scan, spec)
+    records = sample_scan(scan, fringes, _drift_for_scan(cfg, scan))
+    _write_scan(args.out, "squeezed-state stroboscopic scan", records, cfg)
+    # companion back-action table on the phi-decimated grid, from the same fringes
     ba_scan = replace(scan, phi_grid=scan.phi_grid[::2])
-    ba_records = run_scan(ba_scan, spec, drift_phases=_drift_for_scan(cfg, ba_scan))
-    ba_rows = [(r.outer, r.phi, r.p_down_mean, r.p_down_sem, r.sigma_z, r.delta_n)
-               for r in ba_records]
-    write_table(_sibling_path(args.out, "backaction"), "squeezed-state back-action scan",
-                columns, ba_rows, cfg, cfg["detection"]["base_seed"])
+    ba_records = sample_scan(ba_scan, fringes, _drift_for_scan(cfg, ba_scan))
+    _write_scan(_sibling_path(args.out, "backaction"), "squeezed-state back-action scan",
+                ba_records, cfg)
 
 
 def cmd_pattern_scan(cfg: dict, args) -> None:
@@ -188,11 +183,12 @@ def _build_tables(cfg: dict, spec):
 
 def _resolve_tables(cfg: dict, spec):
     """Load decode tables if cached with a matching config hash, else build
-    (and cache) them; a table file of another format version is rebuilt."""
+    (and cache) them; a table file of another format version is rebuilt, and
+    one whose values are not monotone is a bad input naming its key."""
     subset = _decode_config_subset(cfg)
     path = cfg["decode"]["tables_path"]
     if path and Path(path).exists():
-        with _naming("decode.tables_path"):
+        with _naming("decode.tables_path", (ConfigError, OSError, ValueError, DecodeError)):
             tables, stored = read_decode_tables(path)
         if tables is not None and stored == config_hash(subset):
             return tables
@@ -214,7 +210,8 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
         raise ConfigError("trace-phase-space decodes coherent displacements; unset state.zeta_abs")
     alpha = cfg["state"]["alpha_abs"]
     tables = _resolve_tables(cfg, spec)
-    anchor = characterize_reference_fringe(spec).phase
+    ref = characterize_reference_fringe(spec)
+    anchor = ref.phase
 
     theta_grid = tuple(float(v) for v in cfg["scan"]["outer_values"])
     base_scan = cfgmod.build_scan_spec(cfg)
@@ -223,24 +220,10 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     drift = _drift_for_scan(cfg, scan)
     records = run_scan(scan, replace(spec, excitation=CoherentAmp(alpha, 0.0)), drift)
     ref_scan = replace(scan, base_seed=scan.base_seed + (1 << 22))
-    ref_records = run_scan(ref_scan, replace(spec, excitation=CoherentAmp(0.0, 0.0)), drift)
+    # every reference row, and its interleaved reference, is the anchor's alpha = 0 fringe
+    ref_records = sample_scan(ref_scan, [ref] * len(theta_grid), drift)
 
-    sem_floor = (
-        1.0 / (2.0 * scan.shots) if cfg["detection"]["mode"] == "shots" else None
-    )
-    n_phi = len(scan.phi_grid)
-
-    def _sweep_fits(recs):
-        fits = []
-        for k in range(len(theta_grid)):
-            chunk = recs[k * n_phi : (k + 1) * n_phi]
-            fits.append(
-                fit_cosine([(r.phi, r.p_down_mean, r.p_down_sem) for r in chunk],
-                           sem_floor=sem_floor)
-            )
-        return fits
-
-    sweep, refs = _sweep_fits(records), _sweep_fits(ref_records)
+    sweep, refs = fit_scan(scan, records), fit_scan(ref_scan, ref_records)
     row_sets = (
         (alpha, sweep, unwrap_sweep_phases([f.phase - anchor for f in sweep])),
         (0.0, refs, [math.remainder(f.phase - anchor, 2.0 * math.pi) for f in refs]),

@@ -298,38 +298,14 @@ def _invert_reference(p_meas: float, fringe: SequenceFringe) -> float:
     return math.asin(min(max(arg, -1.0), 1.0))
 
 
-def run_scan(
-    scan: ScanSpec,
-    spec: SequenceSpec,
-    drift_phases: np.ndarray | None = None,
-) -> list[ScanRecord]:
-    """Evaluate the sequence over (outer, phi) grids, outer-major.
-
-    One sequence_fringes call propagates every outer value and, with
-    interleave_reference, the alpha = 0 reference; every phi point is read
-    from those fringes. Per-point detection seeds are base_seed + point index.
-    When interleave_reference is set, every measurement is preceded by an
-    alpha = 0 reference realization at mid-fringe whose inferred drift is
-    subtracted from the measurement's phase coordinate. drift_phases, if
-    given, supplies one injected apparatus phase per realization.
+def scan_fringes(scan: ScanSpec, spec: SequenceSpec) -> list[SequenceFringe]:
+    """The fringe of every outer value of `scan`, then, with
+    interleave_reference, the alpha = 0 reference's, from one
+    sequence_fringes call. An error names the outer value or the reference.
     """
-    n_phi = len(scan.phi_grid)
-    n_points = len(scan.outer_grid) * n_phi
-    reals_per_point = 2 if scan.interleave_reference else 1
-    if drift_phases is not None and len(drift_phases) < n_points * reals_per_point:
-        raise ConfigError(
-            f"drift trace supplies {len(drift_phases)} phases, "
-            f"need {n_points * reals_per_point}"
-        )
-
-    def _drift(real_index: int) -> float:
-        if drift_phases is None:
-            return 0.0
-        return float(drift_phases[real_index])
-
     try:
         kicks = [_outer_excitation(spec.excitation, scan.outer_var, v) for v in scan.outer_grid]
-        fringes = sequence_fringes(spec, kicks + [None] * scan.interleave_reference)
+        return sequence_fringes(spec, kicks + [None] * scan.interleave_reference)
     except IonstrobeError as exc:
         index = getattr(exc, "index", None) or 0
         if index < len(scan.outer_grid):
@@ -337,42 +313,58 @@ def run_scan(
         else:
             where = "in the alpha = 0 reference"
         raise type(exc)(f"{where}: {exc}") from exc
-    if scan.interleave_reference:
-        ref = fringes.pop()
-        phi_ref = ref.phase + math.pi / 2.0
 
+
+def sample_scan(
+    scan: ScanSpec, fringes: list[SequenceFringe], drift_phases: np.ndarray | None = None
+) -> list[ScanRecord]:
+    """Read the scan's (outer, phi) grid, outer-major, from `fringes`: one per
+    outer value, then the alpha = 0 reference (scan_fringes' layout).
+
+    Per-point detection seeds are base_seed + point index. With
+    interleave_reference, every measurement is preceded by a reference
+    realization at mid-fringe whose inferred drift is subtracted from the
+    measurement's phase coordinate. drift_phases, if given, supplies one
+    injected apparatus phase per realization.
+    """
+    n_phi = len(scan.phi_grid)
+    n_reals = len(scan.outer_grid) * n_phi * (2 if scan.interleave_reference else 1)
+    if drift_phases is not None and len(drift_phases) < n_reals:
+        raise ConfigError(f"drift trace supplies {len(drift_phases)} phases, need {n_reals}")
+    drift = np.zeros(n_reals) if drift_phases is None else np.asarray(drift_phases, dtype=float)
+    ref = fringes[-1]
+    phi_ref = ref.phase + math.pi / 2.0
     records = []
     for outer_idx, (outer, fringe) in enumerate(zip(scan.outer_grid, fringes)):
         for phi_idx, phi in enumerate(scan.phi_grid):
             idx = outer_idx * n_phi + phi_idx
             if scan.interleave_reference:
                 ref_real, meas_real = 2 * idx, 2 * idx + 1
-                p_ref = ref.evaluate(phi_ref + _drift(ref_real))[0]
+                p_ref = ref.evaluate(phi_ref + drift[ref_real])[0]
                 if scan.detection_mode == "shots":
                     p_ref, _ = sample_detection(
                         p_ref, scan.shots, scan.base_seed + idx + REFERENCE_SEED_OFFSET
                     )
                 drift_hat = _invert_reference(p_ref, ref)
-                p, dn = fringe.evaluate(phi + _drift(meas_real))
+                p, dn = fringe.evaluate(phi + drift[meas_real])
                 phi_out = phi + drift_hat
             else:
-                p, dn = fringe.evaluate(phi + _drift(idx))
+                p, dn = fringe.evaluate(phi + drift[idx])
                 phi_out = phi
             if scan.detection_mode == "shots":
                 mean, sem = sample_detection(p, scan.shots, scan.base_seed + idx)
             else:
                 mean, sem = p, 0.0
-            records.append(
-                ScanRecord(
-                    phi=phi_out,
-                    outer=outer,
-                    p_down_mean=mean,
-                    p_down_sem=sem,
-                    sigma_z=1.0 - 2.0 * mean,
-                    delta_n=dn,
-                )
-            )
+            records.append(ScanRecord(phi=phi_out, outer=outer, p_down_mean=mean, p_down_sem=sem,
+                                      sigma_z=1.0 - 2.0 * mean, delta_n=dn))
     return records
+
+
+def run_scan(
+    scan: ScanSpec, spec: SequenceSpec, drift_phases: np.ndarray | None = None
+) -> list[ScanRecord]:
+    """Propagate the scan's fringes (scan_fringes) and sample them (sample_scan)."""
+    return sample_scan(scan, scan_fringes(scan, spec), drift_phases)
 
 
 def static_pattern_probe(x, z, pattern: PatternField, contrast: float | None = None):

@@ -1,4 +1,5 @@
-"""Shared fixtures: tuned headline-parameter sequences at two space sizes."""
+"""Shared fixtures: tuned headline-parameter sequences at two space sizes, and a
+counter of the sequence layer's block propagations."""
 
 import math
 import os
@@ -23,6 +24,7 @@ from ionstrobe import (
 )
 from ionstrobe.calibrate import apply_tuning, build_decode_tables, tune_pulse_train
 from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec
+import ionstrobe.sequence as sequence_module
 from ionstrobe.sequence import SequenceSpec
 
 OMEGA_LF = 2.0 * math.pi * 1.3e6
@@ -72,3 +74,21 @@ def tuned_headline_large():
 def headline_decode_tables(tuned_headline_large, headline_units):
     spec, _ = tuned_headline_large
     return build_decode_tables(spec, headline_units, np.arange(0.0, 7.3, 0.4))
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """The widths of the block propagations sequence_fringes makes, in call order.
+
+    Only the sequence module's binding of run_pulse_train_block is wrapped, so
+    the tuner's own block propagations are not counted.
+    """
+    widths = []
+    block = sequence_module.run_pulse_train_block
+
+    def counting(states, *args):
+        widths.append(len(states))
+        return block(states, *args)
+
+    monkeypatch.setattr(sequence_module, "run_pulse_train_block", counting)
+    return widths

@@ -45,7 +45,13 @@ from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec, run_pulse_train, r
 from ionstrobe.errors import CalibrationError, DecodeError, TruncationError
 from ionstrobe.fitting import fit_cosine
 from ionstrobe.hilbert import thermal_ensemble, thermal_ground_states
-from ionstrobe.sequence import SequenceSpec, characterize_reference_fringe, run_sequence
+from ionstrobe.sequence import (
+    ScanSpec,
+    SequenceSpec,
+    characterize_reference_fringe,
+    run_scan,
+    run_sequence,
+)
 
 from conftest import headline_sequence_spec
 
@@ -405,6 +411,35 @@ class TestLambDicke:
         assert derive_lamb_dicke(25 * ATOMIC_MASS, OMEGA, 140e-9, 0.5) < base
 
 
+def reference_noise_floor(spec, tables, phi_grid, shots, n_repeats, seed, drift_phases=None):
+    """The noise floor with the anchor and every repeat propagated on its own,
+    one run_scan per repeat: the reference noise_floor_estimate must match."""
+    base = replace(spec, excitation=CoherentAmp(0.0, 0.0))
+    anchor = characterize_reference_fringe(base).phase
+    xs, ps = [], []
+    for r in range(n_repeats):
+        scan = ScanSpec(
+            phi_grid=tuple(phi_grid),
+            outer_grid=(0.0,),
+            outer_var="alpha_abs",
+            detection_mode="analytic" if shots is None else "shots",
+            shots=shots or 1,
+            base_seed=seed + (1 << 24) * r,
+            interleave_reference=True,
+        )
+        records = run_scan(scan, base, drift_phases=drift_phases)
+        sem_floor = None if shots is None else 1.0 / (2.0 * shots)
+        fit = fit_cosine(
+            [(rec.phi, rec.p_down_mean, rec.p_down_sem) for rec in records],
+            sem_floor=sem_floor,
+        )
+        rel_phase = math.remainder(fit.phase - anchor, 2.0 * math.pi)
+        point = tables.decode(rel_phase, min(fit.contrast, float(tables.mom_c[0])))
+        xs.append(point.x)
+        ps.append(point.p_mag)
+    return float(np.std(xs)), float(np.std(ps))
+
+
 class TestNoiseFloor:
     def test_analytic_limit_is_exact(self, tuned_spec, small_tables):
         tables, _ = small_tables
@@ -421,6 +456,14 @@ class TestNoiseFloor:
         with pytest.raises(CalibrationError):
             noise_floor_estimate(spec, tables, [0, 1, 2, 3, 4], shots=100, n_repeats=5, seed=1)
 
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_shots_guard(self, tuned_spec, small_tables, block_calls, shots):
+        tables, _ = small_tables
+        spec, _ = tuned_spec
+        with pytest.raises(CalibrationError, match="shots"):
+            noise_floor_estimate(spec, tables, [0, 1, 2, 3, 4], shots=shots, n_repeats=20, seed=1)
+        assert block_calls == []  # rejected before any propagation
+
     def test_scales_with_shots(self, tuned_spec, small_tables):
         tables, _ = small_tables
         spec, _ = tuned_spec
@@ -430,3 +473,22 @@ class TestNoiseFloor:
         sx_1000, _ = noise_floor_estimate(small, tables, grid, shots=1000, n_repeats=80, seed=43)
         ratio = sx_250 / sx_1000
         assert abs(ratio - 2.0) < 0.4
+
+    @pytest.mark.parametrize("shots, drifted", [(500, False), (None, False), (500, True)])
+    def test_matches_reference(self, tuned_spec, small_tables, shots, drifted):
+        tables, _ = small_tables
+        spec, _ = tuned_spec
+        small = replace(spec, hilbert=HilbertSpec(fock_dim=32))
+        grid = np.linspace(0, 2 * math.pi, 8, endpoint=False)
+        drift = np.random.default_rng(3).normal(0.0, 0.05, 2 * grid.size) if drifted else None
+        args = (small, tables, grid, shots, 25, 7, drift)
+        assert noise_floor_estimate(*args) == reference_noise_floor(*args)
+
+    def test_one_propagation(self, tuned_spec, small_tables, block_calls):
+        # every repeat, and the anchor, sample the one alpha = 0 fringe
+        tables, _ = small_tables
+        spec, _ = tuned_spec
+        small = replace(spec, hilbert=HilbertSpec(fock_dim=32))
+        grid = np.linspace(0, 2 * math.pi, 8, endpoint=False)
+        noise_floor_estimate(small, tables, grid, shots=500, n_repeats=20, seed=1)
+        assert len(block_calls) == 1

@@ -1,6 +1,7 @@
 """Config validation and end-to-end CLI runs on small workloads."""
 
 import ast
+import importlib
 import math
 import subprocess
 import sys
@@ -329,19 +330,21 @@ class TestCliCalibrateTrain:
         assert row["total_duration_us"] == pytest.approx(23.08, abs=0.05)
 
 
+SMALL_SQUEEZE_CONFIG = (
+    "hilbert: {fock_dim: 160}\n"
+    "train: {rabi_scale: 0.2795}\n"
+    "state: {zeta_abs: 0.5}\n"
+    "scan:\n"
+    "  phi_num: 6\n"
+    "  outer_var: zeta0\n"
+    "  outer_values: [0.0, 3.1415927]\n"
+    "detection: {mode: analytic, base_seed: 41}\n"
+)
+
+
 class TestCliSqueezeScan:
     def test_two_tables(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            "hilbert: {fock_dim: 160}\n"
-            "train: {rabi_scale: 0.2795}\n"
-            "state: {zeta_abs: 0.5}\n"
-            "scan:\n"
-            "  phi_num: 6\n"
-            "  outer_var: zeta0\n"
-            "  outer_values: [0.0, 3.1415927]\n"
-            "detection: {mode: analytic, base_seed: 41}\n",
-        )
+        cfg = write_cfg(tmp_path, SMALL_SQUEEZE_CONFIG)
         out = str(tmp_path / "sq.txt")
         assert main(["squeeze-scan", "--config", cfg, "--out", out]) == 0
         _, rows, _ = read_table(out)
@@ -432,6 +435,34 @@ class TestCliBuildAndTrace:
         assert "decode.tables_path" in capsys.readouterr().err
         assert tables_path.read_text() == "not a table\n"
 
+    def test_non_monotone_cached_table_names_key(self, tmp_path, capsys):
+        # a damaged cache whose hash still matches is a bad input file, not a numerical failure
+        tables_path = tmp_path / "tables.txt"
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
+        out = str(tmp_path / "t.txt")
+        assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 0
+        lines = tables_path.read_text().splitlines()
+        first, second = [i for i, line in enumerate(lines) if not line.startswith("#")][1:3]
+        row1, row2 = lines[first].split(), lines[second].split()
+        row1[1], row2[1] = row2[1], row1[1]  # swap two phi_plus_rad values
+        lines[first], lines[second] = " ".join(row1), " ".join(row2)
+        damaged = "\n".join(lines) + "\n"
+        tables_path.write_text(damaged)
+        capsys.readouterr()
+        assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 2
+        assert "decode.tables_path" in capsys.readouterr().err
+        assert tables_path.read_text() == damaged
+
+
+@pytest.mark.parametrize("command, text, calls", [
+    ("trace-phase-space", SMALL_TRACE_CONFIG % "", 3),  # tables, anchor, alpha scan
+    ("squeeze-scan", SMALL_SQUEEZE_CONFIG, 1),  # both tables from one set of fringes
+], ids=["trace-phase-space", "squeeze-scan"])
+def test_block_propagations_per_command(tmp_path, block_calls, command, text, calls):
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.txt")]) == 0
+    assert len(block_calls) == calls
+
 
 def _trace_rows(tmp_path, tables_path) -> list[str]:
     """The data lines of a SMALL_TRACE_CONFIG trace with this decode.tables_path."""
@@ -490,6 +521,22 @@ def test_runtime_imports_are_stdlib_numpy_yaml():
                 found.add((path.name, node.module.split(".")[0]))
     assert {name for name in found if name[1] not in allowed} == set()
     assert ("calibrate.py", "numpy") in found
+
+
+def test_bench_tracer_layers_exist():
+    # bench/tracer.py wraps every <module>.<func> of its LAYERS, read here without
+    # running it; a function that is gone otherwise shows only as "bound nowhere"
+    # in a traced benchmark run
+    path = Path(ionstrobe.__file__).resolve().parents[2] / "bench" / "tracer.py"
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS"
+    )
+    assert "sequence" in layers and "cli" in layers
+    missing = [f"{module}.{func}" for module, funcs in layers.items() for func in funcs
+               if not hasattr(importlib.import_module(f"ionstrobe.{module}"), func)]
+    assert missing == []
 
 
 class TestDemoConfigs:

@@ -46,6 +46,8 @@ from ionstrobe.sequence import (
     run_scan,
     run_sequence,
     sample_detection,
+    sample_scan,
+    scan_fringes,
     sequence_fringes,
     static_pattern_probe,
 )
@@ -257,15 +259,8 @@ class TestSequenceFringe:
         assert abs(math.remainder(fringe.phase - fit.phase, 2.0 * math.pi)) <= 1e-12
         assert -math.pi < fringe.phase <= math.pi
 
-    def test_deduplicates_block_columns(self, monkeypatch, headline_units):
-        widths = []
-        block = sequence_module.run_pulse_train_block
-
-        def counting(states, *args):
-            widths.append(len(states))
-            return block(states, *args)
-
-        monkeypatch.setattr(sequence_module, "run_pulse_train_block", counting)
+    def test_deduplicates_block_columns(self, block_calls, headline_units):
+        widths = block_calls
         # near the tuned pi/2 train, so the decode tables are monotone
         spec = make_spec(fock_dim=40, rabi_scale=0.2795, excitation=CoherentAmp(0.0, 0.0),
                          n_th=0.15, envelope="gaussian")
@@ -426,6 +421,24 @@ class TestRunScan:
         recoil = math.exp(-0.08)
         assert fit.contrast == pytest.approx(env * recoil, abs=0.02)
         assert fit.contrast < env
+
+    @pytest.mark.parametrize("detection", ["analytic", "shots"])
+    def test_sampling_held_fringes_matches_run_scan(self, block_calls, detection):
+        # a decimated scan sampled from another scan's fringes is the scan run afresh
+        spec = make_spec(fock_dim=40, excitation=CoherentAmp(0.8, 0.0))
+        scan = ScanSpec(phi_grid=np.linspace(0, 2 * math.pi, 8, endpoint=False),
+                        outer_grid=[0.0, 1.0, 2.5], outer_var="theta0", detection_mode=detection,
+                        shots=300, base_seed=17, interleave_reference=True)
+        ba_scan = replace(scan, phi_grid=scan.phi_grid[::2], base_seed=23)
+        drift = np.random.default_rng(4).normal(0.0, 0.1, 2 * 3 * 4)
+        fringes = scan_fringes(scan, spec)
+        assert len(fringes) == 4 and len(block_calls) == 1
+        assert sample_scan(ba_scan, fringes) == run_scan(ba_scan, spec)
+        assert sample_scan(ba_scan, fringes, drift) == run_scan(ba_scan, spec, drift)
+        if detection == "shots":
+            # the last fringe is the reference, whose detections shift every phi
+            swapped = fringes[:-1] + [fringes[0]]
+            assert sample_scan(ba_scan, swapped) != sample_scan(ba_scan, fringes)
 
     def test_failure_names_grid_point(self):
         spec = make_spec(fock_dim=32, excitation=CoherentAmp(0.0, 0.0))
