@@ -23,7 +23,6 @@ from .hilbert import (
     SPIN_UP,
     CoherentAmp,
     DriveParams,
-    FrameParams,
     HilbertSpec,
     ModeParams,
     SpinMotionState,

@@ -113,7 +113,7 @@ class DecodeTables:
     magnitude p = 2 p_zpf alpha (kg m/s), and the fringe contrast at
     theta0 = pi/2. The derived position map pos_x / pos_phi0 joins both
     branches, -x at phi_minus and +x at phi_plus; the momentum map is
-    mom_p / mom_c, anchored at the alpha = 0 contrast maximum.
+    p / contrast, anchored at the alpha = 0 contrast maximum.
     """
 
     x: np.ndarray
@@ -125,11 +125,10 @@ class DecodeTables:
     def __post_init__(self):
         self.pos_x = np.concatenate([-self.x[:0:-1], self.x])
         self.pos_phi0 = np.concatenate([self.phi_minus[:0:-1], self.phi_plus])
-        self.mom_p, self.mom_c = self.p, self.contrast
         self._check_monotone(self.pos_phi0, self.pos_x, "position")
-        self._check_monotone(self.mom_c[::-1], self.mom_p[::-1], "momentum")
+        self._check_monotone(self.contrast[::-1], self.p[::-1], "momentum")
         self._pos_interp = pchip(self.pos_phi0, self.pos_x)
-        self._mom_interp = pchip(self.mom_c[::-1], self.mom_p[::-1])
+        self._mom_interp = pchip(self.contrast[::-1], self.p[::-1])
 
     @staticmethod
     def _check_monotone(key: np.ndarray, value: np.ndarray, name: str):
@@ -165,7 +164,7 @@ class DecodeTables:
     def decode_momentum(self, contrast: float, strict: bool = True) -> tuple[float, bool]:
         """Momentum magnitude (kg m/s) from a fitted contrast."""
         return self._lookup(
-            self._mom_interp, float(self.mom_c[-1]), float(self.mom_c[0]), contrast,
+            self._mom_interp, float(self.contrast[-1]), float(self.contrast[0]), contrast,
             "contrast", strict,
         )
 
@@ -198,14 +197,14 @@ def _laguerre(levels: np.ndarray, x: float) -> np.ndarray:
     return np.array(vals)[np.asarray(levels, dtype=int)]
 
 
-def golden_section(f, lo: float, hi: float, xtol: float = 1e-6, max_iter: int = 100):
+def golden_section(f, lo: float, hi: float, xtol: float = 1e-6):
     """Minimize a unimodal scalar function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(100):  # ends a search whose xtol is below the bracket's resolution
         if abs(b - a) < xtol:
             break
         if fc < fd:
@@ -260,7 +259,7 @@ def _search(
     """Coordinate descent on |<sigma_z>| in the Fock space `hilbert`.
 
     Each evaluation propagates the thermal levels as one block and reads
-    sigma_z at base phase offset 0 in closed form. Raises TruncationError
+    sigma_z at analysis phase 0 in closed form. Raises TruncationError
     when the thermal draw or any evaluation's tail exceeds hilbert.tail_tol.
     """
     n = hilbert.fock_dim
@@ -273,7 +272,7 @@ def _search(
         nonlocal n_evals
         n_evals += 1
         trial = _scaled_train(spec.analysis, phase_step, rabi_scale)
-        down, up, _ = run_pulse_train_block(states, trial, spec.mode, spec.frame, hilbert)
+        down, up, _ = run_pulse_train_block(states, trial, spec.mode, hilbert)
         out = down + up  # each state's image at phi = 0
         sz = np.sum(np.abs(out[n:]) ** 2, axis=0) - np.sum(np.abs(out[:n]) ** 2, axis=0)
         return abs(float(np.dot(weights, sz)))
@@ -349,7 +348,7 @@ def tune_pulse_train(
         tuned = _scaled_train(train, tuning.phase_step, tuning.rabi_scale)
         sz = 0.0
         for w, st in zip(weights, states):
-            out = run_pulse_train(st, tuned, spec.mode, spec.frame, spec.hilbert)
+            out = run_pulse_train(st, tuned, spec.mode, spec.hilbert)
             sz += w * expect_sigma_z(out)
         achieved = abs(sz)
         if achieved <= tol:
@@ -460,7 +459,7 @@ def noise_floor_estimate(
         repeat = replace(scan, base_seed=seed + (1 << 24) * r)
         fit = fit_scan(repeat, sample_scan(repeat, fringes, drift_phases))[0]
         rel_phase = math.remainder(fit.phase - anchor, 2.0 * math.pi)
-        point = tables.decode(rel_phase, min(fit.contrast, float(tables.mom_c[0])))
+        point = tables.decode(rel_phase, min(fit.contrast, float(tables.contrast[0])))
         xs.append(point.x)
         ps.append(point.p_mag)
     return float(np.std(xs)), float(np.std(ps))

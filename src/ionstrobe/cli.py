@@ -63,7 +63,7 @@ def _drift_for_scan(cfg: dict, scan: ScanSpec) -> np.ndarray | None:
     if not cfg["scan"]["inject_phase_noise"]:
         return None
     model = replace(cfgmod.build_noise_model(cfg), sample_interval=REALIZATION_INTERVAL_S)
-    n_real = len(scan.phi_grid) * len(scan.outer_grid) * (2 if scan.interleave_reference else 1)
+    n_real = scan.n_realizations
     duration = max(n_real, 10) * REALIZATION_INTERVAL_S
     trace = simulate_phase_trace(model, duration, seed=cfg["detection"]["base_seed"] + 7)
     return trace.phase[:n_real]
@@ -170,8 +170,9 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
 
 
 def _decode_config_subset(cfg: dict) -> dict:
-    keys = ("hilbert", "mode", "units", "drive", "train", "dephasing", "decode")
-    return {k: cfg[k] for k in keys}
+    """The config the decode tables depend on: where they are cached is not part of it."""
+    subset = {k: cfg[k] for k in ("hilbert", "mode", "units", "drive", "train", "dephasing")}
+    return subset | {"decode": {k: v for k, v in cfg["decode"].items() if k != "tables_path"}}
 
 
 def _build_tables(cfg: dict, spec):

@@ -30,7 +30,6 @@ from .hilbert import (
     HBAR,
     CoherentAmp,
     DriveParams,
-    FrameParams,
     HilbertSpec,
     ModeParams,
     SqueezeParam,
@@ -228,11 +227,7 @@ def build_units(cfg: dict) -> UnitScale:
 
 
 def build_mode(cfg: dict) -> ModeParams:
-    return ModeParams(
-        freq=mode_freq(cfg),
-        n_th=cfg["mode"]["n_th"],
-        mode_angle=math.radians(cfg["mode"]["mode_angle_deg"]),
-    )
+    return ModeParams(freq=mode_freq(cfg), n_th=cfg["mode"]["n_th"])
 
 
 def resolve_eta(cfg: dict) -> float:
@@ -264,7 +259,6 @@ def build_train(cfg: dict) -> PulseTrainSpec:
         n_flashes=cfg["train"]["n_flashes"],
         flash_dur=flash,
         cycle_dur=cycle,
-        base_phase=0.0,
         phase_step=cfg["train"]["dphi_rad"],
         drive=DriveParams(rabi=TWO_PI * cfg["drive"]["rabi_hz"], eta=resolve_eta(cfg)),
     )
@@ -290,7 +284,6 @@ def build_sequence_spec(cfg: dict) -> SequenceSpec:
     return SequenceSpec(
         hilbert=HilbertSpec(fock_dim=cfg["hilbert"]["fock_dim"], tail_tol=cfg["hilbert"]["tail_tol"]),
         mode=build_mode(cfg),
-        frame=FrameParams(),
         analysis=build_train(cfg),
         excitation=build_excitation(cfg),
         dephasing=build_dephasing(cfg),

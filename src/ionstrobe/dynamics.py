@@ -1,11 +1,11 @@
 """Time evolution: free motion, drive flashes, MW rotations, pulse trains.
 
 All dynamics run in the frame rotating at the drive frequency with the
-rotating-wave approximation applied, so the spin term reduces to the
-detuning. One flash is propagated by a single dense matrix exponential
+rotating-wave approximation applied; the drive is resonant, so no spin
+term remains. One flash is propagated by a single dense matrix exponential
 of the piecewise-constant Hamiltonian
 
-    H/hbar = w_m a_dag a + (d/2) sigma_z + (W/2) (e^{-i phi} C sigma_+ + h.c.)
+    H/hbar = w_m a_dag a + (W/2) (e^{-i phi} C sigma_+ + h.c.)
 
 with C = exp[i eta (a + a_dag)]. Flash unitaries are cached at phase 0;
 the drive phase enters through the exact conjugation
@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DimensionMismatchError, TruncationError
 from .hilbert import (
     DriveParams,
-    FrameParams,
     HilbertSpec,
     ModeParams,
     SpinMotionState,
@@ -45,7 +44,7 @@ from .hilbert import (
 class PulseTrainSpec:
     """Stroboscopic analysis train: N flashes of length flash_dur, one per cycle.
 
-    The flash phase progresses affinely, base_phase + k * phase_step for
+    The flash phase progresses affinely, drive.phase + k * phase_step for
     flash k, standing in for the experiment's per-pulse synthesizer phase
     re-adjustment.
     """
@@ -53,7 +52,6 @@ class PulseTrainSpec:
     n_flashes: int
     flash_dur: float
     cycle_dur: float
-    base_phase: float = 0.0
     phase_step: float = 0.0
     drive: DriveParams = DriveParams(rabi=0.0)
 
@@ -104,7 +102,7 @@ def free_evolve(state: SpinMotionState, mode: ModeParams, t: float) -> SpinMotio
 
 
 @lru_cache(maxsize=4)
-def _flash_unitary(fock_dim: int, eta: float, rabi: float, detuning: float, freq: float, dt: float) -> np.ndarray:
+def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: float) -> np.ndarray:
     """Flash propagator exp(-i H dt) at drive phase zero, cached per parameter set.
 
     In the gauge diag(G, G), G = diag(i^n), H is real symmetric (see the
@@ -124,7 +122,7 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, detuning: float, freq
     h = np.zeros((dim, dim))
     # spin-major blocks: [dd, du; ud, uu] with sigma_z = diag(-1, +1)
     diag_mode = freq * np.arange(fock_dim)
-    h[np.diag_indices(dim)] = np.concatenate([diag_mode - detuning / 2.0, diag_mode + detuning / 2.0])
+    h[np.diag_indices(dim)] = np.tile(diag_mode, 2)
     # (W/2) (C sigma_+ + C^dag sigma_-): sigma_+ = |up><down|
     h[fock_dim:, :fock_dim] = (rabi / 2.0) * r
     h[:fock_dim, fock_dim:] = (rabi / 2.0) * r.T
@@ -151,7 +149,6 @@ def flash_evolve(
     state: SpinMotionState,
     drive: DriveParams,
     mode: ModeParams,
-    frame: FrameParams,
     dt: float,
     hilbert: HilbertSpec | None = None,
 ) -> SpinMotionState:
@@ -164,7 +161,7 @@ def flash_evolve(
     if dt <= 0:
         raise ValueError("dt must be > 0")
     n = state.fock_dim
-    u0 = _flash_unitary(n, drive.eta, drive.rabi, frame.detuning, mode.freq, dt)
+    u0 = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, dt)
     phi = drive.phase
     if phi == 0.0:
         amps = u0 @ state.amplitudes
@@ -200,18 +197,17 @@ def run_pulse_train(
     state: SpinMotionState,
     train: PulseTrainSpec,
     mode: ModeParams,
-    frame: FrameParams,
     hilbert: HilbertSpec | None = None,
 ) -> SpinMotionState:
-    """Apply the stroboscopic train: flash k at phase base + k*step, then a free gap.
+    """Apply the stroboscopic train: flash k at phase drive.phase + k*step, then a free gap.
 
     Total wall time is n_flashes * cycle_dur.
     """
     gap = train.cycle_dur - train.flash_dur
     out = state
     for k in range(train.n_flashes):
-        drive_k = replace(train.drive, phase=train.base_phase + k * train.phase_step)
-        out = flash_evolve(out, drive_k, mode, frame, train.flash_dur, hilbert)
+        drive_k = replace(train.drive, phase=train.drive.phase + k * train.phase_step)
+        out = flash_evolve(out, drive_k, mode, train.flash_dur, hilbert)
         if gap > 0:
             out = free_evolve(out, mode, gap)
     return out
@@ -221,13 +217,12 @@ def run_pulse_train_block(
     states: list[SpinMotionState],
     train: PulseTrainSpec,
     mode: ModeParams,
-    frame: FrameParams,
     hilbert: HilbertSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagate the spin-down and spin-up parts of many states as one block.
 
-    Free motion commutes with V(phi), so the train at base phase
-    train.base_phase + phi maps state l to
+    Free motion commutes with V(phi), so the train with its first flash at
+    phase train.drive.phase + phi maps state l to
     V(phi) (e^{-i phi/2} down[:, l] + e^{i phi/2} up[:, l]), where down and
     up are the returned (2N, L) images of each state's down and up parts
     under the train as given. Every population of the output is therefore
@@ -245,14 +240,14 @@ def run_pulse_train_block(
         block[:n, col] = down
         block[n:, n_states + col] = up
     drive = train.drive
-    u0 = _flash_unitary(n, drive.eta, drive.rabi, frame.detuning, mode.freq, train.flash_dur)
+    u0 = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
     gap = train.cycle_dur - train.flash_dur
     gap_phases = np.tile(np.exp(-1j * mode.freq * gap * np.arange(n)), 2)[:, None]
     k_tail = hilbert.tail_levels
     max_tail = np.zeros(n_states)
     spare = np.empty_like(block)  # two reused buffers bound the working set
     for k in range(train.n_flashes):
-        v = _drive_frame(n, train.base_phase + k * train.phase_step)[:, None]
+        v = _drive_frame(n, drive.phase + k * train.phase_step)[:, None]
         block *= np.conj(v)
         np.matmul(u0, block, out=spare)
         block, spare = spare, block
@@ -264,7 +259,7 @@ def run_pulse_train_block(
         np.maximum(max_tail, sup, out=max_tail)
         worst = int(np.argmax(sup))
         if sup[worst] >= hilbert.tail_tol:
-            phi_worst = (train.base_phase - np.angle(t1[worst])) % (2.0 * math.pi)
+            phi_worst = (drive.phase - np.angle(t1[worst])) % (2.0 * math.pi)
             raise TruncationError(
                 f"flash {k + 1} of {train.n_flashes} leaks up to {sup[worst]:.3e} into "
                 f"the top {k_tail} Fock levels at base phase {phi_worst:.4f} rad "

@@ -88,31 +88,20 @@ class SpinMotionState:
 
 @dataclass(frozen=True)
 class ModeParams:
-    """One motional mode: angular frequency, thermal occupation, axis angle to z."""
+    """One motional mode: angular frequency and thermal occupation."""
 
     freq: float
     n_th: float = 0.0
-    mode_angle: float = 0.0
 
     def __post_init__(self):
         if self.freq <= 0:
             raise ValueError("mode frequency must be positive")
         if self.n_th < 0:
             raise ValueError("thermal occupation must be >= 0")
-        if abs(self.mode_angle) > math.pi / 2:
-            raise ValueError("mode angle must satisfy |angle| <= pi/2")
 
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.freq
-
-
-@dataclass(frozen=True)
-class FrameParams:
-    """Rotating-frame bookkeeping: dressed spin frequency and drive detuning."""
-
-    spin_freq: float = 0.0
-    detuning: float = 0.0
 
 
 @dataclass(frozen=True)

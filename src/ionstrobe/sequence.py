@@ -13,11 +13,11 @@ of zero means "wave packet at maximum position at the sampling times".
 Dephasing enters as a classical contrast envelope over the train duration.
 
 Every observable is an exact cosine in the analysis phase phi. Free motion
-commutes with V(phi) = exp(-i phi sigma_z / 2), so the train at base phase
-phi is V(phi) T V(phi)^dag with T the train at phi = 0. The final V leaves
-populations alone and the initial V^dag only puts e^{-i phi/2} and
-e^{+i phi/2} on the down and up parts of the pre-train state. Propagating
-those two parts through T once therefore gives
+commutes with V(phi) = exp(-i phi sigma_z / 2), so the train with every
+flash phase advanced by phi is V(phi) T V(phi)^dag with T the train at
+phi = 0. The final V leaves populations alone and the initial V^dag only
+puts e^{-i phi/2} and e^{+i phi/2} on the down and up parts of the
+pre-train state. Propagating those two parts through T once therefore gives
 p_down(phi) = c0 + 2 Re(c1 e^{i phi}), and the same form for <n> and for
 the top-Fock-tail population after every flash, whose supremum over phi,
 T0 + 2 |T1|, is what the truncation watchdog checks. SequenceFringe holds
@@ -45,7 +45,6 @@ from .dynamics import (
 from .errors import ConfigError, IonstrobeError, TruncationError
 from .hilbert import (
     CoherentAmp,
-    FrameParams,
     HilbertSpec,
     ModeParams,
     SpinMotionState,
@@ -58,6 +57,7 @@ from .hilbert import (
 )
 
 REFERENCE_SEED_OFFSET = 1 << 20  # separates reference from measurement detection streams
+SYNC_PHASE = math.pi  # azimuth of the synchronization MW pi/2 pulse
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,11 @@ class SequenceSpec:
 
     hilbert: HilbertSpec
     mode: ModeParams
-    frame: FrameParams
     analysis: PulseTrainSpec
     excitation: CoherentAmp | SqueezeParam | None = None
     dephasing: DephasingSpec = DephasingSpec(envelope="none")
     thermal_samples: int = 200
     thermal_seed: int = 0
-    sync_phase: float = math.pi
 
     def pre_delay(self) -> float:
         """Free evolution that centers the first flash on the nominal phase."""
@@ -102,6 +100,11 @@ class ScanSpec:
             raise ConfigError(f"unknown outer_var '{self.outer_var}'")
         if self.detection_mode not in ("analytic", "shots"):
             raise ConfigError(f"unknown detection mode '{self.detection_mode}'")
+
+    @property
+    def n_realizations(self) -> int:
+        """Detection realizations: one per (outer, phi) point, two with interleave_reference."""
+        return len(self.outer_grid) * len(self.phi_grid) * (2 if self.interleave_reference else 1)
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,7 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
             n_initial.append(expect_n(st))
             if pre_delay > 0:
                 st = free_evolve(st, spec.mode, pre_delay)
-            st = mw_rotation(st, math.pi / 2.0, spec.sync_phase)
+            st = mw_rotation(st, math.pi / 2.0, SYNC_PHASE)
             rep = check_truncation(st, spec.hilbert)
             if not rep.passed:
                 raise TruncationError(
@@ -228,11 +231,9 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
                     index=kicks.index(kick),
                 )
             pre_train.append(st)
-    train = replace(spec.analysis, base_phase=0.0)
+    train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=0.0))
     try:
-        down, up, max_tail = run_pulse_train_block(
-            pre_train, train, spec.mode, spec.frame, spec.hilbert
-        )
+        down, up, max_tail = run_pulse_train_block(pre_train, train, spec.mode, spec.hilbert)
     except TruncationError as exc:
         exc.index = kicks.index(distinct[exc.index // len(ground)])
         raise
@@ -328,7 +329,7 @@ def sample_scan(
     injected apparatus phase per realization.
     """
     n_phi = len(scan.phi_grid)
-    n_reals = len(scan.outer_grid) * n_phi * (2 if scan.interleave_reference else 1)
+    n_reals = scan.n_realizations
     if drift_phases is not None and len(drift_phases) < n_reals:
         raise ConfigError(f"drift trace supplies {len(drift_phases)} phases, need {n_reals}")
     drift = np.zeros(n_reals) if drift_phases is None else np.asarray(drift_phases, dtype=float)

@@ -39,7 +39,6 @@ class PhaseTrace:
     t: np.ndarray
     phase: np.ndarray
     model: PhaseNoiseModel
-    seed: int
 
     def __post_init__(self):
         if self.t.shape != self.phase.shape:
@@ -68,7 +67,7 @@ def simulate_phase_trace(model: PhaseNoiseModel, duration: float, seed: int) -> 
         phase = phase + np.concatenate([[0.0], np.cumsum(increments)])
     if model.white_sigma > 0:
         phase = phase + rng.normal(0.0, model.white_sigma, size=n)
-    return PhaseTrace(t=t, phase=phase, model=model, seed=seed)
+    return PhaseTrace(t=t, phase=phase, model=model)
 
 
 def windowed_phase_stat(trace: PhaseTrace, window: float, estimator: str = "window_std") -> float:
@@ -109,4 +108,4 @@ def apply_reference_correction(trace: PhaseTrace, reference_interval: float) -> 
     if idx[-1] != trace.t.size - 1:
         idx = np.append(idx, trace.t.size - 1)
     interp = np.interp(trace.t, trace.t[idx], trace.phase[idx])
-    return PhaseTrace(t=trace.t, phase=trace.phase - interp, model=trace.model, seed=trace.seed)
+    return PhaseTrace(t=trace.t, phase=trace.phase - interp, model=trace.model)

@@ -16,7 +16,6 @@ import pytest
 from ionstrobe import (
     CoherentAmp,
     DriveParams,
-    FrameParams,
     HilbertSpec,
     ModeParams,
     UnitScale,
@@ -42,7 +41,6 @@ def headline_sequence_spec(fock_dim: int) -> SequenceSpec:
     return SequenceSpec(
         hilbert=HilbertSpec(fock_dim=fock_dim),
         mode=ModeParams(freq=OMEGA_LF, n_th=0.15),
-        frame=FrameParams(),
         analysis=train,
         excitation=CoherentAmp(0.0, 0.0),
         dephasing=DephasingSpec(tau=70e-6, envelope="gaussian"),

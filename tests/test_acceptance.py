@@ -119,7 +119,7 @@ def test_criterion_04_pi_half_train(tuned_headline_small):
     spec, tuning = tuned_headline_small
     duration_us = spec.analysis.total_duration * 1e6
     st = make_initial_state(SPIN_DOWN, 0, spec.hilbert)
-    residual = abs(expect_sigma_z(run_pulse_train(st, spec.analysis, spec.mode, spec.frame)))
+    residual = abs(expect_sigma_z(run_pulse_train(st, spec.analysis, spec.mode)))
     elapsed = time.time() - start
     ok = tuning.achieved_sigma_z < 0.01 and residual < 0.02 and round(duration_us, 1) == 23.1
     report(4, "tuned pi/2 train at headline parameters", ok and elapsed < 120.0, elapsed,
@@ -220,7 +220,7 @@ def test_criterion_08_phase_space_round_trip(tuned_headline_large, headline_deco
     max_dx = max_dp = 0.0
     for theta0, fit, phase in zip(thetas, fits, phases):
         x, _ = tables.decode_position(phase)
-        p, _ = tables.decode_momentum(min(fit.contrast, float(tables.mom_c[0])))
+        p, _ = tables.decode_momentum(min(fit.contrast, float(tables.contrast[0])))
         max_dx = max(max_dx, abs(x - amp_x * math.cos(theta0)))
         max_dp = max(max_dp, abs(p - amp_p * abs(math.sin(theta0))))
     trace_ok = max_dx <= 0.05 * amp_x and max_dp <= 0.10 * amp_p

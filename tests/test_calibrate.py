@@ -16,7 +16,6 @@ from ionstrobe import (
     HBAR,
     CoherentAmp,
     DriveParams,
-    FrameParams,
     HilbertSpec,
     ModeParams,
     SPIN_DOWN,
@@ -68,7 +67,6 @@ def alpha_zero_spec(fock_dim=64, eta=0.4, n_th=0.15, envelope="gaussian"):
     return SequenceSpec(
         hilbert=HilbertSpec(fock_dim=fock_dim),
         mode=ModeParams(freq=OMEGA, n_th=n_th),
-        frame=FrameParams(),
         analysis=train,
         excitation=CoherentAmp(0.0, 0.0),
         dephasing=DephasingSpec(tau=70e-6, envelope=envelope),
@@ -124,14 +122,14 @@ class TestTunePulseTrain:
         # sanity: the tuned pi/2 train leaves the synchronized spin on a fringe
         assert 0.0 <= p_down <= 1.0
         st = make_initial_state(SPIN_DOWN, 0, spec.hilbert)
-        out = run_pulse_train(st, spec.analysis, spec.mode, spec.frame)
+        out = run_pulse_train(st, spec.analysis, spec.mode)
         assert abs(expect_sigma_z(out)) < 0.01
 
     def test_two_trains_make_a_pi_flip(self, tuned_spec):
         spec, _ = tuned_spec
         st = make_initial_state(SPIN_DOWN, 0, spec.hilbert)
-        once = run_pulse_train(st, spec.analysis, spec.mode, spec.frame)
-        twice = run_pulse_train(once, spec.analysis, spec.mode, spec.frame)
+        once = run_pulse_train(st, spec.analysis, spec.mode)
+        twice = run_pulse_train(once, spec.analysis, spec.mode)
         assert abs(expect_sigma_z(twice) - 1.0) < 0.05
 
     def test_rejects_displaced_spec(self):
@@ -159,7 +157,7 @@ def reference_tune(spec, tol, max_sweeps=6, xtol=1e-6):
         )
         sz = 0.0
         for w, st in zip(weights, states):
-            out = run_pulse_train(st, trial, spec.mode, spec.frame, spec.hilbert)
+            out = run_pulse_train(st, trial, spec.mode, spec.hilbert)
             sz += w * expect_sigma_z(out)
         return abs(sz)
 
@@ -216,7 +214,7 @@ class TestSmallSpaceSearch:
             spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, small
         )
         tuned = apply_tuning(spec, ref).analysis
-        _, _, tail = run_pulse_train_block(states, tuned, spec.mode, spec.frame, small)
+        _, _, tail = run_pulse_train_block(states, tuned, spec.mode, small)
         assert SEARCH_TAIL_BOUND < tail.max() < spec.hilbert.tail_tol
         assert tune_pulse_train(spec, tol=5e-3) == ref
 
@@ -247,8 +245,8 @@ class TestDecodeTables:
         mid = len(tables.pos_x) // 2
         assert tables.pos_x[mid] == 0.0
         assert tables.pos_phi0[mid] == pytest.approx(0.0, abs=1e-9)
-        assert tables.mom_p[0] == 0.0
-        assert tables.mom_c[0] == max(tables.mom_c)
+        assert tables.p[0] == 0.0
+        assert tables.contrast[0] == max(tables.contrast)
 
     def test_position_slope_near_linear_theory(self, small_tables):
         # d phi0 / dX = eta / x_zpf up to the finite-flash sinc factor
@@ -259,7 +257,7 @@ class TestDecodeTables:
 
     def test_momentum_branch_monotone_decreasing(self, small_tables):
         tables, _ = small_tables
-        assert np.all(np.diff(tables.mom_c) < 0)
+        assert np.all(np.diff(tables.contrast) < 0)
 
     def test_round_trip_positions(self, small_tables):
         # simulate -> fit -> decode reproduces the planted position within 3%
@@ -434,7 +432,7 @@ def reference_noise_floor(spec, tables, phi_grid, shots, n_repeats, seed, drift_
             sem_floor=sem_floor,
         )
         rel_phase = math.remainder(fit.phase - anchor, 2.0 * math.pi)
-        point = tables.decode(rel_phase, min(fit.contrast, float(tables.mom_c[0])))
+        point = tables.decode(rel_phase, min(fit.contrast, float(tables.contrast[0])))
         xs.append(point.x)
         ps.append(point.p_mag)
     return float(np.std(xs)), float(np.std(ps))

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import math
 import subprocess
 import sys
@@ -410,6 +411,20 @@ class TestCliBuildAndTrace:
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
         assert _trace_rows(tmp_path, "") == _trace_rows(tmp_path, tables_path)
 
+    def test_exported_table_is_a_cache_hit(self, tmp_path):
+        # the cache hash leaves decode.tables_path out, so a build-tables export
+        # made without it, or a cache file moved elsewhere, is reused as it is
+        tables_path = tmp_path / "tables.txt"
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % "", name="export.yaml")
+        assert main(["build-tables", "--config", cfg, "--out", str(tables_path)]) == 0
+        exported, mtime = tables_path.read_bytes(), tables_path.stat().st_mtime_ns
+        rows = _trace_rows(tmp_path, tables_path)
+        assert tables_path.stat().st_mtime_ns == mtime
+        moved = tables_path.rename(tmp_path / "moved.txt")
+        assert _trace_rows(tmp_path, moved) == rows
+        assert moved.stat().st_mtime_ns == mtime and moved.read_bytes() == exported
+        assert rows == _trace_rows(tmp_path, "")
+
     def test_older_table_version_is_rebuilt(self, tmp_path):
         # a v1 file whose hash matches the config is a cache miss, not a decode source
         tables_path = tmp_path / "tables.txt"
@@ -537,6 +552,37 @@ def test_bench_tracer_layers_exist():
     missing = [f"{module}.{func}" for module, funcs in layers.items() for func in funcs
                if not hasattr(importlib.import_module(f"ionstrobe.{module}"), func)]
     assert missing == []
+
+
+# SMALL_TRACE_CONFIG at four theta0 values, with the pi/2 tuner and no cache
+TUNED_TRACE_CONFIG = (
+    "hilbert: {fock_dim: 80}\n"
+    "train: {rabi_scale: auto}\n"
+    "state: {alpha_abs: 2.0}\n"
+    "decode: {alpha_max: 3.0, alpha_step: 0.5}\n"
+    "scan:\n"
+    "  phi_num: 12\n"
+    "  outer_var: theta0\n"
+    "  outer_values: [0.0, 1.5707963, 3.1415927, 4.712389]\n"
+    "detection: {mode: analytic, base_seed: 55}\n"
+)
+
+
+def test_bench_trace_sees_decode_trace_counters(tmp_path):
+    # a traced trace-phase-space run through bench/child.py must call every layer
+    # whose counter the benchmark's decode-trace workload requires to be nonzero
+    bench = Path(ionstrobe.__file__).resolve().parents[2] / "bench"
+    cfg, meta = write_cfg(tmp_path, TUNED_TRACE_CONFIG), tmp_path / "meta.json"
+    subprocess.run([sys.executable, str(bench / "child.py"), "--meta", str(meta), "--trace", "--",
+                    "trace-phase-space", "--config", cfg, "--out", str(tmp_path / "t.txt")],
+                   capture_output=True, check=True)
+    code = (f"import json, sys; sys.path.insert(0, {str(bench)!r}); from workloads import WORKLOADS; "
+            "print(json.dumps(WORKLOADS['decode-trace'].expect_nonzero))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    expected = json.loads(out.stdout)
+    layers = json.loads(meta.read_text())["layers"]
+    assert "dynamics.run_pulse_train.calls" in expected
+    assert [name for name in expected if not layers.get(name)] == []
 
 
 class TestDemoConfigs:

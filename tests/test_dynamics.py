@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ionstrobe import (
     CoherentAmp,
     DriveParams,
-    FrameParams,
     HilbertSpec,
     ModeParams,
     SPIN_DOWN,
@@ -34,11 +33,11 @@ from ionstrobe.dynamics import (
     free_evolve,
     mw_rotation,
     run_pulse_train,
+    run_pulse_train_block,
 )
 
 OMEGA = 2.0 * math.pi * 1.3e6
 MODE = ModeParams(freq=OMEGA, n_th=0.15)
-FRAME = FrameParams()
 UNITS = UnitScale.for_mode(25.0 * ATOMIC_MASS, OMEGA)
 
 
@@ -79,7 +78,7 @@ class TestFlashEvolution:
     def test_zero_rabi_equals_free(self):
         st = coherent_state(1.5, 0.4, 48)
         dt = 1e-7
-        flashed = flash_evolve(st, DriveParams(rabi=0.0, eta=0.4), MODE, FRAME, dt)
+        flashed = flash_evolve(st, DriveParams(rabi=0.0, eta=0.4), MODE, dt)
         free = free_evolve(st, MODE, dt)
         assert np.max(np.abs(flashed.amplitudes - free.amplitudes)) < 1e-12
 
@@ -88,7 +87,7 @@ class TestFlashEvolution:
         st = make_initial_state(SPIN_DOWN, 0, spec)
         rabi = 2.0 * math.pi * 0.25e6
         dt = math.pi / rabi
-        out = flash_evolve(st, DriveParams(rabi=rabi, eta=0.0), MODE, FRAME, dt)
+        out = flash_evolve(st, DriveParams(rabi=rabi, eta=0.0), MODE, dt)
         p_up = float(np.sum(np.abs(out.amplitudes[16:]) ** 2))
         assert p_up == pytest.approx(1.0, abs=1e-9)
 
@@ -101,7 +100,7 @@ class TestFlashEvolution:
         st = make_initial_state(SPIN_DOWN, 0, spec)
         rabi = 2.0 * math.pi * 0.3e6
         dt = 100e-9
-        out = flash_evolve(st, DriveParams(rabi=rabi, eta=0.4), MODE, FRAME, dt)
+        out = flash_evolve(st, DriveParams(rabi=rabi, eta=0.4), MODE, dt)
         p_up_carrier = float(np.abs(out.amplitudes[48]) ** 2)
         expected = math.sin(rabi * math.exp(-0.08) * dt / 2.0) ** 2
         assert abs(p_up_carrier - expected) < 1e-3
@@ -114,7 +113,7 @@ class TestFlashEvolution:
         rabi = 2.0 * math.pi * 0.2e6
         dt = 3.3e-7
         phase = 0.77
-        out = flash_evolve(st, DriveParams(rabi=rabi, eta=0.0, phase=phase), MODE, FRAME, dt)
+        out = flash_evolve(st, DriveParams(rabi=rabi, eta=0.0, phase=phase), MODE, dt)
         manual = mw_rotation(free_evolve(st, MODE, dt), rabi * dt, phase)
         assert np.max(np.abs(out.amplitudes - manual.amplitudes)) < 1e-10
 
@@ -142,14 +141,13 @@ class TestMwRotation:
         assert abs(expect_sigma_z(out)) < 1e-12
 
 
-def headline_train(base_phase=0.0, phase_step=0.0, rabi_scale=1.0):
+def headline_train(phase=0.0, phase_step=0.0, rabi_scale=1.0):
     return PulseTrainSpec(
         n_flashes=30,
         flash_dur=100e-9,
         cycle_dur=2.0 * math.pi / OMEGA,
-        base_phase=base_phase,
         phase_step=phase_step,
-        drive=DriveParams(rabi=rabi_scale * 2.0 * math.pi * 0.3e6, eta=0.4),
+        drive=DriveParams(rabi=rabi_scale * 2.0 * math.pi * 0.3e6, phase=phase, eta=0.4),
     )
 
 
@@ -166,7 +164,7 @@ class TestPulseTrain:
             cycle_dur=2.0 * math.pi / OMEGA,
             drive=DriveParams(rabi=0.0, eta=0.4),
         )
-        out = run_pulse_train(st, train, MODE, FRAME)
+        out = run_pulse_train(st, train, MODE)
         free = free_evolve(st, MODE, train.total_duration)
         assert np.max(np.abs(out.amplitudes - free.amplitudes)) < 1e-9
         assert expect_n(out) == pytest.approx(expect_n(st), abs=1e-12)
@@ -175,29 +173,45 @@ class TestPulseTrain:
         from dataclasses import replace
 
         st = coherent_state(1.0, 0.5, 48)
-        train = headline_train(base_phase=0.4, phase_step=0.05)
+        train = headline_train(phase=0.4, phase_step=0.05)
         two = replace(train, n_flashes=2)
-        auto = run_pulse_train(st, two, MODE, FRAME)
+        auto = run_pulse_train(st, two, MODE)
         gap = two.cycle_dur - two.flash_dur
         manual = st
         for k in range(2):
-            drive_k = replace(two.drive, phase=two.base_phase + k * two.phase_step)
-            manual = flash_evolve(manual, drive_k, MODE, FRAME, two.flash_dur)
+            drive_k = replace(two.drive, phase=two.drive.phase + k * two.phase_step)
+            manual = flash_evolve(manual, drive_k, MODE, two.flash_dur)
             manual = free_evolve(manual, MODE, gap)
         np.testing.assert_array_equal(auto.amplitudes, manual.amplitudes)
 
+    def test_drive_phase_is_first_flash_phase(self):
+        # flash k runs at drive.phase + k * phase_step in both propagators
+        from dataclasses import replace
+
+        st = coherent_state(1.0, 0.5, 40)
+        train = replace(headline_train(phase=1.3, phase_step=0.05, rabi_scale=0.5), n_flashes=4)
+        gap = train.cycle_dur - train.flash_dur
+        manual = st
+        for k in range(train.n_flashes):
+            drive_k = replace(train.drive, phase=1.3 + k * 0.05)
+            manual = free_evolve(flash_evolve(manual, drive_k, MODE, train.flash_dur), MODE, gap)
+        out = run_pulse_train(st, train, MODE)
+        np.testing.assert_allclose(out.amplitudes, manual.amplitudes, rtol=0, atol=1e-12)
+        down, up, _ = run_pulse_train_block([st], train, MODE, HilbertSpec(fock_dim=40))
+        np.testing.assert_allclose((down + up)[:, 0], manual.amplitudes, rtol=0, atol=1e-12)
+
     def test_unitarity(self):
         st = coherent_state(2.0, 1.1, 96)
-        out = run_pulse_train(st, headline_train(rabi_scale=0.3), MODE, FRAME)
+        out = run_pulse_train(st, headline_train(rabi_scale=0.3), MODE)
         assert out.norm() == pytest.approx(1.0, abs=1e-9)
 
     def test_stroboscopic_pre_delay_invariance(self):
         # on resonance, adding full motional periods before the train changes nothing
         st = coherent_state(1.5, 0.9, 64)
         train = headline_train(rabi_scale=0.3)
-        direct = run_pulse_train(st, train, MODE, FRAME)
+        direct = run_pulse_train(st, train, MODE)
         delayed = run_pulse_train(
-            free_evolve(st, MODE, 3 * 2.0 * math.pi / OMEGA), train, MODE, FRAME
+            free_evolve(st, MODE, 3 * 2.0 * math.pi / OMEGA), train, MODE
         )
         assert abs(expect_sigma_z(direct) - expect_sigma_z(delayed)) < 1e-10
         assert expect_n(direct) == pytest.approx(expect_n(delayed), abs=1e-10)
@@ -217,7 +231,7 @@ class TestBackAction:
             cycle_dur=2.0 * math.pi / OMEGA,
             drive=DriveParams(rabi=2.0 * math.pi * 0.3e6, eta=0.0),
         )
-        out = run_pulse_train(st, train, MODE, FRAME)
+        out = run_pulse_train(st, train, MODE)
         assert abs(back_action(st, out).delta_n) < 1e-9
 
     def test_delta_definition(self):
@@ -243,7 +257,7 @@ class TestDephasing:
         assert apply_dephasing(0.5, spec, 50e-6) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
 
 
-def complex_flash_unitary(fock_dim, eta, rabi, detuning, freq, dt):
+def complex_flash_unitary(fock_dim, eta, rabi, freq, dt):
     """Reference flash propagator: complex Hermitian H and one complex eigh."""
     root = np.sqrt(np.arange(1.0, fock_dim))
     w, v = np.linalg.eigh(eta * (np.diag(root, 1) + np.diag(root, -1)))
@@ -251,8 +265,8 @@ def complex_flash_unitary(fock_dim, eta, rabi, detuning, freq, dt):
     dim = 2 * fock_dim
     h = np.zeros((dim, dim), dtype=complex)
     diag_mode = freq * np.arange(fock_dim)
-    h[:fock_dim, :fock_dim] = np.diag(diag_mode - detuning / 2.0)
-    h[fock_dim:, fock_dim:] = np.diag(diag_mode + detuning / 2.0)
+    h[:fock_dim, :fock_dim] = np.diag(diag_mode)
+    h[fock_dim:, fock_dim:] = np.diag(diag_mode)
     h[fock_dim:, :fock_dim] = (rabi / 2.0) * c
     h[:fock_dim, fock_dim:] = (rabi / 2.0) * c.conj().T
     w, v = np.linalg.eigh(h)
@@ -265,13 +279,11 @@ class TestGaugeFlashUnitary:
         fock_dim=st.integers(4, 64),
         eta=st.floats(0.0, 1.0),
         rabi_hz=st.floats(0.0, 1e6),
-        detuning_hz=st.floats(-2e5, 2e5),
         freq_hz=st.floats(0.2e6, 2e6),
         dt=st.floats(10e-9, 200e-9),
     )
-    def test_matches_complex_eigh(self, fock_dim, eta, rabi_hz, detuning_hz, freq_hz, dt):
-        args = (fock_dim, eta, 2 * math.pi * rabi_hz, 2 * math.pi * detuning_hz,
-                2 * math.pi * freq_hz, dt)
+    def test_matches_complex_eigh(self, fock_dim, eta, rabi_hz, freq_hz, dt):
+        args = (fock_dim, eta, 2 * math.pi * rabi_hz, 2 * math.pi * freq_hz, dt)
         u = _flash_unitary(*args)
         ref = complex_flash_unitary(*args)
         assert np.max(np.abs(u - ref)) < 1e-12

@@ -12,7 +12,6 @@ from ionstrobe import (
     SPIN_DOWN,
     CoherentAmp,
     DriveParams,
-    FrameParams,
     HilbertSpec,
     ModeParams,
     SpinMotionState,
@@ -75,7 +74,6 @@ def make_spec(
     return SequenceSpec(
         hilbert=HilbertSpec(fock_dim=fock_dim),
         mode=ModeParams(freq=OMEGA, n_th=n_th),
-        frame=FrameParams(),
         analysis=train,
         excitation=excitation,
         dephasing=DephasingSpec(tau=70e-6, envelope=envelope),
@@ -94,7 +92,6 @@ def mw_ramsey_spec():
     return SequenceSpec(
         hilbert=HilbertSpec(fock_dim=16),
         mode=ModeParams(freq=OMEGA, n_th=0.0),
-        frame=FrameParams(),
         analysis=train,
         excitation=None,
     )
@@ -155,13 +152,13 @@ def reference_observables(spec, phi):
     """(p_down, delta_n, sigma_z, worst tail) at phi from per-phase train runs.
 
     Builds the pre-train state of every thermal level with the full
-    displacement or squeeze unitary, runs run_pulse_train at base phase phi,
+    displacement or squeeze unitary, runs run_pulse_train with its first flash at phi,
     and thermal-averages; the tail is the largest top-Fock population seen
     after any flash of any level.
     """
     levels, weights = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
-    train = replace(spec.analysis, base_phase=phi)
+    train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=phi))
     p_down = delta_n = sigma_z = tail = 0.0
     for w, level in zip(weights, levels):
         state = make_initial_state(SPIN_DOWN, int(level), spec.hilbert)
@@ -176,11 +173,11 @@ def reference_observables(spec, phi):
         state = SpinMotionState(np.concatenate(blocks), state.fock_dim)
         n_initial = expect_n(state)
         state = free_evolve(state, spec.mode, spec.pre_delay())
-        state = mw_rotation(state, math.pi / 2.0, spec.sync_phase)
+        state = mw_rotation(state, math.pi / 2.0, sequence_module.SYNC_PHASE)
         for k in range(1, train.n_flashes + 1):
-            prefix = run_pulse_train(state, replace(train, n_flashes=k), spec.mode, spec.frame)
+            prefix = run_pulse_train(state, replace(train, n_flashes=k), spec.mode)
             tail = max(tail, check_truncation(prefix, spec.hilbert).tail_population)
-        out = run_pulse_train(state, train, spec.mode, spec.frame)
+        out = run_pulse_train(state, train, spec.mode)
         p_down += w * (1.0 - expect_sigma_z(out)) / 2.0
         delta_n += w * (expect_n(out) - n_initial)
         sigma_z += w * expect_sigma_z(out)
@@ -397,7 +394,6 @@ class TestRunScan:
         spec = SequenceSpec(
             hilbert=HilbertSpec(fock_dim=32),
             mode=ModeParams(freq=OMEGA, n_th=0.15),
-            frame=FrameParams(),
             analysis=train,
             excitation=CoherentAmp(0.0, 0.0),
             dephasing=DephasingSpec(tau=70e-6, envelope="gaussian"),
