@@ -33,7 +33,6 @@ from .hilbert import (
     check_truncation,
     coupling_operator,
     displacement_operator,
-    expect,
     expect_n,
     expect_sigma_z,
     make_initial_state,
@@ -41,14 +40,11 @@ from .hilbert import (
     quadrature_variances_si,
     squeeze_operator,
     thermal_ensemble,
-    thermal_sample,
 )
 from .dynamics import (
-    BackActionResult,
     DephasingSpec,
     PulseTrainSpec,
     apply_dephasing,
-    back_action,
     flash_evolve,
     free_evolve,
     mw_rotation,

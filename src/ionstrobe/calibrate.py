@@ -140,44 +140,29 @@ class DecodeTables:
                 f"{bad} and {bad + 1} (values {value[bad]:g}, {value[bad + 1]:g})"
             )
 
-    def _lookup(self, interp, lo, hi, value, what, strict):
-        margin = 0.10 * (hi - lo)
-        if strict and (value < lo - margin or value > hi + margin):
-            raise DecodeError(
-                f"{what} {value:g} lies outside the decode domain "
-                f"[{lo:g}, {hi:g}] by more than 10% of its range"
-            )
-        clamped = not lo <= value <= hi
-        return float(interp(min(max(value, lo), hi))), clamped
-
-    def decode_position(self, phi0: float, strict: bool = True) -> tuple[float, bool]:
-        """Position (m) from an anchored, unwrapped fringe phase.
-
-        Values slightly outside the table clamp to the edge with a flag;
-        beyond 10% of the domain this raises unless strict=False.
-        """
-        return self._lookup(
-            self._pos_interp, float(self.pos_phi0[0]), float(self.pos_phi0[-1]), phi0,
-            "phase", strict,
-        )
-
-    def decode_momentum(self, contrast: float, strict: bool = True) -> tuple[float, bool]:
-        """Momentum magnitude (kg m/s) from a fitted contrast."""
-        return self._lookup(
-            self._mom_interp, float(self.contrast[-1]), float(self.contrast[0]), contrast,
-            "contrast", strict,
-        )
-
     def decode(self, phase: float, contrast: float, strict: bool = True) -> DecodedPoint:
-        """Position and momentum magnitude from one fringe.
+        """Position (m) and momentum magnitude (kg m/s) from one fringe.
 
         The phase must already be relative to the alpha = 0 reference fringe
-        (and unwrapped if a sweep crossed +-pi); clamping and strict follow
-        decode_position and decode_momentum.
+        (and unwrapped if a sweep crossed +-pi). A phase or contrast slightly
+        outside its table clamps to the edge and sets x_clamped or p_clamped;
+        beyond 10% of the table's range this raises unless strict=False.
         """
-        x, x_clamped = self.decode_position(phase, strict)
-        p, p_clamped = self.decode_momentum(contrast, strict)
-        return DecodedPoint(x=x, p_mag=p, x_clamped=x_clamped, p_clamped=p_clamped)
+        values, clamped = [], []
+        for interp, key, value, what in (
+            (self._pos_interp, self.pos_phi0, phase, "phase"),
+            (self._mom_interp, self.contrast[::-1], contrast, "contrast"),
+        ):
+            lo, hi = float(key[0]), float(key[-1])
+            margin = 0.10 * (hi - lo)
+            if strict and (value < lo - margin or value > hi + margin):
+                raise DecodeError(
+                    f"{what} {value:g} lies outside the decode domain "
+                    f"[{lo:g}, {hi:g}] by more than 10% of its range"
+                )
+            values.append(float(interp(min(max(value, lo), hi))))
+            clamped.append(not lo <= value <= hi)
+        return DecodedPoint(*values, *clamped)
 
 
 def _laguerre(levels: np.ndarray, x: float) -> np.ndarray:
@@ -237,6 +222,10 @@ def apply_tuning(spec: SequenceSpec, tuning: TrainTuning) -> SequenceSpec:
 # same points it would probe at the configured size.
 FIRST_SEARCH_DIM = 32
 SEARCH_TAIL_BOUND = 1e-20
+# coordinate-descent sweeps before the tuner gives up, and the golden-section
+# bracket width that ends each line search
+MAX_SWEEPS = 6
+SEARCH_XTOL = 1e-6
 
 
 def _search_spaces(hilbert: HilbertSpec):
@@ -253,8 +242,6 @@ def _search(
     hilbert: HilbertSpec,
     start: tuple[float, float],
     tol: float,
-    max_sweeps: int,
-    xtol: float,
 ) -> TrainTuning:
     """Coordinate descent on |<sigma_z>| in the Fock space `hilbert`.
 
@@ -282,13 +269,15 @@ def _search(
     if best[2] <= tol:
         return TrainTuning(step, scale, best[2], n_evals)
 
-    for _ in range(max_sweeps):
-        scale, val = golden_section(lambda s: objective(step, s), 0.5 * scale, 1.5 * scale, xtol)
+    for _ in range(MAX_SWEEPS):
+        scale, val = golden_section(lambda s: objective(step, s), 0.5 * scale, 1.5 * scale,
+                                    SEARCH_XTOL)
         if val < best[2]:
             best = (step, scale, val)
         if val <= tol:
             return TrainTuning(step, scale, val, n_evals)
-        step, val = golden_section(lambda d: objective(d, scale), step - 0.2, step + 0.2, xtol)
+        step, val = golden_section(lambda d: objective(d, scale), step - 0.2, step + 0.2,
+                                   SEARCH_XTOL)
         if val < best[2]:
             best = (step, scale, val)
         if val <= tol:
@@ -299,12 +288,7 @@ def _search(
     )
 
 
-def tune_pulse_train(
-    spec: SequenceSpec,
-    tol: float = 5e-3,
-    max_sweeps: int = 6,
-    xtol: float = 1e-6,
-) -> TrainTuning:
+def tune_pulse_train(spec: SequenceSpec, tol: float = 5e-3) -> TrainTuning:
     """Calibrate (phase_step, rabi_scale) so the bare train is a pi/2 pulse.
 
     Derivative-free coordinate descent with golden-section line searches,
@@ -339,7 +323,7 @@ def tune_pulse_train(
 
     for hilbert in _search_spaces(spec.hilbert):
         try:
-            tuning = _search(spec, hilbert, start, tol, max_sweeps, xtol)
+            tuning = _search(spec, hilbert, start, tol)
         except TruncationError:
             if hilbert is spec.hilbert:
                 raise
@@ -375,7 +359,14 @@ def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> Dec
         raise DecodeError("alpha grid must contain at least 3 amplitudes")
 
     thetas = (0.0, math.pi, math.pi / 2.0)
-    fringes = sequence_fringes(spec, [CoherentAmp(float(a), t) for a in alphas for t in thetas])
+    kicks = [CoherentAmp(float(a), t) for a in alphas for t in thetas]
+    try:
+        fringes = sequence_fringes(spec, kicks)
+    except TruncationError as exc:
+        if exc.index is None:  # the thermal draw, before any amplitude
+            raise
+        alpha = kicks[exc.index].magnitude
+        raise TruncationError(f"at decode amplitude |alpha|={alpha:g}: {exc}", exc.index) from exc
     plus, minus, mom = fringes[0::3], fringes[1::3], fringes[2::3]
 
     anchor = plus[0].phase

@@ -117,6 +117,9 @@ def cmd_squeeze_scan(cfg: dict, args) -> None:
 
 def cmd_pattern_scan(cfg: dict, args) -> None:
     pat = cfg["pattern"]
+    if pat["nx"] * pat["nz"] < 30:
+        raise ConfigError(f"pattern.nx * pattern.nz is {pat['nx'] * pat['nz']}; the pattern "
+                          "fit needs at least 30 points")
     field = PatternField(
         wavelength=pat["wavelength_nm"] * 1e-9,
         rotation=pat["rotation_rad"],
@@ -175,17 +178,21 @@ def _decode_config_subset(cfg: dict) -> dict:
     return subset | {"decode": {k: v for k, v in cfg["decode"].items() if k != "tables_path"}}
 
 
-def _build_tables(cfg: dict, spec):
-    """Decode tables over the alpha grid 0, alpha_step, ... up to alpha_max."""
+def _alpha_grid(cfg: dict) -> np.ndarray:
+    """The decode amplitudes 0, alpha_step, ... up to alpha_max; at least 3."""
     dec = cfg["decode"]
     alpha_grid = np.arange(0.0, dec["alpha_max"] + dec["alpha_step"] / 2.0, dec["alpha_step"])
-    return build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
+    if len(alpha_grid) < 3:
+        raise ConfigError(f"decode.alpha_max and decode.alpha_step give {len(alpha_grid)} "
+                          "decode amplitudes, need at least 3")
+    return alpha_grid
 
 
-def _resolve_tables(cfg: dict, spec):
+def _resolve_tables(cfg: dict, spec, alpha_grid):
     """Load decode tables if cached with a matching config hash, else build
-    (and cache) them; a table file of another format version is rebuilt, and
-    one whose values are not monotone is a bad input naming its key."""
+    (and cache) them over alpha_grid; a table file of another format version
+    is rebuilt, and one whose values are not monotone is a bad input naming
+    its key."""
     subset = _decode_config_subset(cfg)
     path = cfg["decode"]["tables_path"]
     if path and Path(path).exists():
@@ -193,7 +200,7 @@ def _resolve_tables(cfg: dict, spec):
             tables, stored = read_decode_tables(path)
         if tables is not None and stored == config_hash(subset):
             return tables
-    tables = _build_tables(cfg, spec)
+    tables = build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
     if path:
         with _naming("decode.tables_path"):
             write_decode_tables(tables, path, subset)
@@ -201,16 +208,19 @@ def _resolve_tables(cfg: dict, spec):
 
 
 def cmd_build_tables(cfg: dict, args) -> None:
-    tables = _build_tables(cfg, _tuned_sequence(cfg))
+    alpha_grid = _alpha_grid(cfg)
+    tables = build_decode_tables(_tuned_sequence(cfg), cfgmod.build_units(cfg), alpha_grid)
     write_decode_tables(tables, args.out, _decode_config_subset(cfg))
 
 
 def cmd_trace_phase_space(cfg: dict, args) -> None:
-    spec = _tuned_sequence(cfg)
+    # the config checks come before the tuner, which _tuned_sequence may run
     if cfg["state"]["zeta_abs"] > 0:
         raise ConfigError("trace-phase-space decodes coherent displacements; unset state.zeta_abs")
+    alpha_grid = _alpha_grid(cfg)
+    spec = _tuned_sequence(cfg)
     alpha = cfg["state"]["alpha_abs"]
-    tables = _resolve_tables(cfg, spec)
+    tables = _resolve_tables(cfg, spec, alpha_grid)
     ref = characterize_reference_fringe(spec)
     anchor = ref.phase
 

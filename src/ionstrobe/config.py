@@ -107,9 +107,9 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "rotation_rad": Key(0.840, ANY),
         "phase_origin_rad": Key(0.0, ANY),
         "contrast": Key(0.76, "[-1, 1]"),
-        "extent_nm": Key(200.0, ANY),
-        "nx": Key(26, "[0, inf)"),
-        "nz": Key(26, "[0, inf)"),
+        "extent_nm": Key(200.0, "(0, inf)"),
+        "nx": Key(26, "[1, inf)"),
+        "nz": Key(26, "[1, inf)"),
         "bootstrap": Key(32, "[4, inf)"),
     },
     "decode": {

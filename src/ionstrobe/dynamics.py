@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TruncationError
+from .errors import TruncationError
 from .hilbert import (
     DriveParams,
     HilbertSpec,
@@ -35,7 +35,6 @@ from .hilbert import (
     SpinMotionState,
     check_truncation,
     coupling_operator,
-    expect_n,
     quadrature_gauge,
 )
 
@@ -67,15 +66,6 @@ class PulseTrainSpec:
 
 
 @dataclass(frozen=True)
-class BackActionResult:
-    """Mean motional quanta before and after an operation."""
-
-    n_initial: float
-    n_final: float
-    delta_n: float
-
-
-@dataclass(frozen=True)
 class DephasingSpec:
     """Classical contrast envelope standing in for spin dephasing."""
 
@@ -93,8 +83,6 @@ def free_evolve(state: SpinMotionState, mode: ModeParams, t: float) -> SpinMotio
     """Free motional evolution: Fock amplitude n picks up exp(-i n w_m t)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t == 0:
-        return state.copy()
     n = state.fock_dim
     phases = np.exp(-1j * mode.freq * t * np.arange(n))
     amps = state.amplitudes * np.tile(phases, 2)
@@ -162,13 +150,8 @@ def flash_evolve(
         raise ValueError("dt must be > 0")
     n = state.fock_dim
     u0 = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, dt)
-    phi = drive.phase
-    if phi == 0.0:
-        amps = u0 @ state.amplitudes
-    else:
-        v = _drive_frame(n, phi)
-        amps = v * (u0 @ (np.conj(v) * state.amplitudes))
-    out = SpinMotionState(amps, n)
+    v = _drive_frame(n, drive.phase)
+    out = SpinMotionState(v * (u0 @ (np.conj(v) * state.amplitudes)), n)
     if hilbert is not None:
         report = check_truncation(out, hilbert)
         if not report.passed:
@@ -208,8 +191,7 @@ def run_pulse_train(
     for k in range(train.n_flashes):
         drive_k = replace(train.drive, phase=train.drive.phase + k * train.phase_step)
         out = flash_evolve(out, drive_k, mode, train.flash_dur, hilbert)
-        if gap > 0:
-            out = free_evolve(out, mode, gap)
+        out = free_evolve(out, mode, gap)
     return out
 
 
@@ -266,8 +248,7 @@ def run_pulse_train_block(
                 f"(tol {hilbert.tail_tol:g}); increase fock_dim",
                 index=worst,
             )
-        if gap > 0:
-            block *= gap_phases
+        block *= gap_phases
     down, up = block[:, :n_states], block[:, n_states:]
     norm0 = np.sum(np.abs(block) ** 2, axis=0)
     norm1 = np.sum(np.conj(down) * up, axis=0)
@@ -275,15 +256,6 @@ def run_pulse_train_block(
     if np.max(deviation) > 2e-10:
         raise ValueError(f"train output norm deviates from 1 by up to {np.max(deviation):.3e}")
     return down, up, max_tail
-
-
-def back_action(initial: SpinMotionState, final: SpinMotionState) -> BackActionResult:
-    """Change in mean motional quanta between two states."""
-    if initial.fock_dim != final.fock_dim:
-        raise DimensionMismatchError("states live in different Fock spaces")
-    n_i = expect_n(initial)
-    n_f = expect_n(final)
-    return BackActionResult(n_initial=n_i, n_final=n_f, delta_n=n_f - n_i)
 
 
 def apply_dephasing(contrast: float, spec: DephasingSpec, elapsed: float) -> float:

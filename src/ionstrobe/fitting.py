@@ -173,30 +173,20 @@ def _pattern_arrays(points):
 def _phase_filler(x, z, thetas):
     """Return fill(k, out), which writes exp(i k (x sin th + z cos th)) into out[th, point].
 
-    When the coordinates repeat, as on a scan grid, exp(i k x sin th) and
-    exp(i k z cos th) are tabulated over the distinct x and z and multiplied
-    per point; otherwise each point gets its own cos and sin. Either way a
-    call costs at most one cos and sin per point and rotation.
+    exp(i k x sin th) and exp(i k z cos th) are tabulated over the distinct
+    x and z and multiplied per point. On a scan grid, where the coordinates
+    repeat, a call costs far fewer exponentials than points; for scattered
+    points it costs two per point and rotation.
     """
     sin_t, cos_t = np.sin(thetas), np.cos(thetas)
     ux, ix = np.unique(x, return_inverse=True)
     uz, iz = np.unique(z, return_inverse=True)
-    if ux.size + uz.size < x.size:
-        factor = np.empty((thetas.size, x.size), dtype=complex)
+    factor = np.empty((thetas.size, x.size), dtype=complex)
 
-        def fill(k, out):
-            np.take(np.exp(1j * np.outer(k * sin_t, ux)), ix, axis=1, out=out)
-            np.take(np.exp(1j * np.outer(k * cos_t, uz)), iz, axis=1, out=factor)
-            np.multiply(out, factor, out=out)
-    else:
-        u = np.empty((thetas.size, x.size))
-
-        def fill(k, out):
-            np.multiply.outer(k * sin_t, x, out=u)
-            np.multiply.outer(k * cos_t, z, out=out.real)  # out.real as scratch
-            np.add(u, out.real, out=u)
-            np.cos(u, out=out.real)
-            np.sin(u, out=out.imag)
+    def fill(k, out):
+        np.take(np.exp(1j * np.outer(k * sin_t, ux)), ix, axis=1, out=out)
+        np.take(np.exp(1j * np.outer(k * cos_t, uz)), iz, axis=1, out=factor)
+        np.multiply(out, factor, out=out)
 
     return fill
 

@@ -43,10 +43,6 @@ class HilbertSpec:
             raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
 
     @property
-    def dim(self) -> int:
-        return 2 * self.fock_dim
-
-    @property
     def tail_levels(self) -> int:
         """Number of top Fock levels (5% of the space) watched for leakage."""
         return max(1, math.ceil(0.05 * self.fock_dim))
@@ -71,9 +67,6 @@ class SpinMotionState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "SpinMotionState":
-        return SpinMotionState(self.amplitudes.copy(), self.fock_dim)
 
     def spin_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """(down, up) Fock-amplitude blocks, views into the state vector."""
@@ -289,34 +282,23 @@ def make_initial_state(spin: str, fock_index: int, spec: HilbertSpec) -> SpinMot
         raise ValueError(f"spin must be '{SPIN_DOWN}' or '{SPIN_UP}'")
     if not 0 <= fock_index < spec.fock_dim:
         raise ValueError(f"fock_index {fock_index} out of range [0, {spec.fock_dim})")
-    amps = np.zeros(spec.dim, dtype=complex)
+    amps = np.zeros(2 * spec.fock_dim, dtype=complex)
     offset = 0 if spin == SPIN_DOWN else spec.fock_dim
     amps[offset + fock_index] = 1.0
     return SpinMotionState(amps, spec.fock_dim)
-
-
-def thermal_sample(n_th: float, rng_seed) -> int:
-    """One draw of the geometric thermal law p(n) = n_th^n / (1 + n_th)^(n+1)."""
-    if n_th < 0:
-        raise ValueError("n_th must be >= 0")
-    if n_th == 0:
-        return 0
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    # Geometric with success probability 1/(1+n_th); numpy counts trials, we count failures.
-    return int(rng.geometric(1.0 / (1.0 + n_th)) - 1)
 
 
 def thermal_ensemble(n_th: float, samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo thermal ensemble deduplicated into (levels, weights).
 
     Weights are draw counts / samples, so observable averages over the
-    ensemble reproduce the sampled thermal mixture exactly.
+    ensemble reproduce the sampled thermal mixture exactly. At n_th = 0
+    every draw is level 0, so the ensemble is level 0 with weight 1.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    if n_th == 0:
-        return np.array([0]), np.array([1.0])
+    # numpy's geometric law counts trials; the thermal law counts failures
     draws = rng.geometric(1.0 / (1.0 + n_th), size=samples) - 1
     levels, counts = np.unique(draws, return_counts=True)
     return levels, counts / float(samples)
@@ -337,21 +319,6 @@ def thermal_ground_states(
             f"fock_dim={spec.fock_dim}; increase fock_dim"
         )
     return levels, weights, [make_initial_state(SPIN_DOWN, int(n), spec) for n in levels]
-
-
-def expect(observable: np.ndarray, state: SpinMotionState):
-    """<psi| O |psi>; real for Hermitian observables (imaginary part asserted small)."""
-    obs = np.asarray(observable)
-    if obs.shape != (state.amplitudes.size, state.amplitudes.size):
-        raise DimensionMismatchError(
-            f"observable shape {obs.shape} does not match state dimension {state.amplitudes.size}"
-        )
-    val = complex(np.vdot(state.amplitudes, obs @ state.amplitudes))
-    if np.allclose(obs, obs.conj().T, atol=1e-12):
-        if abs(val.imag) >= 1e-10:
-            raise AssertionError(f"Hermitian expectation has imaginary part {val.imag:.3e}")
-        return val.real
-    return val
 
 
 def expect_sigma_z(state: SpinMotionState) -> float:

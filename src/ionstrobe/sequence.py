@@ -216,21 +216,23 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
     pre_delay = spec.pre_delay()
     pre_train, n_initial = [], []
     for kick in distinct:
-        for st in ground:
-            st = _apply_excitation(st, kick)
-            n_initial.append(expect_n(st))
-            if pre_delay > 0:
+        try:
+            for st in ground:
+                st = _apply_excitation(st, kick)
+                n_initial.append(expect_n(st))
                 st = free_evolve(st, spec.mode, pre_delay)
-            st = mw_rotation(st, math.pi / 2.0, SYNC_PHASE)
-            rep = check_truncation(st, spec.hilbert)
-            if not rep.passed:
-                raise TruncationError(
-                    f"excitation leaves {rep.tail_population:.3e} in the top "
-                    f"{rep.tail_levels} Fock levels (tol {rep.tail_tol:g}); "
-                    "increase fock_dim",
-                    index=kicks.index(kick),
-                )
-            pre_train.append(st)
+                st = mw_rotation(st, math.pi / 2.0, SYNC_PHASE)
+                rep = check_truncation(st, spec.hilbert)
+                if not rep.passed:
+                    raise TruncationError(
+                        f"excitation leaves {rep.tail_population:.3e} in the top "
+                        f"{rep.tail_levels} Fock levels (tol {rep.tail_tol:g}); "
+                        "increase fock_dim"
+                    )
+                pre_train.append(st)
+        except TruncationError as exc:  # from the kick's operator or the check
+            exc.index = kicks.index(kick)
+            raise
     train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=0.0))
     try:
         down, up, max_tail = run_pulse_train_block(pre_train, train, spec.mode, spec.hilbert)
@@ -368,19 +370,19 @@ def run_scan(
     return sample_scan(scan, scan_fringes(scan, spec), drift_phases)
 
 
-def static_pattern_probe(x, z, pattern: PatternField, contrast: float | None = None):
+def static_pattern_probe(x, z, pattern: PatternField):
     """P_down when the ion sits at (x, z) in the standing phase pattern.
 
     Used with a fixed analysis phase; the fringe runs along the effective
-    wave vector at `pattern.rotation` from the z axis.
+    wave vector at `pattern.rotation` from the z axis, with contrast
+    `pattern.amplitude`.
     """
-    c = pattern.amplitude if contrast is None else contrast
     u = (
         2.0
         * math.pi
         * (np.asarray(x) * math.sin(pattern.rotation) + np.asarray(z) * math.cos(pattern.rotation))
         / pattern.wavelength
     )
-    out = 0.5 + 0.5 * c * np.cos(u + pattern.phase_origin)
+    out = 0.5 + 0.5 * pattern.amplitude * np.cos(u + pattern.phase_origin)
     return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 

@@ -219,10 +219,9 @@ def test_criterion_08_phase_space_round_trip(tuned_headline_large, headline_deco
     amp_p = 2.0 * headline_units.p_zpf * 6.5
     max_dx = max_dp = 0.0
     for theta0, fit, phase in zip(thetas, fits, phases):
-        x, _ = tables.decode_position(phase)
-        p, _ = tables.decode_momentum(min(fit.contrast, float(tables.contrast[0])))
-        max_dx = max(max_dx, abs(x - amp_x * math.cos(theta0)))
-        max_dp = max(max_dp, abs(p - amp_p * abs(math.sin(theta0))))
+        point = tables.decode(phase, min(fit.contrast, float(tables.contrast[0])))
+        max_dx = max(max_dx, abs(point.x - amp_x * math.cos(theta0)))
+        max_dp = max(max_dp, abs(point.p_mag - amp_p * abs(math.sin(theta0))))
     trace_ok = max_dx <= 0.05 * amp_x and max_dp <= 0.10 * amp_p
 
     floor_spec = replace(spec, hilbert=HilbertSpec(fock_dim=48))

@@ -240,6 +240,13 @@ def small_tables(tuned_spec):
 
 
 class TestDecodeTables:
+    def test_truncation_names_amplitude(self):
+        # D(3) needs 56 levels: the error names the table amplitude that failed
+        spec = alpha_zero_spec(fock_dim=40, n_th=0.0)
+        with pytest.raises(TruncationError, match=r"decode amplitude \|alpha\|=3: ") as info:
+            build_decode_tables(spec, UNITS, [0.0, 1.0, 2.0, 3.0])
+        assert info.value.index == 9  # (alpha 3, theta0 0) is the tenth excitation
+
     def test_alpha_zero_anchor(self, small_tables):
         tables, _ = small_tables
         mid = len(tables.pos_x) // 2
@@ -269,10 +276,11 @@ class TestDecodeTables:
                 probe = replace(spec, excitation=CoherentAmp(alpha, theta0))
                 fit = fit_cosine([(p, run_sequence(probe, p)[0], 0.0) for p in phis])
                 rel = math.remainder(fit.phase - anchor, 2 * math.pi)
-                x, clamped = tables.decode_position(rel)
+                # the alpha = 0 contrast is in the momentum table's domain
+                point = tables.decode(rel, float(tables.contrast[0]))
                 planted = sign * 2.0 * UNITS.x_zpf * alpha
-                assert not clamped
-                assert abs(x - planted) < 0.03 * abs(planted)
+                assert not point.x_clamped
+                assert abs(point.x - planted) < 0.03 * abs(planted)
 
     def test_decode_observables_at_alpha_zero(self, small_tables):
         tables, spec = small_tables
@@ -286,15 +294,29 @@ class TestDecodeTables:
 
     def test_out_of_domain_rejected(self, small_tables):
         tables, _ = small_tables
-        with pytest.raises(DecodeError):
-            tables.decode_position(tables.pos_phi0[-1] * 1.5)
+        with pytest.raises(DecodeError, match="phase"):
+            tables.decode(tables.pos_phi0[-1] * 1.5, float(tables.contrast[0]))
 
     def test_clamp_just_outside_domain(self, small_tables):
         tables, _ = small_tables
         value = tables.pos_phi0[-1] * 1.02
-        x, clamped = tables.decode_position(value)
-        assert clamped
-        assert x == pytest.approx(tables.pos_x[-1])
+        point = tables.decode(value, float(tables.contrast[0]))
+        assert point.x_clamped and not point.p_clamped
+        assert point.x == pytest.approx(tables.pos_x[-1])
+
+    def test_contrast_clamp_and_margin(self, small_tables):
+        # the momentum lookup has the same 10% margin and its own clamp flag
+        tables, _ = small_tables
+        lo, hi = float(tables.contrast[-1]), float(tables.contrast[0])
+        point = tables.decode(0.0, hi + 0.05 * (hi - lo))
+        assert point.p_clamped and not point.x_clamped
+        assert point.p_mag == tables.decode(0.0, hi).p_mag
+        assert tables.decode(0.0, lo).p_mag == pytest.approx(tables.p[-1])
+        with pytest.raises(DecodeError, match="contrast"):
+            tables.decode(0.0, hi + 0.2 * (hi - lo))
+        unchecked = tables.decode(tables.pos_phi0[-1] * 1.5, hi + 0.2 * (hi - lo), strict=False)
+        assert unchecked.x_clamped and unchecked.p_clamped
+        assert unchecked.x == pytest.approx(tables.pos_x[-1])
 
     def test_non_monotone_table_reports_interval(self):
         with pytest.raises(DecodeError, match="monotone"):

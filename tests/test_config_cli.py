@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ionstrobe
+import ionstrobe.cli as cli_module
+import ionstrobe.config as config_module
 from ionstrobe.calibrate import DecodeTables
 from ionstrobe.cli import _decode_config_subset, main
 from ionstrobe.config import (
@@ -184,6 +186,10 @@ BAD_INPUTS = [
     ("pattern-scan", "pattern: {wavelength_nm: 0}", [], "pattern.wavelength_nm"),
     ("stability", "stability: {windows_s: [0.1]}", [], "stability.windows_s"),
     ("stability", "", ["--seed", "-3"], "detection.base_seed"),
+    ("pattern-scan", "pattern: {extent_nm: 0}", [], "pattern.extent_nm"),
+    ("pattern-scan", "pattern: {extent_nm: -200}", [], "pattern.extent_nm"),
+    ("pattern-scan", "pattern: {nx: 0}", [], "pattern.nx"),
+    ("pattern-scan", "pattern: {nz: 0}", [], "pattern.nz"),
 ]
 
 
@@ -240,6 +246,15 @@ class TestCliRamseyScan:
         cfg = write_cfg(tmp_path, bad)
         assert main(["ramsey-scan", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 3
 
+    def test_truncation_names_failing_outer_value(self, tmp_path, capsys):
+        # only |alpha| = 6.5 needs more than 100 levels; the error names it, not outer 0
+        cfg = write_cfg(tmp_path, FAST_SCAN.replace("fock_dim: 48", "fock_dim: 100")
+                        .replace("outer_var: theta0", "outer_var: alpha_abs")
+                        .replace("[0.0, 1.5707963]", "[0.0, 2.0, 6.5]"))
+        assert main(["ramsey-scan", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 3
+        err = capsys.readouterr().err
+        assert "at scan point (outer=6.5): fock_dim=100 too small for |alpha|=6.5" in err
+
     @pytest.mark.parametrize("rabi_scale", ["auto", "0.2795"])
     def test_thermal_draw_past_fock_space(self, tmp_path, capsys, rabi_scale):
         # n_th = 50 draws levels far above 32; the tuner ("auto") or the scan reports it
@@ -273,6 +288,17 @@ class TestCliPatternScan:
         summary = {line.split(":")[0]: float(line.split(":")[1]) for line in meta["summary"]}
         assert summary["fit_wavelength_nm"] == pytest.approx(138.0, abs=3.0)
         assert summary["fit_rotation_rad"] == pytest.approx(0.840, abs=0.05)
+
+    def test_too_few_points_named_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # 5 x 5 = 25 points cannot feed the 30-point pattern fit
+        probes = []
+        monkeypatch.setattr(cli_module, "static_pattern_probe", lambda *a: probes.append(a))
+        cfg = write_cfg(tmp_path, "pattern: {nx: 5, nz: 5}\n")
+        out = tmp_path / "pat.txt"
+        assert main(["pattern-scan", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "pattern.nx" in err and "pattern.nz" in err
+        assert probes == [] and not out.exists()
 
     def test_extent_insufficient_exit_code(self, tmp_path):
         cfg = write_cfg(
@@ -467,6 +493,29 @@ class TestCliBuildAndTrace:
         assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 2
         assert "decode.tables_path" in capsys.readouterr().err
         assert tables_path.read_text() == damaged
+
+
+@pytest.fixture
+def tuner_calls(monkeypatch):
+    """Records every call of the pi/2 tuner that rabi_scale: auto runs."""
+    calls = []
+    monkeypatch.setattr(config_module, "tune_pulse_train", lambda *a, **k: calls.append(a))
+    return calls
+
+
+@pytest.mark.parametrize("command, text, keys", [
+    ("build-tables", "decode: {alpha_max: 0.5, alpha_step: 0.4}", ["decode.alpha_max",
+                                                                  "decode.alpha_step"]),
+    ("trace-phase-space", "decode: {alpha_max: 0.5, alpha_step: 0.4}", ["decode.alpha_max",
+                                                                       "decode.alpha_step"]),
+    ("trace-phase-space", "state: {zeta_abs: 0.5}", ["state.zeta_abs"]),
+])
+def test_config_checked_before_tuning(tmp_path, capsys, tuner_calls, command, text, keys):
+    cfg = write_cfg(tmp_path, "train: {rabi_scale: auto}\n" + text + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.txt")]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys)
+    assert tuner_calls == []
 
 
 @pytest.mark.parametrize("command, text, calls", [

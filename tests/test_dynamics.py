@@ -23,12 +23,11 @@ from ionstrobe import (
     quadratures_si,
 )
 from ionstrobe.dynamics import (
-    BackActionResult,
+    _drive_frame,
     _flash_unitary,
     DephasingSpec,
     PulseTrainSpec,
     apply_dephasing,
-    back_action,
     flash_evolve,
     free_evolve,
     mw_rotation,
@@ -64,9 +63,11 @@ class TestFreeEvolution:
         assert x1 == pytest.approx(-x0, rel=1e-9)
 
     def test_zero_time_identity(self):
+        # t = 0 runs the general path: equal amplitudes, in a new state
         st = coherent_state(1.0, 0.0, 48)
         out = free_evolve(st, MODE, 0.0)
         np.testing.assert_array_equal(out.amplitudes, st.amplitudes)
+        assert out is not st and not np.shares_memory(out.amplitudes, st.amplitudes)
 
     def test_conserves_quanta(self):
         st = coherent_state(2.0, 1.0, 64)
@@ -75,6 +76,15 @@ class TestFreeEvolution:
 
 
 class TestFlashEvolution:
+    def test_zero_phase_is_the_cached_unitary(self):
+        # drive.phase = 0 runs the conjugated path, which must leave U(0) exact
+        st = coherent_state(1.5, 0.4, 48)
+        drive = DriveParams(rabi=2.0 * math.pi * 0.3e6, eta=0.4)
+        out = flash_evolve(st, drive, MODE, 1e-7)
+        np.testing.assert_array_equal(_drive_frame(48, 0.0), np.ones(96))
+        u0 = _flash_unitary(48, drive.eta, drive.rabi, MODE.freq, 1e-7)
+        np.testing.assert_array_equal(out.amplitudes, u0 @ st.amplitudes)
+
     def test_zero_rabi_equals_free(self):
         st = coherent_state(1.5, 0.4, 48)
         dt = 1e-7
@@ -218,11 +228,6 @@ class TestPulseTrain:
 
 
 class TestBackAction:
-    def test_identical_states(self):
-        st = coherent_state(1.0, 0.0, 48)
-        res = back_action(st, st)
-        assert res.delta_n == 0.0
-
     def test_eta_zero_exchanges_nothing(self):
         st = coherent_state(2.0, 0.7, 64)
         train = PulseTrainSpec(
@@ -232,11 +237,7 @@ class TestBackAction:
             drive=DriveParams(rabi=2.0 * math.pi * 0.3e6, eta=0.0),
         )
         out = run_pulse_train(st, train, MODE)
-        assert abs(back_action(st, out).delta_n) < 1e-9
-
-    def test_delta_definition(self):
-        res = BackActionResult(n_initial=1.0, n_final=3.5, delta_n=2.5)
-        assert res.delta_n == res.n_final - res.n_initial
+        assert abs(expect_n(out) - expect_n(st)) < 1e-9
 
 
 class TestDephasing:

@@ -288,6 +288,13 @@ class TestSequenceFringe:
         with pytest.raises(TruncationError, match=message):
             run_scan(scan, spec)
 
+    def test_excitation_truncation_sets_index(self):
+        # D(3) needs 56 levels: the failing excitation's position is the index
+        spec = make_spec(fock_dim=40)
+        with pytest.raises(TruncationError, match=r"\|alpha\|=3") as info:
+            sequence_fringes(spec, [CoherentAmp(0.5, 0.0), None, CoherentAmp(3.0, 0.0)])
+        assert info.value.index == 2
+
     def test_truncation_in_reference_is_named(self, monkeypatch):
         # a failing column past the outer grid is the interleaved reference's
         def failing(states, *args):
@@ -444,28 +451,28 @@ class TestRunScan:
 
 
 class TestPatternProbe:
-    FIELD = PatternField(wavelength=138e-9, rotation=0.840, phase_origin=0.2)
+    FIELD = PatternField(wavelength=138e-9, rotation=0.840, phase_origin=0.2, amplitude=0.8)
 
     def test_along_wavefront_constant(self):
         th = self.FIELD.rotation
         # direction orthogonal to the wave vector
         dx, dz = math.cos(th), -math.sin(th)
         vals = [
-            static_pattern_probe(s * dx, s * dz, self.FIELD, contrast=0.8)
+            static_pattern_probe(s * dx, s * dz, self.FIELD)
             for s in np.linspace(-100e-9, 100e-9, 7)
         ]
         assert np.ptp(vals) < 1e-12
 
     def test_full_period_along_z(self):
         lam, th = self.FIELD.wavelength, self.FIELD.rotation
-        start = static_pattern_probe(0.0, 0.0, self.FIELD, contrast=0.8)
-        end = static_pattern_probe(0.0, lam / math.cos(th), self.FIELD, contrast=0.8)
+        start = static_pattern_probe(0.0, 0.0, self.FIELD)
+        end = static_pattern_probe(0.0, lam / math.cos(th), self.FIELD)
         assert end == pytest.approx(start, abs=1e-12)
 
     def test_fringe_pattern_range(self):
         grid = np.linspace(-200e-9, 200e-9, 26)
         xs, zs = np.meshgrid(grid, grid)
-        p = static_pattern_probe(xs, zs, self.FIELD, contrast=0.76)
+        p = static_pattern_probe(xs, zs, replace(self.FIELD, amplitude=0.76))
         assert p.min() == pytest.approx(0.5 - 0.38, abs=0.01)
         assert p.max() == pytest.approx(0.5 + 0.38, abs=0.01)
 
