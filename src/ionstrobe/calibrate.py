@@ -410,7 +410,7 @@ def fit_scan(scan: ScanSpec, records: list[ScanRecord]) -> list[CosineFit]:
     """One fit_cosine per outer value of `scan` over its phi sweep in `records`,
     with the sems floored at 1/(2 shots) under shot detection."""
     n_phi = len(scan.phi_grid)
-    sem_floor = 1.0 / (2.0 * scan.shots) if scan.detection_mode == "shots" else None
+    sem_floor = None if scan.shots is None else 1.0 / (2.0 * scan.shots)
     return [
         fit_cosine([(r.phi, r.p_down_mean, r.p_down_sem) for r in records[k : k + n_phi]],
                    sem_floor=sem_floor)
@@ -440,8 +440,7 @@ def noise_floor_estimate(
         raise CalibrationError(f"need at least 20 repeats, got {n_repeats}")
     if shots is not None and shots < 1:
         raise CalibrationError(f"shots must be >= 1 or None, got {shots}")
-    scan = ScanSpec(phi_grid=tuple(phi_grid), outer_var="alpha_abs", shots=shots or 1,
-                    detection_mode="analytic" if shots is None else "shots",
+    scan = ScanSpec(phi_grid=tuple(phi_grid), outer_var="alpha_abs", shots=shots,
                     interleave_reference=True)
     fringes = scan_fringes(scan, replace(spec, excitation=CoherentAmp(0.0, 0.0)))
     anchor = fringes[-1].phase

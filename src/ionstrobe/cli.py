@@ -90,8 +90,8 @@ def _write_scan(path, title: str, records, cfg: dict) -> None:
 
 
 def cmd_ramsey_scan(cfg: dict, args) -> None:
+    scan = cfgmod.build_scan_spec(cfg)  # its config checks come before the tuner
     spec = _tuned_sequence(cfg)
-    scan = cfgmod.build_scan_spec(cfg)
     records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan))
     _write_scan(args.out, "stroboscopic Ramsey scan", records, cfg)
 
@@ -103,8 +103,8 @@ def cmd_squeeze_scan(cfg: dict, args) -> None:
     cfg["train"]["cycle_ns"] = 0.0
     if cfg["state"]["zeta_abs"] <= 0:
         raise ConfigError("squeeze-scan needs state.zeta_abs > 0")
-    spec = _tuned_sequence(cfg)
     scan = cfgmod.build_scan_spec(cfg)
+    spec = _tuned_sequence(cfg)
     fringes = scan_fringes(scan, spec)
     records = sample_scan(scan, fringes, _drift_for_scan(cfg, scan))
     _write_scan(args.out, "squeezed-state stroboscopic scan", records, cfg)
@@ -127,24 +127,14 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
         amplitude=pat["contrast"],
     )
     extent = pat["extent_nm"] * 1e-9
-    xs = np.linspace(-extent, extent, pat["nx"])
-    zs = np.linspace(-extent, extent, pat["nz"])
-    shots = cfg["detection"]["shots"]
-    seed0 = cfg["detection"]["base_seed"]
-    rows = []
-    points = []
-    idx = 0
-    for x in xs:
-        for z in zs:
-            p = static_pattern_probe(x, z, field)
-            if cfg["detection"]["mode"] == "shots":
-                mean, sem = sample_detection(p, shots, seed0 + idx)
-            else:
-                mean, sem = p, 0.0
-            rows.append((x * 1e9, z * 1e9, mean, sem))
-            points.append((x, z, mean, sem))
-            idx += 1
-    sem_floor = 1.0 / (2.0 * shots) if cfg["detection"]["mode"] == "shots" else None
+    # x-major points, each detected with seed base_seed + its index
+    xs, zs = (np.linspace(-extent, extent, pat[n]) for n in ("nx", "nz"))
+    x, z = (grid.ravel() for grid in np.meshgrid(xs, zs, indexing="ij"))
+    shots, seed0 = cfgmod.detection_shots(cfg), cfg["detection"]["base_seed"]
+    points = [(xi, zi, *sample_detection(p, shots, seed0 + idx))
+              for idx, (xi, zi, p) in enumerate(zip(x, z, static_pattern_probe(x, z, field)))]
+    rows = [(xi * 1e9, zi * 1e9, mean, sem) for xi, zi, mean, sem in points]
+    sem_floor = None if shots is None else 1.0 / (2.0 * shots)
     try:
         fit = fit_wave_pattern(points, sem_floor=sem_floor)
     except FitError as exc:
@@ -159,7 +149,7 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
         f"fit_phase_origin_rad: {fit.phase_origin:.6g}",
         f"fit_residual_rms: {fit.residual_rms:.6g}",
     ]
-    if cfg["detection"]["mode"] == "shots":
+    if shots is not None:
         unc = bootstrap_pattern_uncertainty(
             points, fit, n_boot=pat["bootstrap"], seed=seed0 + 1, sem_floor=sem_floor
         )
@@ -217,6 +207,16 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     # the config checks come before the tuner, which _tuned_sequence may run
     if cfg["state"]["zeta_abs"] > 0:
         raise ConfigError("trace-phase-space decodes coherent displacements; unset state.zeta_abs")
+    if cfg["scan"]["outer_var"] not in ("none", "theta0"):
+        raise ConfigError("trace-phase-space scans theta0: scan.outer_var must be theta0 or none")
+    scan = replace(cfgmod.build_scan_spec(cfg), outer_var="theta0")
+    # every theta0 row is a fringe fit, so the phase grid must meet fit_cosine's conditions
+    span = max(scan.phi_grid) - min(scan.phi_grid)
+    if len(scan.phi_grid) < 5:
+        raise ConfigError(f"scan.phi_num is {len(scan.phi_grid)}; the fringe fits need at least 5")
+    if span < math.pi:
+        raise ConfigError(f"scan.phi_start_rad and scan.phi_stop_rad give a phase span of "
+                          f"{span:.3f} rad; the fringe fits need at least pi")
     alpha_grid = _alpha_grid(cfg)
     spec = _tuned_sequence(cfg)
     alpha = cfg["state"]["alpha_abs"]
@@ -224,15 +224,12 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     ref = characterize_reference_fringe(spec)
     anchor = ref.phase
 
-    theta_grid = tuple(float(v) for v in cfg["scan"]["outer_values"])
-    base_scan = cfgmod.build_scan_spec(cfg)
-    scan = replace(base_scan, outer_grid=theta_grid, outer_var="theta0")
     # the reference scan differs only in its seeds, so it sees the same drift
     drift = _drift_for_scan(cfg, scan)
     records = run_scan(scan, replace(spec, excitation=CoherentAmp(alpha, 0.0)), drift)
     ref_scan = replace(scan, base_seed=scan.base_seed + (1 << 22))
     # every reference row, and its interleaved reference, is the anchor's alpha = 0 fringe
-    ref_records = sample_scan(ref_scan, [ref] * len(theta_grid), drift)
+    ref_records = sample_scan(ref_scan, [ref] * len(scan.outer_grid), drift)
 
     sweep, refs = fit_scan(scan, records), fit_scan(ref_scan, ref_records)
     row_sets = (
@@ -242,7 +239,7 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     rows = []
     # decode-domain violations are flagged per row, never fatal for a trace
     for row_alpha, fits, phases in row_sets:
-        for theta0, fit, phase in zip(theta_grid, fits, phases):
+        for theta0, fit, phase in zip(scan.outer_grid, fits, phases):
             point = tables.decode(phase, fit.contrast, strict=False)
             rows.append((theta0, row_alpha, phase, fit.contrast, point.x * 1e9,
                          point.p_mag / 1e-27, float(point.x_clamped or point.p_clamped)))

@@ -292,6 +292,11 @@ def build_sequence_spec(cfg: dict) -> SequenceSpec:
     )
 
 
+def detection_shots(cfg: dict) -> int | None:
+    """detection.shots under shot detection; None, analytic detection, otherwise."""
+    return cfg["detection"]["shots"] if cfg["detection"]["mode"] == "shots" else None
+
+
 def build_scan_spec(cfg: dict) -> ScanSpec:
     scan = cfg["scan"]
     outer, squeezed = scan["outer_var"], cfg["state"]["zeta_abs"] > 0
@@ -304,8 +309,7 @@ def build_scan_spec(cfg: dict) -> ScanSpec:
         phi_grid=tuple(phi_grid),
         outer_grid=tuple(float(v) for v in scan["outer_values"]),
         outer_var=scan["outer_var"],
-        detection_mode=cfg["detection"]["mode"],
-        shots=cfg["detection"]["shots"],
+        shots=detection_shots(cfg),
         base_seed=cfg["detection"]["base_seed"],
         interleave_reference=scan["interleave_reference"],
     )

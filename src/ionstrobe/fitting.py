@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
+from .sequence import PatternField, static_pattern_probe
 
 GN_STEP_TOL = 1e-10
 GN_MAX_ITER = 100
@@ -33,37 +34,18 @@ class CosineFit:
     covariance: np.ndarray
     phase_identifiable: bool = True
 
-    @property
-    def offset_err(self) -> float:
-        return float(np.sqrt(self.covariance[0, 0]))
-
-    @property
-    def contrast_err(self) -> float:
-        return float(np.sqrt(self.covariance[1, 1]))
-
-    @property
-    def phase_err(self) -> float:
-        return float(np.sqrt(self.covariance[2, 2]))
-
     def model(self, phi):
         return self.offset + 0.5 * self.contrast * np.cos(np.asarray(phi) - self.phase)
 
 
-@dataclass
-class PatternFit:
-    """Planar wave fit p = 1/2 + (A/2) cos(2 pi (x sin th + z cos th)/lam + phase)."""
+@dataclass(frozen=True, kw_only=True)
+class PatternFit(PatternField):
+    """The fitted pattern p = 1/2 + (A/2) cos(2 pi (x sin th + z cos th)/lam + phase)."""
 
-    amplitude: float
-    wavelength: float
-    phase_origin: float
-    rotation: float
     residual_rms: float
 
     def model(self, x, z):
-        u = 2.0 * math.pi * (
-            np.asarray(x) * math.sin(self.rotation) + np.asarray(z) * math.cos(self.rotation)
-        ) / self.wavelength
-        return 0.5 + 0.5 * self.amplitude * np.cos(u + self.phase_origin)
+        return static_pattern_probe(x, z, self)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -156,11 +138,6 @@ def fit_cosine(samples, sem_floor: float | None = None) -> CosineFit:
     )
 
 
-def _pattern_design(x, z, wavelength, rotation):
-    u = 2.0 * math.pi * (x * math.sin(rotation) + z * math.cos(rotation)) / wavelength
-    return u, np.cos(u), np.sin(u)
-
-
 def _pattern_arrays(points):
     arr = np.asarray([tuple(s) for s in points], dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
@@ -247,7 +224,8 @@ def _refine_pattern(x, z, p, w, seed) -> PatternFit:
 
     def model_resid(q):
         bb, cc, ll, tt = q
-        u, cos_u, sin_u = _pattern_design(x, z, ll, tt)
+        u = 2.0 * math.pi * (x * math.sin(tt) + z * math.cos(tt)) / ll
+        cos_u, sin_u = np.cos(u), np.sin(u)
         r = (0.5 + bb * cos_u + cc * sin_u) - p
         du_dl = -u / ll
         du_dt = 2.0 * math.pi * (x * math.cos(tt) - z * math.sin(tt)) / ll
@@ -303,10 +281,10 @@ def _refine_pattern(x, z, p, w, seed) -> PatternFit:
     amp = 2.0 * math.hypot(b, c)
     phase = math.atan2(-c, b) if amp > 0 else 0.0
     return PatternFit(
-        amplitude=float(amp),
         wavelength=float(lam),
-        phase_origin=_wrap_phase(phase),
         rotation=float(th),
+        phase_origin=_wrap_phase(phase),
+        amplitude=float(amp),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
     )
 

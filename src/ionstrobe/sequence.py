@@ -79,13 +79,12 @@ class SequenceSpec:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Grid, detection, and referencing layout of one scan."""
+    """Grid, detection (shots=None: analytic), and referencing layout of one scan."""
 
     phi_grid: tuple
     outer_grid: tuple = (0.0,)
     outer_var: str = "none"
-    detection_mode: str = "analytic"
-    shots: int = 250
+    shots: int | None = None
     base_seed: int = 0
     interleave_reference: bool = False
 
@@ -94,12 +93,10 @@ class ScanSpec:
         object.__setattr__(self, "outer_grid", tuple(float(v) for v in self.outer_grid))
         if not self.phi_grid or not self.outer_grid:
             raise ConfigError("scan grids must be non-empty")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
+        if self.shots is not None and self.shots < 1:
+            raise ConfigError("shots must be >= 1, or None for analytic detection")
         if self.outer_var not in ("none", "theta0", "zeta0", "alpha_abs"):
             raise ConfigError(f"unknown outer_var '{self.outer_var}'")
-        if self.detection_mode not in ("analytic", "shots"):
-            raise ConfigError(f"unknown detection mode '{self.detection_mode}'")
 
     @property
     def n_realizations(self) -> int:
@@ -264,10 +261,15 @@ def run_sequence(spec: SequenceSpec, phi: float) -> tuple[float, float]:
     return sequence_fringes(spec, [spec.excitation])[0].evaluate(phi)
 
 
-def sample_detection(p_down: float, shots: int, seed) -> tuple[float, float]:
-    """Bernoulli projection of `shots` detections; deterministic per seed."""
+def sample_detection(p_down: float, shots: int | None, seed) -> tuple[float, float]:
+    """Bernoulli projection of `shots` detections; deterministic per seed.
+
+    shots=None is analytic detection, the exact limit: (p_down, 0.0).
+    """
     if not 0.0 <= p_down <= 1.0:
         raise ValueError("p_down must lie in [0, 1]")
+    if shots is None:
+        return p_down, 0.0
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
@@ -304,13 +306,16 @@ def _invert_reference(p_meas: float, fringe: SequenceFringe) -> float:
 def scan_fringes(scan: ScanSpec, spec: SequenceSpec) -> list[SequenceFringe]:
     """The fringe of every outer value of `scan`, then, with
     interleave_reference, the alpha = 0 reference's, from one
-    sequence_fringes call. An error names the outer value or the reference.
+    sequence_fringes call. An error with an index names the outer value or
+    the reference; one without, such as the thermal draw's, concerns no point.
     """
+    kicks = [_outer_excitation(spec.excitation, scan.outer_var, v) for v in scan.outer_grid]
     try:
-        kicks = [_outer_excitation(spec.excitation, scan.outer_var, v) for v in scan.outer_grid]
         return sequence_fringes(spec, kicks + [None] * scan.interleave_reference)
     except IonstrobeError as exc:
-        index = getattr(exc, "index", None) or 0
+        index = getattr(exc, "index", None)
+        if index is None:
+            raise
         if index < len(scan.outer_grid):
             where = f"at scan point (outer={scan.outer_grid[index]:g})"
         else:
@@ -344,20 +349,15 @@ def sample_scan(
             if scan.interleave_reference:
                 ref_real, meas_real = 2 * idx, 2 * idx + 1
                 p_ref = ref.evaluate(phi_ref + drift[ref_real])[0]
-                if scan.detection_mode == "shots":
-                    p_ref, _ = sample_detection(
-                        p_ref, scan.shots, scan.base_seed + idx + REFERENCE_SEED_OFFSET
-                    )
+                p_ref, _ = sample_detection(p_ref, scan.shots,
+                                            scan.base_seed + idx + REFERENCE_SEED_OFFSET)
                 drift_hat = _invert_reference(p_ref, ref)
                 p, dn = fringe.evaluate(phi + drift[meas_real])
                 phi_out = phi + drift_hat
             else:
                 p, dn = fringe.evaluate(phi + drift[idx])
                 phi_out = phi
-            if scan.detection_mode == "shots":
-                mean, sem = sample_detection(p, scan.shots, scan.base_seed + idx)
-            else:
-                mean, sem = p, 0.0
+            mean, sem = sample_detection(p, scan.shots, scan.base_seed + idx)
             records.append(ScanRecord(phi=phi_out, outer=outer, p_down_mean=mean, p_down_sem=sem,
                                       sigma_z=1.0 - 2.0 * mean, delta_n=dn))
     return records
@@ -371,7 +371,8 @@ def run_scan(
 
 
 def static_pattern_probe(x, z, pattern: PatternField):
-    """P_down when the ion sits at (x, z) in the standing phase pattern.
+    """P_down when the ion sits at (x, z) in the standing phase pattern,
+    elementwise over array coordinates.
 
     Used with a fixed analysis phase; the fringe runs along the effective
     wave vector at `pattern.rotation` from the z axis, with contrast
@@ -383,6 +384,5 @@ def static_pattern_probe(x, z, pattern: PatternField):
         * (np.asarray(x) * math.sin(pattern.rotation) + np.asarray(z) * math.cos(pattern.rotation))
         / pattern.wavelength
     )
-    out = 0.5 + 0.5 * pattern.amplitude * np.cos(u + pattern.phase_origin)
-    return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+    return 0.5 + 0.5 * pattern.amplitude * np.cos(u + pattern.phase_origin)
 

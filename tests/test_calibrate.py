@@ -442,8 +442,7 @@ def reference_noise_floor(spec, tables, phi_grid, shots, n_repeats, seed, drift_
             phi_grid=tuple(phi_grid),
             outer_grid=(0.0,),
             outer_var="alpha_abs",
-            detection_mode="analytic" if shots is None else "shots",
-            shots=shots or 1,
+            shots=shots,
             base_seed=seed + (1 << 24) * r,
             interleave_reference=True,
         )

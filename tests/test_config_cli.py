@@ -265,6 +265,7 @@ class TestCliRamseyScan:
         assert main(["ramsey-scan", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 3
         err = capsys.readouterr().err
         assert "Fock level" in err and "n_th=50" in err and "fock_dim=32" in err
+        assert "at scan point" not in err  # the draw concerns no scan point
 
     def test_threads_identical_output(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_SCAN)
@@ -467,6 +468,15 @@ class TestCliBuildAndTrace:
         assert stored_hash == config_hash(_decode_config_subset(cfg))
         assert rows == _trace_rows(tmp_path, "")
 
+    def test_alpha_outer_var_rejected(self, tmp_path, capsys, block_calls):
+        # the trace's outer values are theta0; alpha_abs ones would be read as theta0
+        cfg = write_cfg(tmp_path, (SMALL_TRACE_CONFIG % "").replace("outer_var: theta0",
+                                                                    "outer_var: alpha_abs"))
+        out = tmp_path / "t.txt"
+        assert main(["trace-phase-space", "--config", cfg, "--out", str(out)]) == 2
+        assert "scan.outer_var" in capsys.readouterr().err
+        assert block_calls == [] and not out.exists()
+
     def test_foreign_table_file_names_key(self, tmp_path, capsys):
         tables_path = tmp_path / "tables.txt"
         tables_path.write_text("not a table\n")
@@ -509,6 +519,15 @@ def tuner_calls(monkeypatch):
     ("trace-phase-space", "decode: {alpha_max: 0.5, alpha_step: 0.4}", ["decode.alpha_max",
                                                                        "decode.alpha_step"]),
     ("trace-phase-space", "state: {zeta_abs: 0.5}", ["state.zeta_abs"]),
+    ("ramsey-scan", "state: {zeta_abs: 0.5}\nscan: {outer_var: theta0}",
+     ["scan.outer_var", "state.zeta_abs"]),
+    ("ramsey-scan", "scan: {outer_var: alpha_abs, outer_values: [-1.0]}",
+     ["scan.outer_values", "scan.outer_var"]),
+    ("squeeze-scan", "state: {zeta_abs: 0.5}\nscan: {outer_var: theta0}",
+     ["scan.outer_var", "state.zeta_abs"]),
+    ("trace-phase-space", "scan: {outer_var: zeta0}", ["scan.outer_var"]),
+    ("trace-phase-space", "scan: {phi_num: 4}", ["scan.phi_num"]),
+    ("trace-phase-space", "scan: {phi_stop_rad: 2.0}", ["scan.phi_start_rad", "scan.phi_stop_rad"]),
 ])
 def test_config_checked_before_tuning(tmp_path, capsys, tuner_calls, command, text, keys):
     cfg = write_cfg(tmp_path, "train: {rabi_scale: auto}\n" + text + "\n")

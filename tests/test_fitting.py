@@ -8,10 +8,12 @@ import pytest
 from ionstrobe import fitting
 from ionstrobe.errors import FitError
 from ionstrobe.fitting import (
+    PatternFit,
     bootstrap_pattern_uncertainty,
     fit_cosine,
     fit_wave_pattern,
 )
+from ionstrobe.sequence import PatternField, static_pattern_probe
 
 
 def fringe_samples(offset, contrast, phase, n=24, span=2 * math.pi, sem=0.0, start=0.0):
@@ -138,6 +140,13 @@ class TestPatternFit:
         # fringes independent of x: moving along x changes nothing
         sample = fit.model(np.array([0.0, 50e-9]), np.array([10e-9, 10e-9]))
         assert sample[0] == pytest.approx(sample[1], abs=1e-12)
+
+    def test_fit_is_the_probed_pattern(self):
+        pts = pattern_points(138e-9, 0.840, 0.76)
+        fit = fit_wave_pattern(pts)
+        assert isinstance(fit, PatternField) and isinstance(fit, PatternFit)
+        x, z = pts[:, 0], pts[:, 1]
+        assert np.array_equal(fit.model(x, z), static_pattern_probe(x, z, fit))
 
     def test_extent_insufficient(self):
         pts = pattern_points(138e-9, 0.840, 0.76, extent=25e-9)

@@ -34,7 +34,7 @@ from ionstrobe.dynamics import (
 )
 import ionstrobe.sequence as sequence_module
 from ionstrobe.calibrate import build_decode_tables
-from ionstrobe.errors import TruncationError
+from ionstrobe.errors import ConfigError, TruncationError
 from ionstrobe.fitting import fit_cosine
 from ionstrobe.sequence import (
     PatternField,
@@ -328,6 +328,17 @@ class TestSampleDetection:
         with pytest.raises(ValueError):
             sample_detection(1.2, 10, seed=0)
 
+    def test_analytic_detection_is_exact(self):
+        assert sample_detection(0.3125, None, seed=4) == (0.3125, 0.0)
+        for p in (-0.1, 1.2):
+            with pytest.raises(ValueError, match="p_down"):
+                sample_detection(p, None, seed=0)
+
+    def test_scan_spec_detects_analytically_by_default(self):
+        assert ScanSpec(phi_grid=[0.0]).shots is None
+        with pytest.raises(ConfigError, match="shots"):
+            ScanSpec(phi_grid=[0.0], shots=0)
+
 
 class TestRunScan:
     def test_record_count_and_order(self):
@@ -363,7 +374,7 @@ class TestRunScan:
 
     def test_sigma_z_convention_lock(self):
         spec = make_spec(fock_dim=32, excitation=CoherentAmp(1.5, 0.3))
-        scan = ScanSpec(phi_grid=[0.0, 2.0], outer_grid=[0.3], outer_var="theta0", detection_mode="shots", shots=100, base_seed=5)
+        scan = ScanSpec(phi_grid=[0.0, 2.0], outer_grid=[0.3], outer_var="theta0", shots=100, base_seed=5)
         for rec in run_scan(scan, spec):
             assert rec.sigma_z == pytest.approx(1.0 - 2.0 * rec.p_down_mean, abs=1e-14)
             assert 0.0 <= rec.p_down_mean <= 1.0
@@ -380,7 +391,6 @@ class TestRunScan:
             phi_grid=np.linspace(0, 2 * math.pi, 5),
             outer_grid=[0.0, 1.0],
             outer_var="theta0",
-            detection_mode="shots",
             shots=120,
             base_seed=77,
         )
@@ -430,8 +440,8 @@ class TestRunScan:
         # a decimated scan sampled from another scan's fringes is the scan run afresh
         spec = make_spec(fock_dim=40, excitation=CoherentAmp(0.8, 0.0))
         scan = ScanSpec(phi_grid=np.linspace(0, 2 * math.pi, 8, endpoint=False),
-                        outer_grid=[0.0, 1.0, 2.5], outer_var="theta0", detection_mode=detection,
-                        shots=300, base_seed=17, interleave_reference=True)
+                        outer_grid=[0.0, 1.0, 2.5], outer_var="theta0",
+                        shots=300 if detection == "shots" else None, base_seed=17, interleave_reference=True)
         ba_scan = replace(scan, phi_grid=scan.phi_grid[::2], base_seed=23)
         drift = np.random.default_rng(4).normal(0.0, 0.1, 2 * 3 * 4)
         fringes = scan_fringes(scan, spec)
@@ -476,6 +486,14 @@ class TestPatternProbe:
         assert p.min() == pytest.approx(0.5 - 0.38, abs=0.01)
         assert p.max() == pytest.approx(0.5 + 0.38, abs=0.01)
 
+    def test_grid_call_matches_scalar_calls(self):
+        # the pattern scan probes its 26 x 26 grid in one call, x-major
+        grid = np.linspace(-200e-9, 200e-9, 26)
+        xs, zs = np.meshgrid(grid, grid, indexing="ij")
+        field = PatternField(wavelength=138e-9, rotation=0.840, phase_origin=0.0, amplitude=0.76)
+        scalar = [static_pattern_probe(x, z, field) for x in grid for z in grid]
+        assert np.array_equal(static_pattern_probe(xs.ravel(), zs.ravel(), field), scalar)
+
 
 class TestInterleavedReference:
     def _scan(self, drift, detection="analytic", shots=250, n=20):
@@ -484,8 +502,7 @@ class TestInterleavedReference:
             phi_grid=np.linspace(0, 2 * math.pi, n, endpoint=False),
             outer_grid=[0.0],
             outer_var="theta0",
-            detection_mode=detection,
-            shots=shots,
+            shots=shots if detection == "shots" else None,
             base_seed=31,
             interleave_reference=True,
         )
