@@ -48,6 +48,7 @@ from .dynamics import (
     flash_evolve,
     free_evolve,
     mw_rotation,
+    propagate_block,
     run_pulse_train,
     run_pulse_train_block,
 )

@@ -94,6 +94,11 @@ def pchip(x: np.ndarray, y: np.ndarray):
     return interp
 
 
+# A decode key outside its table by at most this fraction of the table's
+# range, below the 12 printed digits, is rounding and is not flagged clamped.
+CLAMP_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class DecodedPoint:
     x: float
@@ -147,6 +152,8 @@ class DecodeTables:
         (and unwrapped if a sweep crossed +-pi). A phase or contrast slightly
         outside its table clamps to the edge and sets x_clamped or p_clamped;
         beyond 10% of the table's range this raises unless strict=False.
+        Within CLAMP_SLACK of the range it decodes at the edge unflagged: the
+        alpha = 0 fringe's refit lands there at rounding level.
         """
         values, clamped = [], []
         for interp, key, value, what in (
@@ -161,7 +168,8 @@ class DecodeTables:
                     f"[{lo:g}, {hi:g}] by more than 10% of its range"
                 )
             values.append(float(interp(min(max(value, lo), hi))))
-            clamped.append(not lo <= value <= hi)
+            slack = CLAMP_SLACK * (hi - lo)
+            clamped.append(not lo - slack <= value <= hi + slack)
         return DecodedPoint(*values, *clamped)
 
 

@@ -17,6 +17,22 @@ orthogonal and H'(0) = diag(G, G)^dag H(0) diag(G, G) is real symmetric:
 a real eigendecomposition of H'(0) gives U(0) = diag(G, G) exp(-i H'(0) dt)
 diag(G, G)^dag. Both diag(G, G) and V(phi) are diagonal, so they commute
 and the drive-phase conjugation is unchanged.
+
+A block of states goes through a train of F flashes at phase step delta
+in one of two ways with the same result. run_pulse_train_block applies
+flash k, V(k delta) U0 V(k delta)^dag, then the gap's diagonal phases Gap,
+one dense matmul per flash. The train operator does it in one: with
+M = Gap U0 V(delta)^dag, the train at drive phase 0 is
+T = V((F-1) delta) M^F V(delta), and a nonzero drive.phase conjugates it
+by V(drive.phase). M^F takes floor(log2 F) + popcount(F) - 1 matmuls
+(7 at F = 30). The watchdog's tail rows after flash j are P M^(j+1) V(delta)
+on the block, where P picks the top Fock rows: they differ from the
+flash-by-flash tail only by per-row phases, which cancel in the supremum
+over phi, so the same checks raise the same errors. The operator and its
+F 2k_tail stacked rows are cached for one train at a time.
+propagate_block, the sequence layer's entry point, takes the operator when
+its cost, counted as in _operator_pays with the build only when it is not
+cached, is at most half the flash-by-flash cost.
 """
 
 from __future__ import annotations
@@ -101,7 +117,8 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: floa
     every evaluation. It searches in a small Fock space (a 32-level unitary
     holds 64 KB) and leaves only its final check's configured-size unitary
     (3.4 MB at fock_dim 232) in the cache, where the scans and decode
-    tables that follow reuse it.
+    tables that follow reuse it, flash by flash or as the one factor the
+    train operator M^F is built from (see the module docstring).
     """
     g = quadrature_gauge(fock_dim)
     c = coupling_operator(eta, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5))
@@ -195,6 +212,63 @@ def run_pulse_train(
     return out
 
 
+def _spin_split(states: list[SpinMotionState], n: int) -> np.ndarray:
+    """The (2N, 2L) block of every state's spin-down part, then every spin-up part."""
+    n_states = len(states)
+    block = np.zeros((2 * n, 2 * n_states), dtype=complex)
+    for col, state in enumerate(states):
+        down, up = state.spin_blocks()
+        block[:n, col] = down
+        block[n:, n_states + col] = up
+    return block
+
+
+def _gap_phases(train: PulseTrainSpec, mode: ModeParams, n: int) -> np.ndarray:
+    """Diagonal of the free evolution between two flashes, Gap."""
+    gap = train.cycle_dur - train.flash_dur
+    return np.tile(np.exp(-1j * mode.freq * gap * np.arange(n)), 2)
+
+
+def _watch_tail(
+    tail: np.ndarray, k: int, train: PulseTrainSpec, hilbert: HilbertSpec, max_tail: np.ndarray
+) -> None:
+    """Truncation watchdog after flash k on the block's 2 k_tail top-Fock rows.
+
+    Raises the supremum over phi of every state's tail population into
+    max_tail, or raises a TruncationError naming the flash, the worst base
+    phase (also its `phase`) and, as `index`, the worst state. Per-row
+    phases of `tail` cancel in the supremum T0 + 2 |T1|.
+    """
+    n_states = tail.shape[1] // 2
+    t0 = np.sum(np.abs(tail) ** 2, axis=0)
+    t1 = np.sum(np.conj(tail[:, :n_states]) * tail[:, n_states:], axis=0)
+    sup = t0[:n_states] + t0[n_states:] + 2.0 * np.abs(t1)
+    np.maximum(max_tail, sup, out=max_tail)
+    worst = int(np.argmax(sup))
+    if sup[worst] >= hilbert.tail_tol:
+        phi_worst = (train.drive.phase - np.angle(t1[worst])) % (2.0 * math.pi)
+        error = TruncationError(
+            f"flash {k + 1} of {train.n_flashes} leaks up to {sup[worst]:.3e} into "
+            f"the top {hilbert.tail_levels} Fock levels at base phase {phi_worst:.4f} rad "
+            f"(tol {hilbert.tail_tol:g}); increase fock_dim",
+            index=worst,
+        )
+        error.phase = float(phi_worst)
+        raise error
+
+
+def _checked_split(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (down, up) halves of a propagated block, after checking every state's norm."""
+    n_states = block.shape[1] // 2
+    down, up = block[:, :n_states], block[:, n_states:]
+    norm0 = np.sum(np.abs(block) ** 2, axis=0)
+    norm1 = np.sum(np.conj(down) * up, axis=0)
+    deviation = np.abs(norm0[:n_states] + norm0[n_states:] - 1.0) + 2.0 * np.abs(norm1)
+    if np.max(deviation) > 2e-10:
+        raise ValueError(f"train output norm deviates from 1 by up to {np.max(deviation):.3e}")
+    return down, up
+
+
 def run_pulse_train_block(
     states: list[SpinMotionState],
     train: PulseTrainSpec,
@@ -213,20 +287,16 @@ def run_pulse_train_block(
     After every flash the watchdog checks, for every state, the supremum
     over phi of the top-Fock-tail population; the third return value holds
     each state's largest one, and a TruncationError's index the failing state.
+    The block goes through the train flash by flash, one dense matmul each;
+    propagate_block may take the cached train operator instead.
     """
     n = hilbert.fock_dim
-    n_states = len(states)
-    block = np.zeros((2 * n, 2 * n_states), dtype=complex)
-    for col, state in enumerate(states):
-        down, up = state.spin_blocks()
-        block[:n, col] = down
-        block[n:, n_states + col] = up
+    block = _spin_split(states, n)
     drive = train.drive
     u0 = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
-    gap = train.cycle_dur - train.flash_dur
-    gap_phases = np.tile(np.exp(-1j * mode.freq * gap * np.arange(n)), 2)[:, None]
+    gap_phases = _gap_phases(train, mode, n)[:, None]
     k_tail = hilbert.tail_levels
-    max_tail = np.zeros(n_states)
+    max_tail = np.zeros(len(states))
     spare = np.empty_like(block)  # two reused buffers bound the working set
     for k in range(train.n_flashes):
         v = _drive_frame(n, drive.phase + k * train.phase_step)[:, None]
@@ -235,27 +305,131 @@ def run_pulse_train_block(
         block, spare = spare, block
         block *= v
         tail = np.concatenate([block[n - k_tail : n], block[2 * n - k_tail :]])
-        t0 = np.sum(np.abs(tail) ** 2, axis=0)
-        t1 = np.sum(np.conj(tail[:, :n_states]) * tail[:, n_states:], axis=0)
-        sup = t0[:n_states] + t0[n_states:] + 2.0 * np.abs(t1)
-        np.maximum(max_tail, sup, out=max_tail)
-        worst = int(np.argmax(sup))
-        if sup[worst] >= hilbert.tail_tol:
-            phi_worst = (drive.phase - np.angle(t1[worst])) % (2.0 * math.pi)
-            raise TruncationError(
-                f"flash {k + 1} of {train.n_flashes} leaks up to {sup[worst]:.3e} into "
-                f"the top {k_tail} Fock levels at base phase {phi_worst:.4f} rad "
-                f"(tol {hilbert.tail_tol:g}); increase fock_dim",
-                index=worst,
-            )
+        _watch_tail(tail, k, train, hilbert, max_tail)
         block *= gap_phases
-    down, up = block[:, :n_states], block[:, n_states:]
-    norm0 = np.sum(np.abs(block) ** 2, axis=0)
-    norm1 = np.sum(np.conj(down) * up, axis=0)
-    deviation = np.abs(norm0[:n_states] + norm0[n_states:] - 1.0) + 2.0 * np.abs(norm1)
-    if np.max(deviation) > 2e-10:
-        raise ValueError(f"train output norm deviates from 1 by up to {np.max(deviation):.3e}")
-    return down, up, max_tail
+    return (*_checked_split(block), max_tail)
+
+
+# The one cached train operator: {key: (T, tail rows)}, see _train_operator.
+_operator_cache: dict = {}
+
+
+def _operator_key(train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec) -> tuple:
+    """Every field the train operator is built from; drive.phase is applied per call."""
+    drive = train.drive
+    return (hilbert.fock_dim, mode.freq, drive.rabi, drive.eta, train.n_flashes,
+            train.flash_dur, train.cycle_dur, train.phase_step)
+
+
+def _build_train_operator(
+    train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """T = V((F-1) delta) M^F V(delta) and the tail rows P M^(j+1) V(delta), j < F.
+
+    M = Gap U0 V(delta)^dag is never stored: a product X M is formed as
+    ((X Gap) U0) V(delta)^dag from the cached flash unitary, with the
+    diagonal factors applied in place. M^F is taken by left-to-right binary
+    powering, floor(log2 F) squarings and popcount(F) - 1 products by M, in
+    two buffers; the tail rows are a chain of thin products.
+    """
+    n = hilbert.fock_dim
+    drive = train.drive
+    u0 = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
+    gap_phases = _gap_phases(train, mode, n)
+    back = np.conj(_drive_frame(n, train.phase_step))
+    k_tail = hilbert.tail_levels
+    rows = np.empty((train.n_flashes, 2 * k_tail, 2 * n), dtype=complex)
+    previous = np.eye(2 * n)[np.r_[n - k_tail : n, 2 * n - k_tail : 2 * n]]  # P
+    for row in rows:
+        np.matmul(previous * gap_phases, u0, out=row)
+        row *= back
+        previous = row
+    power = np.multiply(gap_phases[:, None], u0)
+    power *= back
+    spare = np.empty_like(power)
+    for bit in bin(train.n_flashes)[3:]:
+        np.matmul(power, power, out=spare)
+        power, spare = spare, power
+        if bit == "1":
+            power *= gap_phases
+            np.matmul(power, u0, out=spare)
+            power, spare = spare, power
+            power *= back
+    power *= np.conj(back)
+    power *= _drive_frame(n, (train.n_flashes - 1) * train.phase_step)[:, None]
+    rows *= np.conj(back)
+    power.setflags(write=False)
+    rows.setflags(write=False)
+    return power, rows
+
+
+def _train_operator(
+    train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The train operator at drive phase 0 and its tail rows, cached for one train."""
+    key = _operator_key(train, mode, hilbert)
+    if key not in _operator_cache:
+        _operator_cache.clear()  # drop the old operator before building the new one
+        _operator_cache[key] = _build_train_operator(train, mode, hilbert)
+    return _operator_cache[key]
+
+
+def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached: bool) -> bool:
+    """Whether the train operator at most halves the work of a (dim, width) block.
+
+    Flash by flash costs F D^2 w. The operator costs D^2 w + F 2k D w to
+    apply, plus (floor(log2 F) + popcount(F) - 1) D^3 + F 2k D^2 to build
+    when it is not cached. It holds about 2.5 flash unitaries that the
+    flash-by-flash path never holds, so it must save clearly.
+    """
+    by_flash = n_flashes * dim * dim * width
+    cost = dim * dim * width + n_flashes * tail_rows * dim * width
+    if not cached:
+        matmuls = n_flashes.bit_length() - 1 + n_flashes.bit_count() - 1
+        cost += matmuls * dim**3 + n_flashes * tail_rows * dim * dim
+    return 2 * cost <= by_flash
+
+
+def _operator_block(
+    states: list[SpinMotionState],
+    train: PulseTrainSpec,
+    mode: ModeParams,
+    hilbert: HilbertSpec,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """run_pulse_train_block through the cached train operator.
+
+    A nonzero drive.phase conjugates the phase-0 operator by V(drive.phase).
+    The watchdog reads every flash's tail from its thin rows before the
+    block itself is propagated.
+    """
+    n = hilbert.fock_dim
+    t, rows = _train_operator(train, mode, hilbert)
+    v = _drive_frame(n, train.drive.phase)[:, None]
+    block = _spin_split(states, n)
+    block *= np.conj(v)
+    max_tail = np.zeros(len(states))
+    for k in range(train.n_flashes):
+        _watch_tail(rows[k] @ block, k, train, hilbert, max_tail)
+    out = t @ block
+    out *= v
+    return (*_checked_split(out), max_tail)
+
+
+def propagate_block(
+    states: list[SpinMotionState],
+    train: PulseTrainSpec,
+    mode: ModeParams,
+    hilbert: HilbertSpec,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """run_pulse_train_block's (down, up, max_tail), through the cached train
+    operator when that at least halves the work (_operator_pays), else flash
+    by flash. Both raise the same TruncationErrors and norm error.
+    """
+    cached = _operator_key(train, mode, hilbert) in _operator_cache
+    if _operator_pays(train.n_flashes, 2 * hilbert.fock_dim, 2 * len(states),
+                      2 * hilbert.tail_levels, cached):
+        return _operator_block(states, train, mode, hilbert)
+    return run_pulse_train_block(states, train, mode, hilbert)
 
 
 def apply_dephasing(contrast: float, spec: DephasingSpec, elapsed: float) -> float:

@@ -10,7 +10,10 @@ class ConfigError(IonstrobeError):
 
 
 class TruncationError(IonstrobeError):
-    """Fock-space truncation is inadequate; `index` places the failure in a batch."""
+    """Fock-space truncation is inadequate; `index` places the failure in a batch.
+
+    A train watchdog's error also carries `phase`, the worst base phase (rad).
+    """
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)

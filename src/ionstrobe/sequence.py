@@ -24,6 +24,14 @@ T0 + 2 |T1|, is what the truncation watchdog checks. SequenceFringe holds
 these coefficients, so one propagation serves any phase grid and gives the
 offset, contrast and phase in closed form; sequence_fringes propagates many
 excitations, each distinct one once, through the shared train as one block.
+
+That block goes through dynamics.propagate_block: flash by flash, or, when
+that at least halves the work, through the cached train operator T (see
+the dynamics module docstring). A wide block pays for building T, and
+the narrow blocks that follow on the same train find it cached: on fig4
+the 330-column decode-table block builds it, and the anchor and the
+theta0 scan reuse it. The kick matrices are cached for one magnitude,
+since every caller applies each magnitude to its thermal levels in turn.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from .dynamics import (
     apply_dephasing,
     free_evolve,
     mw_rotation,
-    run_pulse_train_block,
+    propagate_block,
 )
 from .errors import ConfigError, IonstrobeError, TruncationError
 from .hilbert import (
@@ -130,7 +138,7 @@ class PatternField:
             raise ValueError("wavelength must be positive")
 
 
-@lru_cache(maxsize=24)
+@lru_cache(maxsize=1)
 def _excitation_matrix(kind: str, magnitude: float, fock_dim: int) -> np.ndarray:
     spec = HilbertSpec(fock_dim=fock_dim, tail_tol=0.5)
     if kind == "coherent":
@@ -199,7 +207,8 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
 
     The thermal levels of every distinct excitation (all no-kick ones, None
     or zero magnitude, are one) are split into spin-down and spin-up parts
-    and pushed through the train at phi = 0 (see run_pulse_train_block). A
+    and pushed through the train at phi = 0 by propagate_block, through the
+    cached train operator when that pays (see the module docstring). A
     TruncationError's index is the position of a failing excitation.
     """
     kicks = [None if e is None or e.magnitude == 0.0 else e for e in excitations]
@@ -232,7 +241,7 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
             raise
     train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=0.0))
     try:
-        down, up, max_tail = run_pulse_train_block(pre_train, train, spec.mode, spec.hilbert)
+        down, up, max_tail = propagate_block(pre_train, train, spec.mode, spec.hilbert)
     except TruncationError as exc:
         exc.index = kicks.index(distinct[exc.index // len(ground)])
         raise

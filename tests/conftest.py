@@ -78,15 +78,16 @@ def headline_decode_tables(tuned_headline_large, headline_units):
 def block_calls(monkeypatch):
     """The widths of the block propagations sequence_fringes makes, in call order.
 
-    Only the sequence module's binding of run_pulse_train_block is wrapped, so
-    the tuner's own block propagations are not counted.
+    Only the sequence module's binding of propagate_block, its one dynamics
+    entry point, is wrapped, so the tuner's own block propagations are not
+    counted, whichever path (flash by flash or train operator) a block takes.
     """
     widths = []
-    block = sequence_module.run_pulse_train_block
+    block = sequence_module.propagate_block
 
     def counting(states, *args):
         widths.append(len(states))
         return block(states, *args)
 
-    monkeypatch.setattr(sequence_module, "run_pulse_train_block", counting)
+    monkeypatch.setattr(sequence_module, "propagate_block", counting)
     return widths

@@ -24,6 +24,7 @@ from ionstrobe import (
     make_initial_state,
 )
 from ionstrobe import calibrate
+import ionstrobe.dynamics as dynamics_module
 from ionstrobe.calibrate import (
     FIRST_SEARCH_DIM,
     SEARCH_TAIL_BOUND,
@@ -226,6 +227,16 @@ class TestSmallSpaceSearch:
         spec = replace(spec, hilbert=HilbertSpec(fock_dim=64, tail_tol=1e-2))
         assert tune_pulse_train(spec, tol=3e-7) == reference_tune(spec, 3e-7)
 
+    def test_search_never_takes_the_train_operator(self, monkeypatch, tuned_spec):
+        # every probe is a new train: the tuner propagates flash by flash, so
+        # its result cannot depend on what the operator cache holds
+        def refuse(*args):
+            raise AssertionError("the tuner reached the train operator")
+
+        for name in ("propagate_block", "_operator_block", "_build_train_operator"):
+            monkeypatch.setattr(dynamics_module, name, refuse)
+        assert tune_pulse_train(alpha_zero_spec(), tol=5e-3) == tuned_spec[1]
+
     def test_leaking_configured_space_raises(self):
         spec = alpha_zero_spec(fock_dim=40, eta=2.0)
         with pytest.raises(TruncationError, match=r"top 2 Fock levels .*\(tol 0\.0001\)"):
@@ -317,6 +328,19 @@ class TestDecodeTables:
         unchecked = tables.decode(tables.pos_phi0[-1] * 1.5, hi + 0.2 * (hi - lo), strict=False)
         assert unchecked.x_clamped and unchecked.p_clamped
         assert unchecked.x == pytest.approx(tables.pos_x[-1])
+
+    def test_rounding_past_the_edge_is_not_clamped(self, small_tables):
+        # the alpha = 0 refit can land a few ulps past contrast[0]: that decodes
+        # at the edge unflagged, while a real excursion is still flagged
+        tables, _ = small_tables
+        lo, hi = float(tables.contrast[-1]), float(tables.contrast[0])
+        edge = tables.decode(0.0, hi)
+        above = tables.decode(0.0, hi + 4 * math.ulp(hi))
+        assert not above.p_clamped and above.p_mag == edge.p_mag
+        assert tables.decode(0.0, hi + 1e-6 * (hi - lo)).p_clamped
+        phase_edge = float(tables.pos_phi0[-1])
+        past = tables.decode(phase_edge + 4 * math.ulp(phase_edge), hi)
+        assert not past.x_clamped and past.x == tables.decode(phase_edge, hi).x
 
     def test_non_monotone_table_reports_interval(self):
         with pytest.raises(DecodeError, match="monotone"):
@@ -511,3 +535,23 @@ class TestNoiseFloor:
         grid = np.linspace(0, 2 * math.pi, 8, endpoint=False)
         noise_floor_estimate(small, tables, grid, shots=500, n_repeats=20, seed=1)
         assert len(block_calls) == 1
+
+
+def test_fig4_shape_builds_the_train_operator_once(tuned_headline_large, headline_units,
+                                                   block_calls, monkeypatch):
+    # fig4's decode-table block pays for the build; its anchor and theta0 scan
+    # find the operator cached
+    spec, _ = tuned_headline_large
+    builds = []
+    build = dynamics_module._build_train_operator
+    monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+    monkeypatch.setattr(dynamics_module, "_build_train_operator",
+                        lambda *args: builds.append(args) or build(*args))
+    build_decode_tables(spec, headline_units, np.arange(0.0, 7.3, 0.4))
+    characterize_reference_fringe(spec)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    scan = ScanSpec(phi_grid=np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False),
+                    outer_grid=thetas, outer_var="theta0")
+    run_scan(scan, replace(spec, excitation=CoherentAmp(6.5, 0.0)))
+    assert block_calls == [165, 3, 72]  # 55 distinct kicks, 1 and 24, at 3 thermal levels
+    assert len(builds) == 1

@@ -1,6 +1,7 @@
 """Free evolution, flashes, MW rotations, and pulse trains."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,18 +23,23 @@ from ionstrobe import (
     make_initial_state,
     quadratures_si,
 )
+import ionstrobe.dynamics as dynamics_module
 from ionstrobe.dynamics import (
     _drive_frame,
     _flash_unitary,
+    _operator_block,
+    _operator_pays,
     DephasingSpec,
     PulseTrainSpec,
     apply_dephasing,
     flash_evolve,
     free_evolve,
     mw_rotation,
+    propagate_block,
     run_pulse_train,
     run_pulse_train_block,
 )
+from ionstrobe.errors import TruncationError
 
 OMEGA = 2.0 * math.pi * 1.3e6
 MODE = ModeParams(freq=OMEGA, n_th=0.15)
@@ -289,3 +295,99 @@ class TestGaugeFlashUnitary:
         ref = complex_flash_unitary(*args)
         assert np.max(np.abs(u - ref)) < 1e-12
         assert np.max(np.abs(u.conj().T @ u - np.eye(2 * fock_dim))) < 1e-12
+
+
+def kicked_spin_states(fock_dim, levels, alpha, alpha_phase, mix):
+    """Fock levels displaced by alpha, each in the spin state cos(mix)|down> + i sin(mix)|up>."""
+    d = displacement_operator(CoherentAmp(alpha, alpha_phase), HilbertSpec(fock_dim=fock_dim,
+                                                                           tail_tol=0.5))
+    return [SpinMotionState(np.concatenate([math.cos(mix) * d[:, n], 1j * math.sin(mix) * d[:, n]]),
+                            fock_dim) for n in levels]
+
+
+def flash_and_phase(error: TruncationError) -> tuple[int, float]:
+    return int(str(error).split()[1]), error.phase
+
+
+class TestTrainOperator:
+    """The cached train operator T = V((F-1) delta) M^F V(delta) against the
+    flash-by-flash block propagation it replaces."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_flashes=st.sampled_from([1, 2, 3, 7, 30]),
+        phase_step=st.floats(0.01, 0.5),
+        phase=st.floats(0.1, 6.2),
+        levels=st.sets(st.integers(0, 5), min_size=1, max_size=4),
+        alpha=st.floats(0.0, 2.0),
+        mix=st.floats(0.2, 1.3),
+    )
+    def test_matches_flash_by_flash(self, n_flashes, phase_step, phase, levels, alpha, mix):
+        # at 36 levels the kicked states reach the watched top levels, so the
+        # tails are well above rounding; tail_tol 0.5 lets every train pass
+        train = replace(headline_train(phase=phase, phase_step=phase_step, rabi_scale=0.3),
+                        n_flashes=n_flashes)
+        hilbert = HilbertSpec(fock_dim=36, tail_tol=0.5)
+        states = kicked_spin_states(36, sorted(levels), alpha, 0.7, mix)
+        down, up, tail = run_pulse_train_block(states, train, MODE, hilbert)
+        op_down, op_up, op_tail = _operator_block(states, train, MODE, hilbert)
+        assert np.max(np.abs(op_down - down)) < 1e-12
+        assert np.max(np.abs(op_up - up)) < 1e-12
+        np.testing.assert_allclose(op_tail, tail, rtol=1e-12, atol=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_flashes=st.sampled_from([1, 2, 3, 7, 30]),
+        phase_step=st.floats(0.01, 0.5),
+        phase=st.floats(0.1, 6.2),
+        levels=st.sets(st.integers(0, 5), max_size=3),
+        mix=st.floats(0.2, 1.3),
+    )
+    def test_truncation_names_the_same_flash_state_and_phase(self, n_flashes, phase_step,
+                                                             phase, levels, mix):
+        # 24 levels hold D(1) of the low levels, but the flashes at eta = 2
+        # push them into the top two: level 4 leaks ~6e-6 in the first flash
+        train = replace(headline_train(phase=phase, phase_step=phase_step), n_flashes=n_flashes,
+                        drive=DriveParams(rabi=2.0 * math.pi * 0.3e6, phase=phase, eta=2.0))
+        hilbert = HilbertSpec(fock_dim=24, tail_tol=1e-7)
+        states = kicked_spin_states(24, sorted(levels | {4}), 1.0, 0.7, mix)
+        with pytest.raises(TruncationError) as by_flash:
+            run_pulse_train_block(states, train, MODE, hilbert)
+        with pytest.raises(TruncationError) as by_operator:
+            _operator_block(states, train, MODE, hilbert)
+        flash, phi = flash_and_phase(by_flash.value)
+        op_flash, op_phi = flash_and_phase(by_operator.value)
+        assert op_flash == flash and by_operator.value.index == by_flash.value.index
+        assert abs(math.remainder(op_phi - phi, 2.0 * math.pi)) < 1e-9
+
+    @pytest.mark.parametrize("shape, cached, takes", [
+        ((30, 464, 330, 24), False, True),  # fig4's decode tables: cost ratio 0.49
+        ((30, 464, 6, 24), True, True),  # fig4's anchor, with the operator cached
+        ((30, 464, 144, 24), True, True),  # fig4's theta0 scan
+        ((30, 128, 180, 8), False, True),  # figS2: 0.31
+        ((30, 144, 66, 8), False, False),  # figS3-compare: 0.72
+        ((30, 320, 120, 16), False, False),  # figS4: 0.84
+        ((1, 96, 6, 6), False, False),  # fig2b: one flash
+        ((30, 416, 12, 22), False, False),  # fig3b and fig3c
+    ])
+    def test_choice_rule_on_demo_shapes(self, shape, cached, takes):
+        assert _operator_pays(*shape, cached) is takes
+
+    def test_cache_holds_one_train(self, monkeypatch):
+        builds = []
+        build = dynamics_module._build_train_operator
+        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+        monkeypatch.setattr(dynamics_module, "_build_train_operator",
+                            lambda *args: builds.append(args[0]) or build(*args))
+        # 48 columns at 48 rows: the operator pays even when it must be built
+        hilbert = HilbertSpec(fock_dim=24, tail_tol=0.5)
+        amps = np.random.default_rng(1).normal(size=(24, 96)).view(complex)
+        states = [SpinMotionState(a / np.linalg.norm(a), 24) for a in amps]
+        first = headline_train(phase_step=0.03, rabi_scale=0.3)
+        second = headline_train(phase_step=0.04, rabi_scale=0.3)
+        for train in (first, first, replace(first, drive=replace(first.drive, phase=1.0)),
+                      second, first):
+            propagate_block(states, train, MODE, hilbert)
+        # drive.phase is applied per call; a new train replaces the old one
+        assert builds == [first, second, first]
+        assert len(dynamics_module._operator_cache) == 1

@@ -279,6 +279,18 @@ class TestSequenceFringe:
         build_decode_tables(spec, headline_units, alphas)
         assert widths == [(3 * len(alphas) - 2) * len(levels)]
 
+    def test_excitation_cache_builds_each_run_of_magnitudes_once(self):
+        # callers use each magnitude in consecutive kicks, so one entry serves
+        # them all; the phase enters by conjugation, not through the cache
+        cache = sequence_module._excitation_matrix
+        cache.cache_clear()
+        state = SpinMotionState(np.eye(80, dtype=complex)[0], 40)
+        for kick in (CoherentAmp(0.5, 0.0), CoherentAmp(0.5, 1.0), CoherentAmp(1.0, 0.0),
+                     CoherentAmp(1.0, 2.0)):
+            sequence_module._apply_excitation(state, kick)
+        info = cache.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 1)
+
     def test_truncation_names_outer_and_flash(self):
         # level 21 of the n_th = 2 ensemble passes the pre-train check at
         # fock_dim 33 and is pushed into the top Fock levels by the flashes
@@ -300,7 +312,7 @@ class TestSequenceFringe:
         def failing(states, *args):
             raise TruncationError("flash 1 of 30 leaks", index=len(states) - 1)
 
-        monkeypatch.setattr(sequence_module, "run_pulse_train_block", failing)
+        monkeypatch.setattr(sequence_module, "propagate_block", failing)
         spec = make_spec(fock_dim=40, excitation=CoherentAmp(0.5, 0.0))
         scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=[0.0, 1.25], outer_var="theta0",
                         interleave_reference=True)
