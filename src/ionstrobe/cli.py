@@ -2,10 +2,10 @@
 
 Commands: ramsey-scan, pattern-scan, trace-phase-space, squeeze-scan,
 calibrate-train, build-tables, stability. All take --config and --out,
-plus optional --seed (overrides detection.base_seed) and --threads (accepted
-and ignored). Exit codes: 0 success, 2 configuration error, 3 numerical
-failure. Outputs are bit-stable: identical config and seed give identical
-bytes at a fixed BLAS thread count.
+plus optional --seed (overrides detection.base_seed). Exit codes: 0
+success, 2 configuration error, 3 numerical failure. Outputs are bit-stable:
+identical config and seed give identical bytes at a fixed BLAS thread count.
+trace-phase-space builds its decode tables in the run; build-tables exports them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .calibrate import (
     tune_pulse_train,
     unwrap_sweep_phases,
 )
-from .errors import ConfigError, DecodeError, FitError, IonstrobeError
+from .errors import ConfigError, FitError, IonstrobeError
 from .fitting import bootstrap_pattern_uncertainty, fit_wave_pattern
 from .hilbert import CoherentAmp
 from .sequence import (
@@ -42,12 +42,7 @@ from .sequence import (
     static_pattern_probe,
 )
 from .stability import apply_reference_correction, simulate_phase_trace, windowed_phase_stat
-from .tableio import (
-    config_hash,
-    read_decode_tables,
-    write_decode_tables,
-    write_table,
-)
+from .tableio import write_decode_tables, write_table
 
 REALIZATION_INTERVAL_S = 0.010  # experimental cadence of interleaved realizations
 
@@ -162,12 +157,6 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
                 summary_lines=summary)
 
 
-def _decode_config_subset(cfg: dict) -> dict:
-    """The config the decode tables depend on: where they are cached is not part of it."""
-    subset = {k: cfg[k] for k in ("hilbert", "mode", "units", "drive", "train", "dephasing")}
-    return subset | {"decode": {k: v for k, v in cfg["decode"].items() if k != "tables_path"}}
-
-
 def _alpha_grid(cfg: dict) -> np.ndarray:
     """The decode amplitudes 0, alpha_step, ... up to alpha_max; at least 3."""
     dec = cfg["decode"]
@@ -178,29 +167,10 @@ def _alpha_grid(cfg: dict) -> np.ndarray:
     return alpha_grid
 
 
-def _resolve_tables(cfg: dict, spec, alpha_grid):
-    """Load decode tables if cached with a matching config hash, else build
-    (and cache) them over alpha_grid; a table file of another format version
-    is rebuilt, and one whose values are not monotone is a bad input naming
-    its key."""
-    subset = _decode_config_subset(cfg)
-    path = cfg["decode"]["tables_path"]
-    if path and Path(path).exists():
-        with _naming("decode.tables_path", (ConfigError, OSError, ValueError, DecodeError)):
-            tables, stored = read_decode_tables(path)
-        if tables is not None and stored == config_hash(subset):
-            return tables
-    tables = build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
-    if path:
-        with _naming("decode.tables_path"):
-            write_decode_tables(tables, path, subset)
-    return tables
-
-
 def cmd_build_tables(cfg: dict, args) -> None:
     alpha_grid = _alpha_grid(cfg)
     tables = build_decode_tables(_tuned_sequence(cfg), cfgmod.build_units(cfg), alpha_grid)
-    write_decode_tables(tables, args.out, _decode_config_subset(cfg))
+    write_decode_tables(tables, args.out, cfg)
 
 
 def cmd_trace_phase_space(cfg: dict, args) -> None:
@@ -220,7 +190,7 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     alpha_grid = _alpha_grid(cfg)
     spec = _tuned_sequence(cfg)
     alpha = cfg["state"]["alpha_abs"]
-    tables = _resolve_tables(cfg, spec, alpha_grid)
+    tables = build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
     ref = characterize_reference_fringe(spec)
     anchor = ref.phase
 
@@ -328,8 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output table path")
         p.add_argument("--seed", type=int, default=None,
                        help="override detection.base_seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="ignored; accepted so existing command lines keep working")
     return parser
 
 
@@ -340,8 +308,7 @@ def main(argv=None) -> int:
             cfg = cfgmod.load_config(args.config)
         if args.seed is not None:
             cfg["detection"]["base_seed"] = cfgmod.check_value("detection", "base_seed", args.seed)
-        # the commands read no file but decode.tables_path, whose errors
-        # already name it, so a file error here is from writing --out
+        # the commands read no file, so a file error here is from writing --out
         with _naming(f"--out {args.out}", OSError):
             COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

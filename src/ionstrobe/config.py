@@ -115,7 +115,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "decode": {
         "alpha_max": Key(7.2, "[0, inf)"),
         "alpha_step": Key(0.4, "(0, inf)"),
-        "tables_path": Key(""),
     },
     "stability": {
         "white_sigma_rad": Key(0.0, "[0, inf)"),

@@ -402,17 +402,23 @@ def _operator_block(
     The watchdog reads every flash's tail from its thin rows before the
     block itself is propagated.
     """
-    n = hilbert.fock_dim
+    n, n_states = hilbert.fock_dim, len(states)
     t, rows = _train_operator(train, mode, hilbert)
     v = _drive_frame(n, train.drive.phase)[:, None]
     block = _spin_split(states, n)
     block *= np.conj(v)
-    max_tail = np.zeros(len(states))
-    for k in range(train.n_flashes):
-        _watch_tail(rows[k] @ block, k, train, hilbert, max_tail)
-    out = t @ block
-    out *= v
-    return (*_checked_split(out), max_tail)
+    # the products skip the split's zero quarters and overwrite the split block
+    down, up = block[:n, :n_states].copy(), block[n:, n_states:].copy()
+    max_tail = np.zeros(n_states)
+    tail = np.empty((rows.shape[1], 2 * n_states), dtype=complex)
+    for k, row in enumerate(rows):
+        np.matmul(row[:, :n], down, out=tail[:, :n_states])
+        np.matmul(row[:, n:], up, out=tail[:, n_states:])
+        _watch_tail(tail, k, train, hilbert, max_tail)
+    np.matmul(t[:, :n], down, out=block[:, :n_states])
+    np.matmul(t[:, n:], up, out=block[:, n_states:])
+    block *= v
+    return (*_checked_split(block), max_tail)
 
 
 def propagate_block(

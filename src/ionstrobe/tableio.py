@@ -4,9 +4,9 @@ Every table is plain whitespace-separated text: a comment header naming
 the columns (units embedded in the names), numeric rows at 12 significant
 digits, and a comment footer carrying the seed, the config hash, and the
 full effective config as a YAML block. Identical config and seed produce
-byte-identical files. Decode tables are ordinary tables titled
-DECODE_TABLE_FORMAT, one row per amplitude, written at 17 significant
-digits so every value reads back bit for bit, and with no seed line.
+byte-identical files. Decode tables export as ordinary tables titled
+DECODE_TABLE_FORMAT, one row per amplitude, at 17 significant digits so
+every value reads back bit for bit, and with no seed line.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import yaml
 from .calibrate import DecodeTables
 from .errors import ConfigError
 
-DECODE_TABLE_NAME = "ionstrobe-decode-tables"
-DECODE_TABLE_FORMAT = f"{DECODE_TABLE_NAME} v2"
+DECODE_TABLE_FORMAT = "ionstrobe-decode-tables v2"
 DECODE_TABLE_COLUMNS = ["x_m", "phi_plus_rad", "phi_minus_rad", "p_kgms", "contrast"]
 
 
@@ -101,24 +100,17 @@ def read_table(path) -> tuple[list[str], np.ndarray, dict]:
 
 
 def write_decode_tables(tables: DecodeTables, path, config: dict) -> None:
-    """Write decode tables as a DECODE_TABLE_FORMAT table hashing `config`."""
+    """Write decode tables as a DECODE_TABLE_FORMAT table echoing `config`."""
     rows = zip(tables.x, tables.phi_plus, tables.phi_minus, tables.p, tables.contrast)
     write_table(path, DECODE_TABLE_FORMAT, DECODE_TABLE_COLUMNS, rows, config, None, digits=17)
 
 
-def read_decode_tables(path) -> tuple[DecodeTables | None, str]:
-    """Load decode tables; returns (tables, stored config hash).
-
-    A decode-table file of another format version gives tables None, so a
-    cache treats it as a miss; any other file raises ConfigError.
-    """
+def read_decode_tables(path) -> DecodeTables:
+    """Load decode tables written by write_decode_tables; any other file raises ConfigError."""
     columns, rows, meta = read_table(path)
-    title, stored_hash = meta.get("title", ""), meta.get("config_hash", "")
-    if title.startswith(f"{DECODE_TABLE_NAME} v") and title != DECODE_TABLE_FORMAT:
-        return None, stored_hash
-    if title != DECODE_TABLE_FORMAT or columns != DECODE_TABLE_COLUMNS or len(rows) < 3:
+    if meta.get("title") != DECODE_TABLE_FORMAT or columns != DECODE_TABLE_COLUMNS or len(rows) < 3:
         raise ConfigError(
             f"{path} is not an {DECODE_TABLE_FORMAT} file with columns "
             f"{' '.join(DECODE_TABLE_COLUMNS)} over at least 3 amplitudes"
         )
-    return DecodeTables(*rows.T), stored_hash
+    return DecodeTables(*rows.T)

@@ -18,7 +18,7 @@ import ionstrobe
 import ionstrobe.cli as cli_module
 import ionstrobe.config as config_module
 from ionstrobe.calibrate import DecodeTables
-from ionstrobe.cli import _decode_config_subset, main
+from ionstrobe.cli import main
 from ionstrobe.config import (
     DEFAULTS,
     SCHEMA,
@@ -36,7 +36,7 @@ from ionstrobe.config import (
     resolve_tuning,
 )
 from ionstrobe.errors import ConfigError, TruncationError
-from ionstrobe.tableio import config_hash, read_decode_tables, read_table, write_decode_tables
+from ionstrobe.tableio import read_decode_tables, read_table, write_decode_tables
 
 FAST_SCAN = """
 hilbert: {fock_dim: 48}
@@ -267,12 +267,14 @@ class TestCliRamseyScan:
         assert "Fock level" in err and "n_th=50" in err and "fock_dim=32" in err
         assert "at scan point" not in err  # the draw concerns no scan point
 
-    def test_threads_identical_output(self, tmp_path):
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        # there is no --threads option; argparse's usage error exits 2
         cfg = write_cfg(tmp_path, FAST_SCAN)
-        out1, out2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        main(["ramsey-scan", "--config", cfg, "--out", out1])
-        main(["ramsey-scan", "--config", cfg, "--out", out2, "--threads", "4"])
-        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+        out = tmp_path / "a.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["ramsey-scan", "--config", cfg, "--out", str(out), "--threads", "4"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err and not out.exists()
 
 
 class TestCliPatternScan:
@@ -385,12 +387,12 @@ class TestCliSqueezeScan:
         assert main(["squeeze-scan", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 2
 
 
-# a small trace-phase-space run; %s is decode.tables_path
+# a small trace-phase-space run
 SMALL_TRACE_CONFIG = (
     "hilbert: {fock_dim: 80}\n"
     "train: {rabi_scale: 0.2795}\n"
     "state: {alpha_abs: 2.0}\n"
-    "decode: {alpha_max: 3.0, alpha_step: 0.5, tables_path: '%s'}\n"
+    "decode: {alpha_max: 3.0, alpha_step: 0.5}\n"
     "scan:\n"
     "  phi_num: 12\n"
     "  outer_var: theta0\n"
@@ -401,13 +403,11 @@ SMALL_TRACE_CONFIG = (
 
 class TestCliBuildAndTrace:
     def test_tables_then_trace(self, tmp_path):
-        tables_path = tmp_path / "tables.txt"
-        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG)
         out_tab = str(tmp_path / "built.txt")
         assert main(["build-tables", "--config", cfg, "--out", out_tab]) == 0
-        tables, stored_hash = read_decode_tables(out_tab)
-        assert tables.pos_x.size == 13
-        assert stored_hash
+        assert read_decode_tables(out_tab).pos_x.size == 13
+        assert read_table(out_tab)[2]["config"] == load_config(cfg)  # the full config echo
 
         out = str(tmp_path / "trace.txt")
         assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 0
@@ -417,7 +417,6 @@ class TestCliBuildAndTrace:
         ]
         # 8 decoded sweep rows plus 8 alpha = 0 reference rows
         assert rows.shape[0] == 16
-        assert tables_path.exists()
         sweep = rows[rows[:, 1] > 0]
         units_x = 2 * 12.47 * 2.0  # 2 x_zpf alpha in nm
         np.testing.assert_allclose(
@@ -426,83 +425,24 @@ class TestCliBuildAndTrace:
         refs = rows[rows[:, 1] == 0]
         assert np.max(np.abs(refs[:, 4])) < 1.0
 
-    def test_trace_reuses_cached_tables(self, tmp_path):
-        # a cold cache, a warm one and no cache decode through the same table values
-        tables_path = tmp_path / "tables.txt"
-        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
-        out1, out2 = str(tmp_path / "t1.txt"), str(tmp_path / "t2.txt")
-        assert main(["trace-phase-space", "--config", cfg, "--out", out1]) == 0
-        mtime = tables_path.stat().st_mtime_ns
-        assert main(["trace-phase-space", "--config", cfg, "--out", out2]) == 0
-        assert tables_path.stat().st_mtime_ns == mtime  # cache hit, not rebuilt
-        assert Path(out1).read_bytes() == Path(out2).read_bytes()
-        assert _trace_rows(tmp_path, "") == _trace_rows(tmp_path, tables_path)
-
-    def test_exported_table_is_a_cache_hit(self, tmp_path):
-        # the cache hash leaves decode.tables_path out, so a build-tables export
-        # made without it, or a cache file moved elsewhere, is reused as it is
-        tables_path = tmp_path / "tables.txt"
-        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % "", name="export.yaml")
-        assert main(["build-tables", "--config", cfg, "--out", str(tables_path)]) == 0
-        exported, mtime = tables_path.read_bytes(), tables_path.stat().st_mtime_ns
-        rows = _trace_rows(tmp_path, tables_path)
-        assert tables_path.stat().st_mtime_ns == mtime
-        moved = tables_path.rename(tmp_path / "moved.txt")
-        assert _trace_rows(tmp_path, moved) == rows
-        assert moved.stat().st_mtime_ns == mtime and moved.read_bytes() == exported
-        assert rows == _trace_rows(tmp_path, "")
-
-    def test_older_table_version_is_rebuilt(self, tmp_path):
-        # a v1 file whose hash matches the config is a cache miss, not a decode source
-        tables_path = tmp_path / "tables.txt"
-        cfg = load_config(write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path))
-        tables_path.write_text(
-            "# ionstrobe-decode-tables v1\n"
-            f"# config_hash: {config_hash(_decode_config_subset(cfg))}\n"
-            "# section: position\n# columns: x_m phi0_rad\n-1 -0.3\n0 0\n1 0.3\n"
-            "# section: momentum\n# columns: p_kgms contrast\n0 0.9\n1 0.5\n"
-        )
-        rows = _trace_rows(tmp_path, tables_path)
-        tables, stored_hash = read_decode_tables(tables_path)
-        assert tables is not None and tables.x.size == 7
-        assert stored_hash == config_hash(_decode_config_subset(cfg))
-        assert rows == _trace_rows(tmp_path, "")
-
     def test_alpha_outer_var_rejected(self, tmp_path, capsys, block_calls):
         # the trace's outer values are theta0; alpha_abs ones would be read as theta0
-        cfg = write_cfg(tmp_path, (SMALL_TRACE_CONFIG % "").replace("outer_var: theta0",
-                                                                    "outer_var: alpha_abs"))
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG.replace("outer_var: theta0",
+                                                             "outer_var: alpha_abs"))
         out = tmp_path / "t.txt"
         assert main(["trace-phase-space", "--config", cfg, "--out", str(out)]) == 2
         assert "scan.outer_var" in capsys.readouterr().err
         assert block_calls == [] and not out.exists()
 
-    def test_foreign_table_file_names_key(self, tmp_path, capsys):
-        tables_path = tmp_path / "tables.txt"
-        tables_path.write_text("not a table\n")
-        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
-        out = str(tmp_path / "t.txt")
-        assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 2
+    def test_removed_tables_path_key_names_it(self, tmp_path, capsys, tuner_calls):
+        # the decode tables are built in every run; the old cache key is an unknown key
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG
+                        .replace("rabi_scale: 0.2795", "rabi_scale: auto")
+                        .replace("alpha_step: 0.5", "alpha_step: 0.5, tables_path: x"))
+        out = tmp_path / "t.txt"
+        assert main(["trace-phase-space", "--config", cfg, "--out", str(out)]) == 2
         assert "decode.tables_path" in capsys.readouterr().err
-        assert tables_path.read_text() == "not a table\n"
-
-    def test_non_monotone_cached_table_names_key(self, tmp_path, capsys):
-        # a damaged cache whose hash still matches is a bad input file, not a numerical failure
-        tables_path = tmp_path / "tables.txt"
-        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
-        out = str(tmp_path / "t.txt")
-        assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 0
-        lines = tables_path.read_text().splitlines()
-        first, second = [i for i, line in enumerate(lines) if not line.startswith("#")][1:3]
-        row1, row2 = lines[first].split(), lines[second].split()
-        row1[1], row2[1] = row2[1], row1[1]  # swap two phi_plus_rad values
-        lines[first], lines[second] = " ".join(row1), " ".join(row2)
-        damaged = "\n".join(lines) + "\n"
-        tables_path.write_text(damaged)
-        capsys.readouterr()
-        assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 2
-        assert "decode.tables_path" in capsys.readouterr().err
-        assert tables_path.read_text() == damaged
+        assert tuner_calls == [] and not out.exists()
 
 
 @pytest.fixture
@@ -538,21 +478,13 @@ def test_config_checked_before_tuning(tmp_path, capsys, tuner_calls, command, te
 
 
 @pytest.mark.parametrize("command, text, calls", [
-    ("trace-phase-space", SMALL_TRACE_CONFIG % "", 3),  # tables, anchor, alpha scan
+    ("trace-phase-space", SMALL_TRACE_CONFIG, 3),  # tables, anchor, alpha scan
     ("squeeze-scan", SMALL_SQUEEZE_CONFIG, 1),  # both tables from one set of fringes
 ], ids=["trace-phase-space", "squeeze-scan"])
 def test_block_propagations_per_command(tmp_path, block_calls, command, text, calls):
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out.txt")]) == 0
     assert len(block_calls) == calls
-
-
-def _trace_rows(tmp_path, tables_path) -> list[str]:
-    """The data lines of a SMALL_TRACE_CONFIG trace with this decode.tables_path."""
-    cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path, name="rows.yaml")
-    out = tmp_path / "rows.txt"
-    assert main(["trace-phase-space", "--config", cfg, "--out", str(out)]) == 0
-    return [line for line in out.read_text().splitlines() if not line.startswith("#")]
 
 
 def test_decode_tables_round_trip_exactly(tmp_path):
@@ -563,32 +495,26 @@ def test_decode_tables_round_trip_exactly(tmp_path):
                           p=x * 0.3, contrast=0.8 - phi / 11.0)
     path = tmp_path / "tables.txt"
     write_decode_tables(tables, path, {"decode": {"alpha_max": 2.0}})
-    back, stored_hash = read_decode_tables(path)
-    assert stored_hash == config_hash({"decode": {"alpha_max": 2.0}})
+    back = read_decode_tables(path)
     for name in ("x", "phi_plus", "phi_minus", "p", "contrast", "pos_x", "pos_phi0"):
         assert np.array_equal(getattr(back, name), getattr(tables, name)), name
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):
     # a fresh interpreter, so modules the test session imported do not count;
-    # after the import, one trace builds the decode tables and a second reads them back
+    # after the import, one trace builds the decode tables and decodes through them
     src = str(Path(ionstrobe.__file__).resolve().parents[1])
-    tables_path = tmp_path / "tables.txt"
-    cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG % tables_path)
-    trace = "assert main(['trace-phase-space', '--config', %r, '--out', %r]) == 0"
+    cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG)
     code = "\n".join([
         f"import sys; sys.path.insert(0, {src!r})",
-        "from pathlib import Path",
         "from ionstrobe.cli import main",
         "print('scipy' in sys.modules)",
-        trace % (cfg, str(tmp_path / "t1.txt")),
-        f"mtime = Path({str(tables_path)!r}).stat().st_mtime_ns",
-        trace % (cfg, str(tmp_path / "t2.txt")),
-        f"print(Path({str(tables_path)!r}).stat().st_mtime_ns == mtime, 'scipy' in sys.modules)",
+        f"assert main(['trace-phase-space', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 't.txt')!r}]) == 0",
+        "print('scipy' in sys.modules)",
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    # no scipy after the import; a cache hit, and still no scipy, after both runs
-    assert out.stdout.split() == ["False", "True", "False"]
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_runtime_imports_are_stdlib_numpy_yaml():
@@ -604,6 +530,25 @@ def test_runtime_imports_are_stdlib_numpy_yaml():
                 found.add((path.name, node.module.split(".")[0]))
     assert {name for name in found if name[1] not in allowed} == set()
     assert ("calibrate.py", "numpy") in found
+
+
+def test_every_schema_key_is_read():
+    # a key that no code reads is a knob that does nothing: every SCHEMA key must
+    # appear as a string constant (a subscript, or a name in a tuple of keys)
+    # somewhere in the package outside the SCHEMA literal itself
+    package = Path(ionstrobe.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        schema = {id(node) for top in tree.body
+                  if isinstance(top, ast.AnnAssign) and getattr(top.target, "id", None) == "SCHEMA"
+                  for node in ast.walk(top)}
+        found |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in schema}
+    unread = [f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys
+              if key not in found]
+    assert unread == []
 
 
 def test_bench_tracer_layers_exist():
@@ -622,7 +567,7 @@ def test_bench_tracer_layers_exist():
     assert missing == []
 
 
-# SMALL_TRACE_CONFIG at four theta0 values, with the pi/2 tuner and no cache
+# SMALL_TRACE_CONFIG at four theta0 values, with the pi/2 tuner
 TUNED_TRACE_CONFIG = (
     "hilbert: {fock_dim: 80}\n"
     "train: {rabi_scale: auto}\n"
