@@ -60,7 +60,6 @@ from .sequence import (
     SequenceSpec,
     characterize_reference_fringe,
     run_scan,
-    run_sequence,
     sample_detection,
     sample_scan,
     scan_fringes,

@@ -2,8 +2,8 @@
 
 All dynamics run in the frame rotating at the drive frequency with the
 rotating-wave approximation applied; the drive is resonant, so no spin
-term remains. One flash is propagated by a single dense matrix exponential
-of the piecewise-constant Hamiltonian
+term remains. One flash is propagated by the exact exponential of the
+piecewise-constant Hamiltonian
 
     H/hbar = w_m a_dag a + (W/2) (e^{-i phi} C sigma_+ + h.c.)
 
@@ -11,28 +11,40 @@ with C = exp[i eta (a + a_dag)]. Flash unitaries are cached at phase 0;
 the drive phase enters through the exact conjugation
 H(phi) = V(phi) H(0) V(phi)^dag with V = exp(-i phi sigma_z / 2).
 
-The flash exponential is taken in the i^n gauge G = diag(i^n) on each spin
-block. G^dag a G = i a, so G^dag C G = exp[eta (a_dag - a)] is real
-orthogonal and H'(0) = diag(G, G)^dag H(0) diag(G, G) is real symmetric:
-a real eigendecomposition of H'(0) gives U(0) = diag(G, G) exp(-i H'(0) dt)
-diag(G, G)^dag. Both diag(G, G) and V(phi) are diagonal, so they commute
-and the drive-phase conjugation is unchanged.
+Gauge. In G = diag(i^n) on each spin block, G^dag a G = i a, so
+r = G^dag C G = exp[eta (a_dag - a)] is real orthogonal, and H(0) has the
+real symmetric blocks [[D, (W/2) r^T], [(W/2) r, D]] on the gauge-basis
+spin parts (a, b), with D = w_m diag(n).
 
-A block of states goes through a train of F flashes at phase step delta
-in one of two ways with the same result. run_pulse_train_block applies
-flash k, V(k delta) U0 V(k delta)^dag, then the gap's diagonal phases Gap,
-one dense matmul per flash. The train operator does it in one: with
-M = Gap U0 V(delta)^dag, the train at drive phase 0 is
-T = V((F-1) delta) M^F V(delta), and a nonzero drive.phase conjugates it
-by V(drive.phase). M^F takes floor(log2 F) + popcount(F) - 1 matmuls
-(7 at F = 30). The watchdog's tail rows after flash j are P M^(j+1) V(delta)
-on the block, where P picks the top Fock rows: they differ from the
-flash-by-flash tail only by per-row phases, which cancel in the supremum
-over phi, so the same checks raise the same errors. The operator and its
-F 2k_tail stacked rows are cached for one train at a time.
-propagate_block, the sequence layer's entry point, takes the operator when
-its cost, counted as in _operator_pays with the build only when it is not
-cached, is at most half the flash-by-flash cost.
+Parity sectors. Pi = sigma_x (x) P, with P = (-1)^(a_dag a), commutes with
+H(0): P (a + a_dag) P = -(a + a_dag) gives P C P = C^dag, which in the
+gauge reads P r P = r^T. The sector coordinates y_+- = (a +- P b) / sqrt 2
+are the Pi = +-1 halves, and in them H(0) is block diagonal with
+H_+- = D +- (W/4)(r^T P + P r). A flash is the pair U_+- = exp(-i H_+- dt),
+two N x N real eigendecompositions instead of one 2N x 2N (_flash_unitary);
+states enter and leave sector coordinates only at the engine boundary
+(_to_sectors, _from_sectors), where the gauge and P are row factors.
+
+Rotating-frame chain. A train of F flashes at phases phi_k = phi_0 + k delta
+(phi_0 = drive.phase) is V(phi_F) M^F V(phi_0)^dag with
+M = V(delta)^dag Gap blockdiag(U_+, U_-), since the free gap Gap commutes
+with V. In sector coordinates V(delta)^dag is the scalar mix
+[[c, -is], [-is, c]] of the two sectors, c = cos(delta/2), s = sin(delta/2)
+(_mix), so run_pulse_train_block takes each flash as one batched (2, N, N)
+matmul, the gap's phases and the mix. The mix, the gap, P, the gauge and
+V(phi) all act within one Fock level, so they cancel in the watchdog's
+supremum over phi of the top-Fock tail: the tail rows of every flash are
+read in sector coordinates and checked in one pass at the end
+(_watch_tails), raising the error of the first failing flash.
+
+Train operator. At delta = 0, M is the (2, N, N) stack Gap U_s and M^F is
+powered per sector; otherwise M is a (2, N, 2N) operator over both sectors
+(_compose). M^F takes floor(log2 F) + popcount(F) - 1 products (7 at
+F = 30), and the watchdog's tail rows after flash j are P_top M^(j+1). The
+operator and its rows are cached for one train at a time. propagate_block,
+the sequence layer's entry point, takes the operator when its cost,
+counted in sector multiply-adds as in _operator_pays with the build only
+when it is not cached, is at most a third of the flash-by-flash cost.
 """
 
 from __future__ import annotations
@@ -105,36 +117,42 @@ def free_evolve(state: SpinMotionState, mode: ModeParams, t: float) -> SpinMotio
     return SpinMotionState(amps, n)
 
 
+def _parity(fock_dim: int) -> np.ndarray:
+    """Diagonal of the Fock parity P = (-1)^(a_dag a)."""
+    return 1.0 - 2.0 * (np.arange(fock_dim) % 2)
+
+
 @lru_cache(maxsize=4)
 def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: float) -> np.ndarray:
-    """Flash propagator exp(-i H dt) at drive phase zero, cached per parameter set.
+    """The flash propagator at drive phase zero as its (2, N, N) pair of sector blocks.
 
-    In the gauge diag(G, G), G = diag(i^n), H is real symmetric (see the
-    module docstring), so one real eigh gives H' = Q diag(w) Q^T and
-    U = diag(G, G) Q e^{-i w dt} Q^T diag(G, G)^dag.
+    Block s is U_s = exp(-i H_s dt) with H_+- = w_m diag(n) +- (W/4)(r^T P + P r)
+    in the gauge basis (see the module docstring). Each real symmetric H_s
+    takes one N x N eigh, H_s = Q diag(w) Q^T, and the block's real and
+    imaginary parts, Q cos(w dt) Q^T and -Q sin(w dt) Q^T, are written in
+    place. The pair maps to the spin basis only at the engine boundary
+    (_to_sectors, _from_sectors).
 
     The cache is small on purpose: the pi/2 tuner tries a new Rabi rate on
-    every evaluation. It searches in a small Fock space (a 32-level unitary
-    holds 64 KB) and leaves only its final check's configured-size unitary
-    (3.4 MB at fock_dim 232) in the cache, where the scans and decode
-    tables that follow reuse it, flash by flash or as the one factor the
-    train operator M^F is built from (see the module docstring).
+    every evaluation. It searches in a small Fock space (a 32-level pair
+    holds 32 KB) and leaves only its final check's configured-size pair
+    (1.7 MB at fock_dim 232) in the cache, where the scans and decode
+    tables that follow reuse it, flash by flash or as the factor the train
+    operator M^F is built from.
     """
     g = quadrature_gauge(fock_dim)
     c = coupling_operator(eta, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5))
     r = (np.conj(g)[:, None] * c * g).real  # G^dag C G = exp[eta (a_dag - a)]
-    dim = 2 * fock_dim
-    h = np.zeros((dim, dim))
-    # spin-major blocks: [dd, du; ud, uu] with sigma_z = diag(-1, +1)
+    pr = _parity(fock_dim)[:, None] * r  # P r = r^T P, since P r P = r^T
+    coupling = (rabi / 4.0) * (pr + pr.T)
     diag_mode = freq * np.arange(fock_dim)
-    h[np.diag_indices(dim)] = np.tile(diag_mode, 2)
-    # (W/2) (C sigma_+ + C^dag sigma_-): sigma_+ = |up><down|
-    h[fock_dim:, :fock_dim] = (rabi / 2.0) * r
-    h[:fock_dim, fock_dim:] = (rabi / 2.0) * r.T
-    w, q = np.linalg.eigh(h)
-    u = (q * np.cos(w * dt)) @ q.T - 1j * ((q * np.sin(w * dt)) @ q.T)
-    gg = np.tile(g, 2)
-    u = gg[:, None] * u * np.conj(gg)
+    u = np.empty((2, fock_dim, fock_dim), dtype=complex)
+    for sign, block in zip((1.0, -1.0), u):
+        h = sign * coupling
+        h[np.diag_indices(fock_dim)] += diag_mode
+        w, q = np.linalg.eigh(h)
+        np.matmul(q * np.cos(w * dt), q.T, out=block.real)
+        np.matmul(q * -np.sin(w * dt), q.T, out=block.imag)
     u.setflags(write=False)
     return u
 
@@ -148,6 +166,36 @@ def _drive_frame(fock_dim: int, phi: float) -> np.ndarray:
     return np.concatenate(
         [np.full(fock_dim, np.exp(1j * phi / 2.0)), np.full(fock_dim, np.exp(-1j * phi / 2.0))]
     )
+
+
+def _to_sectors(down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """The (2, N, w) sector block y_+- = (a +- P b) / sqrt 2 of (N, w) spin parts.
+
+    a = G^dag down and b = G^dag up are the parts in the gauge basis.
+    """
+    scale = (np.conj(quadrature_gauge(len(down))) / math.sqrt(2.0))[:, None]
+    a, pb = scale * down, (scale * _parity(len(up))[:, None]) * up
+    return np.stack([a + pb, a - pb])
+
+
+def _from_sectors(block: np.ndarray) -> np.ndarray:
+    """The (2N, w) spin-major amplitudes (G a, G b) of a (2, N, w) sector block."""
+    scale = (quadrature_gauge(block.shape[1]) / math.sqrt(2.0))[:, None]
+    down = scale * (block[0] + block[1])
+    up = (scale * _parity(block.shape[1])[:, None]) * (block[0] - block[1])
+    return np.concatenate([down, up])
+
+
+def _mix(block: np.ndarray, delta: float) -> None:
+    """V(delta)^dag on a (2, N, w) sector block, in place: [[c, -is], [-is, c]] across sectors."""
+    if delta == 0.0:
+        return
+    c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
+    plus = block[0].copy()
+    block[0] *= c
+    block[0] -= (1j * s) * block[1]
+    block[1] *= c
+    block[1] -= (1j * s) * plus
 
 
 def flash_evolve(
@@ -166,9 +214,10 @@ def flash_evolve(
     if dt <= 0:
         raise ValueError("dt must be > 0")
     n = state.fock_dim
-    u0 = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, dt)
+    u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, dt)
     v = _drive_frame(n, drive.phase)
-    out = SpinMotionState(v * (u0 @ (np.conj(v) * state.amplitudes)), n)
+    amps = (np.conj(v) * state.amplitudes)[:, None]
+    out = SpinMotionState(v * _from_sectors(u @ _to_sectors(amps[:n], amps[n:]))[:, 0], n)
     if hilbert is not None:
         report = check_truncation(out, hilbert)
         if not report.passed:
@@ -212,61 +261,73 @@ def run_pulse_train(
     return out
 
 
-def _spin_split(states: list[SpinMotionState], n: int) -> np.ndarray:
-    """The (2N, 2L) block of every state's spin-down part, then every spin-up part."""
+def _split_sectors(states: list[SpinMotionState], train: PulseTrainSpec, n: int) -> np.ndarray:
+    """The (2, N, 2L) sector block of V(drive.phase)^dag on every state's
+    spin-down part (the first L columns), then on every spin-up part."""
     n_states = len(states)
-    block = np.zeros((2 * n, 2 * n_states), dtype=complex)
+    down = np.zeros((n, 2 * n_states), dtype=complex)
+    up = np.zeros_like(down)
     for col, state in enumerate(states):
-        down, up = state.spin_blocks()
-        block[:n, col] = down
-        block[n:, n_states + col] = up
-    return block
+        down[:, col], up[:, n_states + col] = state.spin_blocks()
+    down *= np.exp(-0.5j * train.drive.phase)
+    up *= np.exp(0.5j * train.drive.phase)
+    return _to_sectors(down, up)
+
+
+def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (down, up) images of a block propagated in the rotating frame.
+
+    The train leaves the frame of flash F, so V(drive.phase + F delta)
+    brings the block back; every state's norm is checked on the way.
+    """
+    n = block.shape[1]
+    out = _from_sectors(block)
+    out *= _drive_frame(n, train.drive.phase + train.n_flashes * train.phase_step)[:, None]
+    n_states = out.shape[1] // 2
+    down, up = out[:, :n_states], out[:, n_states:]
+    norm0 = np.sum(np.abs(out) ** 2, axis=0)
+    norm1 = np.sum(np.conj(down) * up, axis=0)
+    deviation = np.abs(norm0[:n_states] + norm0[n_states:] - 1.0) + 2.0 * np.abs(norm1)
+    if np.max(deviation) > 2e-10:
+        raise ValueError(f"train output norm deviates from 1 by up to {np.max(deviation):.3e}")
+    return down, up
 
 
 def _gap_phases(train: PulseTrainSpec, mode: ModeParams, n: int) -> np.ndarray:
-    """Diagonal of the free evolution between two flashes, Gap."""
+    """Diagonal of the free evolution between two flashes, Gap, on one sector."""
     gap = train.cycle_dur - train.flash_dur
-    return np.tile(np.exp(-1j * mode.freq * gap * np.arange(n)), 2)
+    return np.exp(-1j * mode.freq * gap * np.arange(n))
 
 
-def _watch_tail(
-    tail: np.ndarray, k: int, train: PulseTrainSpec, hilbert: HilbertSpec, max_tail: np.ndarray
-) -> None:
-    """Truncation watchdog after flash k on the block's 2 k_tail top-Fock rows.
+def _watch_tails(tails: np.ndarray, train: PulseTrainSpec, hilbert: HilbertSpec) -> np.ndarray:
+    """Truncation watchdog over every flash's top-Fock rows at once.
 
-    Raises the supremum over phi of every state's tail population into
-    max_tail, or raises a TruncationError naming the flash, the worst base
-    phase (also its `phase`) and, as `index`, the worst state. Per-row
-    phases of `tail` cancel in the supremum T0 + 2 |T1|.
+    tails[:, j] holds the block's k_tail top-Fock rows of each sector after
+    flash j. Any map that mixes rows only within a Fock level cancels in the
+    supremum over phi of each state's tail population, T0 + 2 |T1|: the
+    sector coordinates, per-row phases and the V(delta) mix. Returns every
+    state's largest supremum, or raises a TruncationError naming the first
+    failing flash, the worst base phase (also its `phase`) and, as `index`,
+    the worst state.
     """
-    n_states = tail.shape[1] // 2
-    t0 = np.sum(np.abs(tail) ** 2, axis=0)
-    t1 = np.sum(np.conj(tail[:, :n_states]) * tail[:, n_states:], axis=0)
-    sup = t0[:n_states] + t0[n_states:] + 2.0 * np.abs(t1)
-    np.maximum(max_tail, sup, out=max_tail)
-    worst = int(np.argmax(sup))
-    if sup[worst] >= hilbert.tail_tol:
-        phi_worst = (train.drive.phase - np.angle(t1[worst])) % (2.0 * math.pi)
+    n_states = tails.shape[-1] // 2
+    t0 = np.sum(np.abs(tails) ** 2, axis=(0, 2))
+    t1 = np.sum(np.conj(tails[..., :n_states]) * tails[..., n_states:], axis=(0, 2))
+    sup = t0[:, :n_states] + t0[:, n_states:] + 2.0 * np.abs(t1)
+    failing = np.flatnonzero(np.max(sup, axis=1) >= hilbert.tail_tol)
+    if failing.size:
+        k = int(failing[0])
+        worst = int(np.argmax(sup[k]))
+        phi_worst = (train.drive.phase - np.angle(t1[k, worst])) % (2.0 * math.pi)
         error = TruncationError(
-            f"flash {k + 1} of {train.n_flashes} leaks up to {sup[worst]:.3e} into "
+            f"flash {k + 1} of {train.n_flashes} leaks up to {sup[k, worst]:.3e} into "
             f"the top {hilbert.tail_levels} Fock levels at base phase {phi_worst:.4f} rad "
             f"(tol {hilbert.tail_tol:g}); increase fock_dim",
             index=worst,
         )
         error.phase = float(phi_worst)
         raise error
-
-
-def _checked_split(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (down, up) halves of a propagated block, after checking every state's norm."""
-    n_states = block.shape[1] // 2
-    down, up = block[:, :n_states], block[:, n_states:]
-    norm0 = np.sum(np.abs(block) ** 2, axis=0)
-    norm1 = np.sum(np.conj(down) * up, axis=0)
-    deviation = np.abs(norm0[:n_states] + norm0[n_states:] - 1.0) + 2.0 * np.abs(norm1)
-    if np.max(deviation) > 2e-10:
-        raise ValueError(f"train output norm deviates from 1 by up to {np.max(deviation):.3e}")
-    return down, up
+    return np.max(sup, axis=0)
 
 
 def run_pulse_train_block(
@@ -284,30 +345,28 @@ def run_pulse_train_block(
     under the train as given. Every population of the output is therefore
     |down|^2 + |up|^2 + 2 Re(conj(down) up e^{i phi}), exactly, for any phi.
 
-    After every flash the watchdog checks, for every state, the supremum
-    over phi of the top-Fock-tail population; the third return value holds
-    each state's largest one, and a TruncationError's index the failing state.
-    The block goes through the train flash by flash, one dense matmul each;
-    propagate_block may take the cached train operator instead.
+    The watchdog checks, for every state and after every flash, the
+    supremum over phi of the top-Fock-tail population; the third return
+    value holds each state's largest one, and a TruncationError's index the
+    failing state. The block goes through the train flash by flash in the
+    rotating frame, one batched sector matmul each (see the module
+    docstring); propagate_block may take the cached train operator instead.
     """
-    n = hilbert.fock_dim
-    block = _spin_split(states, n)
+    n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     drive = train.drive
-    u0 = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
-    gap_phases = _gap_phases(train, mode, n)[:, None]
-    k_tail = hilbert.tail_levels
-    max_tail = np.zeros(len(states))
+    u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
+    gap = _gap_phases(train, mode, n)[:, None]
+    block = _split_sectors(states, train, n)
     spare = np.empty_like(block)  # two reused buffers bound the working set
+    tails = np.empty((2, train.n_flashes, k_tail, block.shape[2]), dtype=complex)
     for k in range(train.n_flashes):
-        v = _drive_frame(n, drive.phase + k * train.phase_step)[:, None]
-        block *= np.conj(v)
-        np.matmul(u0, block, out=spare)
+        np.matmul(u, block, out=spare)
         block, spare = spare, block
-        block *= v
-        tail = np.concatenate([block[n - k_tail : n], block[2 * n - k_tail :]])
-        _watch_tail(tail, k, train, hilbert, max_tail)
-        block *= gap_phases
-    return (*_checked_split(block), max_tail)
+        block *= gap
+        _mix(block, train.phase_step)
+        tails[:, k] = block[:, n - k_tail :]
+    max_tail = _watch_tails(tails, train, hilbert)
+    return (*_spin_output(block, train), max_tail)
 
 
 # The one cached train operator: {key: (T, tail rows)}, see _train_operator.
@@ -321,43 +380,50 @@ def _operator_key(train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec)
             train.flash_dur, train.cycle_dur, train.phase_step)
 
 
+def _compose(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for sector-layout operators: a is (..., 2, r, m), b is (2, N, w).
+
+    m = N is the delta = 0 stack, which acts on each sector alone; m = 2N is
+    an operator across both sectors, whose columns run over b's two sectors.
+    """
+    if a.shape[-1] != b.shape[-2]:
+        b = b.reshape(-1, b.shape[-1])
+    return np.matmul(a, b, out=out)
+
+
 def _build_train_operator(
     train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """T = V((F-1) delta) M^F V(delta) and the tail rows P M^(j+1) V(delta), j < F.
+    """T = M^F and the tail rows P M^(j+1), j < F, as (2, F, k_tail, m), in sector layout.
 
-    M = Gap U0 V(delta)^dag is never stored: a product X M is formed as
-    ((X Gap) U0) V(delta)^dag from the cached flash unitary, with the
-    diagonal factors applied in place. M^F is taken by left-to-right binary
-    powering, floor(log2 F) squarings and popcount(F) - 1 products by M, in
-    two buffers; the tail rows are a chain of thin products.
+    M = V(delta)^dag Gap blockdiag(U_+, U_-) is the (2, N, N) stack Gap U_s
+    at delta = 0, and otherwise the (2, N, 2N) operator blockdiag(Gap U_s)
+    with its two row sectors mixed by V(delta)^dag. M is formed once and
+    M^F is taken by left-to-right binary powering, floor(log2 F) squarings
+    and popcount(F) - 1 products by M, in two buffers; the tail rows are a
+    chain of thin products.
     """
-    n = hilbert.fock_dim
+    n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     drive = train.drive
-    u0 = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
-    gap_phases = _gap_phases(train, mode, n)
-    back = np.conj(_drive_frame(n, train.phase_step))
-    k_tail = hilbert.tail_levels
-    rows = np.empty((train.n_flashes, 2 * k_tail, 2 * n), dtype=complex)
-    previous = np.eye(2 * n)[np.r_[n - k_tail : n, 2 * n - k_tail : 2 * n]]  # P
-    for row in rows:
-        np.matmul(previous * gap_phases, u0, out=row)
-        row *= back
-        previous = row
-    power = np.multiply(gap_phases[:, None], u0)
-    power *= back
+    u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
+    step = _gap_phases(train, mode, n)[:, None] * u
+    if train.phase_step:
+        full = np.zeros((2, n, 2 * n), dtype=complex)
+        full[0, :, :n], full[1, :, n:] = step
+        _mix(full, train.phase_step)
+        step = full
+    rows = np.empty((2, train.n_flashes, k_tail, step.shape[2]), dtype=complex)
+    rows[:, 0] = step[:, n - k_tail :]
+    for j in range(1, train.n_flashes):
+        _compose(rows[:, j - 1], step, out=rows[:, j])
+    power = step.copy()
     spare = np.empty_like(power)
     for bit in bin(train.n_flashes)[3:]:
-        np.matmul(power, power, out=spare)
+        _compose(power, power, out=spare)
         power, spare = spare, power
         if bit == "1":
-            power *= gap_phases
-            np.matmul(power, u0, out=spare)
+            _compose(power, step, out=spare)
             power, spare = spare, power
-            power *= back
-    power *= np.conj(back)
-    power *= _drive_frame(n, (train.n_flashes - 1) * train.phase_step)[:, None]
-    rows *= np.conj(back)
     power.setflags(write=False)
     rows.setflags(write=False)
     return power, rows
@@ -375,19 +441,28 @@ def _train_operator(
 
 
 def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached: bool) -> bool:
-    """Whether the train operator at most halves the work of a (dim, width) block.
+    """Whether the train operator cuts the work of a (dim, width) block to a third.
 
-    Flash by flash costs F D^2 w. The operator costs D^2 w + F 2k D w to
-    apply, plus (floor(log2 F) + popcount(F) - 1) D^3 + F 2k D^2 to build
-    when it is not cached. It holds about 2.5 flash unitaries that the
-    flash-by-flash path never holds, so it must save clearly.
+    Counted in sector multiply-adds at delta = 0, with D = dim = 2N,
+    w = width = 2L and t = tail_rows = 2 k_tail: flash by flash costs
+    F D^2 w / 2, one (2, N, N) matmul per flash. The operator costs
+    D^2 w / 2 + F t D w / 2 to apply, plus
+    (floor(log2 F) + popcount(F) - 1) D^3 / 4 + F t D^2 / 4 to build when
+    it is not cached. The count leaves out the per-product overhead of the
+    operator's thin chains and the arrays it holds, so it must save two
+    thirds: on the demo shapes (one OpenBLAS thread) the operator takes
+    0.33 of the flash-by-flash time where the count says 0.29 (fig4's
+    tables) and 0.30 where it says 0.20 (figS2), but 0.52 and 0.49 where it
+    says 0.40 (figS3-compare) and 0.46 (figS4), which stay flash by flash.
+    A delta != 0 train builds over both sectors, four times the count and
+    twice the apply; every tuned demo train has delta = 0.
     """
-    by_flash = n_flashes * dim * dim * width
-    cost = dim * dim * width + n_flashes * tail_rows * dim * width
+    by_flash = n_flashes * dim * dim * width / 2
+    cost = (dim * dim * width + n_flashes * tail_rows * dim * width) / 2
     if not cached:
         matmuls = n_flashes.bit_length() - 1 + n_flashes.bit_count() - 1
-        cost += matmuls * dim**3 + n_flashes * tail_rows * dim * dim
-    return 2 * cost <= by_flash
+        cost += (matmuls * dim**3 + n_flashes * tail_rows * dim * dim) / 4
+    return 3 * cost <= by_flash
 
 
 def _operator_block(
@@ -398,27 +473,14 @@ def _operator_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """run_pulse_train_block through the cached train operator.
 
-    A nonzero drive.phase conjugates the phase-0 operator by V(drive.phase).
-    The watchdog reads every flash's tail from its thin rows before the
-    block itself is propagated.
+    The watchdog reads every flash's tail from its thin rows, in one
+    product, before the block itself is propagated.
     """
-    n, n_states = hilbert.fock_dim, len(states)
     t, rows = _train_operator(train, mode, hilbert)
-    v = _drive_frame(n, train.drive.phase)[:, None]
-    block = _spin_split(states, n)
-    block *= np.conj(v)
-    # the products skip the split's zero quarters and overwrite the split block
-    down, up = block[:n, :n_states].copy(), block[n:, n_states:].copy()
-    max_tail = np.zeros(n_states)
-    tail = np.empty((rows.shape[1], 2 * n_states), dtype=complex)
-    for k, row in enumerate(rows):
-        np.matmul(row[:, :n], down, out=tail[:, :n_states])
-        np.matmul(row[:, n:], up, out=tail[:, n_states:])
-        _watch_tail(tail, k, train, hilbert, max_tail)
-    np.matmul(t[:, :n], down, out=block[:, :n_states])
-    np.matmul(t[:, n:], up, out=block[:, n_states:])
-    block *= v
-    return (*_checked_split(block), max_tail)
+    block = _split_sectors(states, train, hilbert.fock_dim)
+    stacked = rows.reshape(2, -1, rows.shape[-1])  # one product per sector for all flashes
+    max_tail = _watch_tails(_compose(stacked, block).reshape(*rows.shape[:3], -1), train, hilbert)
+    return (*_spin_output(_compose(t, block), train), max_tail)
 
 
 def propagate_block(
@@ -428,7 +490,7 @@ def propagate_block(
     hilbert: HilbertSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """run_pulse_train_block's (down, up, max_tail), through the cached train
-    operator when that at least halves the work (_operator_pays), else flash
+    operator when that cuts the work to a third (_operator_pays), else flash
     by flash. Both raise the same TruncationErrors and norm error.
     """
     cached = _operator_key(train, mode, hilbert) in _operator_cache

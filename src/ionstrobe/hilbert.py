@@ -261,6 +261,11 @@ def squeeze_operator(zeta, spec: HilbertSpec) -> np.ndarray:
 
     For real positive zeta this squeezes the position quadrature.
     Requires fock_dim >= 20 exp(2 |zeta|).
+
+    a^2 and a_dag^2 keep the Fock parity, so S = exp(i h) with
+    h = -i (zeta* a^2 - zeta a_dag^2) / 2 is built on the even and the odd
+    levels apart: two half-size Hermitian eigendecompositions, each of a
+    matrix with one nonzero off-diagonal, h[n, n+2] = -i zeta* sqrt((n+1)(n+2)) / 2.
     """
     if isinstance(zeta, SqueezeParam):
         zeta = zeta.value
@@ -271,9 +276,14 @@ def squeeze_operator(zeta, spec: HilbertSpec) -> np.ndarray:
             f"fock_dim={spec.fock_dim} too small for |zeta|={abs(zeta):.3g} "
             f"(need >= {math.ceil(needed)})"
         )
-    a, a_dag, _ = build_mode_operators(spec)
-    gen = 0.5 * (np.conj(zeta) * (a @ a) - zeta * (a_dag @ a_dag))
-    return _expi_hermitian(-1j * gen)
+    n = spec.fock_dim
+    s = np.zeros((n, n), dtype=complex)
+    for parity in (0, 1):
+        levels = np.arange(parity, n, 2)
+        pair = levels[:-1]
+        h = np.diag(-0.5j * np.conj(zeta) * np.sqrt((pair + 1.0) * (pair + 2.0)), 1)
+        s[np.ix_(levels, levels)] = _expi_hermitian(h + h.conj().T)
+    return s
 
 
 def make_initial_state(spin: str, fock_index: int, spec: HilbertSpec) -> SpinMotionState:

@@ -26,8 +26,8 @@ offset, contrast and phase in closed form; sequence_fringes propagates many
 excitations, each distinct one once, through the shared train as one block.
 
 That block goes through dynamics.propagate_block: flash by flash, or, when
-that at least halves the work, through the cached train operator T (see
-the dynamics module docstring). A wide block pays for building T, and
+that cuts the counted work to a third, through the cached train operator
+(see the dynamics module docstring). A wide block pays for building it, and
 the narrow blocks that follow on the same train find it cached: on fig4
 the 330-column decode-table block builds it, and the anchor and the
 theta0 scan reuse it. The kick matrices are cached for one magnitude,
@@ -258,16 +258,6 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
     columns = (c.tolist() for c in (p0, p1, n0, n1, tails))
     fringes = [SequenceFringe(*coefficients) for coefficients in zip(*columns)]
     return [fringes[distinct.index(kick)] for kick in kicks]
-
-
-def run_sequence(spec: SequenceSpec, phi: float) -> tuple[float, float]:
-    """Run the full sequence once at analysis phase phi.
-
-    Returns the thermal-averaged, envelope-attenuated P_down and the
-    back-action delta<n> between the post-excitation and post-analysis
-    states.
-    """
-    return sequence_fringes(spec, [spec.excitation])[0].evaluate(phi)
 
 
 def sample_detection(p_down: float, shots: int | None, seed) -> tuple[float, float]:

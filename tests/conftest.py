@@ -24,9 +24,14 @@ from ionstrobe import (
 from ionstrobe.calibrate import apply_tuning, build_decode_tables, tune_pulse_train
 from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec
 import ionstrobe.sequence as sequence_module
-from ionstrobe.sequence import SequenceSpec
+from ionstrobe.sequence import SequenceSpec, sequence_fringes
 
 OMEGA_LF = 2.0 * math.pi * 1.3e6
+
+
+def run_sequence(spec: SequenceSpec, phi: float) -> tuple[float, float]:
+    """(P_down, delta_n) of the full sequence at one analysis phase phi."""
+    return sequence_fringes(spec, [spec.excitation])[0].evaluate(phi)
 
 
 def headline_sequence_spec(fock_dim: int) -> SequenceSpec:

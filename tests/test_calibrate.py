@@ -50,10 +50,9 @@ from ionstrobe.sequence import (
     SequenceSpec,
     characterize_reference_fringe,
     run_scan,
-    run_sequence,
 )
 
-from conftest import headline_sequence_spec
+from conftest import headline_sequence_spec, run_sequence
 
 OMEGA = 2.0 * math.pi * 1.3e6
 CYCLE = 2.0 * math.pi / OMEGA

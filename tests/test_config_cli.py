@@ -120,6 +120,19 @@ class TestConfig:
         with pytest.raises(TruncationError, match="top 1 Fock levels"):
             resolve_tuning(merge_config({"hilbert": {"fock_dim": 8, "tail_tol": 1e-6}}))
 
+    def test_every_demo_tuning_is_pinned(self):
+        # (phase_step, rabi_scale, n_evaluations) of each demo train under
+        # rabi_scale: auto; the engine may move achieved_sigma_z by rounding only
+        pinned = {"fig2b": (0.0, 1.0262871394892892, 32)}
+        for name in ("fig3b", "fig3c", "fig4", "figS2", "figS3-compare", "figS4"):
+            pinned[name] = (0.0, 0.2794704389395365, 30)
+        for name, (phase_step, rabi_scale, n_evaluations) in pinned.items():
+            cfg = load_config(f"configs/{name}.yaml")
+            assert cfg["train"]["rabi_scale"] == "auto", name
+            tuning = resolve_tuning(cfg)
+            assert (tuning.phase_step, tuning.n_evaluations) == (phase_step, n_evaluations), name
+            assert abs(tuning.rabi_scale - rabi_scale) < 1e-12, name
+
     def test_units_and_scan_builders(self):
         cfg = merge_config({"scan": {"phi_num": 4, "outer_values": [0.5]}})
         units = build_units(cfg)

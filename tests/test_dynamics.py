@@ -17,18 +17,22 @@ from ionstrobe import (
     SpinMotionState,
     UnitScale,
     ATOMIC_MASS,
+    coupling_operator,
     displacement_operator,
     expect_n,
     expect_sigma_z,
     make_initial_state,
     quadratures_si,
 )
+from ionstrobe.hilbert import quadrature_gauge
 import ionstrobe.dynamics as dynamics_module
 from ionstrobe.dynamics import (
     _drive_frame,
     _flash_unitary,
+    _from_sectors,
     _operator_block,
     _operator_pays,
+    _to_sectors,
     DephasingSpec,
     PulseTrainSpec,
     apply_dephasing,
@@ -89,7 +93,9 @@ class TestFlashEvolution:
         out = flash_evolve(st, drive, MODE, 1e-7)
         np.testing.assert_array_equal(_drive_frame(48, 0.0), np.ones(96))
         u0 = _flash_unitary(48, drive.eta, drive.rabi, MODE.freq, 1e-7)
-        np.testing.assert_array_equal(out.amplitudes, u0 @ st.amplitudes)
+        amps = st.amplitudes[:, None]
+        direct = _from_sectors(u0 @ _to_sectors(amps[:48], amps[48:]))[:, 0]
+        np.testing.assert_array_equal(out.amplitudes, direct)
 
     def test_zero_rabi_equals_free(self):
         st = coherent_state(1.5, 0.4, 48)
@@ -264,11 +270,16 @@ class TestDephasing:
         assert apply_dephasing(0.5, spec, 50e-6) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
 
 
-def complex_flash_unitary(fock_dim, eta, rabi, freq, dt):
-    """Reference flash propagator: complex Hermitian H and one complex eigh."""
+def complex_coupling(fock_dim, eta):
+    """C = exp[i eta (a + a_dag)] from one complex eigendecomposition."""
     root = np.sqrt(np.arange(1.0, fock_dim))
     w, v = np.linalg.eigh(eta * (np.diag(root, 1) + np.diag(root, -1)))
-    c = (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def complex_hamiltonian(fock_dim, eta, rabi, freq):
+    """H/hbar = w_m a_dag a + (W/2)(C sigma_+ + h.c.) at drive phase 0, spin-major."""
+    c = complex_coupling(fock_dim, eta)
     dim = 2 * fock_dim
     h = np.zeros((dim, dim), dtype=complex)
     diag_mode = freq * np.arange(fock_dim)
@@ -276,8 +287,56 @@ def complex_flash_unitary(fock_dim, eta, rabi, freq, dt):
     h[fock_dim:, fock_dim:] = np.diag(diag_mode)
     h[fock_dim:, :fock_dim] = (rabi / 2.0) * c
     h[:fock_dim, fock_dim:] = (rabi / 2.0) * c.conj().T
-    w, v = np.linalg.eigh(h)
+    return h
+
+
+def complex_flash_unitary(fock_dim, eta, rabi, freq, dt):
+    """Reference flash propagator: complex Hermitian H and one complex eigh."""
+    w, v = np.linalg.eigh(complex_hamiltonian(fock_dim, eta, rabi, freq))
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
+
+
+def dense_flash_unitary(pair):
+    """The 2N x 2N spin-major unitary that a (2, N, N) pair of parity-sector blocks stands for.
+
+    The sectors are y_+- = (a +- P b) / sqrt 2 of the gauge-basis spin parts
+    a = G^dag down, b = G^dag up, with P = diag((-1)^n) and G = diag(i^n).
+    """
+    n = pair.shape[1]
+    eye, parity = np.eye(n), np.diag((-1.0) ** np.arange(n))
+    to_sectors = np.block([[eye, parity], [eye, -parity]]) / math.sqrt(2.0)
+    sectors = np.zeros((2 * n, 2 * n), dtype=complex)
+    sectors[:n, :n], sectors[n:, n:] = pair
+    gauge = np.tile(np.array([1, 1j, -1, -1j])[np.arange(n) % 4], 2)
+    return gauge[:, None] * (to_sectors.T @ sectors @ to_sectors) * np.conj(gauge)
+
+
+class TestParitySymmetry:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fock_dim=st.integers(2, 64),
+        eta=st.floats(0.0, 2.0),
+        rabi_hz=st.floats(0.0, 1e6),
+        freq_hz=st.floats(0.2e6, 2e6),
+    )
+    def test_parity_commutes_with_the_flash_hamiltonian(self, fock_dim, eta, rabi_hz, freq_hz):
+        # Pi = sigma_x (x) (-1)^(a_dag a) maps the coupling C to its adjoint
+        h = complex_hamiltonian(fock_dim, eta, 2 * math.pi * rabi_hz, 2 * math.pi * freq_hz)
+        parity = np.diag((-1.0) ** np.arange(fock_dim))
+        zero = np.zeros((fock_dim, fock_dim))
+        pi = np.block([[zero, parity], [parity, zero]])
+        assert np.max(np.abs(pi @ h @ pi - h)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(fock_dim=st.integers(2, 240), eta=st.floats(0.0, 2.0))
+    def test_parity_transposes_the_gauge_coupling(self, fock_dim, eta):
+        # P r P = r^T for the real gauge coupling r = G^dag C G
+        g = quadrature_gauge(fock_dim)
+        c = coupling_operator(eta, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5))
+        r = np.conj(g)[:, None] * c * g
+        assert np.max(np.abs(r.imag)) < 1e-12
+        parity = (-1.0) ** np.arange(fock_dim)
+        assert np.max(np.abs(parity[:, None] * r.real * parity - r.real.T)) < 1e-12
 
 
 class TestGaugeFlashUnitary:
@@ -291,7 +350,7 @@ class TestGaugeFlashUnitary:
     )
     def test_matches_complex_eigh(self, fock_dim, eta, rabi_hz, freq_hz, dt):
         args = (fock_dim, eta, 2 * math.pi * rabi_hz, 2 * math.pi * freq_hz, dt)
-        u = _flash_unitary(*args)
+        u = dense_flash_unitary(_flash_unitary(*args))
         ref = complex_flash_unitary(*args)
         assert np.max(np.abs(u - ref)) < 1e-12
         assert np.max(np.abs(u.conj().T @ u - np.eye(2 * fock_dim))) < 1e-12
@@ -307,6 +366,124 @@ def kicked_spin_states(fock_dim, levels, alpha, alpha_phase, mix):
 
 def flash_and_phase(error: TruncationError) -> tuple[int, float]:
     return int(str(error).split()[1]), error.phase
+
+
+def reference_kick(fock_dim, alpha):
+    """exp(alpha a_dag - alpha* a) of the truncated ladder operators, by one complex eigh."""
+    a = np.diag(np.sqrt(np.arange(1.0, fock_dim)), 1)
+    w, v = np.linalg.eigh(1j * (alpha * a.T - np.conj(alpha) * a))
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def reference_states(fock_dim, levels, alpha, mix):
+    """Kicked Fock levels, each in the spin state cos(mix)|down> + i sin(mix)|up>."""
+    d = reference_kick(fock_dim, alpha * np.exp(0.7j))
+    return [SpinMotionState(np.concatenate([math.cos(mix) * d[:, n], 1j * math.sin(mix) * d[:, n]]),
+                            fock_dim) for n in levels]
+
+
+def reference_train(states, train, mode, hilbert):
+    """The train flash by flash with dense 2N x 2N products: flash k is
+    V(phi_k) U0 V(phi_k)^dag at phi_k = drive.phase + k phase_step, with U0 from
+    complex_flash_unitary, then the gap.
+
+    Returns ((down, up, max_tail), None) with the images of every state's
+    down and up parts, or (None, (flash, index, phase)) for the first flash
+    at which a state's tail supremum over the drive phase reaches tail_tol.
+    """
+    n, k_tail, drive = hilbert.fock_dim, hilbert.tail_levels, train.drive
+    u0 = complex_flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
+    gap = np.tile(np.exp(-1j * mode.freq * (train.cycle_dur - train.flash_dur) * np.arange(n)), 2)
+    amps = np.array([state.amplitudes for state in states]).T
+    down, up = amps.copy(), amps.copy()
+    down[n:] = 0.0
+    up[:n] = 0.0
+    top = np.r_[n - k_tail : n, 2 * n - k_tail : 2 * n]
+    max_tail = np.zeros(len(states))
+    for k in range(train.n_flashes):
+        phi = drive.phase + k * train.phase_step
+        v = np.concatenate([np.full(n, np.exp(0.5j * phi)), np.full(n, np.exp(-0.5j * phi))])
+        flash = v[:, None] * u0 * np.conj(v)
+        down, up = flash @ down, flash @ up
+        t1 = np.sum(np.conj(down[top]) * up[top], axis=0)
+        sup = np.sum(np.abs(down[top]) ** 2 + np.abs(up[top]) ** 2, axis=0) + 2.0 * np.abs(t1)
+        if np.max(sup) >= hilbert.tail_tol:
+            worst = int(np.argmax(sup))
+            return None, (k + 1, worst, (drive.phase - np.angle(t1[worst])) % (2.0 * math.pi))
+        np.maximum(max_tail, sup, out=max_tail)
+        down, up = gap[:, None] * down, gap[:, None] * up
+    return (down, up, max_tail), None
+
+
+def assert_matches_reference(states, train, hilbert):
+    """Both block propagators give reference_train's images and tails to 1e-12,
+    or raise at its flash and index with its phase to 1e-9. Returns its result."""
+    result, failure = reference_train(states, train, MODE, hilbert)
+    for propagate in (run_pulse_train_block, _operator_block):
+        if failure is not None:
+            with pytest.raises(TruncationError) as raised:
+                propagate(states, train, MODE, hilbert)
+            flash, phase = flash_and_phase(raised.value)
+            assert (flash, raised.value.index) == failure[:2]
+            assert abs(math.remainder(phase - failure[2], 2.0 * math.pi)) < 1e-9
+            continue
+        down, up, tail = propagate(states, train, MODE, hilbert)
+        assert np.max(np.abs(down - result[0])) < 1e-12
+        assert np.max(np.abs(up - result[1])) < 1e-12
+        np.testing.assert_allclose(tail, result[2], rtol=1e-12, atol=1e-15)
+    return result
+
+
+PHASE_STEPS = st.just(0.0) | st.floats(0.01, 0.5)
+
+
+class TestDenseReference:
+    """The sector engine against reference_train, which shares no propagation code with it.
+
+    phase_step 0 takes the per-sector operator stack, any other the operator
+    across both sectors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_flashes=st.sampled_from([1, 2, 3, 7, 30]),
+        fock_dim=st.integers(4, 48),
+        phase_step=PHASE_STEPS,
+        phase=st.floats(0.1, 6.2),
+        levels=st.sets(st.integers(0, 3), min_size=1, max_size=4),
+        alpha=st.floats(0.0, 1.5),
+        mix=st.floats(0.2, 1.3),
+    )
+    def test_every_propagator_matches(self, n_flashes, fock_dim, phase_step, phase, levels,
+                                      alpha, mix):
+        train = replace(headline_train(phase=phase, phase_step=phase_step, rabi_scale=0.3),
+                        n_flashes=n_flashes)
+        hilbert = HilbertSpec(fock_dim=fock_dim, tail_tol=1e-3)
+        states = reference_states(fock_dim, sorted(levels), alpha, mix)
+        result = assert_matches_reference(states, train, hilbert)
+        if result is not None:
+            for col, state in enumerate(states):
+                whole = run_pulse_train(state, train, MODE).amplitudes
+                assert np.max(np.abs(whole - result[0][:, col] - result[1][:, col])) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_flashes=st.sampled_from([1, 2, 3, 7, 30]),
+        fock_dim=st.integers(16, 32),
+        phase_step=PHASE_STEPS,
+        phase=st.floats(0.1, 6.2),
+        levels=st.sets(st.integers(0, 5), max_size=3),
+        mix=st.floats(0.2, 1.3),
+    )
+    def test_too_small_space_fails_alike(self, n_flashes, fock_dim, phase_step, phase, levels,
+                                         mix):
+        # flashes at eta = 2 push the kicked level 4 into the watched top
+        # levels: below 28 levels the first flash fills them past 1e-7, and
+        # from 28 up a later flash does, or none
+        train = replace(headline_train(phase=phase, phase_step=phase_step), n_flashes=n_flashes,
+                        drive=DriveParams(rabi=2.0 * math.pi * 0.3e6, phase=phase, eta=2.0))
+        hilbert = HilbertSpec(fock_dim=fock_dim, tail_tol=1e-7)
+        assert_matches_reference(reference_states(fock_dim, sorted(levels | {4}), 1.0, mix),
+                                 train, hilbert)
 
 
 class TestTrainOperator:
@@ -361,12 +538,12 @@ class TestTrainOperator:
         assert abs(math.remainder(op_phi - phi, 2.0 * math.pi)) < 1e-9
 
     @pytest.mark.parametrize("shape, cached, takes", [
-        ((30, 464, 330, 24), False, True),  # fig4's decode tables: cost ratio 0.49
+        ((30, 464, 330, 24), False, True),  # fig4's decode tables: cost ratio 0.29
         ((30, 464, 6, 24), True, True),  # fig4's anchor, with the operator cached
         ((30, 464, 144, 24), True, True),  # fig4's theta0 scan
-        ((30, 128, 180, 8), False, True),  # figS2: 0.31
-        ((30, 144, 66, 8), False, False),  # figS3-compare: 0.72
-        ((30, 320, 120, 16), False, False),  # figS4: 0.84
+        ((30, 128, 180, 8), False, True),  # figS2: 0.20
+        ((30, 144, 66, 8), False, False),  # figS3-compare: 0.40
+        ((30, 320, 120, 16), False, False),  # figS4: 0.46
         ((1, 96, 6, 6), False, False),  # fig2b: one flash
         ((30, 416, 12, 22), False, False),  # fig3b and fig3c
     ])

@@ -43,13 +43,14 @@ from ionstrobe.sequence import (
     SequenceSpec,
     characterize_reference_fringe,
     run_scan,
-    run_sequence,
     sample_detection,
     sample_scan,
     scan_fringes,
     sequence_fringes,
     static_pattern_probe,
 )
+
+from conftest import run_sequence
 
 OMEGA = 2.0 * math.pi * 1.3e6
 CYCLE = 2.0 * math.pi / OMEGA
