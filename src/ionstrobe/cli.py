@@ -160,7 +160,8 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
 def _alpha_grid(cfg: dict) -> np.ndarray:
     """The decode amplitudes 0, alpha_step, ... up to alpha_max; at least 3."""
     dec = cfg["decode"]
-    alpha_grid = np.arange(0.0, dec["alpha_max"] + dec["alpha_step"] / 2.0, dec["alpha_step"])
+    with _naming("decode.alpha_max and decode.alpha_step"):  # a grid past numpy's size limit
+        alpha_grid = np.arange(0.0, dec["alpha_max"] + dec["alpha_step"] / 2.0, dec["alpha_step"])
     if len(alpha_grid) < 3:
         raise ConfigError(f"decode.alpha_max and decode.alpha_step give {len(alpha_grid)} "
                           "decode amplitudes, need at least 3")
@@ -245,7 +246,9 @@ def cmd_stability(cfg: dict, args) -> None:
     model = cfgmod.build_noise_model(cfg)
     st = cfg["stability"]
     seed = cfg["detection"]["base_seed"]
-    with _naming("stability.duration_s"):
+    # a grid too large to allocate fails before any sample is drawn
+    with _naming("stability.duration_s and stability.sample_interval_s",
+                 (ConfigError, ValueError, MemoryError)):
         trace = simulate_phase_trace(model, st["duration_s"], seed=seed)
     with _naming("stability.reference_interval_s"):
         corrected = apply_reference_correction(trace, st["reference_interval_s"])

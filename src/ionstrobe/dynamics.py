@@ -37,14 +37,15 @@ supremum over phi of the top-Fock tail: the tail rows of every flash are
 read in sector coordinates and checked in one pass at the end
 (_watch_tails), raising the error of the first failing flash.
 
-Train operator. At delta = 0, M is the (2, N, N) stack Gap U_s and M^F is
-powered per sector; otherwise M is a (2, N, 2N) operator over both sectors
-(_compose). M^F takes floor(log2 F) + popcount(F) - 1 products (7 at
-F = 30), and the watchdog's tail rows after flash j are P_top M^(j+1). The
-operator and its rows are cached for one train at a time. propagate_block,
-the sequence layer's entry point, takes the operator when its cost,
-counted in sector multiply-adds as in _operator_pays with the build only
-when it is not cached, is at most a third of the flash-by-flash cost.
+Train operator. At delta = 0 (every tuned demo train) M is the (2, N, N)
+stack Gap U_s, which acts on each sector alone, and M^F is powered per
+sector in floor(log2 F) + popcount(F) - 1 products (7 at F = 30); the
+watchdog's tail rows after flash j are P_top M^(j+1). The operator and its
+rows are cached for one train at a time. propagate_block, the sequence
+layer's entry point, takes the operator for a delta = 0 train when its
+cost, counted in sector multiply-adds as in _operator_pays with the build
+only when it is not cached, is at most a third of the flash-by-flash cost;
+any other train goes flash by flash.
 """
 
 from __future__ import annotations
@@ -350,7 +351,8 @@ def run_pulse_train_block(
     value holds each state's largest one, and a TruncationError's index the
     failing state. The block goes through the train flash by flash in the
     rotating frame, one batched sector matmul each (see the module
-    docstring); propagate_block may take the cached train operator instead.
+    docstring); propagate_block may take the cached train operator instead
+    when phase_step is 0.
     """
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     drive = train.drive
@@ -377,52 +379,34 @@ def _operator_key(train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec)
     """Every field the train operator is built from; drive.phase is applied per call."""
     drive = train.drive
     return (hilbert.fock_dim, mode.freq, drive.rabi, drive.eta, train.n_flashes,
-            train.flash_dur, train.cycle_dur, train.phase_step)
-
-
-def _compose(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b for sector-layout operators: a is (..., 2, r, m), b is (2, N, w).
-
-    m = N is the delta = 0 stack, which acts on each sector alone; m = 2N is
-    an operator across both sectors, whose columns run over b's two sectors.
-    """
-    if a.shape[-1] != b.shape[-2]:
-        b = b.reshape(-1, b.shape[-1])
-    return np.matmul(a, b, out=out)
+            train.flash_dur, train.cycle_dur)
 
 
 def _build_train_operator(
     train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """T = M^F and the tail rows P M^(j+1), j < F, as (2, F, k_tail, m), in sector layout.
+    """T = M^F and the tail rows P M^(j+1), j < F, as (2, F, k_tail, N), per sector.
 
-    M = V(delta)^dag Gap blockdiag(U_+, U_-) is the (2, N, N) stack Gap U_s
-    at delta = 0, and otherwise the (2, N, 2N) operator blockdiag(Gap U_s)
-    with its two row sectors mixed by V(delta)^dag. M is formed once and
-    M^F is taken by left-to-right binary powering, floor(log2 F) squarings
-    and popcount(F) - 1 products by M, in two buffers; the tail rows are a
-    chain of thin products.
+    At delta = 0, M = Gap blockdiag(U_+, U_-) is the (2, N, N) stack Gap U_s.
+    M is formed once and M^F is taken by left-to-right binary powering,
+    floor(log2 F) squarings and popcount(F) - 1 products by M, in two
+    buffers; the tail rows are a chain of thin products.
     """
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     drive = train.drive
     u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
     step = _gap_phases(train, mode, n)[:, None] * u
-    if train.phase_step:
-        full = np.zeros((2, n, 2 * n), dtype=complex)
-        full[0, :, :n], full[1, :, n:] = step
-        _mix(full, train.phase_step)
-        step = full
-    rows = np.empty((2, train.n_flashes, k_tail, step.shape[2]), dtype=complex)
+    rows = np.empty((2, train.n_flashes, k_tail, n), dtype=complex)
     rows[:, 0] = step[:, n - k_tail :]
     for j in range(1, train.n_flashes):
-        _compose(rows[:, j - 1], step, out=rows[:, j])
+        np.matmul(rows[:, j - 1], step, out=rows[:, j])
     power = step.copy()
     spare = np.empty_like(power)
     for bit in bin(train.n_flashes)[3:]:
-        _compose(power, power, out=spare)
+        np.matmul(power, power, out=spare)
         power, spare = spare, power
         if bit == "1":
-            _compose(power, step, out=spare)
+            np.matmul(power, step, out=spare)
             power, spare = spare, power
     power.setflags(write=False)
     rows.setflags(write=False)
@@ -432,7 +416,9 @@ def _build_train_operator(
 def _train_operator(
     train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The train operator at drive phase 0 and its tail rows, cached for one train."""
+    """The delta = 0 train operator at drive phase 0 and its tail rows, cached for one train."""
+    if train.phase_step != 0.0:
+        raise ValueError("the train operator is built for phase_step 0 only")
     key = _operator_key(train, mode, hilbert)
     if key not in _operator_cache:
         _operator_cache.clear()  # drop the old operator before building the new one
@@ -443,7 +429,7 @@ def _train_operator(
 def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached: bool) -> bool:
     """Whether the train operator cuts the work of a (dim, width) block to a third.
 
-    Counted in sector multiply-adds at delta = 0, with D = dim = 2N,
+    Counted in sector multiply-adds, with D = dim = 2N,
     w = width = 2L and t = tail_rows = 2 k_tail: flash by flash costs
     F D^2 w / 2, one (2, N, N) matmul per flash. The operator costs
     D^2 w / 2 + F t D w / 2 to apply, plus
@@ -454,8 +440,6 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
     0.33 of the flash-by-flash time where the count says 0.29 (fig4's
     tables) and 0.30 where it says 0.20 (figS2), but 0.52 and 0.49 where it
     says 0.40 (figS3-compare) and 0.46 (figS4), which stay flash by flash.
-    A delta != 0 train builds over both sectors, four times the count and
-    twice the apply; every tuned demo train has delta = 0.
     """
     by_flash = n_flashes * dim * dim * width / 2
     cost = (dim * dim * width + n_flashes * tail_rows * dim * width) / 2
@@ -471,7 +455,7 @@ def _operator_block(
     mode: ModeParams,
     hilbert: HilbertSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """run_pulse_train_block through the cached train operator.
+    """run_pulse_train_block through the cached train operator, for phase_step 0.
 
     The watchdog reads every flash's tail from its thin rows, in one
     product, before the block itself is propagated.
@@ -479,8 +463,8 @@ def _operator_block(
     t, rows = _train_operator(train, mode, hilbert)
     block = _split_sectors(states, train, hilbert.fock_dim)
     stacked = rows.reshape(2, -1, rows.shape[-1])  # one product per sector for all flashes
-    max_tail = _watch_tails(_compose(stacked, block).reshape(*rows.shape[:3], -1), train, hilbert)
-    return (*_spin_output(_compose(t, block), train), max_tail)
+    max_tail = _watch_tails((stacked @ block).reshape(*rows.shape[:3], -1), train, hilbert)
+    return (*_spin_output(t @ block, train), max_tail)
 
 
 def propagate_block(
@@ -490,12 +474,13 @@ def propagate_block(
     hilbert: HilbertSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """run_pulse_train_block's (down, up, max_tail), through the cached train
-    operator when that cuts the work to a third (_operator_pays), else flash
-    by flash. Both raise the same TruncationErrors and norm error.
+    operator when phase_step is 0 and that cuts the work to a third
+    (_operator_pays), else flash by flash. Both raise the same
+    TruncationErrors and norm error.
     """
-    cached = _operator_key(train, mode, hilbert) in _operator_cache
-    if _operator_pays(train.n_flashes, 2 * hilbert.fock_dim, 2 * len(states),
-                      2 * hilbert.tail_levels, cached):
+    if train.phase_step == 0.0 and _operator_pays(
+            train.n_flashes, 2 * hilbert.fock_dim, 2 * len(states), 2 * hilbert.tail_levels,
+            _operator_key(train, mode, hilbert) in _operator_cache):
         return _operator_block(states, train, mode, hilbert)
     return run_pulse_train_block(states, train, mode, hilbert)
 

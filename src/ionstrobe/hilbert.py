@@ -231,6 +231,13 @@ def coupling_operator(eta: float, spec: HilbertSpec) -> np.ndarray:
     return _expi_quadrature(eta, spec.fock_dim)
 
 
+def _require_levels(spec: HilbertSpec, needed: float, kick: str) -> None:
+    """Raise TruncationError unless fock_dim >= needed, which may be inf."""
+    if spec.fock_dim < needed:
+        need = math.ceil(needed) if needed < math.inf else needed
+        raise TruncationError(f"fock_dim={spec.fock_dim} too small for {kick} (need >= {need})")
+
+
 def displacement_operator(alpha, spec: HilbertSpec) -> np.ndarray:
     """Coherent displacement D(alpha) = exp(alpha a_dag - alpha* a).
 
@@ -245,12 +252,7 @@ def displacement_operator(alpha, spec: HilbertSpec) -> np.ndarray:
     if isinstance(alpha, CoherentAmp):
         alpha = alpha.value
     alpha = complex(alpha)
-    needed = 4.0 * abs(alpha) ** 2 + 20.0
-    if spec.fock_dim < needed:
-        raise TruncationError(
-            f"fock_dim={spec.fock_dim} too small for |alpha|={abs(alpha):.3g} "
-            f"(need >= {math.ceil(needed)})"
-        )
+    _require_levels(spec, 4.0 * abs(alpha) * abs(alpha) + 20.0, f"|alpha|={abs(alpha):.3g}")
     n = spec.fock_dim
     rot = np.exp(1j * cmath.phase(alpha) * np.arange(n)) * quadrature_gauge(n)
     return rot[:, None] * _expi_quadrature(-abs(alpha), n) * np.conj(rot)
@@ -270,12 +272,9 @@ def squeeze_operator(zeta, spec: HilbertSpec) -> np.ndarray:
     if isinstance(zeta, SqueezeParam):
         zeta = zeta.value
     zeta = complex(zeta)
-    needed = 20.0 * math.exp(2.0 * abs(zeta))
-    if spec.fock_dim < needed:
-        raise TruncationError(
-            f"fock_dim={spec.fock_dim} too small for |zeta|={abs(zeta):.3g} "
-            f"(need >= {math.ceil(needed)})"
-        )
+    # math.exp overflows a float above 709.78
+    needed = 20.0 * math.exp(2.0 * abs(zeta)) if abs(zeta) < 350.0 else math.inf
+    _require_levels(spec, needed, f"|zeta|={abs(zeta):.3g}")
     n = spec.fock_dim
     s = np.zeros((n, n), dtype=complex)
     for parity in (0, 1):

@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,32 @@ def test_config_error_names_key(tmp_path, capsys, command, text, extra, key):
     path = write_cfg(tmp_path, text + "\n")
     assert main([command, "--config", path, "--out", str(tmp_path / "x.txt"), *extra]) == 2
     assert key in capsys.readouterr().err
+
+
+# (command, config text, what stderr must name): inputs whose sizes overflow a
+# float or ask numpy for an array far past memory, before anything is allocated
+EXTREME_INPUTS = [
+    ("ramsey-scan", "hilbert: {fock_dim: 40}\ntrain: {rabi_scale: 0.28}\n"
+     "scan: {outer_var: alpha_abs, outer_values: [1.0e200]}", ["outer=1e+200", "fock_dim=40"]),
+    ("squeeze-scan", "state: {zeta_abs: 400.0}", ["|zeta|=400", "fock_dim="]),
+    ("build-tables", "decode: {alpha_step: 1.0e-300}", ["decode.alpha_max", "decode.alpha_step"]),
+    ("stability", "stability: {sample_interval_s: 1.0e-12}",
+     ["stability.duration_s", "stability.sample_interval_s"]),
+]
+
+
+@pytest.mark.parametrize("command, text, names", EXTREME_INPUTS,
+                         ids=[row[0] for row in EXTREME_INPUTS])
+def test_extreme_inputs_exit_cleanly(tmp_path, command, text, names):
+    # a fresh interpreter, so a raw exception would show as a traceback on stderr
+    cfg = write_cfg(tmp_path, text + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ionstrobe.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-m", "ionstrobe.cli", command, "--config", cfg,
+                          "--out", str(tmp_path / "x.txt")], capture_output=True, text=True,
+                         env=env)
+    assert out.returncode in (2, 3)
+    assert all(name in out.stderr for name in names), out.stderr
+    assert "Traceback" not in out.stderr
 
 
 class TestCliRamseyScan:

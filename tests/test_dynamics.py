@@ -356,14 +356,6 @@ class TestGaugeFlashUnitary:
         assert np.max(np.abs(u.conj().T @ u - np.eye(2 * fock_dim))) < 1e-12
 
 
-def kicked_spin_states(fock_dim, levels, alpha, alpha_phase, mix):
-    """Fock levels displaced by alpha, each in the spin state cos(mix)|down> + i sin(mix)|up>."""
-    d = displacement_operator(CoherentAmp(alpha, alpha_phase), HilbertSpec(fock_dim=fock_dim,
-                                                                           tail_tol=0.5))
-    return [SpinMotionState(np.concatenate([math.cos(mix) * d[:, n], 1j * math.sin(mix) * d[:, n]]),
-                            fock_dim) for n in levels]
-
-
 def flash_and_phase(error: TruncationError) -> tuple[int, float]:
     return int(str(error).split()[1]), error.phase
 
@@ -416,10 +408,14 @@ def reference_train(states, train, mode, hilbert):
 
 
 def assert_matches_reference(states, train, hilbert):
-    """Both block propagators give reference_train's images and tails to 1e-12,
-    or raise at its flash and index with its phase to 1e-9. Returns its result."""
+    """Both block propagators (the operator only at phase_step 0, the one train
+    it is built for) give reference_train's images and tails to 1e-12, or
+    raise at its flash and index with its phase to 1e-9. Returns its result."""
     result, failure = reference_train(states, train, MODE, hilbert)
-    for propagate in (run_pulse_train_block, _operator_block):
+    propagators = [run_pulse_train_block]
+    if train.phase_step == 0.0:
+        propagators.append(_operator_block)
+    for propagate in propagators:
         if failure is not None:
             with pytest.raises(TruncationError) as raised:
                 propagate(states, train, MODE, hilbert)
@@ -440,8 +436,8 @@ PHASE_STEPS = st.just(0.0) | st.floats(0.01, 0.5)
 class TestDenseReference:
     """The sector engine against reference_train, which shares no propagation code with it.
 
-    phase_step 0 takes the per-sector operator stack, any other the operator
-    across both sectors."""
+    phase_step 0 also checks the per-sector train operator; any other step
+    checks the flash-by-flash mix across sectors."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -487,55 +483,7 @@ class TestDenseReference:
 
 
 class TestTrainOperator:
-    """The cached train operator T = V((F-1) delta) M^F V(delta) against the
-    flash-by-flash block propagation it replaces."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n_flashes=st.sampled_from([1, 2, 3, 7, 30]),
-        phase_step=st.floats(0.01, 0.5),
-        phase=st.floats(0.1, 6.2),
-        levels=st.sets(st.integers(0, 5), min_size=1, max_size=4),
-        alpha=st.floats(0.0, 2.0),
-        mix=st.floats(0.2, 1.3),
-    )
-    def test_matches_flash_by_flash(self, n_flashes, phase_step, phase, levels, alpha, mix):
-        # at 36 levels the kicked states reach the watched top levels, so the
-        # tails are well above rounding; tail_tol 0.5 lets every train pass
-        train = replace(headline_train(phase=phase, phase_step=phase_step, rabi_scale=0.3),
-                        n_flashes=n_flashes)
-        hilbert = HilbertSpec(fock_dim=36, tail_tol=0.5)
-        states = kicked_spin_states(36, sorted(levels), alpha, 0.7, mix)
-        down, up, tail = run_pulse_train_block(states, train, MODE, hilbert)
-        op_down, op_up, op_tail = _operator_block(states, train, MODE, hilbert)
-        assert np.max(np.abs(op_down - down)) < 1e-12
-        assert np.max(np.abs(op_up - up)) < 1e-12
-        np.testing.assert_allclose(op_tail, tail, rtol=1e-12, atol=0)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        n_flashes=st.sampled_from([1, 2, 3, 7, 30]),
-        phase_step=st.floats(0.01, 0.5),
-        phase=st.floats(0.1, 6.2),
-        levels=st.sets(st.integers(0, 5), max_size=3),
-        mix=st.floats(0.2, 1.3),
-    )
-    def test_truncation_names_the_same_flash_state_and_phase(self, n_flashes, phase_step,
-                                                             phase, levels, mix):
-        # 24 levels hold D(1) of the low levels, but the flashes at eta = 2
-        # push them into the top two: level 4 leaks ~6e-6 in the first flash
-        train = replace(headline_train(phase=phase, phase_step=phase_step), n_flashes=n_flashes,
-                        drive=DriveParams(rabi=2.0 * math.pi * 0.3e6, phase=phase, eta=2.0))
-        hilbert = HilbertSpec(fock_dim=24, tail_tol=1e-7)
-        states = kicked_spin_states(24, sorted(levels | {4}), 1.0, 0.7, mix)
-        with pytest.raises(TruncationError) as by_flash:
-            run_pulse_train_block(states, train, MODE, hilbert)
-        with pytest.raises(TruncationError) as by_operator:
-            _operator_block(states, train, MODE, hilbert)
-        flash, phi = flash_and_phase(by_flash.value)
-        op_flash, op_phi = flash_and_phase(by_operator.value)
-        assert op_flash == flash and by_operator.value.index == by_flash.value.index
-        assert abs(math.remainder(op_phi - phi, 2.0 * math.pi)) < 1e-9
+    """When propagate_block takes the cached train operator T = M^F, and what it caches."""
 
     @pytest.mark.parametrize("shape, cached, takes", [
         ((30, 464, 330, 24), False, True),  # fig4's decode tables: cost ratio 0.29
@@ -560,11 +508,27 @@ class TestTrainOperator:
         hilbert = HilbertSpec(fock_dim=24, tail_tol=0.5)
         amps = np.random.default_rng(1).normal(size=(24, 96)).view(complex)
         states = [SpinMotionState(a / np.linalg.norm(a), 24) for a in amps]
-        first = headline_train(phase_step=0.03, rabi_scale=0.3)
-        second = headline_train(phase_step=0.04, rabi_scale=0.3)
+        first = headline_train(rabi_scale=0.3)
+        second = headline_train(rabi_scale=0.31)
         for train in (first, first, replace(first, drive=replace(first.drive, phase=1.0)),
                       second, first):
             propagate_block(states, train, MODE, hilbert)
         # drive.phase is applied per call; a new train replaces the old one
         assert builds == [first, second, first]
         assert len(dynamics_module._operator_cache) == 1
+
+    def test_nonzero_phase_step_goes_flash_by_flash(self, monkeypatch):
+        # figS2's shape, where the rule takes the operator of a phase_step 0 train
+        builds = []
+        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+        monkeypatch.setattr(dynamics_module, "_build_train_operator",
+                            lambda *args: builds.append(args[0]))
+        hilbert = HilbertSpec(fock_dim=64, tail_tol=0.5)
+        assert _operator_pays(30, 128, 180, 2 * hilbert.tail_levels, False)
+        amps = np.random.default_rng(2).normal(size=(90, 256)).view(complex)
+        states = [SpinMotionState(a / np.linalg.norm(a), 64) for a in amps]
+        train = headline_train(phase=0.4, phase_step=0.05, rabi_scale=0.3)
+        result = propagate_block(states, train, MODE, hilbert)
+        for got, want in zip(result, run_pulse_train_block(states, train, MODE, hilbert)):
+            np.testing.assert_array_equal(got, want)
+        assert builds == []

@@ -132,6 +132,9 @@ class TestDisplacement:
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             displacement_operator(CoherentAmp(3.0), HilbertSpec(fock_dim=40))
+        # 4 |alpha|^2 overflows a float: still a TruncationError naming the kick
+        with pytest.raises(TruncationError, match=r"\|alpha\|=1e\+200 \(need >= inf\)"):
+            displacement_operator(CoherentAmp(1e200), HilbertSpec(fock_dim=40))
 
     @pytest.mark.parametrize("alpha", [0.3 - 0.2j, 1.5 + 1.1j, -2.0 + 0.5j, -1.2j, 2.5])
     def test_matches_expm_of_generator(self, alpha):
@@ -185,6 +188,9 @@ class TestSqueeze:
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             squeeze_operator(SqueezeParam(1.0), HilbertSpec(fock_dim=64))
+        # exp(2 |zeta|) overflows a float: still a TruncationError naming the kick
+        with pytest.raises(TruncationError, match=r"\|zeta\|=400 \(need >= inf\)"):
+            squeeze_operator(SqueezeParam(400.0), HilbertSpec(fock_dim=64))
 
 
 class TestStatesAndSampling:
