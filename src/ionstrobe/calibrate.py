@@ -258,9 +258,10 @@ def _search(
     when the thermal draw or any evaluation's tail exceeds hilbert.tail_tol.
     """
     n = hilbert.fock_dim
-    _, weights, states = thermal_ground_states(
+    _, weights, ground = thermal_ground_states(
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, hilbert
     )
+    states = np.stack([state.amplitudes for state in ground], axis=1)
     n_evals = 0
 
     def objective(phase_step: float, rabi_scale: float) -> float:

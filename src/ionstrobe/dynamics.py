@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import DimensionMismatchError, IonstrobeError, TruncationError
 from .hilbert import (
     DriveParams,
     HilbertSpec,
@@ -262,24 +262,24 @@ def run_pulse_train(
     return out
 
 
-def _split_sectors(states: list[SpinMotionState], train: PulseTrainSpec, n: int) -> np.ndarray:
-    """The (2, N, 2L) sector block of V(drive.phase)^dag on every state's
-    spin-down part (the first L columns), then on every spin-up part."""
-    n_states = len(states)
-    down = np.zeros((n, 2 * n_states), dtype=complex)
-    up = np.zeros_like(down)
-    for col, state in enumerate(states):
-        down[:, col], up[:, n_states + col] = state.spin_blocks()
-    down *= np.exp(-0.5j * train.drive.phase)
-    up *= np.exp(0.5j * train.drive.phase)
-    return _to_sectors(down, up)
+def _split_sectors(states: np.ndarray, train: PulseTrainSpec, n: int) -> np.ndarray:
+    """The (2, N, 2L) sector block of V(drive.phase)^dag on the spin-down part
+    of every column of the (2N, L) states (the first L columns), then on
+    every spin-up part."""
+    if states.ndim != 2 or states.shape[0] != 2 * n:
+        raise DimensionMismatchError(f"expected a ({2 * n}, L) block, got {states.shape}")
+    zero = np.zeros(states[:n].shape)
+    down = np.hstack([states[:n] * np.exp(-0.5j * train.drive.phase), zero])
+    return _to_sectors(down, np.hstack([zero, states[n:] * np.exp(0.5j * train.drive.phase)]))
 
 
 def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, np.ndarray]:
     """The (down, up) images of a block propagated in the rotating frame.
 
     The train leaves the frame of flash F, so V(drive.phase + F delta)
-    brings the block back; every state's norm is checked on the way.
+    brings the block back. Every state's norm is checked on the way: a
+    deviation over 2e-10, which rounding over a very long train can reach,
+    raises an IonstrobeError.
     """
     n = block.shape[1]
     out = _from_sectors(block)
@@ -290,7 +290,8 @@ def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, 
     norm1 = np.sum(np.conj(down) * up, axis=0)
     deviation = np.abs(norm0[:n_states] + norm0[n_states:] - 1.0) + 2.0 * np.abs(norm1)
     if np.max(deviation) > 2e-10:
-        raise ValueError(f"train output norm deviates from 1 by up to {np.max(deviation):.3e}")
+        raise IonstrobeError(f"train output norm deviates from 1 by up to "
+                             f"{np.max(deviation):.3e} after {train.n_flashes} flashes (tol 2e-10)")
     return down, up
 
 
@@ -332,12 +333,14 @@ def _watch_tails(tails: np.ndarray, train: PulseTrainSpec, hilbert: HilbertSpec)
 
 
 def run_pulse_train_block(
-    states: list[SpinMotionState],
+    states: np.ndarray,
     train: PulseTrainSpec,
     mode: ModeParams,
     hilbert: HilbertSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagate the spin-down and spin-up parts of many states as one block.
+
+    states is the (2N, L) spin-major amplitude array, one state per column.
 
     Free motion commutes with V(phi), so the train with its first flash at
     phase train.drive.phase + phi maps state l to
@@ -450,7 +453,7 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
 
 
 def _operator_block(
-    states: list[SpinMotionState],
+    states: np.ndarray,
     train: PulseTrainSpec,
     mode: ModeParams,
     hilbert: HilbertSpec,
@@ -468,7 +471,7 @@ def _operator_block(
 
 
 def propagate_block(
-    states: list[SpinMotionState],
+    states: np.ndarray,
     train: PulseTrainSpec,
     mode: ModeParams,
     hilbert: HilbertSpec,
@@ -479,7 +482,7 @@ def propagate_block(
     TruncationErrors and norm error.
     """
     if train.phase_step == 0.0 and _operator_pays(
-            train.n_flashes, 2 * hilbert.fock_dim, 2 * len(states), 2 * hilbert.tail_levels,
+            train.n_flashes, 2 * hilbert.fock_dim, 2 * states.shape[1], 2 * hilbert.tail_levels,
             _operator_key(train, mode, hilbert) in _operator_cache):
         return _operator_block(states, train, mode, hilbert)
     return run_pulse_train_block(states, train, mode, hilbert)

@@ -213,10 +213,11 @@ def _quadrature_eigh(fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
-def _expi_quadrature(t: float, fock_dim: int) -> np.ndarray:
-    """exp(i t X) = V e^{i t lam} V^T from the cached real eigendecomposition of X."""
+def _expi_quadrature(t: float, fock_dim: int, levels=slice(None)) -> np.ndarray:
+    """exp(i t X)[:, levels] = V e^{i t lam} V[levels]^T, from the cached eigh of X."""
     lam, v = _quadrature_eigh(fock_dim)
-    return (v * np.cos(t * lam)) @ v.T + 1j * ((v * np.sin(t * lam)) @ v.T)
+    vt = v[levels].T
+    return (v * np.cos(t * lam)) @ vt + 1j * ((v * np.sin(t * lam)) @ vt)
 
 
 def coupling_operator(eta: float, spec: HilbertSpec) -> np.ndarray:
@@ -238,13 +239,15 @@ def _require_levels(spec: HilbertSpec, needed: float, kick: str) -> None:
         raise TruncationError(f"fock_dim={spec.fock_dim} too small for {kick} (need >= {need})")
 
 
-def displacement_operator(alpha, spec: HilbertSpec) -> np.ndarray:
-    """Coherent displacement D(alpha) = exp(alpha a_dag - alpha* a).
+def displacement_operator(alpha, spec: HilbertSpec, levels=None) -> np.ndarray:
+    """Coherent displacement D(alpha) = exp(alpha a_dag - alpha* a), or with
+    `levels` (a sequence of Fock indices) only its columns D(alpha)[:, levels].
 
     With alpha = r e^{i theta} and R = diag(e^{i theta n}), D(alpha) =
     R G exp(-i r X) G^dag R^dag in the gauge G = diag(i^n), where
     G exp(-i r X) G^dag = exp[r (a_dag - a)]; exp(-i r X) comes from the
-    same cached real eigendecomposition of X as coupling_operator.
+    same cached real eigendecomposition of X as coupling_operator. The
+    columns alone cost O(N^2 L) for L levels, the whole matrix O(N^3).
 
     Raises TruncationError unless fock_dim >= 4 |alpha|^2 + 20, which keeps
     the Poisson tail of the displaced vacuum below ~1e-6.
@@ -255,7 +258,8 @@ def displacement_operator(alpha, spec: HilbertSpec) -> np.ndarray:
     _require_levels(spec, 4.0 * abs(alpha) * abs(alpha) + 20.0, f"|alpha|={abs(alpha):.3g}")
     n = spec.fock_dim
     rot = np.exp(1j * cmath.phase(alpha) * np.arange(n)) * quadrature_gauge(n)
-    return rot[:, None] * _expi_quadrature(-abs(alpha), n) * np.conj(rot)
+    cols = slice(None) if levels is None else np.asarray(levels, dtype=int)
+    return rot[:, None] * _expi_quadrature(-abs(alpha), n, cols) * np.conj(rot[cols])
 
 
 def squeeze_operator(zeta, spec: HilbertSpec) -> np.ndarray:

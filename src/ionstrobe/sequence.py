@@ -30,8 +30,11 @@ that cuts the counted work to a third, through the cached train operator
 (see the dynamics module docstring). A wide block pays for building it, and
 the narrow blocks that follow on the same train find it cached: on fig4
 the 330-column decode-table block builds it, and the anchor and the
-theta0 scan reuse it. The kick matrices are cached for one magnitude,
-since every caller applies each magnitude to its thermal levels in turn.
+theta0 scan reuse it. A kick meets only the thermal Fock levels, so just
+their columns K|l> are formed (O(N^2 L) for a displacement, not O(N^3)),
+cached for one magnitude, which every caller applies in consecutive
+kicks. The sync pi/2 pulse acts on the spin alone, so it commutes with the
+kick and the pre-delay and is applied once per thermal level.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .dynamics import (
     DephasingSpec,
     PulseTrainSpec,
     apply_dephasing,
-    free_evolve,
     mw_rotation,
     propagate_block,
 )
@@ -55,11 +57,8 @@ from .hilbert import (
     CoherentAmp,
     HilbertSpec,
     ModeParams,
-    SpinMotionState,
     SqueezeParam,
-    check_truncation,
     displacement_operator,
-    expect_n,
     squeeze_operator,
     thermal_ground_states,
 )
@@ -139,32 +138,65 @@ class PatternField:
 
 
 @lru_cache(maxsize=1)
-def _excitation_matrix(kind: str, magnitude: float, fock_dim: int) -> np.ndarray:
+def _excitation_matrix(kind: str, magnitude: float, fock_dim: int, levels: tuple) -> np.ndarray:
+    """Columns `levels` of the phase-0 kick: the (fock_dim, len(levels)) K|l>."""
     spec = HilbertSpec(fock_dim=fock_dim, tail_tol=0.5)
     if kind == "coherent":
-        op = displacement_operator(CoherentAmp(magnitude, 0.0), spec)
+        op = displacement_operator(CoherentAmp(magnitude, 0.0), spec, levels)
     else:
-        op = squeeze_operator(SqueezeParam(magnitude, 0.0), spec)
+        op = squeeze_operator(SqueezeParam(magnitude, 0.0), spec)[:, list(levels)]
     op.setflags(write=False)
     return op
 
 
-def _apply_excitation(state: SpinMotionState, excitation) -> SpinMotionState:
-    """Kick the motion; the phase enters by number-operator conjugation."""
-    if excitation is None or excitation.magnitude == 0.0:
-        return state
-    n = state.fock_dim
+def _kicked_levels(excitation, levels: tuple, fock_dim: int) -> np.ndarray:
+    """K|l> for the Fock levels `levels`, as (fock_dim, L) columns; the phase
+    enters by number-operator conjugation, K = R K_0 R^dag, R = e^{i rot n}."""
+    if excitation is None:
+        return np.eye(fock_dim, dtype=complex)[:, list(levels)]
     if isinstance(excitation, CoherentAmp):
-        op = _excitation_matrix("coherent", excitation.magnitude, n)
+        op = _excitation_matrix("coherent", excitation.magnitude, fock_dim, levels)
         rot = excitation.phase
     elif isinstance(excitation, SqueezeParam):
-        op = _excitation_matrix("squeeze", excitation.magnitude, n)
+        op = _excitation_matrix("squeeze", excitation.magnitude, fock_dim, levels)
         rot = excitation.phase / 2.0
     else:
         raise ConfigError(f"unsupported excitation {type(excitation).__name__}")
-    phases = np.exp(1j * rot * np.arange(n))
-    blocks = [phases * (op @ (np.conj(phases) * block)) for block in state.spin_blocks()]
-    return SpinMotionState(np.concatenate(blocks), n)
+    phases = np.exp(1j * rot * np.arange(fock_dim))
+    return phases[:, None] * (op * np.conj(phases[list(levels)]))
+
+
+def _pre_train(spec: SequenceSpec, kicks: list, levels: np.ndarray, ground: list):
+    """The (2N, kicks x levels) pre-train block, kick-major, and each column's
+    <n> after its kick: every column is the sync-rotated spin amplitudes of
+    |down>|l> times the kicked, pre-delayed level. A TruncationError (a kick
+    too large for fock_dim, or a tail at tail_tol) has the column as index.
+    """
+    n, hilbert, thermal = spec.hilbert.fock_dim, spec.hilbert, tuple(levels.tolist())
+    motion = []
+    for k, kick in enumerate(kicks):
+        try:
+            motion.append(_kicked_levels(kick, thermal, n))
+        except TruncationError as exc:
+            exc.index = k * len(thermal)
+            raise
+    motion = np.concatenate(motion, axis=1)
+    n_initial = np.arange(n) @ np.abs(motion) ** 2
+    motion *= np.exp(-1j * spec.mode.freq * spec.pre_delay() * np.arange(n))[:, None]
+    spins = np.array([mw_rotation(st, math.pi / 2.0, SYNC_PHASE).amplitudes[[l, n + l]]
+                      for l, st in zip(thermal, ground)]).T  # (2, L): down, up amplitudes
+    block = np.concatenate([np.tile(spin, len(kicks)) * motion for spin in spins])
+    pops = np.abs(block[:n]) ** 2 + np.abs(block[n:]) ** 2
+    deviation = np.abs(np.sqrt(np.sum(pops, axis=0)) - 1.0)
+    if np.max(deviation) > 1e-10:
+        raise ValueError(f"state norm deviates from 1 by {deviation[deviation > 1e-10][0]:.3e}")
+    tails = np.sum(pops[-hilbert.tail_levels :], axis=0)
+    if np.max(tails) >= hilbert.tail_tol:
+        col = int(np.argmax(tails >= hilbert.tail_tol))
+        raise TruncationError(
+            f"excitation leaves {tails[col]:.3e} in the top {hilbert.tail_levels} Fock levels "
+            f"(tol {hilbert.tail_tol:g}); increase fock_dim", index=col)
+    return block, n_initial
 
 
 @dataclass(frozen=True)
@@ -209,40 +241,22 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
     or zero magnitude, are one) are split into spin-down and spin-up parts
     and pushed through the train at phi = 0 by propagate_block, through the
     cached train operator when that pays (see the module docstring). A
-    TruncationError's index is the position of a failing excitation.
+    TruncationError's index is the position of a failing excitation; a
+    kick too large for fock_dim is reported before any pre-train tail.
     """
     kicks = [None if e is None or e.magnitude == 0.0 else e for e in excitations]
     distinct = list(dict.fromkeys(kicks))
     if not distinct:
         return []
-    _, weights, ground = thermal_ground_states(
+    levels, weights, ground = thermal_ground_states(
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
     )
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
-    pre_delay = spec.pre_delay()
-    pre_train, n_initial = [], []
-    for kick in distinct:
-        try:
-            for st in ground:
-                st = _apply_excitation(st, kick)
-                n_initial.append(expect_n(st))
-                st = free_evolve(st, spec.mode, pre_delay)
-                st = mw_rotation(st, math.pi / 2.0, SYNC_PHASE)
-                rep = check_truncation(st, spec.hilbert)
-                if not rep.passed:
-                    raise TruncationError(
-                        f"excitation leaves {rep.tail_population:.3e} in the top "
-                        f"{rep.tail_levels} Fock levels (tol {rep.tail_tol:g}); "
-                        "increase fock_dim"
-                    )
-                pre_train.append(st)
-        except TruncationError as exc:  # from the kick's operator or the check
-            exc.index = kicks.index(kick)
-            raise
     train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=0.0))
     try:
+        pre_train, n_initial = _pre_train(spec, distinct, levels, ground)
         down, up, max_tail = propagate_block(pre_train, train, spec.mode, spec.hilbert)
-    except TruncationError as exc:
+    except TruncationError as exc:  # index: a block column, kick-major
         exc.index = kicks.index(distinct[exc.index // len(ground)])
         raise
     shape = (len(distinct), len(ground))  # rows: excitations; columns: thermal levels
@@ -252,7 +266,7 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
     quanta = np.tile(np.arange(n), 2)
     p0 = 0.5 + (np.sum(pop0[:n], axis=0).reshape(shape) @ weights - 0.5) * envelope
     p1 = (np.sum(pop1[:n], axis=0).reshape(shape) @ weights) * envelope
-    n0 = (quanta @ pop0 - np.asarray(n_initial)).reshape(shape) @ weights
+    n0 = (quanta @ pop0 - n_initial).reshape(shape) @ weights
     n1 = (quanta @ pop1).reshape(shape) @ weights
     tails = max_tail.reshape(shape).max(axis=1)
     columns = (c.tolist() for c in (p0, p1, n0, n1, tails))

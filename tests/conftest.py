@@ -1,5 +1,6 @@
-"""Shared fixtures: tuned headline-parameter sequences at two space sizes, and a
-counter of the sequence layer's block propagations."""
+"""Shared fixtures: tuned headline-parameter sequences at two space sizes, a
+counter of the sequence layer's block propagations, and a state-by-state
+reference for the sequence layer's fringes."""
 
 import math
 import os
@@ -13,16 +14,34 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from ionstrobe import (
+    SPIN_DOWN,
     CoherentAmp,
     DriveParams,
     HilbertSpec,
     ModeParams,
+    SpinMotionState,
+    SqueezeParam,
     UnitScale,
     ATOMIC_MASS,
+    displacement_operator,
+    expect_n,
+    expect_sigma_z,
+    make_initial_state,
+    squeeze_operator,
+    thermal_ensemble,
 )
 from ionstrobe.calibrate import apply_tuning, build_decode_tables, tune_pulse_train
-from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec
+from ionstrobe.dynamics import (
+    DephasingSpec,
+    PulseTrainSpec,
+    apply_dephasing,
+    free_evolve,
+    mw_rotation,
+    run_pulse_train,
+)
 import ionstrobe.sequence as sequence_module
 from ionstrobe.sequence import SequenceSpec, sequence_fringes
 
@@ -32,6 +51,47 @@ OMEGA_LF = 2.0 * math.pi * 1.3e6
 def run_sequence(spec: SequenceSpec, phi: float) -> tuple[float, float]:
     """(P_down, delta_n) of the full sequence at one analysis phase phi."""
     return sequence_fringes(spec, [spec.excitation])[0].evaluate(phi)
+
+
+def reference_pre_train(spec: SequenceSpec, level: int) -> tuple[SpinMotionState, float]:
+    """The pre-train state of thermal level `level` and its <n> after the kick,
+    one state at a time: |down>|level> kicked by the full displacement or
+    squeeze unitary of spec.excitation, free_evolve over the pre-delay, then
+    the sync mw_rotation."""
+    state = make_initial_state(SPIN_DOWN, int(level), spec.hilbert)
+    exc = spec.excitation
+    if isinstance(exc, CoherentAmp):
+        op = displacement_operator(exc, spec.hilbert)
+    elif isinstance(exc, SqueezeParam):
+        op = squeeze_operator(exc, spec.hilbert)
+    else:
+        op = np.eye(spec.hilbert.fock_dim)
+    state = SpinMotionState(np.concatenate([op @ block for block in state.spin_blocks()]),
+                            state.fock_dim)
+    n_initial = expect_n(state)
+    state = free_evolve(state, spec.mode, spec.pre_delay())
+    return mw_rotation(state, math.pi / 2.0, sequence_module.SYNC_PHASE), n_initial
+
+
+def reference_fringe(spec: SequenceSpec) -> tuple[float, complex, float, complex]:
+    """The fringe coefficients (p0, p1, n0, n1) of spec, from run_pulse_train on
+    every thermal level's reference_pre_train state with the first flash at
+    phi = 0, pi/2, pi and 3 pi/2: an exact cosine in phi is its mean plus
+    2 Re(c1 e^{i phi}), with c1 the mean of its samples times e^{-i phi}."""
+    levels, weights = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
+    envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
+    phis = np.arange(4) * (math.pi / 2.0)
+    p_down, delta_n = np.zeros(4), np.zeros(4)
+    for w, level in zip(weights, levels):
+        state, n_initial = reference_pre_train(spec, level)
+        for k, phi in enumerate(phis):
+            train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=phi))
+            out = run_pulse_train(state, train, spec.mode)
+            p_down[k] += w * (1.0 - expect_sigma_z(out)) / 2.0
+            delta_n[k] += w * (expect_n(out) - n_initial)
+    rot = np.exp(-1j * phis)
+    p0 = 0.5 + (np.mean(p_down) - 0.5) * envelope
+    return p0, np.mean(p_down * rot) * envelope, np.mean(delta_n), np.mean(delta_n * rot)
 
 
 def headline_sequence_spec(fock_dim: int) -> SequenceSpec:
@@ -91,7 +151,7 @@ def block_calls(monkeypatch):
     block = sequence_module.propagate_block
 
     def counting(states, *args):
-        widths.append(len(states))
+        widths.append(states.shape[1])
         return block(states, *args)
 
     monkeypatch.setattr(sequence_module, "propagate_block", counting)

@@ -214,7 +214,8 @@ class TestSmallSpaceSearch:
             spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, small
         )
         tuned = apply_tuning(spec, ref).analysis
-        _, _, tail = run_pulse_train_block(states, tuned, spec.mode, small)
+        block = np.stack([state.amplitudes for state in states], axis=1)
+        _, _, tail = run_pulse_train_block(block, tuned, spec.mode, small)
         assert SEARCH_TAIL_BOUND < tail.max() < spec.hilbert.tail_tol
         assert tune_pulse_train(spec, tol=5e-3) == ref
 

@@ -224,10 +224,14 @@ EXTREME_INPUTS = [
     ("stability", "stability: {sample_interval_s: 1.0e-12}",
      ["stability.duration_s", "stability.sample_interval_s"]),
 ]
+# a train so long that rounding alone moves the output norm by 2.5e-10
+LONG_TRAIN = ("ramsey-scan", "hilbert: {fock_dim: 40}\ntrain: {n_flashes: 100000, "
+              "rabi_scale: 8.39214434438e-05}\nscan: {phi_num: 4}",
+              ["after 100000 flashes", "norm deviates from 1 by up to"])
 
 
-@pytest.mark.parametrize("command, text, names", EXTREME_INPUTS,
-                         ids=[row[0] for row in EXTREME_INPUTS])
+@pytest.mark.parametrize("command, text, names", EXTREME_INPUTS + [LONG_TRAIN],
+                         ids=[row[0] for row in EXTREME_INPUTS] + ["long-train"])
 def test_extreme_inputs_exit_cleanly(tmp_path, command, text, names):
     # a fresh interpreter, so a raw exception would show as a traceback on stderr
     cfg = write_cfg(tmp_path, text + "\n")

@@ -219,7 +219,8 @@ class TestPulseTrain:
             manual = free_evolve(flash_evolve(manual, drive_k, MODE, train.flash_dur), MODE, gap)
         out = run_pulse_train(st, train, MODE)
         np.testing.assert_allclose(out.amplitudes, manual.amplitudes, rtol=0, atol=1e-12)
-        down, up, _ = run_pulse_train_block([st], train, MODE, HilbertSpec(fock_dim=40))
+        down, up, _ = run_pulse_train_block(st.amplitudes[:, None], train, MODE,
+                                            HilbertSpec(fock_dim=40))
         np.testing.assert_allclose((down + up)[:, 0], manual.amplitudes, rtol=0, atol=1e-12)
 
     def test_unitarity(self):
@@ -412,18 +413,19 @@ def assert_matches_reference(states, train, hilbert):
     it is built for) give reference_train's images and tails to 1e-12, or
     raise at its flash and index with its phase to 1e-9. Returns its result."""
     result, failure = reference_train(states, train, MODE, hilbert)
+    block = np.stack([state.amplitudes for state in states], axis=1)
     propagators = [run_pulse_train_block]
     if train.phase_step == 0.0:
         propagators.append(_operator_block)
     for propagate in propagators:
         if failure is not None:
             with pytest.raises(TruncationError) as raised:
-                propagate(states, train, MODE, hilbert)
+                propagate(block, train, MODE, hilbert)
             flash, phase = flash_and_phase(raised.value)
             assert (flash, raised.value.index) == failure[:2]
             assert abs(math.remainder(phase - failure[2], 2.0 * math.pi)) < 1e-9
             continue
-        down, up, tail = propagate(states, train, MODE, hilbert)
+        down, up, tail = propagate(block, train, MODE, hilbert)
         assert np.max(np.abs(down - result[0])) < 1e-12
         assert np.max(np.abs(up - result[1])) < 1e-12
         np.testing.assert_allclose(tail, result[2], rtol=1e-12, atol=1e-15)
@@ -507,7 +509,7 @@ class TestTrainOperator:
         # 48 columns at 48 rows: the operator pays even when it must be built
         hilbert = HilbertSpec(fock_dim=24, tail_tol=0.5)
         amps = np.random.default_rng(1).normal(size=(24, 96)).view(complex)
-        states = [SpinMotionState(a / np.linalg.norm(a), 24) for a in amps]
+        states = (amps / np.linalg.norm(amps, axis=1, keepdims=True)).T
         first = headline_train(rabi_scale=0.3)
         second = headline_train(rabi_scale=0.31)
         for train in (first, first, replace(first, drive=replace(first.drive, phase=1.0)),
@@ -526,7 +528,7 @@ class TestTrainOperator:
         hilbert = HilbertSpec(fock_dim=64, tail_tol=0.5)
         assert _operator_pays(30, 128, 180, 2 * hilbert.tail_levels, False)
         amps = np.random.default_rng(2).normal(size=(90, 256)).view(complex)
-        states = [SpinMotionState(a / np.linalg.norm(a), 64) for a in amps]
+        states = (amps / np.linalg.norm(amps, axis=1, keepdims=True)).T
         train = headline_train(phase=0.4, phase_step=0.05, rabi_scale=0.3)
         result = propagate_block(states, train, MODE, hilbert)
         for got, want in zip(result, run_pulse_train_block(states, train, MODE, hilbert)):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre
 
@@ -135,6 +137,26 @@ class TestDisplacement:
         # 4 |alpha|^2 overflows a float: still a TruncationError naming the kick
         with pytest.raises(TruncationError, match=r"\|alpha\|=1e\+200 \(need >= inf\)"):
             displacement_operator(CoherentAmp(1e200), HilbertSpec(fock_dim=40))
+
+    @settings(max_examples=60, deadline=None)
+    @given(magnitude=st.floats(0.0, 5.0), phase=st.floats(0.0, 2.0 * math.pi), data=st.data())
+    def test_levels_are_columns_of_the_full_kick(self, magnitude, phase, data):
+        alpha = CoherentAmp(magnitude, phase)
+        needed = math.ceil(4.0 * abs(alpha.value) ** 2 + 20.0)
+        assume(needed <= 120)
+        spec = HilbertSpec(fock_dim=data.draw(st.integers(needed, 120)))
+        levels = data.draw(st.lists(st.integers(0, spec.fock_dim - 1), min_size=1, max_size=8))
+        full = displacement_operator(alpha, spec)
+        cols = displacement_operator(alpha, spec, levels)
+        assert cols.shape == (spec.fock_dim, len(levels))
+        assert np.max(np.abs(cols - full[:, levels])) <= 1e-14
+        # one level too few: both forms refuse the kick alike
+        small = HilbertSpec(fock_dim=needed - 1)
+        with pytest.raises(TruncationError) as whole:
+            displacement_operator(alpha, small)
+        with pytest.raises(TruncationError) as part:
+            displacement_operator(alpha, small, levels)
+        assert str(part.value) == str(whole.value)
 
     @pytest.mark.parametrize("alpha", [0.3 - 0.2j, 1.5 + 1.1j, -2.0 + 0.5j, -1.2j, 2.5])
     def test_matches_expm_of_generator(self, alpha):

@@ -9,29 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionstrobe import (
-    SPIN_DOWN,
     CoherentAmp,
     DriveParams,
     HilbertSpec,
     ModeParams,
-    SpinMotionState,
     SqueezeParam,
     check_truncation,
-    displacement_operator,
     expect_n,
     expect_sigma_z,
-    make_initial_state,
-    squeeze_operator,
     thermal_ensemble,
 )
-from ionstrobe.dynamics import (
-    DephasingSpec,
-    PulseTrainSpec,
-    apply_dephasing,
-    free_evolve,
-    mw_rotation,
-    run_pulse_train,
-)
+from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec, apply_dephasing, run_pulse_train
 import ionstrobe.sequence as sequence_module
 from ionstrobe.calibrate import build_decode_tables
 from ionstrobe.errors import ConfigError, TruncationError
@@ -50,7 +38,7 @@ from ionstrobe.sequence import (
     static_pattern_probe,
 )
 
-from conftest import run_sequence
+from conftest import reference_fringe, reference_pre_train, run_sequence
 
 OMEGA = 2.0 * math.pi * 1.3e6
 CYCLE = 2.0 * math.pi / OMEGA
@@ -162,19 +150,7 @@ def reference_observables(spec, phi):
     train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=phi))
     p_down = delta_n = sigma_z = tail = 0.0
     for w, level in zip(weights, levels):
-        state = make_initial_state(SPIN_DOWN, int(level), spec.hilbert)
-        exc = spec.excitation
-        if isinstance(exc, CoherentAmp):
-            op = displacement_operator(exc, spec.hilbert)
-        elif isinstance(exc, SqueezeParam):
-            op = squeeze_operator(exc, spec.hilbert)
-        else:
-            op = np.eye(spec.hilbert.fock_dim)
-        blocks = [op @ block for block in state.spin_blocks()]
-        state = SpinMotionState(np.concatenate(blocks), state.fock_dim)
-        n_initial = expect_n(state)
-        state = free_evolve(state, spec.mode, spec.pre_delay())
-        state = mw_rotation(state, math.pi / 2.0, sequence_module.SYNC_PHASE)
+        state, n_initial = reference_pre_train(spec, level)
         for k in range(1, train.n_flashes + 1):
             prefix = run_pulse_train(state, replace(train, n_flashes=k), spec.mode)
             tail = max(tail, check_truncation(prefix, spec.hilbert).tail_population)
@@ -285,12 +261,52 @@ class TestSequenceFringe:
         # them all; the phase enters by conjugation, not through the cache
         cache = sequence_module._excitation_matrix
         cache.cache_clear()
-        state = SpinMotionState(np.eye(80, dtype=complex)[0], 40)
         for kick in (CoherentAmp(0.5, 0.0), CoherentAmp(0.5, 1.0), CoherentAmp(1.0, 0.0),
                      CoherentAmp(1.0, 2.0)):
-            sequence_module._apply_excitation(state, kick)
+            sequence_module._kicked_levels(kick, (0,), 40)
         info = cache.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 2, 1)
+
+    def test_kicks_form_only_thermal_columns(self, headline_units):
+        # the sequence path forms no dense kick: the cached kick is K|l> for
+        # the thermal levels l alone
+        spec = make_spec(fock_dim=40, rabi_scale=0.2795, n_th=0.15, envelope="gaussian")
+        levels, _ = thermal_ensemble(0.15, spec.thermal_samples, spec.thermal_seed)
+        build_decode_tables(spec, headline_units, [0.0, 0.5, 1.0])
+        cache = sequence_module._excitation_matrix
+        hits = cache.cache_info().hits
+        kick = cache("coherent", 1.0, 40, tuple(levels.tolist()))
+        assert cache.cache_info().hits == hits + 1
+        assert kick.shape == (40, len(levels))
+
+    @pytest.mark.parametrize("n_th, fock_dim", [(0.15, 48), (2.0, 64)])
+    def test_coefficients_match_state_by_state_reference(self, n_th, fock_dim):
+        # coherent kicks at nonzero phases, a squeeze and no-kick excitations
+        # in one block, each against reference_fringe; the n_th = 2 draw
+        # reaches level 21
+        spec = make_spec(fock_dim=fock_dim, n_th=n_th, envelope="gaussian")
+        batch = [CoherentAmp(0.8, 1.1), SqueezeParam(0.25, 2.3), None, CoherentAmp(0.0, 0.4),
+                 CoherentAmp(0.5, 4.0)]
+        for excitation, fringe in zip(batch, sequence_fringes(spec, batch)):
+            p0, p1, n0, n1 = reference_fringe(replace(spec, excitation=excitation))
+            assert abs(fringe.p0 - p0) <= 1e-12
+            assert abs(fringe.p1 - p1) <= 1e-12
+            assert abs(fringe.n0 - n0) <= 1e-12
+            assert abs(fringe.n1 - n1) <= 1e-12
+
+    def test_pre_train_truncation_sets_index(self):
+        # D(1.5) fits fock_dim 33 (it needs 29 levels) but carries level 21 of
+        # the n_th = 2 ensemble into the top Fock levels before the train
+        spec = make_spec(fock_dim=33, n_th=2.0)
+        small, bad = CoherentAmp(0.1, 0.0), CoherentAmp(1.5, 0.3)
+        message = r"^excitation leaves \S+ in the top 2 Fock levels \(tol 0\.0001\); increase"
+        with pytest.raises(TruncationError, match=message) as info:
+            sequence_fringes(spec, [small, None, bad, small, bad])
+        assert info.value.index == 2
+        # a kick too large for fock_dim (D(3) needs 56 levels), at 10 thermal levels
+        with pytest.raises(TruncationError, match=r"\|alpha\|=3") as info:
+            sequence_fringes(spec, [small, None, CoherentAmp(3.0, 0.0)])
+        assert info.value.index == 2
 
     def test_truncation_names_outer_and_flash(self):
         # level 21 of the n_th = 2 ensemble passes the pre-train check at
@@ -311,7 +327,7 @@ class TestSequenceFringe:
     def test_truncation_in_reference_is_named(self, monkeypatch):
         # a failing column past the outer grid is the interleaved reference's
         def failing(states, *args):
-            raise TruncationError("flash 1 of 30 leaks", index=len(states) - 1)
+            raise TruncationError("flash 1 of 30 leaks", index=states.shape[1] - 1)
 
         monkeypatch.setattr(sequence_module, "propagate_block", failing)
         spec = make_spec(fock_dim=40, excitation=CoherentAmp(0.5, 0.0))
