@@ -28,6 +28,7 @@ from .hilbert import (
     CoherentAmp,
     HilbertSpec,
     UnitScale,
+    coupling_operator,
     expect_sigma_z,
     thermal_ground_states,
 )
@@ -173,23 +174,6 @@ class DecodeTables:
         return DecodedPoint(*values, *clamped)
 
 
-def _laguerre(levels: np.ndarray, x: float) -> np.ndarray:
-    """Laguerre polynomials L_n(x) for integer levels n >= 0.
-
-    Uses the recurrence of scipy.special.eval_laguerre for integer n
-    (d_1 = -x, d_{k+1} = -x p_k / (k+1) + k d_k / (k+1), p_{k+1} = p_k + d_{k+1}),
-    so the values agree with it bit for bit.
-    """
-    vals = [1.0]
-    d = -x
-    p = 1.0 + d
-    for k in range(1, int(np.max(levels)) + 1):
-        vals.append(p)
-        d = -x / (k + 1.0) * p + (k / (k + 1.0)) * d
-        p = p + d
-    return np.array(vals)[np.asarray(levels, dtype=int)]
-
-
 def golden_section(f, lo: float, hi: float, xtol: float = 1e-6):
     """Minimize a unimodal scalar function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -324,9 +308,10 @@ def tune_pulse_train(spec: SequenceSpec, tol: float = 5e-3) -> TrainTuning:
     levels, weights, states = thermal_ground_states(
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
     )
-    # analytic starting point: thermally weighted Debye-Waller carrier rate
-    eta = train.drive.eta
-    dw = math.exp(-(eta**2) / 2.0) * float(np.dot(weights, _laguerre(levels, eta**2)))
+    # analytic starting point: the thermally weighted Debye-Waller carrier rate,
+    # <l|C|l> = e^{-eta^2/2} L_l(eta^2) from the coupling operator every flash is built from
+    carrier = np.diagonal(coupling_operator(train.drive.eta, spec.hilbert))[levels].real
+    dw = float(np.dot(weights, carrier))
     theta_full = train.n_flashes * train.drive.rabi * train.flash_dur * max(dw, 1e-12)
     start = (train.phase_step, (math.pi / 2.0) / theta_full)
 
@@ -359,7 +344,9 @@ def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> Dec
     the encoding is a pure fringe shift; phases are unwrapped along the
     amplitude grid and anchored to the alpha = 0 fringe. The momentum
     branch runs at theta0 = pi/2 where only the contrast responds. One
-    sequence_fringes call serves all three branches.
+    sequence_fringes call serves all three branches; its TruncationError at
+    an amplitude is raised again with the amplitude prefixed, keeping its
+    index (the excitation's position, three per amplitude) and phase.
     """
     alphas = np.asarray(sorted(set(float(a) for a in alpha_grid)))
     if alphas[0] != 0.0:
@@ -372,10 +359,9 @@ def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> Dec
     try:
         fringes = sequence_fringes(spec, kicks)
     except TruncationError as exc:
-        if exc.index is None:  # the thermal draw, before any amplitude
-            raise
-        alpha = kicks[exc.index].magnitude
-        raise TruncationError(f"at decode amplitude |alpha|={alpha:g}: {exc}", exc.index) from exc
+        if exc.index is not None:  # else the thermal draw, before any amplitude
+            exc.args = (f"at decode amplitude |alpha|={kicks[exc.index].magnitude:g}: {exc}",)
+        raise
     plus, minus, mom = fringes[0::3], fringes[1::3], fringes[2::3]
 
     anchor = plus[0].phase

@@ -299,7 +299,7 @@ def detection_shots(cfg: dict) -> int | None:
 def build_scan_spec(cfg: dict) -> ScanSpec:
     scan = cfg["scan"]
     outer, squeezed = scan["outer_var"], cfg["state"]["zeta_abs"] > 0
-    if (outer == "theta0" and squeezed) or (outer == "zeta0" and not squeezed):
+    if (outer in ("theta0", "alpha_abs") and squeezed) or (outer == "zeta0" and not squeezed):
         raise ConfigError(f"scan.outer_var {outer} needs state.zeta_abs {'= 0' if squeezed else '> 0'}")
     if outer == "alpha_abs" and min(scan["outer_values"]) < 0:
         raise ConfigError("scan.outer_values must be >= 0 when scan.outer_var is alpha_abs")

@@ -278,8 +278,9 @@ def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, 
 
     The train leaves the frame of flash F, so V(drive.phase + F delta)
     brings the block back. Every state's norm is checked on the way: a
-    deviation over 2e-10, which rounding over a very long train can reach,
-    raises an IonstrobeError.
+    deviation over 2e-10 + F 1e-14 raises an IonstrobeError. Rounding moves
+    the norm by up to about 2.5e-15 per flash (measured at fock_dim 40 and
+    232 up to F = 10^5), so a train of any length stays well inside.
     """
     n = block.shape[1]
     out = _from_sectors(block)
@@ -289,9 +290,10 @@ def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, 
     norm0 = np.sum(np.abs(out) ** 2, axis=0)
     norm1 = np.sum(np.conj(down) * up, axis=0)
     deviation = np.abs(norm0[:n_states] + norm0[n_states:] - 1.0) + 2.0 * np.abs(norm1)
-    if np.max(deviation) > 2e-10:
+    tol = 2e-10 + 1e-14 * train.n_flashes
+    if np.max(deviation) > tol:
         raise IonstrobeError(f"train output norm deviates from 1 by up to "
-                             f"{np.max(deviation):.3e} after {train.n_flashes} flashes (tol 2e-10)")
+                             f"{np.max(deviation):.3e} after {train.n_flashes} flashes (tol {tol:.3g})")
     return down, up
 
 
@@ -321,14 +323,12 @@ def _watch_tails(tails: np.ndarray, train: PulseTrainSpec, hilbert: HilbertSpec)
         k = int(failing[0])
         worst = int(np.argmax(sup[k]))
         phi_worst = (train.drive.phase - np.angle(t1[k, worst])) % (2.0 * math.pi)
-        error = TruncationError(
+        raise TruncationError(
             f"flash {k + 1} of {train.n_flashes} leaks up to {sup[k, worst]:.3e} into "
             f"the top {hilbert.tail_levels} Fock levels at base phase {phi_worst:.4f} rad "
             f"(tol {hilbert.tail_tol:g}); increase fock_dim",
-            index=worst,
+            index=worst, phase=float(phi_worst),
         )
-        error.phase = float(phi_worst)
-        raise error
     return np.max(sup, axis=0)
 
 

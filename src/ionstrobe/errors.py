@@ -10,14 +10,13 @@ class ConfigError(IonstrobeError):
 
 
 class TruncationError(IonstrobeError):
-    """Fock-space truncation is inadequate; `index` places the failure in a batch.
+    """Fock-space truncation is inadequate; `index` places the failure in a batch,
+    and `phase`, set by the train watchdog, is the worst base phase (rad)."""
 
-    A train watchdog's error also carries `phase`, the worst base phase (rad).
-    """
-
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(self, message: str, index: int | None = None, phase: float | None = None):
         super().__init__(message)
         self.index = index
+        self.phase = phase
 
 
 class DimensionMismatchError(IonstrobeError):

@@ -346,48 +346,36 @@ def expect_n(state: SpinMotionState) -> float:
     return float(np.dot(pops, np.arange(state.fock_dim)))
 
 
-def _quadrature_expectations(state: SpinMotionState) -> tuple[float, float]:
-    """(<a + a_dag>, <i (a_dag - a)>) without building full-space matrices."""
-    n = state.fock_dim
-    root = np.sqrt(np.arange(1, n))
-    acc = 0.0 + 0.0j
+def _quadrature_moments(state: SpinMotionState) -> tuple[complex, complex, float, float]:
+    """(<a>, <a^2>, <a_dag a>, <a a_dag>) over both spin blocks, from the bands
+    of the truncated ladder operators in O(N); the truncated a a_dag has no
+    level above the top one, so <a a_dag> = sum_{n < N-1} (n + 1) p_n."""
+    n = np.arange(state.fock_dim)
+    a1 = a2 = 0j
     for block in state.spin_blocks():
-        # <a> restricted to one spin block: sum conj(c_n) sqrt(n+1) c_{n+1}
-        acc += np.sum(np.conj(block[:-1]) * root * block[1:])
-    x = 2.0 * acc.real  # <a + a_dag>
-    p = 2.0 * acc.imag  # <i (a_dag - a)> = 2 Im <a>... sign checked in tests
-    return float(x), float(p)
+        a1 += np.vdot(block[:-1], np.sqrt(n[1:]) * block[1:])
+        a2 += np.vdot(block[:-2], np.sqrt(n[1:-1] * n[2:]) * block[2:])
+    pops = state.fock_populations()
+    return complex(a1), complex(a2), float(n @ pops), float(n[1:] @ pops[:-1])
 
 
 def quadratures_si(state: SpinMotionState, units: UnitScale) -> tuple[float, float]:
     """Position and momentum expectations in SI units.
 
-    X = x_zpf <a + a_dag>, P = p_zpf <i (a_dag - a)>.
+    X = x_zpf <a + a_dag> = 2 x_zpf Re<a>, P = p_zpf <i (a_dag - a)> = 2 p_zpf Im<a>.
     """
-    x_dimless, p_dimless = _quadrature_expectations(state)
-    return units.x_zpf * x_dimless, units.p_zpf * p_dimless
+    a1 = _quadrature_moments(state)[0]
+    return units.x_zpf * 2.0 * a1.real, units.p_zpf * 2.0 * a1.imag
 
 
 def quadrature_variances_si(state: SpinMotionState, units: UnitScale) -> tuple[float, float]:
-    """Var(X) and Var(P) in SI units, for squeezing diagnostics."""
-    n = state.fock_dim
-    spec = HilbertSpec(fock_dim=n, tail_tol=0.5)
-    a, a_dag, _ = build_mode_operators(spec)
-    x_op = a + a_dag
-    p_op = 1j * (a_dag - a)
-    down, up = state.spin_blocks()
+    """Var(X) and Var(P) in SI units, for squeezing diagnostics.
 
-    def _block_expect(op):
-        val = 0.0 + 0.0j
-        for block in (down, up):
-            val += np.vdot(block, op @ block)
-        return val.real
-
-    x1 = _block_expect(x_op)
-    p1 = _block_expect(p_op)
-    x2 = _block_expect(x_op @ x_op)
-    p2 = _block_expect(p_op @ p_op)
-    return units.x_zpf**2 * (x2 - x1**2), units.p_zpf**2 * (p2 - p1**2)
+    In the truncated space <X^2> and <P^2> are <a_dag a> + <a a_dag> +- 2 Re<a^2>.
+    """
+    a1, a2, ada, aad = _quadrature_moments(state)
+    x2, p2 = ada + aad + 2.0 * a2.real, ada + aad - 2.0 * a2.real
+    return units.x_zpf**2 * (x2 - 4.0 * a1.real**2), units.p_zpf**2 * (p2 - 4.0 * a1.imag**2)
 
 
 def check_truncation(state: SpinMotionState, spec: HilbertSpec) -> TruncationReport:

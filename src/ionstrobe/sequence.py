@@ -52,7 +52,7 @@ from .dynamics import (
     mw_rotation,
     propagate_block,
 )
-from .errors import ConfigError, IonstrobeError, TruncationError
+from .errors import ConfigError, TruncationError
 from .hilbert import (
     CoherentAmp,
     HilbertSpec,
@@ -292,15 +292,17 @@ def sample_detection(p_down: float, shots: int | None, seed) -> tuple[float, flo
 
 
 def _outer_excitation(exc, outer_var: str, value: float):
-    """The excitation `exc` with the scan's outer variable (see ScanSpec) set to `value`."""
-    if outer_var == "alpha_abs":
-        return CoherentAmp(value, exc.phase if isinstance(exc, CoherentAmp) else 0.0)
+    """The excitation `exc` with the scan's outer variable (see ScanSpec) set to
+    `value`; alpha_abs sets the magnitude of a coherent kick, or of none."""
     if outer_var == "none":
         return exc
-    kind, name = (CoherentAmp, "coherent") if outer_var == "theta0" else (SqueezeParam, "squeeze")
+    if outer_var == "alpha_abs" and exc is None:
+        exc = CoherentAmp(0.0)
+    kind, name = (SqueezeParam, "squeeze") if outer_var == "zeta0" else (CoherentAmp, "coherent")
     if not isinstance(exc, kind):
         raise ConfigError(f"outer_var '{outer_var}' needs a {name} excitation")
-    return replace(exc, phase=value)
+    field = "magnitude" if outer_var == "alpha_abs" else "phase"
+    return replace(exc, **{field: value})
 
 
 def characterize_reference_fringe(spec: SequenceSpec) -> SequenceFringe:
@@ -319,21 +321,20 @@ def _invert_reference(p_meas: float, fringe: SequenceFringe) -> float:
 def scan_fringes(scan: ScanSpec, spec: SequenceSpec) -> list[SequenceFringe]:
     """The fringe of every outer value of `scan`, then, with
     interleave_reference, the alpha = 0 reference's, from one
-    sequence_fringes call. An error with an index names the outer value or
-    the reference; one without, such as the thermal draw's, concerns no point.
+    sequence_fringes call. A TruncationError with an index (the position of
+    the outer value, or of the reference after them) is raised again, its
+    index and phase kept and its message prefixed with that point; one
+    without, such as the thermal draw's, concerns no point.
     """
     kicks = [_outer_excitation(spec.excitation, scan.outer_var, v) for v in scan.outer_grid]
     try:
         return sequence_fringes(spec, kicks + [None] * scan.interleave_reference)
-    except IonstrobeError as exc:
-        index = getattr(exc, "index", None)
-        if index is None:
-            raise
-        if index < len(scan.outer_grid):
-            where = f"at scan point (outer={scan.outer_grid[index]:g})"
-        else:
-            where = "in the alpha = 0 reference"
-        raise type(exc)(f"{where}: {exc}") from exc
+    except TruncationError as exc:
+        if exc.index is not None:
+            where = (f"at scan point (outer={scan.outer_grid[exc.index]:g})"
+                     if exc.index < len(scan.outer_grid) else "in the alpha = 0 reference")
+            exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def sample_scan(

@@ -43,7 +43,7 @@ from ionstrobe.dynamics import (
     run_pulse_train,
     run_pulse_train_block,
 )
-from ionstrobe.errors import TruncationError
+from ionstrobe.errors import IonstrobeError, TruncationError
 
 OMEGA = 2.0 * math.pi * 1.3e6
 MODE = ModeParams(freq=OMEGA, n_th=0.15)
@@ -227,6 +227,20 @@ class TestPulseTrain:
         st = coherent_state(2.0, 1.1, 96)
         out = run_pulse_train(st, headline_train(rabi_scale=0.3), MODE)
         assert out.norm() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("propagate", [run_pulse_train_block, _operator_block])
+    def test_non_unitary_flash_raises(self, monkeypatch, propagate):
+        # the cached sector pair scaled by 1 + 1e-8 moves every norm by about
+        # 2e-8 per flash, far past the 2e-10 + 30e-14 bound of 30 flashes
+        flash = dynamics_module._flash_unitary
+        monkeypatch.setattr(dynamics_module, "_flash_unitary",
+                            lambda *args: flash(*args) * (1.0 + 1e-8))
+        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+        st = coherent_state(1.0, 0.5, 40)
+        message = r"norm deviates from 1 by up to \S+ after 30 flashes \(tol 2e-10\)"
+        with pytest.raises(IonstrobeError, match=message):
+            propagate(st.amplitudes[:, None], headline_train(rabi_scale=0.3), MODE,
+                      HilbertSpec(fock_dim=40))
 
     def test_stroboscopic_pre_delay_invariance(self):
         # on resonance, adding full motional periods before the train changes nothing

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, eval_laguerre
 
 from ionstrobe import (
     HBAR,
@@ -32,6 +32,7 @@ from ionstrobe import (
     squeeze_operator,
     thermal_ensemble,
 )
+from ionstrobe.hilbert import _quadrature_moments
 
 MG25_MASS = 25.0 * ATOMIC_MASS
 OMEGA_LF = 2.0 * math.pi * 1.3e6
@@ -99,6 +100,14 @@ class TestCouplingOperator:
             [[coupling_element_laguerre(m, n, eta) for n in range(keep)] for m in range(keep)]
         )
         assert np.max(np.abs(c[:keep, :keep] - oracle)) < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(eta=st.floats(0.0, 1.0), fock_dim=st.integers(48, 160))
+    def test_diagonal_is_debye_waller_factor(self, eta, fock_dim):
+        # the pi/2 tuner's start reads <n|C|n> = e^{-eta^2/2} L_n(eta^2) off the diagonal
+        levels = np.arange(11)
+        diag = np.diagonal(coupling_operator(eta, HilbertSpec(fock_dim=fock_dim)))[levels]
+        assert np.max(np.abs(diag - math.exp(-eta**2 / 2.0) * eval_laguerre(levels, eta**2))) < 1e-13
 
     def test_unitary_on_retained_levels(self):
         dim, keep = 40, 32
@@ -276,6 +285,36 @@ class TestExpectations:
         x, p = quadratures_si(SpinMotionState(amps, spec.fock_dim), units)
         assert abs(x) < 1e-20
         assert p == pytest.approx(2.0 * units.p_zpf, rel=1e-9)
+
+
+class TestQuadratureMoments:
+    @settings(max_examples=80, deadline=None)
+    @given(fock_dim=st.integers(2, 80), seed=st.integers(0, 2**32 - 1),
+           decay=st.floats(0.0, 0.5), top=st.floats(0.0, 10.0))
+    def test_banded_moments_match_dense_products(self, fock_dim, seed, decay, top):
+        # random states falling off as e^{-decay n}, with extra weight `top` in
+        # the top Fock level, where the truncated a a_dag has nothing above it
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=(2, fock_dim)) + 1j * rng.normal(size=(2, fock_dim))
+        amps *= np.exp(-decay * np.arange(fock_dim))
+        amps[:, -1] *= 1.0 + top
+        state = SpinMotionState((amps / np.linalg.norm(amps)).ravel(), fock_dim)
+        a, a_dag, _ = build_mode_operators(HilbertSpec(fock_dim=fock_dim))
+        x_op, p_op = a + a_dag, 1j * (a_dag - a)
+
+        def dense(op):
+            return sum(np.vdot(block, op @ block) for block in state.spin_blocks())
+
+        moments = _quadrature_moments(state)
+        scale = moments[2] + moments[3]  # (<X^2> + <P^2>) / 2 bounds every moment
+        for got, op in zip(moments, (a, a @ a, a_dag @ a, a @ a_dag)):
+            assert abs(got - dense(op)) <= 1e-12 * scale
+        unit = UnitScale(hbar=2.0, mass=1.0, x_zpf=1.0, p_zpf=1.0)  # SI values are dimensionless
+        x1, p1 = dense(x_op).real, dense(p_op).real
+        np.testing.assert_allclose(quadratures_si(state, unit), (x1, p1), rtol=0, atol=1e-12 * scale)
+        want = (dense(x_op @ x_op).real - x1**2, dense(p_op @ p_op).real - p1**2)
+        np.testing.assert_allclose(quadrature_variances_si(state, unit), want, rtol=0,
+                                   atol=1e-12 * scale)
 
 
 class TestUnits:

@@ -317,6 +317,27 @@ class TestSequenceFringe:
         with pytest.raises(TruncationError, match=message):
             run_scan(scan, spec)
 
+    @pytest.mark.parametrize("layer, prefix", [("sequence_fringes", ""),
+                                               ("run_scan", r"at scan point \(outer=1\): ")],
+                             ids=["sequence_fringes", "run_scan"])
+    def test_watchdog_error_keeps_index_and_phase(self, layer, prefix):
+        # at eta = 2 the flashes push the |alpha| = 1 kick of the n_th = 0.15
+        # ensemble past 1e-9 in the top levels of a 32-level space (the
+        # no-kick states stay near 6e-12); the watchdog's error comes up
+        # through each layer with its index mapped to the excitation or
+        # outer value, and its phase
+        spec = make_spec(fock_dim=32, eta=2.0, n_th=0.15)
+        spec = replace(spec, hilbert=HilbertSpec(fock_dim=32, tail_tol=1e-9))
+        scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=[0.0, 1.0], outer_var="alpha_abs",
+                        interleave_reference=True)
+        calls = {"sequence_fringes": lambda: sequence_fringes(spec, [None, CoherentAmp(1.0, 1.0), None]),
+                 "run_scan": lambda: run_scan(scan, spec)}
+        message = "^" + prefix + r"flash \d+ of 30 leaks .* at base phase \S+ rad \(tol 1e-09\)"
+        with pytest.raises(TruncationError, match=message) as info:
+            calls[layer]()
+        assert info.value.index == 1
+        assert math.isfinite(info.value.phase)
+
     def test_excitation_truncation_sets_index(self):
         # D(3) needs 56 levels: the failing excitation's position is the index
         spec = make_spec(fock_dim=40)
@@ -391,6 +412,13 @@ class TestRunScan:
             p, dn = run_sequence(spec, rec.phi)
             assert rec.p_down_mean == pytest.approx(p, abs=1e-12)
             assert rec.delta_n == pytest.approx(dn, abs=1e-12)
+
+    def test_alpha_abs_refuses_a_squeeze(self):
+        # an alpha_abs scan would replace the squeeze by coherent kicks
+        spec = make_spec(fock_dim=48, excitation=SqueezeParam(0.5, 0.0))
+        scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=[0.0, 1.0], outer_var="alpha_abs")
+        with pytest.raises(ConfigError, match="outer_var 'alpha_abs' needs a coherent excitation"):
+            run_scan(scan, spec)
 
     def test_eta_zero_decouples_motion(self):
         base = make_spec(fock_dim=64, eta=0.0, excitation=CoherentAmp(0.0, 0.0))
