@@ -7,6 +7,11 @@ and fringe contrast, decode them back through numeric calibration tables,
 and characterize the classical phase-noise floor of the scheme.
 """
 
+import os
+# Set before numpy loads; a user's count wins. On products of at most 232 rows
+# a second OpenBLAS thread only busy-waited (+40% CPU) and reordered sums.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     CalibrationError,
     ConfigError,

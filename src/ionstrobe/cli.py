@@ -1,10 +1,10 @@
 """Command-line interface: config-driven scans, calibrations, and reports.
 
 Commands: ramsey-scan, pattern-scan, trace-phase-space, squeeze-scan,
-calibrate-train, build-tables, stability. All take --config and --out,
-plus optional --seed (overrides detection.base_seed). Exit codes: 0
-success, 2 configuration error, 3 numerical failure. Outputs are bit-stable:
-identical config and seed give identical bytes at a fixed BLAS thread count.
+calibrate-train, build-tables, stability. All take --config and --out, plus
+optional --seed (overrides detection.base_seed). Exit codes: 0 success, 2
+configuration error, 3 numerical failure. Same config and seed, same bytes,
+on any core count: OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
 trace-phase-space builds its decode tables in the run; build-tables exports them.
 """
 

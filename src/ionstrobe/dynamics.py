@@ -303,6 +303,15 @@ def _gap_phases(train: PulseTrainSpec, mode: ModeParams, n: int) -> np.ndarray:
     return np.exp(-1j * mode.freq * gap * np.arange(n))
 
 
+def _tail_buffer(shape: tuple, train: PulseTrainSpec) -> np.ndarray:
+    """An empty complex array of tail rows, or an IonstrobeError when memory runs out."""
+    try:
+        return np.empty(shape, dtype=complex)
+    except MemoryError:
+        raise IonstrobeError(f"the watchdog's tail rows of {train.n_flashes} flashes need "
+                             f"{16 * math.prod(shape):.3g} bytes; not enough memory") from None
+
+
 def _watch_tails(tails: np.ndarray, train: PulseTrainSpec, hilbert: HilbertSpec) -> np.ndarray:
     """Truncation watchdog over every flash's top-Fock rows at once.
 
@@ -363,7 +372,7 @@ def run_pulse_train_block(
     gap = _gap_phases(train, mode, n)[:, None]
     block = _split_sectors(states, train, n)
     spare = np.empty_like(block)  # two reused buffers bound the working set
-    tails = np.empty((2, train.n_flashes, k_tail, block.shape[2]), dtype=complex)
+    tails = _tail_buffer((2, train.n_flashes, k_tail, block.shape[2]), train)
     for k in range(train.n_flashes):
         np.matmul(u, block, out=spare)
         block, spare = spare, block
@@ -399,7 +408,7 @@ def _build_train_operator(
     drive = train.drive
     u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
     step = _gap_phases(train, mode, n)[:, None] * u
-    rows = np.empty((2, train.n_flashes, k_tail, n), dtype=complex)
+    rows = _tail_buffer((2, train.n_flashes, k_tail, n), train)
     rows[:, 0] = step[:, n - k_tail :]
     for j in range(1, train.n_flashes):
         np.matmul(rows[:, j - 1], step, out=rows[:, j])
@@ -439,10 +448,10 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
     (floor(log2 F) + popcount(F) - 1) D^3 / 4 + F t D^2 / 4 to build when
     it is not cached. The count leaves out the per-product overhead of the
     operator's thin chains and the arrays it holds, so it must save two
-    thirds: on the demo shapes (one OpenBLAS thread) the operator takes
-    0.33 of the flash-by-flash time where the count says 0.29 (fig4's
-    tables) and 0.30 where it says 0.20 (figS2), but 0.52 and 0.49 where it
-    says 0.40 (figS3-compare) and 0.46 (figS4), which stay flash by flash.
+    thirds. Timed at the package's one OpenBLAS thread, the operator takes 0.33
+    of the flash-by-flash time where the count says 0.29 (fig4's tables) and
+    0.30 where it says 0.20 (figS2), but 0.52 and 0.49 where it says 0.40
+    (figS3-compare) and 0.46 (figS4), which stay flash by flash.
     """
     by_flash = n_flashes * dim * dim * width / 2
     cost = (dim * dim * width + n_flashes * tail_rows * dim * width) / 2
@@ -461,12 +470,14 @@ def _operator_block(
     """run_pulse_train_block through the cached train operator, for phase_step 0.
 
     The watchdog reads every flash's tail from its thin rows, in one
-    product, before the block itself is propagated.
+    product per sector, before the block itself is propagated.
     """
     t, rows = _train_operator(train, mode, hilbert)
     block = _split_sectors(states, train, hilbert.fock_dim)
-    stacked = rows.reshape(2, -1, rows.shape[-1])  # one product per sector for all flashes
-    max_tail = _watch_tails((stacked @ block).reshape(*rows.shape[:3], -1), train, hilbert)
+    tails = _tail_buffer((2, *rows.shape[1:3], block.shape[2]), train)
+    np.matmul(rows.reshape(2, -1, rows.shape[-1]), block, out=tails.reshape(2, -1, block.shape[2]))
+    max_tail = _watch_tails(tails, train, hilbert)
+    del tails  # freed before the like-sized output product is formed
     return (*_spin_output(t @ block, train), max_tail)
 
 

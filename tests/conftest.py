@@ -5,10 +5,11 @@ reference for the sequence layer's fringes."""
 import math
 import os
 
-# The suite's matrices are at most a few hundred wide, where OpenBLAS worker
-# threads gain nothing; waking one on an idle second CPU can stall a single
-# eigh or matmul by ~0.3 s, enough to break the wall-time bounds of
-# test_acceptance. Set before numpy is first imported.
+# One OpenBLAS thread, the package's own rule (ionstrobe/__init__.py): on the
+# suite's matrices, at most a few hundred wide, waking a worker on an idle
+# second CPU can stall a single eigh or matmul by ~0.3 s, enough to break the
+# wall-time bounds of test_acceptance. Repeated here because numpy is
+# imported below before ionstrobe is.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

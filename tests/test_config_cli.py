@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,26 @@ def test_long_train_runs(tmp_path):
     _, rows, _ = read_table(out)
     np.testing.assert_allclose(rows[:, 4], 1.0 - 2.0 * rows[:, 2], atol=1e-10)
     assert np.ptp(rows[:, 2]) > 0.9  # the fringe of a pi/2 train, not a dephased 0.5
+
+
+# 10^9 flashes at fock_dim 40: the watchdog's tail rows alone would take 384 GB
+BILLION_FLASHES = "hilbert: {fock_dim: 40}\ntrain: {n_flashes: 1000000000, rabi_scale: 0.0003}\n"
+
+
+def test_billion_flash_train_exits_with_one_line(tmp_path):
+    # a fresh interpreter under a 3 GB address-space limit, set on the child
+    # only, so the tail buffer's allocation fails at once on any machine
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(ionstrobe.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-m", "ionstrobe.cli", "ramsey-scan", "--config",
+                          write_cfg(tmp_path, BILLION_FLASHES), "--out", str(tmp_path / "x.txt")],
+                         capture_output=True, text=True, env=env, preexec_fn=limit_memory,
+                         timeout=120)
+    assert out.returncode == 3
+    assert out.stderr.count("\n") == 1, out.stderr
+    assert "1000000000 flashes need" in out.stderr and "bytes" in out.stderr
 
 
 class TestCliRamseyScan:
@@ -571,6 +592,66 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "False"]
+
+
+# the thread count of every OpenBLAS library mapped after `import ionstrobe,
+# numpy`, asked as bench/report.py does, and the OPENBLAS_NUM_THREADS then set
+BLAS_PROBE = """
+import ctypes, json, os
+import ionstrobe, numpy
+threads = []
+with open("/proc/self/maps") as maps:
+    libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+        fn = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        if fn is not None:
+            fn.restype, fn.argtypes = ctypes.c_int, []
+            threads.append(fn())
+            break
+print(json.dumps([threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+def blas_env(**extra) -> dict:
+    """A fresh interpreter's environment without the OPENBLAS_NUM_THREADS the
+    suite sets (conftest), plus `extra`."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": str(Path(ionstrobe.__file__).resolve().parents[1]), **extra}
+
+
+def blas_threads(env: dict) -> tuple[list, str | None]:
+    if not sys.platform.startswith("linux"):
+        pytest.skip("the probe reads the process's memory map from /proc")
+    out = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
+                         env=env, check=True)
+    threads, variable = json.loads(out.stdout)
+    if not threads:
+        pytest.skip("numpy maps no OpenBLAS library")
+    return threads, variable
+
+
+def test_package_runs_one_blas_thread():
+    assert blas_threads(blas_env()) == ([1], "1")
+
+
+def test_user_blas_thread_count_wins():
+    threads = blas_threads(blas_env(OPENBLAS_NUM_THREADS="2"))
+    # OpenBLAS takes at most one thread per usable CPU
+    assert threads == ([min(2, len(os.sched_getaffinity(0)))], "2")
+
+
+def test_table_bytes_need_no_blas_variable(tmp_path):
+    config = Path(ionstrobe.__file__).resolve().parents[2] / "configs" / "figS2.yaml"
+    tables = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"figS2_{len(tables)}.txt"
+        subprocess.run([sys.executable, "-m", "ionstrobe.cli", "ramsey-scan", "--config",
+                        str(config), "--out", str(out), "--seed", "1"],
+                       capture_output=True, env=blas_env(**extra), check=True)
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_runtime_imports_are_stdlib_numpy_yaml():
