@@ -14,7 +14,6 @@ import argparse
 import copy
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,16 +61,6 @@ def _drift_for_scan(cfg: dict, scan: ScanSpec) -> np.ndarray | None:
     duration = max(n_real, 10) * REALIZATION_INTERVAL_S
     trace = simulate_phase_trace(model, duration, seed=cfg["detection"]["base_seed"] + 7)
     return trace.phase[:n_real]
-
-
-@contextmanager
-def _naming(key: str, errors=(ConfigError, OSError, ValueError)):
-    """Re-raise an error of type `errors` (by default a config, file or parse
-    error) inside the block as a ConfigError naming `key`."""
-    try:
-        yield
-    except errors as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _tuned_sequence(cfg: dict):
@@ -122,12 +111,14 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
         amplitude=pat["contrast"],
     )
     extent = pat["extent_nm"] * 1e-9
-    # x-major points, each detected with seed base_seed + its index
-    xs, zs = (np.linspace(-extent, extent, pat[n]) for n in ("nx", "nz"))
-    x, z = (grid.ravel() for grid in np.meshgrid(xs, zs, indexing="ij"))
     shots, seed0 = cfgmod.detection_shots(cfg), cfg["detection"]["base_seed"]
+    # x-major points, each detected with seed base_seed + its index
+    with cfgmod.naming("pattern.nx and pattern.nz", cfgmod.CANNOT_RESERVE):
+        xs, zs = (np.linspace(-extent, extent, pat[n]) for n in ("nx", "nz"))
+        x, z = (grid.ravel() for grid in np.meshgrid(xs, zs, indexing="ij"))
+        probe = static_pattern_probe(x, z, field)
     points = [(xi, zi, *sample_detection(p, shots, seed0 + idx))
-              for idx, (xi, zi, p) in enumerate(zip(x, z, static_pattern_probe(x, z, field)))]
+              for idx, (xi, zi, p) in enumerate(zip(x, z, probe))]
     rows = [(xi * 1e9, zi * 1e9, mean, sem) for xi, zi, mean, sem in points]
     sem_floor = None if shots is None else 1.0 / (2.0 * shots)
     try:
@@ -145,9 +136,10 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
         f"fit_residual_rms: {fit.residual_rms:.6g}",
     ]
     if shots is not None:
-        unc = bootstrap_pattern_uncertainty(
-            points, fit, n_boot=pat["bootstrap"], seed=seed0 + 1, sem_floor=sem_floor
-        )
+        with cfgmod.naming("pattern.bootstrap", cfgmod.CANNOT_RESERVE):  # the resample array
+            unc = bootstrap_pattern_uncertainty(
+                points, fit, n_boot=pat["bootstrap"], seed=seed0 + 1, sem_floor=sem_floor
+            )
         summary += [
             f"fit_wavelength_std_nm: {unc['wavelength_std'] * 1e9:.3g}",
             f"fit_rotation_std_rad: {unc['rotation_std']:.3g}",
@@ -160,7 +152,8 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
 def _alpha_grid(cfg: dict) -> np.ndarray:
     """The decode amplitudes 0, alpha_step, ... up to alpha_max; at least 3."""
     dec = cfg["decode"]
-    with _naming("decode.alpha_max and decode.alpha_step"):  # a grid past numpy's size limit
+    # a grid past numpy's size limit, or past memory
+    with cfgmod.naming("decode.alpha_max and decode.alpha_step", cfgmod.CANNOT_RESERVE):
         alpha_grid = np.arange(0.0, dec["alpha_max"] + dec["alpha_step"] / 2.0, dec["alpha_step"])
     if len(alpha_grid) < 3:
         raise ConfigError(f"decode.alpha_max and decode.alpha_step give {len(alpha_grid)} "
@@ -242,18 +235,19 @@ def cmd_calibrate_train(cfg: dict, args) -> None:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as the error below
 def cmd_stability(cfg: dict, args) -> None:
     model = cfgmod.build_noise_model(cfg)
     st = cfg["stability"]
     seed = cfg["detection"]["base_seed"]
     # a grid too large to allocate fails before any sample is drawn
-    with _naming("stability.duration_s and stability.sample_interval_s",
-                 (ConfigError, ValueError, MemoryError)):
+    with cfgmod.naming("stability.duration_s and stability.sample_interval_s",
+                       (ConfigError, *cfgmod.CANNOT_RESERVE)):
         trace = simulate_phase_trace(model, st["duration_s"], seed=seed)
-    with _naming("stability.reference_interval_s"):
+    with cfgmod.naming("stability.reference_interval_s"):
         corrected = apply_reference_correction(trace, st["reference_interval_s"])
     rows = []
-    with _naming("stability.windows_s"):
+    with cfgmod.naming("stability.windows_s"):
         for window in st["windows_s"]:
             rows.append(
                 (
@@ -264,6 +258,9 @@ def cmd_stability(cfg: dict, args) -> None:
                     math.degrees(windowed_phase_stat(corrected, window, "two_sample")),
                 )
             )
+    if not np.isfinite(rows).all():
+        raise ConfigError("stability.white_sigma_rad, stability.rw_sigma_rad_per_sqrt_s and "
+                          "stability.drift_rate_rad_per_s give a phase statistic that is not finite")
     write_table(
         args.out,
         "phase stability report",
@@ -307,18 +304,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with _naming(f"--config {args.config}", OSError):
+        with cfgmod.naming(f"--config {args.config}", OSError):
             cfg = cfgmod.load_config(args.config)
         if args.seed is not None:
             cfg["detection"]["base_seed"] = cfgmod.check_value("detection", "base_seed", args.seed)
         # the commands read no file, so a file error here is from writing --out
-        with _naming(f"--out {args.out}", OSError):
+        with cfgmod.naming(f"--out {args.out}", OSError):
             COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"ionstrobe: config error: {exc}", file=sys.stderr)
         return 2
     except IonstrobeError as exc:
         print(f"ionstrobe: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # one a size key does not name
+        print(f"ionstrobe: out of memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

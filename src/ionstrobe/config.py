@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -212,6 +213,28 @@ def load_config(path) -> dict:
     return merge_config(doc)
 
 
+@contextmanager
+def naming(key: str, errors=(ConfigError, OSError, ValueError)):
+    """Re-raise an error of type `errors` (by default a config, file or parse
+    error) inside the block as a ConfigError naming `key`."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+# what numpy raises for an array that cannot be reserved: MemoryError, or
+# ValueError when its size passes the largest index
+CANNOT_RESERVE = (MemoryError, ValueError)
+
+
+def _reserve(key: str, shape, dtype) -> None:
+    """A ConfigError naming `key` when an array of `shape`, which `key` sizes,
+    cannot be reserved; for arrays formed deep in a run, checked at build."""
+    with naming(key, CANNOT_RESERVE):
+        np.empty(shape, dtype)
+
+
 def mode_freq(cfg: dict) -> float:
     return TWO_PI * cfg["mode"]["freq_hz"]
 
@@ -280,20 +303,26 @@ def build_dephasing(cfg: dict) -> DephasingSpec:
 
 
 def build_sequence_spec(cfg: dict) -> SequenceSpec:
+    fock_dim, samples = cfg["hilbert"]["fock_dim"], cfg["mode"]["thermal_samples"]
+    _reserve("hilbert.fock_dim", (2, fock_dim, fock_dim), complex)  # the flash unitary pair
+    _reserve("mode.thermal_samples", samples, np.int64)  # the thermal draw
     return SequenceSpec(
-        hilbert=HilbertSpec(fock_dim=cfg["hilbert"]["fock_dim"], tail_tol=cfg["hilbert"]["tail_tol"]),
+        hilbert=HilbertSpec(fock_dim=fock_dim, tail_tol=cfg["hilbert"]["tail_tol"]),
         mode=build_mode(cfg),
         analysis=build_train(cfg),
         excitation=build_excitation(cfg),
         dephasing=build_dephasing(cfg),
-        thermal_samples=cfg["mode"]["thermal_samples"],
+        thermal_samples=samples,
         thermal_seed=cfg["mode"]["thermal_seed"],
     )
 
 
 def detection_shots(cfg: dict) -> int | None:
     """detection.shots under shot detection; None, analytic detection, otherwise."""
-    return cfg["detection"]["shots"] if cfg["detection"]["mode"] == "shots" else None
+    if cfg["detection"]["mode"] != "shots":
+        return None
+    _reserve("detection.shots", cfg["detection"]["shots"], float)  # each detection's draws
+    return cfg["detection"]["shots"]
 
 
 def build_scan_spec(cfg: dict) -> ScanSpec:
@@ -303,7 +332,9 @@ def build_scan_spec(cfg: dict) -> ScanSpec:
         raise ConfigError(f"scan.outer_var {outer} needs state.zeta_abs {'= 0' if squeezed else '> 0'}")
     if outer == "alpha_abs" and min(scan["outer_values"]) < 0:
         raise ConfigError("scan.outer_values must be >= 0 when scan.outer_var is alpha_abs")
-    phi_grid = np.linspace(scan["phi_start_rad"], scan["phi_stop_rad"], scan["phi_num"], endpoint=False)
+    with naming("scan.phi_num", CANNOT_RESERVE):
+        phi_grid = np.linspace(scan["phi_start_rad"], scan["phi_stop_rad"], scan["phi_num"],
+                               endpoint=False)
     return ScanSpec(
         phi_grid=tuple(phi_grid),
         outer_grid=tuple(float(v) for v in scan["outer_values"]),

@@ -23,7 +23,12 @@ are the Pi = +-1 halves, and in them H(0) is block diagonal with
 H_+- = D +- (W/4)(r^T P + P r). A flash is the pair U_+- = exp(-i H_+- dt),
 two N x N real eigendecompositions instead of one 2N x 2N (_flash_unitary);
 states enter and leave sector coordinates only at the engine boundary
-(_to_sectors, _from_sectors), where the gauge and P are row factors.
+(_to_sectors, _from_sectors), where the gauge and P are row factors. For a
+block of states, the split (_split_sectors) and the merge (_spin_output)
+write the sector block and the spin-major output directly, so a block
+propagation holds its sector block, the output and the watchdog's tail
+rows (on the operator path, at most a block's worth at a time), and no
+padded or stacked copies of them.
 
 Rotating-frame chain. A train of F flashes at phases phi_k = phi_0 + k delta
 (phi_0 = drive.phase) is V(phi_F) M^F V(phi_0)^dag with
@@ -180,11 +185,17 @@ def _to_sectors(down: np.ndarray, up: np.ndarray) -> np.ndarray:
 
 
 def _from_sectors(block: np.ndarray) -> np.ndarray:
-    """The (2N, w) spin-major amplitudes (G a, G b) of a (2, N, w) sector block."""
-    scale = (quadrature_gauge(block.shape[1]) / math.sqrt(2.0))[:, None]
-    down = scale * (block[0] + block[1])
-    up = (scale * _parity(block.shape[1])[:, None]) * (block[0] - block[1])
-    return np.concatenate([down, up])
+    """The (2N, w) spin-major amplitudes (G a, G b) of a (2, N, w) sector block,
+    with a = (y_+ + y_-) / sqrt 2 and b = P (y_+ - y_-) / sqrt 2 written
+    straight into the array returned."""
+    n = block.shape[1]
+    scale = (quadrature_gauge(n) / math.sqrt(2.0))[:, None]
+    out = np.empty((2 * n, block.shape[2]), dtype=complex)
+    np.add(block[0], block[1], out=out[:n])
+    np.multiply(scale, out[:n], out=out[:n])
+    np.subtract(block[0], block[1], out=out[n:])
+    np.multiply(scale * _parity(n)[:, None], out[n:], out=out[n:])
+    return out
 
 
 def _mix(block: np.ndarray, delta: float) -> None:
@@ -265,12 +276,37 @@ def run_pulse_train(
 def _split_sectors(states: np.ndarray, train: PulseTrainSpec, n: int) -> np.ndarray:
     """The (2, N, 2L) sector block of V(drive.phase)^dag on the spin-down part
     of every column of the (2N, L) states (the first L columns), then on
-    every spin-up part."""
+    every spin-up part.
+
+    This is _to_sectors of the zero-padded parts, written into the one
+    block it returns: a down column is G^dag down / sqrt 2 in both sectors
+    and an up column is +-P G^dag up / sqrt 2.
+    """
     if states.ndim != 2 or states.shape[0] != 2 * n:
         raise DimensionMismatchError(f"expected a ({2 * n}, L) block, got {states.shape}")
-    zero = np.zeros(states[:n].shape)
-    down = np.hstack([states[:n] * np.exp(-0.5j * train.drive.phase), zero])
-    return _to_sectors(down, np.hstack([zero, states[n:] * np.exp(0.5j * train.drive.phase)]))
+    n_states = states.shape[1]
+    scale = (np.conj(quadrature_gauge(n)) / math.sqrt(2.0))[:, None]
+    block = np.empty((2, n, 2 * n_states), dtype=complex)
+    down, up = block[0, :, :n_states], block[0, :, n_states:]
+    np.multiply(states[:n], np.exp(-0.5j * train.drive.phase), out=down)
+    np.multiply(scale, down, out=down)
+    np.multiply(states[n:], np.exp(0.5j * train.drive.phase), out=up)
+    np.multiply(scale * _parity(n)[:, None], up, out=up)
+    block[1, :, :n_states] = down
+    np.negative(up, out=block[1, :, n_states:])
+    return block
+
+
+def _pair_sums(amps: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """The sums over `axis` of |amps|^2 and of conj(x) y, where x and y are the
+    first and second halves of the last axis (the down and up images), each
+    formed in one temporary."""
+    n_states = amps.shape[-1] // 2
+    squares = np.abs(amps)
+    sums = np.sum(np.square(squares, out=squares), axis=axis)
+    del squares  # freed before the cross product's buffer
+    cross = np.conj(amps[..., :n_states])
+    return sums, np.sum(np.multiply(cross, amps[..., n_states:], out=cross), axis=axis)
 
 
 def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -286,15 +322,13 @@ def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, 
     out = _from_sectors(block)
     out *= _drive_frame(n, train.drive.phase + train.n_flashes * train.phase_step)[:, None]
     n_states = out.shape[1] // 2
-    down, up = out[:, :n_states], out[:, n_states:]
-    norm0 = np.sum(np.abs(out) ** 2, axis=0)
-    norm1 = np.sum(np.conj(down) * up, axis=0)
+    norm0, norm1 = _pair_sums(out, 0)
     deviation = np.abs(norm0[:n_states] + norm0[n_states:] - 1.0) + 2.0 * np.abs(norm1)
     tol = 2e-10 + 1e-14 * train.n_flashes
     if np.max(deviation) > tol:
         raise IonstrobeError(f"train output norm deviates from 1 by up to "
                              f"{np.max(deviation):.3e} after {train.n_flashes} flashes (tol {tol:.3g})")
-    return down, up
+    return out[:, :n_states], out[:, n_states:]
 
 
 def _gap_phases(train: PulseTrainSpec, mode: ModeParams, n: int) -> np.ndarray:
@@ -312,20 +346,20 @@ def _tail_buffer(shape: tuple, train: PulseTrainSpec) -> np.ndarray:
                              f"{16 * math.prod(shape):.3g} bytes; not enough memory") from None
 
 
-def _watch_tails(tails: np.ndarray, train: PulseTrainSpec, hilbert: HilbertSpec) -> np.ndarray:
+def _watch_tails(t0: np.ndarray, t1: np.ndarray, train: PulseTrainSpec,
+                 hilbert: HilbertSpec) -> np.ndarray:
     """Truncation watchdog over every flash's top-Fock rows at once.
 
-    tails[:, j] holds the block's k_tail top-Fock rows of each sector after
-    flash j. Any map that mixes rows only within a Fock level cancels in the
+    (t0[j], t1[j]) are the _pair_sums over sectors and rows of the block's
+    k_tail top-Fock rows of each sector after flash j, a (2, k_tail, 2L)
+    array. Any map that mixes rows only within a Fock level cancels in the
     supremum over phi of each state's tail population, T0 + 2 |T1|: the
     sector coordinates, per-row phases and the V(delta) mix. Returns every
     state's largest supremum, or raises a TruncationError naming the first
     failing flash, the worst base phase (also its `phase`) and, as `index`,
     the worst state.
     """
-    n_states = tails.shape[-1] // 2
-    t0 = np.sum(np.abs(tails) ** 2, axis=(0, 2))
-    t1 = np.sum(np.conj(tails[..., :n_states]) * tails[..., n_states:], axis=(0, 2))
+    n_states = t1.shape[1]
     sup = t0[:, :n_states] + t0[:, n_states:] + 2.0 * np.abs(t1)
     failing = np.flatnonzero(np.max(sup, axis=1) >= hilbert.tail_tol)
     if failing.size:
@@ -379,7 +413,8 @@ def run_pulse_train_block(
         block *= gap
         _mix(block, train.phase_step)
         tails[:, k] = block[:, n - k_tail :]
-    max_tail = _watch_tails(tails, train, hilbert)
+    max_tail = _watch_tails(*_pair_sums(tails, (0, 2)), train, hilbert)
+    del spare, tails  # the output is formed with the propagated block alone
     return (*_spin_output(block, train), max_tail)
 
 
@@ -469,16 +504,20 @@ def _operator_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """run_pulse_train_block through the cached train operator, for phase_step 0.
 
-    The watchdog reads every flash's tail from its thin rows, in one
-    product per sector, before the block itself is propagated.
+    The watchdog reads every flash's tail from its thin rows before the
+    block itself is propagated, in one product per sector for each run of
+    N // k_tail flashes, whose tail rows are then no more than the block's.
     """
     t, rows = _train_operator(train, mode, hilbert)
-    block = _split_sectors(states, train, hilbert.fock_dim)
-    tails = _tail_buffer((2, *rows.shape[1:3], block.shape[2]), train)
-    np.matmul(rows.reshape(2, -1, rows.shape[-1]), block, out=tails.reshape(2, -1, block.shape[2]))
-    max_tail = _watch_tails(tails, train, hilbert)
-    del tails  # freed before the like-sized output product is formed
-    return (*_spin_output(t @ block, train), max_tail)
+    n, k_tail = hilbert.fock_dim, hilbert.tail_levels
+    block = _split_sectors(states, train, n)
+    chunk = max(1, n // k_tail)
+    sums = (_pair_sums((rows[:, j : j + chunk].reshape(2, -1, n) @ block)
+                       .reshape(2, -1, k_tail, block.shape[2]), (0, 2))
+            for j in range(0, train.n_flashes, chunk))
+    max_tail = _watch_tails(*map(np.concatenate, zip(*sums)), train, hilbert)
+    block = t @ block  # the split block is freed once the product is formed
+    return (*_spin_output(block, train), max_tail)
 
 
 def propagate_block(

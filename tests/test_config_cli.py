@@ -217,17 +217,41 @@ def test_config_error_names_key(tmp_path, capsys, command, text, extra, key):
 
 # (command, config text, what stderr must name): inputs whose sizes overflow a
 # float or ask numpy for an array far past memory, before anything is allocated
+HUGE = 10**15  # an array of this many elements passes any 2^47-byte address space
+
+# (test id, command, config, what its one stderr line names)
 EXTREME_INPUTS = [
-    ("ramsey-scan", "hilbert: {fock_dim: 40}\ntrain: {rabi_scale: 0.28}\n"
+    ("ramsey-scan", "ramsey-scan", "hilbert: {fock_dim: 40}\ntrain: {rabi_scale: 0.28}\n"
      "scan: {outer_var: alpha_abs, outer_values: [1.0e200]}", ["outer=1e+200", "fock_dim=40"]),
-    ("squeeze-scan", "state: {zeta_abs: 400.0}", ["|zeta|=400", "fock_dim="]),
-    ("build-tables", "decode: {alpha_step: 1.0e-300}", ["decode.alpha_max", "decode.alpha_step"]),
-    ("stability", "stability: {sample_interval_s: 1.0e-12}",
+    ("squeeze-scan", "squeeze-scan", "state: {zeta_abs: 400.0}", ["|zeta|=400", "fock_dim="]),
+    ("build-tables", "build-tables", "decode: {alpha_step: 1.0e-300}",
+     ["decode.alpha_max", "decode.alpha_step"]),
+    ("stability", "stability", "stability: {sample_interval_s: 1.0e-12}",
      ["stability.duration_s", "stability.sample_interval_s"]),
+    # each key below sizes an array that cannot be reserved
+    ("build-tables-alpha-grid", "build-tables", "decode: {alpha_max: 1.0e14, alpha_step: 0.1}",
+     ["decode.alpha_max", "decode.alpha_step"]),
+    ("trace-phase-space-alpha-grid", "trace-phase-space",
+     "decode: {alpha_max: 1.0e14, alpha_step: 0.1}", ["decode.alpha_max", "decode.alpha_step"]),
+    ("ramsey-scan-phi-num", "ramsey-scan", f"scan: {{phi_num: {HUGE}}}", ["scan.phi_num"]),
+    ("pattern-scan-nx", "pattern-scan", f"pattern: {{nx: {HUGE}}}", ["pattern.nx"]),
+    ("pattern-scan-nz", "pattern-scan", f"pattern: {{nz: {HUGE}}}", ["pattern.nz"]),
+    ("pattern-scan-bootstrap", "pattern-scan",
+     f"pattern: {{bootstrap: {HUGE}}}\ndetection: {{mode: shots}}", ["pattern.bootstrap"]),
+    ("ramsey-scan-thermal-samples", "ramsey-scan", f"mode: {{thermal_samples: {HUGE}}}",
+     ["mode.thermal_samples"]),
+    ("pattern-scan-shots", "pattern-scan", f"detection: {{mode: shots, shots: {HUGE}}}",
+     ["detection.shots"]),
+    ("ramsey-scan-fock-dim", "ramsey-scan", f"hilbert: {{fock_dim: {HUGE}}}",
+     ["hilbert.fock_dim"]),
+    # a finite coefficient whose statistics overflow
+    ("stability-drift", "stability", "stability: {drift_rate_rad_per_s: 1.0e300}",
+     ["stability.white_sigma_rad", "stability.rw_sigma_rad_per_sqrt_s",
+      "stability.drift_rate_rad_per_s"]),
 ]
 
 
-@pytest.mark.parametrize("command, text, names", EXTREME_INPUTS,
+@pytest.mark.parametrize("command, text, names", [row[1:] for row in EXTREME_INPUTS],
                          ids=[row[0] for row in EXTREME_INPUTS])
 def test_extreme_inputs_exit_cleanly(tmp_path, command, text, names):
     # a fresh interpreter, so a raw exception would show as a traceback on stderr
@@ -239,6 +263,35 @@ def test_extreme_inputs_exit_cleanly(tmp_path, command, text, names):
     assert out.returncode in (2, 3)
     assert all(name in out.stderr for name in names), out.stderr
     assert "Traceback" not in out.stderr
+    assert out.stderr.count("\n") == 1, out.stderr
+
+
+# integer keys with no upper bound that size no array, each with its reason
+UNSIZED_KEYS = {
+    "mode.thermal_seed": "only seeds a generator",
+    "detection.base_seed": "only seeds a generator",
+    "train.n_flashes": "test_billion_flash_train_exits_with_one_line covers it",
+    "train.cycles_per_flash": "scales a duration and sizes no array",
+}
+
+
+def test_every_size_key_has_an_extreme_input():
+    named = {name for row in EXTREME_INPUTS for name in row[3]}
+    unbounded = {f"{section}.{key}" for section, keys in SCHEMA.items()
+                 for key, entry in keys.items()
+                 if type(entry.default) is int and entry.range.endswith("inf)")}
+    assert unbounded - named - UNSIZED_KEYS.keys() == set()
+    assert UNSIZED_KEYS.keys() <= unbounded  # no stale exemption
+
+
+def test_other_memory_errors_exit_with_one_line(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg, args):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setitem(cli_module.COMMANDS, "stability", exhausted)
+    cfg = write_cfg(tmp_path, "stability: {duration_s: 100.0}\n")
+    assert main(["stability", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 3
+    assert capsys.readouterr().err == "ionstrobe: out of memory: Unable to allocate 1.00 TiB\n"
 
 
 # a pi/2 train of 10^5 flashes, whose rounding moves the output norm by about

@@ -1,6 +1,7 @@
 """Free evolution, flashes, MW rotations, and pulse trains."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -558,3 +559,62 @@ class TestTrainOperator:
         for got, want in zip(result, run_pulse_train_block(states, train, MODE, hilbert)):
             np.testing.assert_array_equal(got, want)
         assert builds == []
+
+
+def traced_peak(propagate, *args) -> int:
+    """Bytes of the traced high-water mark of one call, over what was held before it;
+    what the call returns counts. A first call fills the unitary and operator caches."""
+    propagate(*args)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = propagate(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    del result
+    return peak
+
+
+class TestWorkingSet:
+    """What one block propagation holds at its peak, against the (2, N, 2L) sector
+    block B and the (2, F, k_tail, 2L) tail rows T. The split and the merge write
+    their outputs directly: their zero-padded and stacked copies took the peak
+    to 4B or more. 80 levels (4 watched) and 512 states make B 2.6 MB, which
+    dwarfs numpy's fixed-size iteration buffers; 20 flashes make T = B."""
+
+    hilbert = HilbertSpec(fock_dim=80, tail_tol=0.5)
+    train = replace(headline_train(phase=0.7, rabi_scale=0.3), n_flashes=20)
+
+    def states(self):
+        amps = np.random.default_rng(5).normal(size=(512, 320)).view(complex)
+        return np.ascontiguousarray((amps / np.linalg.norm(amps, axis=1, keepdims=True)).T)
+
+    @pytest.mark.parametrize("n_flashes", [20, 40])
+    def test_operator_path_holds_output_block_and_one_block_of_tails(self, monkeypatch,
+                                                                      n_flashes):
+        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+        taken = []
+        monkeypatch.setattr(dynamics_module, "_operator_block",
+                            lambda *args: taken.append(1) or _operator_block(*args))
+        states = self.states()
+        train = replace(self.train, n_flashes=n_flashes)
+        block = 2 * self.hilbert.fock_dim * 2 * states.shape[1] * 16
+        peak = traced_peak(propagate_block, states, train, MODE, self.hilbert)
+        assert taken == [1, 1]  # a block wider than N takes the cached operator
+        # the (down, up) output pair, the sector block and the tail rows of
+        # N // k_tail flashes at a time, at most B; at 40 flashes T is 2B
+        assert peak < 3 * block
+
+    def test_flash_path_holds_two_buffers_output_and_tails(self):
+        states = self.states()
+        block = 2 * self.hilbert.fock_dim * 2 * states.shape[1] * 16
+        tails = 2 * self.train.n_flashes * self.hilbert.tail_levels * 2 * states.shape[1] * 16
+        assert tails == block
+        peak = traced_peak(run_pulse_train_block, states, self.train, MODE, self.hilbert)
+        # the sector block and its spare buffer, the output pair and the tail rows
+        assert peak < 3 * block + tails
