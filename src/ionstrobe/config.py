@@ -71,7 +71,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "pattern_rotation_rad": Key(0.840, ANY),
     },
     "train": {
-        "n_flashes": Key(30, "[1, inf)"),
+        "n_flashes": Key(30, "[1, 1000000]"),  # 10x the longest tested train; more runs for hours
         "flash_ns": Key(100.0, "(0, inf)"),
         "cycle_ns": Key(0.0, ANY),  # 0 or less means cycles_per_flash motional periods
         "cycles_per_flash": Key(1, "[1, inf)"),

@@ -27,8 +27,9 @@ states enter and leave sector coordinates only at the engine boundary
 block of states, the split (_split_sectors) and the merge (_spin_output)
 write the sector block and the spin-major output directly, so a block
 propagation holds its sector block, the output and the watchdog's tail
-rows (on the operator path, at most a block's worth at a time), and no
-padded or stacked copies of them.
+rows, and no padded or stacked copies of them. Neither path holds more
+than one block of tail rows: both read them N // k_tail flashes at a time
+and keep only each state's running maximum.
 
 Rotating-frame chain. A train of F flashes at phases phi_k = phi_0 + k delta
 (phi_0 = drive.phase) is V(phi_F) M^F V(phi_0)^dag with
@@ -39,8 +40,9 @@ with V. In sector coordinates V(delta)^dag is the scalar mix
 matmul, the gap's phases and the mix. The mix, the gap, P, the gauge and
 V(phi) all act within one Fock level, so they cancel in the watchdog's
 supremum over phi of the top-Fock tail: the tail rows of every flash are
-read in sector coordinates and checked in one pass at the end
-(_watch_tails), raising the error of the first failing flash.
+read in sector coordinates into one reused buffer of N // k_tail flashes,
+and each fill is checked in one pass (_watch_tails), raising the error of
+the first failing flash.
 
 Train operator. At delta = 0 (every tuned demo train) M is the (2, N, N)
 stack Gap U_s, which acts on each sector alone, and M^F is powered per
@@ -49,8 +51,9 @@ watchdog's tail rows after flash j are P_top M^(j+1). The operator and its
 rows are cached for one train at a time. propagate_block, the sequence
 layer's entry point, takes the operator for a delta = 0 train when its
 cost, counted in sector multiply-adds as in _operator_pays with the build
-only when it is not cached, is at most a third of the flash-by-flash cost;
-any other train goes flash by flash.
+only when it is not cached, is at most a third of the flash-by-flash cost,
+and when a build's new arrays, which grow with F, are no larger than the
+flash-by-flash working set; any other train goes flash by flash.
 """
 
 from __future__ import annotations
@@ -337,28 +340,22 @@ def _gap_phases(train: PulseTrainSpec, mode: ModeParams, n: int) -> np.ndarray:
     return np.exp(-1j * mode.freq * gap * np.arange(n))
 
 
-def _tail_buffer(shape: tuple, train: PulseTrainSpec) -> np.ndarray:
-    """An empty complex array of tail rows, or an IonstrobeError when memory runs out."""
-    try:
-        return np.empty(shape, dtype=complex)
-    except MemoryError:
-        raise IonstrobeError(f"the watchdog's tail rows of {train.n_flashes} flashes need "
-                             f"{16 * math.prod(shape):.3g} bytes; not enough memory") from None
+def _watch_tails(tails: np.ndarray, offset: int, train: PulseTrainSpec, hilbert: HilbertSpec,
+                 max_tail: np.ndarray) -> None:
+    """Truncation watchdog over a run of flashes' top-Fock rows at once.
 
-
-def _watch_tails(t0: np.ndarray, t1: np.ndarray, train: PulseTrainSpec,
-                 hilbert: HilbertSpec) -> np.ndarray:
-    """Truncation watchdog over every flash's top-Fock rows at once.
-
-    (t0[j], t1[j]) are the _pair_sums over sectors and rows of the block's
-    k_tail top-Fock rows of each sector after flash j, a (2, k_tail, 2L)
-    array. Any map that mixes rows only within a Fock level cancels in the
-    supremum over phi of each state's tail population, T0 + 2 |T1|: the
-    sector coordinates, per-row phases and the V(delta) mix. Returns every
-    state's largest supremum, or raises a TruncationError naming the first
-    failing flash, the worst base phase (also its `phase`) and, as `index`,
-    the worst state.
+    tails[:, j] is the block's k_tail top-Fock rows of each sector after
+    flash offset + j, a (2, k_tail, 2L) array, and (t0[j], t1[j]) are their
+    _pair_sums over sectors and rows. Any map that mixes rows only within a
+    Fock level cancels in the supremum over phi of each state's tail
+    population, T0 + 2 |T1|: the sector coordinates, per-row phases and the
+    V(delta) mix. Folds every state's largest supremum into max_tail, or
+    raises a TruncationError naming the first failing flash, the worst
+    base phase (also its `phase`) and, as `index`, the worst state. Runs
+    checked in flash order therefore fail where one pass over the train
+    would.
     """
+    t0, t1 = _pair_sums(tails, (0, 2))
     n_states = t1.shape[1]
     sup = t0[:, :n_states] + t0[:, n_states:] + 2.0 * np.abs(t1)
     failing = np.flatnonzero(np.max(sup, axis=1) >= hilbert.tail_tol)
@@ -367,12 +364,12 @@ def _watch_tails(t0: np.ndarray, t1: np.ndarray, train: PulseTrainSpec,
         worst = int(np.argmax(sup[k]))
         phi_worst = (train.drive.phase - np.angle(t1[k, worst])) % (2.0 * math.pi)
         raise TruncationError(
-            f"flash {k + 1} of {train.n_flashes} leaks up to {sup[k, worst]:.3e} into "
+            f"flash {offset + k + 1} of {train.n_flashes} leaks up to {sup[k, worst]:.3e} into "
             f"the top {hilbert.tail_levels} Fock levels at base phase {phi_worst:.4f} rad "
             f"(tol {hilbert.tail_tol:g}); increase fock_dim",
             index=worst, phase=float(phi_worst),
         )
-    return np.max(sup, axis=0)
+    np.maximum(max_tail, np.max(sup, axis=0), out=max_tail)
 
 
 def run_pulse_train_block(
@@ -397,8 +394,9 @@ def run_pulse_train_block(
     value holds each state's largest one, and a TruncationError's index the
     failing state. The block goes through the train flash by flash in the
     rotating frame, one batched sector matmul each (see the module
-    docstring); propagate_block may take the cached train operator instead
-    when phase_step is 0.
+    docstring), and its tail rows go through one reused buffer of
+    N // k_tail flashes, no more than the block; propagate_block may take
+    the cached train operator instead when phase_step is 0.
     """
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     drive = train.drive
@@ -406,14 +404,18 @@ def run_pulse_train_block(
     gap = _gap_phases(train, mode, n)[:, None]
     block = _split_sectors(states, train, n)
     spare = np.empty_like(block)  # two reused buffers bound the working set
-    tails = _tail_buffer((2, train.n_flashes, k_tail, block.shape[2]), train)
+    chunk = min(train.n_flashes, max(1, n // k_tail))
+    tails = np.empty((2, chunk, k_tail, block.shape[2]), dtype=complex)
+    max_tail = np.zeros(states.shape[1])
     for k in range(train.n_flashes):
         np.matmul(u, block, out=spare)
         block, spare = spare, block
         block *= gap
         _mix(block, train.phase_step)
-        tails[:, k] = block[:, n - k_tail :]
-    max_tail = _watch_tails(*_pair_sums(tails, (0, 2)), train, hilbert)
+        j = k % chunk
+        tails[:, j] = block[:, n - k_tail :]
+        if j == chunk - 1 or k == train.n_flashes - 1:
+            _watch_tails(tails[:, : j + 1], k - j, train, hilbert, max_tail)
     del spare, tails  # the output is formed with the propagated block alone
     return (*_spin_output(block, train), max_tail)
 
@@ -443,7 +445,7 @@ def _build_train_operator(
     drive = train.drive
     u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
     step = _gap_phases(train, mode, n)[:, None] * u
-    rows = _tail_buffer((2, train.n_flashes, k_tail, n), train)
+    rows = np.empty((2, train.n_flashes, k_tail, n), dtype=complex)
     rows[:, 0] = step[:, n - k_tail :]
     for j in range(1, train.n_flashes):
         np.matmul(rows[:, j - 1], step, out=rows[:, j])
@@ -474,7 +476,9 @@ def _train_operator(
 
 
 def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached: bool) -> bool:
-    """Whether the train operator cuts the work of a (dim, width) block to a third.
+    """Whether the train operator cuts the work of a (dim, width) block to a
+    third, and, when it is not cached, its build stays within the flash-by-flash
+    working set.
 
     Counted in sector multiply-adds, with D = dim = 2N,
     w = width = 2L and t = tail_rows = 2 k_tail: flash by flash costs
@@ -487,7 +491,15 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
     of the flash-by-flash time where the count says 0.29 (fig4's tables) and
     0.30 where it says 0.20 (figS2), but 0.52 and 0.49 where it says 0.40
     (figS3-compare) and 0.46 (figS4), which stay flash by flash.
+
+    A build holds the operator and the tail rows, 2N^2 + 2 F k_tail N
+    complex values, which grow with F; flash by flash holds three (2, N, 2L)
+    blocks (the block, its spare and at most a block of tail rows). A build
+    larger than that is refused, so a long train goes flash by flash
+    whatever its count; fig4's tables build 274,688 values against 459,360.
     """
+    if not cached and (dim * dim + n_flashes * tail_rows * dim) / 2 > 3 * dim * width:
+        return False
     by_flash = n_flashes * dim * dim * width / 2
     cost = (dim * dim * width + n_flashes * tail_rows * dim * width) / 2
     if not cached:
@@ -512,10 +524,10 @@ def _operator_block(
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     block = _split_sectors(states, train, n)
     chunk = max(1, n // k_tail)
-    sums = (_pair_sums((rows[:, j : j + chunk].reshape(2, -1, n) @ block)
-                       .reshape(2, -1, k_tail, block.shape[2]), (0, 2))
-            for j in range(0, train.n_flashes, chunk))
-    max_tail = _watch_tails(*map(np.concatenate, zip(*sums)), train, hilbert)
+    max_tail = np.zeros(states.shape[1])
+    for j in range(0, train.n_flashes, chunk):
+        _watch_tails((rows[:, j : j + chunk].reshape(2, -1, n) @ block)
+                     .reshape(2, -1, k_tail, block.shape[2]), j, train, hilbert, max_tail)
     block = t @ block  # the split block is freed once the product is formed
     return (*_spin_output(block, train), max_tail)
 

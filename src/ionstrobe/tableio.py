@@ -24,8 +24,12 @@ from .errors import ConfigError
 DECODE_TABLE_FORMAT = "ionstrobe-decode-tables v2"
 DECODE_TABLE_COLUMNS = ["x_m", "phi_plus_rad", "phi_minus_rad", "p_kgms", "contrast"]
 
+# libyaml's emitter where PyYAML was built with it; both write the same text
+_ECHO_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 def format_number(value, digits: int = 12) -> str:
+    """One table value as write_table prints it."""
     return f"{float(value):.{digits}g}"
 
 
@@ -35,7 +39,7 @@ def config_hash(config: dict) -> str:
 
 
 def config_echo_lines(config: dict) -> list[str]:
-    dumped = yaml.safe_dump(config, sort_keys=True, default_flow_style=False)
+    dumped = yaml.dump(config, Dumper=_ECHO_DUMPER, sort_keys=True, default_flow_style=False)
     return ["# config:"] + [f"#   {line}" for line in dumped.rstrip("\n").split("\n")]
 
 
@@ -51,10 +55,11 @@ def write_table(
 ) -> None:
     """Write a table; rows at `digits` significant digits, no seed line for seed=None."""
     lines = [f"# {title}", f"# columns: {' '.join(columns)}"]
+    row_format = " ".join([f"%.{digits}g"] * len(columns))  # format_number of each value
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(f"row width {len(row)} does not match {len(columns)} columns")
-        lines.append(" ".join(format_number(v, digits) for v in row))
+        lines.append(row_format % tuple(map(float, row)))
     for extra in summary_lines or []:
         lines.append(f"# {extra}")
     lines.append(f"# config_hash: {config_hash(config)}")

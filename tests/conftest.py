@@ -1,9 +1,10 @@
 """Shared fixtures: tuned headline-parameter sequences at two space sizes, a
-counter of the sequence layer's block propagations, and a state-by-state
-reference for the sequence layer's fringes."""
+counter of the sequence layer's block propagations, a state-by-state
+reference for the sequence layer's fringes, and a traced-memory probe."""
 
 import math
 import os
+import tracemalloc
 
 # One OpenBLAS thread, the package's own rule (ionstrobe/__init__.py): on the
 # suite's matrices, at most a few hundred wide, waking a worker on an idle
@@ -47,6 +48,22 @@ import ionstrobe.sequence as sequence_module
 from ionstrobe.sequence import SequenceSpec, sequence_fringes
 
 OMEGA_LF = 2.0 * math.pi * 1.3e6
+
+
+def traced_call(call, *args):
+    """(call(*args), bytes of the traced high-water mark during the call over
+    what was held before it); what the call returns counts."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def run_sequence(spec: SequenceSpec, phi: float) -> tuple[float, float]:

@@ -1,7 +1,6 @@
 """Free evolution, flashes, MW rotations, and pulse trains."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +44,8 @@ from ionstrobe.dynamics import (
     run_pulse_train_block,
 )
 from ionstrobe.errors import IonstrobeError, TruncationError
+
+from conftest import traced_call
 
 OMEGA = 2.0 * math.pi * 1.3e6
 MODE = ModeParams(freq=OMEGA, n_th=0.15)
@@ -508,6 +509,22 @@ class TestDenseReference:
         assert_matches_reference(reference_states(fock_dim, sorted(levels | {4}), 1.0, mix),
                                  train, hilbert)
 
+    @pytest.mark.parametrize("phase_step", [0.0, 0.05])
+    def test_later_runs_of_flashes_peak_and_fail_alike(self, phase_step):
+        # at 24 levels (2 watched) the watchdog reads 12 flashes at a time: the
+        # top level's tail peaks at flash 1 and level 20's in a later run
+        hilbert = HilbertSpec(fock_dim=24, tail_tol=0.999)
+        train = headline_train(phase=0.3, phase_step=phase_step)
+        states = reference_states(24, [23, 20], 0.0, 0.0)
+        (_, _, tails), _ = reference_train(states, train, MODE, hilbert)
+        (_, _, first), _ = reference_train(states, replace(train, n_flashes=12), MODE, hilbert)
+        assert first[1] < tails[1]
+        assert_matches_reference(states, train, hilbert)
+        # a tolerance that level 20's tail first reaches after flash 12
+        later = replace(hilbert, tail_tol=(first[1] + tails[1]) / 2)
+        assert reference_train(states[1:], train, MODE, later)[1][0] > 12
+        assert_matches_reference(states[1:], train, later)
+
 
 class TestTrainOperator:
     """When propagate_block takes the cached train operator T = M^F, and what it caches."""
@@ -562,30 +579,19 @@ class TestTrainOperator:
 
 
 def traced_peak(propagate, *args) -> int:
-    """Bytes of the traced high-water mark of one call, over what was held before it;
-    what the call returns counts. A first call fills the unitary and operator caches."""
+    """traced_call's peak of a second call; the first fills the unitary and operator caches."""
     propagate(*args)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = propagate(*args)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-    del result
-    return peak
+    return traced_call(propagate, *args)[1]
 
 
 class TestWorkingSet:
     """What one block propagation holds at its peak, against the (2, N, 2L) sector
-    block B and the (2, F, k_tail, 2L) tail rows T. The split and the merge write
-    their outputs directly: their zero-padded and stacked copies took the peak
-    to 4B or more. 80 levels (4 watched) and 512 states make B 2.6 MB, which
-    dwarfs numpy's fixed-size iteration buffers; 20 flashes make T = B."""
+    block B. The split and the merge write their outputs directly: their
+    zero-padded and stacked copies took the peak to 4B or more. Neither path
+    holds more than one block of tail rows: 80 levels (4 watched) make that 20
+    flashes of them, and from 20 flashes on the (2, F, k_tail, 2L) rows of the
+    whole train would be B or more. 512 states make B 2.6 MB, which dwarfs
+    numpy's fixed-size iteration buffers."""
 
     hilbert = HilbertSpec(fock_dim=80, tail_tol=0.5)
     train = replace(headline_train(phase=0.7, rabi_scale=0.3), n_flashes=20)
@@ -613,8 +619,23 @@ class TestWorkingSet:
     def test_flash_path_holds_two_buffers_output_and_tails(self):
         states = self.states()
         block = 2 * self.hilbert.fock_dim * 2 * states.shape[1] * 16
-        tails = 2 * self.train.n_flashes * self.hilbert.tail_levels * 2 * states.shape[1] * 16
-        assert tails == block
-        peak = traced_peak(run_pulse_train_block, states, self.train, MODE, self.hilbert)
-        # the sector block and its spare buffer, the output pair and the tail rows
-        assert peak < 3 * block + tails
+        for n_flashes in (20, 200):
+            train = replace(self.train, n_flashes=n_flashes)
+            peak = traced_peak(run_pulse_train_block, states, train, MODE, self.hilbert)
+            # the sector block and its spare buffer, the output pair and the tail
+            # rows of N // k_tail flashes, B; at 200 flashes the train's rows are 10B
+            assert peak < 4 * block, n_flashes
+
+    def test_long_wide_train_goes_flash_by_flash(self, monkeypatch):
+        # at 100 flashes the count says the operator pays, but a build, 2N^2 +
+        # 2 F k_tail N values, would outgrow three sector blocks of 64 states
+        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+        monkeypatch.setattr(dynamics_module, "_build_train_operator",
+                            lambda *args: pytest.fail("the operator was built"))
+        states = self.states()[:, :64]
+        train = replace(self.train, n_flashes=100)
+        shape = (100, 2 * self.hilbert.fock_dim, 128, 2 * self.hilbert.tail_levels)
+        assert _operator_pays(*shape, True) and not _operator_pays(*shape, False)
+        result = propagate_block(states, train, MODE, self.hilbert)
+        for got, want in zip(result, run_pulse_train_block(states, train, MODE, self.hilbert)):
+            np.testing.assert_array_equal(got, want)
