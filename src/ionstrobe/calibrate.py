@@ -196,8 +196,12 @@ def golden_section(f, lo: float, hi: float, xtol: float = 1e-6):
 
 
 def _scaled_train(train: PulseTrainSpec, phase_step: float, rabi_scale: float) -> PulseTrainSpec:
-    """The train with this phase step and its Rabi rate times rabi_scale."""
-    drive = replace(train.drive, rabi=train.drive.rabi * rabi_scale)
+    """The train with this phase step and its Rabi rate times rabi_scale, which must be finite."""
+    rabi = train.drive.rabi * rabi_scale
+    if not math.isfinite(rabi):
+        raise CalibrationError(f"Rabi rate {train.drive.rabi / (2.0 * math.pi):g} Hz times "
+                               f"rabi_scale {rabi_scale:g} is not finite")
+    drive = replace(train.drive, rabi=rabi)
     return replace(train, phase_step=phase_step, drive=drive)
 
 
@@ -313,7 +317,11 @@ def tune_pulse_train(spec: SequenceSpec, tol: float = 5e-3) -> TrainTuning:
     carrier = np.diagonal(coupling_operator(train.drive.eta, spec.hilbert))[levels].real
     dw = float(np.dot(weights, carrier))
     theta_full = train.n_flashes * train.drive.rabi * train.flash_dur * max(dw, 1e-12)
-    start = (train.phase_step, (math.pi / 2.0) / theta_full)
+    scale = (math.pi / 2.0) / theta_full if theta_full > 0.0 else math.inf
+    if not 0.0 < scale < math.inf:
+        raise CalibrationError(f"Rabi rate {train.drive.rabi / (2.0 * math.pi):g} Hz gives the pi/2 "
+                               f"tuner the start rabi_scale {scale:g}, not finite and positive")
+    start = (train.phase_step, scale)
 
     for hilbert in _search_spaces(spec.hilbert):
         try:

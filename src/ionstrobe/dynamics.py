@@ -21,24 +21,25 @@ H(0): P (a + a_dag) P = -(a + a_dag) gives P C P = C^dag, which in the
 gauge reads P r P = r^T. The sector coordinates y_+- = (a +- P b) / sqrt 2
 are the Pi = +-1 halves, and in them H(0) is block diagonal with
 H_+- = D +- (W/4)(r^T P + P r). A flash is the pair U_+- = exp(-i H_+- dt),
-two N x N real eigendecompositions instead of one 2N x 2N (_flash_unitary);
-states enter and leave sector coordinates only at the engine boundary
-(_to_sectors, _from_sectors), where the gauge and P are row factors. For a
-block of states, the split (_split_sectors) and the merge (_spin_output)
-write the sector block and the spin-major output directly, so a block
-propagation holds its sector block, the output and the watchdog's tail
-rows, and no padded or stacked copies of them. Neither path holds more
-than one block of tail rows: both read them N // k_tail flashes at a time
-and keep only each state's running maximum.
+two N x N real eigendecompositions instead of one 2N x 2N (_flash_unitary).
+Every propagation, of one state or of a block, enters sector coordinates
+through one split (_split_sectors), a change of coordinates with the
+gauge and P as row factors, and leaves through one merge (_from_sectors),
+written over the propagated block. A block propagation thus holds its
+sector block and the watchdog's tail rows, no padded or output copies.
+Neither path holds more than one block of tail rows: both read them
+N // k_tail flashes at a time and keep only each state's running maximum.
 
 Rotating-frame chain. A train of F flashes at phases phi_k = phi_0 + k delta
 (phi_0 = drive.phase) is V(phi_F) M^F V(phi_0)^dag with
 M = V(delta)^dag Gap blockdiag(U_+, U_-), since the free gap Gap commutes
-with V. In sector coordinates V(delta)^dag is the scalar mix
-[[c, -is], [-is, c]] of the two sectors, c = cos(delta/2), s = sin(delta/2)
-(_mix), so run_pulse_train_block takes each flash as one batched (2, N, N)
-matmul, the gap's phases and the mix. The mix, the gap, P, the gauge and
-V(phi) all act within one Fock level, so they cancel in the watchdog's
+with V. In sector coordinates V(phi)^dag is the scalar mix
+[[c, -is], [-is, c]] of the two sectors, c = cos(phi/2), s = sin(phi/2)
+(_mix, the drive frame's only implementation; V(phi) is the mix at -phi).
+Every path mixes at phi_0 after the split and at -phi_F before the merge,
+and run_pulse_train_block takes each flash as one batched (2, N, N)
+matmul, the gap's phases and the mix at delta. The mix, the gap, P and
+the gauge act within one Fock level, so they cancel in the watchdog's
 supremum over phi of the top-Fock tail: the tail rows of every flash are
 read in sector coordinates into one reused buffer of N // k_tail flashes,
 and each fill is checked in one pass (_watch_tails), raising the error of
@@ -140,7 +141,7 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: floa
     takes one N x N eigh, H_s = Q diag(w) Q^T, and the block's real and
     imaginary parts, Q cos(w dt) Q^T and -Q sin(w dt) Q^T, are written in
     place. The pair maps to the spin basis only at the engine boundary
-    (_to_sectors, _from_sectors).
+    (_split_sectors, _from_sectors).
 
     The cache is small on purpose: the pi/2 tuner tries a new Rabi rate on
     every evaluation. It searches in a small Fock space (a 32-level pair
@@ -166,43 +167,41 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: floa
     return u
 
 
-def _drive_frame(fock_dim: int, phi: float) -> np.ndarray:
-    """Diagonal of V(phi) = exp(-i phi sigma_z / 2) in the spin-major basis.
-
-    The drive phase sets the rotation azimuth: the sigma_+ term carries
-    e^{-i phi}, so the flash propagator at phase phi is V U(0) V^dag.
-    """
-    return np.concatenate(
-        [np.full(fock_dim, np.exp(1j * phi / 2.0)), np.full(fock_dim, np.exp(-1j * phi / 2.0))]
-    )
-
-
-def _to_sectors(down: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """The (2, N, w) sector block y_+- = (a +- P b) / sqrt 2 of (N, w) spin parts.
-
-    a = G^dag down and b = G^dag up are the parts in the gauge basis.
-    """
-    scale = (np.conj(quadrature_gauge(len(down))) / math.sqrt(2.0))[:, None]
-    a, pb = scale * down, (scale * _parity(len(up))[:, None]) * up
-    return np.stack([a + pb, a - pb])
+def _split_sectors(states: np.ndarray, n: int) -> np.ndarray:
+    """The (2, N, 2L) sector block of the spin-down part of every column of
+    the (2N, L) states (the first L columns), then of every spin-up part: a
+    down column is G^dag down / sqrt 2 in both sectors and an up column is
+    +-P G^dag up / sqrt 2, so a state's two columns sum to its y_+-."""
+    if states.ndim != 2 or states.shape[0] != 2 * n:
+        raise DimensionMismatchError(f"expected a ({2 * n}, L) block, got {states.shape}")
+    n_states = states.shape[1]
+    scale = (np.conj(quadrature_gauge(n)) / math.sqrt(2.0))[:, None]
+    block = np.empty((2, n, 2 * n_states), dtype=complex)
+    down, up = block[0, :, :n_states], block[0, :, n_states:]
+    np.multiply(scale, states[:n], out=down)
+    np.multiply(scale * _parity(n)[:, None], states[n:], out=up)
+    block[1, :, :n_states] = down
+    np.negative(up, out=block[1, :, n_states:])
+    return block
 
 
 def _from_sectors(block: np.ndarray) -> np.ndarray:
-    """The (2N, w) spin-major amplitudes (G a, G b) of a (2, N, w) sector block,
-    with a = (y_+ + y_-) / sqrt 2 and b = P (y_+ - y_-) / sqrt 2 written
-    straight into the array returned."""
+    """The (2N, w) spin-major amplitudes (G a, G b) of a contiguous (2, N, w)
+    sector block, with a = (y_+ + y_-) / sqrt 2 and b = P (y_+ - y_-) / sqrt 2,
+    written over the block and returned as a view of it."""
     n = block.shape[1]
     scale = (quadrature_gauge(n) / math.sqrt(2.0))[:, None]
-    out = np.empty((2 * n, block.shape[2]), dtype=complex)
-    np.add(block[0], block[1], out=out[:n])
-    np.multiply(scale, out[:n], out=out[:n])
-    np.subtract(block[0], block[1], out=out[n:])
-    np.multiply(scale * _parity(n)[:, None], out[n:], out=out[n:])
-    return out
+    plus = block[0] + block[1]
+    np.subtract(block[0], block[1], out=block[1])
+    np.multiply(scale, plus, out=block[0])
+    np.multiply(scale * _parity(n)[:, None], block[1], out=block[1])
+    return block.reshape(2 * n, block.shape[2])
 
 
 def _mix(block: np.ndarray, delta: float) -> None:
-    """V(delta)^dag on a (2, N, w) sector block, in place: [[c, -is], [-is, c]] across sectors."""
+    """V(delta)^dag on a (2, N, w) sector block, in place: [[c, -is], [-is, c]] across sectors.
+
+    The drive frame's one implementation: V(delta) is the mix at -delta."""
     if delta == 0.0:
         return
     c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
@@ -230,9 +229,11 @@ def flash_evolve(
         raise ValueError("dt must be > 0")
     n = state.fock_dim
     u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, dt)
-    v = _drive_frame(n, drive.phase)
-    amps = (np.conj(v) * state.amplitudes)[:, None]
-    out = SpinMotionState(v * _from_sectors(u @ _to_sectors(amps[:n], amps[n:]))[:, 0], n)
+    block = _split_sectors(state.amplitudes[:, None], n).sum(axis=2, keepdims=True)
+    _mix(block, drive.phase)
+    block = u @ block
+    _mix(block, -drive.phase)
+    out = SpinMotionState(_from_sectors(block)[:, 0], n)
     if hilbert is not None:
         report = check_truncation(out, hilbert)
         if not report.passed:
@@ -276,30 +277,6 @@ def run_pulse_train(
     return out
 
 
-def _split_sectors(states: np.ndarray, train: PulseTrainSpec, n: int) -> np.ndarray:
-    """The (2, N, 2L) sector block of V(drive.phase)^dag on the spin-down part
-    of every column of the (2N, L) states (the first L columns), then on
-    every spin-up part.
-
-    This is _to_sectors of the zero-padded parts, written into the one
-    block it returns: a down column is G^dag down / sqrt 2 in both sectors
-    and an up column is +-P G^dag up / sqrt 2.
-    """
-    if states.ndim != 2 or states.shape[0] != 2 * n:
-        raise DimensionMismatchError(f"expected a ({2 * n}, L) block, got {states.shape}")
-    n_states = states.shape[1]
-    scale = (np.conj(quadrature_gauge(n)) / math.sqrt(2.0))[:, None]
-    block = np.empty((2, n, 2 * n_states), dtype=complex)
-    down, up = block[0, :, :n_states], block[0, :, n_states:]
-    np.multiply(states[:n], np.exp(-0.5j * train.drive.phase), out=down)
-    np.multiply(scale, down, out=down)
-    np.multiply(states[n:], np.exp(0.5j * train.drive.phase), out=up)
-    np.multiply(scale * _parity(n)[:, None], up, out=up)
-    block[1, :, :n_states] = down
-    np.negative(up, out=block[1, :, n_states:])
-    return block
-
-
 def _pair_sums(amps: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
     """The sums over `axis` of |amps|^2 and of conj(x) y, where x and y are the
     first and second halves of the last axis (the down and up images), each
@@ -313,17 +290,18 @@ def _pair_sums(amps: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The (down, up) images of a block propagated in the rotating frame.
+    """The (down, up) images of a block propagated in the rotating frame,
+    written over the block.
 
     The train leaves the frame of flash F, so V(drive.phase + F delta)
-    brings the block back. Every state's norm is checked on the way: a
-    deviation over 2e-10 + F 1e-14 raises an IonstrobeError. Rounding moves
-    the norm by up to about 2.5e-15 per flash (measured at fock_dim 40 and
-    232 up to F = 10^5), so a train of any length stays well inside.
+    brings the block back before the merge. Every state's norm is checked
+    on the way: a deviation over 2e-10 + F 1e-14 raises an IonstrobeError.
+    Rounding moves the norm by up to about 2.5e-15 per flash (measured at
+    fock_dim 40 and 232 up to F = 10^5), so a train of any length stays well
+    inside.
     """
-    n = block.shape[1]
+    _mix(block, -(train.drive.phase + train.n_flashes * train.phase_step))
     out = _from_sectors(block)
-    out *= _drive_frame(n, train.drive.phase + train.n_flashes * train.phase_step)[:, None]
     n_states = out.shape[1] // 2
     norm0, norm1 = _pair_sums(out, 0)
     deviation = np.abs(norm0[:n_states] + norm0[n_states:] - 1.0) + 2.0 * np.abs(norm1)
@@ -402,7 +380,8 @@ def run_pulse_train_block(
     drive = train.drive
     u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
     gap = _gap_phases(train, mode, n)[:, None]
-    block = _split_sectors(states, train, n)
+    block = _split_sectors(states, n)
+    _mix(block, drive.phase)
     spare = np.empty_like(block)  # two reused buffers bound the working set
     chunk = min(train.n_flashes, max(1, n // k_tail))
     tails = np.empty((2, chunk, k_tail, block.shape[2]), dtype=complex)
@@ -416,7 +395,7 @@ def run_pulse_train_block(
         tails[:, j] = block[:, n - k_tail :]
         if j == chunk - 1 or k == train.n_flashes - 1:
             _watch_tails(tails[:, : j + 1], k - j, train, hilbert, max_tail)
-    del spare, tails  # the output is formed with the propagated block alone
+    del spare, tails  # the output is written over the propagated block alone
     return (*_spin_output(block, train), max_tail)
 
 
@@ -522,7 +501,8 @@ def _operator_block(
     """
     t, rows = _train_operator(train, mode, hilbert)
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
-    block = _split_sectors(states, train, n)
+    block = _split_sectors(states, n)
+    _mix(block, train.drive.phase)
     chunk = max(1, n // k_tail)
     max_tail = np.zeros(states.shape[1])
     for j in range(0, train.n_flashes, chunk):
@@ -557,5 +537,5 @@ def apply_dephasing(contrast: float, spec: DephasingSpec, elapsed: float) -> flo
     if spec.envelope == "none":
         return contrast
     if spec.envelope == "gaussian":
-        return contrast * math.exp(-((elapsed / spec.tau) ** 2))
+        return contrast * math.exp(-(min(elapsed / spec.tau, 40.0) ** 2))  # exp(-1600) is 0.0
     return contrast * math.exp(-elapsed / spec.tau)

@@ -103,7 +103,8 @@ def apply_reference_correction(trace: PhaseTrace, reference_interval: float) -> 
     """
     if reference_interval < 2.0 * trace.model.sample_interval:
         raise ConfigError("reference interval must cover at least 2 samples")
-    stride = int(round(reference_interval / trace.model.sample_interval))
+    # a stride past the trace reads the endpoints only, as one of its length does
+    stride = int(round(min(reference_interval / trace.model.sample_interval, trace.t.size)))
     idx = np.arange(0, trace.t.size, stride)
     if idx[-1] != trace.t.size - 1:
         idx = np.append(idx, trace.t.size - 1)

@@ -256,6 +256,14 @@ EXTREME_INPUTS = [
     # the first flash count past the bound, which no memory limit stops any more
     ("ramsey-scan-n-flashes", "ramsey-scan", "train: {n_flashes: 1000001}",
      ["train.n_flashes"]),
+    # a Rabi rate from which the tuner's start or a flash unitary cannot be formed
+    ("calibrate-train-rabi-zero", "calibrate-train", "hilbert: {fock_dim: 24}\ndrive: {rabi_hz: 0.0}",
+     ["Rabi rate 0 Hz", "start rabi_scale inf"]),
+    ("calibrate-train-rabi-subnormal", "calibrate-train",
+     "hilbert: {fock_dim: 24}\ndrive: {rabi_hz: 1.0e-310}", ["Rabi rate 1e-310 Hz"]),
+    ("ramsey-scan-rabi-infinite", "ramsey-scan",
+     "hilbert: {fock_dim: 24}\ntrain: {rabi_scale: 1.0e300}\ndrive: {rabi_hz: 1.0e300}",
+     ["Rabi rate 1e+300 Hz", "rabi_scale 1e+300"]),
     # a finite coefficient whose statistics overflow
     ("stability-drift", "stability", "stability: {drift_rate_rad_per_s: 1.0e300}",
      ["stability.white_sigma_rad", "stability.rw_sigma_rad_per_sqrt_s",

@@ -27,12 +27,12 @@ from ionstrobe import (
 from ionstrobe.hilbert import quadrature_gauge
 import ionstrobe.dynamics as dynamics_module
 from ionstrobe.dynamics import (
-    _drive_frame,
     _flash_unitary,
     _from_sectors,
+    _mix,
     _operator_block,
     _operator_pays,
-    _to_sectors,
+    _split_sectors,
     DephasingSpec,
     PulseTrainSpec,
     apply_dephasing,
@@ -89,15 +89,36 @@ class TestFreeEvolution:
 
 class TestFlashEvolution:
     def test_zero_phase_is_the_cached_unitary(self):
-        # drive.phase = 0 runs the conjugated path, which must leave U(0) exact
+        # drive.phase = 0 runs the framed path, which must leave U(0) exact
         st = coherent_state(1.5, 0.4, 48)
         drive = DriveParams(rabi=2.0 * math.pi * 0.3e6, eta=0.4)
         out = flash_evolve(st, drive, MODE, 1e-7)
-        np.testing.assert_array_equal(_drive_frame(48, 0.0), np.ones(96))
+        split = _split_sectors(st.amplitudes[:, None], 48)
+        framed = split.copy()
+        _mix(framed, 0.0)
+        np.testing.assert_array_equal(framed, split)
         u0 = _flash_unitary(48, drive.eta, drive.rabi, MODE.freq, 1e-7)
-        amps = st.amplitudes[:, None]
-        direct = _from_sectors(u0 @ _to_sectors(amps[:48], amps[48:]))[:, 0]
+        direct = _from_sectors(u0 @ (split[..., :1] + split[..., 1:]))[:, 0]
         np.testing.assert_array_equal(out.amplitudes, direct)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fock_dim=st.integers(1, 40), width=st.integers(1, 5),
+           phi=st.floats(-4.0 * math.pi, 4.0 * math.pi), seed=st.integers(0, 2**32 - 1))
+    def test_mix_is_the_drive_frame(self, fock_dim, width, phi, seed):
+        # split, V(phi)^dag in sector coordinates, merge: the spin-basis diagonal
+        # diag(e^{-i phi/2}, e^{i phi/2}) on (down, up)
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(2 * fock_dim, width)) + 1j * rng.normal(size=(2 * fock_dim, width))
+        states /= np.linalg.norm(states, axis=0)
+        block = _split_sectors(states, fock_dim)
+        _mix(block, phi)
+        image = _from_sectors(block.copy())
+        frame = np.repeat([np.exp(-0.5j * phi), np.exp(0.5j * phi)], fock_dim)[:, None]
+        np.testing.assert_allclose(image[:, :width] + image[:, width:], frame * states,
+                                   rtol=0, atol=1e-14)
+        # V(phi) V(phi)^dag is the identity
+        _mix(block, -phi)
+        np.testing.assert_allclose(block, _split_sectors(states, fock_dim), rtol=0, atol=1e-14)
 
     def test_zero_rabi_equals_free(self):
         st = coherent_state(1.5, 0.4, 48)
@@ -285,6 +306,12 @@ class TestDephasing:
     def test_exponential(self):
         spec = DephasingSpec(tau=50e-6, envelope="exponential")
         assert apply_dephasing(0.5, spec, 50e-6) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("envelope", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("elapsed", [1.0e-140, 1.0, 1.0e10])
+    def test_huge_elapsed_over_tau_is_zero(self, envelope, elapsed):
+        # elapsed / tau of 1e160, whose square overflows a float, 1e300 and inf
+        assert apply_dephasing(0.8, DephasingSpec(tau=1.0e-300, envelope=envelope), elapsed) == 0.0
 
 
 def complex_coupling(fock_dim, eta):

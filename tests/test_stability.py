@@ -133,6 +133,16 @@ class TestReferenceCorrection:
             stats.append(np.std(corrected.phase))
         assert np.mean(stats) <= math.sqrt(2) * 0.1
 
+    def test_interval_past_the_trace_reads_the_endpoints(self):
+        # a stride past int64 once made np.arange return float indices
+        model = PhaseNoiseModel(white_sigma=0.1, rw_sigma=0.05, sample_interval=0.1)
+        trace = simulate_phase_trace(model, 650.0, seed=3)
+        endpoints = apply_reference_correction(trace, trace.duration)
+        for interval in (1.0e300, 700.0):
+            corrected = apply_reference_correction(trace, interval)
+            np.testing.assert_array_equal(corrected.phase, endpoints.phase)
+        assert endpoints.phase[0] == endpoints.phase[-1] == 0.0
+
     def test_interval_guard(self):
         model = PhaseNoiseModel(white_sigma=0.1, sample_interval=0.5)
         trace = simulate_phase_trace(model, 50.0, seed=0)
