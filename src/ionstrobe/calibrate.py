@@ -25,11 +25,13 @@ from .errors import CalibrationError, DecodeError, TruncationError
 from .fitting import CosineFit, fit_cosine
 from .hilbert import (
     HBAR,
+    SPIN_DOWN,
     CoherentAmp,
     HilbertSpec,
     UnitScale,
     coupling_operator,
     expect_sigma_z,
+    make_initial_state,
     thermal_ground_states,
 )
 from .sequence import (
@@ -246,10 +248,10 @@ def _search(
     when the thermal draw or any evaluation's tail exceeds hilbert.tail_tol.
     """
     n = hilbert.fock_dim
-    _, weights, ground = thermal_ground_states(
+    levels, weights = thermal_ground_states(
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, hilbert
     )
-    states = np.stack([state.amplitudes for state in ground], axis=1)
+    states = np.eye(2 * n, dtype=complex)[:, levels]  # |down>|l>, one column per level
     n_evals = 0
 
     def objective(phase_step: float, rabi_scale: float) -> float:
@@ -309,7 +311,7 @@ def tune_pulse_train(spec: SequenceSpec, tol: float = 5e-3) -> TrainTuning:
         raise CalibrationError("tol must be positive")
 
     train = spec.analysis
-    levels, weights, states = thermal_ground_states(
+    levels, weights = thermal_ground_states(
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
     )
     # analytic starting point: the thermally weighted Debye-Waller carrier rate,
@@ -333,9 +335,9 @@ def tune_pulse_train(spec: SequenceSpec, tol: float = 5e-3) -> TrainTuning:
         # the check at the configured size, also leaving its flash unitary cached
         tuned = _scaled_train(train, tuning.phase_step, tuning.rabi_scale)
         sz = 0.0
-        for w, st in zip(weights, states):
-            out = run_pulse_train(st, tuned, spec.mode, spec.hilbert)
-            sz += w * expect_sigma_z(out)
+        for w, level in zip(weights, levels):
+            ground = make_initial_state(SPIN_DOWN, int(level), spec.hilbert)
+            sz += w * expect_sigma_z(run_pulse_train(ground, tuned, spec.mode, spec.hilbert))
         achieved = abs(sz)
         if achieved <= tol:
             return replace(tuning, achieved_sigma_z=achieved)

@@ -53,6 +53,10 @@ class Key(NamedTuple):
 
 
 ANY = "(-inf, inf)"
+# An angle in rad, or eta, the phase per zero-point width: past 1e6 rad a double
+# resolves it to no better than 1.2e-10 rad, and below, an angle times a Fock
+# index or a flash count, or the span of two angles, stays finite.
+ANGLE = "[-1e6, 1e6]"
 
 SCHEMA: dict[str, dict[str, Key]] = {
     "hilbert": {"fock_dim": Key(128, "[2, inf)"), "tail_tol": Key(1e-4, "(0, 1)")},
@@ -66,32 +70,32 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "units": {"mass_amu": Key(25.0, "(0, inf)"), "hbar": Key(HBAR, "(0, inf)")},
     "drive": {
         "rabi_hz": Key(0.3e6, "[0, inf)"),
-        "eta": Key(0.40, "[0, inf)", ("geometry",)),  # geometry: from the wave pattern
+        "eta": Key(0.40, "[0, 1e6]", ("geometry",)),  # geometry: from the wave pattern
         "eff_wavelength_nm": Key(140.0, "(0, inf)"),
-        "pattern_rotation_rad": Key(0.840, ANY),
+        "pattern_rotation_rad": Key(0.840, ANGLE),
     },
     "train": {
         "n_flashes": Key(30, "[1, 1000000]"),  # 10x the longest tested train; more runs for hours
         "flash_ns": Key(100.0, "(0, inf)"),
         "cycle_ns": Key(0.0, ANY),  # 0 or less means cycles_per_flash motional periods
         "cycles_per_flash": Key(1, "[1, inf)"),
-        "dphi_rad": Key(0.0, ANY),
+        "dphi_rad": Key(0.0, ANGLE),
         "rabi_scale": Key("auto", "[0, inf)", ("auto",)),  # auto: run the pi/2 tuner
         "tune_tol": Key(5e-3, "(0, inf)"),
     },
     "state": {
         "alpha_abs": Key(0.0, "[0, inf)"),
-        "alpha_phase_rad": Key(0.0, ANY),
+        "alpha_phase_rad": Key(0.0, ANGLE),
         "zeta_abs": Key(0.0, "[0, inf)"),
-        "zeta_phase_rad": Key(0.0, ANY),
+        "zeta_phase_rad": Key(0.0, ANGLE),
     },
     "dephasing": {
         "tau_us": Key(70.0, ANY),
         "envelope": Key("gaussian", None, ("gaussian", "exponential", "none")),
     },
     "scan": {
-        "phi_start_rad": Key(0.0, ANY),
-        "phi_stop_rad": Key(TWO_PI, ANY),
+        "phi_start_rad": Key(0.0, ANGLE),
+        "phi_stop_rad": Key(TWO_PI, ANGLE),
         "phi_num": Key(30, "[1, inf)"),
         "outer_var": Key("none", None, ("none", "theta0", "zeta0", "alpha_abs")),
         "outer_values": Key([0.0], ANY),
@@ -105,8 +109,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
     },
     "pattern": {
         "wavelength_nm": Key(138.0, "(0, inf)"),
-        "rotation_rad": Key(0.840, ANY),
-        "phase_origin_rad": Key(0.0, ANY),
+        "rotation_rad": Key(0.840, ANGLE),
+        "phase_origin_rad": Key(0.0, ANGLE),
         "contrast": Key(0.76, "[-1, 1]"),
         "extent_nm": Key(200.0, "(0, inf)"),
         "nx": Key(26, "[1, inf)"),
@@ -262,7 +266,10 @@ def resolve_eta(cfg: dict) -> float:
         raise ConfigError("drive.eta: geometry needs drive.pattern_rotation_rad minus "
                           "mode.mode_angle_deg within pi/2")
     wavelength = cfg["drive"]["eff_wavelength_nm"] * 1e-9
-    return derive_lamb_dicke(units.mass, mode_freq(cfg), wavelength, projection, hbar=units.hbar)
+    eta = derive_lamb_dicke(units.mass, mode_freq(cfg), wavelength, projection, hbar=units.hbar)
+    with naming("drive.eta: geometry, from drive.eff_wavelength_nm, units.mass_amu, units.hbar "
+                "and mode.freq_hz"):
+        return check_value("drive", "eta", eta)
 
 
 def cycle_duration(cfg: dict) -> float:
@@ -332,6 +339,8 @@ def build_scan_spec(cfg: dict) -> ScanSpec:
         raise ConfigError(f"scan.outer_var {outer} needs state.zeta_abs {'= 0' if squeezed else '> 0'}")
     if outer == "alpha_abs" and min(scan["outer_values"]) < 0:
         raise ConfigError("scan.outer_values must be >= 0 when scan.outer_var is alpha_abs")
+    if outer in ("theta0", "zeta0") and not _accepts(Key([0.0], ANGLE), scan["outer_values"]):
+        raise ConfigError(f"scan.outer_values must lie in {ANGLE} when scan.outer_var is {outer}")
     with naming("scan.phi_num", CANNOT_RESERVE):
         phi_grid = np.linspace(scan["phi_start_rad"], scan["phi_stop_rad"], scan["phi_num"],
                                endpoint=False)

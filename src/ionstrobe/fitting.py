@@ -168,6 +168,7 @@ def _phase_filler(x, z, thetas):
     return fill
 
 
+@np.errstate(all="ignore")
 def _grid_seeds(x, z, w, y):
     """Best coarse-grid cell (b, c, wavelength, rotation) for each column of y = p - 1/2.
 
@@ -205,10 +206,9 @@ def _grid_seeds(x, z, w, y):
         r1, r2 = rhs[:, 0], rhs[:, 1]
         a11, a12, a22 = normal[:, 0, 0, None], normal[:, 0, 1, None], normal[:, 1, 1, None]
         det = a11 * a22 - a12 * a12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = (a22 * r1 - a12 * r2) / det
-            c = (a11 * r2 - a12 * r1) / det
-            sse = sse_zero - b * r1 - c * r2
+        b = (a22 * r1 - a12 * r2) / det
+        c = (a11 * r2 - a12 * r1) / det
+        sse = sse_zero - b * r1 - c * r2
         sse[~((det > 0) & np.isfinite(sse))] = math.inf
         row = np.argmin(sse, axis=0)
         row_sse[i] = sse[row, cols]
@@ -218,8 +218,10 @@ def _grid_seeds(x, z, w, y):
     return row_seeds[np.argmin(row_sse, axis=0), cols]
 
 
+@np.errstate(all="ignore")
 def _refine_pattern(x, z, p, w, seed) -> PatternFit:
-    """Damped Gauss-Newton on (b, c, lambda, theta) from a coarse-grid seed."""
+    """Damped Gauss-Newton on (b, c, lambda, theta) from a coarse-grid seed; a
+    non-finite SSE or step (phases that overflow) is a fit that did not converge."""
     params = np.array(seed)
 
     def model_resid(q):
@@ -242,6 +244,8 @@ def _refine_pattern(x, z, p, w, seed) -> PatternFit:
             step = np.linalg.solve(jtw @ jac, jtw @ resid)
         except np.linalg.LinAlgError:
             raise FitError("singular normal equations in pattern fit")
+        if not (math.isfinite(sse) and np.all(np.isfinite(step))):
+            break
         scale = 1.0
         for _ in range(20):
             trial = params - scale * step
@@ -253,7 +257,7 @@ def _refine_pattern(x, z, p, w, seed) -> PatternFit:
         rel_step = np.linalg.norm(scale * step) / max(np.linalg.norm(params), 1e-30)
         params, resid, jac, sse = trial, trial_resid, trial_jac, trial_sse
         if rel_step < GN_STEP_TOL:
-            converged = True
+            converged = math.isfinite(sse)
             break
     if not converged:
         raise FitError("pattern fit did not converge")

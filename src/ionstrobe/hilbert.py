@@ -188,12 +188,6 @@ def build_mode_operators(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, np.
     return a, a_dag, n
 
 
-def _expi_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for Hermitian h via eigendecomposition (exact and deterministic)."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 def quadrature_gauge(fock_dim: int) -> np.ndarray:
     """Diagonal of the gauge G = diag(i^n).
 
@@ -204,18 +198,20 @@ def quadrature_gauge(fock_dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _quadrature_eigh(fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real eigendecomposition (lam, V) of the position quadrature X = a + a_dag."""
-    root = np.sqrt(np.arange(1.0, fock_dim))
-    lam, v = np.linalg.eigh(np.diag(root, 1) + np.diag(root, -1))
+def _ladder_eigh(fock_dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real eigendecomposition (lam, V) of a^k + a_dag^k, k in {1, 2}: the
+    position quadrature X = a + a_dag, or Y = a^2 + a_dag^2."""
+    n = np.arange(1.0, fock_dim - k + 1)
+    band = np.sqrt(n if k == 1 else n * (n + 1.0))  # <m + k| a_dag^k |m>, m = n - 1
+    lam, v = np.linalg.eigh(np.diag(band, k) + np.diag(band, -k))
     lam.setflags(write=False)
     v.setflags(write=False)
     return lam, v
 
 
-def _expi_quadrature(t: float, fock_dim: int, levels=slice(None)) -> np.ndarray:
-    """exp(i t X)[:, levels] = V e^{i t lam} V[levels]^T, from the cached eigh of X."""
-    lam, v = _quadrature_eigh(fock_dim)
+def _expi_ladder(t: float, fock_dim: int, k: int, levels=slice(None)) -> np.ndarray:
+    """exp(i t (a^k + a_dag^k))[:, levels] = V e^{i t lam} V[levels]^T, from the cached eigh."""
+    lam, v = _ladder_eigh(fock_dim, k)
     vt = v[levels].T
     return (v * np.cos(t * lam)) @ vt + 1j * ((v * np.sin(t * lam)) @ vt)
 
@@ -229,7 +225,7 @@ def coupling_operator(eta: float, spec: HilbertSpec) -> np.ndarray:
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    return _expi_quadrature(eta, spec.fock_dim)
+    return _expi_ladder(eta, spec.fock_dim, 1)
 
 
 def _require_levels(spec: HilbertSpec, needed: float, kick: str) -> None:
@@ -259,19 +255,20 @@ def displacement_operator(alpha, spec: HilbertSpec, levels=None) -> np.ndarray:
     n = spec.fock_dim
     rot = np.exp(1j * cmath.phase(alpha) * np.arange(n)) * quadrature_gauge(n)
     cols = slice(None) if levels is None else np.asarray(levels, dtype=int)
-    return rot[:, None] * _expi_quadrature(-abs(alpha), n, cols) * np.conj(rot[cols])
+    return rot[:, None] * _expi_ladder(-abs(alpha), n, 1, cols) * np.conj(rot[cols])
 
 
-def squeeze_operator(zeta, spec: HilbertSpec) -> np.ndarray:
-    """Squeeze unitary S(zeta) = exp[(zeta* a^2 - zeta a_dag^2) / 2].
+def squeeze_operator(zeta, spec: HilbertSpec, levels=None) -> np.ndarray:
+    """Squeeze unitary S(zeta) = exp[(zeta* a^2 - zeta a_dag^2) / 2], or with
+    `levels` (a sequence of Fock indices) only its columns S(zeta)[:, levels].
 
     For real positive zeta this squeezes the position quadrature.
     Requires fock_dim >= 20 exp(2 |zeta|).
 
-    a^2 and a_dag^2 keep the Fock parity, so S = exp(i h) with
-    h = -i (zeta* a^2 - zeta a_dag^2) / 2 is built on the even and the odd
-    levels apart: two half-size Hermitian eigendecompositions, each of a
-    matrix with one nonzero off-diagonal, h[n, n+2] = -i zeta* sqrt((n+1)(n+2)) / 2.
+    With zeta = r e^{i psi}, S(zeta) = R W^dag exp(-i (r/2) Y) W R^dag, where
+    Y = a^2 + a_dag^2, R = diag(e^{i psi n / 2}) and W = diag(e^{i pi n / 4}),
+    since W^dag Y W = i (a^2 - a_dag^2); exp(-i (r/2) Y) comes from one cached
+    real eigendecomposition of Y per fock_dim, as D(alpha)'s does from X.
     """
     if isinstance(zeta, SqueezeParam):
         zeta = zeta.value
@@ -280,13 +277,10 @@ def squeeze_operator(zeta, spec: HilbertSpec) -> np.ndarray:
     needed = 20.0 * math.exp(2.0 * abs(zeta)) if abs(zeta) < 350.0 else math.inf
     _require_levels(spec, needed, f"|zeta|={abs(zeta):.3g}")
     n = spec.fock_dim
-    s = np.zeros((n, n), dtype=complex)
-    for parity in (0, 1):
-        levels = np.arange(parity, n, 2)
-        pair = levels[:-1]
-        h = np.diag(-0.5j * np.conj(zeta) * np.sqrt((pair + 1.0) * (pair + 2.0)), 1)
-        s[np.ix_(levels, levels)] = _expi_hermitian(h + h.conj().T)
-    return s
+    eighth = np.exp(0.25j * math.pi * np.arange(8))  # e^{i pi n / 4} repeats every 8 levels
+    rot = np.exp(0.5j * cmath.phase(zeta) * np.arange(n)) * np.conj(eighth[np.arange(n) % 8])
+    cols = slice(None) if levels is None else np.asarray(levels, dtype=int)
+    return rot[:, None] * _expi_ladder(-abs(zeta) / 2.0, n, 2, cols) * np.conj(rot[cols])
 
 
 def make_initial_state(spin: str, fock_index: int, spec: HilbertSpec) -> SpinMotionState:
@@ -319,19 +313,13 @@ def thermal_ensemble(n_th: float, samples: int, seed) -> tuple[np.ndarray, np.nd
 
 def thermal_ground_states(
     n_th: float, samples: int, seed, spec: HilbertSpec
-) -> tuple[np.ndarray, np.ndarray, list[SpinMotionState]]:
-    """thermal_ensemble's (levels, weights) and |down> (x) |n> for each level.
-
-    Raises TruncationError when a drawn level lies outside the Fock space.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """thermal_ensemble's (levels, weights) of the starting states |down> (x) |n>;
+    a TruncationError when a drawn level lies outside the Fock space."""
     levels, weights = thermal_ensemble(n_th, samples, seed)
     top = int(levels[-1])
-    if top >= spec.fock_dim:
-        raise TruncationError(
-            f"thermal draw reached Fock level {top} at n_th={n_th:g}, outside "
-            f"fock_dim={spec.fock_dim}; increase fock_dim"
-        )
-    return levels, weights, [make_initial_state(SPIN_DOWN, int(n), spec) for n in levels]
+    _require_levels(spec, top + 1, f"the thermal draw's Fock level {top} at n_th={n_th:g}")
+    return levels, weights
 
 
 def expect_sigma_z(state: SpinMotionState) -> float:

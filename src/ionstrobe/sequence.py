@@ -31,10 +31,10 @@ that cuts the counted work to a third, through the cached train operator
 the narrow blocks that follow on the same train find it cached: on fig4
 the 330-column decode-table block builds it, and the anchor and the
 theta0 scan reuse it. A kick meets only the thermal Fock levels, so just
-their columns K|l> are formed (O(N^2 L) for a displacement, not O(N^3)),
-cached for one magnitude, which every caller applies in consecutive
-kicks. The sync pi/2 pulse acts on the spin alone, so it commutes with the
-kick and the pre-delay and is applied once per thermal level.
+their columns K|l> are formed (O(N^2 L), not O(N^3)), cached for one
+magnitude, which every caller applies in consecutive kicks. The sync pi/2
+pulse acts on the spin alone, so it commutes with the kick and the
+pre-delay and is applied once: one spinor serves every column.
 """
 
 from __future__ import annotations
@@ -54,11 +54,13 @@ from .dynamics import (
 )
 from .errors import ConfigError, TruncationError
 from .hilbert import (
+    SPIN_DOWN,
     CoherentAmp,
     HilbertSpec,
     ModeParams,
     SqueezeParam,
     displacement_operator,
+    make_initial_state,
     squeeze_operator,
     thermal_ground_states,
 )
@@ -140,11 +142,8 @@ class PatternField:
 @lru_cache(maxsize=1)
 def _excitation_matrix(kind: str, magnitude: float, fock_dim: int, levels: tuple) -> np.ndarray:
     """Columns `levels` of the phase-0 kick: the (fock_dim, len(levels)) K|l>."""
-    spec = HilbertSpec(fock_dim=fock_dim, tail_tol=0.5)
-    if kind == "coherent":
-        op = displacement_operator(CoherentAmp(magnitude, 0.0), spec, levels)
-    else:
-        op = squeeze_operator(SqueezeParam(magnitude, 0.0), spec)[:, list(levels)]
+    kick = displacement_operator if kind == "coherent" else squeeze_operator
+    op = kick(magnitude, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5), levels)
     op.setflags(write=False)
     return op
 
@@ -154,23 +153,20 @@ def _kicked_levels(excitation, levels: tuple, fock_dim: int) -> np.ndarray:
     enters by number-operator conjugation, K = R K_0 R^dag, R = e^{i rot n}."""
     if excitation is None:
         return np.eye(fock_dim, dtype=complex)[:, list(levels)]
-    if isinstance(excitation, CoherentAmp):
-        op = _excitation_matrix("coherent", excitation.magnitude, fock_dim, levels)
-        rot = excitation.phase
-    elif isinstance(excitation, SqueezeParam):
-        op = _excitation_matrix("squeeze", excitation.magnitude, fock_dim, levels)
-        rot = excitation.phase / 2.0
-    else:
+    kind = {CoherentAmp: "coherent", SqueezeParam: "squeeze"}.get(type(excitation))
+    if kind is None:
         raise ConfigError(f"unsupported excitation {type(excitation).__name__}")
+    op = _excitation_matrix(kind, excitation.magnitude, fock_dim, levels)
+    rot = excitation.phase if kind == "coherent" else excitation.phase / 2.0
     phases = np.exp(1j * rot * np.arange(fock_dim))
     return phases[:, None] * (op * np.conj(phases[list(levels)]))
 
 
-def _pre_train(spec: SequenceSpec, kicks: list, levels: np.ndarray, ground: list):
+def _pre_train(spec: SequenceSpec, kicks: list, levels: np.ndarray):
     """The (2N, kicks x levels) pre-train block, kick-major, and each column's
-    <n> after its kick: every column is the sync-rotated spin amplitudes of
-    |down>|l> times the kicked, pre-delayed level. A TruncationError (a kick
-    too large for fock_dim, or a tail at tail_tol) has the column as index.
+    <n> after its kick: every column is the kicked, pre-delayed level |l> times
+    the one sync-rotated spinor of |down>. A TruncationError (a kick too large
+    for fock_dim, or a tail at tail_tol) has the column as index.
     """
     n, hilbert, thermal = spec.hilbert.fock_dim, spec.hilbert, tuple(levels.tolist())
     motion = []
@@ -183,9 +179,8 @@ def _pre_train(spec: SequenceSpec, kicks: list, levels: np.ndarray, ground: list
     motion = np.concatenate(motion, axis=1)
     n_initial = np.arange(n) @ np.abs(motion) ** 2
     motion *= np.exp(-1j * spec.mode.freq * spec.pre_delay() * np.arange(n))[:, None]
-    spins = np.array([mw_rotation(st, math.pi / 2.0, SYNC_PHASE).amplitudes[[l, n + l]]
-                      for l, st in zip(thermal, ground)]).T  # (2, L): down, up amplitudes
-    block = np.concatenate([np.tile(spin, len(kicks)) * motion for spin in spins])
+    sync = mw_rotation(make_initial_state(SPIN_DOWN, 0, hilbert), math.pi / 2.0, SYNC_PHASE)
+    block = np.concatenate([sync.amplitudes[0] * motion, sync.amplitudes[n] * motion])
     pops = np.abs(block[:n]) ** 2 + np.abs(block[n:]) ** 2
     deviation = np.abs(np.sqrt(np.sum(pops, axis=0)) - 1.0)
     if np.max(deviation) > 1e-10:
@@ -248,18 +243,18 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
     distinct = list(dict.fromkeys(kicks))
     if not distinct:
         return []
-    levels, weights, ground = thermal_ground_states(
+    levels, weights = thermal_ground_states(
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
     )
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
     train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=0.0))
     try:
-        pre_train, n_initial = _pre_train(spec, distinct, levels, ground)
+        pre_train, n_initial = _pre_train(spec, distinct, levels)
         down, up, max_tail = propagate_block(pre_train, train, spec.mode, spec.hilbert)
     except TruncationError as exc:  # index: a block column, kick-major
-        exc.index = kicks.index(distinct[exc.index // len(ground)])
+        exc.index = kicks.index(distinct[exc.index // len(levels)])
         raise
-    shape = (len(distinct), len(ground))  # rows: excitations; columns: thermal levels
+    shape = (len(distinct), len(levels))  # rows: excitations; columns: thermal levels
     pop0 = np.abs(down) ** 2 + np.abs(up) ** 2
     pop1 = np.conj(down) * up
     n = spec.hilbert.fock_dim

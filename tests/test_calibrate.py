@@ -139,9 +139,10 @@ def reference_tune(spec, tol, max_sweeps=6, xtol=1e-6):
     """The tuner with every probe at the configured size, state by state
     through run_pulse_train: the reference the small-space search must match."""
     train = spec.analysis
-    levels, weights, states = thermal_ground_states(
+    levels, weights = thermal_ground_states(
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
     )
+    states = [make_initial_state(SPIN_DOWN, int(level), spec.hilbert) for level in levels]
     n_evals = 0
 
     def objective(phase_step, rabi_scale):
@@ -208,11 +209,12 @@ class TestSmallSpaceSearch:
         spec = replace(spec, hilbert=HilbertSpec(fock_dim=64, tail_tol=1e-2))
         ref = reference_tune(spec, 5e-3)
         small = HilbertSpec(fock_dim=FIRST_SEARCH_DIM, tail_tol=spec.hilbert.tail_tol)
-        _, _, states = thermal_ground_states(
+        levels, _ = thermal_ground_states(
             spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, small
         )
         tuned = apply_tuning(spec, ref).analysis
-        block = np.stack([state.amplitudes for state in states], axis=1)
+        block = np.stack([make_initial_state(SPIN_DOWN, int(level), small).amplitudes
+                          for level in levels], axis=1)
         _, _, tail = run_pulse_train_block(block, tuned, spec.mode, small)
         assert SEARCH_TAIL_BOUND < tail.max() < spec.hilbert.tail_tol
         assert tune_pulse_train(spec, tol=5e-3) == ref

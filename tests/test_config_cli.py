@@ -268,6 +268,32 @@ EXTREME_INPUTS = [
     ("stability-drift", "stability", "stability: {drift_rate_rad_per_s: 1.0e300}",
      ["stability.white_sigma_rad", "stability.rw_sigma_rad_per_sqrt_s",
       "stability.drift_rate_rad_per_s"]),
+    # angles whose span, or product with a Fock index or flash count, overflows
+    ("ramsey-scan-phi-span", "ramsey-scan", "hilbert: {fock_dim: 24}\ntrain: {rabi_scale: 0.28}\n"
+     "scan: {phi_start_rad: 1.0e308, phi_stop_rad: -1.0e308}", ["config error", "scan.phi_start_rad"]),
+    ("ramsey-scan-theta0", "ramsey-scan", "hilbert: {fock_dim: 40}\ntrain: {rabi_scale: 0.28}\n"
+     "state: {alpha_abs: 1.0}\nscan: {outer_var: theta0, outer_values: [1.0e308]}",
+     ["config error", "scan.outer_values"]),
+    ("ramsey-scan-alpha-phase", "ramsey-scan", "hilbert: {fock_dim: 40}\ntrain: {rabi_scale: 0.28}\n"
+     "state: {alpha_abs: 1.0, alpha_phase_rad: 1.0e308}", ["config error", "state.alpha_phase_rad"]),
+    ("ramsey-scan-dphi", "ramsey-scan", "hilbert: {fock_dim: 24}\n"
+     "train: {rabi_scale: 0.28, dphi_rad: 1.0e308}", ["config error", "train.dphi_rad"]),
+    # a Lamb-Dicke parameter whose phases overflow, set or derived from the geometry
+    ("ramsey-scan-eta", "ramsey-scan", "hilbert: {fock_dim: 24}\ntrain: {rabi_scale: 1.0}\n"
+     "drive: {eta: 1.0e308}", ["config error", "drive.eta"]),
+    ("ramsey-scan-eta-geometry", "ramsey-scan", "hilbert: {fock_dim: 24}\ntrain: {rabi_scale: 1.0}\n"
+     "drive: {eta: geometry, eff_wavelength_nm: 1.0e-300}",
+     ["config error", "drive.eta", "drive.eff_wavelength_nm"]),
+    ("calibrate-train-eta-geometry", "calibrate-train", "hilbert: {fock_dim: 24}\n"
+     "drive: {eta: geometry, eff_wavelength_nm: 1.0e-300}",
+     ["config error", "drive.eta", "drive.eff_wavelength_nm"]),
+    # a pattern extent whose fit phases overflow or underflow
+    ("pattern-scan-extent-1e200", "pattern-scan", "pattern: {extent_nm: 1.0e200}",
+     ["pattern fit did not converge"]),
+    ("pattern-scan-extent-1e300", "pattern-scan", "pattern: {extent_nm: 1.0e300}",
+     ["pattern fit did not converge"]),
+    ("pattern-scan-extent-1e-300", "pattern-scan", "pattern: {extent_nm: 1.0e-300}",
+     ["pattern fit did not converge"]),
 ]
 
 
@@ -301,6 +327,20 @@ def test_every_size_key_has_an_extreme_input():
                  if type(entry.default) is int and entry.range.endswith("inf)")}
     assert unbounded - named - UNSIZED_KEYS.keys() == set()
     assert UNSIZED_KEYS.keys() <= unbounded  # no stale exemption
+
+
+# keys that hold an angle without a unit of rad or deg in their name: drive.eta,
+# the phase per zero-point width, and scan.outer_values under outer_var theta0 or zeta0
+UNITLESS_ANGLES = ("drive.eta", "scan.outer_values")
+
+
+def test_every_angle_key_is_bounded_or_has_an_extreme_input():
+    named = {name for row in EXTREME_INPUTS for name in row[3]}
+    angles = {f"{section}.{key}": entry for section, keys in SCHEMA.items()
+              for key, entry in keys.items()
+              if "_rad" in key or "_deg" in key or f"{section}.{key}" in UNITLESS_ANGLES}
+    unbounded = {name for name, entry in angles.items() if "inf" in entry.range}
+    assert unbounded - named == set()
 
 
 def test_other_memory_errors_exit_with_one_line(tmp_path, monkeypatch, capsys):

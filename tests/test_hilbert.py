@@ -216,6 +216,33 @@ class TestSqueeze:
         # minimum-uncertainty product is preserved
         assert var_x * var_p == pytest.approx((units.hbar / 2.0) ** 2, rel=1e-6)
 
+    @pytest.mark.parametrize("zeta", [0.3, 0.4j, 0.25 - 0.5j, -0.9 + 0.2j, 1.0])
+    def test_matches_expm_of_generator(self, zeta):
+        # the gauge construction against the truncated generator exponentiated directly
+        spec = HilbertSpec(fock_dim=160)
+        a, a_dag, _ = build_mode_operators(spec)
+        ref = expm((np.conj(zeta) * a @ a - zeta * a_dag @ a_dag) / 2.0)
+        assert np.max(np.abs(squeeze_operator(zeta, spec) - ref)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(magnitude=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * math.pi), data=st.data())
+    def test_levels_are_columns_of_the_full_squeeze(self, magnitude, phase, data):
+        zeta = SqueezeParam(magnitude, phase)
+        needed = math.ceil(20.0 * math.exp(2.0 * magnitude))
+        spec = HilbertSpec(fock_dim=data.draw(st.integers(needed, 160)))
+        levels = data.draw(st.lists(st.integers(0, spec.fock_dim - 1), min_size=1, max_size=8))
+        full = squeeze_operator(zeta, spec)
+        cols = squeeze_operator(zeta, spec, levels)
+        assert cols.shape == (spec.fock_dim, len(levels))
+        assert np.max(np.abs(cols - full[:, levels])) <= 1e-13
+        # one level too few: both forms refuse the kick alike
+        small = HilbertSpec(fock_dim=needed - 1)
+        with pytest.raises(TruncationError) as whole:
+            squeeze_operator(zeta, small)
+        with pytest.raises(TruncationError) as part:
+            squeeze_operator(zeta, small, levels)
+        assert str(part.value) == str(whole.value)
+
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             squeeze_operator(SqueezeParam(1.0), HilbertSpec(fock_dim=64))

@@ -294,6 +294,21 @@ class TestSequenceFringe:
             assert abs(fringe.n0 - n0) <= 1e-12
             assert abs(fringe.n1 - n1) <= 1e-12
 
+    @pytest.mark.parametrize("excitation", [None, CoherentAmp(0.8, 1.1), SqueezeParam(0.25, 2.3)],
+                             ids=["none", "coherent", "squeeze"])
+    def test_pre_train_block_matches_state_by_state_reference(self, excitation):
+        # one sync spinor for every column: each column of the block is the
+        # level's state built alone, with the full kick and its own mw_rotation;
+        # the n_th = 2 draw reaches level 21
+        spec = make_spec(fock_dim=64, excitation=excitation, n_th=2.0)
+        levels, _ = thermal_ensemble(2.0, spec.thermal_samples, spec.thermal_seed)
+        block, n_initial = sequence_module._pre_train(spec, [excitation], levels)
+        assert block.shape == (2 * spec.hilbert.fock_dim, len(levels))
+        for column, level in enumerate(levels):
+            state, n_ref = reference_pre_train(spec, level)
+            assert np.max(np.abs(block[:, column] - state.amplitudes)) <= 1e-13
+            assert abs(n_initial[column] - n_ref) <= 1e-12
+
     def test_pre_train_truncation_sets_index(self):
         # D(1.5) fits fock_dim 33 (it needs 29 levels) but carries level 21 of
         # the n_th = 2 ensemble into the top Fock levels before the train
