@@ -1,16 +1,16 @@
 """Pulse-train tuning, encode/decode calibration, and noise-floor estimation.
 
-The tuner adjusts (per-flash phase step, Rabi scale) of the stroboscopic
-train until the bare train acts as a pi/2 rotation on the thermal alpha=0
-state. Its search propagates the thermal levels as one block in the
-smallest Fock space of 32, 64, 128, ... levels whose tail stays negligible,
-and the point it returns is checked once at the configured fock_dim and
-tail_tol, state by state through run_pulse_train. Decode tables are then
-built from the exact fringes of a grid of displacement amplitudes,
-tabulating fringe phase against true position (turning points, theta0 in
-{0, pi}) and fringe contrast against true momentum magnitude
-(theta0 = pi/2); DecodeTables.decode is the one call that turns a fringe's
-(phase, contrast) back into (position, momentum magnitude).
+The tuner makes the bare train a pi/2 rotation on the thermal alpha = 0
+state: the root in rabi_scale of the signed, thermally weighted <sigma_z>
+in the lowest sign change among 0.5, 1 and 1.5 times the Debye-Waller
+start, searched in a small Fock space, then polished and checked at the
+configured one, with tol the check's acceptance bound; the train's phase
+step is an input it keeps. Decode tables are built from the exact fringes
+of a grid of displacement amplitudes, tabulating fringe phase against true
+position (turning points, theta0 in {0, pi}) and fringe contrast against
+true momentum magnitude (theta0 = pi/2); DecodeTables.decode is the one
+call that turns a fringe's (phase, contrast) back into (position, momentum
+magnitude).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import PulseTrainSpec, run_pulse_train, run_pulse_train_block
+from .dynamics import PulseTrainSpec, _flash_unitary, run_pulse_train, run_pulse_train_block
 from .errors import CalibrationError, DecodeError, TruncationError
 from .fitting import CosineFit, fit_cosine
 from .hilbert import (
@@ -46,9 +46,8 @@ from .sequence import (
 
 @dataclass(frozen=True)
 class TrainTuning:
-    """Result of the pi/2 train optimization."""
+    """Result of the pi/2 train tuning."""
 
-    phase_step: float
     rabi_scale: float
     achieved_sigma_z: float
     n_evaluations: int = 0
@@ -176,54 +175,32 @@ class DecodeTables:
         return DecodedPoint(*values, *clamped)
 
 
-def golden_section(f, lo: float, hi: float, xtol: float = 1e-6):
-    """Minimize a unimodal scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(100):  # ends a search whose xtol is below the bracket's resolution
-        if abs(b - a) < xtol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
-def _scaled_train(train: PulseTrainSpec, phase_step: float, rabi_scale: float) -> PulseTrainSpec:
-    """The train with this phase step and its Rabi rate times rabi_scale, which must be finite."""
+def _scaled_train(train: PulseTrainSpec, rabi_scale: float) -> PulseTrainSpec:
+    """The train with its Rabi rate times rabi_scale, which must be finite."""
     rabi = train.drive.rabi * rabi_scale
     if not math.isfinite(rabi):
         raise CalibrationError(f"Rabi rate {train.drive.rabi / (2.0 * math.pi):g} Hz times "
                                f"rabi_scale {rabi_scale:g} is not finite")
-    drive = replace(train.drive, rabi=rabi)
-    return replace(train, phase_step=phase_step, drive=drive)
+    return replace(train, drive=replace(train.drive, rabi=rabi))
 
 
 def apply_tuning(spec: SequenceSpec, tuning: TrainTuning) -> SequenceSpec:
-    """Sequence with the tuned phase step and Rabi scale folded into the train."""
-    train = _scaled_train(spec.analysis, tuning.phase_step, tuning.rabi_scale)
-    return replace(spec, analysis=train)
+    """Sequence with the tuned Rabi scale folded into the train."""
+    return replace(spec, analysis=_scaled_train(spec.analysis, tuning.rabi_scale))
 
 
 # The tuner searches in Fock spaces of 32, 64, 128, ... levels below the
 # configured one. A smaller space is kept only while every evaluation's top-Fock
-# tail stays under SEARCH_TAIL_BOUND: truncation then moves |<sigma_z>| by about
-# the tail population, far below double rounding, so the search probes the
-# same points it would probe at the configured size.
+# tail stays under SEARCH_TAIL_BOUND: truncation then moves <sigma_z> by about
+# the tail population, far below double rounding, so the search finds the
+# root it would find at the configured size, to rounding.
 FIRST_SEARCH_DIM = 32
 SEARCH_TAIL_BOUND = 1e-20
-# coordinate-descent sweeps before the tuner gives up, and the golden-section
-# bracket width that ends each line search
-MAX_SWEEPS = 6
-SEARCH_XTOL = 1e-6
+# _root holds the search's root to ROOT_RTOL of its bracket within
+# MAX_ROOT_STEPS probes; _polish then moves it to the configured size.
+ROOT_RTOL = 2.0 ** -36
+GRID_BITS = 28
+MAX_ROOT_STEPS = 60
 
 
 def _search_spaces(hilbert: HilbertSpec):
@@ -235,17 +212,54 @@ def _search_spaces(hilbert: HilbertSpec):
     yield hilbert
 
 
-def _search(
-    spec: SequenceSpec,
-    hilbert: HilbertSpec,
-    start: tuple[float, float],
-    tol: float,
-) -> TrainTuning:
-    """Coordinate descent on |<sigma_z>| in the Fock space `hilbert`.
+def _root(f, a: float, fa: float, b: float, fb: float) -> float:
+    """A root of f in [a, b], where a < b and fa = f(a), fb = f(b) differ in sign.
 
-    Each evaluation propagates the thermal levels as one block and reads
-    sigma_z at analysis phase 0 in closed form. Raises TruncationError
-    when the thermal draw or any evaluation's tail exceeds hilbert.tail_tol.
+    Illinois regula falsi: each probe is the zero of the chord through the
+    ends and replaces the end of its sign; an end kept twice in a row enters
+    the chord at half its value. The next chord zero is returned unprobed
+    once it lies within ROOT_RTOL max(|a|, |b|) of the last probe, so every
+    sign read lies far above f's rounding and f's last bits move neither the
+    probes nor their count. MAX_ROOT_STEPS probes short of that raise
+    CalibrationError.
+    """
+    xtol = ROOT_RTOL * max(abs(a), abs(b))
+    ga, gb, kept, x = fa, fb, None, math.inf  # chord end values, end kept last, last probe
+    for _ in range(MAX_ROOT_STEPS + 1):
+        zero = b - gb * (b - a) / (gb - ga)
+        if abs(zero - x) <= xtol:
+            return zero
+        x, fx = zero, f(zero)
+        if (fx < 0.0) == (fb < 0.0):
+            b, fb, gb = x, fx, fx
+            ga, kept = (0.5 * ga if kept == "a" else ga), "a"
+        else:
+            a, fa, ga = x, fx, fx
+            gb, kept = (0.5 * gb if kept == "b" else gb), "b"
+    raise CalibrationError(f"pi/2 root finder still bracketing [{a:.17g}, {b:.17g}] "
+                           f"after {MAX_ROOT_STEPS} probes")
+
+
+def _polish(root: float, f) -> float:
+    """The zero of f's chord across the cell [g, g + h) that holds root, g
+    keeping GRID_BITS significant bits of it. The cell is far wider than the
+    rounding of the f that found root, so the result does not depend on it."""
+    h = math.ldexp(1.0, math.frexp(root)[1] - GRID_BITS)
+    g = math.floor(root / h) * h
+    fg, fh = f(g), f(g + h)
+    return float(g + h - fh * h / (fh - fg))
+
+
+def _search(spec: SequenceSpec, hilbert: HilbertSpec, start: float) -> tuple[float, int]:
+    """(root, probes) of the signed, thermally weighted <sigma_z> in
+    rabi_scale, in the Fock space `hilbert`.
+
+    <sigma_z> is probed at 0.5, 1 and 1.5 times `start`, lowest first, and
+    _root runs in the lowest pair with a sign change: the smallest rotation
+    that reaches the equator. Each probe propagates the thermal levels as
+    one block. Raises CalibrationError when no pair changes sign, and
+    TruncationError when the thermal draw or a probe's tail exceeds
+    hilbert.tail_tol.
     """
     n = hilbert.fock_dim
     levels, weights = thermal_ground_states(
@@ -254,56 +268,40 @@ def _search(
     states = np.eye(2 * n, dtype=complex)[:, levels]  # |down>|l>, one column per level
     n_evals = 0
 
-    def objective(phase_step: float, rabi_scale: float) -> float:
+    def sigma_z(rabi_scale: float) -> float:
         nonlocal n_evals
         n_evals += 1
-        trial = _scaled_train(spec.analysis, phase_step, rabi_scale)
+        trial = _scaled_train(spec.analysis, rabi_scale)
         down, up, _ = run_pulse_train_block(states, trial, spec.mode, hilbert)
         out = down + up  # each state's image at phi = 0
         sz = np.sum(np.abs(out[n:]) ** 2, axis=0) - np.sum(np.abs(out[:n]) ** 2, axis=0)
-        return abs(float(np.dot(weights, sz)))
+        return float(np.dot(weights, sz))
 
-    step, scale = start
-    best = (step, scale, objective(step, scale))
-    if best[2] <= tol:
-        return TrainTuning(step, scale, best[2], n_evals)
-
-    for _ in range(MAX_SWEEPS):
-        scale, val = golden_section(lambda s: objective(step, s), 0.5 * scale, 1.5 * scale,
-                                    SEARCH_XTOL)
-        if val < best[2]:
-            best = (step, scale, val)
-        if val <= tol:
-            return TrainTuning(step, scale, val, n_evals)
-        step, val = golden_section(lambda d: objective(d, scale), step - 0.2, step + 0.2,
-                                   SEARCH_XTOL)
-        if val < best[2]:
-            best = (step, scale, val)
-        if val <= tol:
-            return TrainTuning(step, scale, val, n_evals)
-    raise CalibrationError(
-        f"tuner stalled at |<sigma_z>| = {best[2]:.3e} (tol {tol:g}) "
-        f"after {n_evals} evaluations"
-    )
+    probes = [(0.5 * start, sigma_z(0.5 * start))]
+    for scale in (start, 1.5 * start):
+        probes.append((scale, sigma_z(scale)))
+        if probes[-2][1] * probes[-1][1] <= 0.0:
+            return _root(sigma_z, *probes[-2], *probes[-1]), n_evals
+    values = ", ".join(f"{sz:.3e} at {scale:.6g}" for scale, sz in probes)
+    raise CalibrationError(f"no sign change of <sigma_z> in rabi_scale "
+                           f"[{probes[0][0]:.6g}, {probes[-1][0]:.6g}]: {values}")
 
 
 def tune_pulse_train(spec: SequenceSpec, tol: float = 5e-3) -> TrainTuning:
-    """Calibrate (phase_step, rabi_scale) so the bare train is a pi/2 pulse.
+    """Calibrate rabi_scale so the bare train is a pi/2 pulse: the root of
+    the signed <sigma_z> of the train on |down> with the thermal ensemble of
+    `spec` (the alpha = 0 sequence), from the Debye-Waller start; the phase
+    step is kept.
 
-    Derivative-free coordinate descent with golden-section line searches,
-    minimizing |<sigma_z>| of the train applied to |down> with the thermal
-    motional ensemble of `spec` (the alpha = 0 sequence). The search stops
-    as soon as a probed point satisfies the tolerance.
-
-    The search runs in the smallest of 32, 64, 128, ... Fock levels (below
-    spec.hilbert.fock_dim) whose thermal draw fits and whose every evaluation
-    keeps its tail under SEARCH_TAIL_BOUND, else at the configured size
-    under spec.hilbert.tail_tol. The returned point is then evaluated once
-    more at the configured fock_dim, state by state through run_pulse_train
-    with the tail_tol watchdog: that check gives achieved_sigma_z, and if it
-    misses tol the search moves to the next space. n_evaluations counts the
-    probes of the search that returned the point, not the check. A fock_dim
-    too small for the tuned train raises TruncationError.
+    The search (_search) runs in the smallest of 32, 64, 128, ... Fock
+    levels below spec.hilbert.fock_dim whose thermal draw fits and whose
+    every probe keeps its tail under SEARCH_TAIL_BOUND, else at the
+    configured size. Its root is then polished (_polish) and checked at the
+    configured size, state by state through run_pulse_train with the
+    tail_tol watchdog. The check gives achieved_sigma_z; tol is its
+    acceptance bound, and a miss moves the search to the next space.
+    n_evaluations counts the search's and the polish's probes, not the
+    check's. A fock_dim too small for the tuned train raises TruncationError.
     """
     if spec.excitation is not None and getattr(spec.excitation, "magnitude", 0.0) != 0.0:
         raise CalibrationError("tuning runs on the alpha = 0 sequence")
@@ -319,32 +317,32 @@ def tune_pulse_train(spec: SequenceSpec, tol: float = 5e-3) -> TrainTuning:
     carrier = np.diagonal(coupling_operator(train.drive.eta, spec.hilbert))[levels].real
     dw = float(np.dot(weights, carrier))
     theta_full = train.n_flashes * train.drive.rabi * train.flash_dur * max(dw, 1e-12)
-    scale = (math.pi / 2.0) / theta_full if theta_full > 0.0 else math.inf
-    if not 0.0 < scale < math.inf:
+    start = (math.pi / 2.0) / theta_full if theta_full > 0.0 else math.inf
+    if not 0.0 < start < math.inf:
         raise CalibrationError(f"Rabi rate {train.drive.rabi / (2.0 * math.pi):g} Hz gives the pi/2 "
-                               f"tuner the start rabi_scale {scale:g}, not finite and positive")
-    start = (train.phase_step, scale)
+                               f"tuner the start rabi_scale {start:g}, not finite and positive")
+
+    grounds = [make_initial_state(SPIN_DOWN, int(level), spec.hilbert) for level in levels]
+
+    def sigma_z(rabi_scale: float) -> float:  # at the configured size, state by state
+        tuned = _scaled_train(train, rabi_scale)
+        return sum(w * expect_sigma_z(run_pulse_train(ground, tuned, spec.mode, spec.hilbert))
+                   for w, ground in zip(weights, grounds))
 
     for hilbert in _search_spaces(spec.hilbert):
         try:
-            tuning = _search(spec, hilbert, start, tol)
+            root, n_evals = _search(spec, hilbert, start)
         except TruncationError:
             if hilbert is spec.hilbert:
                 raise
             continue
-        # the check at the configured size, also leaving its flash unitary cached
-        tuned = _scaled_train(train, tuning.phase_step, tuning.rabi_scale)
-        sz = 0.0
-        for w, level in zip(weights, levels):
-            ground = make_initial_state(SPIN_DOWN, int(level), spec.hilbert)
-            sz += w * expect_sigma_z(run_pulse_train(ground, tuned, spec.mode, spec.hilbert))
-        achieved = abs(sz)
+        scale = _polish(root, sigma_z)
+        _flash_unitary.cache_clear()  # keep only the check's configured-size flash unitary
+        achieved = abs(sigma_z(scale))
         if achieved <= tol:
-            return replace(tuning, achieved_sigma_z=achieved)
-    raise CalibrationError(
-        f"tuned point reaches |<sigma_z>| = {achieved:.3e} at fock_dim "
-        f"{spec.hilbert.fock_dim}, above tol {tol:g}"
-    )
+            return TrainTuning(scale, achieved, n_evals + 2)
+    raise CalibrationError(f"tuned point reaches |<sigma_z>| = {achieved:.3e} at fock_dim "
+                           f"{spec.hilbert.fock_dim}, above tol {tol:g}")
 
 
 def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> DecodeTables:

@@ -227,7 +227,7 @@ def cmd_calibrate_train(cfg: dict, args) -> None:
         "pi/2 pulse-train tuning",
         ["phase_step_rad", "rabi_scale", "achieved_sigma_z", "n_evaluations",
          "total_duration_us"],
-        [(tuning.phase_step, tuning.rabi_scale, tuning.achieved_sigma_z,
+        [(base.analysis.phase_step, tuning.rabi_scale, tuning.achieved_sigma_z,
           tuning.n_evaluations, duration_us)],
         cfg,
         cfg["detection"]["base_seed"],

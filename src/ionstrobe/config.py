@@ -365,9 +365,9 @@ def build_noise_model(cfg: dict) -> PhaseNoiseModel:
 
 
 def resolve_tuning(cfg: dict) -> TrainTuning:
-    """Explicit (dphi_rad, rabi_scale) from the config, or tune the alpha = 0 sequence."""
+    """The configured rabi_scale, or tune the alpha = 0 sequence for it."""
     scale = cfg["train"]["rabi_scale"]
     if scale != "auto":
-        return TrainTuning(cfg["train"]["dphi_rad"], float(scale), math.nan)
+        return TrainTuning(float(scale), math.nan)
     base = replace(build_sequence_spec(cfg), excitation=CoherentAmp(0.0, 0.0))
     return tune_pulse_train(base, tol=cfg["train"]["tune_tol"])

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
@@ -32,7 +32,6 @@ from ionstrobe.calibrate import (
     apply_tuning,
     build_decode_tables,
     derive_lamb_dicke,
-    golden_section,
     noise_floor_estimate,
     pchip,
     tune_pulse_train,
@@ -79,16 +78,6 @@ def tuned_spec():
     return apply_tuning(spec, tuning), tuning
 
 
-class TestGoldenSection:
-    def test_parabola(self):
-        x, fx = golden_section(lambda v: (v - 1.3) ** 2, 0.0, 3.0, xtol=1e-8)
-        assert x == pytest.approx(1.3, abs=1e-6)
-
-    def test_vee(self):
-        x, _ = golden_section(lambda v: abs(v - 0.25), -1.0, 1.0, xtol=1e-8)
-        assert x == pytest.approx(0.25, abs=1e-6)
-
-
 class TestTunePulseTrain:
     def test_motion_insensitive_matches_closed_form(self):
         spec = alpha_zero_spec(fock_dim=16, eta=0.0, n_th=0.0)
@@ -97,21 +86,41 @@ class TestTunePulseTrain:
         assert abs(tuning.rabi_scale - analytic) < 1e-4
         assert tuning.achieved_sigma_z < 1e-6
 
-    def test_loose_tolerance_returns_immediately(self):
-        spec = alpha_zero_spec(fock_dim=32)
-        tuning = tune_pulse_train(spec, tol=0.5)
-        assert tuning.n_evaluations <= 2
-        assert tuning.achieved_sigma_z <= 0.5
+    def test_loose_tolerance_gives_the_same_root(self, tuned_spec):
+        # tol gates the configured-size check and does not stop the search early
+        assert tune_pulse_train(alpha_zero_spec(), tol=0.5) == tuned_spec[1]
+
+    def test_tolerance_below_the_rounding_floor_raises(self):
+        with pytest.raises(CalibrationError, match=r"at fock_dim 64, above tol 1e-30"):
+            tune_pulse_train(alpha_zero_spec(), tol=1e-30)
+
+    def test_phase_step_is_kept(self, tuned_spec):
+        # dphi_rad is an input: the tuner scales the Rabi rate of the train it is given
+        spec = alpha_zero_spec()
+        stepped = replace(spec, analysis=replace(spec.analysis, phase_step=0.05))
+        tuning = tune_pulse_train(stepped, tol=5e-3)
+        assert apply_tuning(stepped, tuning).analysis.phase_step == 0.05
+        assert tuning.achieved_sigma_z < 1e-13
+        assert tuning.rabi_scale != tuned_spec[1].rabi_scale
+
+    def test_no_sign_change_names_the_bracket(self):
+        # at eta = 2.5 the weighted sigma_z stays below the equator on [0.5, 1.5] x start
+        spec = alpha_zero_spec(fock_dim=128, eta=2.5, n_th=0.0)
+        spec = replace(spec, hilbert=HilbertSpec(fock_dim=128, tail_tol=1e-2))
+        message = (r"^no sign change of <sigma_z> in rabi_scale \[3\.1611, 9\.48329\]: "
+                   r"-5\.246e-01 at 3\.1611, -4\.451e-01 at 6\.32219, -4\.795e-01 at 9\.48329$")
+        with pytest.raises(CalibrationError, match=message):
+            tune_pulse_train(spec, tol=5e-3)
 
     def test_headline_parameters(self, tuned_spec):
         _, tuning = tuned_spec
         assert tuning.achieved_sigma_z < 0.01
 
     def test_headline_tuning_reproduced(self, tuned_headline_small):
-        # recorded with a complex-eigh flash propagator; the real-gauge build must agree
-        _, tuning = tuned_headline_small
-        assert tuning.rabi_scale == pytest.approx(0.2794704389395366, abs=1e-12)
-        assert tuning.phase_step == pytest.approx(0.0, abs=1e-12)
+        # the root of the signed sigma_z; the phase step stays the configured 0
+        spec, tuning = tuned_headline_small
+        assert tuning.rabi_scale == pytest.approx(0.27947047707704215, abs=1e-12)
+        assert spec.analysis.phase_step == 0.0
 
     def test_tuned_train_on_thermal_state(self, tuned_spec):
         spec, _ = tuned_spec
@@ -135,7 +144,77 @@ class TestTunePulseTrain:
             tune_pulse_train(replace(spec, excitation=CoherentAmp(2.0, 0.0)), tol=1e-2)
 
 
-def reference_tune(spec, tol, max_sweeps=6, xtol=1e-6):
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def bracketed_functions(draw):
+    """(f, lo, hi, slope bound, curvature bound, value scale): a smooth f on
+    0 < lo < hi with f(lo), f(hi) of opposite sign, monotone (a line, a cubic
+    and a tanh step through one root) or not (a sine over a few periods plus
+    a line); rabi_scale, the tuner's variable, is positive too."""
+    if draw(st.booleans()):
+        r = draw(st.floats(0.1, 10.0))
+        c, d, e = (draw(st.floats(0.0, 10.0)) for _ in range(3))
+        c += 1e-3
+        k = draw(st.floats(0.1, 50.0))
+        lo, hi = r * draw(st.floats(0.1, 0.999)), r * draw(st.floats(1.001, 5.0))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+
+        def f(x):
+            return sign * (c * (x - r) + d * (x - r) ** 3 + e * math.tanh(k * (x - r)))
+
+        w = max(r - lo, hi - r)
+        slope, curve, scale = c + 3 * d * w * w + e * k, 6 * d * w + e * k * k, c * w + d * w ** 3 + e
+    else:
+        a, k, p, b = (draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 10.0)),
+                      draw(st.floats(-math.pi, math.pi)), draw(st.floats(-1.0, 1.0)))
+        lo = draw(st.floats(0.01, 10.0))
+        hi = lo + draw(st.floats(1e-2, 4.0))
+
+        def f(x):
+            return a * math.sin(k * x + p) + b * x
+
+        slope, curve, scale = a * k + abs(b), a * k * k, a + abs(b) * hi
+    assume(f(lo) * f(hi) < 0.0)
+    # no root within two grid cells of an end, so the secant's cell lies in [lo, hi]
+    cell = math.ldexp(hi, 1 - calibrate.GRID_BITS)
+    assume(min(abs(f(lo)), abs(f(hi))) > 2.0 * slope * cell)
+    return f, lo, hi, slope, curve, scale
+
+
+class TestRoot:
+    """calibrate._root and calibrate._polish, the pi/2 tuner's root finder
+    and its secant, on smooth functions."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(bracketed_functions())
+    def test_reaches_the_rounding_floor_inside_the_bracket(self, case):
+        f, lo, hi, slope, curve, scale = case
+        probes = []
+
+        def counted(x):
+            probes.append(x)
+            return f(x)
+
+        root = calibrate._root(counted, lo, f(lo), hi, f(hi))
+        assert all(lo <= v <= hi for v in probes)
+        assert len(probes) <= calibrate.MAX_ROOT_STEPS
+        x = calibrate._polish(root, f)
+        assert lo <= x <= hi
+        # the chord's error across one grid cell, plus f's own rounding over
+        # the cell's slope
+        cell = math.ldexp(hi, 1 - calibrate.GRID_BITS)
+        assert abs(f(x)) <= curve * cell * cell + 64 * EPS * scale
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(calibrate, "MAX_ROOT_STEPS", 3)
+        f = lambda x: math.tanh(40.0 * (x - 0.3))
+        with pytest.raises(CalibrationError, match=r"still bracketing .* after 3 probes"):
+            calibrate._root(f, 0.1, f(0.1), 5.0, f(5.0))
+
+
+def reference_tune(spec, tol):
     """The tuner with every probe at the configured size, state by state
     through run_pulse_train: the reference the small-space search must match."""
     train = spec.analysis
@@ -145,38 +224,37 @@ def reference_tune(spec, tol, max_sweeps=6, xtol=1e-6):
     states = [make_initial_state(SPIN_DOWN, int(level), spec.hilbert) for level in levels]
     n_evals = 0
 
-    def objective(phase_step, rabi_scale):
+    def sigma_z(rabi_scale):
         nonlocal n_evals
         n_evals += 1
-        trial = replace(
-            train,
-            phase_step=phase_step,
-            drive=replace(train.drive, rabi=train.drive.rabi * rabi_scale),
-        )
+        trial = replace(train, drive=replace(train.drive, rabi=train.drive.rabi * rabi_scale))
         sz = 0.0
         for w, st in zip(weights, states):
             out = run_pulse_train(st, trial, spec.mode, spec.hilbert)
             sz += w * expect_sigma_z(out)
-        return abs(sz)
+        return sz
 
     # the tuner's own start: this checks the search, not the Debye-Waller factor
     carrier = np.diagonal(coupling_operator(train.drive.eta, spec.hilbert))[levels].real
     dw = float(np.dot(weights, carrier))
     theta_full = train.n_flashes * train.drive.rabi * train.flash_dur * max(dw, 1e-12)
     scale = (math.pi / 2.0) / theta_full
-    step = train.phase_step
 
-    val = objective(step, scale)
-    if val <= tol:
-        return TrainTuning(step, scale, val, n_evals)
-    for _ in range(max_sweeps):
-        scale, val = golden_section(lambda s: objective(step, s), 0.5 * scale, 1.5 * scale, xtol)
-        if val <= tol:
-            return TrainTuning(step, scale, val, n_evals)
-        step, val = golden_section(lambda d: objective(d, scale), step - 0.2, step + 0.2, xtol)
-        if val <= tol:
-            return TrainTuning(step, scale, val, n_evals)
-    raise CalibrationError(f"reference tuner stalled after {n_evals} evaluations")
+    # the lowest sign change among 0.5, 1 and 1.5 times the start
+    lo = (0.5 * scale, sigma_z(0.5 * scale))
+    for x in (scale, 1.5 * scale):
+        hi = (x, sigma_z(x))
+        if lo[1] * hi[1] <= 0.0:
+            break
+        lo = hi
+    else:
+        raise CalibrationError("reference tuner found no sign change")
+    root = calibrate._polish(calibrate._root(sigma_z, *lo, *hi), sigma_z)
+    n = n_evals  # the check below is not counted
+    val = sigma_z(root)
+    if abs(val) > tol:
+        raise CalibrationError(f"reference tuner's root misses tol: {val:.3e}")
+    return TrainTuning(root, abs(val), n)
 
 
 class TestSmallSpaceSearch:
@@ -220,12 +298,13 @@ class TestSmallSpaceSearch:
         assert tune_pulse_train(spec, tol=5e-3) == ref
 
     def test_check_rejects_point_that_misses_tol(self, monkeypatch):
-        # with the search bound opened up, the 32-level search returns a point
-        # that misses tol at 64 levels; the tuner must search again there
+        # with the search bound opened up, the 32-level root lies 8.5e-7 off
+        # and its secant at 64 levels reaches 4e-12, missing tol; the tuner
+        # must search again there, where the secant reaches 5e-15
         monkeypatch.setattr(calibrate, "SEARCH_TAIL_BOUND", 0.5)
         spec = alpha_zero_spec(fock_dim=64, eta=2.0, n_th=0.0)
         spec = replace(spec, hilbert=HilbertSpec(fock_dim=64, tail_tol=1e-2))
-        assert tune_pulse_train(spec, tol=3e-7) == reference_tune(spec, 3e-7)
+        assert tune_pulse_train(spec, tol=1e-13) == reference_tune(spec, 1e-13)
 
     def test_search_never_takes_the_train_operator(self, monkeypatch, tuned_spec):
         # every probe is a new train: the tuner propagates flash by flash, so
