@@ -4,9 +4,8 @@ The tuner makes the bare train a pi/2 rotation on the thermal alpha = 0
 state: the root in rabi_scale of the signed, thermally weighted <sigma_z>
 in the lowest sign change among 0.5, 1 and 1.5 times the Debye-Waller
 start, searched in a small Fock space, then polished and checked at the
-configured one, with tol the check's acceptance bound; the train's phase
-step is an input it keeps. Decode tables are built from the exact fringes
-of a grid of displacement amplitudes, tabulating fringe phase against true
+configured one against TUNE_TOL. Decode tables are built from the exact
+fringes of a grid of displacement amplitudes, tabulating fringe phase against true
 position (turning points, theta0 in {0, pi}) and fringe contrast against
 true momentum magnitude (theta0 = pi/2); DecodeTables.decode is the one
 call that turns a fringe's (phase, contrast) back into (position, momentum
@@ -197,10 +196,12 @@ def apply_tuning(spec: SequenceSpec, tuning: TrainTuning) -> SequenceSpec:
 FIRST_SEARCH_DIM = 32
 SEARCH_TAIL_BOUND = 1e-20
 # _root holds the search's root to ROOT_RTOL of its bracket within
-# MAX_ROOT_STEPS probes; _polish then moves it to the configured size.
+# MAX_ROOT_STEPS probes; _polish then moves it to the configured size, where
+# the tuned train must reach |<sigma_z>| <= TUNE_TOL.
 ROOT_RTOL = 2.0 ** -36
 GRID_BITS = 28
 MAX_ROOT_STEPS = 60
+TUNE_TOL = 5e-3
 
 
 def _search_spaces(hilbert: HilbertSpec):
@@ -287,26 +288,23 @@ def _search(spec: SequenceSpec, hilbert: HilbertSpec, start: float) -> tuple[flo
                            f"[{probes[0][0]:.6g}, {probes[-1][0]:.6g}]: {values}")
 
 
-def tune_pulse_train(spec: SequenceSpec, tol: float = 5e-3) -> TrainTuning:
+def tune_pulse_train(spec: SequenceSpec) -> TrainTuning:
     """Calibrate rabi_scale so the bare train is a pi/2 pulse: the root of
     the signed <sigma_z> of the train on |down> with the thermal ensemble of
-    `spec` (the alpha = 0 sequence), from the Debye-Waller start; the phase
-    step is kept.
+    `spec` (the alpha = 0 sequence), from the Debye-Waller start.
 
     The search (_search) runs in the smallest of 32, 64, 128, ... Fock
     levels below spec.hilbert.fock_dim whose thermal draw fits and whose
     every probe keeps its tail under SEARCH_TAIL_BOUND, else at the
     configured size. Its root is then polished (_polish) and checked at the
     configured size, state by state through run_pulse_train with the
-    tail_tol watchdog. The check gives achieved_sigma_z; tol is its
-    acceptance bound, and a miss moves the search to the next space.
-    n_evaluations counts the search's and the polish's probes, not the
-    check's. A fock_dim too small for the tuned train raises TruncationError.
+    tail_tol watchdog. The check gives achieved_sigma_z, and a value above
+    TUNE_TOL raises CalibrationError. n_evaluations counts the search's and
+    the polish's probes, not the check's. A fock_dim too small for the tuned
+    train raises TruncationError.
     """
     if spec.excitation is not None and getattr(spec.excitation, "magnitude", 0.0) != 0.0:
         raise CalibrationError("tuning runs on the alpha = 0 sequence")
-    if tol <= 0:
-        raise CalibrationError("tol must be positive")
 
     train = spec.analysis
     levels, weights = thermal_ground_states(
@@ -332,17 +330,17 @@ def tune_pulse_train(spec: SequenceSpec, tol: float = 5e-3) -> TrainTuning:
     for hilbert in _search_spaces(spec.hilbert):
         try:
             root, n_evals = _search(spec, hilbert, start)
+            break
         except TruncationError:
             if hilbert is spec.hilbert:
                 raise
-            continue
-        scale = _polish(root, sigma_z)
-        _flash_unitary.cache_clear()  # keep only the check's configured-size flash unitary
-        achieved = abs(sigma_z(scale))
-        if achieved <= tol:
-            return TrainTuning(scale, achieved, n_evals + 2)
-    raise CalibrationError(f"tuned point reaches |<sigma_z>| = {achieved:.3e} at fock_dim "
-                           f"{spec.hilbert.fock_dim}, above tol {tol:g}")
+    scale = _polish(root, sigma_z)
+    _flash_unitary.cache_clear()  # keep only the check's configured-size flash unitary
+    achieved = abs(sigma_z(scale))
+    if achieved > TUNE_TOL:
+        raise CalibrationError(f"tuned point reaches |<sigma_z>| = {achieved:.3e} at fock_dim "
+                               f"{spec.hilbert.fock_dim}, above {TUNE_TOL:g}")
+    return TrainTuning(scale, achieved, n_evals + 2)
 
 
 def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> DecodeTables:

@@ -11,7 +11,6 @@ trace-phase-space builds its decode tables in the run; build-tables exports them
 from __future__ import annotations
 
 import argparse
-import copy
 import math
 import sys
 from dataclasses import replace
@@ -81,10 +80,6 @@ def cmd_ramsey_scan(cfg: dict, args) -> None:
 
 
 def cmd_squeeze_scan(cfg: dict, args) -> None:
-    # squeezed-state probing samples every second oscillation period
-    cfg = copy.deepcopy(cfg)
-    cfg["train"]["cycles_per_flash"] = 2
-    cfg["train"]["cycle_ns"] = 0.0
     if cfg["state"]["zeta_abs"] <= 0:
         raise ConfigError("squeeze-scan needs state.zeta_abs > 0")
     scan = cfgmod.build_scan_spec(cfg)
@@ -220,15 +215,13 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
 def cmd_calibrate_train(cfg: dict, args) -> None:
     base = cfgmod.build_sequence_spec(cfg)
     base = replace(base, excitation=CoherentAmp(0.0, 0.0))
-    tuning = tune_pulse_train(base, tol=cfg["train"]["tune_tol"])
+    tuning = tune_pulse_train(base)
     duration_us = base.analysis.total_duration * 1e6
     write_table(
         args.out,
         "pi/2 pulse-train tuning",
-        ["phase_step_rad", "rabi_scale", "achieved_sigma_z", "n_evaluations",
-         "total_duration_us"],
-        [(base.analysis.phase_step, tuning.rabi_scale, tuning.achieved_sigma_z,
-          tuning.n_evaluations, duration_us)],
+        ["rabi_scale", "achieved_sigma_z", "n_evaluations", "total_duration_us"],
+        [(tuning.rabi_scale, tuning.achieved_sigma_z, tuning.n_evaluations, duration_us)],
         cfg,
         cfg["detection"]["base_seed"],
         summary_lines=[f"total_duration_us: {duration_us:.6g}"],

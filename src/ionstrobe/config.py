@@ -79,9 +79,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "flash_ns": Key(100.0, "(0, inf)"),
         "cycle_ns": Key(0.0, ANY),  # 0 or less means cycles_per_flash motional periods
         "cycles_per_flash": Key(1, "[1, inf)"),
-        "dphi_rad": Key(0.0, ANGLE),
         "rabi_scale": Key("auto", "[0, inf)", ("auto",)),  # auto: run the pi/2 tuner
-        "tune_tol": Key(5e-3, "(0, inf)"),
     },
     "state": {
         "alpha_abs": Key(0.0, "[0, inf)"),
@@ -279,7 +277,7 @@ def cycle_duration(cfg: dict) -> float:
 
 
 def build_train(cfg: dict) -> PulseTrainSpec:
-    """The untuned train: the configured Rabi rate and dphi_rad (see apply_tuning)."""
+    """The untuned train at the configured Rabi rate (see apply_tuning)."""
     flash, cycle = cfg["train"]["flash_ns"] * 1e-9, cycle_duration(cfg)
     if flash > cycle:
         raise ConfigError(f"train.flash_ns ({flash * 1e9:g} ns) exceeds the {cycle * 1e9:g} ns cycle: "
@@ -288,7 +286,6 @@ def build_train(cfg: dict) -> PulseTrainSpec:
         n_flashes=cfg["train"]["n_flashes"],
         flash_dur=flash,
         cycle_dur=cycle,
-        phase_step=cfg["train"]["dphi_rad"],
         drive=DriveParams(rabi=TWO_PI * cfg["drive"]["rabi_hz"], eta=resolve_eta(cfg)),
     )
 
@@ -370,4 +367,4 @@ def resolve_tuning(cfg: dict) -> TrainTuning:
     if scale != "auto":
         return TrainTuning(float(scale), math.nan)
     base = replace(build_sequence_spec(cfg), excitation=CoherentAmp(0.0, 0.0))
-    return tune_pulse_train(base, tol=cfg["train"]["tune_tol"])
+    return tune_pulse_train(base)

@@ -30,37 +30,38 @@ sector block and the watchdog's tail rows, no padded or output copies.
 Neither path holds more than one block of tail rows: both read them
 N // k_tail flashes at a time and keep only each state's running maximum.
 
-Rotating-frame chain. A train of F flashes at phases phi_k = phi_0 + k delta
-(phi_0 = drive.phase) is V(phi_F) M^F V(phi_0)^dag with
-M = V(delta)^dag Gap blockdiag(U_+, U_-), since the free gap Gap commutes
-with V. In sector coordinates V(phi)^dag is the scalar mix
+Rotating-frame chain. Every flash of a train runs at phi_0 = drive.phase,
+as the experiment's synthesizer re-adjusts each pulse's phase so that
+every flash meets the motion at the same phase. A train of F flashes is
+V(phi_0) M^F V(phi_0)^dag with M = Gap blockdiag(U_+, U_-), since the free
+gap Gap commutes with V. In sector coordinates V(phi)^dag is the scalar mix
 [[c, -is], [-is, c]] of the two sectors, c = cos(phi/2), s = sin(phi/2)
 (_mix, the drive frame's only implementation; V(phi) is the mix at -phi).
-Every path mixes at phi_0 after the split and at -phi_F before the merge,
+Every path mixes at phi_0 after the split and at -phi_0 before the merge,
 and run_pulse_train_block takes each flash as one batched (2, N, N)
-matmul, the gap's phases and the mix at delta. The mix, the gap, P and
-the gauge act within one Fock level, so they cancel in the watchdog's
-supremum over phi of the top-Fock tail: the tail rows of every flash are
-read in sector coordinates into one reused buffer of N // k_tail flashes,
-and each fill is checked in one pass (_watch_tails), raising the error of
-the first failing flash.
+matmul and the gap's phases. The mix, the gap, P and the gauge act within
+one Fock level, so they cancel in the watchdog's supremum over phi of the
+top-Fock tail: the tail rows of every flash are read in sector
+coordinates into one reused buffer of N // k_tail flashes, and each fill
+is checked in one pass (_watch_tails), raising the error of the first
+failing flash.
 
-Train operator. At delta = 0 (every tuned demo train) M is the (2, N, N)
-stack Gap U_s, which acts on each sector alone, and M^F is powered per
-sector in floor(log2 F) + popcount(F) - 1 products (7 at F = 30); the
-watchdog's tail rows after flash j are P_top M^(j+1). The operator and its
-rows are cached for one train at a time. propagate_block, the sequence
-layer's entry point, takes the operator for a delta = 0 train when its
-cost, counted in sector multiply-adds as in _operator_pays with the build
-only when it is not cached, is at most a third of the flash-by-flash cost,
-and when a build's new arrays, which grow with F, are no larger than the
-flash-by-flash working set; any other train goes flash by flash.
+Train operator. M is the (2, N, N) stack Gap U_s, which acts on each
+sector alone, and M^F is powered per sector in floor(log2 F) +
+popcount(F) - 1 products (7 at F = 30); the watchdog's
+tail rows after flash j are P_top M^(j+1). The operator and its rows are
+cached for one train at a time. propagate_block, the sequence layer's
+entry point, takes the operator when its cost, counted in sector
+multiply-adds as in _operator_pays with the build only when it is not
+cached, is at most a third of the flash-by-flash cost, and when a build's
+new arrays, which grow with F, are no larger than the flash-by-flash
+working set; any other train goes flash by flash.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -79,17 +80,12 @@ from .hilbert import (
 
 @dataclass(frozen=True)
 class PulseTrainSpec:
-    """Stroboscopic analysis train: N flashes of length flash_dur, one per cycle.
-
-    The flash phase progresses affinely, drive.phase + k * phase_step for
-    flash k, standing in for the experiment's per-pulse synthesizer phase
-    re-adjustment.
-    """
+    """Stroboscopic analysis train: N flashes of length flash_dur, one per cycle,
+    every flash at phase drive.phase."""
 
     n_flashes: int
     flash_dur: float
     cycle_dur: float
-    phase_step: float = 0.0
     drive: DriveParams = DriveParams(rabi=0.0)
 
     def __post_init__(self):
@@ -198,13 +194,13 @@ def _from_sectors(block: np.ndarray) -> np.ndarray:
     return block.reshape(2 * n, block.shape[2])
 
 
-def _mix(block: np.ndarray, delta: float) -> None:
-    """V(delta)^dag on a (2, N, w) sector block, in place: [[c, -is], [-is, c]] across sectors.
+def _mix(block: np.ndarray, phi: float) -> None:
+    """V(phi)^dag on a (2, N, w) sector block, in place: [[c, -is], [-is, c]] across sectors.
 
-    The drive frame's one implementation: V(delta) is the mix at -delta."""
-    if delta == 0.0:
+    The drive frame's one implementation: V(phi) is the mix at -phi."""
+    if phi == 0.0:
         return
-    c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
+    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
     plus = block[0].copy()
     block[0] *= c
     block[0] -= (1j * s) * block[1]
@@ -264,15 +260,14 @@ def run_pulse_train(
     mode: ModeParams,
     hilbert: HilbertSpec | None = None,
 ) -> SpinMotionState:
-    """Apply the stroboscopic train: flash k at phase drive.phase + k*step, then a free gap.
+    """Apply the stroboscopic train: each flash at drive.phase, then a free gap.
 
     Total wall time is n_flashes * cycle_dur.
     """
     gap = train.cycle_dur - train.flash_dur
     out = state
-    for k in range(train.n_flashes):
-        drive_k = replace(train.drive, phase=train.drive.phase + k * train.phase_step)
-        out = flash_evolve(out, drive_k, mode, train.flash_dur, hilbert)
+    for _ in range(train.n_flashes):
+        out = flash_evolve(out, train.drive, mode, train.flash_dur, hilbert)
         out = free_evolve(out, mode, gap)
     return out
 
@@ -293,14 +288,14 @@ def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, 
     """The (down, up) images of a block propagated in the rotating frame,
     written over the block.
 
-    The train leaves the frame of flash F, so V(drive.phase + F delta)
-    brings the block back before the merge. Every state's norm is checked
-    on the way: a deviation over 2e-10 + F 1e-14 raises an IonstrobeError.
+    V(drive.phase) brings the block back before the merge. Every state's
+    norm is checked on the way: a deviation over 2e-10 + F 1e-14 raises an
+    IonstrobeError.
     Rounding moves the norm by up to about 2.5e-15 per flash (measured at
     fock_dim 40 and 232 up to F = 10^5), so a train of any length stays well
     inside.
     """
-    _mix(block, -(train.drive.phase + train.n_flashes * train.phase_step))
+    _mix(block, -train.drive.phase)
     out = _from_sectors(block)
     n_states = out.shape[1] // 2
     norm0, norm1 = _pair_sums(out, 0)
@@ -326,8 +321,8 @@ def _watch_tails(tails: np.ndarray, offset: int, train: PulseTrainSpec, hilbert:
     flash offset + j, a (2, k_tail, 2L) array, and (t0[j], t1[j]) are their
     _pair_sums over sectors and rows. Any map that mixes rows only within a
     Fock level cancels in the supremum over phi of each state's tail
-    population, T0 + 2 |T1|: the sector coordinates, per-row phases and the
-    V(delta) mix. Folds every state's largest supremum into max_tail, or
+    population, T0 + 2 |T1|: the sector coordinates and per-row phases.
+    Folds every state's largest supremum into max_tail, or
     raises a TruncationError naming the first failing flash, the worst
     base phase (also its `phase`) and, as `index`, the worst state. Runs
     checked in flash order therefore fail where one pass over the train
@@ -360,7 +355,7 @@ def run_pulse_train_block(
 
     states is the (2N, L) spin-major amplitude array, one state per column.
 
-    Free motion commutes with V(phi), so the train with its first flash at
+    Free motion commutes with V(phi), so the train with every flash at
     phase train.drive.phase + phi maps state l to
     V(phi) (e^{-i phi/2} down[:, l] + e^{i phi/2} up[:, l]), where down and
     up are the returned (2N, L) images of each state's down and up parts
@@ -374,7 +369,7 @@ def run_pulse_train_block(
     rotating frame, one batched sector matmul each (see the module
     docstring), and its tail rows go through one reused buffer of
     N // k_tail flashes, no more than the block; propagate_block may take
-    the cached train operator instead when phase_step is 0.
+    the cached train operator instead.
     """
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     drive = train.drive
@@ -390,7 +385,6 @@ def run_pulse_train_block(
         np.matmul(u, block, out=spare)
         block, spare = spare, block
         block *= gap
-        _mix(block, train.phase_step)
         j = k % chunk
         tails[:, j] = block[:, n - k_tail :]
         if j == chunk - 1 or k == train.n_flashes - 1:
@@ -415,7 +409,7 @@ def _build_train_operator(
 ) -> tuple[np.ndarray, np.ndarray]:
     """T = M^F and the tail rows P M^(j+1), j < F, as (2, F, k_tail, N), per sector.
 
-    At delta = 0, M = Gap blockdiag(U_+, U_-) is the (2, N, N) stack Gap U_s.
+    M = Gap blockdiag(U_+, U_-) is the (2, N, N) stack Gap U_s.
     M is formed once and M^F is taken by left-to-right binary powering,
     floor(log2 F) squarings and popcount(F) - 1 products by M, in two
     buffers; the tail rows are a chain of thin products.
@@ -444,9 +438,7 @@ def _build_train_operator(
 def _train_operator(
     train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The delta = 0 train operator at drive phase 0 and its tail rows, cached for one train."""
-    if train.phase_step != 0.0:
-        raise ValueError("the train operator is built for phase_step 0 only")
+    """The train operator at drive phase 0 and its tail rows, cached for one train."""
     key = _operator_key(train, mode, hilbert)
     if key not in _operator_cache:
         _operator_cache.clear()  # drop the old operator before building the new one
@@ -493,7 +485,7 @@ def _operator_block(
     mode: ModeParams,
     hilbert: HilbertSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """run_pulse_train_block through the cached train operator, for phase_step 0.
+    """run_pulse_train_block through the cached train operator.
 
     The watchdog reads every flash's tail from its thin rows before the
     block itself is propagated, in one product per sector for each run of
@@ -519,13 +511,12 @@ def propagate_block(
     hilbert: HilbertSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """run_pulse_train_block's (down, up, max_tail), through the cached train
-    operator when phase_step is 0 and that cuts the work to a third
-    (_operator_pays), else flash by flash. Both raise the same
-    TruncationErrors and norm error.
+    operator when that cuts the work to a third (_operator_pays), else flash
+    by flash. Both raise the same TruncationErrors and norm error.
     """
-    if train.phase_step == 0.0 and _operator_pays(
-            train.n_flashes, 2 * hilbert.fock_dim, 2 * states.shape[1], 2 * hilbert.tail_levels,
-            _operator_key(train, mode, hilbert) in _operator_cache):
+    cached = _operator_key(train, mode, hilbert) in _operator_cache
+    if _operator_pays(train.n_flashes, 2 * hilbert.fock_dim, 2 * states.shape[1],
+                      2 * hilbert.tail_levels, cached):
         return _operator_block(states, train, mode, hilbert)
     return run_pulse_train_block(states, train, mode, hilbert)
 

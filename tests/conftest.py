@@ -140,14 +140,14 @@ def headline_units() -> UnitScale:
 @pytest.fixture(scope="session")
 def tuned_headline_small():
     spec = headline_sequence_spec(64)
-    tuning = tune_pulse_train(spec, tol=5e-3)
+    tuning = tune_pulse_train(spec)
     return apply_tuning(spec, tuning), tuning
 
 
 @pytest.fixture(scope="session")
 def tuned_headline_large():
     spec = headline_sequence_spec(232)
-    tuning = tune_pulse_train(spec, tol=5e-3)
+    tuning = tune_pulse_train(spec)
     return apply_tuning(spec, tuning), tuning
 
 

@@ -240,7 +240,7 @@ def test_criterion_09_squeezed_scan():
     start = time.time()
     base = headline_sequence_spec(160)
     base = replace(base, analysis=replace(base.analysis, cycle_dur=2.0 * base.mode.period))
-    tuning = tune_pulse_train(base, tol=5e-3)
+    tuning = tune_pulse_train(base)
     spec = apply_tuning(base, tuning)
     phis = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
 

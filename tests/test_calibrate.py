@@ -74,34 +74,27 @@ def alpha_zero_spec(fock_dim=64, eta=0.4, n_th=0.15, envelope="gaussian"):
 @pytest.fixture(scope="module")
 def tuned_spec():
     spec = alpha_zero_spec()
-    tuning = tune_pulse_train(spec, tol=5e-3)
+    tuning = tune_pulse_train(spec)
     return apply_tuning(spec, tuning), tuning
 
 
 class TestTunePulseTrain:
     def test_motion_insensitive_matches_closed_form(self):
         spec = alpha_zero_spec(fock_dim=16, eta=0.0, n_th=0.0)
-        tuning = tune_pulse_train(spec, tol=1e-6)
+        tuning = tune_pulse_train(spec)
         analytic = (math.pi / 2.0) / (30 * RABI * 100e-9)
         assert abs(tuning.rabi_scale - analytic) < 1e-4
         assert tuning.achieved_sigma_z < 1e-6
 
-    def test_loose_tolerance_gives_the_same_root(self, tuned_spec):
-        # tol gates the configured-size check and does not stop the search early
-        assert tune_pulse_train(alpha_zero_spec(), tol=0.5) == tuned_spec[1]
+    def test_loose_tolerance_gives_the_same_root(self, tuned_spec, monkeypatch):
+        # TUNE_TOL gates the configured-size check and does not stop the search early
+        monkeypatch.setattr(calibrate, "TUNE_TOL", 0.5)
+        assert tune_pulse_train(alpha_zero_spec()) == tuned_spec[1]
 
-    def test_tolerance_below_the_rounding_floor_raises(self):
-        with pytest.raises(CalibrationError, match=r"at fock_dim 64, above tol 1e-30"):
-            tune_pulse_train(alpha_zero_spec(), tol=1e-30)
-
-    def test_phase_step_is_kept(self, tuned_spec):
-        # dphi_rad is an input: the tuner scales the Rabi rate of the train it is given
-        spec = alpha_zero_spec()
-        stepped = replace(spec, analysis=replace(spec.analysis, phase_step=0.05))
-        tuning = tune_pulse_train(stepped, tol=5e-3)
-        assert apply_tuning(stepped, tuning).analysis.phase_step == 0.05
-        assert tuning.achieved_sigma_z < 1e-13
-        assert tuning.rabi_scale != tuned_spec[1].rabi_scale
+    def test_tolerance_below_the_rounding_floor_raises(self, monkeypatch):
+        monkeypatch.setattr(calibrate, "TUNE_TOL", 1e-30)
+        with pytest.raises(CalibrationError, match=r"at fock_dim 64, above 1e-30$"):
+            tune_pulse_train(alpha_zero_spec())
 
     def test_no_sign_change_names_the_bracket(self):
         # at eta = 2.5 the weighted sigma_z stays below the equator on [0.5, 1.5] x start
@@ -110,17 +103,16 @@ class TestTunePulseTrain:
         message = (r"^no sign change of <sigma_z> in rabi_scale \[3\.1611, 9\.48329\]: "
                    r"-5\.246e-01 at 3\.1611, -4\.451e-01 at 6\.32219, -4\.795e-01 at 9\.48329$")
         with pytest.raises(CalibrationError, match=message):
-            tune_pulse_train(spec, tol=5e-3)
+            tune_pulse_train(spec)
 
     def test_headline_parameters(self, tuned_spec):
         _, tuning = tuned_spec
         assert tuning.achieved_sigma_z < 0.01
 
     def test_headline_tuning_reproduced(self, tuned_headline_small):
-        # the root of the signed sigma_z; the phase step stays the configured 0
-        spec, tuning = tuned_headline_small
+        # the root of the signed sigma_z
+        _, tuning = tuned_headline_small
         assert tuning.rabi_scale == pytest.approx(0.27947047707704215, abs=1e-12)
-        assert spec.analysis.phase_step == 0.0
 
     def test_tuned_train_on_thermal_state(self, tuned_spec):
         spec, _ = tuned_spec
@@ -141,7 +133,7 @@ class TestTunePulseTrain:
     def test_rejects_displaced_spec(self):
         spec = alpha_zero_spec()
         with pytest.raises(CalibrationError):
-            tune_pulse_train(replace(spec, excitation=CoherentAmp(2.0, 0.0)), tol=1e-2)
+            tune_pulse_train(replace(spec, excitation=CoherentAmp(2.0, 0.0)))
 
 
 EPS = np.finfo(float).eps
@@ -214,7 +206,7 @@ class TestRoot:
             calibrate._root(f, 0.1, f(0.1), 5.0, f(5.0))
 
 
-def reference_tune(spec, tol):
+def reference_tune(spec):
     """The tuner with every probe at the configured size, state by state
     through run_pulse_train: the reference the small-space search must match."""
     train = spec.analysis
@@ -252,8 +244,8 @@ def reference_tune(spec, tol):
     root = calibrate._polish(calibrate._root(sigma_z, *lo, *hi), sigma_z)
     n = n_evals  # the check below is not counted
     val = sigma_z(root)
-    if abs(val) > tol:
-        raise CalibrationError(f"reference tuner's root misses tol: {val:.3e}")
+    if abs(val) > calibrate.TUNE_TOL:
+        raise CalibrationError(f"reference tuner's root misses TUNE_TOL: {val:.3e}")
     return TrainTuning(root, abs(val), n)
 
 
@@ -264,28 +256,28 @@ class TestSmallSpaceSearch:
     @pytest.mark.parametrize("fock_dim", [64, 112])
     def test_headline_matches_reference(self, fock_dim):
         spec = headline_sequence_spec(fock_dim)
-        assert tune_pulse_train(spec, tol=5e-3) == reference_tune(spec, 5e-3)
+        assert tune_pulse_train(spec) == reference_tune(spec)
 
     def test_one_flash_train_matches_reference(self):
         # fig2b: a single 903 ns flash in a 910 ns cycle at fock_dim 48
         spec = alpha_zero_spec(fock_dim=48)
         one_flash = replace(spec.analysis, n_flashes=1, flash_dur=903e-9, cycle_dur=910e-9)
         spec = replace(spec, analysis=one_flash)
-        assert tune_pulse_train(spec, tol=5e-3) == reference_tune(spec, 5e-3)
+        assert tune_pulse_train(spec) == reference_tune(spec)
 
     def test_thermal_draw_above_first_space(self):
         # the draw reaches level 34: the search skips 32 levels and runs at 64
         spec = replace(alpha_zero_spec(fock_dim=96, eta=0.3, n_th=15.0), thermal_samples=5)
         levels, _ = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
         assert levels[-1] >= FIRST_SEARCH_DIM
-        assert tune_pulse_train(spec, tol=5e-3) == reference_tune(spec, 5e-3)
+        assert tune_pulse_train(spec) == reference_tune(spec)
 
     def test_drive_tail_above_search_bound(self):
         # at eta = 2 the 32-level space passes the configured watchdog but not
         # the search bound, and a search there lands on a different point
         spec = alpha_zero_spec(fock_dim=64, eta=2.0, n_th=0.0)
         spec = replace(spec, hilbert=HilbertSpec(fock_dim=64, tail_tol=1e-2))
-        ref = reference_tune(spec, 5e-3)
+        ref = reference_tune(spec)
         small = HilbertSpec(fock_dim=FIRST_SEARCH_DIM, tail_tol=spec.hilbert.tail_tol)
         levels, _ = thermal_ground_states(
             spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, small
@@ -295,16 +287,21 @@ class TestSmallSpaceSearch:
                           for level in levels], axis=1)
         _, _, tail = run_pulse_train_block(block, tuned, spec.mode, small)
         assert SEARCH_TAIL_BOUND < tail.max() < spec.hilbert.tail_tol
-        assert tune_pulse_train(spec, tol=5e-3) == ref
+        assert tune_pulse_train(spec) == ref
 
     def test_check_rejects_point_that_misses_tol(self, monkeypatch):
         # with the search bound opened up, the 32-level root lies 8.5e-7 off
-        # and its secant at 64 levels reaches 4e-12, missing tol; the tuner
-        # must search again there, where the secant reaches 5e-15
+        # and its secant at 64 levels reaches 4e-12, missing a gate of 1e-13
+        # that the root searched at 64 levels meets
         monkeypatch.setattr(calibrate, "SEARCH_TAIL_BOUND", 0.5)
+        monkeypatch.setattr(calibrate, "TUNE_TOL", 1e-13)
         spec = alpha_zero_spec(fock_dim=64, eta=2.0, n_th=0.0)
         spec = replace(spec, hilbert=HilbertSpec(fock_dim=64, tail_tol=1e-2))
-        assert tune_pulse_train(spec, tol=1e-13) == reference_tune(spec, 1e-13)
+        assert reference_tune(spec).achieved_sigma_z <= 1e-13
+        with pytest.raises(CalibrationError,
+                           match=r"^tuned point reaches \|<sigma_z>\| = 4\.\d+e-12 at fock_dim 64, "
+                                 r"above 1e-13$"):
+            tune_pulse_train(spec)
 
     def test_search_never_takes_the_train_operator(self, monkeypatch, tuned_spec):
         # every probe is a new train: the tuner propagates flash by flash, so
@@ -314,12 +311,12 @@ class TestSmallSpaceSearch:
 
         for name in ("propagate_block", "_operator_block", "_build_train_operator"):
             monkeypatch.setattr(dynamics_module, name, refuse)
-        assert tune_pulse_train(alpha_zero_spec(), tol=5e-3) == tuned_spec[1]
+        assert tune_pulse_train(alpha_zero_spec()) == tuned_spec[1]
 
     def test_leaking_configured_space_raises(self):
         spec = alpha_zero_spec(fock_dim=40, eta=2.0)
         with pytest.raises(TruncationError, match=r"top 2 Fock levels .*\(tol 0\.0001\)"):
-            tune_pulse_train(spec, tol=5e-3)
+            tune_pulse_train(spec)
 
 
 @pytest.fixture(scope="module")
@@ -451,7 +448,7 @@ class TestDecodeTables:
                 25 * ATOMIC_MASS, OMEGA, 140e-9, 0.840 + math.radians(angle_deg)
             )
             base = alpha_zero_spec(fock_dim=64, eta=eta)
-            tuned = apply_tuning(base, tune_pulse_train(base, tol=5e-3))
+            tuned = apply_tuning(base, tune_pulse_train(base))
             tables = build_decode_tables(tuned, UNITS, [0.0, 1.0, 2.0])
             slopes[angle_deg] = np.polyfit(tables.pos_x, tables.pos_phi0, 1)[0]
         assert slopes[5.0] < slopes[0.0]

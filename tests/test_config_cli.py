@@ -194,7 +194,7 @@ BAD_INPUTS = [
     ("ramsey-scan", "train: {flash_ns: 1000}", [], "train.flash_ns"),
     ("ramsey-scan", "train: {cycles_per_flash: 0}", [], "train.cycles_per_flash"),
     ("ramsey-scan", "train: {rabi_scale: -1}", [], "train.rabi_scale"),
-    ("ramsey-scan", "train: {tune_tol: 0}", [], "train.tune_tol"),
+    ("ramsey-scan", "train: {tune_tol: 0}", [], "unknown config key 'train.tune_tol'"),
     ("ramsey-scan", "drive: {rabi_hz: -1}", [], "drive.rabi_hz"),
     ("ramsey-scan", "mode: {freq_hz: -1}", [], "mode.freq_hz"),
     ("ramsey-scan", "mode: {n_th: -1}", [], "mode.n_th"),
@@ -284,7 +284,8 @@ EXTREME_INPUTS = [
     ("ramsey-scan-alpha-phase", "ramsey-scan", "hilbert: {fock_dim: 40}\ntrain: {rabi_scale: 0.28}\n"
      "state: {alpha_abs: 1.0, alpha_phase_rad: 1.0e308}", ["config error", "state.alpha_phase_rad"]),
     ("ramsey-scan-dphi", "ramsey-scan", "hilbert: {fock_dim: 24}\n"
-     "train: {rabi_scale: 0.28, dphi_rad: 1.0e308}", ["config error", "train.dphi_rad"]),
+     "train: {rabi_scale: 0.28, dphi_rad: 1.0e308}",
+     ["config error", "unknown config key 'train.dphi_rad'"]),
     # a Lamb-Dicke parameter whose phases overflow, set or derived from the geometry
     ("ramsey-scan-eta", "ramsey-scan", "hilbert: {fock_dim: 24}\ntrain: {rabi_scale: 1.0}\n"
      "drive: {eta: 1.0e308}", ["config error", "drive.eta"]),
@@ -557,7 +558,7 @@ class TestCliCalibrateTrain:
 
 SMALL_SQUEEZE_CONFIG = (
     "hilbert: {fock_dim: 160}\n"
-    "train: {rabi_scale: 0.2795}\n"
+    "train: {rabi_scale: 0.2795, cycles_per_flash: 2}\n"
     "state: {zeta_abs: 0.5}\n"
     "scan:\n"
     "  phi_num: 6\n"
@@ -576,6 +577,23 @@ class TestCliSqueezeScan:
         assert rows.shape[0] == 12
         _, ba_rows, _ = read_table(tmp_path / "sq_backaction.txt")
         assert ba_rows.shape[0] == 6
+
+    def test_runs_at_the_configured_cycle(self, tmp_path):
+        # three periods per flash: the echo and the contrast envelope follow the config
+        cfg_text = SMALL_SQUEEZE_CONFIG.replace("cycles_per_flash: 2", "cycles_per_flash: 3")
+        p_down = {}
+        for envelope in ("gaussian", "none"):
+            cfg = write_cfg(tmp_path, cfg_text + f"dephasing: {{envelope: {envelope}}}\n")
+            out = str(tmp_path / f"{envelope}.txt")
+            assert main(["squeeze-scan", "--config", cfg, "--out", out]) == 0
+            _, rows, meta = read_table(out)
+            p_down[envelope] = rows[:, 2]
+        train = meta["config"]["train"]
+        assert (train["cycles_per_flash"], train["cycle_ns"]) == (3, 0.0)
+        elapsed = train["n_flashes"] * 3 / meta["config"]["mode"]["freq_hz"]
+        np.testing.assert_allclose(p_down["gaussian"] - 0.5,
+                                   math.exp(-((elapsed / 70e-6) ** 2)) * (p_down["none"] - 0.5),
+                                   rtol=0, atol=1e-12)
 
     def test_requires_squeeze_state(self, tmp_path):
         cfg = write_cfg(tmp_path, "state: {alpha_abs: 1.0}\n")

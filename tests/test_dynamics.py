@@ -186,12 +186,11 @@ class TestMwRotation:
         assert abs(expect_sigma_z(out)) < 1e-12
 
 
-def headline_train(phase=0.0, phase_step=0.0, rabi_scale=1.0):
+def headline_train(phase=0.0, rabi_scale=1.0):
     return PulseTrainSpec(
         n_flashes=30,
         flash_dur=100e-9,
         cycle_dur=2.0 * math.pi / OMEGA,
-        phase_step=phase_step,
         drive=DriveParams(rabi=rabi_scale * 2.0 * math.pi * 0.3e6, phase=phase, eta=0.4),
     )
 
@@ -218,28 +217,26 @@ class TestPulseTrain:
         from dataclasses import replace
 
         st = coherent_state(1.0, 0.5, 48)
-        train = headline_train(phase=0.4, phase_step=0.05)
+        train = headline_train(phase=0.4)
         two = replace(train, n_flashes=2)
         auto = run_pulse_train(st, two, MODE)
         gap = two.cycle_dur - two.flash_dur
         manual = st
-        for k in range(2):
-            drive_k = replace(two.drive, phase=two.drive.phase + k * two.phase_step)
-            manual = flash_evolve(manual, drive_k, MODE, two.flash_dur)
+        for _ in range(2):
+            manual = flash_evolve(manual, two.drive, MODE, two.flash_dur)
             manual = free_evolve(manual, MODE, gap)
         np.testing.assert_array_equal(auto.amplitudes, manual.amplitudes)
 
     def test_drive_phase_is_first_flash_phase(self):
-        # flash k runs at drive.phase + k * phase_step in both propagators
+        # every flash runs at drive.phase in both propagators
         from dataclasses import replace
 
         st = coherent_state(1.0, 0.5, 40)
-        train = replace(headline_train(phase=1.3, phase_step=0.05, rabi_scale=0.5), n_flashes=4)
+        train = replace(headline_train(phase=1.3, rabi_scale=0.5), n_flashes=4)
         gap = train.cycle_dur - train.flash_dur
         manual = st
-        for k in range(train.n_flashes):
-            drive_k = replace(train.drive, phase=1.3 + k * 0.05)
-            manual = free_evolve(flash_evolve(manual, drive_k, MODE, train.flash_dur), MODE, gap)
+        for _ in range(train.n_flashes):
+            manual = free_evolve(flash_evolve(manual, train.drive, MODE, train.flash_dur), MODE, gap)
         out = run_pulse_train(st, train, MODE)
         np.testing.assert_allclose(out.amplitudes, manual.amplitudes, rtol=0, atol=1e-12)
         down, up, _ = run_pulse_train_block(st.amplitudes[:, None], train, MODE,
@@ -420,7 +417,7 @@ def reference_states(fock_dim, levels, alpha, mix):
 
 def reference_train(states, train, mode, hilbert):
     """The train flash by flash with dense 2N x 2N products: flash k is
-    V(phi_k) U0 V(phi_k)^dag at phi_k = drive.phase + k phase_step, with U0 from
+    V(phi) U0 V(phi)^dag at phi = drive.phase, with U0 from
     complex_flash_unitary, then the gap.
 
     Returns ((down, up, max_tail), None) with the images of every state's
@@ -437,10 +434,10 @@ def reference_train(states, train, mode, hilbert):
     up[:n] = 0.0
     top = np.r_[n - k_tail : n, 2 * n - k_tail : 2 * n]
     max_tail = np.zeros(len(states))
+    v = np.concatenate([np.full(n, np.exp(0.5j * drive.phase)),
+                        np.full(n, np.exp(-0.5j * drive.phase))])
+    flash = v[:, None] * u0 * np.conj(v)
     for k in range(train.n_flashes):
-        phi = drive.phase + k * train.phase_step
-        v = np.concatenate([np.full(n, np.exp(0.5j * phi)), np.full(n, np.exp(-0.5j * phi))])
-        flash = v[:, None] * u0 * np.conj(v)
         down, up = flash @ down, flash @ up
         t0 = np.sum(np.abs(down[top]) ** 2 + np.abs(up[top]) ** 2, axis=0)
         t1 = np.sum(np.conj(down[top]) * up[top], axis=0)
@@ -454,18 +451,15 @@ def reference_train(states, train, mode, hilbert):
 
 
 def assert_matches_reference(states, train, hilbert):
-    """Both block propagators (the operator only at phase_step 0, the one train
-    it is built for) give reference_train's images and tails to 1e-12, or
+    """Both block propagators, flash by flash and through the train
+    operator, give reference_train's images and tails to 1e-12, or
     raise at its flash and index. The raised phase is checked through the
     reference's tail population there, t0 + 2 Re(t1 e^{i(phase - drive.phase)}),
     which must reach its supremum t0 + 2 |t1| to 1e-12 relative: the angle of
     t1 itself is ill-conditioned when |t1| << t0. Returns its result."""
     result, failure = reference_train(states, train, MODE, hilbert)
     block = np.stack([state.amplitudes for state in states], axis=1)
-    propagators = [run_pulse_train_block]
-    if train.phase_step == 0.0:
-        propagators.append(_operator_block)
-    for propagate in propagators:
+    for propagate in (run_pulse_train_block, _operator_block):
         if failure is not None:
             with pytest.raises(TruncationError) as raised:
                 propagate(block, train, MODE, hilbert)
@@ -482,29 +476,21 @@ def assert_matches_reference(states, train, hilbert):
     return result
 
 
-PHASE_STEPS = st.just(0.0) | st.floats(0.01, 0.5)
-
-
 class TestDenseReference:
-    """The sector engine against reference_train, which shares no propagation code with it.
-
-    phase_step 0 also checks the per-sector train operator; any other step
-    checks the flash-by-flash mix across sectors."""
+    """The sector engine against reference_train, which shares no propagation code with it,
+    on both block paths: flash by flash and the per-sector train operator."""
 
     @settings(max_examples=40, deadline=None)
     @given(
         n_flashes=st.sampled_from([1, 2, 3, 7, 30]),
         fock_dim=st.integers(4, 48),
-        phase_step=PHASE_STEPS,
         phase=st.floats(0.1, 6.2),
         levels=st.sets(st.integers(0, 3), min_size=1, max_size=4),
         alpha=st.floats(0.0, 1.5),
         mix=st.floats(0.2, 1.3),
     )
-    def test_every_propagator_matches(self, n_flashes, fock_dim, phase_step, phase, levels,
-                                      alpha, mix):
-        train = replace(headline_train(phase=phase, phase_step=phase_step, rabi_scale=0.3),
-                        n_flashes=n_flashes)
+    def test_every_propagator_matches(self, n_flashes, fock_dim, phase, levels, alpha, mix):
+        train = replace(headline_train(phase=phase, rabi_scale=0.3), n_flashes=n_flashes)
         hilbert = HilbertSpec(fock_dim=fock_dim, tail_tol=1e-3)
         states = reference_states(fock_dim, sorted(levels), alpha, mix)
         result = assert_matches_reference(states, train, hilbert)
@@ -517,31 +503,29 @@ class TestDenseReference:
     @given(
         n_flashes=st.sampled_from([1, 2, 3, 7, 30]),
         fock_dim=st.integers(16, 32),
-        phase_step=PHASE_STEPS,
         phase=st.floats(0.1, 6.2),
         levels=st.sets(st.integers(0, 5), max_size=3),
         mix=st.floats(0.2, 1.3),
     )
     # a drawn input where the engine's and the reference's worst phase differ
     # by 1.02e-9 rad, |t1| being 2.4e-3 of t0, while the tail there is the same
-    @example(n_flashes=7, fock_dim=32, phase_step=0.0, phase=1.0, levels=set(), mix=0.875)
-    def test_too_small_space_fails_alike(self, n_flashes, fock_dim, phase_step, phase, levels,
-                                         mix):
+    @example(n_flashes=7, fock_dim=32, phase=1.0, levels=set(), mix=0.875)
+    def test_too_small_space_fails_alike(self, n_flashes, fock_dim, phase, levels, mix):
         # flashes at eta = 2 push the kicked level 4 into the watched top
         # levels: below 28 levels the first flash fills them past 1e-7, and
         # from 28 up a later flash does, or none
-        train = replace(headline_train(phase=phase, phase_step=phase_step), n_flashes=n_flashes,
+        train = replace(headline_train(phase=phase), n_flashes=n_flashes,
                         drive=DriveParams(rabi=2.0 * math.pi * 0.3e6, phase=phase, eta=2.0))
         hilbert = HilbertSpec(fock_dim=fock_dim, tail_tol=1e-7)
         assert_matches_reference(reference_states(fock_dim, sorted(levels | {4}), 1.0, mix),
                                  train, hilbert)
 
-    @pytest.mark.parametrize("phase_step", [0.0, 0.05])
-    def test_later_runs_of_flashes_peak_and_fail_alike(self, phase_step):
+    @pytest.mark.parametrize("phase", [0.0, 0.3])
+    def test_later_runs_of_flashes_peak_and_fail_alike(self, phase):
         # at 24 levels (2 watched) the watchdog reads 12 flashes at a time: the
         # top level's tail peaks at flash 1 and level 20's in a later run
         hilbert = HilbertSpec(fock_dim=24, tail_tol=0.999)
-        train = headline_train(phase=0.3, phase_step=phase_step)
+        train = headline_train(phase=phase)
         states = reference_states(24, [23, 20], 0.0, 0.0)
         (_, _, tails), _ = reference_train(states, train, MODE, hilbert)
         (_, _, first), _ = reference_train(states, replace(train, n_flashes=12), MODE, hilbert)
@@ -587,22 +571,6 @@ class TestTrainOperator:
         # drive.phase is applied per call; a new train replaces the old one
         assert builds == [first, second, first]
         assert len(dynamics_module._operator_cache) == 1
-
-    def test_nonzero_phase_step_goes_flash_by_flash(self, monkeypatch):
-        # figS2's shape, where the rule takes the operator of a phase_step 0 train
-        builds = []
-        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
-        monkeypatch.setattr(dynamics_module, "_build_train_operator",
-                            lambda *args: builds.append(args[0]))
-        hilbert = HilbertSpec(fock_dim=64, tail_tol=0.5)
-        assert _operator_pays(30, 128, 180, 2 * hilbert.tail_levels, False)
-        amps = np.random.default_rng(2).normal(size=(90, 256)).view(complex)
-        states = (amps / np.linalg.norm(amps, axis=1, keepdims=True)).T
-        train = headline_train(phase=0.4, phase_step=0.05, rabi_scale=0.3)
-        result = propagate_block(states, train, MODE, hilbert)
-        for got, want in zip(result, run_pulse_train_block(states, train, MODE, hilbert)):
-            np.testing.assert_array_equal(got, want)
-        assert builds == []
 
 
 def traced_peak(propagate, *args) -> int:

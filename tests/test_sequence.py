@@ -177,7 +177,6 @@ class TestSequenceFringe:
     @settings(max_examples=50, deadline=None)
     @given(
         batch=excitation_lists,
-        phase_step=st.floats(0.02, 0.6) | st.floats(-0.6, -0.02),
         rabi_scale=st.floats(0.5, 3.0),
         eta=st.floats(0.0, 0.5),
         n_th=st.floats(0.3, 1.0),
@@ -186,7 +185,7 @@ class TestSequenceFringe:
         phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
     )
     def test_matches_per_phase_reference(
-        self, batch, phase_step, rabi_scale, eta, n_th, envelope, tau, phis
+        self, batch, rabi_scale, eta, n_th, envelope, tau, phis
     ):
         base = make_spec(
             fock_dim=40, eta=eta, rabi_scale=rabi_scale,
@@ -195,7 +194,6 @@ class TestSequenceFringe:
         spec = replace(
             base,
             hilbert=HilbertSpec(fock_dim=40, tail_tol=0.5),
-            analysis=replace(base.analysis, phase_step=phase_step),
             dephasing=DephasingSpec(tau=tau, envelope=envelope),
         )
         levels, _ = thermal_ensemble(n_th, spec.thermal_samples, spec.thermal_seed)
