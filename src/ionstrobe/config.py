@@ -251,7 +251,8 @@ def build_units(cfg: dict) -> UnitScale:
 
 
 def build_mode(cfg: dict) -> ModeParams:
-    return ModeParams(freq=mode_freq(cfg), n_th=cfg["mode"]["n_th"])
+    with naming("mode.freq_hz", (ValueError,)):  # 2 pi freq_hz can overflow
+        return ModeParams(freq=mode_freq(cfg), n_th=cfg["mode"]["n_th"])
 
 
 def resolve_eta(cfg: dict) -> float:
@@ -282,12 +283,13 @@ def build_train(cfg: dict) -> PulseTrainSpec:
     if flash > cycle:
         raise ConfigError(f"train.flash_ns ({flash * 1e9:g} ns) exceeds the {cycle * 1e9:g} ns cycle: "
                           "train.cycle_ns, or else train.cycles_per_flash periods of mode.freq_hz")
-    return PulseTrainSpec(
-        n_flashes=cfg["train"]["n_flashes"],
-        flash_dur=flash,
-        cycle_dur=cycle,
-        drive=DriveParams(rabi=TWO_PI * cfg["drive"]["rabi_hz"], eta=resolve_eta(cfg)),
-    )
+    if cycle == math.inf:
+        raise ConfigError("train.cycles_per_flash periods of mode.freq_hz overflow to an infinite cycle")
+    eta = resolve_eta(cfg)
+    with naming("drive.rabi_hz", (ValueError,)):  # 2 pi rabi_hz can overflow
+        drive = DriveParams(rabi=TWO_PI * cfg["drive"]["rabi_hz"], eta=eta)
+    return PulseTrainSpec(n_flashes=cfg["train"]["n_flashes"], flash_dur=flash, cycle_dur=cycle,
+                          drive=drive)
 
 
 def build_excitation(cfg: dict):

@@ -7,9 +7,10 @@ piecewise-constant Hamiltonian
 
     H/hbar = w_m a_dag a + (W/2) (e^{-i phi} C sigma_+ + h.c.)
 
-with C = exp[i eta (a + a_dag)]. Flash unitaries are cached at phase 0;
-the drive phase enters through the exact conjugation
-H(phi) = V(phi) H(0) V(phi)^dag with V = exp(-i phi sigma_z / 2).
+with C = exp[i eta (a + a_dag)]. The engine runs every flash at phi = 0,
+as the experiment's synthesizer re-adjusts each pulse's phase so that
+every flash meets the motion at the same phase; H(phi) = V(phi) H(0)
+V(phi)^dag with V = exp(-i phi sigma_z / 2).
 
 Gauge. In G = diag(i^n) on each spin block, G^dag a G = i a, so
 r = G^dag C G = exp[eta (a_dag - a)] is real orthogonal, and H(0) has the
@@ -30,21 +31,17 @@ sector block and the watchdog's tail rows, no padded or output copies.
 Neither path holds more than one block of tail rows: both read them
 N // k_tail flashes at a time and keep only each state's running maximum.
 
-Rotating-frame chain. Every flash of a train runs at phi_0 = drive.phase,
-as the experiment's synthesizer re-adjusts each pulse's phase so that
-every flash meets the motion at the same phase. A train of F flashes is
-V(phi_0) M^F V(phi_0)^dag with M = Gap blockdiag(U_+, U_-), since the free
-gap Gap commutes with V. In sector coordinates V(phi)^dag is the scalar mix
-[[c, -is], [-is, c]] of the two sectors, c = cos(phi/2), s = sin(phi/2)
-(_mix, the drive frame's only implementation; V(phi) is the mix at -phi).
-Every path mixes at phi_0 after the split and at -phi_0 before the merge,
-and run_pulse_train_block takes each flash as one batched (2, N, N)
-matmul and the gap's phases. The mix, the gap, P and the gauge act within
-one Fock level, so they cancel in the watchdog's supremum over phi of the
-top-Fock tail: the tail rows of every flash are read in sector
-coordinates into one reused buffer of N // k_tail flashes, and each fill
-is checked in one pass (_watch_tails), raising the error of the first
-failing flash.
+Rotating-frame chain. A train of F flashes is M^F with
+M = Gap blockdiag(U_+, U_-), and run_pulse_train_block takes each flash as
+one batched (2, N, N) matmul and the gap's phases. The train at phase phi
+is V(phi) M^F V(phi)^dag, taken only through the closed form in
+run_pulse_train_block's docstring, V(phi) (e^{-i phi/2} down + e^{i phi/2} up).
+
+Watchdog. V, the gap, P and the gauge act within one Fock level, so they
+cancel in the supremum over phi of the top-Fock tail: the tail rows of
+every flash are read in sector coordinates into one reused buffer of
+N // k_tail flashes, and each fill is checked in one pass (_watch_tails),
+raising the error of the first failing flash.
 
 Train operator. M is the (2, N, N) stack Gap U_s, which acts on each
 sector alone, and M^F is powered per sector in floor(log2 F) +
@@ -81,7 +78,7 @@ from .hilbert import (
 @dataclass(frozen=True)
 class PulseTrainSpec:
     """Stroboscopic analysis train: N flashes of length flash_dur, one per cycle,
-    every flash at phase drive.phase."""
+    every flash at drive phase 0."""
 
     n_flashes: int
     flash_dur: float
@@ -91,8 +88,8 @@ class PulseTrainSpec:
     def __post_init__(self):
         if self.n_flashes < 1:
             raise ValueError("n_flashes must be >= 1")
-        if not 0.0 < self.flash_dur <= self.cycle_dur:
-            raise ValueError("need 0 < flash_dur <= cycle_dur")
+        if not 0.0 < self.flash_dur <= self.cycle_dur < math.inf:
+            raise ValueError("need 0 < flash_dur <= cycle_dur < inf")
 
     @property
     def total_duration(self) -> float:
@@ -109,6 +106,8 @@ class DephasingSpec:
     def __post_init__(self):
         if self.envelope not in ("gaussian", "exponential", "none"):
             raise ValueError(f"unknown envelope '{self.envelope}'")
+        if not math.isfinite(self.tau):
+            raise ValueError("tau must be finite")
         if self.envelope != "none" and self.tau <= 0:
             raise ValueError("tau must be positive for a finite envelope")
 
@@ -194,20 +193,6 @@ def _from_sectors(block: np.ndarray) -> np.ndarray:
     return block.reshape(2 * n, block.shape[2])
 
 
-def _mix(block: np.ndarray, phi: float) -> None:
-    """V(phi)^dag on a (2, N, w) sector block, in place: [[c, -is], [-is, c]] across sectors.
-
-    The drive frame's one implementation: V(phi) is the mix at -phi."""
-    if phi == 0.0:
-        return
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    plus = block[0].copy()
-    block[0] *= c
-    block[0] -= (1j * s) * block[1]
-    block[1] *= c
-    block[1] -= (1j * s) * plus
-
-
 def flash_evolve(
     state: SpinMotionState,
     drive: DriveParams,
@@ -215,7 +200,7 @@ def flash_evolve(
     dt: float,
     hilbert: HilbertSpec | None = None,
 ) -> SpinMotionState:
-    """Propagate one constant-drive flash of duration dt.
+    """Propagate one constant-drive flash of duration dt at drive phase 0.
 
     Includes the motional evolution during the flash; this is what produces
     the finite-flash contrast physics for moving wave packets. When a
@@ -225,10 +210,7 @@ def flash_evolve(
         raise ValueError("dt must be > 0")
     n = state.fock_dim
     u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, dt)
-    block = _split_sectors(state.amplitudes[:, None], n).sum(axis=2, keepdims=True)
-    _mix(block, drive.phase)
-    block = u @ block
-    _mix(block, -drive.phase)
+    block = u @ _split_sectors(state.amplitudes[:, None], n).sum(axis=2, keepdims=True)
     out = SpinMotionState(_from_sectors(block)[:, 0], n)
     if hilbert is not None:
         report = check_truncation(out, hilbert)
@@ -260,7 +242,7 @@ def run_pulse_train(
     mode: ModeParams,
     hilbert: HilbertSpec | None = None,
 ) -> SpinMotionState:
-    """Apply the stroboscopic train: each flash at drive.phase, then a free gap.
+    """Apply the stroboscopic train: each flash at drive phase 0, then a free gap.
 
     Total wall time is n_flashes * cycle_dur.
     """
@@ -288,20 +270,18 @@ def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, 
     """The (down, up) images of a block propagated in the rotating frame,
     written over the block.
 
-    V(drive.phase) brings the block back before the merge. Every state's
-    norm is checked on the way: a deviation over 2e-10 + F 1e-14 raises an
-    IonstrobeError.
+    Every state's norm is checked on the way: a deviation over
+    2e-10 + F 1e-14, or one that is not a number, raises an IonstrobeError.
     Rounding moves the norm by up to about 2.5e-15 per flash (measured at
     fock_dim 40 and 232 up to F = 10^5), so a train of any length stays well
     inside.
     """
-    _mix(block, -train.drive.phase)
     out = _from_sectors(block)
     n_states = out.shape[1] // 2
     norm0, norm1 = _pair_sums(out, 0)
     deviation = np.abs(norm0[:n_states] + norm0[n_states:] - 1.0) + 2.0 * np.abs(norm1)
     tol = 2e-10 + 1e-14 * train.n_flashes
-    if np.max(deviation) > tol:
+    if not np.max(deviation) <= tol:
         raise IonstrobeError(f"train output norm deviates from 1 by up to "
                              f"{np.max(deviation):.3e} after {train.n_flashes} flashes (tol {tol:.3g})")
     return out[:, :n_states], out[:, n_states:]
@@ -324,7 +304,7 @@ def _watch_tails(tails: np.ndarray, offset: int, train: PulseTrainSpec, hilbert:
     population, T0 + 2 |T1|: the sector coordinates and per-row phases.
     Folds every state's largest supremum into max_tail, or
     raises a TruncationError naming the first failing flash, the worst
-    base phase (also its `phase`) and, as `index`, the worst state. Runs
+    analysis phase (also its `phase`) and, as `index`, the worst state. Runs
     checked in flash order therefore fail where one pass over the train
     would.
     """
@@ -335,10 +315,10 @@ def _watch_tails(tails: np.ndarray, offset: int, train: PulseTrainSpec, hilbert:
     if failing.size:
         k = int(failing[0])
         worst = int(np.argmax(sup[k]))
-        phi_worst = (train.drive.phase - np.angle(t1[k, worst])) % (2.0 * math.pi)
+        phi_worst = -np.angle(t1[k, worst]) % (2.0 * math.pi)
         raise TruncationError(
             f"flash {offset + k + 1} of {train.n_flashes} leaks up to {sup[k, worst]:.3e} into "
-            f"the top {hilbert.tail_levels} Fock levels at base phase {phi_worst:.4f} rad "
+            f"the top {hilbert.tail_levels} Fock levels at analysis phase {phi_worst:.4f} rad "
             f"(tol {hilbert.tail_tol:g}); increase fock_dim",
             index=worst, phase=float(phi_worst),
         )
@@ -356,10 +336,10 @@ def run_pulse_train_block(
     states is the (2N, L) spin-major amplitude array, one state per column.
 
     Free motion commutes with V(phi), so the train with every flash at
-    phase train.drive.phase + phi maps state l to
+    phase phi maps state l to
     V(phi) (e^{-i phi/2} down[:, l] + e^{i phi/2} up[:, l]), where down and
     up are the returned (2N, L) images of each state's down and up parts
-    under the train as given. Every population of the output is therefore
+    under the train at phase 0. Every population of the output is therefore
     |down|^2 + |up|^2 + 2 Re(conj(down) up e^{i phi}), exactly, for any phi.
 
     The watchdog checks, for every state and after every flash, the
@@ -376,7 +356,6 @@ def run_pulse_train_block(
     u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
     gap = _gap_phases(train, mode, n)[:, None]
     block = _split_sectors(states, n)
-    _mix(block, drive.phase)
     spare = np.empty_like(block)  # two reused buffers bound the working set
     chunk = min(train.n_flashes, max(1, n // k_tail))
     tails = np.empty((2, chunk, k_tail, block.shape[2]), dtype=complex)
@@ -398,7 +377,7 @@ _operator_cache: dict = {}
 
 
 def _operator_key(train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec) -> tuple:
-    """Every field the train operator is built from; drive.phase is applied per call."""
+    """Every field the train operator is built from."""
     drive = train.drive
     return (hilbert.fock_dim, mode.freq, drive.rabi, drive.eta, train.n_flashes,
             train.flash_dur, train.cycle_dur)
@@ -438,7 +417,7 @@ def _build_train_operator(
 def _train_operator(
     train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The train operator at drive phase 0 and its tail rows, cached for one train."""
+    """The train operator and its tail rows, cached for one train."""
     key = _operator_key(train, mode, hilbert)
     if key not in _operator_cache:
         _operator_cache.clear()  # drop the old operator before building the new one
@@ -494,7 +473,6 @@ def _operator_block(
     t, rows = _train_operator(train, mode, hilbert)
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     block = _split_sectors(states, n)
-    _mix(block, train.drive.phase)
     chunk = max(1, n // k_tail)
     max_tail = np.zeros(states.shape[1])
     for j in range(0, train.n_flashes, chunk):

@@ -11,7 +11,7 @@ class ConfigError(IonstrobeError):
 
 class TruncationError(IonstrobeError):
     """Fock-space truncation is inadequate; `index` places the failure in a batch,
-    and `phase`, set by the train watchdog, is the worst base phase (rad)."""
+    and `phase`, set by the train watchdog, is the worst analysis phase phi (rad)."""
 
     def __init__(self, message: str, index: int | None = None, phase: float | None = None):
         super().__init__(message)

@@ -87,32 +87,31 @@ class ModeParams:
     n_th: float = 0.0
 
     def __post_init__(self):
-        if self.freq <= 0:
-            raise ValueError("mode frequency must be positive")
-        if self.n_th < 0:
-            raise ValueError("thermal occupation must be >= 0")
+        if not 0.0 < self.freq < math.inf:
+            raise ValueError("mode frequency must be finite and positive")
+        if not 0.0 <= self.n_th < math.inf:
+            raise ValueError("thermal occupation must be finite and >= 0")
 
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.freq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DriveParams:
-    """Coupling field: Rabi rate, phase, and Lamb-Dicke parameter.
+    """Coupling field: Rabi rate and Lamb-Dicke parameter, at drive phase 0.
 
     eta = 0 models a motion-insensitive (MW or collinear) drive.
     """
 
     rabi: float
-    phase: float = 0.0
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.rabi < 0:
-            raise ValueError("Rabi rate must be >= 0")
-        if self.eta < 0:
-            raise ValueError("Lamb-Dicke parameter must be >= 0")
+        if not 0.0 <= self.rabi < math.inf:
+            raise ValueError("Rabi rate must be finite and >= 0")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError("Lamb-Dicke parameter must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,10 @@ class CoherentAmp:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.magnitude < 0:
-            raise ValueError("|alpha| must be >= 0")
+        if not 0.0 <= self.magnitude < math.inf:
+            raise ValueError("|alpha| must be finite and >= 0")
+        if not math.isfinite(self.phase):
+            raise ValueError("alpha phase must be finite")
 
     @property
     def value(self) -> complex:
@@ -139,8 +140,10 @@ class SqueezeParam:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.magnitude < 0:
-            raise ValueError("|zeta| must be >= 0")
+        if not 0.0 <= self.magnitude < math.inf:
+            raise ValueError("|zeta| must be finite and >= 0")
+        if not math.isfinite(self.phase):
+            raise ValueError("zeta phase must be finite")
 
     @property
     def value(self) -> complex:

@@ -12,15 +12,16 @@ flash center with the nominal wave-packet phase, so a displacement phase
 of zero means "wave packet at maximum position at the sampling times".
 Dephasing enters as a classical contrast envelope over the train duration.
 
-Every observable is an exact cosine in the analysis phase phi. Free motion
-commutes with V(phi) = exp(-i phi sigma_z / 2), so the train with every
-flash phase advanced by phi is V(phi) T V(phi)^dag with T the train at
-phi = 0. The final V leaves populations alone and the initial V^dag only
-puts e^{-i phi/2} and e^{+i phi/2} on the down and up parts of the
-pre-train state. Propagating those two parts through T once therefore gives
-p_down(phi) = c0 + 2 Re(c1 e^{i phi}), and the same form for <n> and for
-the top-Fock-tail population after every flash, whose supremum over phi,
-T0 + 2 |T1|, is what the truncation watchdog checks. SequenceFringe holds
+Every observable is an exact cosine in the analysis phase phi, the one
+phase of the sequence. The engine runs the train T at phase 0, and free
+motion commutes with V(phi) = exp(-i phi sigma_z / 2), so the train at phi
+is V(phi) T V(phi)^dag. The final V leaves populations alone and the
+initial V^dag only puts e^{-i phi/2} and e^{+i phi/2} on the down and up
+parts of the pre-train state. Propagating those two parts through T once
+therefore gives p_down(phi) = c0 + 2 Re(c1 e^{i phi}), and the same form
+for <n> and for the top-Fock-tail population after every flash, whose
+supremum over phi, T0 + 2 |T1|, is what the truncation watchdog checks; a
+TruncationError's phase is the worst phi. SequenceFringe holds
 these coefficients, so one propagation serves any phase grid and gives the
 offset, contrast and phase in closed form; sequence_fringes propagates many
 excitations, each distinct one once, through the shared train as one block.
@@ -182,9 +183,9 @@ def _pre_train(spec: SequenceSpec, kicks: list, levels: np.ndarray):
     sync = mw_rotation(make_initial_state(SPIN_DOWN, 0, hilbert), math.pi / 2.0, SYNC_PHASE)
     block = np.concatenate([sync.amplitudes[0] * motion, sync.amplitudes[n] * motion])
     pops = np.abs(block[:n]) ** 2 + np.abs(block[n:]) ** 2
-    deviation = np.abs(np.sqrt(np.sum(pops, axis=0)) - 1.0)
-    if np.max(deviation) > 1e-10:
-        raise ValueError(f"state norm deviates from 1 by {deviation[deviation > 1e-10][0]:.3e}")
+    deviation = np.max(np.abs(np.sqrt(np.sum(pops, axis=0)) - 1.0))
+    if not deviation <= 1e-10:  # a NaN fails too
+        raise ValueError(f"state norm deviates from 1 by {deviation:.3e}")
     tails = np.sum(pops[-hilbert.tail_levels :], axis=0)
     if np.max(tails) >= hilbert.tail_tol:
         col = int(np.argmax(tails >= hilbert.tail_tol))
@@ -247,10 +248,9 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
     )
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
-    train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=0.0))
     try:
         pre_train, n_initial = _pre_train(spec, distinct, levels)
-        down, up, max_tail = propagate_block(pre_train, train, spec.mode, spec.hilbert)
+        down, up, max_tail = propagate_block(pre_train, spec.analysis, spec.mode, spec.hilbert)
     except TruncationError as exc:  # index: a block column, kick-major
         exc.index = kicks.index(distinct[exc.index // len(levels)])
         raise

@@ -1,6 +1,7 @@
 """Shared fixtures: tuned headline-parameter sequences at two space sizes, a
-counter of the sequence layer's block propagations, a state-by-state
-reference for the sequence layer's fringes, and a traced-memory probe."""
+counter of the sequence layer's block propagations, a dense reference train
+at any drive phase, a state-by-state reference for the sequence layer's
+fringes, and a traced-memory probe."""
 
 import math
 import os
@@ -15,8 +16,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from ionstrobe import (
     SPIN_DOWN,
@@ -42,7 +41,6 @@ from ionstrobe.dynamics import (
     apply_dephasing,
     free_evolve,
     mw_rotation,
-    run_pulse_train,
 )
 import ionstrobe.sequence as sequence_module
 from ionstrobe.sequence import SequenceSpec, sequence_fringes
@@ -91,11 +89,51 @@ def reference_pre_train(spec: SequenceSpec, level: int) -> tuple[SpinMotionState
     return mw_rotation(state, math.pi / 2.0, sequence_module.SYNC_PHASE), n_initial
 
 
+def complex_coupling(fock_dim, eta):
+    """C = exp[i eta (a + a_dag)] from one complex eigendecomposition."""
+    root = np.sqrt(np.arange(1.0, fock_dim))
+    w, v = np.linalg.eigh(eta * (np.diag(root, 1) + np.diag(root, -1)))
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def complex_hamiltonian(fock_dim, eta, rabi, freq, phi=0.0):
+    """H(phi)/hbar = w_m a_dag a + (W/2)(e^{-i phi} C sigma_+ + h.c.), spin-major."""
+    c = np.exp(-1j * phi) * complex_coupling(fock_dim, eta)
+    dim = 2 * fock_dim
+    h = np.zeros((dim, dim), dtype=complex)
+    diag_mode = freq * np.arange(fock_dim)
+    h[:fock_dim, :fock_dim] = np.diag(diag_mode)
+    h[fock_dim:, fock_dim:] = np.diag(diag_mode)
+    h[fock_dim:, :fock_dim] = (rabi / 2.0) * c
+    h[:fock_dim, fock_dim:] = (rabi / 2.0) * c.conj().T
+    return h
+
+
+def complex_flash_unitary(fock_dim, eta, rabi, freq, dt, phi=0.0):
+    """Reference flash propagator at drive phase phi: H(phi) and one complex eigh."""
+    w, v = np.linalg.eigh(complex_hamiltonian(fock_dim, eta, rabi, freq, phi))
+    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+
+
+def dense_train(amplitudes, train: PulseTrainSpec, mode: ModeParams, phi: float):
+    """Yield the spin-major `amplitudes`, a vector or (2N, L) columns, after
+    each cycle of `train` with every flash at drive phase phi: the dense
+    2N x 2N complex_flash_unitary at phi, then the free gap. Shares no
+    propagation code with the engine, which runs every train at phase 0."""
+    n, drive = amplitudes.shape[0] // 2, train.drive
+    flash = complex_flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur, phi)
+    gap = np.tile(np.exp(-1j * mode.freq * (train.cycle_dur - train.flash_dur) * np.arange(n)), 2)
+    cycle = gap[:, None] * flash
+    for _ in range(train.n_flashes):
+        amplitudes = cycle @ amplitudes
+        yield amplitudes
+
+
 def reference_fringe(spec: SequenceSpec) -> tuple[float, complex, float, complex]:
-    """The fringe coefficients (p0, p1, n0, n1) of spec, from run_pulse_train on
-    every thermal level's reference_pre_train state with the first flash at
-    phi = 0, pi/2, pi and 3 pi/2: an exact cosine in phi is its mean plus
-    2 Re(c1 e^{i phi}), with c1 the mean of its samples times e^{-i phi}."""
+    """The fringe coefficients (p0, p1, n0, n1) of spec, from dense_train on
+    every thermal level's reference_pre_train state at phi = 0, pi/2, pi and
+    3 pi/2: an exact cosine in phi is its mean plus 2 Re(c1 e^{i phi}), with
+    c1 the mean of its samples times e^{-i phi}."""
     levels, weights = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
     phis = np.arange(4) * (math.pi / 2.0)
@@ -103,8 +141,8 @@ def reference_fringe(spec: SequenceSpec) -> tuple[float, complex, float, complex
     for w, level in zip(weights, levels):
         state, n_initial = reference_pre_train(spec, level)
         for k, phi in enumerate(phis):
-            train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=phi))
-            out = run_pulse_train(state, train, spec.mode)
+            *_, amps = dense_train(state.amplitudes, spec.analysis, spec.mode, phi)
+            out = SpinMotionState(amps, state.fock_dim)
             p_down[k] += w * (1.0 - expect_sigma_z(out)) / 2.0
             delta_n[k] += w * (expect_n(out) - n_initial)
     rot = np.exp(-1j * phis)

@@ -339,7 +339,7 @@ class TestDecodeTables:
         # the error names the amplitude and keeps the watchdog's index and phase
         spec = alpha_zero_spec(fock_dim=32, eta=2.0)
         spec = replace(spec, hilbert=HilbertSpec(fock_dim=32, tail_tol=1e-9))
-        message = r"^at decode amplitude \|alpha\|=1: flash \d+ of 30 leaks .* at base phase"
+        message = r"^at decode amplitude \|alpha\|=1: flash \d+ of 30 leaks .* at analysis phase"
         with pytest.raises(TruncationError, match=message) as info:
             build_decode_tables(spec, UNITS, [0.0, 0.5, 1.0])
         assert info.value.index == 8  # (alpha 1, theta0 pi/2) is the ninth excitation

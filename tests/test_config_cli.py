@@ -271,6 +271,16 @@ EXTREME_INPUTS = [
     ("ramsey-scan-rabi-infinite", "ramsey-scan",
      "hilbert: {fock_dim: 24}\ntrain: {rabi_scale: 1.0e300}\ndrive: {rabi_hz: 1.0e300}",
      ["Rabi rate 1e+300 Hz", "rabi_scale 1e+300"]),
+    # a finite rate or frequency whose angular value, or whose cycle, overflows:
+    # no spec dataclass takes a value that is not finite
+    ("calibrate-train-rabi-overflow", "calibrate-train",
+     "hilbert: {fock_dim: 24}\ndrive: {rabi_hz: 1.0e308}", ["config error", "drive.rabi_hz"]),
+    ("ramsey-scan-freq-overflow", "ramsey-scan",
+     "hilbert: {fock_dim: 24}\ntrain: {rabi_scale: 0.28}\nmode: {freq_hz: 1.0e308}",
+     ["config error", "mode.freq_hz"]),
+    ("ramsey-scan-cycle-overflow", "ramsey-scan", "hilbert: {fock_dim: 24}\n"
+     "train: {rabi_scale: 0.28, cycles_per_flash: 1000000}\nmode: {freq_hz: 1.0e-303}",
+     ["config error", "train.cycles_per_flash", "mode.freq_hz"]),
     # a finite coefficient whose statistics overflow
     ("stability-drift", "stability", "stability: {drift_rate_rad_per_s: 1.0e300}",
      ["stability.white_sigma_rad", "stability.rw_sigma_rad_per_sqrt_s",

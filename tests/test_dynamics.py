@@ -29,7 +29,6 @@ import ionstrobe.dynamics as dynamics_module
 from ionstrobe.dynamics import (
     _flash_unitary,
     _from_sectors,
-    _mix,
     _operator_block,
     _operator_pays,
     _split_sectors,
@@ -45,7 +44,7 @@ from ionstrobe.dynamics import (
 )
 from ionstrobe.errors import IonstrobeError, TruncationError
 
-from conftest import traced_call
+from conftest import complex_flash_unitary, complex_hamiltonian, dense_train, traced_call
 
 OMEGA = 2.0 * math.pi * 1.3e6
 MODE = ModeParams(freq=OMEGA, n_th=0.15)
@@ -89,36 +88,14 @@ class TestFreeEvolution:
 
 class TestFlashEvolution:
     def test_zero_phase_is_the_cached_unitary(self):
-        # drive.phase = 0 runs the framed path, which must leave U(0) exact
+        # a flash is the cached U(0) between the split and the merge, exactly
         st = coherent_state(1.5, 0.4, 48)
         drive = DriveParams(rabi=2.0 * math.pi * 0.3e6, eta=0.4)
         out = flash_evolve(st, drive, MODE, 1e-7)
         split = _split_sectors(st.amplitudes[:, None], 48)
-        framed = split.copy()
-        _mix(framed, 0.0)
-        np.testing.assert_array_equal(framed, split)
         u0 = _flash_unitary(48, drive.eta, drive.rabi, MODE.freq, 1e-7)
         direct = _from_sectors(u0 @ (split[..., :1] + split[..., 1:]))[:, 0]
         np.testing.assert_array_equal(out.amplitudes, direct)
-
-    @settings(max_examples=40, deadline=None)
-    @given(fock_dim=st.integers(1, 40), width=st.integers(1, 5),
-           phi=st.floats(-4.0 * math.pi, 4.0 * math.pi), seed=st.integers(0, 2**32 - 1))
-    def test_mix_is_the_drive_frame(self, fock_dim, width, phi, seed):
-        # split, V(phi)^dag in sector coordinates, merge: the spin-basis diagonal
-        # diag(e^{-i phi/2}, e^{i phi/2}) on (down, up)
-        rng = np.random.default_rng(seed)
-        states = rng.normal(size=(2 * fock_dim, width)) + 1j * rng.normal(size=(2 * fock_dim, width))
-        states /= np.linalg.norm(states, axis=0)
-        block = _split_sectors(states, fock_dim)
-        _mix(block, phi)
-        image = _from_sectors(block.copy())
-        frame = np.repeat([np.exp(-0.5j * phi), np.exp(0.5j * phi)], fock_dim)[:, None]
-        np.testing.assert_allclose(image[:, :width] + image[:, width:], frame * states,
-                                   rtol=0, atol=1e-14)
-        # V(phi) V(phi)^dag is the identity
-        _mix(block, -phi)
-        np.testing.assert_allclose(block, _split_sectors(states, fock_dim), rtol=0, atol=1e-14)
 
     def test_zero_rabi_equals_free(self):
         st = coherent_state(1.5, 0.4, 48)
@@ -153,14 +130,19 @@ class TestFlashEvolution:
         assert abs(p_up_total - expected) < 3e-3
 
     def test_eta_zero_factorizes(self):
-        # spin rotation (x) free motional evolution, exactly
+        # spin rotation (x) free motional evolution, exactly: the engine's flash
+        # at phase 0, and the dense H(phi) flash at phi, which ties mw_rotation's
+        # phase, the sync pulse's, to the analysis phase
         st = coherent_state(1.2, 0.8, 48)
         rabi = 2.0 * math.pi * 0.2e6
         dt = 3.3e-7
-        phase = 0.77
-        out = flash_evolve(st, DriveParams(rabi=rabi, eta=0.0, phase=phase), MODE, dt)
-        manual = mw_rotation(free_evolve(st, MODE, dt), rabi * dt, phase)
+        out = flash_evolve(st, DriveParams(rabi=rabi, eta=0.0), MODE, dt)
+        manual = mw_rotation(free_evolve(st, MODE, dt), rabi * dt, 0.0)
         assert np.max(np.abs(out.amplitudes - manual.amplitudes)) < 1e-10
+        phase = 0.77
+        dense = complex_flash_unitary(48, 0.0, rabi, MODE.freq, dt, phase) @ st.amplitudes
+        manual = mw_rotation(free_evolve(st, MODE, dt), rabi * dt, phase)
+        assert np.max(np.abs(dense - manual.amplitudes)) < 1e-10
 
 
 class TestMwRotation:
@@ -186,12 +168,12 @@ class TestMwRotation:
         assert abs(expect_sigma_z(out)) < 1e-12
 
 
-def headline_train(phase=0.0, rabi_scale=1.0):
+def headline_train(rabi_scale=1.0):
     return PulseTrainSpec(
         n_flashes=30,
         flash_dur=100e-9,
         cycle_dur=2.0 * math.pi / OMEGA,
-        drive=DriveParams(rabi=rabi_scale * 2.0 * math.pi * 0.3e6, phase=phase, eta=0.4),
+        drive=DriveParams(rabi=rabi_scale * 2.0 * math.pi * 0.3e6, eta=0.4),
     )
 
 
@@ -217,7 +199,7 @@ class TestPulseTrain:
         from dataclasses import replace
 
         st = coherent_state(1.0, 0.5, 48)
-        train = headline_train(phase=0.4)
+        train = headline_train()
         two = replace(train, n_flashes=2)
         auto = run_pulse_train(st, two, MODE)
         gap = two.cycle_dur - two.flash_dur
@@ -227,34 +209,23 @@ class TestPulseTrain:
             manual = free_evolve(manual, MODE, gap)
         np.testing.assert_array_equal(auto.amplitudes, manual.amplitudes)
 
-    def test_drive_phase_is_first_flash_phase(self):
-        # every flash runs at drive.phase in both propagators
-        from dataclasses import replace
-
-        st = coherent_state(1.0, 0.5, 40)
-        train = replace(headline_train(phase=1.3, rabi_scale=0.5), n_flashes=4)
-        gap = train.cycle_dur - train.flash_dur
-        manual = st
-        for _ in range(train.n_flashes):
-            manual = free_evolve(flash_evolve(manual, train.drive, MODE, train.flash_dur), MODE, gap)
-        out = run_pulse_train(st, train, MODE)
-        np.testing.assert_allclose(out.amplitudes, manual.amplitudes, rtol=0, atol=1e-12)
-        down, up, _ = run_pulse_train_block(st.amplitudes[:, None], train, MODE,
-                                            HilbertSpec(fock_dim=40))
-        np.testing.assert_allclose((down + up)[:, 0], manual.amplitudes, rtol=0, atol=1e-12)
-
     def test_unitarity(self):
         st = coherent_state(2.0, 1.1, 96)
         out = run_pulse_train(st, headline_train(rabi_scale=0.3), MODE)
         assert out.norm() == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("propagate", [run_pulse_train_block, _operator_block])
-    def test_non_unitary_flash_raises(self, monkeypatch, propagate):
+    @pytest.mark.parametrize("propagate, scale", [
+        (run_pulse_train_block, 1.0 + 1e-8), (_operator_block, 1.0 + 1e-8),
+        (run_pulse_train_block, math.nan), (_operator_block, math.nan),
+    ], ids=["run_pulse_train_block", "_operator_block", "run_pulse_train_block-nan",
+            "_operator_block-nan"])
+    def test_non_unitary_flash_raises(self, monkeypatch, propagate, scale):
         # the cached sector pair scaled by 1 + 1e-8 moves every norm by about
-        # 2e-8 per flash, far past the 2e-10 + 30e-14 bound of 30 flashes
+        # 2e-8 per flash, far past the 2e-10 + 30e-14 bound of 30 flashes;
+        # scaled by NaN it leaves a NaN norm, which must fail the check too
         flash = dynamics_module._flash_unitary
         monkeypatch.setattr(dynamics_module, "_flash_unitary",
-                            lambda *args: flash(*args) * (1.0 + 1e-8))
+                            lambda *args: flash(*args) * scale)
         monkeypatch.setattr(dynamics_module, "_operator_cache", {})
         st = coherent_state(1.0, 0.5, 40)
         message = r"norm deviates from 1 by up to \S+ after 30 flashes \(tol 2e-10\)"
@@ -309,32 +280,6 @@ class TestDephasing:
     def test_huge_elapsed_over_tau_is_zero(self, envelope, elapsed):
         # elapsed / tau of 1e160, whose square overflows a float, 1e300 and inf
         assert apply_dephasing(0.8, DephasingSpec(tau=1.0e-300, envelope=envelope), elapsed) == 0.0
-
-
-def complex_coupling(fock_dim, eta):
-    """C = exp[i eta (a + a_dag)] from one complex eigendecomposition."""
-    root = np.sqrt(np.arange(1.0, fock_dim))
-    w, v = np.linalg.eigh(eta * (np.diag(root, 1) + np.diag(root, -1)))
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def complex_hamiltonian(fock_dim, eta, rabi, freq):
-    """H/hbar = w_m a_dag a + (W/2)(C sigma_+ + h.c.) at drive phase 0, spin-major."""
-    c = complex_coupling(fock_dim, eta)
-    dim = 2 * fock_dim
-    h = np.zeros((dim, dim), dtype=complex)
-    diag_mode = freq * np.arange(fock_dim)
-    h[:fock_dim, :fock_dim] = np.diag(diag_mode)
-    h[fock_dim:, fock_dim:] = np.diag(diag_mode)
-    h[fock_dim:, :fock_dim] = (rabi / 2.0) * c
-    h[:fock_dim, fock_dim:] = (rabi / 2.0) * c.conj().T
-    return h
-
-
-def complex_flash_unitary(fock_dim, eta, rabi, freq, dt):
-    """Reference flash propagator: complex Hermitian H and one complex eigh."""
-    w, v = np.linalg.eigh(complex_hamiltonian(fock_dim, eta, rabi, freq))
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
 def dense_flash_unitary(pair):
@@ -415,30 +360,28 @@ def reference_states(fock_dim, levels, alpha, mix):
                             fock_dim) for n in levels]
 
 
-def reference_train(states, train, mode, hilbert):
-    """The train flash by flash with dense 2N x 2N products: flash k is
-    V(phi) U0 V(phi)^dag at phi = drive.phase, with U0 from
-    complex_flash_unitary, then the gap.
+def drive_frame(phi, fock_dim):
+    """Diagonal of V(phi) = exp(-i phi sigma_z / 2): e^{i phi/2} on spin down, e^{-i phi/2} on up."""
+    return np.repeat([np.exp(0.5j * phi), np.exp(-0.5j * phi)], fock_dim)
+
+
+def reference_train(states, train, mode, hilbert, phi):
+    """dense_train with every flash at phi, on every state's down and up parts.
 
     Returns ((down, up, max_tail), None) with the images of every state's
     down and up parts, or (None, (flash, index, t0, t1)) for the first flash
-    at which a state's tail supremum over the drive phase, t0 + 2 |t1|,
+    at which a state's tail supremum over the analysis phase, t0 + 2 |t1|,
     reaches tail_tol.
     """
-    n, k_tail, drive = hilbert.fock_dim, hilbert.tail_levels, train.drive
-    u0 = complex_flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
-    gap = np.tile(np.exp(-1j * mode.freq * (train.cycle_dur - train.flash_dur) * np.arange(n)), 2)
+    n, k_tail, width = hilbert.fock_dim, hilbert.tail_levels, len(states)
     amps = np.array([state.amplitudes for state in states]).T
-    down, up = amps.copy(), amps.copy()
-    down[n:] = 0.0
-    up[:n] = 0.0
+    parts = np.concatenate([amps, amps], axis=1)
+    parts[n:, :width] = 0.0  # the down parts, then the up parts
+    parts[:n, width:] = 0.0
     top = np.r_[n - k_tail : n, 2 * n - k_tail : 2 * n]
-    max_tail = np.zeros(len(states))
-    v = np.concatenate([np.full(n, np.exp(0.5j * drive.phase)),
-                        np.full(n, np.exp(-0.5j * drive.phase))])
-    flash = v[:, None] * u0 * np.conj(v)
-    for k in range(train.n_flashes):
-        down, up = flash @ down, flash @ up
+    max_tail = np.zeros(width)
+    for k, out in enumerate(dense_train(parts, train, mode, phi)):
+        down, up = out[:, :width], out[:, width:]
         t0 = np.sum(np.abs(down[top]) ** 2 + np.abs(up[top]) ** 2, axis=0)
         t1 = np.sum(np.conj(down[top]) * up[top], axis=0)
         sup = t0 + 2.0 * np.abs(t1)
@@ -446,19 +389,21 @@ def reference_train(states, train, mode, hilbert):
             worst = int(np.argmax(sup))
             return None, (k + 1, worst, t0[worst], t1[worst])
         np.maximum(max_tail, sup, out=max_tail)
-        down, up = gap[:, None] * down, gap[:, None] * up
     return (down, up, max_tail), None
 
 
-def assert_matches_reference(states, train, hilbert):
+def assert_matches_reference(states, train, hilbert, phi):
     """Both block propagators, flash by flash and through the train
-    operator, give reference_train's images and tails to 1e-12, or
-    raise at its flash and index. The raised phase is checked through the
-    reference's tail population there, t0 + 2 Re(t1 e^{i(phase - drive.phase)}),
-    which must reach its supremum t0 + 2 |t1| to 1e-12 relative: the angle of
-    t1 itself is ill-conditioned when |t1| << t0. Returns its result."""
-    result, failure = reference_train(states, train, MODE, hilbert)
+    operator, run at phase 0 and mapped to phi by the closed form
+    V(phi) (e^{-i phi/2} down + e^{i phi/2} up), give reference_train's
+    images at phi and its tails to 1e-12, or raise at its flash and index.
+    The raised phase is checked through the reference's tail population
+    there, t0 + 2 Re(t1 e^{i(phase - phi)}), which must reach its supremum
+    t0 + 2 |t1| to 1e-12 relative: the angle of t1 itself is ill-conditioned
+    when |t1| << t0. Returns its result."""
+    result, failure = reference_train(states, train, MODE, hilbert, phi)
     block = np.stack([state.amplitudes for state in states], axis=1)
+    frame = drive_frame(phi, hilbert.fock_dim)[:, None]
     for propagate in (run_pulse_train_block, _operator_block):
         if failure is not None:
             with pytest.raises(TruncationError) as raised:
@@ -466,12 +411,12 @@ def assert_matches_reference(states, train, hilbert):
             flash, phase = flash_and_phase(raised.value)
             assert (flash, raised.value.index) == failure[:2]
             t0, t1 = failure[2:]
-            at_phase = t0 + 2.0 * (t1 * np.exp(1j * (phase - train.drive.phase))).real
+            at_phase = t0 + 2.0 * (t1 * np.exp(1j * (phase - phi))).real
             assert at_phase == pytest.approx(t0 + 2.0 * abs(t1), rel=1e-12)
             continue
         down, up, tail = propagate(block, train, MODE, hilbert)
-        assert np.max(np.abs(down - result[0])) < 1e-12
-        assert np.max(np.abs(up - result[1])) < 1e-12
+        assert np.max(np.abs(np.exp(-0.5j * phi) * frame * down - result[0])) < 1e-12
+        assert np.max(np.abs(np.exp(0.5j * phi) * frame * up - result[1])) < 1e-12
         np.testing.assert_allclose(tail, result[2], rtol=1e-12, atol=1e-15)
     return result
 
@@ -490,13 +435,16 @@ class TestDenseReference:
         mix=st.floats(0.2, 1.3),
     )
     def test_every_propagator_matches(self, n_flashes, fock_dim, phase, levels, alpha, mix):
-        train = replace(headline_train(phase=phase, rabi_scale=0.3), n_flashes=n_flashes)
+        train = replace(headline_train(rabi_scale=0.3), n_flashes=n_flashes)
         hilbert = HilbertSpec(fock_dim=fock_dim, tail_tol=1e-3)
         states = reference_states(fock_dim, sorted(levels), alpha, mix)
-        result = assert_matches_reference(states, train, hilbert)
+        result = assert_matches_reference(states, train, hilbert, phase)
         if result is not None:
+            frame = drive_frame(phase, fock_dim)
             for col, state in enumerate(states):
-                whole = run_pulse_train(state, train, MODE).amplitudes
+                # the train at phase, V T V^dag, with T run_pulse_train at phase 0
+                framed = SpinMotionState(np.conj(frame) * state.amplitudes, fock_dim)
+                whole = frame * run_pulse_train(framed, train, MODE).amplitudes
                 assert np.max(np.abs(whole - result[0][:, col] - result[1][:, col])) < 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -514,27 +462,27 @@ class TestDenseReference:
         # flashes at eta = 2 push the kicked level 4 into the watched top
         # levels: below 28 levels the first flash fills them past 1e-7, and
         # from 28 up a later flash does, or none
-        train = replace(headline_train(phase=phase), n_flashes=n_flashes,
-                        drive=DriveParams(rabi=2.0 * math.pi * 0.3e6, phase=phase, eta=2.0))
+        train = replace(headline_train(), n_flashes=n_flashes,
+                        drive=DriveParams(rabi=2.0 * math.pi * 0.3e6, eta=2.0))
         hilbert = HilbertSpec(fock_dim=fock_dim, tail_tol=1e-7)
         assert_matches_reference(reference_states(fock_dim, sorted(levels | {4}), 1.0, mix),
-                                 train, hilbert)
+                                 train, hilbert, phase)
 
     @pytest.mark.parametrize("phase", [0.0, 0.3])
     def test_later_runs_of_flashes_peak_and_fail_alike(self, phase):
         # at 24 levels (2 watched) the watchdog reads 12 flashes at a time: the
         # top level's tail peaks at flash 1 and level 20's in a later run
         hilbert = HilbertSpec(fock_dim=24, tail_tol=0.999)
-        train = headline_train(phase=phase)
+        train = headline_train()
         states = reference_states(24, [23, 20], 0.0, 0.0)
-        (_, _, tails), _ = reference_train(states, train, MODE, hilbert)
-        (_, _, first), _ = reference_train(states, replace(train, n_flashes=12), MODE, hilbert)
+        (_, _, tails), _ = reference_train(states, train, MODE, hilbert, phase)
+        (_, _, first), _ = reference_train(states, replace(train, n_flashes=12), MODE, hilbert, phase)
         assert first[1] < tails[1]
-        assert_matches_reference(states, train, hilbert)
+        assert_matches_reference(states, train, hilbert, phase)
         # a tolerance that level 20's tail first reaches after flash 12
         later = replace(hilbert, tail_tol=(first[1] + tails[1]) / 2)
-        assert reference_train(states[1:], train, MODE, later)[1][0] > 12
-        assert_matches_reference(states[1:], train, later)
+        assert reference_train(states[1:], train, MODE, later, phase)[1][0] > 12
+        assert_matches_reference(states[1:], train, later, phase)
 
 
 class TestTrainOperator:
@@ -565,10 +513,9 @@ class TestTrainOperator:
         states = (amps / np.linalg.norm(amps, axis=1, keepdims=True)).T
         first = headline_train(rabi_scale=0.3)
         second = headline_train(rabi_scale=0.31)
-        for train in (first, first, replace(first, drive=replace(first.drive, phase=1.0)),
-                      second, first):
+        for train in (first, first, second, first):
             propagate_block(states, train, MODE, hilbert)
-        # drive.phase is applied per call; a new train replaces the old one
+        # a new train replaces the old one
         assert builds == [first, second, first]
         assert len(dynamics_module._operator_cache) == 1
 
@@ -589,7 +536,7 @@ class TestWorkingSet:
     numpy's fixed-size iteration buffers."""
 
     hilbert = HilbertSpec(fock_dim=80, tail_tol=0.5)
-    train = replace(headline_train(phase=0.7, rabi_scale=0.3), n_flashes=20)
+    train = replace(headline_train(rabi_scale=0.3), n_flashes=20)
 
     def states(self):
         amps = np.random.default_rng(5).normal(size=(512, 320)).view(complex)

@@ -1,5 +1,6 @@
 """Operator and state constructors against analytic oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from ionstrobe import (
     SPIN_DOWN,
     SPIN_UP,
     CoherentAmp,
+    DriveParams,
     HilbertSpec,
+    ModeParams,
     SpinMotionState,
     SqueezeParam,
     TruncationError,
@@ -32,6 +35,7 @@ from ionstrobe import (
     squeeze_operator,
     thermal_ensemble,
 )
+from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec
 from ionstrobe.hilbert import _quadrature_moments
 
 MG25_MASS = 25.0 * ATOMIC_MASS
@@ -411,3 +415,35 @@ def test_unitaries_preserve_norm(mag, phase):
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
     c = coupling_operator(0.4, spec)
     assert np.linalg.norm(c @ psi) == pytest.approx(1.0, abs=1e-10)
+
+
+# a valid instance of every spec dataclass, whose float fields the guard below walks
+VALID_SPECS = {
+    HilbertSpec: {"fock_dim": 8},
+    ModeParams: {"freq": 1.0},
+    DriveParams: {"rabi": 1.0},
+    CoherentAmp: {"magnitude": 1.0},
+    SqueezeParam: {"magnitude": 0.1},
+    DephasingSpec: {},
+    PulseTrainSpec: {"n_flashes": 1, "flash_dur": 1.0, "cycle_dur": 2.0},
+}
+
+
+@pytest.mark.parametrize("spec", VALID_SPECS, ids=lambda spec: spec.__name__)
+def test_every_float_field_rejects_non_finite(spec):
+    # a NaN or infinite field would run through the engine into a NaN fringe;
+    # a float field added later without a check fails here
+    names = [field.name for field in dataclasses.fields(spec) if field.type == "float"]
+    assert names
+    spec(**VALID_SPECS[spec])
+    for name in names:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                spec(**{**VALID_SPECS[spec], name: value})
+
+
+def test_drive_params_is_keyword_only():
+    # an old positional DriveParams(rabi, phase) must not read the phase as eta
+    assert [field.name for field in dataclasses.fields(DriveParams)] == ["rabi", "eta"]
+    with pytest.raises(TypeError):
+        DriveParams(1.0, 0.3)

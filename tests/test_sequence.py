@@ -1,6 +1,7 @@
 """Sequence composition, scans, detection sampling, and drift referencing."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +14,14 @@ from ionstrobe import (
     DriveParams,
     HilbertSpec,
     ModeParams,
+    SpinMotionState,
     SqueezeParam,
     check_truncation,
     expect_n,
     expect_sigma_z,
     thermal_ensemble,
 )
-from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec, apply_dephasing, run_pulse_train
+from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec, apply_dephasing
 import ionstrobe.sequence as sequence_module
 from ionstrobe.calibrate import build_decode_tables
 from ionstrobe.errors import ConfigError, TruncationError
@@ -38,7 +40,7 @@ from ionstrobe.sequence import (
     static_pattern_probe,
 )
 
-from conftest import reference_fringe, reference_pre_train, run_sequence
+from conftest import dense_train, reference_fringe, reference_pre_train, run_sequence
 
 OMEGA = 2.0 * math.pi * 1.3e6
 CYCLE = 2.0 * math.pi / OMEGA
@@ -141,20 +143,18 @@ def reference_observables(spec, phi):
     """(p_down, delta_n, sigma_z, worst tail) at phi from per-phase train runs.
 
     Builds the pre-train state of every thermal level with the full
-    displacement or squeeze unitary, runs run_pulse_train with its first flash at phi,
+    displacement or squeeze unitary, runs dense_train with every flash at phi,
     and thermal-averages; the tail is the largest top-Fock population seen
     after any flash of any level.
     """
     levels, weights = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
-    train = replace(spec.analysis, drive=replace(spec.analysis.drive, phase=phi))
     p_down = delta_n = sigma_z = tail = 0.0
     for w, level in zip(weights, levels):
         state, n_initial = reference_pre_train(spec, level)
-        for k in range(1, train.n_flashes + 1):
-            prefix = run_pulse_train(state, replace(train, n_flashes=k), spec.mode)
-            tail = max(tail, check_truncation(prefix, spec.hilbert).tail_population)
-        out = run_pulse_train(state, train, spec.mode)
+        for amps in dense_train(state.amplitudes, spec.analysis, spec.mode, phi):
+            out = SpinMotionState(amps, state.fock_dim)
+            tail = max(tail, check_truncation(out, spec.hilbert).tail_population)
         p_down += w * (1.0 - expect_sigma_z(out)) / 2.0
         delta_n += w * (expect_n(out) - n_initial)
         sigma_z += w * expect_sigma_z(out)
@@ -326,7 +326,7 @@ class TestSequenceFringe:
         # fock_dim 33 and is pushed into the top Fock levels by the flashes
         spec = make_spec(fock_dim=33, excitation=CoherentAmp(0.5, 0.0), n_th=2.0)
         scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=[1.25], outer_var="theta0")
-        message = r"outer=1\.25\): flash \d+ of 30 .* at base phase"
+        message = r"outer=1\.25\): flash \d+ of 30 .* at analysis phase"
         with pytest.raises(TruncationError, match=message):
             run_scan(scan, spec)
 
@@ -343,13 +343,34 @@ class TestSequenceFringe:
         spec = replace(spec, hilbert=HilbertSpec(fock_dim=32, tail_tol=1e-9))
         scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=[0.0, 1.0], outer_var="alpha_abs",
                         interleave_reference=True)
-        calls = {"sequence_fringes": lambda: sequence_fringes(spec, [None, CoherentAmp(1.0, 1.0), None]),
-                 "run_scan": lambda: run_scan(scan, spec)}
-        message = "^" + prefix + r"flash \d+ of 30 leaks .* at base phase \S+ rad \(tol 1e-09\)"
+        calls = {"sequence_fringes": (lambda: sequence_fringes(spec, [None, CoherentAmp(1.0, 1.0), None]),
+                                      CoherentAmp(1.0, 1.0)),
+                 "run_scan": (lambda: run_scan(scan, spec), CoherentAmp(1.0, 0.0))}
+        call, failing = calls[layer]
+        message = "^" + prefix + r"flash (\d+) of 30 leaks .* at analysis phase \S+ rad \(tol 1e-09\)"
         with pytest.raises(TruncationError, match=message) as info:
-            calls[layer]()
+            call()
         assert info.value.index == 1
-        assert math.isfinite(info.value.phase)
+        # the phase is the worst analysis phase phi: the dense train with every
+        # flash at phi brings one thermal level of the failing excitation's
+        # tail to tail_tol at the reported flash, and no other phase more
+        flash = int(re.search(message, str(info.value)).group(1))
+        levels, _ = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
+        states = [reference_pre_train(replace(spec, excitation=failing), level)[0]
+                  for level in levels]
+
+        def worst_tail(phi):  # the largest top-Fock tail over the levels after the flash
+            tails = []
+            for state in states:
+                amps = list(dense_train(state.amplitudes, spec.analysis, spec.mode, phi))[flash - 1]
+                out = SpinMotionState(amps, state.fock_dim)
+                tails.append(check_truncation(out, spec.hilbert).tail_population)
+            return max(tails)
+
+        at_phase = worst_tail(info.value.phase)
+        assert at_phase >= spec.hilbert.tail_tol * (1.0 - 1e-12)
+        for phi in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+            assert worst_tail(phi) <= at_phase * (1.0 + 1e-12)
 
     def test_excitation_truncation_sets_index(self):
         # D(3) needs 56 levels: the failing excitation's position is the index
