@@ -34,15 +34,11 @@ from .hilbert import (
     SqueezeParam,
     TruncationReport,
     UnitScale,
-    build_mode_operators,
     check_truncation,
     coupling_operator,
     displacement_operator,
-    expect_n,
     expect_sigma_z,
     make_initial_state,
-    quadratures_si,
-    quadrature_variances_si,
     squeeze_operator,
     thermal_ensemble,
 )
@@ -86,7 +82,6 @@ from .calibrate import (
     build_decode_tables,
     derive_lamb_dicke,
     fit_scan,
-    noise_floor_estimate,
     tune_pulse_train,
     unwrap_sweep_phases,
 )

@@ -1,4 +1,4 @@
-"""Pulse-train tuning, encode/decode calibration, and noise-floor estimation.
+"""Pulse-train tuning and encode/decode calibration.
 
 The tuner makes the bare train a pi/2 rotation on the thermal alpha = 0
 state: the root in rabi_scale of the signed, thermally weighted <sigma_z>
@@ -33,14 +33,7 @@ from .hilbert import (
     make_initial_state,
     thermal_ground_states,
 )
-from .sequence import (
-    ScanRecord,
-    ScanSpec,
-    SequenceSpec,
-    sample_scan,
-    scan_fringes,
-    sequence_fringes,
-)
+from .sequence import ScanRecord, ScanSpec, SequenceSpec, sequence_fringes
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,8 @@ class DecodeTables:
     magnitude p = 2 p_zpf alpha (kg m/s), and the fringe contrast at
     theta0 = pi/2. The derived position map pos_x / pos_phi0 joins both
     branches, -x at phi_minus and +x at phi_plus; the momentum map is
-    p / contrast, anchored at the alpha = 0 contrast maximum.
+    p / contrast, anchored at the alpha = 0 contrast maximum. `alpha`, the
+    amplitudes where known, only names them when a map is not monotone.
     """
 
     x: np.ndarray
@@ -127,24 +121,23 @@ class DecodeTables:
     phi_minus: np.ndarray
     p: np.ndarray
     contrast: np.ndarray
+    alpha: np.ndarray | None = None
 
     def __post_init__(self):
         self.pos_x = np.concatenate([-self.x[:0:-1], self.x])
         self.pos_phi0 = np.concatenate([self.phi_minus[:0:-1], self.phi_plus])
-        self._check_monotone(self.pos_phi0, self.pos_x, "position")
-        self._check_monotone(self.contrast[::-1], self.p[::-1], "momentum")
+        zero = self.x.size - 1  # the alpha = 0 entry of the joined position map
+        for what, rising in (("fringe phase at theta0 = 0 does not rise", self.pos_phi0[zero:]),
+                             ("fringe phase at theta0 = pi does not fall", -self.pos_phi0[zero::-1]),
+                             ("contrast at theta0 = pi/2 does not fall", -self.contrast)):
+            turns = np.flatnonzero(~(np.diff(rising) > 0))  # in amplitude order, NaN included
+            if turns.size:
+                i = int(turns[0])
+                step = (f"|alpha| = {self.alpha[i]:g} to {self.alpha[i + 1]:g}"
+                        if self.alpha is not None else f"table entry {i} to {i + 1}")
+                raise DecodeError(f"decode tables are not monotone: the {what} from {step}")
         self._pos_interp = pchip(self.pos_phi0, self.pos_x)
         self._mom_interp = pchip(self.contrast[::-1], self.p[::-1])
-
-    @staticmethod
-    def _check_monotone(key: np.ndarray, value: np.ndarray, name: str):
-        diffs = np.diff(key)
-        if np.any(diffs <= 0):
-            bad = int(np.argmax(diffs <= 0))
-            raise DecodeError(
-                f"{name} table is not strictly monotone between entries "
-                f"{bad} and {bad + 1} (values {value[bad]:g}, {value[bad + 1]:g})"
-            )
 
     def decode(self, phase: float, contrast: float, strict: bool = True) -> DecodedPoint:
         """Position (m) and momentum magnitude (kg m/s) from one fringe.
@@ -377,6 +370,7 @@ def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> Dec
         phi_minus=np.unwrap([f.phase - anchor for f in minus]),
         p=2.0 * units.p_zpf * alphas,
         contrast=np.array([f.contrast for f in mom]),
+        alpha=alphas,
     )
 
 
@@ -418,39 +412,3 @@ def fit_scan(scan: ScanSpec, records: list[ScanRecord]) -> list[CosineFit]:
         for k in range(0, len(scan.outer_grid) * n_phi, n_phi)
     ]
 
-
-def noise_floor_estimate(
-    spec: SequenceSpec,
-    tables: DecodeTables,
-    phi_grid,
-    shots: int | None,
-    n_repeats: int,
-    seed: int,
-    drift_phases: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Statistical floor of the decoded observables at alpha = 0.
-
-    Repeats the full encode/decode round trip (shot-sampled scan with
-    interleaved phase referencing, fringe fit, table lookup) and returns
-    the standard deviations of decoded position and momentum magnitude.
-    Every repeat samples the one alpha = 0 fringe, which is also the phase
-    anchor, with its own detection seeds. `shots=None` runs the analytic
-    no-noise limit.
-    """
-    if n_repeats < 20:
-        raise CalibrationError(f"need at least 20 repeats, got {n_repeats}")
-    if shots is not None and shots < 1:
-        raise CalibrationError(f"shots must be >= 1 or None, got {shots}")
-    scan = ScanSpec(phi_grid=tuple(phi_grid), outer_var="alpha_abs", shots=shots,
-                    interleave_reference=True)
-    fringes = scan_fringes(scan, replace(spec, excitation=CoherentAmp(0.0, 0.0)))
-    anchor = fringes[-1].phase
-    xs, ps = [], []
-    for r in range(n_repeats):
-        repeat = replace(scan, base_seed=seed + (1 << 24) * r)
-        fit = fit_scan(repeat, sample_scan(repeat, fringes, drift_phases))[0]
-        rel_phase = math.remainder(fit.phase - anchor, 2.0 * math.pi)
-        point = tables.decode(rel_phase, min(fit.contrast, float(tables.contrast[0])))
-        xs.append(point.x)
-        ps.append(point.p_mag)
-    return float(np.std(xs)), float(np.std(ps))

@@ -26,7 +26,7 @@ from .calibrate import (
     tune_pulse_train,
     unwrap_sweep_phases,
 )
-from .errors import ConfigError, FitError, IonstrobeError
+from .errors import ConfigError, DecodeError, FitError, IonstrobeError
 from .fitting import bootstrap_pattern_uncertainty, fit_wave_pattern
 from .hilbert import CoherentAmp
 from .sequence import (
@@ -156,9 +156,17 @@ def _alpha_grid(cfg: dict) -> np.ndarray:
     return alpha_grid
 
 
+def _decode_tables(cfg: dict, spec, alpha_grid: np.ndarray):
+    """build_decode_tables over alpha_grid; a map that is not monotone names the keys that turn it."""
+    try:
+        return build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
+    except DecodeError as exc:  # the contrast's first zero lies near eta |alpha| omega tau = pi
+        raise DecodeError(f"{exc}; shorten train.flash_ns or lower decode.alpha_max") from exc
+
+
 def cmd_build_tables(cfg: dict, args) -> None:
     alpha_grid = _alpha_grid(cfg)
-    tables = build_decode_tables(_tuned_sequence(cfg), cfgmod.build_units(cfg), alpha_grid)
+    tables = _decode_tables(cfg, _tuned_sequence(cfg), alpha_grid)
     write_decode_tables(tables, args.out, cfg)
 
 
@@ -179,7 +187,7 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     alpha_grid = _alpha_grid(cfg)
     spec = _tuned_sequence(cfg)
     alpha = cfg["state"]["alpha_abs"]
-    tables = build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
+    tables = _decode_tables(cfg, spec, alpha_grid)
     ref = characterize_reference_fringe(spec)
     anchor = ref.phase
 

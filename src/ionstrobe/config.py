@@ -283,8 +283,12 @@ def build_train(cfg: dict) -> PulseTrainSpec:
     if flash > cycle:
         raise ConfigError(f"train.flash_ns ({flash * 1e9:g} ns) exceeds the {cycle * 1e9:g} ns cycle: "
                           "train.cycle_ns, or else train.cycles_per_flash periods of mode.freq_hz")
-    if cycle == math.inf:
-        raise ConfigError("train.cycles_per_flash periods of mode.freq_hz overflow to an infinite cycle")
+    # the free evolution between flashes turns Fock level n by 2 pi freq_hz (cycle - flash) n
+    if not math.isfinite(mode_freq(cfg) * (cycle - flash) * cfg["hilbert"]["fock_dim"]):
+        cycle_keys = ("train.cycle_ns" if cfg["train"]["cycle_ns"] > 0
+                      else "train.cycles_per_flash periods of mode.freq_hz")
+        raise ConfigError(f"hilbert.fock_dim and {cycle_keys} overflow the free-evolution phase "
+                          "2 pi mode.freq_hz (cycle - flash) fock_dim between flashes")
     eta = resolve_eta(cfg)
     with naming("drive.rabi_hz", (ValueError,)):  # 2 pi rabi_hz can overflow
         drive = DriveParams(rabi=TWO_PI * cfg["drive"]["rabi_hz"], eta=eta)

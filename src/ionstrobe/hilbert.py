@@ -1,8 +1,8 @@
 """Truncated spin (x) oscillator Hilbert space.
 
-Ladder operators, displacement and squeeze unitaries, the traveling-wave
-coupling operator, basis states, expectation values, and SI unit scales
-for a single two-level spin coupled to one harmonic mode.
+Displacement and squeeze unitaries, the traveling-wave coupling operator,
+basis states, <sigma_z>, the thermal ensemble, the truncation check and SI
+unit scales for a single two-level spin coupled to one harmonic mode.
 
 Basis ordering is spin-major: amplitudes[0:N] is the spin-down block,
 amplitudes[N:2N] the spin-up block, each Fock-ascending (n = 0..N-1).
@@ -182,15 +182,6 @@ class TruncationReport:
     tail_tol: float
 
 
-def build_mode_operators(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Truncated lowering, raising, and number matrices (a, a_dag, n)."""
-    dim = spec.fock_dim
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-    a_dag = a.conj().T
-    n = np.diag(np.arange(dim, dtype=float)).astype(complex)
-    return a, a_dag, n
-
-
 def quadrature_gauge(fock_dim: int) -> np.ndarray:
     """Diagonal of the gauge G = diag(i^n).
 
@@ -329,44 +320,6 @@ def expect_sigma_z(state: SpinMotionState) -> float:
     """<sigma_z> with the sign convention sigma_z |down> = -|down>."""
     down, up = state.spin_blocks()
     return float(np.sum(np.abs(up) ** 2) - np.sum(np.abs(down) ** 2))
-
-
-def expect_n(state: SpinMotionState) -> float:
-    """Mean motional quanta <a_dag a>."""
-    pops = state.fock_populations()
-    return float(np.dot(pops, np.arange(state.fock_dim)))
-
-
-def _quadrature_moments(state: SpinMotionState) -> tuple[complex, complex, float, float]:
-    """(<a>, <a^2>, <a_dag a>, <a a_dag>) over both spin blocks, from the bands
-    of the truncated ladder operators in O(N); the truncated a a_dag has no
-    level above the top one, so <a a_dag> = sum_{n < N-1} (n + 1) p_n."""
-    n = np.arange(state.fock_dim)
-    a1 = a2 = 0j
-    for block in state.spin_blocks():
-        a1 += np.vdot(block[:-1], np.sqrt(n[1:]) * block[1:])
-        a2 += np.vdot(block[:-2], np.sqrt(n[1:-1] * n[2:]) * block[2:])
-    pops = state.fock_populations()
-    return complex(a1), complex(a2), float(n @ pops), float(n[1:] @ pops[:-1])
-
-
-def quadratures_si(state: SpinMotionState, units: UnitScale) -> tuple[float, float]:
-    """Position and momentum expectations in SI units.
-
-    X = x_zpf <a + a_dag> = 2 x_zpf Re<a>, P = p_zpf <i (a_dag - a)> = 2 p_zpf Im<a>.
-    """
-    a1 = _quadrature_moments(state)[0]
-    return units.x_zpf * 2.0 * a1.real, units.p_zpf * 2.0 * a1.imag
-
-
-def quadrature_variances_si(state: SpinMotionState, units: UnitScale) -> tuple[float, float]:
-    """Var(X) and Var(P) in SI units, for squeezing diagnostics.
-
-    In the truncated space <X^2> and <P^2> are <a_dag a> + <a a_dag> +- 2 Re<a^2>.
-    """
-    a1, a2, ada, aad = _quadrature_moments(state)
-    x2, p2 = ada + aad + 2.0 * a2.real, ada + aad - 2.0 * a2.real
-    return units.x_zpf**2 * (x2 - 4.0 * a1.real**2), units.p_zpf**2 * (p2 - 4.0 * a1.imag**2)
 
 
 def check_truncation(state: SpinMotionState, spec: HilbertSpec) -> TruncationReport:

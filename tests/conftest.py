@@ -1,11 +1,13 @@
 """Shared fixtures: tuned headline-parameter sequences at two space sizes, a
 counter of the sequence layer's block propagations, a dense reference train
 at any drive phase, a state-by-state reference for the sequence layer's
-fringes, and a traced-memory probe."""
+fringes, the dense ladder operators and the observables built from them,
+the decoded noise floor, and a traced-memory probe."""
 
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 # One OpenBLAS thread, the package's own rule (ionstrobe/__init__.py): on the
 # suite's matrices, at most a few hundred wide, waking a worker on an idle
@@ -28,13 +30,12 @@ from ionstrobe import (
     UnitScale,
     ATOMIC_MASS,
     displacement_operator,
-    expect_n,
     expect_sigma_z,
     make_initial_state,
     squeeze_operator,
     thermal_ensemble,
 )
-from ionstrobe.calibrate import apply_tuning, build_decode_tables, tune_pulse_train
+from ionstrobe.calibrate import apply_tuning, build_decode_tables, fit_scan, tune_pulse_train
 from ionstrobe.dynamics import (
     DephasingSpec,
     PulseTrainSpec,
@@ -43,7 +44,7 @@ from ionstrobe.dynamics import (
     mw_rotation,
 )
 import ionstrobe.sequence as sequence_module
-from ionstrobe.sequence import SequenceSpec, sequence_fringes
+from ionstrobe.sequence import ScanSpec, SequenceSpec, sample_scan, scan_fringes, sequence_fringes
 
 OMEGA_LF = 2.0 * math.pi * 1.3e6
 
@@ -62,6 +63,70 @@ def traced_call(call, *args):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def build_mode_operators(spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Truncated lowering, raising, and number matrices (a, a_dag, n)."""
+    dim = spec.fock_dim
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    a_dag = a.conj().T
+    n = np.diag(np.arange(dim, dtype=float)).astype(complex)
+    return a, a_dag, n
+
+
+def expect_n(state: SpinMotionState) -> float:
+    """Mean motional quanta <a_dag a>."""
+    pops = state.fock_populations()
+    return float(np.dot(pops, np.arange(state.fock_dim)))
+
+
+def _expect(state: SpinMotionState, op: np.ndarray) -> float:
+    """Re <op> over both spin blocks, for a Hermitian op on the Fock space."""
+    return float(sum(np.vdot(block, op @ block) for block in state.spin_blocks()).real)
+
+
+def _quadrature_operators(fock_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense X = a + a_dag and P = i (a_dag - a), in zero-point units."""
+    a, a_dag, _ = build_mode_operators(HilbertSpec(fock_dim=fock_dim))
+    return a + a_dag, 1j * (a_dag - a)
+
+
+def quadratures(state: SpinMotionState, units: UnitScale) -> tuple[float, float]:
+    """Position and momentum expectations in SI units, x_zpf <X> and p_zpf <P>."""
+    x, p = _quadrature_operators(state.fock_dim)
+    return units.x_zpf * _expect(state, x), units.p_zpf * _expect(state, p)
+
+
+def quadrature_variances(state: SpinMotionState, units: UnitScale) -> tuple[float, float]:
+    """Var(X) and Var(P) in SI units, <O^2> - <O>^2 from the dense products."""
+    x, p = _quadrature_operators(state.fock_dim)
+    return tuple(scale**2 * (_expect(state, op @ op) - _expect(state, op) ** 2)
+                 for scale, op in ((units.x_zpf, x), (units.p_zpf, p)))
+
+
+def noise_floor(spec: SequenceSpec, tables, phi_grid, shots, n_repeats: int, seed: int,
+                drift_phases=None) -> tuple[float, float]:
+    """Standard deviations of the decoded position and momentum magnitude at alpha = 0.
+
+    One scan_fringes propagation serves every repeat: each repeat samples the
+    alpha = 0 fringe, with interleaved phase referencing, under its own
+    detection seeds (sample_scan), fits it (fit_scan) and decodes it through
+    `tables` relative to the same fringe's phase, the anchor. `shots=None`
+    runs the analytic no-noise limit.
+    """
+    scan = ScanSpec(phi_grid=tuple(phi_grid), outer_var="alpha_abs", shots=shots,
+                    interleave_reference=True)
+    fringes = scan_fringes(scan, replace(spec, excitation=CoherentAmp(0.0, 0.0)))
+    anchor = fringes[-1].phase
+    xs, ps = [], []
+    for r in range(n_repeats):
+        repeat = replace(scan, base_seed=seed + (1 << 24) * r)
+        fit = fit_scan(repeat, sample_scan(repeat, fringes, drift_phases))[0]
+        rel_phase = math.remainder(fit.phase - anchor, 2.0 * math.pi)
+        point = tables.decode(rel_phase, min(fit.contrast, float(tables.contrast[0])))
+        xs.append(point.x)
+        ps.append(point.p_mag)
+    return float(np.std(xs)), float(np.std(ps))
 
 
 def run_sequence(spec: SequenceSpec, phi: float) -> tuple[float, float]:

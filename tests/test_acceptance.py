@@ -7,48 +7,41 @@ report lines and runtimes.
 import math
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
-import pytest
 from scipy.special import eval_genlaguerre
 
 from ionstrobe import (
     ATOMIC_MASS,
     CoherentAmp,
-    DriveParams,
     HilbertSpec,
     SPIN_DOWN,
     SqueezeParam,
-    UnitScale,
     coupling_operator,
     displacement_operator,
     make_initial_state,
-    quadrature_variances_si,
     squeeze_operator,
     SpinMotionState,
 )
 from ionstrobe.calibrate import (
     apply_tuning,
     derive_lamb_dicke,
-    noise_floor_estimate,
     tune_pulse_train,
     unwrap_sweep_phases,
 )
 from ionstrobe.cli import main
-from ionstrobe.dynamics import PulseTrainSpec, run_pulse_train
+from ionstrobe.dynamics import run_pulse_train
 from ionstrobe.fitting import fit_cosine, fit_wave_pattern
 from ionstrobe.hilbert import expect_sigma_z
 from ionstrobe.sequence import (
     ScanSpec,
-    SequenceSpec,
     characterize_reference_fringe,
     run_scan,
     sequence_fringes,
 )
 from ionstrobe.tableio import read_table
 
-from conftest import OMEGA_LF, headline_sequence_spec
+from conftest import OMEGA_LF, headline_sequence_spec, noise_floor, quadrature_variances
 
 
 def report(number: int, description: str, passed: bool, elapsed: float, detail: str = ""):
@@ -90,7 +83,7 @@ def test_criterion_02_coherent_squeezed_analytics(headline_units):
     n_sq = float(np.dot(pops_s, np.arange(spec.fock_dim)))
     amps = np.zeros(2 * spec.fock_dim, dtype=complex)
     amps[: spec.fock_dim] = s[:, 0]
-    var_x, var_p = quadrature_variances_si(SpinMotionState(amps, spec.fock_dim), headline_units)
+    var_x, var_p = quadrature_variances(SpinMotionState(amps, spec.fock_dim), headline_units)
     product_rel = abs(var_x * var_p - (headline_units.hbar / 2) ** 2) / (headline_units.hbar / 2) ** 2
     elapsed = time.time() - start
     ok = (
@@ -226,7 +219,7 @@ def test_criterion_08_phase_space_round_trip(tuned_headline_large, headline_deco
 
     floor_spec = replace(spec, hilbert=HilbertSpec(fock_dim=48))
     grid = np.linspace(0, 2 * math.pi, 8, endpoint=False)
-    sx, sp = noise_floor_estimate(floor_spec, tables, grid, shots=500, n_repeats=100, seed=12345)
+    sx, sp = noise_floor(floor_spec, tables, grid, shots=500, n_repeats=100, seed=12345)
     floor_ok = 1e-9 <= sx <= 5e-9 and 4e-27 <= sp <= 20e-27
     elapsed = time.time() - start
     report(8, "decoded phase-space trace and noise floor",

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -281,6 +282,13 @@ EXTREME_INPUTS = [
     ("ramsey-scan-cycle-overflow", "ramsey-scan", "hilbert: {fock_dim: 24}\n"
      "train: {rabi_scale: 0.28, cycles_per_flash: 1000000}\nmode: {freq_hz: 1.0e-303}",
      ["config error", "train.cycles_per_flash", "mode.freq_hz"]),
+    # a finite cycle whose free-evolution phase at the top Fock level overflows
+    ("ramsey-scan-cycle-ns-phase-overflow", "ramsey-scan", "hilbert: {fock_dim: 240}\n"
+     "train: {cycle_ns: 1.7e308, rabi_scale: 0.28}",
+     ["config error", "hilbert.fock_dim", "train.cycle_ns"]),
+    ("ramsey-scan-cycles-per-flash-phase-overflow", "ramsey-scan", "hilbert: {fock_dim: 240}\n"
+     f"train: {{cycles_per_flash: {10**306}, rabi_scale: 0.28}}",
+     ["config error", "hilbert.fock_dim", "train.cycles_per_flash", "mode.freq_hz"]),
     # a finite coefficient whose statistics overflow
     ("stability-drift", "stability", "stability: {drift_rate_rad_per_s: 1.0e300}",
      ["stability.white_sigma_rad", "stability.rw_sigma_rad_per_sqrt_s",
@@ -647,6 +655,19 @@ class TestCliBuildAndTrace:
         )
         refs = rows[rows[:, 1] == 0]
         assert np.max(np.abs(refs[:, 4])) < 1.0
+
+    @pytest.mark.parametrize("command", ["build-tables", "trace-phase-space"])
+    def test_flash_past_the_contrast_zero_names_its_keys(self, tmp_path, capsys, command):
+        # at eta = 0.4 and 1.3 MHz the contrast's first zero lies near eta |alpha| omega
+        # tau = pi, at 320 ns for |alpha| = 3: a 400 ns flash turns the momentum map
+        cfg = write_cfg(tmp_path, "hilbert: {fock_dim: 64}\ntrain: {flash_ns: 400.0}\n"
+                        "decode: {alpha_max: 3.0, alpha_step: 0.1}\n")
+        out = tmp_path / "t.txt"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "train.flash_ns" in err and "decode.alpha_max" in err
+        lo, hi = map(float, re.search(r"from \|alpha\| = (\S+) to (\S+);", err).groups())
+        assert 0.0 < lo < hi <= 3.0 and not out.exists()
 
     def test_alpha_outer_var_rejected(self, tmp_path, capsys, block_calls):
         # the trace's outer values are theta0; alpha_abs ones would be read as theta0

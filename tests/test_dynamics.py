@@ -19,10 +19,8 @@ from ionstrobe import (
     ATOMIC_MASS,
     coupling_operator,
     displacement_operator,
-    expect_n,
     expect_sigma_z,
     make_initial_state,
-    quadratures_si,
 )
 from ionstrobe.hilbert import quadrature_gauge
 import ionstrobe.dynamics as dynamics_module
@@ -44,7 +42,14 @@ from ionstrobe.dynamics import (
 )
 from ionstrobe.errors import IonstrobeError, TruncationError
 
-from conftest import complex_flash_unitary, complex_hamiltonian, dense_train, traced_call
+from conftest import (
+    complex_flash_unitary,
+    complex_hamiltonian,
+    dense_train,
+    expect_n,
+    quadratures,
+    traced_call,
+)
 
 OMEGA = 2.0 * math.pi * 1.3e6
 MODE = ModeParams(freq=OMEGA, n_th=0.15)
@@ -68,9 +73,9 @@ class TestFreeEvolution:
 
     def test_half_period_flips_position(self):
         st = coherent_state(2.0, 0.0, 64)
-        x0, _ = quadratures_si(st, UNITS)
+        x0, _ = quadratures(st, UNITS)
         out = free_evolve(st, MODE, math.pi / OMEGA)
-        x1, _ = quadratures_si(out, UNITS)
+        x1, _ = quadratures(out, UNITS)
         assert x1 == pytest.approx(-x0, rel=1e-9)
 
     def test_zero_time_identity(self):

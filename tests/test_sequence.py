@@ -17,7 +17,6 @@ from ionstrobe import (
     SpinMotionState,
     SqueezeParam,
     check_truncation,
-    expect_n,
     expect_sigma_z,
     thermal_ensemble,
 )
@@ -40,7 +39,7 @@ from ionstrobe.sequence import (
     static_pattern_probe,
 )
 
-from conftest import dense_train, reference_fringe, reference_pre_train, run_sequence
+from conftest import dense_train, expect_n, reference_fringe, reference_pre_train, run_sequence
 
 OMEGA = 2.0 * math.pi * 1.3e6
 CYCLE = 2.0 * math.pi / OMEGA

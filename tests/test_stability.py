@@ -8,7 +8,6 @@ import pytest
 from ionstrobe.errors import ConfigError
 from ionstrobe.stability import (
     PhaseNoiseModel,
-    PhaseTrace,
     apply_reference_correction,
     simulate_phase_trace,
     windowed_phase_stat,
