@@ -3,7 +3,7 @@
 The tuner makes the bare train a pi/2 rotation on the thermal alpha = 0
 state: the root in rabi_scale of the signed, thermally weighted <sigma_z>
 in the lowest sign change among 0.5, 1 and 1.5 times the Debye-Waller
-start, searched in a small Fock space, then polished and checked at the
+start, searched and polished in a small Fock space, then checked at the
 configured one against TUNE_TOL. Decode tables are built from the exact
 fringes of a grid of displacement amplitudes, tabulating fringe phase against true
 position (turning points, theta0 in {0, pi}) and fringe contrast against
@@ -43,6 +43,7 @@ class TrainTuning:
     rabi_scale: float
     achieved_sigma_z: float
     n_evaluations: int = 0
+    search_fock_dim: int = 0  # the Fock space the root was searched and polished in
 
 
 def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -189,8 +190,9 @@ def apply_tuning(spec: SequenceSpec, tuning: TrainTuning) -> SequenceSpec:
 FIRST_SEARCH_DIM = 32
 SEARCH_TAIL_BOUND = 1e-20
 # _root holds the search's root to ROOT_RTOL of its bracket within
-# MAX_ROOT_STEPS probes; _polish then moves it to the configured size, where
-# the tuned train must reach |<sigma_z>| <= TUNE_TOL.
+# MAX_ROOT_STEPS probes; _polish then settles it on a GRID_BITS cell in the
+# same space, and at the configured size the tuned train must reach
+# |<sigma_z>| <= TUNE_TOL.
 ROOT_RTOL = 2.0 ** -36
 GRID_BITS = 28
 MAX_ROOT_STEPS = 60
@@ -250,10 +252,10 @@ def _search(spec: SequenceSpec, hilbert: HilbertSpec, start: float) -> tuple[flo
 
     <sigma_z> is probed at 0.5, 1 and 1.5 times `start`, lowest first, and
     _root runs in the lowest pair with a sign change: the smallest rotation
-    that reaches the equator. Each probe propagates the thermal levels as
-    one block. Raises CalibrationError when no pair changes sign, and
-    TruncationError when the thermal draw or a probe's tail exceeds
-    hilbert.tail_tol.
+    that reaches the equator; _polish's two probes then settle the root.
+    Each probe propagates the thermal levels as one block. Raises
+    CalibrationError when no pair changes sign, and TruncationError when
+    the thermal draw or a probe's tail exceeds hilbert.tail_tol.
     """
     n = hilbert.fock_dim
     levels, weights = thermal_ground_states(
@@ -275,7 +277,8 @@ def _search(spec: SequenceSpec, hilbert: HilbertSpec, start: float) -> tuple[flo
     for scale in (start, 1.5 * start):
         probes.append((scale, sigma_z(scale)))
         if probes[-2][1] * probes[-1][1] <= 0.0:
-            return _root(sigma_z, *probes[-2], *probes[-1]), n_evals
+            root = _polish(_root(sigma_z, *probes[-2], *probes[-1]), sigma_z)
+            return root, n_evals
     values = ", ".join(f"{sz:.3e} at {scale:.6g}" for scale, sz in probes)
     raise CalibrationError(f"no sign change of <sigma_z> in rabi_scale "
                            f"[{probes[0][0]:.6g}, {probes[-1][0]:.6g}]: {values}")
@@ -286,15 +289,15 @@ def tune_pulse_train(spec: SequenceSpec) -> TrainTuning:
     the signed <sigma_z> of the train on |down> with the thermal ensemble of
     `spec` (the alpha = 0 sequence), from the Debye-Waller start.
 
-    The search (_search) runs in the smallest of 32, 64, 128, ... Fock
-    levels below spec.hilbert.fock_dim whose thermal draw fits and whose
-    every probe keeps its tail under SEARCH_TAIL_BOUND, else at the
-    configured size. Its root is then polished (_polish) and checked at the
-    configured size, state by state through run_pulse_train with the
-    tail_tol watchdog. The check gives achieved_sigma_z, and a value above
-    TUNE_TOL raises CalibrationError. n_evaluations counts the search's and
-    the polish's probes, not the check's. A fock_dim too small for the tuned
-    train raises TruncationError.
+    The search (_search) and its polish (_polish) run in the smallest of
+    32, 64, 128, ... Fock levels below spec.hilbert.fock_dim whose thermal
+    draw fits and whose every probe keeps its tail under SEARCH_TAIL_BOUND,
+    else at the configured size; search_fock_dim names that space. The root
+    is then checked once at the configured size, state by state through
+    run_pulse_train with the tail_tol watchdog. The check gives
+    achieved_sigma_z, and a value above TUNE_TOL raises CalibrationError.
+    n_evaluations counts the search's and the polish's probes, not the
+    check's. A fock_dim too small for the tuned train raises TruncationError.
     """
     if spec.excitation is not None and getattr(spec.excitation, "magnitude", 0.0) != 0.0:
         raise CalibrationError("tuning runs on the alpha = 0 sequence")
@@ -313,27 +316,22 @@ def tune_pulse_train(spec: SequenceSpec) -> TrainTuning:
         raise CalibrationError(f"Rabi rate {train.drive.rabi / (2.0 * math.pi):g} Hz gives the pi/2 "
                                f"tuner the start rabi_scale {start:g}, not finite and positive")
 
-    grounds = [make_initial_state(SPIN_DOWN, int(level), spec.hilbert) for level in levels]
-
-    def sigma_z(rabi_scale: float) -> float:  # at the configured size, state by state
-        tuned = _scaled_train(train, rabi_scale)
-        return sum(w * expect_sigma_z(run_pulse_train(ground, tuned, spec.mode, spec.hilbert))
-                   for w, ground in zip(weights, grounds))
-
     for hilbert in _search_spaces(spec.hilbert):
         try:
-            root, n_evals = _search(spec, hilbert, start)
+            scale, n_evals = _search(spec, hilbert, start)
             break
         except TruncationError:
             if hilbert is spec.hilbert:
                 raise
-    scale = _polish(root, sigma_z)
     _flash_unitary.cache_clear()  # keep only the check's configured-size flash unitary
-    achieved = abs(sigma_z(scale))
+    tuned = _scaled_train(train, scale)
+    grounds = (make_initial_state(SPIN_DOWN, int(level), spec.hilbert) for level in levels)
+    achieved = abs(sum(w * expect_sigma_z(run_pulse_train(ground, tuned, spec.mode, spec.hilbert))
+                       for w, ground in zip(weights, grounds)))
     if achieved > TUNE_TOL:
         raise CalibrationError(f"tuned point reaches |<sigma_z>| = {achieved:.3e} at fock_dim "
                                f"{spec.hilbert.fock_dim}, above {TUNE_TOL:g}")
-    return TrainTuning(scale, achieved, n_evals + 2)
+    return TrainTuning(scale, achieved, n_evals, hilbert.fock_dim)
 
 
 def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> DecodeTables:

@@ -232,7 +232,8 @@ def cmd_calibrate_train(cfg: dict, args) -> None:
         [(tuning.rabi_scale, tuning.achieved_sigma_z, tuning.n_evaluations, duration_us)],
         cfg,
         cfg["detection"]["base_seed"],
-        summary_lines=[f"total_duration_us: {duration_us:.6g}"],
+        summary_lines=[f"total_duration_us: {duration_us:.6g}",
+                       f"search_fock_dim: {tuning.search_fock_dim}"],
     )
 
 

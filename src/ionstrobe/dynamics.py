@@ -139,11 +139,11 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: floa
     (_split_sectors, _from_sectors).
 
     The cache is small on purpose: the pi/2 tuner tries a new Rabi rate on
-    every evaluation. It searches in a small Fock space (a 32-level pair
-    holds 32 KB) and clears the cache after its polish, so only its final
-    check's configured-size pair (1.7 MB at fock_dim 232) stays, for the
-    scans and decode tables that follow to reuse, flash by flash or as the
-    factor the train operator M^F is built from.
+    every evaluation. It searches and polishes in a small Fock space (a
+    32-level pair holds 32 KB) and clears the cache before its check, whose
+    configured-size pair (1.7 MB at fock_dim 232) alone stays, for the scans
+    and decode tables that follow to reuse, flash by flash or as the factor
+    the train operator M^F is built from.
     """
     g = quadrature_gauge(fock_dim)
     c = coupling_operator(eta, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5))

@@ -573,6 +573,13 @@ class TestCliCalibrateTrain:
         assert row["achieved_sigma_z"] < 0.01
         assert row["total_duration_us"] == pytest.approx(23.08, abs=0.05)
 
+    def test_footer_names_the_search_space(self, tmp_path):
+        # the tuned bits depend on the space the root was searched in
+        cfg = write_cfg(tmp_path, "hilbert: {fock_dim: 48}\nmode: {thermal_samples: 100}\n")
+        out = str(tmp_path / "cal.txt")
+        assert main(["calibrate-train", "--config", cfg, "--out", out]) == 0
+        assert read_table(out)[2]["summary"] == ["total_duration_us: 23.0769", "search_fock_dim: 32"]
+
 
 SMALL_SQUEEZE_CONFIG = (
     "hilbert: {fock_dim: 160}\n"
