@@ -341,9 +341,12 @@ def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> Dec
     the encoding is a pure fringe shift; phases are unwrapped along the
     amplitude grid and anchored to the alpha = 0 fringe. The momentum
     branch runs at theta0 = pi/2 where only the contrast responds. One
-    sequence_fringes call serves all three branches; its TruncationError at
-    an amplitude is raised again with the amplitude prefixed, keeping its
-    index (the excitation's position, three per amplitude) and phase.
+    sequence_fringes call propagates theta0 = 0 and pi/2. The parity
+    sigma_x (x) (-1)^(a_dag a) commutes with the train and maps D(alpha) to
+    D(-alpha), so p1 at theta0 = pi is conj(p1) at 0, and phi_minus =
+    -phi_plus (the alpha = 0 anchor's p1 is real). A TruncationError at an
+    amplitude is raised again with the amplitude prefixed, keeping its
+    index (the excitation's position, two per amplitude) and phase.
     """
     alphas = np.asarray(sorted(set(float(a) for a in alpha_grid)))
     if alphas[0] != 0.0:
@@ -351,21 +354,21 @@ def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> Dec
     if len(alphas) < 3:
         raise DecodeError("alpha grid must contain at least 3 amplitudes")
 
-    thetas = (0.0, math.pi, math.pi / 2.0)
-    kicks = [CoherentAmp(float(a), t) for a in alphas for t in thetas]
+    kicks = [CoherentAmp(float(a), t) for a in alphas for t in (0.0, math.pi / 2.0)]
     try:
         fringes = sequence_fringes(spec, kicks)
     except TruncationError as exc:
         if exc.index is not None:  # else the thermal draw, before any amplitude
             exc.args = (f"at decode amplitude |alpha|={kicks[exc.index].magnitude:g}: {exc}",)
         raise
-    plus, minus, mom = fringes[0::3], fringes[1::3], fringes[2::3]
+    plus, mom = fringes[0::2], fringes[1::2]
 
     anchor = plus[0].phase
+    phi_plus = np.unwrap([f.phase - anchor for f in plus])
     return DecodeTables(
         x=2.0 * units.x_zpf * alphas,
-        phi_plus=np.unwrap([f.phase - anchor for f in plus]),
-        phi_minus=np.unwrap([f.phase - anchor for f in minus]),
+        phi_plus=phi_plus,
+        phi_minus=0.0 - phi_plus,  # +0.0, not -0.0, at alpha = 0
         p=2.0 * units.p_zpf * alphas,
         contrast=np.array([f.contrast for f in mom]),
         alpha=alphas,

@@ -50,7 +50,7 @@ tail rows after flash j are P_top M^(j+1). The operator and its rows are
 cached for one train at a time. propagate_block, the sequence layer's
 entry point, takes the operator when its cost, counted in sector
 multiply-adds as in _operator_pays with the build only when it is not
-cached, is at most a third of the flash-by-flash cost, and when a build's
+cached, is at most half the flash-by-flash cost, and when a build's
 new arrays, which grow with F, are no larger than the flash-by-flash
 working set; any other train goes flash by flash.
 """
@@ -426,8 +426,8 @@ def _train_operator(
 
 
 def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached: bool) -> bool:
-    """Whether the train operator cuts the work of a (dim, width) block to a
-    third, and, when it is not cached, its build stays within the flash-by-flash
+    """Whether the train operator halves the work of a (dim, width) block,
+    and, when it is not cached, its build stays within the flash-by-flash
     working set.
 
     Counted in sector multiply-adds, with D = dim = 2N,
@@ -436,17 +436,17 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
     D^2 w / 2 + F t D w / 2 to apply, plus
     (floor(log2 F) + popcount(F) - 1) D^3 / 4 + F t D^2 / 4 to build when
     it is not cached. The count leaves out the per-product overhead of the
-    operator's thin chains and the arrays it holds, so it must save two
-    thirds. Timed at the package's one OpenBLAS thread, the operator takes 0.33
-    of the flash-by-flash time where the count says 0.29 (fig4's tables) and
-    0.30 where it says 0.20 (figS2), but 0.52 and 0.49 where it says 0.40
-    (figS3-compare) and 0.46 (figS4), which stay flash by flash.
+    operator's thin chains and the arrays it holds, so it must save half.
+    Timed at the package's one OpenBLAS thread, the operator takes 0.34-0.41
+    of the flash-by-flash time where the count says 0.38 (fig4's tables)
+    and 0.30 where it says 0.20 (figS2); at 0.40 (figS3-compare) it took
+    0.52, about break-even.
 
     A build holds the operator and the tail rows, 2N^2 + 2 F k_tail N
     complex values, which grow with F; flash by flash holds three (2, N, 2L)
     blocks (the block, its spare and at most a block of tail rows). A build
     larger than that is refused, so a long train goes flash by flash
-    whatever its count; fig4's tables build 274,688 values against 459,360.
+    whatever its count; fig4's tables build 274,688 values against 309,024.
     """
     if not cached and (dim * dim + n_flashes * tail_rows * dim) / 2 > 3 * dim * width:
         return False
@@ -455,7 +455,7 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
     if not cached:
         matmuls = n_flashes.bit_length() - 1 + n_flashes.bit_count() - 1
         cost += (matmuls * dim**3 + n_flashes * tail_rows * dim * dim) / 4
-    return 3 * cost <= by_flash
+    return 2 * cost <= by_flash
 
 
 def _operator_block(
@@ -489,7 +489,7 @@ def propagate_block(
     hilbert: HilbertSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """run_pulse_train_block's (down, up, max_tail), through the cached train
-    operator when that cuts the work to a third (_operator_pays), else flash
+    operator when that halves the work (_operator_pays), else flash
     by flash. Both raise the same TruncationErrors and norm error.
     """
     cached = _operator_key(train, mode, hilbert) in _operator_cache

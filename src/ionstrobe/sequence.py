@@ -27,10 +27,10 @@ offset, contrast and phase in closed form; sequence_fringes propagates many
 excitations, each distinct one once, through the shared train as one block.
 
 That block goes through dynamics.propagate_block: flash by flash, or, when
-that cuts the counted work to a third, through the cached train operator
+that halves the counted work, through the cached train operator
 (see the dynamics module docstring). A wide block pays for building it, and
 the narrow blocks that follow on the same train find it cached: on fig4
-the 330-column decode-table block builds it, and the anchor and the
+the 222-column decode-table block builds it, and the anchor and the
 theta0 scan reuse it. A kick meets only the thermal Fock levels, so just
 their columns K|l> are formed (O(N^2 L), not O(N^3)), cached for one
 magnitude, which every caller applies in consecutive kicks. The sync pi/2

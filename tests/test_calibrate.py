@@ -44,6 +44,7 @@ from ionstrobe.sequence import (
     SequenceSpec,
     characterize_reference_fringe,
     run_scan,
+    sequence_fringes,
 )
 
 from conftest import headline_sequence_spec, noise_floor, run_sequence
@@ -440,7 +441,7 @@ class TestDecodeTables:
         spec = alpha_zero_spec(fock_dim=40, n_th=0.0)
         with pytest.raises(TruncationError, match=r"decode amplitude \|alpha\|=3: ") as info:
             build_decode_tables(spec, UNITS, [0.0, 1.0, 2.0, 3.0])
-        assert info.value.index == 9  # (alpha 3, theta0 0) is the tenth excitation
+        assert info.value.index == 6  # (alpha 3, theta0 0) is the seventh excitation
 
     def test_watchdog_error_keeps_index_and_phase(self):
         # at eta = 2 the flashes leak past 1e-9 in a 32-level space at |alpha| = 1;
@@ -450,7 +451,7 @@ class TestDecodeTables:
         message = r"^at decode amplitude \|alpha\|=1: flash \d+ of 30 leaks .* at analysis phase"
         with pytest.raises(TruncationError, match=message) as info:
             build_decode_tables(spec, UNITS, [0.0, 0.5, 1.0])
-        assert info.value.index == 8  # (alpha 1, theta0 pi/2) is the ninth excitation
+        assert info.value.index == 5  # (alpha 1, theta0 pi/2) is the sixth excitation
         assert math.isfinite(info.value.phase)
 
     def test_alpha_zero_anchor(self, small_tables):
@@ -487,6 +488,20 @@ class TestDecodeTables:
                 planted = sign * 2.0 * UNITS.x_zpf * alpha
                 assert not point.x_clamped
                 assert abs(point.x - planted) < 0.03 * abs(planted)
+
+    def test_minus_branch_is_the_propagated_mirror(self, small_tables):
+        # phi_minus is -phi_plus, not propagated: it matches the propagated
+        # theta0 = pi branch, and every amplitude on it decodes to -x unclamped
+        tables, spec = small_tables
+        anchor = characterize_reference_fringe(spec).phase
+        minus = sequence_fringes(spec, [CoherentAmp(float(a), math.pi) for a in tables.alpha])
+        phases = np.unwrap([f.phase - anchor for f in minus])
+        assert np.max(np.abs(phases - tables.phi_minus)) <= 1e-12
+        for alpha, phase in zip(tables.alpha, phases):
+            # the alpha = 0 contrast is in the momentum table's domain
+            point = tables.decode(phase, float(tables.contrast[0]))
+            assert not point.x_clamped
+            assert abs(point.x + 2.0 * UNITS.x_zpf * alpha) <= 1e-9 * UNITS.x_zpf
 
     def test_decode_observables_at_alpha_zero(self, small_tables):
         tables, spec = small_tables
@@ -688,5 +703,37 @@ def test_fig4_shape_builds_the_train_operator_once(tuned_headline_large, headlin
     scan = ScanSpec(phi_grid=np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False),
                     outer_grid=thetas, outer_var="theta0")
     run_scan(scan, replace(spec, excitation=CoherentAmp(6.5, 0.0)))
-    assert block_calls == [165, 3, 72]  # 55 distinct kicks, 1 and 24, at 3 thermal levels
+    assert block_calls == [111, 3, 72]  # 37 distinct kicks, 1 and 24, at 3 thermal levels
     assert len(builds) == 1
+
+
+class TestFlashLengthDesign:
+    """The flash length tau sets how far momentum lowers the contrast. At
+    theta0 = pi/2 a flash meets the wave packet while its position sweeps
+    through zero, so the coupling phase 2 eta |alpha| omega (t - t_c)
+    averages out over the flash: the contrast's first zero lies near
+    eta |alpha| omega tau = pi. At eta |alpha| = 2.4 that is omega tau =
+    1.3 rad, where the sweep is still close to linear (at eta = 0.4 it is
+    pi rad, and the zero comes 20% late)."""
+
+    ALPHA, ETA = 3.0, 0.8
+
+    def contrast_ratio(self, flash_dur, n_flashes=30):
+        """C(alpha at theta0 = pi/2) / C(alpha = 0) of the pi/2-tuned train."""
+        spec = alpha_zero_spec(eta=self.ETA)
+        spec = replace(spec, analysis=replace(spec.analysis, n_flashes=n_flashes,
+                                              flash_dur=flash_dur))
+        spec = apply_tuning(spec, tune_pulse_train(spec))
+        still, moving = sequence_fringes(spec, [None, CoherentAmp(self.ALPHA, math.pi / 2.0)])
+        return moving.contrast / still.contrast
+
+    def test_first_contrast_minimum_at_half_a_phase_turn(self):
+        linear = math.pi / (self.ETA * self.ALPHA * OMEGA)
+        taus = linear * np.arange(0.1, 1.51, 0.05)
+        ratios = [self.contrast_ratio(tau) for tau in taus]
+        first = next(i for i in range(len(ratios) - 1) if ratios[i + 1] > ratios[i])
+        assert abs(taus[first] / linear - 1.0) <= 0.10
+        assert ratios[first] < 0.05
+
+    def test_flash_count_barely_matters(self):
+        assert abs(self.contrast_ratio(100e-9, 10) - self.contrast_ratio(100e-9, 30)) <= 1e-3

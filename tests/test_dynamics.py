@@ -494,14 +494,15 @@ class TestTrainOperator:
     """When propagate_block takes the cached train operator T = M^F, and what it caches."""
 
     @pytest.mark.parametrize("shape, cached, takes", [
-        ((30, 464, 330, 24), False, True),  # fig4's decode tables: cost ratio 0.29
+        ((30, 464, 222, 24), False, True),  # fig4's decode tables: cost ratio 0.38
         ((30, 464, 6, 24), True, True),  # fig4's anchor, with the operator cached
         ((30, 464, 144, 24), True, True),  # fig4's theta0 scan
         ((30, 128, 180, 8), False, True),  # figS2: 0.20
-        ((30, 144, 66, 8), False, False),  # figS3-compare: 0.40
-        ((30, 320, 120, 16), False, False),  # figS4: 0.46
+        ((30, 144, 36, 2), False, False),  # a narrow block whose build fits: 0.54
+        ((30, 320, 120, 16), False, False),  # figS4: 0.46, but its build is too large
         ((1, 96, 6, 6), False, False),  # fig2b: one flash
         ((30, 416, 12, 22), False, False),  # fig3b and fig3c
+        ((30, 144, 66, 8), False, True),  # figS3-compare: 0.40
     ])
     def test_choice_rule_on_demo_shapes(self, shape, cached, takes):
         assert _operator_pays(*shape, cached) is takes

@@ -230,6 +230,32 @@ class TestSequenceFringe:
         assert abs(math.remainder(fringe.phase - fit.phase, 2.0 * math.pi)) <= 1e-12
         assert -math.pi < fringe.phase <= math.pi
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eta=st.floats(0.05, 0.6),
+        n_th=st.sampled_from([0.0, 0.15, 0.5]),
+        n_flashes=st.sampled_from([1, 5, 30]),
+        detuning=st.floats(-1e-3, 1e-3),
+        envelope=st.sampled_from(["none", "gaussian", "exponential"]),
+        magnitude=st.floats(0.1, 1.4),
+        theta=st.just(0.0) | st.floats(-math.pi, math.pi),
+    )
+    def test_antipodal_kick_is_the_parity_mirror(
+        self, eta, n_th, n_flashes, detuning, envelope, magnitude, theta
+    ):
+        # Pi = sigma_x (x) (-1)^(a_dag a) commutes with every flash and gap and
+        # maps D(alpha) to D(-alpha): the theta + pi fringe mirrors the theta one
+        spec = make_spec(fock_dim=32, eta=eta, n_th=n_th, envelope=envelope, n_flashes=n_flashes)
+        spec = replace(spec, hilbert=HilbertSpec(fock_dim=32, tail_tol=0.5),
+                       analysis=replace(spec.analysis, cycle_dur=CYCLE * (1.0 + detuning)))
+        fringe, mirror = sequence_fringes(
+            spec, [CoherentAmp(magnitude, theta), CoherentAmp(magnitude, theta + math.pi)])
+        assert abs(mirror.p0 - (1.0 - fringe.p0)) <= 1e-12
+        assert abs(mirror.p1 - fringe.p1.conjugate()) <= 1e-12
+        assert abs(mirror.n0 - fringe.n0) <= 1e-12
+        assert abs(mirror.n1 + fringe.n1.conjugate()) <= 1e-12
+        assert mirror.max_tail == pytest.approx(fringe.max_tail, rel=1e-9, abs=0.0)
+
     def test_deduplicates_block_columns(self, block_calls, headline_units):
         widths = block_calls
         # near the tuned pi/2 train, so the decode tables are monotone
@@ -251,7 +277,7 @@ class TestSequenceFringe:
         widths.clear()
         alphas = [0.0, 0.5, 1.0, 1.5]
         build_decode_tables(spec, headline_units, alphas)
-        assert widths == [(3 * len(alphas) - 2) * len(levels)]
+        assert widths == [(2 * len(alphas) - 1) * len(levels)]  # theta0 = pi is not propagated
 
     def test_excitation_cache_builds_each_run_of_magnitudes_once(self):
         # callers use each magnitude in consecutive kicks, so one entry serves
