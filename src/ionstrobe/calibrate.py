@@ -5,11 +5,11 @@ state: the root in rabi_scale of the signed, thermally weighted <sigma_z>
 in the lowest sign change among 0.5, 1 and 1.5 times the Debye-Waller
 start, searched and polished in a small Fock space, then checked at the
 configured one against TUNE_TOL. Decode tables are built from the exact
-fringes of a grid of displacement amplitudes, tabulating fringe phase against true
-position (turning points, theta0 in {0, pi}) and fringe contrast against
-true momentum magnitude (theta0 = pi/2); DecodeTables.decode is the one
-call that turns a fringe's (phase, contrast) back into (position, momentum
-magnitude).
+fringes of a grid of displacement amplitudes, tabulating fringe phase
+against true position (turning point theta0 = 0, mirrored onto pi) and
+fringe contrast against true momentum magnitude (theta0 = pi/2);
+DecodeTables.decode is the one call that turns a fringe's (phase,
+contrast) back into (position, momentum magnitude), clamped to the tables.
 """
 
 from __future__ import annotations
@@ -107,61 +107,55 @@ class DecodeTables:
     """Monotone maps from fringe observables to motional observables.
 
     One entry per displacement amplitude, alpha = 0 first: the planted
-    position x = 2 x_zpf alpha (m), the fringe phases phi_plus and phi_minus
-    at the turning points theta0 = 0 and pi (unwrapped along the amplitudes,
-    anchored so the alpha = 0 entry sits at 0), the planted momentum
-    magnitude p = 2 p_zpf alpha (kg m/s), and the fringe contrast at
-    theta0 = pi/2. The derived position map pos_x / pos_phi0 joins both
-    branches, -x at phi_minus and +x at phi_plus; the momentum map is
-    p / contrast, anchored at the alpha = 0 contrast maximum. `alpha`, the
-    amplitudes where known, only names them when a map is not monotone.
+    position x = 2 x_zpf alpha (m), the fringe phase phi_plus at theta0 = 0
+    (unwrapped along the amplitudes, anchored so the alpha = 0 entry sits
+    at 0), the planted momentum magnitude p = 2 p_zpf alpha (kg m/s), and
+    the fringe contrast at theta0 = pi/2. The derived position map pos_x /
+    pos_phi0 joins -x at the theta0 = pi phase, its mirror -phi_plus, and
+    +x at phi_plus; the momentum map is p / contrast, anchored at the
+    alpha = 0 contrast maximum. `alpha`, the amplitudes where known, only
+    names them when a map is not monotone.
     """
 
     x: np.ndarray
     phi_plus: np.ndarray
-    phi_minus: np.ndarray
     p: np.ndarray
     contrast: np.ndarray
     alpha: np.ndarray | None = None
 
     def __post_init__(self):
         self.pos_x = np.concatenate([-self.x[:0:-1], self.x])
-        self.pos_phi0 = np.concatenate([self.phi_minus[:0:-1], self.phi_plus])
-        zero = self.x.size - 1  # the alpha = 0 entry of the joined position map
-        for what, rising in (("fringe phase at theta0 = 0 does not rise", self.pos_phi0[zero:]),
-                             ("fringe phase at theta0 = pi does not fall", -self.pos_phi0[zero::-1]),
-                             ("contrast at theta0 = pi/2 does not fall", -self.contrast)):
+        self.pos_phi0 = np.concatenate([-self.phi_plus[:0:-1], self.phi_plus])
+        # the phase must rise from the first amplitude's mirror on: an unanchored one fails at 0
+        for what, rising, lead in (
+            ("fringe phase at theta0 = 0 does not rise", self.pos_phi0[self.x.size - 2:], 1),
+            ("contrast at theta0 = pi/2 does not fall", -self.contrast, 0),
+        ):
             turns = np.flatnonzero(~(np.diff(rising) > 0))  # in amplitude order, NaN included
             if turns.size:
-                i = int(turns[0])
+                i = max(int(turns[0]) - lead, 0)
                 step = (f"|alpha| = {self.alpha[i]:g} to {self.alpha[i + 1]:g}"
                         if self.alpha is not None else f"table entry {i} to {i + 1}")
                 raise DecodeError(f"decode tables are not monotone: the {what} from {step}")
         self._pos_interp = pchip(self.pos_phi0, self.pos_x)
         self._mom_interp = pchip(self.contrast[::-1], self.p[::-1])
 
-    def decode(self, phase: float, contrast: float, strict: bool = True) -> DecodedPoint:
+    def decode(self, phase: float, contrast: float) -> DecodedPoint:
         """Position (m) and momentum magnitude (kg m/s) from one fringe.
 
         The phase must already be relative to the alpha = 0 reference fringe
-        (and unwrapped if a sweep crossed +-pi). A phase or contrast slightly
-        outside its table clamps to the edge and sets x_clamped or p_clamped;
-        beyond 10% of the table's range this raises unless strict=False.
-        Within CLAMP_SLACK of the range it decodes at the edge unflagged: the
-        alpha = 0 fringe's refit lands there at rounding level.
+        (and unwrapped if a sweep crossed +-pi). A phase or contrast outside
+        its table, by any amount, decodes at the table's edge and sets
+        x_clamped or p_clamped. Within CLAMP_SLACK of the range it decodes at
+        the edge unflagged: the alpha = 0 fringe's refit lands there at
+        rounding level.
         """
         values, clamped = [], []
-        for interp, key, value, what in (
-            (self._pos_interp, self.pos_phi0, phase, "phase"),
-            (self._mom_interp, self.contrast[::-1], contrast, "contrast"),
+        for interp, key, value in (
+            (self._pos_interp, self.pos_phi0, phase),
+            (self._mom_interp, self.contrast[::-1], contrast),
         ):
             lo, hi = float(key[0]), float(key[-1])
-            margin = 0.10 * (hi - lo)
-            if strict and (value < lo - margin or value > hi + margin):
-                raise DecodeError(
-                    f"{what} {value:g} lies outside the decode domain "
-                    f"[{lo:g}, {hi:g}] by more than 10% of its range"
-                )
             values.append(float(interp(min(max(value, lo), hi))))
             slack = CLAMP_SLACK * (hi - lo)
             clamped.append(not lo - slack <= value <= hi + slack)
@@ -287,7 +281,7 @@ def _search(spec: SequenceSpec, hilbert: HilbertSpec, start: float) -> tuple[flo
 def tune_pulse_train(spec: SequenceSpec) -> TrainTuning:
     """Calibrate rabi_scale so the bare train is a pi/2 pulse: the root of
     the signed <sigma_z> of the train on |down> with the thermal ensemble of
-    `spec` (the alpha = 0 sequence), from the Debye-Waller start.
+    `spec`, from the Debye-Waller start; spec.excitation is ignored.
 
     The search (_search) and its polish (_polish) run in the smallest of
     32, 64, 128, ... Fock levels below spec.hilbert.fock_dim whose thermal
@@ -299,9 +293,6 @@ def tune_pulse_train(spec: SequenceSpec) -> TrainTuning:
     n_evaluations counts the search's and the polish's probes, not the
     check's. A fock_dim too small for the tuned train raises TruncationError.
     """
-    if spec.excitation is not None and getattr(spec.excitation, "magnitude", 0.0) != 0.0:
-        raise CalibrationError("tuning runs on the alpha = 0 sequence")
-
     train = spec.analysis
     levels, weights = thermal_ground_states(
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
@@ -337,16 +328,17 @@ def tune_pulse_train(spec: SequenceSpec) -> TrainTuning:
 def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> DecodeTables:
     """Tabulate the decode maps from the exact fringes over |alpha|.
 
-    The position branches run at the turning points theta0 in {0, pi} where
-    the encoding is a pure fringe shift; phases are unwrapped along the
+    The position branch runs at the turning point theta0 = 0 where the
+    encoding is a pure fringe shift; phases are unwrapped along the
     amplitude grid and anchored to the alpha = 0 fringe. The momentum
     branch runs at theta0 = pi/2 where only the contrast responds. One
-    sequence_fringes call propagates theta0 = 0 and pi/2. The parity
-    sigma_x (x) (-1)^(a_dag a) commutes with the train and maps D(alpha) to
-    D(-alpha), so p1 at theta0 = pi is conj(p1) at 0, and phi_minus =
-    -phi_plus (the alpha = 0 anchor's p1 is real). A TruncationError at an
-    amplitude is raised again with the amplitude prefixed, keeping its
-    index (the excitation's position, two per amplitude) and phase.
+    sequence_fringes call propagates both. The turning point theta0 = pi
+    needs no propagation: the parity sigma_x (x) (-1)^(a_dag a) commutes
+    with the train and maps D(alpha) to D(-alpha), so p1 at theta0 = pi is
+    conj(p1) at 0 and its phase is -phi_plus (the alpha = 0 anchor's p1 is
+    real), which DecodeTables joins in. A TruncationError at an amplitude
+    is raised again with the amplitude prefixed, keeping its index (the
+    excitation's position, two per amplitude) and phase.
     """
     alphas = np.asarray(sorted(set(float(a) for a in alpha_grid)))
     if alphas[0] != 0.0:
@@ -364,11 +356,9 @@ def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> Dec
     plus, mom = fringes[0::2], fringes[1::2]
 
     anchor = plus[0].phase
-    phi_plus = np.unwrap([f.phase - anchor for f in plus])
     return DecodeTables(
         x=2.0 * units.x_zpf * alphas,
-        phi_plus=phi_plus,
-        phi_minus=0.0 - phi_plus,  # +0.0, not -0.0, at alpha = 0
+        phi_plus=np.unwrap([f.phase - anchor for f in plus]),
         p=2.0 * units.p_zpf * alphas,
         contrast=np.array([f.contrast for f in mom]),
         alpha=alphas,

@@ -204,10 +204,10 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
         (0.0, refs, [math.remainder(f.phase - anchor, 2.0 * math.pi) for f in refs]),
     )
     rows = []
-    # decode-domain violations are flagged per row, never fatal for a trace
+    # a phase or contrast outside the tables is clamped and flagged per row
     for row_alpha, fits, phases in row_sets:
         for theta0, fit, phase in zip(scan.outer_grid, fits, phases):
-            point = tables.decode(phase, fit.contrast, strict=False)
+            point = tables.decode(phase, fit.contrast)
             rows.append((theta0, row_alpha, phase, fit.contrast, point.x * 1e9,
                          point.p_mag / 1e-27, float(point.x_clamped or point.p_clamped)))
     write_table(
@@ -222,7 +222,6 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
 
 def cmd_calibrate_train(cfg: dict, args) -> None:
     base = cfgmod.build_sequence_spec(cfg)
-    base = replace(base, excitation=CoherentAmp(0.0, 0.0))
     tuning = tune_pulse_train(base)
     duration_us = base.analysis.total_duration * 1e6
     write_table(

@@ -16,7 +16,6 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -368,9 +367,8 @@ def build_noise_model(cfg: dict) -> PhaseNoiseModel:
 
 
 def resolve_tuning(cfg: dict) -> TrainTuning:
-    """The configured rabi_scale, or tune the alpha = 0 sequence for it."""
+    """The configured rabi_scale, or tune the bare train for it."""
     scale = cfg["train"]["rabi_scale"]
     if scale != "auto":
         return TrainTuning(float(scale), math.nan)
-    base = replace(build_sequence_spec(cfg), excitation=CoherentAmp(0.0, 0.0))
-    return tune_pulse_train(base)
+    return tune_pulse_train(build_sequence_spec(cfg))

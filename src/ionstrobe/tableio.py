@@ -5,8 +5,8 @@ the columns (units embedded in the names), numeric rows at 12 significant
 digits, and a comment footer carrying the seed, the config hash, and the
 full effective config as a YAML block. Identical config and seed produce
 byte-identical files. Decode tables export as ordinary tables titled
-DECODE_TABLE_FORMAT, one row per amplitude, at 17 significant digits so
-every value reads back bit for bit, and with no seed line.
+DECODE_TABLE_FORMAT, one row of DECODE_TABLE_COLUMNS per amplitude, at 17
+significant digits so every value reads back bit for bit; no seed line.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import yaml
 from .calibrate import DecodeTables
 from .errors import ConfigError
 
-DECODE_TABLE_FORMAT = "ionstrobe-decode-tables v2"
-DECODE_TABLE_COLUMNS = ["x_m", "phi_plus_rad", "phi_minus_rad", "p_kgms", "contrast"]
+DECODE_TABLE_FORMAT = "ionstrobe-decode-tables v3"
+DECODE_TABLE_COLUMNS = ["x_m", "phi_plus_rad", "p_kgms", "contrast"]
 
 # libyaml's emitter where PyYAML was built with it; both write the same text
 _ECHO_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
@@ -106,7 +106,7 @@ def read_table(path) -> tuple[list[str], np.ndarray, dict]:
 
 def write_decode_tables(tables: DecodeTables, path, config: dict) -> None:
     """Write decode tables as a DECODE_TABLE_FORMAT table echoing `config`."""
-    rows = zip(tables.x, tables.phi_plus, tables.phi_minus, tables.p, tables.contrast)
+    rows = zip(tables.x, tables.phi_plus, tables.p, tables.contrast)
     write_table(path, DECODE_TABLE_FORMAT, DECODE_TABLE_COLUMNS, rows, config, None, digits=17)
 
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import ionstrobe
 import ionstrobe.cli as cli_module
 import ionstrobe.config as config_module
-from ionstrobe.calibrate import DecodeTables
+from ionstrobe.calibrate import DecodeTables, apply_tuning
 from ionstrobe.cli import main
 from ionstrobe.config import (
     DEFAULTS,
@@ -39,6 +40,8 @@ from ionstrobe.config import (
     resolve_tuning,
 )
 from ionstrobe.errors import ConfigError, TruncationError
+from ionstrobe.sequence import sample_scan, scan_fringes
+from ionstrobe.stability import simulate_phase_trace
 from ionstrobe.tableio import (
     config_echo_lines,
     format_number,
@@ -481,6 +484,44 @@ class TestCliRamseyScan:
         assert "Fock level" in err and "n_th=50" in err and "fock_dim=32" in err
         assert "at scan point" not in err  # the draw concerns no scan point
 
+    def test_injected_phase_noise(self, tmp_path):
+        def config(inject, white=0.3, rw=0.5, drift=2.0):
+            # 6 realizations, fewer than the 10 samples a trace needs
+            text = (FAST_SCAN.replace("[0.0, 1.5707963]", "[0.0]")
+                    .replace("phi_num: 6", f"phi_num: 6\n  inject_phase_noise: {inject}")
+                    + f"stability: {{white_sigma_rad: {white}, rw_sigma_rad_per_sqrt_s: {rw}, "
+                    f"drift_rate_rad_per_s: {drift}}}\n")
+            return write_cfg(tmp_path, text, name=f"{inject}-{white}-{rw}-{drift}.yaml")
+
+        def scan_rows(cfg_path, name):
+            out = str(tmp_path / name)
+            assert main(["ramsey-scan", "--config", cfg_path, "--out", out]) == 0
+            return out, read_table(out)[1]
+
+        noisy = config("true")
+        out1, rows = scan_rows(noisy, "a.txt")
+        out2, _ = scan_rows(noisy, "b.txt")
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+        # the drift is the noise model's trace at the 10 ms realization cadence, seeded
+        # base_seed + 7, one sample per realization
+        cfg = load_config(noisy)
+        scan = build_scan_spec(cfg)
+        spec = apply_tuning(build_sequence_spec(cfg), resolve_tuning(cfg))
+        n = scan.n_realizations
+        model = replace(build_noise_model(cfg), sample_interval=0.01)
+        drift = simulate_phase_trace(model, max(n, 10) * 0.01, seed=11 + 7).phase[:n]
+        assert np.ptp(drift) > 0.1
+        expected = [[float(format_number(v)) for v in
+                     (r.outer, r.phi, r.p_down_mean, r.p_down_sem, r.sigma_z, r.delta_n)]
+                    for r in sample_scan(scan, scan_fringes(scan, spec), drift)]
+        assert np.array_equal(rows, expected)
+
+        # with no noise, injection changes no row
+        _, on = scan_rows(config("true", 0.0, 0.0, 0.0), "on.txt")
+        _, off = scan_rows(config("false", 0.0, 0.0, 0.0), "off.txt")
+        assert np.array_equal(on, off)
+
     def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         # there is no --threads option; argparse's usage error exits 2
         cfg = write_cfg(tmp_path, FAST_SCAN)
@@ -744,13 +785,30 @@ def test_decode_tables_round_trip_exactly(tmp_path):
     rng = np.random.default_rng(5)
     x = np.concatenate([[0.0], np.cumsum(rng.random(6))]) * 1e-8 / 3.0
     phi = np.concatenate([[0.0], np.cumsum(rng.random(6))]) / 7.0
-    tables = DecodeTables(x=x, phi_plus=phi, phi_minus=-phi * (1.0 + rng.random(7) / 10.0),
-                          p=x * 0.3, contrast=0.8 - phi / 11.0)
+    tables = DecodeTables(x=x, phi_plus=phi, p=x * 0.3 * (1.0 + rng.random(7) / 10.0),
+                          contrast=0.8 - phi / 11.0)
     path = tmp_path / "tables.txt"
     write_decode_tables(tables, path, {"decode": {"alpha_max": 2.0}})
+    assert read_table(path)[0] == ["x_m", "phi_plus_rad", "p_kgms", "contrast"]
     back = read_decode_tables(path)
-    for name in ("x", "phi_plus", "phi_minus", "p", "contrast", "pos_x", "pos_phi0"):
+    for name in ("x", "phi_plus", "p", "contrast", "pos_x", "pos_phi0"):
         assert np.array_equal(getattr(back, name), getattr(tables, name)), name
+
+
+def test_other_files_are_not_decode_tables(tmp_path):
+    # a v2 file with its theta0 = pi column, a scan table, and a v3 file of two amplitudes
+    rows = [(0.0, 0.0, 0.0, 0.0, 0.8), (1e-8, 0.3, -0.3, 3e-27, 0.7), (2e-8, 0.6, -0.6, 6e-27, 0.5)]
+    v2 = tmp_path / "v2.txt"
+    write_table(v2, "ionstrobe-decode-tables v2",
+                ["x_m", "phi_plus_rad", "phi_minus_rad", "p_kgms", "contrast"], rows, {}, None)
+    scan = tmp_path / "scan.txt"
+    assert main(["ramsey-scan", "--config", write_cfg(tmp_path, FAST_SCAN), "--out", str(scan)]) == 0
+    short = tmp_path / "short.txt"
+    write_decode_tables(DecodeTables(*np.array(rows)[:2, [0, 1, 3, 4]].T), short, {})
+    assert len(read_table(short)[1]) == 2
+    for path in (v2, scan, short):
+        with pytest.raises(ConfigError, match="not an ionstrobe-decode-tables v3 file"):
+            read_decode_tables(path)
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):

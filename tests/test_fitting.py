@@ -141,6 +141,16 @@ class TestPatternFit:
         sample = fit.model(np.array([0.0, 50e-9]), np.array([10e-9, 10e-9]))
         assert sample[0] == pytest.approx(sample[1], abs=1e-12)
 
+    def test_rotation_past_the_grid_edge_is_normalised(self):
+        # the grid seeds this pattern at rotation -pi/2, and the refinement steps
+        # below it: the fit wraps the rotation by pi and conjugates the quadratures
+        rotation = math.pi / 2 - 0.01
+        pts = pattern_points(138e-9, rotation, 0.76)
+        fit = fit_wave_pattern(pts)
+        assert -math.pi / 2 < fit.rotation <= math.pi / 2
+        assert fit.rotation == pytest.approx(rotation, abs=1e-9)
+        assert np.max(np.abs(fit.model(pts[:, 0], pts[:, 1]) - pts[:, 2])) < 1e-9
+
     def test_fit_is_the_probed_pattern(self):
         pts = pattern_points(138e-9, 0.840, 0.76)
         fit = fit_wave_pattern(pts)
