@@ -13,6 +13,7 @@ and a 70 us gaussian coherence envelope.
 from __future__ import annotations
 
 import math
+import mmap
 import re
 import sys
 from contextlib import contextmanager
@@ -231,9 +232,19 @@ CANNOT_RESERVE = (MemoryError, ValueError)
 
 def _reserve(key: str, shape, dtype) -> None:
     """A ConfigError naming `key` when an array of `shape`, which `key` sizes,
-    cannot be reserved; for arrays formed deep in a run, checked at build."""
-    with naming(key, CANNOT_RESERVE):
-        np.empty(shape, dtype)
+    cannot be reserved; for arrays formed deep in a run, checked at build.
+
+    The probe maps the array's bytes and unmaps them, touching no page. It
+    does not allocate and free an array: glibc serves a large block by mmap,
+    and freeing one raises its dynamic mmap threshold (mallopt(3)) to the
+    block's size, so every later array up to that size (1.7 MB, the flash
+    pair at fock_dim 232) would come from the heap and stay resident after
+    it is freed. The kernel refuses a mapping it cannot reserve with ENOMEM,
+    an OSError, and mmap a byte count past sys.maxsize with an OverflowError.
+    """
+    count = math.prod(shape) if isinstance(shape, tuple) else shape
+    with naming(key, (OSError, OverflowError)):
+        mmap.mmap(-1, count * np.dtype(dtype).itemsize, flags=mmap.MAP_PRIVATE).close()
 
 
 def mode_freq(cfg: dict) -> float:

@@ -28,8 +28,11 @@ through one split (_split_sectors), a change of coordinates with the
 gauge and P as row factors, and leaves through one merge (_from_sectors),
 written over the propagated block. A block propagation thus holds its
 sector block and the watchdog's tail rows, no padded or output copies.
-Neither path holds more than one block of tail rows: both read them
-N // k_tail flashes at a time and keep only each state's running maximum.
+Flash by flash reads the tail rows N // k_tail flashes at a time, at most
+one block of them. The train operator's apply reads them N // (4 k_tail)
+flashes at a time and takes T through a quarter of the block's columns at
+a time, so it holds the block plus about a quarter of it. Both keep only
+each state's running maximum.
 
 Rotating-frame chain. A train of F flashes is M^F with
 M = Gap blockdiag(U_+, U_-), and run_pulse_train_block takes each flash as
@@ -46,7 +49,9 @@ raising the error of the first failing flash.
 Train operator. M is the (2, N, N) stack Gap U_s, which acts on each
 sector alone, and M^F is powered per sector in floor(log2 F) +
 popcount(F) - 1 products (7 at F = 30); the watchdog's
-tail rows after flash j are P_top M^(j+1). The operator and its rows are
+tail rows after flash j are P_top M^(j+1). M itself is never stored: a
+product by M is taken as (x Gap) U with the cached flash pair, so a build
+holds the rows plus two (2, N, N) stacks. The operator and its rows are
 cached for one train at a time. propagate_block, the sequence layer's
 entry point, takes the operator when its cost, counted in sector
 multiply-adds as in _operator_pays with the build only when it is not
@@ -388,26 +393,30 @@ def _build_train_operator(
 ) -> tuple[np.ndarray, np.ndarray]:
     """T = M^F and the tail rows P M^(j+1), j < F, as (2, F, k_tail, N), per sector.
 
-    M = Gap blockdiag(U_+, U_-) is the (2, N, N) stack Gap U_s.
-    M is formed once and M^F is taken by left-to-right binary powering,
-    floor(log2 F) squarings and popcount(F) - 1 products by M, in two
-    buffers; the tail rows are a chain of thin products.
+    M = Gap blockdiag(U_+, U_-) is the (2, N, N) stack Gap U_s, and a
+    product by M is taken as (x Gap) U_s with the cached U, so M is never
+    stored: the tail rows are a chain of thin products, and M^F is taken
+    by left-to-right binary powering, floor(log2 F) squarings and
+    popcount(F) - 1 products by M, in two buffers, the power scaled by Gap
+    in place before each product by U. The build holds the rows and those
+    two stacks.
     """
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     drive = train.drive
     u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
-    step = _gap_phases(train, mode, n)[:, None] * u
+    gap = _gap_phases(train, mode, n)
     rows = np.empty((2, train.n_flashes, k_tail, n), dtype=complex)
-    rows[:, 0] = step[:, n - k_tail :]
+    np.multiply(gap[n - k_tail :, None], u[:, n - k_tail :], out=rows[:, 0])
     for j in range(1, train.n_flashes):
-        np.matmul(rows[:, j - 1], step, out=rows[:, j])
-    power = step.copy()
+        np.matmul(rows[:, j - 1] * gap, u, out=rows[:, j])
+    power = gap[:, None] * u
     spare = np.empty_like(power)
     for bit in bin(train.n_flashes)[3:]:
         np.matmul(power, power, out=spare)
         power, spare = spare, power
         if bit == "1":
-            np.matmul(power, step, out=spare)
+            power *= gap
+            np.matmul(power, u, out=spare)
             power, spare = spare, power
     power.setflags(write=False)
     rows.setflags(write=False)
@@ -442,10 +451,12 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
     and 0.30 where it says 0.20 (figS2); at 0.40 (figS3-compare) it took
     0.52, about break-even.
 
-    A build holds the operator and the tail rows, 2N^2 + 2 F k_tail N
-    complex values, which grow with F; flash by flash holds three (2, N, 2L)
-    blocks (the block, its spare and at most a block of tail rows). A build
-    larger than that is refused, so a long train goes flash by flash
+    A build keeps the operator and the tail rows, 2N^2 + 2 F k_tail N
+    complex values, which grow with F, and holds one more (2, N, N) stack
+    while it powers; the apply then holds the block plus about a quarter of
+    it. Flash by flash holds three (2, N, 2L) blocks (the block, its spare
+    and at most a block of tail rows). A build whose kept values outgrow
+    those three blocks is refused, so a long train goes flash by flash
     whatever its count; fig4's tables build 274,688 values against 309,024.
     """
     if not cached and (dim * dim + n_flashes * tail_rows * dim) / 2 > 3 * dim * width:
@@ -468,17 +479,23 @@ def _operator_block(
 
     The watchdog reads every flash's tail from its thin rows before the
     block itself is propagated, in one product per sector for each run of
-    N // k_tail flashes, whose tail rows are then no more than the block's.
+    N // (4 k_tail) flashes, whose tail rows are then about a quarter of
+    the block. T then goes through the block a quarter of its columns at a
+    time, each image written back over its slice, so the apply holds the
+    block and about a quarter of it.
     """
     t, rows = _train_operator(train, mode, hilbert)
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     block = _split_sectors(states, n)
-    chunk = max(1, n // k_tail)
+    width = block.shape[2]
+    chunk = max(1, n // (4 * k_tail))
     max_tail = np.zeros(states.shape[1])
     for j in range(0, train.n_flashes, chunk):
         _watch_tails((rows[:, j : j + chunk].reshape(2, -1, n) @ block)
-                     .reshape(2, -1, k_tail, block.shape[2]), j, train, hilbert, max_tail)
-    block = t @ block  # the split block is freed once the product is formed
+                     .reshape(2, -1, k_tail, width), j, train, hilbert, max_tail)
+    step = -(-width // 4)
+    for c in range(0, width, step):
+        block[:, :, c : c + step] = t @ block[:, :, c : c + step]
     return (*_spin_output(block, train), max_tail)
 
 

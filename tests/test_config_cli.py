@@ -129,6 +129,19 @@ class TestConfig:
         assert main(["ramsey-scan", "--config", path, "--out", str(tmp_path / "x.txt")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, shape, dtype, cause", [
+        ("hilbert.fock_dim", (2, 2**31, 2**31), complex, OverflowError),  # 2^67 B, past sys.maxsize
+        ("mode.thermal_samples", 2**57, np.int64, OSError),  # 2^60 B: ENOMEM, no page touched
+    ])
+    def test_reserve_refusal_names_the_key(self, key, shape, dtype, cause):
+        with pytest.raises(ConfigError, match=re.escape(key)) as raised:
+            config_module._reserve(key, shape, dtype)
+        assert isinstance(raised.value.__cause__, cause)
+
+    def test_reserve_returns_on_an_ordinary_shape(self):
+        assert config_module._reserve("hilbert.fock_dim", (2, 232, 232), complex) is None
+        assert config_module._reserve("detection.shots", 250, float) is None
+
     def test_tuning_follows_tail_tol(self):
         # the same train tuned under a looser watchdog must not stand in for a strict one
         resolve_tuning(merge_config({"hilbert": {"fock_dim": 8, "tail_tol": 0.5}}))

@@ -25,6 +25,7 @@ from ionstrobe import (
 from ionstrobe.hilbert import quadrature_gauge
 import ionstrobe.dynamics as dynamics_module
 from ionstrobe.dynamics import (
+    _build_train_operator,
     _flash_unitary,
     _from_sectors,
     _operator_block,
@@ -490,6 +491,45 @@ class TestDenseReference:
         assert_matches_reference(states[1:], train, later, phase)
 
 
+class TestRaggedRuns:
+    """Both block paths on runs of flashes and column slices that do not divide
+    the train or the block: at 48 levels (3 watched) the watchdog reads 16
+    flashes at a time flash by flash and 4 through the operator, whose apply
+    takes a quarter of the block's columns, rounded up, at a time."""
+
+    hilbert = HilbertSpec(fock_dim=48, tail_tol=0.999)
+    train = replace(headline_train(), drive=DriveParams(rabi=2.0 * math.pi * 0.3e6, eta=1.0))
+
+    def block(self, levels):
+        states = reference_states(48, levels, 0.5, 0.6)
+        return np.stack([state.amplitudes for state in states], axis=1)
+
+    @pytest.mark.parametrize("n_flashes, levels", [
+        (30, [30, 36, 41, 44]),  # last runs of 14 and 2 flashes; 8 columns, slices of 2
+        (16, [30, 36, 41, 44, 47]),  # whole runs; 10 columns, slices 3, 3, 3 and 1 wide
+    ], ids=["partial-last-run", "ragged-slices"])
+    def test_paths_agree(self, n_flashes, levels):
+        block, train = self.block(levels), replace(self.train, n_flashes=n_flashes)
+        down, up, tail = run_pulse_train_block(block, train, MODE, self.hilbert)
+        op_down, op_up, op_tail = _operator_block(block, train, MODE, self.hilbert)
+        assert np.max(np.abs(op_down - down)) < 1e-12
+        assert np.max(np.abs(op_up - up)) < 1e-12
+        np.testing.assert_allclose(op_tail, tail, rtol=1e-12, atol=1e-15)
+
+    def test_leak_in_the_last_run_fails_alike(self):
+        # level 36's tail passes 0.157 first at flash 29, inside both paths'
+        # last, partial run (flashes 17-30 and 29-30)
+        block, hilbert = self.block([30, 36]), replace(self.hilbert, tail_tol=0.157)
+        raised = []
+        for propagate in (run_pulse_train_block, _operator_block):
+            with pytest.raises(TruncationError) as error:
+                propagate(block, self.train, MODE, hilbert)
+            raised.append(error.value)
+        (flash, phase), (op_flash, op_phase) = map(flash_and_phase, raised)
+        assert (flash, raised[0].index) == (op_flash, raised[1].index) == (29, 1)
+        assert op_phase == pytest.approx(phase, abs=1e-9)
+
+
 class TestTrainOperator:
     """When propagate_block takes the cached train operator T = M^F, and what it caches."""
 
@@ -537,9 +577,10 @@ class TestWorkingSet:
     block B. The split and the merge write their outputs directly: their
     zero-padded and stacked copies took the peak to 4B or more. Neither path
     holds more than one block of tail rows: 80 levels (4 watched) make that 20
-    flashes of them, and from 20 flashes on the (2, F, k_tail, 2L) rows of the
-    whole train would be B or more. 512 states make B 2.6 MB, which dwarfs
-    numpy's fixed-size iteration buffers."""
+    flashes of them flash by flash and 5 through the operator, and from 20
+    flashes on the (2, F, k_tail, 2L) rows of the whole train would be B or
+    more. 512 states make B 2.6 MB, which dwarfs numpy's fixed-size
+    iteration buffers."""
 
     hilbert = HilbertSpec(fock_dim=80, tail_tol=0.5)
     train = replace(headline_train(rabi_scale=0.3), n_flashes=20)
@@ -549,8 +590,7 @@ class TestWorkingSet:
         return np.ascontiguousarray((amps / np.linalg.norm(amps, axis=1, keepdims=True)).T)
 
     @pytest.mark.parametrize("n_flashes", [20, 40])
-    def test_operator_path_holds_output_block_and_one_block_of_tails(self, monkeypatch,
-                                                                      n_flashes):
+    def test_operator_path_holds_the_block_and_a_quarter(self, monkeypatch, n_flashes):
         monkeypatch.setattr(dynamics_module, "_operator_cache", {})
         taken = []
         monkeypatch.setattr(dynamics_module, "_operator_block",
@@ -560,9 +600,10 @@ class TestWorkingSet:
         block = 2 * self.hilbert.fock_dim * 2 * states.shape[1] * 16
         peak = traced_peak(propagate_block, states, train, MODE, self.hilbert)
         assert taken == [1, 1]  # a block wider than N takes the cached operator
-        # the (down, up) output pair, the sector block and the tail rows of
-        # N // k_tail flashes at a time, at most B; at 40 flashes T is 2B
-        assert peak < 3 * block
+        # the sector block, which becomes the (down, up) output pair, and
+        # about B / 4 beside it: the tail rows of N // (4 k_tail) flashes at a
+        # time, then T's image of a quarter of the block's columns (1.56B)
+        assert peak < 2 * block
 
     def test_flash_path_holds_two_buffers_output_and_tails(self):
         states = self.states()
@@ -573,6 +614,15 @@ class TestWorkingSet:
             # the sector block and its spare buffer, the output pair and the tail
             # rows of N // k_tail flashes, B; at 200 flashes the train's rows are 10B
             assert peak < 4 * block, n_flashes
+
+    def test_build_holds_rows_and_two_stacks(self, tuned_headline_large):
+        # fig4's tuned train: T and its tail rows, which the build returns, are
+        # 2.55 (2, N, N) stacks, and the build holds one more stack beside them
+        # (3.63), never M = Gap U as well
+        spec, _ = tuned_headline_large
+        n = spec.hilbert.fock_dim
+        peak = traced_peak(_build_train_operator, spec.analysis, spec.mode, spec.hilbert)
+        assert peak < 3.8 * (2 * n * n * 16)
 
     def test_long_wide_train_goes_flash_by_flash(self, monkeypatch):
         # at 100 flashes the count says the operator pays, but a build, 2N^2 +
