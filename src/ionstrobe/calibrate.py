@@ -28,7 +28,7 @@ from .hilbert import (
     CoherentAmp,
     HilbertSpec,
     UnitScale,
-    coupling_operator,
+    _expi_ladder,
     expect_sigma_z,
     make_initial_state,
     thermal_ground_states,
@@ -298,8 +298,10 @@ def tune_pulse_train(spec: SequenceSpec) -> TrainTuning:
         spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
     )
     # analytic starting point: the thermally weighted Debye-Waller carrier rate,
-    # <l|C|l> = e^{-eta^2/2} L_l(eta^2) from the coupling operator every flash is built from
-    carrier = np.diagonal(coupling_operator(train.drive.eta, spec.hilbert))[levels].real
+    # <l|C|l> = e^{-eta^2/2} L_l(eta^2) of the coupling operator every flash is built
+    # from, read off the thermal levels' columns C[:, levels] alone
+    carrier = _expi_ladder(train.drive.eta, spec.hilbert.fock_dim, 1, levels)[
+        levels, np.arange(levels.size)].real
     dw = float(np.dot(weights, carrier))
     theta_full = train.n_flashes * train.drive.rabi * train.flash_dur * max(dw, 1e-12)
     start = (math.pi / 2.0) / theta_full if theta_full > 0.0 else math.inf

@@ -4,6 +4,12 @@ Both fits work internally in a parameterization that is linear in the
 oscillating part (offset, C cos phi0, C sin phi0), which sidesteps phase
 wrapping, and convert to (contrast, phase) at the boundary. Contrast is
 reported non-negative with the sign absorbed into the phase.
+
+The wave-pattern fit's coarse grid goes through its rotations in blocks
+whose tables (exp(i u), the filler's factor and w (cos u, sin u), 48 bytes
+per rotation and point) fit GRID_BLOCK_BYTES, half a MiB: 16 rotations on
+a 26 x 26 scan, where the fit's traced peak is 0.72 MiB and a 32-resample
+bootstrap's 1.19 MiB (2.56 and 3.02 MiB with tables of all 60 rotations).
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ GN_MAX_ITER = 100
 # coarse (wavelength, rotation) grid that seeds the pattern fit's refinement
 GRID_N_LAMBDA = 48
 GRID_N_THETA = 60
+# bytes of the grid's per-block tables; a block takes as many rotations as fit
+GRID_BLOCK_BYTES = 2**19
 
 
 @dataclass
@@ -147,23 +155,28 @@ def _pattern_arrays(points):
     return arr.T
 
 
-def _phase_filler(x, z, thetas):
-    """Return fill(k, out), which writes exp(i k (x sin th + z cos th)) into out[th, point].
+def _phase_filler(x, z, thetas, block):
+    """Return fill(k, rots, out), which writes exp(i k (x sin th + z cos th))
+    into out[j, point] for th the j-th of thetas[rots], a slice of at most
+    `block` rotations.
 
     exp(i k x sin th) and exp(i k z cos th) are tabulated over the distinct
-    x and z and multiplied per point. On a scan grid, where the coordinates
-    repeat, a call costs far fewer exponentials than points; for scattered
-    points it costs two per point and rotation.
+    x and z and multiplied per point into one reused (block, points)
+    buffer, 16 of the 48 bytes per rotation and point that _grid_seeds
+    fits in GRID_BLOCK_BYTES. On a scan grid, where the coordinates repeat, a call costs far
+    fewer exponentials than points; for scattered points it costs two per
+    point and rotation.
     """
     sin_t, cos_t = np.sin(thetas), np.cos(thetas)
     ux, ix = np.unique(x, return_inverse=True)
     uz, iz = np.unique(z, return_inverse=True)
-    factor = np.empty((thetas.size, x.size), dtype=complex)
+    factor = np.empty((block, x.size), dtype=complex)
 
-    def fill(k, out):
-        np.take(np.exp(1j * np.outer(k * sin_t, ux)), ix, axis=1, out=out)
-        np.take(np.exp(1j * np.outer(k * cos_t, uz)), iz, axis=1, out=factor)
-        np.multiply(out, factor, out=out)
+    def fill(k, rots, out):
+        z_part = factor[:len(out)]
+        np.take(np.exp(1j * np.outer(k * sin_t[rots], ux)), ix, axis=1, out=out)
+        np.take(np.exp(1j * np.outer(k * cos_t[rots], uz)), iz, axis=1, out=z_part)
+        np.multiply(out, z_part, out=out)
 
     return fill
 
@@ -175,34 +188,45 @@ def _grid_seeds(x, z, w, y):
     At a fixed (wavelength, rotation) the model b cos u + c sin u is linear,
     and (b, c) solve its 2x2 weighted normal equations in closed form; the
     least-squares SSE is sum w y^2 - b r1 - c r2 with (r1, r2) their right-
-    hand side. The grid is evaluated one wavelength row at a time into
-    preallocated buffers, one (2 x N) product per rotation: batching per
-    rotation keeps each product on one BLAS thread, since waking a second
-    thread costs more than a product this small. The columns of y share the
-    normal matrices, so each extra column costs one more right-hand side.
-    Ties go to the first cell in (wavelength, rotation) order.
+    hand side. The grid is evaluated one wavelength row at a time and each
+    row one block of rotations at a time, into buffers allocated once per
+    call: a block takes as many rotations as its tables (48 bytes per
+    rotation and point) fit in GRID_BLOCK_BYTES, at least one, and writes
+    its normal matrices and right-hand sides into the row's arrays, one
+    (2 x N) product per rotation: batching per rotation keeps each product
+    on one BLAS thread, since waking a second thread costs more than a
+    product this small. The columns of y share the normal matrices, so each
+    extra column costs one more right-hand side. Each row is solved whole,
+    and ties go to the first cell in (wavelength, rotation) order.
     """
     diag_extent = math.hypot(x.max() - x.min(), z.max() - z.min())
     if diag_extent <= 0:
         raise FitError("degenerate scan extent")
     lambdas = np.geomspace(diag_extent / 20.0, 2.0 * diag_extent, GRID_N_LAMBDA)
     thetas = np.linspace(-math.pi / 2, math.pi / 2, GRID_N_THETA, endpoint=False)
-    fill = _phase_filler(x, z, thetas)
+    block = min(GRID_N_THETA, max(1, GRID_BLOCK_BYTES // (48 * x.size)))
+    fill = _phase_filler(x, z, thetas, block)
 
     n_cols = y.shape[1]
     cols = np.arange(n_cols)
     sse_zero = np.einsum("n,nm->m", w, y * y)
-    e_iu = np.empty((GRID_N_THETA, x.size), dtype=complex)
+    e_iu = np.empty((block, x.size), dtype=complex)
     # (rotation, cos u | sin u, point), a view of e_iu
-    cs = e_iu.view(float).reshape(GRID_N_THETA, x.size, 2).transpose(0, 2, 1)
+    cs = e_iu.view(float).reshape(block, x.size, 2).transpose(0, 2, 1)
     w_cs = np.empty(cs.shape)
+    normal = np.empty((GRID_N_THETA, 2, 2))
+    rhs = np.empty((GRID_N_THETA, 2, n_cols))
     row_sse = np.empty((GRID_N_LAMBDA, n_cols))
     row_seeds = np.empty((GRID_N_LAMBDA, n_cols, 4))
     for i, lam in enumerate(lambdas):
-        fill(2.0 * math.pi / lam, e_iu)
-        np.multiply(cs, w, out=w_cs)
-        normal = w_cs @ cs.transpose(0, 2, 1)
-        rhs = w_cs @ y
+        k = 2.0 * math.pi / lam
+        for lo in range(0, GRID_N_THETA, block):
+            rots = slice(lo, min(lo + block, GRID_N_THETA))
+            n_rot = rots.stop - lo
+            fill(k, rots, e_iu[:n_rot])
+            np.multiply(cs[:n_rot], w, out=w_cs[:n_rot])
+            np.matmul(w_cs[:n_rot], cs[:n_rot].transpose(0, 2, 1), out=normal[rots])
+            np.matmul(w_cs[:n_rot], y, out=rhs[rots])
         r1, r2 = rhs[:, 0], rhs[:, 1]
         a11, a12, a22 = normal[:, 0, 0, None], normal[:, 0, 1, None], normal[:, 1, 1, None]
         det = a11 * a22 - a12 * a12
@@ -308,8 +332,9 @@ def fit_wave_pattern(points, sem_floor: float | None = None) -> PatternFit:
     scan diagonals) by GRID_N_THETA rotations seeds a damped Gauss-Newton
     refinement of all four parameters. At each grid cell the oscillation
     quadratures solve a 2x2 weighted normal equation in closed form; the
-    cells are evaluated in batches, one wavelength row of rotations at a
-    time, and the cell of least SSE is the seed.
+    cells are evaluated in batches, one wavelength row at a time and each
+    row one block of rotations at a time, and the cell of least SSE is the
+    seed.
     """
     x, z, p, sem = _pattern_arrays(points)
     w = _weights_from_sems(sem, sem_floor)

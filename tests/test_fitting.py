@@ -15,6 +15,8 @@ from ionstrobe.fitting import (
 )
 from ionstrobe.sequence import PatternField, static_pattern_probe
 
+from conftest import traced_call
+
 
 def fringe_samples(offset, contrast, phase, n=24, span=2 * math.pi, sem=0.0, start=0.0):
     phi = start + np.linspace(0.0, span, n, endpoint=False)
@@ -270,3 +272,117 @@ class TestBatchedGrid:
         assert unc["n_successful"] == len(lams)
         assert unc["wavelength_std"] == pytest.approx(np.std(lams, ddof=1), rel=1e-9)
         assert unc["rotation_std"] == pytest.approx(np.std(ths, ddof=1), rel=1e-9)
+
+
+@np.errstate(all="ignore")
+def full_table_grid_seeds(x, z, w, y):
+    """The coarse grid with whole (rotations, points) tables per wavelength row:
+    exp(i u), its z factor and w (cos u, sin u) for all 60 rotations at once."""
+    diag_extent = math.hypot(x.max() - x.min(), z.max() - z.min())
+    lambdas = np.geomspace(diag_extent / 20.0, 2.0 * diag_extent, fitting.GRID_N_LAMBDA)
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, fitting.GRID_N_THETA, endpoint=False)
+    sin_t, cos_t = np.sin(thetas), np.cos(thetas)
+    ux, ix = np.unique(x, return_inverse=True)
+    uz, iz = np.unique(z, return_inverse=True)
+    factor = np.empty((thetas.size, x.size), dtype=complex)
+    n_cols = y.shape[1]
+    cols = np.arange(n_cols)
+    sse_zero = np.einsum("n,nm->m", w, y * y)
+    e_iu = np.empty((fitting.GRID_N_THETA, x.size), dtype=complex)
+    cs = e_iu.view(float).reshape(fitting.GRID_N_THETA, x.size, 2).transpose(0, 2, 1)
+    w_cs = np.empty(cs.shape)
+    row_sse = np.empty((fitting.GRID_N_LAMBDA, n_cols))
+    row_seeds = np.empty((fitting.GRID_N_LAMBDA, n_cols, 4))
+    for i, lam in enumerate(lambdas):
+        k = 2.0 * math.pi / lam
+        np.take(np.exp(1j * np.outer(k * sin_t, ux)), ix, axis=1, out=e_iu)
+        np.take(np.exp(1j * np.outer(k * cos_t, uz)), iz, axis=1, out=factor)
+        np.multiply(e_iu, factor, out=e_iu)
+        np.multiply(cs, w, out=w_cs)
+        normal = w_cs @ cs.transpose(0, 2, 1)
+        rhs = w_cs @ y
+        r1, r2 = rhs[:, 0], rhs[:, 1]
+        a11, a12, a22 = normal[:, 0, 0, None], normal[:, 0, 1, None], normal[:, 1, 1, None]
+        det = a11 * a22 - a12 * a12
+        b = (a22 * r1 - a12 * r2) / det
+        c = (a11 * r2 - a12 * r1) / det
+        sse = sse_zero - b * r1 - c * r2
+        sse[~((det > 0) & np.isfinite(sse))] = math.inf
+        row = np.argmin(sse, axis=0)
+        row_sse[i] = sse[row, cols]
+        row_seeds[i] = np.column_stack(
+            [b[row, cols], c[row, cols], np.full(n_cols, lam), thetas[row]]
+        )
+    return row_seeds[np.argmin(row_sse, axis=0), cols]
+
+
+def grid_arrays(points, sem_floor):
+    x, z, p, sem = points.T
+    return x, z, fitting._weights_from_sems(sem, sem_floor), p
+
+
+def resampled_columns(points, n_cols=32, seed=3):
+    """(p - 1/2) for n_cols parametric resamples of the points, as the bootstrap grids them."""
+    rng = np.random.default_rng(seed)
+    p, sem = points[:, 2], np.maximum(points[:, 3], 1.0 / 500)
+    return np.clip(p[:, None] + rng.normal(0.0, sem[:, None], (p.size, n_cols)), 0.0, 1.0) - 0.5
+
+
+class TestBlockedGrid:
+    """The grid evaluated in blocks of rotations equals the whole-table grid bit
+    for bit: every cell sees the same products, and each row is solved whole."""
+
+    @pytest.mark.parametrize("name", GRID_INPUTS)
+    def test_equals_full_table(self, name):
+        x, z, w, p = grid_arrays(*GRID_INPUTS[name])
+        y = (p - 0.5)[:, None]
+        assert np.array_equal(fitting._grid_seeds(x, z, w, y), full_table_grid_seeds(x, z, w, y))
+
+    def test_bootstrap_columns_equal_full_table(self):
+        points, sem_floor = GRID_INPUTS["grid shot-noised"]
+        x, z, w, _ = grid_arrays(points, sem_floor)
+        y = resampled_columns(points)
+        assert np.array_equal(fitting._grid_seeds(x, z, w, y), full_table_grid_seeds(x, z, w, y))
+
+    @pytest.mark.parametrize("rotations,block", [(0, 1), (7, 7), (23, 23), (100, 60)])
+    def test_any_block_size_equals_full_table(self, monkeypatch, rotations, block):
+        # 7 and 23 leave a ragged last block of 4 and 14 rotations; a budget
+        # under one rotation still takes one, and one over the grid takes all 60
+        points, sem_floor = GRID_INPUTS["scattered, one x row"]
+        x, z, w, _ = grid_arrays(points, sem_floor)
+        monkeypatch.setattr(fitting, "GRID_BLOCK_BYTES", rotations * 48 * x.size)
+        blocks = []
+        filler = fitting._phase_filler
+        monkeypatch.setattr(fitting, "_phase_filler",
+                            lambda *args: blocks.append(args[-1]) or filler(*args))
+        y = resampled_columns(points, n_cols=3)
+        assert np.array_equal(fitting._grid_seeds(x, z, w, y), full_table_grid_seeds(x, z, w, y))
+        assert blocks == [block]
+
+    def test_fit_and_bootstrap_equal_full_table(self, monkeypatch):
+        floor = 1.0 / 500
+        points = shot_noised(pattern_points(138e-9, 0.840, 0.76), 9)
+        fit = fit_wave_pattern(points, sem_floor=floor)
+        unc = bootstrap_pattern_uncertainty(points, fit, n_boot=32, seed=3, sem_floor=floor)
+        monkeypatch.setattr(fitting, "_grid_seeds", full_table_grid_seeds)
+        assert fit_wave_pattern(points, sem_floor=floor) == fit
+        assert bootstrap_pattern_uncertainty(points, fit, n_boot=32, seed=3, sem_floor=floor) == unc
+
+
+class TestPatternFitWorkingSet:
+    """traced_call's peak of the pattern fit on the 26 x 26 demo grid. Whole
+    (60 rotations, 676 points) grid tables took a first fit to 2.60 MiB and
+    the 32-resample bootstrap to 3.02 MiB; blocks of 16 rotations hold half
+    a MiB of tables, and the peaks are 0.77 and 1.19 MiB."""
+
+    floor = 1.0 / 500
+    points = shot_noised(pattern_points(138e-9, 0.840, 0.76), 9)
+
+    def test_fit(self):
+        _, peak = traced_call(fit_wave_pattern, self.points, self.floor)
+        assert peak < 2**20
+
+    def test_bootstrap(self):
+        fit = fit_wave_pattern(self.points, sem_floor=self.floor)
+        _, peak = traced_call(bootstrap_pattern_uncertainty, self.points, fit, 32, 3, self.floor)
+        assert peak < 1.5 * 2**20
