@@ -29,9 +29,10 @@ from .hilbert import (
     HilbertSpec,
     UnitScale,
     _expi_ladder,
+    _require_levels,
     expect_sigma_z,
     make_initial_state,
-    thermal_ground_states,
+    thermal_ensemble,
 )
 from .sequence import ScanRecord, ScanSpec, SequenceSpec, sequence_fringes
 
@@ -240,21 +241,20 @@ def _polish(root: float, f) -> float:
     return float(g + h - fh * h / (fh - fg))
 
 
-def _search(spec: SequenceSpec, hilbert: HilbertSpec, start: float) -> tuple[float, int]:
-    """(root, probes) of the signed, thermally weighted <sigma_z> in
-    rabi_scale, in the Fock space `hilbert`.
+def _search(spec: SequenceSpec, hilbert: HilbertSpec, start: float, levels: np.ndarray,
+            weights: np.ndarray) -> tuple[float, int]:
+    """(root, probes) of the <sigma_z> of the thermal `levels`, weighted by
+    `weights`, in rabi_scale, in the Fock space `hilbert`.
 
     <sigma_z> is probed at 0.5, 1 and 1.5 times `start`, lowest first, and
     _root runs in the lowest pair with a sign change: the smallest rotation
     that reaches the equator; _polish's two probes then settle the root.
     Each probe propagates the thermal levels as one block. Raises
     CalibrationError when no pair changes sign, and TruncationError when
-    the thermal draw or a probe's tail exceeds hilbert.tail_tol.
+    the levels do not fit the space or a probe's tail exceeds hilbert.tail_tol.
     """
     n = hilbert.fock_dim
-    levels, weights = thermal_ground_states(
-        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, hilbert
-    )
+    _require_levels(hilbert, levels.size, f"the thermal mixture's Fock level {levels.size - 1}")
     states = np.eye(2 * n, dtype=complex)[:, levels]  # |down>|l>, one column per level
     n_evals = 0
 
@@ -284,19 +284,18 @@ def tune_pulse_train(spec: SequenceSpec) -> TrainTuning:
     `spec`, from the Debye-Waller start; spec.excitation is ignored.
 
     The search (_search) and its polish (_polish) run in the smallest of
-    32, 64, 128, ... Fock levels below spec.hilbert.fock_dim whose thermal
-    draw fits and whose every probe keeps its tail under SEARCH_TAIL_BOUND,
-    else at the configured size; search_fock_dim names that space. The root
-    is then checked once at the configured size, state by state through
-    run_pulse_train with the tail_tol watchdog. The check gives
-    achieved_sigma_z, and a value above TUNE_TOL raises CalibrationError.
-    n_evaluations counts the search's and the polish's probes, not the
-    check's. A fock_dim too small for the tuned train raises TruncationError.
+    32, 64, 128, ... Fock levels below spec.hilbert.fock_dim that holds the
+    thermal levels, cut at spec.hilbert.tail_tol, and whose every probe keeps
+    its tail under SEARCH_TAIL_BOUND, else at the configured size;
+    search_fock_dim names that space. The root is then checked once at the
+    configured size, state by state through run_pulse_train with the
+    tail_tol watchdog. The check gives achieved_sigma_z, and a value above
+    TUNE_TOL raises CalibrationError. n_evaluations counts the search's and
+    the polish's probes, not the check's. A fock_dim too small for the tuned
+    train raises TruncationError.
     """
     train = spec.analysis
-    levels, weights = thermal_ground_states(
-        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
-    )
+    levels, weights = thermal_ensemble(spec.mode.n_th, spec.hilbert)
     # analytic starting point: the thermally weighted Debye-Waller carrier rate,
     # <l|C|l> = e^{-eta^2/2} L_l(eta^2) of the coupling operator every flash is built
     # from, read off the thermal levels' columns C[:, levels] alone
@@ -311,7 +310,7 @@ def tune_pulse_train(spec: SequenceSpec) -> TrainTuning:
 
     for hilbert in _search_spaces(spec.hilbert):
         try:
-            scale, n_evals = _search(spec, hilbert, start)
+            scale, n_evals = _search(spec, hilbert, start, levels, weights)
             break
         except TruncationError:
             if hilbert is spec.hilbert:
@@ -352,7 +351,7 @@ def build_decode_tables(spec: SequenceSpec, units: UnitScale, alpha_grid) -> Dec
     try:
         fringes = sequence_fringes(spec, kicks)
     except TruncationError as exc:
-        if exc.index is not None:  # else the thermal draw, before any amplitude
+        if exc.index is not None:  # else the thermal mixture, before any amplitude
             exc.args = (f"at decode amplitude |alpha|={kicks[exc.index].magnitude:g}: {exc}",)
         raise
     plus, mom = fringes[0::2], fringes[1::2]

@@ -26,6 +26,7 @@ from .calibrate import (
     tune_pulse_train,
     unwrap_sweep_phases,
 )
+from .dynamics import apply_dephasing
 from .errors import ConfigError, DecodeError, FitError, IonstrobeError
 from .fitting import bootstrap_pattern_uncertainty, fit_wave_pattern
 from .hilbert import CoherentAmp
@@ -144,8 +145,10 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
                 summary_lines=summary)
 
 
-def _alpha_grid(cfg: dict) -> np.ndarray:
-    """The decode amplitudes 0, alpha_step, ... up to alpha_max; at least 3."""
+def _decode_grid(cfg: dict) -> np.ndarray:
+    """The decode amplitudes 0, alpha_step, ... up to alpha_max; at least 3.
+    A decode reads fringe phases, so a coherence envelope of 0.0 at the
+    train's end is a config error naming dephasing.tau_us, before any tuning."""
     dec = cfg["decode"]
     # a grid past numpy's size limit, or past memory
     with cfgmod.naming("decode.alpha_max and decode.alpha_step", cfgmod.CANNOT_RESERVE):
@@ -153,6 +156,12 @@ def _alpha_grid(cfg: dict) -> np.ndarray:
     if len(alpha_grid) < 3:
         raise ConfigError(f"decode.alpha_max and decode.alpha_step give {len(alpha_grid)} "
                           "decode amplitudes, need at least 3")
+    elapsed = cfgmod.build_train(cfg).total_duration
+    envelope = apply_dephasing(1.0, cfgmod.build_dephasing(cfg), elapsed)
+    if envelope == 0.0:
+        raise ConfigError(f"dephasing.tau_us: the {cfg['dephasing']['envelope']} envelope is "
+                          f"{envelope:g} at the train's end, {elapsed * 1e6:g} us, so there is no "
+                          "fringe phase to decode")
     return alpha_grid
 
 
@@ -165,7 +174,7 @@ def _decode_tables(cfg: dict, spec, alpha_grid: np.ndarray):
 
 
 def cmd_build_tables(cfg: dict, args) -> None:
-    alpha_grid = _alpha_grid(cfg)
+    alpha_grid = _decode_grid(cfg)
     tables = _decode_tables(cfg, _tuned_sequence(cfg), alpha_grid)
     write_decode_tables(tables, args.out, cfg)
 
@@ -184,7 +193,7 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     if span < math.pi:
         raise ConfigError(f"scan.phi_start_rad and scan.phi_stop_rad give a phase span of "
                           f"{span:.3f} rad; the fringe fits need at least pi")
-    alpha_grid = _alpha_grid(cfg)
+    alpha_grid = _decode_grid(cfg)
     spec = _tuned_sequence(cfg)
     alpha = cfg["state"]["alpha_abs"]
     tables = _decode_tables(cfg, spec, alpha_grid)

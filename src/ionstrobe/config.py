@@ -64,8 +64,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "freq_hz": Key(1.3e6, "(0, inf)"),
         "n_th": Key(0.15, "[0, inf)"),
         "mode_angle_deg": Key(0.0, "[-90, 90]"),
-        "thermal_samples": Key(200, "[1, inf)"),
-        "thermal_seed": Key(3, "[0, inf)"),
     },
     "units": {"mass_amu": Key(25.0, "(0, inf)"), "hbar": Key(HBAR, "(0, inf)")},
     "drive": {
@@ -323,17 +321,14 @@ def build_dephasing(cfg: dict) -> DephasingSpec:
 
 
 def build_sequence_spec(cfg: dict) -> SequenceSpec:
-    fock_dim, samples = cfg["hilbert"]["fock_dim"], cfg["mode"]["thermal_samples"]
+    fock_dim = cfg["hilbert"]["fock_dim"]
     _reserve("hilbert.fock_dim", (2, fock_dim, fock_dim), complex)  # the flash unitary pair
-    _reserve("mode.thermal_samples", samples, np.int64)  # the thermal draw
     return SequenceSpec(
         hilbert=HilbertSpec(fock_dim=fock_dim, tail_tol=cfg["hilbert"]["tail_tol"]),
         mode=build_mode(cfg),
         analysis=build_train(cfg),
         excitation=build_excitation(cfg),
         dephasing=build_dephasing(cfg),
-        thermal_samples=samples,
-        thermal_seed=cfg["mode"]["thermal_seed"],
     )
 
 

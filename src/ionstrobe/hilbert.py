@@ -1,7 +1,7 @@
 """Truncated spin (x) oscillator Hilbert space.
 
 Displacement and squeeze unitaries, the traveling-wave coupling operator,
-basis states, <sigma_z>, the thermal ensemble, the truncation check and SI
+basis states, <sigma_z>, the exact thermal mixture, the truncation check and SI
 unit scales for a single two-level spin coupled to one harmonic mode.
 
 Basis ordering is spin-major: amplitudes[0:N] is the spin-down block,
@@ -289,31 +289,25 @@ def make_initial_state(spin: str, fock_index: int, spec: HilbertSpec) -> SpinMot
     return SpinMotionState(amps, spec.fock_dim)
 
 
-def thermal_ensemble(n_th: float, samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo thermal ensemble deduplicated into (levels, weights).
+def thermal_ensemble(n_th: float, spec: HilbertSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The thermal mixture at mean occupation n_th as (levels, weights) of the
+    starting states |down> (x) |n>.
 
-    Weights are draw counts / samples, so observable averages over the
-    ensemble reproduce the sampled thermal mixture exactly. At n_th = 0
-    every draw is level 0, so the ensemble is level 0 with weight 1.
+    With q = n_th / (1 + n_th), level n weighs (1 - q) q^n. The levels run
+    0 .. L - 1, L the first count whose dropped tail q^L lies below
+    spec.tail_tol, and the weights are renormalised to sum to 1: at n_th = 0,
+    level 0 with weight 1. A TruncationError names the top level when L
+    exceeds fock_dim, or when q rounds to 1 and no L exists; L is known
+    before anything is allocated.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    # numpy's geometric law counts trials; the thermal law counts failures
-    draws = rng.geometric(1.0 / (1.0 + n_th), size=samples) - 1
-    levels, counts = np.unique(draws, return_counts=True)
-    return levels, counts / float(samples)
-
-
-def thermal_ground_states(
-    n_th: float, samples: int, seed, spec: HilbertSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """thermal_ensemble's (levels, weights) of the starting states |down> (x) |n>;
-    a TruncationError when a drawn level lies outside the Fock space."""
-    levels, weights = thermal_ensemble(n_th, samples, seed)
-    top = int(levels[-1])
-    _require_levels(spec, top + 1, f"the thermal draw's Fock level {top} at n_th={n_th:g}")
-    return levels, weights
+    q, tol = n_th / (1.0 + n_th), spec.tail_tol
+    count = 1 if q == 0.0 else math.inf if q == 1.0 else math.floor(math.log(tol) / math.log(q)) + 1
+    if 1 < count < math.inf:  # the logs round: settle q^L < tol <= q^(L - 1) on the powers
+        count -= q ** (count - 1) < tol
+        count += q ** count >= tol
+    _require_levels(spec, count, f"the thermal mixture's Fock level {count - 1} at n_th={n_th:g}")
+    weights = q ** np.arange(count)
+    return np.arange(count), weights / weights.sum()
 
 
 def expect_sigma_z(state: SpinMotionState) -> float:

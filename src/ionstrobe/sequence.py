@@ -3,8 +3,9 @@
 One sequence is: thermal initialization in |down>, an optional coherent
 displacement or squeeze kick, a synchronization MW pi/2 pulse, the
 stroboscopic analysis train at the scan phase, and projective detection
-of P_down. Thermal motion is handled by Monte-Carlo draws over initial
-Fock levels, deduplicated into a weighted ensemble.
+of P_down. Thermal motion is the exact thermal mixture over initial Fock
+levels (hilbert.thermal_ensemble), cut where its dropped tail falls below
+hilbert.tail_tol and renormalised.
 
 The excitation phase is referenced to the stroboscopic sampling instants:
 a free pre-delay of one motional period minus half a flash aligns every
@@ -63,7 +64,7 @@ from .hilbert import (
     displacement_operator,
     make_initial_state,
     squeeze_operator,
-    thermal_ground_states,
+    thermal_ensemble,
 )
 
 REFERENCE_SEED_OFFSET = 1 << 20  # separates reference from measurement detection streams
@@ -79,8 +80,6 @@ class SequenceSpec:
     analysis: PulseTrainSpec
     excitation: CoherentAmp | SqueezeParam | None = None
     dephasing: DephasingSpec = DephasingSpec(envelope="none")
-    thermal_samples: int = 200
-    thermal_seed: int = 0
 
     def pre_delay(self) -> float:
         """Free evolution that centers the first flash on the nominal phase."""
@@ -244,9 +243,7 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
     distinct = list(dict.fromkeys(kicks))
     if not distinct:
         return []
-    levels, weights = thermal_ground_states(
-        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
-    )
+    levels, weights = thermal_ensemble(spec.mode.n_th, spec.hilbert)
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
     try:
         pre_train, n_initial = _pre_train(spec, distinct, levels)
@@ -319,7 +316,7 @@ def scan_fringes(scan: ScanSpec, spec: SequenceSpec) -> list[SequenceFringe]:
     sequence_fringes call. A TruncationError with an index (the position of
     the outer value, or of the reference after them) is raised again, its
     index and phase kept and its message prefixed with that point; one
-    without, such as the thermal draw's, concerns no point.
+    without, such as the thermal mixture's, concerns no point.
     """
     kicks = [_outer_excitation(spec.excitation, scan.outer_var, v) for v in scan.outer_grid]
     try:

@@ -199,7 +199,7 @@ def reference_fringe(spec: SequenceSpec) -> tuple[float, complex, float, complex
     every thermal level's reference_pre_train state at phi = 0, pi/2, pi and
     3 pi/2: an exact cosine in phi is its mean plus 2 Re(c1 e^{i phi}), with
     c1 the mean of its samples times e^{-i phi}."""
-    levels, weights = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
+    levels, weights = thermal_ensemble(spec.mode.n_th, spec.hilbert)
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
     phis = np.arange(4) * (math.pi / 2.0)
     p_down, delta_n = np.zeros(4), np.zeros(4)
@@ -230,8 +230,6 @@ def headline_sequence_spec(fock_dim: int) -> SequenceSpec:
         analysis=train,
         excitation=CoherentAmp(0.0, 0.0),
         dephasing=DephasingSpec(tau=70e-6, envelope="gaussian"),
-        thermal_samples=200,
-        thermal_seed=3,
     )
 
 

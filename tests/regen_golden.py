@@ -1,0 +1,52 @@
+"""Rewrite the golden demo outputs in tests/golden/.
+
+Usage:
+    PYTHONPATH=src python tests/regen_golden.py [OUT_DIR]
+
+Runs every demo of DEMOS at seed SEED, in this one process, at one OpenBLAS
+thread, and writes its tables (with the sibling tables some commands add)
+into OUT_DIR, by default tests/golden/. test_golden.py runs this script
+into a temporary directory and compares the result with the committed
+files. A change that moves a demo output reruns it with no argument, and
+lists every column that moved.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads: the goldens' sum order
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+SEED = 1
+# (command, config stem): every config in configs/, the output named after it
+DEMOS = (
+    ("ramsey-scan", "fig2b"),
+    ("pattern-scan", "fig2c"),
+    ("ramsey-scan", "fig3b"),
+    ("ramsey-scan", "fig3c"),
+    ("trace-phase-space", "fig4"),
+    ("ramsey-scan", "figS2"),
+    ("ramsey-scan", "figS3-compare"),
+    ("squeeze-scan", "figS4"),
+    ("stability", "table-stability-ac"),
+    ("stability", "table-stability-mw"),
+)
+
+
+def run_demos(out_dir: Path) -> None:
+    from ionstrobe.cli import main
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for command, stem in DEMOS:
+        args = [command, "--config", str(ROOT / "configs" / f"{stem}.yaml"),
+                "--out", str(out_dir / f"{stem}.txt"), "--seed", str(SEED)]
+        if main(args) != 0:
+            raise SystemExit(f"{command} on {stem}.yaml failed")
+
+
+if __name__ == "__main__":
+    run_demos(Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN)

@@ -348,7 +348,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             "scan: {phi_num: 5, outer_var: zeta0, outer_values: [0.0, 3.1415927]}\n"
             "detection: {mode: shots, shots: 64, base_seed: 10}\n"
         ),
-        "calibrate-train": "hilbert: {fock_dim: 48}\nmode: {thermal_samples: 100}\n",
+        "calibrate-train": "hilbert: {fock_dim: 48}\n",
         "build-tables": (
             "hilbert: {fock_dim: 64}\ntrain: {rabi_scale: 0.2795}\n"
             "decode: {alpha_max: 2.0, alpha_step: 0.5}\n"

@@ -39,7 +39,7 @@ from ionstrobe.calibrate import (
 from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec, run_pulse_train, run_pulse_train_block
 from ionstrobe.errors import CalibrationError, DecodeError, TruncationError
 from ionstrobe.fitting import fit_cosine
-from ionstrobe.hilbert import thermal_ensemble, thermal_ground_states
+from ionstrobe.hilbert import thermal_ensemble
 from ionstrobe.sequence import (
     ScanSpec,
     SequenceSpec,
@@ -66,8 +66,6 @@ def alpha_zero_spec(fock_dim=64, eta=0.4, n_th=0.15, envelope="gaussian"):
         analysis=train,
         excitation=CoherentAmp(0.0, 0.0),
         dephasing=DephasingSpec(tau=70e-6, envelope=envelope),
-        thermal_samples=200,
-        thermal_seed=3,
     )
 
 
@@ -112,7 +110,7 @@ class TestTunePulseTrain:
     def test_headline_tuning_reproduced(self, tuned_headline_small):
         # the root of the signed sigma_z
         _, tuning = tuned_headline_small
-        assert tuning.rabi_scale == pytest.approx(0.27947047707704215, abs=1e-12)
+        assert tuning.rabi_scale == pytest.approx(0.2795308387287305, abs=1e-12)
 
     def test_tuned_train_on_thermal_state(self, tuned_spec):
         spec, _ = tuned_spec
@@ -253,9 +251,7 @@ def _checked(spec, levels, weights, root, n_evals, search_fock_dim=0):
 def reference_tune(spec):
     """The tuner with every probe at the configured size, state by state
     through run_pulse_train: the independent oracle of the small-space search."""
-    levels, weights = thermal_ground_states(
-        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
-    )
+    levels, weights = thermal_ensemble(spec.mode.n_th, spec.hilbert)
     n_evals = 0
 
     def sigma_z(rabi_scale):
@@ -274,9 +270,7 @@ def reference_tune_in(spec, search_dim):
     return, bit for bit, when it searches in that space."""
     small = (spec.hilbert if search_dim == spec.hilbert.fock_dim
              else HilbertSpec(fock_dim=search_dim, tail_tol=SEARCH_TAIL_BOUND))
-    levels, weights = thermal_ground_states(
-        spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, small
-    )
+    levels, weights = thermal_ensemble(spec.mode.n_th, spec.hilbert)
     block = np.stack([make_initial_state(SPIN_DOWN, int(level), small).amplitudes
                       for level in levels], axis=1)
     n_evals = 0
@@ -335,17 +329,14 @@ class TestSmallSpaceSearch:
         assert_agrees_with_oracle(tuning, spec)
 
     def test_thermal_draw_above_first_space(self):
-        # the draw reaches level 34: the search skips 32 levels and runs at 64
-        spec = replace(alpha_zero_spec(fock_dim=96, eta=0.3, n_th=15.0), thermal_samples=5)
-        levels, _ = thermal_ensemble(spec.mode.n_th, spec.thermal_samples, spec.thermal_seed)
+        # at n_th = 3 the mixture runs to level 32: the search skips 32 levels
+        # and runs at 64 (the roots lie 13 ulps apart)
+        spec = alpha_zero_spec(fock_dim=96, eta=0.3, n_th=3.0)
+        levels, _ = thermal_ensemble(spec.mode.n_th, spec.hilbert)
         assert levels[-1] >= FIRST_SEARCH_DIM
         tuning = tune_pulse_train(spec)
         assert tuning == reference_tune_in(spec, 64)
-        # the oracle's count holds, but not its ulp and 1e-13 bounds: with level
-        # 34 drawn, the configured-size sigma_z rounds at about 4e-13 (the
-        # small-space root reads 4.0e-13 at 96 levels, 1.2e-13 at 128 and
-        # -8.6e-14 at 160), and the two roots lie 181 ulps apart
-        assert tuning.n_evaluations == reference_tune(spec).n_evaluations
+        assert_agrees_with_oracle(tuning, spec)
 
     def test_drive_tail_above_search_bound(self):
         # at eta = 2 the 32-level space passes the configured watchdog but not
@@ -354,9 +345,7 @@ class TestSmallSpaceSearch:
         spec = replace(spec, hilbert=HilbertSpec(fock_dim=64, tail_tol=1e-2))
         ref = reference_tune_in(spec, 64)
         small = HilbertSpec(fock_dim=FIRST_SEARCH_DIM, tail_tol=spec.hilbert.tail_tol)
-        levels, _ = thermal_ground_states(
-            spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, small
-        )
+        levels, _ = thermal_ensemble(spec.mode.n_th, spec.hilbert)
         tuned = apply_tuning(spec, ref).analysis
         block = np.stack([make_initial_state(SPIN_DOWN, int(level), small).amplitudes
                           for level in levels], axis=1)
@@ -392,9 +381,7 @@ class TestSmallSpaceSearch:
         # one configured-size flash unitary, one per-state train per thermal
         # level, and the unitary stays cached for the tuned train's first block
         spec = headline_sequence_spec(64)
-        levels, _ = thermal_ground_states(
-            spec.mode.n_th, spec.thermal_samples, spec.thermal_seed, spec.hilbert
-        )
+        levels, _ = thermal_ensemble(spec.mode.n_th, spec.hilbert)
         builds, runs = [], []
         coupling, run = dynamics_module.coupling_operator, calibrate.run_pulse_train
         monkeypatch.setattr(dynamics_module, "coupling_operator",
@@ -454,7 +441,7 @@ class TestDecodeTables:
         message = r"^at decode amplitude \|alpha\|=1: flash \d+ of 30 leaks .* at analysis phase"
         with pytest.raises(TruncationError, match=message) as info:
             build_decode_tables(spec, UNITS, [0.0, 0.5, 1.0])
-        assert info.value.index == 5  # (alpha 1, theta0 pi/2) is the sixth excitation
+        assert info.value.index == 4  # (alpha 1, theta0 0) is the fifth excitation
         assert math.isfinite(info.value.phase)
 
     def test_alpha_zero_anchor(self, small_tables):
@@ -701,7 +688,7 @@ def test_fig4_shape_builds_the_train_operator_once(tuned_headline_large, headlin
     scan = ScanSpec(phi_grid=np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False),
                     outer_grid=thetas, outer_var="theta0")
     run_scan(scan, replace(spec, excitation=CoherentAmp(6.5, 0.0)))
-    assert block_calls == [111, 3, 72]  # 37 distinct kicks, 1 and 24, at 3 thermal levels
+    assert block_calls == [185, 5, 120]  # 37 distinct kicks, 1 and 24, at 5 thermal levels
     assert len(builds) == 1
 
 

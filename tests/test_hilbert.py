@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,19 +267,43 @@ class TestStatesAndSampling:
             make_initial_state(SPIN_DOWN, 8, HilbertSpec(fock_dim=8))
 
     def test_zero_temperature_sampling(self):
-        for seed in range(5):
-            levels, weights = thermal_ensemble(0.0, 200, seed)
+        for tail_tol in (1e-12, 1e-4, 0.5):
+            levels, weights = thermal_ensemble(0.0, HilbertSpec(fock_dim=2, tail_tol=tail_tol))
             assert levels.tolist() == [0] and weights.tolist() == [1.0]
 
     def test_thermal_mean(self):
-        levels, weights = thermal_ensemble(0.15, 100_000, seed=42)
-        assert np.dot(levels, weights) == pytest.approx(0.15, abs=0.01)
+        # the renormalised mixture's mean falls short of n_th by about the dropped tail
+        levels, weights = thermal_ensemble(0.15, HilbertSpec(fock_dim=32, tail_tol=1e-15))
+        assert np.dot(levels, weights) == pytest.approx(0.15, abs=1e-13)
 
     def test_ensemble_weights_sum(self):
-        levels, weights = thermal_ensemble(0.15, 500, seed=7)
-        assert weights.sum() == pytest.approx(1.0)
-        assert levels[0] == 0
-        assert weights[0] > 0.7
+        # the headline mode at the default tail_tol: levels 0-4, exact weights
+        levels, weights = thermal_ensemble(0.15, HilbertSpec(fock_dim=232))
+        assert levels.tolist() == [0, 1, 2, 3, 4]
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.round(weights, 4).tolist() == [0.8696, 0.1134, 0.0148, 0.0019, 0.0003]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_th=st.floats(0.0, 5.0), tail_tol=st.floats(1e-15, 0.99))
+    def test_weights_follow_the_thermal_law(self, n_th, tail_tol):
+        levels, weights = thermal_ensemble(n_th, HilbertSpec(fock_dim=1024, tail_tol=tail_tol))
+        count = levels.size
+        assert levels.tolist() == list(range(count))
+        law = n_th ** levels / (1.0 + n_th) ** (levels + 1)
+        np.testing.assert_allclose(weights, law / law.sum(), rtol=1e-12, atol=0.0)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+        # the first count whose dropped tail q^L lies below tail_tol
+        q = n_th / (1.0 + n_th)
+        assert q ** count < tail_tol <= q ** (count - 1)
+
+    @pytest.mark.parametrize("n_th, level", [(200.0, "1846"), (1e15, "9217707881597189"),
+                                             (1e300, "inf")])
+    def test_mixture_past_the_fock_space_names_its_level(self, n_th, level):
+        # at 1e300, q = n_th / (1 + n_th) rounds to 1 and no count drops a tail
+        message = (f"fock_dim=128 too small for the thermal mixture's Fock level {level} "
+                   f"at n_th={n_th:g} (need >= ")
+        with pytest.raises(TruncationError, match="^" + re.escape(message)):
+            thermal_ensemble(n_th, HilbertSpec(fock_dim=128))
 
 
 class TestExpectations:
