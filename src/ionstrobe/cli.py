@@ -147,8 +147,9 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
 
 def _decode_grid(cfg: dict) -> np.ndarray:
     """The decode amplitudes 0, alpha_step, ... up to alpha_max; at least 3.
-    A decode reads fringe phases, so a coherence envelope of 0.0 at the
-    train's end is a config error naming dephasing.tau_us, before any tuning."""
+    A decode reads fringe phases, so a coherence envelope under machine
+    epsilon at the train's end, where every p_down rounds to a flat fringe,
+    is a config error naming dephasing.tau_us, before any tuning."""
     dec = cfg["decode"]
     # a grid past numpy's size limit, or past memory
     with cfgmod.naming("decode.alpha_max and decode.alpha_step", cfgmod.CANNOT_RESERVE):
@@ -158,7 +159,7 @@ def _decode_grid(cfg: dict) -> np.ndarray:
                           "decode amplitudes, need at least 3")
     elapsed = cfgmod.build_train(cfg).total_duration
     envelope = apply_dephasing(1.0, cfgmod.build_dephasing(cfg), elapsed)
-    if envelope == 0.0:
+    if envelope < sys.float_info.epsilon:
         raise ConfigError(f"dephasing.tau_us: the {cfg['dephasing']['envelope']} envelope is "
                           f"{envelope:g} at the train's end, {elapsed * 1e6:g} us, so there is no "
                           "fringe phase to decode")

@@ -8,8 +8,9 @@ reported non-negative with the sign absorbed into the phase.
 The wave-pattern fit's coarse grid goes through its rotations in blocks
 whose tables (exp(i u), the filler's factor and w (cos u, sin u), 48 bytes
 per rotation and point) fit GRID_BLOCK_BYTES, half a MiB: 16 rotations on
-a 26 x 26 scan, where the fit's traced peak is 0.72 MiB and a 32-resample
-bootstrap's 1.19 MiB (2.56 and 3.02 MiB with tables of all 60 rotations).
+a 26 x 26 scan, where the fit's traced peak is 0.72 MiB (2.56 MiB with
+tables of all 60 rotations). The bootstrap evaluates no grid: each refit
+starts at the fit, and a 32-resample bootstrap's traced peak is 0.35 MiB.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def _phase_filler(x, z, thetas, block):
 
 @np.errstate(all="ignore")
 def _grid_seeds(x, z, w, y):
-    """Best coarse-grid cell (b, c, wavelength, rotation) for each column of y = p - 1/2.
+    """Best coarse-grid cell (b, c, wavelength, rotation) for y = p - 1/2.
 
     At a fixed (wavelength, rotation) the model b cos u + c sin u is linear,
     and (b, c) solve its 2x2 weighted normal equations in closed form; the
@@ -195,9 +196,8 @@ def _grid_seeds(x, z, w, y):
     its normal matrices and right-hand sides into the row's arrays, one
     (2 x N) product per rotation: batching per rotation keeps each product
     on one BLAS thread, since waking a second thread costs more than a
-    product this small. The columns of y share the normal matrices, so each
-    extra column costs one more right-hand side. Each row is solved whole,
-    and ties go to the first cell in (wavelength, rotation) order.
+    product this small. Each row is solved whole, and ties go to the first
+    cell in (wavelength, rotation) order.
     """
     diag_extent = math.hypot(x.max() - x.min(), z.max() - z.min())
     if diag_extent <= 0:
@@ -207,17 +207,13 @@ def _grid_seeds(x, z, w, y):
     block = min(GRID_N_THETA, max(1, GRID_BLOCK_BYTES // (48 * x.size)))
     fill = _phase_filler(x, z, thetas, block)
 
-    n_cols = y.shape[1]
-    cols = np.arange(n_cols)
-    sse_zero = np.einsum("n,nm->m", w, y * y)
+    sse_zero = np.dot(w, y * y)
     e_iu = np.empty((block, x.size), dtype=complex)
     # (rotation, cos u | sin u, point), a view of e_iu
     cs = e_iu.view(float).reshape(block, x.size, 2).transpose(0, 2, 1)
     w_cs = np.empty(cs.shape)
     normal = np.empty((GRID_N_THETA, 2, 2))
-    rhs = np.empty((GRID_N_THETA, 2, n_cols))
-    row_sse = np.empty((GRID_N_LAMBDA, n_cols))
-    row_seeds = np.empty((GRID_N_LAMBDA, n_cols, 4))
+    rhs = np.empty((GRID_N_THETA, 2))
     for i, lam in enumerate(lambdas):
         k = 2.0 * math.pi / lam
         for lo in range(0, GRID_N_THETA, block):
@@ -228,24 +224,22 @@ def _grid_seeds(x, z, w, y):
             np.matmul(w_cs[:n_rot], cs[:n_rot].transpose(0, 2, 1), out=normal[rots])
             np.matmul(w_cs[:n_rot], y, out=rhs[rots])
         r1, r2 = rhs[:, 0], rhs[:, 1]
-        a11, a12, a22 = normal[:, 0, 0, None], normal[:, 0, 1, None], normal[:, 1, 1, None]
+        a11, a12, a22 = normal[:, 0, 0], normal[:, 0, 1], normal[:, 1, 1]
         det = a11 * a22 - a12 * a12
         b = (a22 * r1 - a12 * r2) / det
         c = (a11 * r2 - a12 * r1) / det
         sse = sse_zero - b * r1 - c * r2
         sse[~((det > 0) & np.isfinite(sse))] = math.inf
-        row = np.argmin(sse, axis=0)
-        row_sse[i] = sse[row, cols]
-        row_seeds[i] = np.column_stack(
-            [b[row, cols], c[row, cols], np.full(n_cols, lam), thetas[row]]
-        )
-    return row_seeds[np.argmin(row_sse, axis=0), cols]
+        row = np.argmin(sse)
+        if i == 0 or sse[row] < best_sse:
+            best_sse, best = sse[row], (b[row], c[row], lam, thetas[row])
+    return np.array(best)
 
 
 @np.errstate(all="ignore")
 def _refine_pattern(x, z, p, w, seed) -> PatternFit:
-    """Damped Gauss-Newton on (b, c, lambda, theta) from a coarse-grid seed; a
-    non-finite SSE or step (phases that overflow) is a fit that did not converge."""
+    """Damped Gauss-Newton on (b, c, lambda, theta) from a grid cell or a fit's
+    parameters; a non-finite SSE or step (phases that overflow) does not converge."""
     params = np.array(seed)
 
     def model_resid(q):
@@ -338,7 +332,7 @@ def fit_wave_pattern(points, sem_floor: float | None = None) -> PatternFit:
     """
     x, z, p, sem = _pattern_arrays(points)
     w = _weights_from_sems(sem, sem_floor)
-    seed = _grid_seeds(x, z, w, (p - 0.5)[:, None])[0]
+    seed = _grid_seeds(x, z, w, p - 0.5)
     return _refine_pattern(x, z, p, w, seed)
 
 
@@ -347,10 +341,11 @@ def bootstrap_pattern_uncertainty(
 ) -> dict:
     """Parametric bootstrap of the pattern fit: resample p around the model.
 
-    Each resample is refitted as fit_wave_pattern would, but the coarse
-    grid is evaluated once for all resamples, since they share the points
-    and their weights. Returns standard deviations of wavelength and
-    rotation over refits.
+    Each resample is refitted by the Gauss-Newton refinement started at the
+    fit's own parameters, so the spread is that of the fit's local minimum;
+    no coarse grid is evaluated. Returns standard deviations of wavelength
+    and rotation over refits, the rotation taken modulo pi about the fit's,
+    since a refit near the (-pi/2, pi/2] cut may land on its other side.
     """
     x, z, _, sem = _pattern_arrays(points)
     model_p = fit.model(x, z)
@@ -360,18 +355,21 @@ def bootstrap_pattern_uncertainty(
     for k in range(n_boot):
         p_star[:, k] = np.clip(model_p + rng.normal(0.0, sigma), 0.0, 1.0)
     w = _weights_from_sems(sem, sem_floor)
-    lams, ths = [], []
-    for p_k, grid_seed in zip(p_star.T, _grid_seeds(x, z, w, p_star - 0.5)):
+    half = 0.5 * fit.amplitude
+    start = (half * math.cos(fit.phase_origin), -half * math.sin(fit.phase_origin),
+             fit.wavelength, fit.rotation)
+    lams, turns = [], []
+    for p_k in p_star.T:
         try:
-            refit = _refine_pattern(x, z, p_k, w, grid_seed)
+            refit = _refine_pattern(x, z, p_k, w, start)
         except FitError:
             continue
         lams.append(refit.wavelength)
-        ths.append(refit.rotation)
+        turns.append(math.remainder(refit.rotation - fit.rotation, math.pi))
     if len(lams) < max(4, n_boot // 4):
         raise FitError("bootstrap produced too few successful refits")
     return {
         "wavelength_std": float(np.std(lams, ddof=1)),
-        "rotation_std": float(np.std(ths, ddof=1)),
+        "rotation_std": float(np.std(turns, ddof=1)),
         "n_successful": len(lams),
     }

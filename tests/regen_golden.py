@@ -5,16 +5,22 @@ Usage:
 
 Runs every demo of DEMOS at seed SEED, in this one process, at one OpenBLAS
 thread, and writes its tables (with the sibling tables some commands add)
-into OUT_DIR, by default tests/golden/. test_golden.py runs this script
-into a temporary directory and compares the result with the committed
-files. A change that moves a demo output reruns it with no argument, and
-lists every column that moved.
+into OUT_DIR. test_golden.py runs this script into a temporary directory
+and compares the result with the committed files. With no argument it
+rewrites tests/golden/: it runs the demos into a temporary directory, prints
+one line per column that moved from the committed files (table, column,
+worst row, digit units, max |difference|), moves of one unit or less and
+those within test_golden.py's ALLOWANCE included, and then copies the new
+tables over them. A change that moves a demo output lists every printed
+line in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads: the goldens' sum order
@@ -48,5 +54,23 @@ def run_demos(out_dir: Path) -> None:
             raise SystemExit(f"{command} on {stem}.yaml failed")
 
 
+def regenerate(golden: Path = GOLDEN) -> None:
+    """Rewrite `golden` from a fresh run of the demos, printing every column
+    that moved, by test_golden.py's comparator, before it is overwritten."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_golden import report
+
+    with tempfile.TemporaryDirectory() as tmp:
+        new_dir = Path(tmp)
+        run_demos(new_dir)
+        moved = report(golden, new_dir, every_move=True)
+        print("\n".join(moved) if moved else "no demo output moved")
+        for table in sorted(new_dir.glob("*.txt")):
+            shutil.copyfile(table, golden / table.name)
+
+
 if __name__ == "__main__":
-    run_demos(Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN)
+    if len(sys.argv) > 1:
+        run_demos(Path(sys.argv[1]))
+    else:
+        regenerate()

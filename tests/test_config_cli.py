@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import ionstrobe
 import ionstrobe.cli as cli_module
 import ionstrobe.config as config_module
+import ionstrobe.fitting as fitting_module
 from ionstrobe.calibrate import DecodeTables, apply_tuning
 from ionstrobe.cli import main
 from ionstrobe.config import (
@@ -39,7 +40,7 @@ from ionstrobe.config import (
     resolve_eta,
     resolve_tuning,
 )
-from ionstrobe.errors import ConfigError, TruncationError
+from ionstrobe.errors import ConfigError, FitError, TruncationError
 from ionstrobe.sequence import sample_scan, scan_fringes
 from ionstrobe.stability import simulate_phase_trace
 from ionstrobe.tableio import (
@@ -576,6 +577,23 @@ class TestCliPatternScan:
         assert "pattern.nx" in err and "pattern.nz" in err
         assert probes == [] and not out.exists()
 
+    def test_too_few_bootstrap_refits_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the fit converges, and then every bootstrap refit fails
+        refine, calls = fitting_module._refine_pattern, []
+
+        def fit_only(*args):
+            calls.append(None)
+            if len(calls) > 1:
+                raise FitError("pattern fit did not converge")
+            return refine(*args)
+
+        monkeypatch.setattr(fitting_module, "_refine_pattern", fit_only)
+        cfg = write_cfg(tmp_path, "pattern: {nx: 12, nz: 12, extent_nm: 160.0}\n"
+                        "detection: {mode: shots, shots: 200, base_seed: 21}\n")
+        assert main(["pattern-scan", "--config", cfg, "--out", str(tmp_path / "pat.txt")]) == 3
+        assert capsys.readouterr().err == "ionstrobe: bootstrap produced too few successful refits\n"
+        assert len(calls) == 1 + 32
+
     def test_extent_insufficient_exit_code(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -722,6 +740,51 @@ class TestZeroedEnvelope:
         assert main(["ramsey-scan", "--config", cfg, "--out", out]) == 0
         columns, rows, _ = read_table(out)
         assert np.all(rows[:, columns.index("p_down")] == 0.5)
+
+
+class TestUnreadableEnvelope:
+    """fig4's gaussian envelope under machine epsilon but not 0.0 at the end of
+    its train (tau_us < ~3.85): every p_down rounds to a flat fringe, and the
+    decode maps overflowed to nan or clamped every row."""
+
+    @staticmethod
+    def cfg(tmp_path, tau_us):
+        return write_cfg(tmp_path, Path("configs/fig4.yaml").read_text()
+                         + f"dephasing: {{tau_us: {tau_us}}}\n")
+
+    @pytest.mark.parametrize("tau_us, envelope", [
+        (0.855, "4.17664e-317"), (0.9, "2.93627e-286"), (1.0, "5.23498e-232"), (2.0, "1.51262e-58")])
+    @pytest.mark.parametrize("command", ["trace-phase-space", "build-tables"])
+    def test_decode_names_the_envelope_before_tuning(self, tmp_path, capsys, monkeypatch,
+                                                     command, tau_us, envelope):
+        monkeypatch.setattr(config_module, "tune_pulse_train",
+                            lambda spec: pytest.fail("tuned a train it cannot decode"))
+        out = tmp_path / "x.txt"
+        assert main([command, "--config", self.cfg(tmp_path, tau_us), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"ionstrobe: config error: dephasing.tau_us: the gaussian envelope is {envelope} at "
+            "the train's end, 23.0769 us, so there is no fringe phase to decode\n")
+        assert not out.exists()
+
+    def test_decodes_just_above_epsilon(self, tmp_path):
+        # tau_us 3.9: the envelope is 6.2e-16, and a row outside its table is flagged
+        cfg = self.cfg(tmp_path, 3.9)
+        out_tab, out = str(tmp_path / "tables.txt"), str(tmp_path / "trace.txt")
+        assert main(["build-tables", "--config", cfg, "--out", out_tab]) == 0
+        assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 0
+        tables = read_decode_tables(out_tab)
+        columns, rows, _ = read_table(out)
+        assert rows.shape == (48, 7) and np.isfinite(rows).all()
+        flags = rows[:, columns.index("clamped")]
+        assert flags.any()
+        for phase, contrast, flag in zip(rows[:, 2], rows[:, 3], flags):
+            point = tables.decode(phase, contrast)
+            assert flag == float(point.x_clamped or point.p_clamped)
+
+    def test_scan_still_runs(self, tmp_path):
+        out = str(tmp_path / "x.txt")
+        assert main(["ramsey-scan", "--config", self.cfg(tmp_path, 0.9), "--out", out]) == 0
+        assert np.isfinite(read_table(out)[1]).all()
 
 
 class TestCliBuildAndTrace:

@@ -12,6 +12,7 @@ digit units, for every column that moved.
 """
 
 import difflib
+import importlib
 import math
 import os
 import re
@@ -82,10 +83,10 @@ def line_pairs(old_text: str, new_text: str):
     return pairs
 
 
-def table_moves(name: str, old_text: str, new_text: str) -> dict:
+def table_moves(name: str, old_text: str, new_text: str, allowance: dict = ALLOWANCE) -> dict:
     """{column: (worst digit units, its place, largest |difference|, values
-    moved)} of one table. A footer value is keyed by its footer key, and a changed
-    text token by the changed line."""
+    moved)} of one table, leaving out moves within `allowance`. A footer value
+    is keyed by its footer key, and a changed text token by the changed line."""
     columns = next((line.split(":", 1)[1].split() for line in old_text.splitlines()
                     if line.startswith("# columns:")), [])
     moves = {}
@@ -102,7 +103,7 @@ def table_moves(name: str, old_text: str, new_text: str) -> dict:
                 column = (old or new).split(":")[0].lstrip("# ")
             else:
                 column = f"'{old}' -> '{new}'"
-            if units == 0.0 or size <= ALLOWANCE.get((name, column), 0.0):
+            if units == 0.0 or size <= allowance.get((name, column), 0.0):
                 continue
             worst = moves.get(column, (0.0, None, 0.0, 0))
             place = (units, where) if units > worst[0] else worst[:2]
@@ -110,9 +111,11 @@ def table_moves(name: str, old_text: str, new_text: str) -> dict:
     return moves
 
 
-def report(old_dir: Path, new_dir: Path) -> list[str]:
+def report(old_dir: Path, new_dir: Path, every_move: bool = False) -> list[str]:
     """One line per moved column: table, column, worst place, its digit units,
-    and the largest |difference|; a changed text line as it changed."""
+    and the largest |difference|; a changed text line as it changed. Moves of
+    up to MAX_DIGITS, or within ALLOWANCE, are left out unless every_move."""
+    floor, allowance = (0.0, {}) if every_move else (MAX_DIGITS, ALLOWANCE)
     lines = []
     names = sorted({p.name for d in (old_dir, new_dir) for p in d.glob("*.txt")})
     for name in names:
@@ -121,10 +124,10 @@ def report(old_dir: Path, new_dir: Path) -> list[str]:
             lines.append(f"{name}: written by one tree only")
             continue
         for column, (units, at, size, count) in table_moves(
-                name, old.read_text(), new.read_text()).items():
+                name, old.read_text(), new.read_text(), allowance).items():
             if units == math.inf:
                 lines.append(f"{name} {at}: {column}")
-            elif units > MAX_DIGITS:
+            elif units > floor:
                 lines.append(f"{name} {column} {at}: {units:.3g} digit units "
                              f"(max |difference| {size:.3g}; {count} values moved)")
     return lines
@@ -158,3 +161,33 @@ def test_a_last_digit_move_is_reported():
     p_old, p_new = "# columns: P_zNus\n3.46910981355\n", "# columns: P_zNus\n3.46910981855\n"
     assert table_moves("fig4.txt", p_old, p_new) == {}
     assert table_moves("fig3b.txt", p_old, p_new)["P_zNus"][0] == pytest.approx(500.0, rel=1e-3)
+
+
+def test_regeneration_prints_every_move_before_overwriting(tmp_path, monkeypatch, capsys):
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    old = "# columns: a b\n0.816050394176 3.46910981355\n# fit: 138.124\n"
+    (golden / "x.txt").write_text(old)
+    (golden / "y.txt").write_text(old)
+    p_old, p_new = "# columns: P_zNus\n3.46910981355\n", "# columns: P_zNus\n3.46910981855\n"
+    (golden / "fig4.txt").write_text(p_old)
+    new = old.replace("0.816050394176", "0.816050394177").replace("138.124", "138.224")
+    with monkeypatch.context() as m:
+        m.setenv("OPENBLAS_NUM_THREADS", "1")  # regen_golden sets it on import
+        regen_golden = importlib.import_module("regen_golden")
+
+    def run_demos(out_dir):
+        (out_dir / "x.txt").write_text(new)
+        (out_dir / "y.txt").write_text(old)
+        (out_dir / "fig4.txt").write_text(p_new)  # within the golden test's allowance
+
+    monkeypatch.setattr(regen_golden, "run_demos", run_demos)
+    regen_golden.regenerate(golden)
+    assert capsys.readouterr().out.splitlines() == [
+        "fig4.txt P_zNus row 0: 500 digit units (max |difference| 5e-09; 1 values moved)",
+        "x.txt a row 0: 1 digit units (max |difference| 1e-12; 1 values moved)",
+        "x.txt fit footer: 100 digit units (max |difference| 0.1; 1 values moved)",
+    ]
+    assert (golden / "x.txt").read_text() == new and (golden / "y.txt").read_text() == old
+    regen_golden.regenerate(golden)
+    assert capsys.readouterr().out == "no demo output moved\n"
