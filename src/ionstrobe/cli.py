@@ -117,32 +117,31 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
               for idx, (xi, zi, p) in enumerate(zip(x, z, probe))]
     rows = [(xi * 1e9, zi * 1e9, mean, sem) for xi, zi, mean, sem in points]
     sem_floor = None if shots is None else 1.0 / (2.0 * shots)
+    columns, summary = ["x_nm", "z_nm", "p_down", "p_down_sem"], []
     try:
         fit = fit_wave_pattern(points, sem_floor=sem_floor)
-    except FitError as exc:
-        write_table(args.out, "static pattern scan (fit failed)",
-                    ["x_nm", "z_nm", "p_down", "p_down_sem"], rows, cfg, seed0,
-                    summary_lines=[f"fit_error: {exc}"])
-        raise FitError(f"{exc}; scan data written to {args.out}") from exc
-    summary = [
-        f"fit_wavelength_nm: {fit.wavelength * 1e9:.6g}",
-        f"fit_rotation_rad: {fit.rotation:.6g}",
-        f"fit_amplitude: {fit.amplitude:.6g}",
-        f"fit_phase_origin_rad: {fit.phase_origin:.6g}",
-        f"fit_residual_rms: {fit.residual_rms:.6g}",
-    ]
-    if shots is not None:
-        with cfgmod.naming("pattern.bootstrap", cfgmod.CANNOT_RESERVE):  # the resample array
-            unc = bootstrap_pattern_uncertainty(
-                points, fit, n_boot=pat["bootstrap"], seed=seed0 + 1, sem_floor=sem_floor
-            )
         summary += [
-            f"fit_wavelength_std_nm: {unc['wavelength_std'] * 1e9:.3g}",
-            f"fit_rotation_std_rad: {unc['rotation_std']:.3g}",
+            f"fit_wavelength_nm: {fit.wavelength * 1e9:.6g}",
+            f"fit_rotation_rad: {fit.rotation:.6g}",
+            f"fit_amplitude: {fit.amplitude:.6g}",
+            f"fit_phase_origin_rad: {fit.phase_origin:.6g}",
+            f"fit_residual_rms: {fit.residual_rms:.6g}",
         ]
-    write_table(args.out, "static pattern scan",
-                ["x_nm", "z_nm", "p_down", "p_down_sem"], rows, cfg, seed0,
-                summary_lines=summary)
+        if shots is not None:
+            with cfgmod.naming("pattern.bootstrap", cfgmod.CANNOT_RESERVE):  # the resample array
+                unc = bootstrap_pattern_uncertainty(
+                    points, fit, n_boot=pat["bootstrap"], seed=seed0 + 1, sem_floor=sem_floor
+                )
+            summary += [
+                f"fit_wavelength_std_nm: {unc['wavelength_std'] * 1e9:.3g}",
+                f"fit_rotation_std_rad: {unc['rotation_std']:.3g}",
+            ]
+    except FitError as exc:  # the scan data, and a converged fit, are written all the same
+        stage = "bootstrap" if summary else "fit"
+        write_table(args.out, f"static pattern scan ({stage} failed)", columns, rows, cfg, seed0,
+                    summary_lines=summary + [f"{stage}_error: {exc}"])
+        raise FitError(f"{exc}; scan data written to {args.out}") from exc
+    write_table(args.out, "static pattern scan", columns, rows, cfg, seed0, summary_lines=summary)
 
 
 def _decode_grid(cfg: dict) -> np.ndarray:

@@ -29,10 +29,11 @@ gauge and P as row factors, and leaves through one merge (_from_sectors),
 written over the propagated block. A block propagation thus holds its
 sector block and the watchdog's tail rows, no padded or output copies.
 Flash by flash reads the tail rows N // k_tail flashes at a time, at most
-one block of them. The train operator's apply reads them N // (4 k_tail)
-flashes at a time and takes T through a quarter of the block's columns at
-a time, so it holds the block plus about a quarter of it. Both keep only
-each state's running maximum.
+one block of them. The train operator's apply reads them N // (2 k_tail)
+flashes at a time, about half a block of them, and takes T through a
+quarter of the block's columns at a time, so it holds the block plus about
+half of it. Both keep only each state's running maximum. Callers bound
+the block (sequence.FRINGE_BLOCK_BYTES).
 
 Rotating-frame chain. A train of F flashes is M^F with
 M = Gap blockdiag(U_+, U_-), and run_pulse_train_block takes each flash as
@@ -50,14 +51,14 @@ Train operator. M is the (2, N, N) stack Gap U_s, which acts on each
 sector alone, and M^F is powered per sector in floor(log2 F) +
 popcount(F) - 1 products (7 at F = 30); the watchdog's
 tail rows after flash j are P_top M^(j+1). M itself is never stored: a
-product by M is taken as (x Gap) U with the cached flash pair, so a build
-holds the rows plus two (2, N, N) stacks. The operator and its rows are
-cached for one train at a time. propagate_block, the sequence layer's
-entry point, takes the operator when its cost, counted in sector
-multiply-adds as in _operator_pays with the build only when it is not
-cached, is at most half the flash-by-flash cost, and when a build's
-new arrays, which grow with F, are no larger than the flash-by-flash
-working set; any other train goes flash by flash.
+product by M is taken as (x Gap) U with the cached flash pair, and each
+sector is powered beside one N x N spare, so a build holds the rows, T and
+that spare. The operator and its rows are cached for one train at a time.
+propagate_block, the sequence layer's entry point, takes the operator when
+its cost, counted in sector multiply-adds as in _operator_pays with the
+build only when it is not cached, is at most half the flash-by-flash cost,
+and when a build's new arrays, which grow with F, are no larger than the
+flash-by-flash working set; any other train goes flash by flash.
 """
 
 from __future__ import annotations
@@ -397,9 +398,9 @@ def _build_train_operator(
     product by M is taken as (x Gap) U_s with the cached U, so M is never
     stored: the tail rows are a chain of thin products, and M^F is taken
     by left-to-right binary powering, floor(log2 F) squarings and
-    popcount(F) - 1 products by M, in two buffers, the power scaled by Gap
-    in place before each product by U. The build holds the rows and those
-    two stacks.
+    popcount(F) - 1 products by M, the power scaled by Gap in place before
+    each product by U. Each sector swaps between its slot of T and one
+    N x N spare, so the build holds the rows, T and that spare.
     """
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     drive = train.drive
@@ -410,14 +411,18 @@ def _build_train_operator(
     for j in range(1, train.n_flashes):
         np.matmul(rows[:, j - 1] * gap, u, out=rows[:, j])
     power = gap[:, None] * u
-    spare = np.empty_like(power)
-    for bit in bin(train.n_flashes)[3:]:
-        np.matmul(power, power, out=spare)
-        power, spare = spare, power
-        if bit == "1":
-            power *= gap
-            np.matmul(power, u, out=spare)
-            power, spare = spare, power
+    spare = np.empty((n, n), dtype=complex)
+    for sector, u_s in zip(power, u):
+        out, free = sector, spare
+        for bit in bin(train.n_flashes)[3:]:
+            np.matmul(out, out, out=free)
+            out, free = free, out
+            if bit == "1":
+                out *= gap
+                np.matmul(out, u_s, out=free)
+                out, free = free, out
+        if out is not sector:  # the one copy
+            sector[...] = out
     power.setflags(write=False)
     rows.setflags(write=False)
     return power, rows
@@ -452,9 +457,9 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
     0.52, about break-even.
 
     A build keeps the operator and the tail rows, 2N^2 + 2 F k_tail N
-    complex values, which grow with F, and holds one more (2, N, N) stack
-    while it powers; the apply then holds the block plus about a quarter of
-    it. Flash by flash holds three (2, N, 2L) blocks (the block, its spare
+    complex values, which grow with F, and holds one more N x N matrix
+    while it powers; the apply then holds the block plus about half of it.
+    Flash by flash holds three (2, N, 2L) blocks (the block, its spare
     and at most a block of tail rows). A build whose kept values outgrow
     those three blocks is refused, so a long train goes flash by flash
     whatever its count; fig4's tables build 274,688 values against 309,024.
@@ -479,16 +484,16 @@ def _operator_block(
 
     The watchdog reads every flash's tail from its thin rows before the
     block itself is propagated, in one product per sector for each run of
-    N // (4 k_tail) flashes, whose tail rows are then about a quarter of
-    the block. T then goes through the block a quarter of its columns at a
-    time, each image written back over its slice, so the apply holds the
-    block and about a quarter of it.
+    N // (2 k_tail) flashes, about half a block of tail rows: each product
+    reads the whole block, so fewer, taller ones read it less often. T then
+    goes through the block a quarter of its columns at a time, each image
+    written back over its slice, so the apply holds the block and half.
     """
     t, rows = _train_operator(train, mode, hilbert)
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     block = _split_sectors(states, n)
     width = block.shape[2]
-    chunk = max(1, n // (4 * k_tail))
+    chunk = max(1, n // (2 * k_tail))
     max_tail = np.zeros(states.shape[1])
     for j in range(0, train.n_flashes, chunk):
         _watch_tails((rows[:, j : j + chunk].reshape(2, -1, n) @ block)
@@ -504,13 +509,17 @@ def propagate_block(
     train: PulseTrainSpec,
     mode: ModeParams,
     hilbert: HilbertSpec,
+    n_states: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """run_pulse_train_block's (down, up, max_tail), through the cached train
     operator when that halves the work (_operator_pays), else flash
-    by flash. Both raise the same TruncationErrors and norm error.
+    by flash. Both raise the same TruncationErrors and norm error. n_states,
+    the width of a whole evaluation sent in blocks, stands in for the
+    block's: once the operator is cached the rule no longer reads the width,
+    so every block takes the first one's path, and builds at most once.
     """
     cached = _operator_key(train, mode, hilbert) in _operator_cache
-    if _operator_pays(train.n_flashes, 2 * hilbert.fock_dim, 2 * states.shape[1],
+    if _operator_pays(train.n_flashes, 2 * hilbert.fock_dim, 2 * (n_states or states.shape[1]),
                       2 * hilbert.tail_levels, cached):
         return _operator_block(states, train, mode, hilbert)
     return run_pulse_train_block(states, train, mode, hilbert)

@@ -25,14 +25,15 @@ supremum over phi, T0 + 2 |T1|, is what the truncation watchdog checks; a
 TruncationError's phase is the worst phi. SequenceFringe holds
 these coefficients, so one propagation serves any phase grid and gives the
 offset, contrast and phase in closed form; sequence_fringes propagates many
-excitations, each distinct one once, through the shared train as one block.
+excitations, each distinct one once, through the shared train in blocks of
+whole kicks that fit FRINGE_BLOCK_BYTES.
 
-That block goes through dynamics.propagate_block: flash by flash, or, when
-that halves the counted work, through the cached train operator
-(see the dynamics module docstring). A wide block pays for building it, and
-the narrow blocks that follow on the same train find it cached: on fig4
-the 222-column decode-table block builds it, and the anchor and the
-theta0 scan reuse it. A kick meets only the thermal Fock levels, so just
+Each block goes through dynamics.propagate_block: flash by flash, or, when
+that halves the counted work for the whole evaluation, through the cached
+train operator (see the dynamics module docstring). A wide evaluation pays
+for building it, and the narrow ones that follow on the same train find it
+cached: on fig4 the 185-state decode-table evaluation builds it, and the
+anchor and the theta0 scan reuse it. A kick meets only the thermal Fock levels, so just
 their columns K|l> are formed (O(N^2 L), not O(N^3)), cached for one
 magnitude, which every caller applies in consecutive kicks. The sync pi/2
 pulse acts on the spin alone, so it commutes with the kick and the
@@ -69,6 +70,7 @@ from .hilbert import (
 
 REFERENCE_SEED_OFFSET = 1 << 20  # separates reference from measurement detection streams
 SYNC_PHASE = math.pi  # azimuth of the synchronization MW pi/2 pulse
+FRINGE_BLOCK_BYTES = 3 * 2**18  # a fringe block's (2, N, 2S) sector array: 10 kicks on fig4
 
 
 @dataclass(frozen=True)
@@ -229,29 +231,14 @@ class SequenceFringe:
         return min(max(p_down, 0.0), 1.0), delta_n
 
 
-def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
-    """The fringe of `spec` under each of `excitations`, from one block propagation.
-
-    The thermal levels of every distinct excitation (all no-kick ones, None
-    or zero magnitude, are one) are split into spin-down and spin-up parts
-    and pushed through the train at phi = 0 by propagate_block, through the
-    cached train operator when that pays (see the module docstring). A
-    TruncationError's index is the position of a failing excitation; a
-    kick too large for fock_dim is reported before any pre-train tail.
-    """
-    kicks = [None if e is None or e.magnitude == 0.0 else e for e in excitations]
-    distinct = list(dict.fromkeys(kicks))
-    if not distinct:
-        return []
-    levels, weights = thermal_ensemble(spec.mode.n_th, spec.hilbert)
+def _block_fringes(spec: SequenceSpec, kicks: list, levels: np.ndarray, weights: np.ndarray,
+                   n_states: int) -> list[SequenceFringe]:
+    """sequence_fringes for one block of distinct kicks; its temporaries die on return."""
+    pre_train, n_initial = _pre_train(spec, kicks, levels)
+    down, up, max_tail = propagate_block(pre_train, spec.analysis, spec.mode, spec.hilbert, n_states)
+    del pre_train
     envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
-    try:
-        pre_train, n_initial = _pre_train(spec, distinct, levels)
-        down, up, max_tail = propagate_block(pre_train, spec.analysis, spec.mode, spec.hilbert)
-    except TruncationError as exc:  # index: a block column, kick-major
-        exc.index = kicks.index(distinct[exc.index // len(levels)])
-        raise
-    shape = (len(distinct), len(levels))  # rows: excitations; columns: thermal levels
+    shape = (len(kicks), len(levels))  # rows: excitations; columns: thermal levels
     pop0 = np.abs(down) ** 2 + np.abs(up) ** 2
     pop1 = np.conj(down) * up
     n = spec.hilbert.fock_dim
@@ -262,7 +249,42 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
     n1 = (quanta @ pop1).reshape(shape) @ weights
     tails = max_tail.reshape(shape).max(axis=1)
     columns = (c.tolist() for c in (p0, p1, n0, n1, tails))
-    fringes = [SequenceFringe(*coefficients) for coefficients in zip(*columns)]
+    return [SequenceFringe(*coefficients) for coefficients in zip(*columns)]
+
+
+def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
+    """The fringe of `spec` under each of `excitations`.
+
+    The thermal levels of every distinct excitation (all no-kick ones, None
+    or zero magnitude, are one) are split into spin-down and spin-up parts
+    and pushed through the train at phi = 0 by propagate_block, whole kicks
+    at a time: as many as keep a block's (2, N, 2S) sector array within
+    FRINGE_BLOCK_BYTES, and at least one. Each block is reduced to its
+    fringes before the next is formed, and the path (see the module
+    docstring) is decided once, from the whole evaluation's width. A
+    TruncationError's index is the position of a failing excitation: a kick
+    too large for fock_dim in any block comes first, then the first failing
+    block's error, its pre-train tail before a leak in the train.
+    """
+    kicks = [None if e is None or e.magnitude == 0.0 else e for e in excitations]
+    distinct = list(dict.fromkeys(kicks))
+    if not distinct:
+        return []
+    levels, weights = thermal_ensemble(spec.mode.n_th, spec.hilbert)
+    per_block = max(1, FRINGE_BLOCK_BYTES // (64 * spec.hilbert.fock_dim * len(levels)))
+    fringes = []
+    for start in range(0, len(distinct), per_block):
+        block = distinct[start : start + per_block]
+        try:
+            fringes += _block_fringes(spec, block, levels, weights, len(distinct) * len(levels))
+        except TruncationError as exc:  # index: a block column, kick-major
+            exc.index = kicks.index(block[exc.index // len(levels)])
+            for kick in distinct[start:]:  # a kick too large for fock_dim first, from here on
+                try:
+                    _kicked_levels(kick, (), spec.hilbert.fock_dim)
+                except TruncationError as too_large:
+                    raise TruncationError(str(too_large), index=kicks.index(kick)) from None
+            raise
     return [fringes[distinct.index(kick)] for kick in kicks]
 
 

@@ -275,3 +275,26 @@ def block_calls(monkeypatch):
 
     monkeypatch.setattr(sequence_module, "propagate_block", counting)
     return widths
+
+
+@pytest.fixture
+def fringe_evaluations(monkeypatch):
+    """The block widths of each fringe evaluation sequence_fringes makes, one
+    list per evaluation, in call order.
+
+    Every block of an evaluation passes propagate_block the evaluation's
+    whole width, and a new list starts once the last one's blocks add up to
+    it; an evaluation that raises part way would run into the next one.
+    """
+    evaluations, totals = [], []
+    block = sequence_module.propagate_block
+
+    def counting(states, train, mode, hilbert, n_states):
+        if not evaluations or sum(evaluations[-1]) == totals[-1]:
+            evaluations.append([])
+            totals.append(n_states)
+        evaluations[-1].append(states.shape[1])
+        return block(states, train, mode, hilbert, n_states)
+
+    monkeypatch.setattr(sequence_module, "propagate_block", counting)
+    return evaluations

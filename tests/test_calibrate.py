@@ -41,6 +41,7 @@ from ionstrobe.errors import CalibrationError, DecodeError, TruncationError
 from ionstrobe.fitting import fit_cosine
 from ionstrobe.hilbert import thermal_ensemble
 from ionstrobe.sequence import (
+    FRINGE_BLOCK_BYTES,
     ScanSpec,
     SequenceSpec,
     characterize_reference_fringe,
@@ -673,9 +674,9 @@ class TestNoiseFloor:
 
 
 def test_fig4_shape_builds_the_train_operator_once(tuned_headline_large, headline_units,
-                                                   block_calls, monkeypatch):
-    # fig4's decode-table block pays for the build; its anchor and theta0 scan
-    # find the operator cached
+                                                   fringe_evaluations, monkeypatch):
+    # fig4's decode-table evaluation pays for the build; its anchor and theta0
+    # scan find the operator cached, and every block a budget's worth of kicks
     spec, _ = tuned_headline_large
     builds = []
     build = dynamics_module._build_train_operator
@@ -688,7 +689,12 @@ def test_fig4_shape_builds_the_train_operator_once(tuned_headline_large, headlin
     scan = ScanSpec(phi_grid=np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False),
                     outer_grid=thetas, outer_var="theta0")
     run_scan(scan, replace(spec, excitation=CoherentAmp(6.5, 0.0)))
-    assert block_calls == [185, 5, 120]  # 37 distinct kicks, 1 and 24, at 5 thermal levels
+    # 37 distinct kicks, 1 and 24, at 5 thermal levels
+    assert [sum(widths) for widths in fringe_evaluations] == [185, 5, 120]
+    n = spec.hilbert.fock_dim
+    assert len(fringe_evaluations[0]) > 1  # the tables take more than one block
+    for widths in fringe_evaluations:  # whole kicks, each block's (2, N, 2S) within the budget
+        assert all(w % 5 == 0 and 64 * n * w <= FRINGE_BLOCK_BYTES for w in widths)
     assert len(builds) == 1
 
 

@@ -590,9 +590,19 @@ class TestCliPatternScan:
         monkeypatch.setattr(fitting_module, "_refine_pattern", fit_only)
         cfg = write_cfg(tmp_path, "pattern: {nx: 12, nz: 12, extent_nm: 160.0}\n"
                         "detection: {mode: shots, shots: 200, base_seed: 21}\n")
-        assert main(["pattern-scan", "--config", cfg, "--out", str(tmp_path / "pat.txt")]) == 3
-        assert capsys.readouterr().err == "ionstrobe: bootstrap produced too few successful refits\n"
+        out = tmp_path / "pat.txt"
+        assert main(["pattern-scan", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("ionstrobe: bootstrap produced too few successful "
+                                           f"refits; scan data written to {out}\n")
         assert len(calls) == 1 + 32
+        # the scan data and the converged fit are kept, with the bootstrap's error
+        _, rows, meta = read_table(out)
+        assert rows.shape == (144, 4)
+        fit_keys = ["fit_wavelength_nm", "fit_rotation_rad", "fit_amplitude",
+                    "fit_phase_origin_rad", "fit_residual_rms"]
+        assert [line.split(":")[0] for line in meta["summary"]] == fit_keys + ["bootstrap_error"]
+        assert meta["summary"][-1] == "bootstrap_error: bootstrap produced too few successful refits"
+        assert meta["title"] == "static pattern scan (bootstrap failed)"
 
     def test_extent_insufficient_exit_code(self, tmp_path):
         cfg = write_cfg(
@@ -882,10 +892,10 @@ def test_config_checked_before_tuning(tmp_path, capsys, tuner_calls, command, te
     ("trace-phase-space", SMALL_TRACE_CONFIG, 3),  # tables, anchor, alpha scan
     ("squeeze-scan", SMALL_SQUEEZE_CONFIG, 1),  # both tables from one set of fringes
 ], ids=["trace-phase-space", "squeeze-scan"])
-def test_block_propagations_per_command(tmp_path, block_calls, command, text, calls):
+def test_block_propagations_per_command(tmp_path, fringe_evaluations, command, text, calls):
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out.txt")]) == 0
-    assert len(block_calls) == calls
+    assert len(fringe_evaluations) == calls
 
 
 def test_decode_tables_round_trip_exactly(tmp_path):

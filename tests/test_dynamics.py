@@ -494,7 +494,7 @@ class TestDenseReference:
 class TestRaggedRuns:
     """Both block paths on runs of flashes and column slices that do not divide
     the train or the block: at 48 levels (3 watched) the watchdog reads 16
-    flashes at a time flash by flash and 4 through the operator, whose apply
+    flashes at a time flash by flash and 8 through the operator, whose apply
     takes a quarter of the block's columns, rounded up, at a time."""
 
     hilbert = HilbertSpec(fock_dim=48, tail_tol=0.999)
@@ -505,7 +505,7 @@ class TestRaggedRuns:
         return np.stack([state.amplitudes for state in states], axis=1)
 
     @pytest.mark.parametrize("n_flashes, levels", [
-        (30, [30, 36, 41, 44]),  # last runs of 14 and 2 flashes; 8 columns, slices of 2
+        (30, [30, 36, 41, 44]),  # last runs of 14 and 6 flashes; 8 columns, slices of 2
         (16, [30, 36, 41, 44, 47]),  # whole runs; 10 columns, slices 3, 3, 3 and 1 wide
     ], ids=["partial-last-run", "ragged-slices"])
     def test_paths_agree(self, n_flashes, levels):
@@ -518,7 +518,7 @@ class TestRaggedRuns:
 
     def test_leak_in_the_last_run_fails_alike(self):
         # level 36's tail passes 0.157 first at flash 29, inside both paths'
-        # last, partial run (flashes 17-30 and 29-30)
+        # last, partial run (flashes 17-30 and 25-30)
         block, hilbert = self.block([30, 36]), replace(self.hilbert, tail_tol=0.157)
         raised = []
         for propagate in (run_pulse_train_block, _operator_block):
@@ -577,7 +577,8 @@ class TestWorkingSet:
     block B. The split and the merge write their outputs directly: their
     zero-padded and stacked copies took the peak to 4B or more. Neither path
     holds more than one block of tail rows: 80 levels (4 watched) make that 20
-    flashes of them flash by flash and 5 through the operator, and from 20
+    flashes of them flash by flash and 10, half a block, through the
+    operator, and from 20
     flashes on the (2, F, k_tail, 2L) rows of the whole train would be B or
     more. 512 states make B 2.6 MB, which dwarfs numpy's fixed-size
     iteration buffers."""
@@ -601,8 +602,9 @@ class TestWorkingSet:
         peak = traced_peak(propagate_block, states, train, MODE, self.hilbert)
         assert taken == [1, 1]  # a block wider than N takes the cached operator
         # the sector block, which becomes the (down, up) output pair, and
-        # about B / 4 beside it: the tail rows of N // (4 k_tail) flashes at a
-        # time, then T's image of a quarter of the block's columns (1.56B)
+        # about B / 2 beside it: the tail rows of N // (2 k_tail) flashes at a
+        # time with their squares (1.83B), then T's image of a quarter of the
+        # block's columns (1.56B at N // (4 k_tail) flashes of tail rows)
         assert peak < 2 * block
 
     def test_flash_path_holds_two_buffers_output_and_tails(self):
@@ -617,12 +619,13 @@ class TestWorkingSet:
 
     def test_build_holds_rows_and_two_stacks(self, tuned_headline_large):
         # fig4's tuned train: T and its tail rows, which the build returns, are
-        # 2.55 (2, N, N) stacks, and the build holds one more stack beside them
-        # (3.63), never M = Gap U as well
+        # 2.55 (2, N, N) stacks, and the build holds one sector's N x N spare
+        # beside them (3.05; 3.13 with numpy's 128 KiB buffer while it scales
+        # by Gap), never M = Gap U or a second stack (3.63) as well
         spec, _ = tuned_headline_large
         n = spec.hilbert.fock_dim
         peak = traced_peak(_build_train_operator, spec.analysis, spec.mode, spec.hilbert)
-        assert peak < 3.8 * (2 * n * n * 16)
+        assert peak < 3.2 * (2 * n * n * 16)
 
     def test_long_wide_train_goes_flash_by_flash(self, monkeypatch):
         # at 100 flashes the count says the operator pays, but a build, 2N^2 +

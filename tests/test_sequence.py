@@ -21,6 +21,7 @@ from ionstrobe import (
     thermal_ensemble,
 )
 from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec, apply_dephasing
+import ionstrobe.dynamics as dynamics_module
 import ionstrobe.sequence as sequence_module
 from ionstrobe.calibrate import build_decode_tables
 from ionstrobe.errors import ConfigError, TruncationError
@@ -39,7 +40,14 @@ from ionstrobe.sequence import (
     static_pattern_probe,
 )
 
-from conftest import dense_train, expect_n, reference_fringe, reference_pre_train, run_sequence
+from conftest import (
+    dense_train,
+    expect_n,
+    reference_fringe,
+    reference_pre_train,
+    run_sequence,
+    traced_call,
+)
 
 OMEGA = 2.0 * math.pi * 1.3e6
 CYCLE = 2.0 * math.pi / OMEGA
@@ -414,6 +422,111 @@ class TestSequenceFringe:
                         interleave_reference=True)
         with pytest.raises(TruncationError, match="in the alpha = 0 reference: flash 1"):
             run_scan(scan, spec)
+
+
+class TestFringeBlocks:
+    """sequence_fringes propagates whole kicks a block at a time, each block's
+    sector array within FRINGE_BLOCK_BYTES. A budget of 0 holds one kick per
+    block, and ONE_BLOCK holds every evaluation here in one."""
+
+    ONE_BLOCK = 2**40
+
+    def budgets(self, monkeypatch, call):
+        """call() with one kick per block, then with one block for everything."""
+        results = []
+        for budget in (0, self.ONE_BLOCK):
+            monkeypatch.setattr(sequence_module, "FRINGE_BLOCK_BYTES", budget)
+            monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+            results.append(call())
+        return results
+
+    @pytest.mark.parametrize("path", ["operator", "flash"])
+    def test_blocks_change_no_fringe(self, monkeypatch, path):
+        monkeypatch.setattr(dynamics_module, "_operator_pays", lambda *args: path == "operator")
+        spec = make_spec(fock_dim=40, excitation=CoherentAmp(0.8, 0.3), n_th=0.4,
+                         envelope="gaussian")
+        kick, squeeze = CoherentAmp(0.8, 0.3), SqueezeParam(0.3, 1.1)
+        excitations = [kick, None, squeeze, kick, CoherentAmp(0.0, 2.0), CoherentAmp(1.2, -0.7),
+                       squeeze, kick]
+        scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=[0.0, 1.25, 2.5], outer_var="theta0",
+                        interleave_reference=True)
+        for call in (lambda: sequence_fringes(spec, excitations), lambda: scan_fringes(scan, spec)):
+            blocked, whole = self.budgets(monkeypatch, call)
+            assert len(blocked) == len(whole)
+            for got, want in zip(blocked, whole):
+                for name in ("p0", "p1", "n0", "n1"):
+                    assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13, name
+                assert got.max_tail == pytest.approx(want.max_tail, rel=1e-9, abs=0.0)
+
+    def test_every_block_takes_the_evaluation_path(self, monkeypatch):
+        # at fock_dim 40 the operator pays from about 17 states on, so four
+        # kicks of 5 thermal levels build it and one alone would not: the
+        # first block decides for all 20 states, and the rest find it cached
+        spec = make_spec(fock_dim=40, n_th=0.15)
+        kicks = [CoherentAmp(0.5, theta) for theta in (0.0, 1.0, 2.0, 3.0)]
+        levels, _ = thermal_ensemble(0.15, spec.hilbert)
+        shape = (spec.analysis.n_flashes, 2 * 40, 2 * len(levels), 2 * spec.hilbert.tail_levels)
+        assert len(levels) == 5 and not dynamics_module._operator_pays(*shape, False)
+        taken = []
+        for name in ("_build_train_operator", "_operator_block", "run_pulse_train_block"):
+            real = getattr(dynamics_module, name)
+            monkeypatch.setattr(dynamics_module, name,
+                                lambda *args, name=name, real=real: taken.append(name) or real(*args))
+        self.budgets(monkeypatch, lambda: sequence_fringes(spec, kicks))
+        first = ["_operator_block", "_build_train_operator"]  # the apply builds, then reads
+        assert taken == first + ["_operator_block"] * 3 + first  # 4 blocks, then 1
+
+    @pytest.mark.parametrize("case", ["leak-then-too-large", "tail-then-too-large",
+                                      "two-too-large", "leak-in-a-later-block",
+                                      "tail-in-a-later-block"])
+    def test_errors_name_a_failing_excitation(self, monkeypatch, case):
+        # fock_dim 32 at eta = 2 and tail_tol 1e-6: the flashes push the
+        # |alpha| = 1 kick past tail_tol at flash 3, and the no-kick states
+        # stay below 6e-9; fock_dim 33 at n_th = 2: D(1.5, 0.3) leaves its tail
+        # before the train; D(3) and D(4) are too large for both. A kick too
+        # large comes first from any block, and one failing excitation fails
+        # in its block as it does in the whole
+        leaky = make_spec(fock_dim=32, eta=2.0, n_th=0.15)
+        leaky = replace(leaky, hilbert=HilbertSpec(fock_dim=32, tail_tol=1e-6))
+        tailed = make_spec(fock_dim=33, n_th=2.0)
+        leak, tail = CoherentAmp(1.0, 1.0), CoherentAmp(1.5, 0.3)
+        big, bigger = CoherentAmp(3.0, 0.0), CoherentAmp(4.0, 0.0)
+        spec, excitations, index, message = {
+            "leak-then-too-large": (leaky, [leak, None, big], 2, r"\|alpha\|=3"),
+            "tail-then-too-large": (tailed, [tail, None, big], 2, r"\|alpha\|=3"),
+            "two-too-large": (tailed, [big, None, bigger], 0, r"\|alpha\|=3"),
+            "leak-in-a-later-block": (leaky, [None, None, leak, None], 2, "^flash 3 of 30"),
+            "tail-in-a-later-block": (tailed, [None, None, tail, None], 2, "^excitation leaves"),
+        }[case]
+        errors = []
+        for budget in (0, self.ONE_BLOCK):
+            monkeypatch.setattr(sequence_module, "FRINGE_BLOCK_BYTES", budget)
+            monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+            with pytest.raises(TruncationError, match=message) as info:
+                sequence_fringes(spec, excitations)
+            errors.append((str(info.value), info.value.index, info.value.phase))
+        (text, at, phase), (whole_text, whole_at, whole_phase) = errors
+        assert text == whole_text and at == whole_at == index
+        if case == "leak-in-a-later-block":  # the worst phase, to the blocks' rounding
+            assert abs(phase - whole_phase) <= 1e-9
+        else:
+            assert phase is whole_phase is None
+
+    def test_working_set_does_not_grow_with_the_kicks(self):
+        # 8 thermal levels at fock_dim 96 make 16 kicks one full block; 128
+        # kicks are 8 of them. Each call builds the train operator. When the
+        # evaluation was one block, 128 kicks peaked at 5.7 times 16 kicks
+        spec = make_spec(fock_dim=96, n_th=0.4, envelope="gaussian")
+        assert len(thermal_ensemble(0.4, spec.hilbert)[0]) == 8
+        assert sequence_module.FRINGE_BLOCK_BYTES // (64 * 96 * 8) == 16
+
+        def peak(n_kicks):
+            dynamics_module._operator_cache.clear()
+            thetas = np.linspace(0.0, 2.0 * math.pi, n_kicks, endpoint=False)
+            return traced_call(sequence_fringes, spec, [CoherentAmp(1.0, t) for t in thetas])[1]
+
+        peak(16)  # the flash pair and the kick's columns are cached from here on
+        assert peak(128) <= 1.1 * peak(16)
 
 
 class TestSampleDetection:
