@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import PulseTrainSpec, _flash_unitary, run_pulse_train, run_pulse_train_block
+from .dynamics import PulseTrainSpec, run_pulse_train, run_pulse_train_block
 from .errors import CalibrationError, DecodeError, TruncationError
 from .fitting import CosineFit, fit_cosine
 from .hilbert import (
@@ -315,7 +315,6 @@ def tune_pulse_train(spec: SequenceSpec) -> TrainTuning:
         except TruncationError:
             if hilbert is spec.hilbert:
                 raise
-    _flash_unitary.cache_clear()  # keep only the check's configured-size flash unitary
     tuned = _scaled_train(train, scale)
     grounds = (make_initial_state(SPIN_DOWN, int(level), spec.hilbert) for level in levels)
     achieved = abs(sum(w * expect_sigma_z(run_pulse_train(ground, tuned, spec.mode, spec.hilbert))

@@ -157,7 +157,7 @@ def _decode_grid(cfg: dict) -> np.ndarray:
         raise ConfigError(f"decode.alpha_max and decode.alpha_step give {len(alpha_grid)} "
                           "decode amplitudes, need at least 3")
     elapsed = cfgmod.build_train(cfg).total_duration
-    envelope = apply_dephasing(1.0, cfgmod.build_dephasing(cfg), elapsed)
+    envelope = apply_dephasing(cfgmod.build_dephasing(cfg), elapsed)
     if envelope < sys.float_info.epsilon:
         raise ConfigError(f"dephasing.tau_us: the {cfg['dephasing']['envelope']} envelope is "
                           f"{envelope:g} at the train's end, {elapsed * 1e6:g} us, so there is no "

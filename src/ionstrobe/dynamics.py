@@ -133,7 +133,7 @@ def _parity(fock_dim: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.arange(fock_dim) % 2)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: float) -> np.ndarray:
     """The flash propagator at drive phase zero as its (2, N, N) pair of sector blocks.
 
@@ -144,12 +144,10 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: floa
     place. The pair maps to the spin basis only at the engine boundary
     (_split_sectors, _from_sectors).
 
-    The cache is small on purpose: the pi/2 tuner tries a new Rabi rate on
-    every evaluation. It searches and polishes in a small Fock space (a
-    32-level pair holds 32 KB) and clears the cache before its check, whose
-    configured-size pair (1.7 MB at fock_dim 232) alone stays, for the scans
-    and decode tables that follow to reuse, flash by flash or as the factor
-    the train operator M^F is built from.
+    The cache holds one pair: the pi/2 tuner tries a new Rabi rate on every
+    probe, so its check's configured-size pair (1.7 MB at fock_dim 232) is
+    what stays, for the scans and decode tables that follow to reuse, flash
+    by flash or as the factor the train operator M^F is built from.
     """
     g = quadrature_gauge(fock_dim)
     c = coupling_operator(eta, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5))
@@ -461,8 +459,12 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
     while it powers; the apply then holds the block plus about half of it.
     Flash by flash holds three (2, N, 2L) blocks (the block, its spare
     and at most a block of tail rows). A build whose kept values outgrow
-    those three blocks is refused, so a long train goes flash by flash
-    whatever its count; fig4's tables build 274,688 values against 309,024.
+    three blocks of `width`, the whole evaluation's, is refused. So a wide
+    enough evaluation still builds for a long train, whose rows grow with
+    F: at fock_dim 64 and F = 1,000, 2,000 one-level kicks build at a
+    10.2 MiB traced peak where 400 go flash by flash at 3.2 MiB. A rule on
+    the block's width would refuse fig4's tables: they keep 274,688 values
+    against 139,200 for a 50-state block (515,040 for all 185 states).
     """
     if not cached and (dim * dim + n_flashes * tail_rows * dim) / 2 > 3 * dim * width:
         return False
@@ -488,6 +490,9 @@ def _operator_block(
     reads the whole block, so fewer, taller ones read it less often. T then
     goes through the block a quarter of its columns at a time, each image
     written back over its slice, so the apply holds the block and half.
+    One product over the whole block would put the apply above the build:
+    the decode-trace benchmark's peak RSS rose from 45.94-45.96 to
+    46.60-46.66 MiB (3 runs each, 2-core VM).
     """
     t, rows = _train_operator(train, mode, hilbert)
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
@@ -525,12 +530,10 @@ def propagate_block(
     return run_pulse_train_block(states, train, mode, hilbert)
 
 
-def apply_dephasing(contrast: float, spec: DephasingSpec, elapsed: float) -> float:
-    """Scale a fringe contrast by the coherence envelope at `elapsed`."""
-    if not 0.0 <= contrast <= 1.0:
-        raise ValueError("contrast must lie in [0, 1]")
+def apply_dephasing(spec: DephasingSpec, elapsed: float) -> float:
+    """The coherence envelope at `elapsed`, the factor on a fringe contrast."""
     if spec.envelope == "none":
-        return contrast
+        return 1.0
     if spec.envelope == "gaussian":
-        return contrast * math.exp(-(min(elapsed / spec.tau, 40.0) ** 2))  # exp(-1600) is 0.0
-    return contrast * math.exp(-elapsed / spec.tau)
+        return math.exp(-(min(elapsed / spec.tau, 40.0) ** 2))  # exp(-1600) is 0.0
+    return math.exp(-elapsed / spec.tau)

@@ -40,7 +40,6 @@ class CosineFit:
     contrast: float
     phase: float
     residual_rms: float
-    covariance: np.ndarray
     phase_identifiable: bool = True
 
     def model(self, phi):
@@ -109,11 +108,11 @@ def fit_cosine(samples, sem_floor: float | None = None) -> CosineFit:
 
     resid = p - jac @ beta
     residual_rms = float(np.sqrt(np.mean(resid**2)))
-    cov_lin = np.linalg.inv(normal)
+    cov_bc = np.linalg.inv(normal)[1:, 1:]  # of (C cos phi0, C sin phi0) / 2
     if np.all(sem <= 0):
         # analytic data: scale covariance by the residual variance
         dof = max(phi.size - 3, 1)
-        cov_lin = cov_lin * float(np.dot(w * resid, resid)) / dof
+        cov_bc = cov_bc * float(np.dot(w * resid, resid)) / dof
 
     offset, b, c = beta
     amp = math.hypot(b, c)
@@ -121,28 +120,16 @@ def fit_cosine(samples, sem_floor: float | None = None) -> CosineFit:
     phase = math.atan2(c, b) if amp > 0 else 0.0
     phase = _wrap_phase(phase)
 
-    # delta-method transform of the covariance to (offset, contrast, phase)
-    if amp > 1e-300:
-        jac_out = np.array(
-            [
-                [1.0, 0.0, 0.0],
-                [0.0, 2.0 * b / amp, 2.0 * c / amp],
-                [0.0, -c / amp**2, b / amp**2],
-            ]
-        )
-        cov = jac_out @ cov_lin @ jac_out.T
-    else:
-        cov = np.full((3, 3), np.inf)
-        cov[0, 0] = cov_lin[0, 0]
-
-    sigma_c = math.sqrt(max(cov[1, 1], 0.0)) if np.isfinite(cov[1, 1]) else math.inf
+    # the delta method: sigma_C^2 = 4 u^T V u with V = cov_bc and u = (b, c)/amp
+    u = np.array([b, c]) / amp if amp > 1e-300 else None
+    var_c = 4.0 * float(u @ cov_bc @ u) if u is not None else math.inf
+    sigma_c = math.sqrt(max(var_c, 0.0)) if math.isfinite(var_c) else math.inf
     identifiable = contrast > max(4.0 * sigma_c, 1e-12)
     return CosineFit(
         offset=float(offset),
         contrast=float(contrast),
         phase=float(phase),
         residual_rms=residual_rms,
-        covariance=cov,
         phase_identifiable=bool(identifiable),
     )
 

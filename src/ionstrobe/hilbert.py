@@ -16,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -115,39 +116,35 @@ class DriveParams:
 
 
 @dataclass(frozen=True)
-class CoherentAmp:
+class _Kick:
+    """A kick's complex parameter as its magnitude and phase; each kind is a
+    subclass naming its symbol, and equals only kicks of its own kind."""
+
+    symbol: ClassVar[str]
+    magnitude: float
+    phase: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.magnitude < math.inf:
+            raise ValueError(f"|{self.symbol}| must be finite and >= 0")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"{self.symbol} phase must be finite")
+
+    @property
+    def value(self) -> complex:
+        return self.magnitude * np.exp(1j * self.phase)
+
+
+class CoherentAmp(_Kick):
     """Coherent displacement magnitude |alpha| and phase."""
 
-    magnitude: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.magnitude < math.inf:
-            raise ValueError("|alpha| must be finite and >= 0")
-        if not math.isfinite(self.phase):
-            raise ValueError("alpha phase must be finite")
-
-    @property
-    def value(self) -> complex:
-        return self.magnitude * np.exp(1j * self.phase)
+    symbol = "alpha"
 
 
-@dataclass(frozen=True)
-class SqueezeParam:
+class SqueezeParam(_Kick):
     """Squeezing magnitude |zeta| and phase."""
 
-    magnitude: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.magnitude < math.inf:
-            raise ValueError("|zeta| must be finite and >= 0")
-        if not math.isfinite(self.phase):
-            raise ValueError("zeta phase must be finite")
-
-    @property
-    def value(self) -> complex:
-        return self.magnitude * np.exp(1j * self.phase)
+    symbol = "zeta"
 
 
 @dataclass(frozen=True)

@@ -167,18 +167,11 @@ def _kicked_levels(excitation, levels: tuple, fock_dim: int) -> np.ndarray:
 def _pre_train(spec: SequenceSpec, kicks: list, levels: np.ndarray):
     """The (2N, kicks x levels) pre-train block, kick-major, and each column's
     <n> after its kick: every column is the kicked, pre-delayed level |l> times
-    the one sync-rotated spinor of |down>. A TruncationError (a kick too large
-    for fock_dim, or a tail at tail_tol) has the column as index.
+    the one sync-rotated spinor of |down>. A tail at tail_tol raises a
+    TruncationError with the column as index.
     """
     n, hilbert, thermal = spec.hilbert.fock_dim, spec.hilbert, tuple(levels.tolist())
-    motion = []
-    for k, kick in enumerate(kicks):
-        try:
-            motion.append(_kicked_levels(kick, thermal, n))
-        except TruncationError as exc:
-            exc.index = k * len(thermal)
-            raise
-    motion = np.concatenate(motion, axis=1)
+    motion = np.concatenate([_kicked_levels(kick, thermal, n) for kick in kicks], axis=1)
     n_initial = np.arange(n) @ np.abs(motion) ** 2
     motion *= np.exp(-1j * spec.mode.freq * spec.pre_delay() * np.arange(n))[:, None]
     sync = mw_rotation(make_initial_state(SPIN_DOWN, 0, hilbert), math.pi / 2.0, SYNC_PHASE)
@@ -237,7 +230,7 @@ def _block_fringes(spec: SequenceSpec, kicks: list, levels: np.ndarray, weights:
     pre_train, n_initial = _pre_train(spec, kicks, levels)
     down, up, max_tail = propagate_block(pre_train, spec.analysis, spec.mode, spec.hilbert, n_states)
     del pre_train
-    envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
+    envelope = apply_dephasing(spec.dephasing, spec.analysis.total_duration)
     shape = (len(kicks), len(levels))  # rows: excitations; columns: thermal levels
     pop0 = np.abs(down) ** 2 + np.abs(up) ** 2
     pop1 = np.conj(down) * up
@@ -277,13 +270,13 @@ def sequence_fringes(spec: SequenceSpec, excitations) -> list[SequenceFringe]:
         block = distinct[start : start + per_block]
         try:
             fringes += _block_fringes(spec, block, levels, weights, len(distinct) * len(levels))
-        except TruncationError as exc:  # index: a block column, kick-major
-            exc.index = kicks.index(block[exc.index // len(levels)])
+        except TruncationError as exc:
             for kick in distinct[start:]:  # a kick too large for fock_dim first, from here on
                 try:
                     _kicked_levels(kick, (), spec.hilbert.fock_dim)
                 except TruncationError as too_large:
                     raise TruncationError(str(too_large), index=kicks.index(kick)) from None
+            exc.index = kicks.index(block[exc.index // len(levels)])  # was a block column
             raise
     return [fringes[distinct.index(kick)] for kick in kicks]
 

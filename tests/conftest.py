@@ -200,7 +200,7 @@ def reference_fringe(spec: SequenceSpec) -> tuple[float, complex, float, complex
     3 pi/2: an exact cosine in phi is its mean plus 2 Re(c1 e^{i phi}), with
     c1 the mean of its samples times e^{-i phi}."""
     levels, weights = thermal_ensemble(spec.mode.n_th, spec.hilbert)
-    envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
+    envelope = apply_dephasing(spec.dephasing, spec.analysis.total_duration)
     phis = np.arange(4) * (math.pi / 2.0)
     p_down, delta_n = np.zeros(4), np.zeros(4)
     for w, level in zip(weights, levels):

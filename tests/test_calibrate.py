@@ -728,3 +728,37 @@ class TestFlashLengthDesign:
 
     def test_flash_count_barely_matters(self):
         assert abs(self.contrast_ratio(100e-9, 10) - self.contrast_ratio(100e-9, 30)) <= 1e-3
+
+
+class TestStroboscopicMatching:
+    """Cycles of (1 + eps) motional periods read through decode tables built
+    at eps = 0. Flash k meets the wave packet 2 pi k eps further along its
+    orbit, so the decoded trace X(theta0) = A cos(theta0 - delta) turns by a
+    delta odd and linear in eps while A holds. The uniform mean over the
+    flashes, pi (F - 1) eps, undershoots the slope, since the fringe phase
+    weighs the later flashes more: at this size (fock_dim 64, |alpha| = 3)
+    the slope is 1.1644 pi F, and at fig4's (232, 6.5) it is 1.039 pi F."""
+
+    THETAS = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+
+    def trace(self, spec, tables, eps):
+        """(A, delta) of the cosine fitted to the |alpha| = 3 trace decoded at eps."""
+        train = replace(spec.analysis, cycle_dur=(1.0 + eps) * spec.analysis.cycle_dur)
+        ref, *sweep = sequence_fringes(replace(spec, analysis=train),
+                                       [None] + [CoherentAmp(3.0, t) for t in self.THETAS])
+        points = [tables.decode(math.remainder(f.phase - ref.phase, 2.0 * math.pi), f.contrast)
+                  for f in sweep]
+        assert not any(point.x_clamped for point in points)
+        basis = np.column_stack([np.cos(self.THETAS), np.sin(self.THETAS)])
+        b, c = np.linalg.lstsq(basis, [point.x for point in points], rcond=None)[0]
+        return math.hypot(b, c), math.atan2(c, b)
+
+    def test_mismatch_turns_the_decoded_trace(self, tuned_headline_small, headline_units):
+        spec, _ = tuned_headline_small
+        tables = build_decode_tables(spec, headline_units, np.arange(0.0, 3.21, 0.2))
+        amp0, delta0 = self.trace(spec, tables, 0.0)
+        slope = 1.1644 * math.pi * spec.analysis.n_flashes  # rad per unit eps, measured
+        for eps in (-2e-4, -1e-4, 1e-4, 2e-4):
+            amp, delta = self.trace(spec, tables, eps)
+            assert abs(amp / amp0 - 1.0) < 1e-3, eps
+            assert (delta - delta0) / eps == pytest.approx(slope, rel=1e-3), eps

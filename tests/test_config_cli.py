@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import ionstrobe
 import ionstrobe.cli as cli_module
 import ionstrobe.config as config_module
+import ionstrobe.dynamics as dynamics_module
 import ionstrobe.fitting as fitting_module
 from ionstrobe.calibrate import DecodeTables, apply_tuning
 from ionstrobe.cli import main
@@ -896,6 +897,41 @@ def test_block_propagations_per_command(tmp_path, fringe_evaluations, command, t
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out.txt")]) == 0
     assert len(fringe_evaluations) == calls
+
+
+# (states, engine path) of every fringe evaluation of each demo that propagates,
+# at seed 1 from a cold train-operator cache; "build" is the operator path
+# paying for the build, and every later block of an evaluation takes the operator
+DEMO_ENGINE_PATHS = {
+    "fig2b": [(5, "flash")],  # one flash: the operator would be the flash itself
+    "fig3b": [(10, "flash")],  # 10 states at fock_dim 208 count no gain
+    "fig3c": [(10, "flash")],
+    "fig4": [(185, "build"), (5, "operator"), (120, "operator")],  # tables, anchor, scan
+    "figS2": [(150, "build")],
+    "figS3-compare": [(55, "build")],
+    "figS4": [(100, "build")],  # two blocks; the back-action table reads the same fringes
+}
+
+
+@pytest.mark.parametrize("stem", DEMO_ENGINE_PATHS)
+def test_every_demo_engine_path(tmp_path, monkeypatch, fringe_evaluations, stem):
+    taken = []  # each block's path, then "build" when that block built the operator
+    for name, path in (("run_pulse_train_block", "flash"), ("_operator_block", "operator"),
+                       ("_build_train_operator", "build")):
+        original = getattr(dynamics_module, name)
+        monkeypatch.setattr(dynamics_module, name,
+                            lambda *args, f=original, path=path: taken.append(path) or f(*args))
+    monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+    command = {"fig4": "trace-phase-space", "figS4": "squeeze-scan"}.get(stem, "ramsey-scan")
+    assert main([command, "--config", f"configs/{stem}.yaml", "--out", str(tmp_path / "out.txt"),
+                 "--seed", "1"]) == 0
+    paths = iter(" ".join(taken).replace("operator build", "build").split())
+    evaluations = []
+    for widths in fringe_evaluations:
+        first, *rest = [next(paths) for _ in widths]
+        assert set(rest) <= {first.replace("build", "operator")}, stem
+        evaluations.append((sum(widths), first))
+    assert evaluations == DEMO_ENGINE_PATHS[stem] and next(paths, None) is None
 
 
 def test_decode_tables_round_trip_exactly(tmp_path):

@@ -266,26 +266,26 @@ class TestBackAction:
 
 class TestDephasing:
     def test_none_envelope(self):
-        assert apply_dephasing(0.7, DephasingSpec(envelope="none"), 1e-3) == 0.7
+        assert apply_dephasing(DephasingSpec(envelope="none"), 1e-3) == 1.0
 
     def test_gaussian_at_tau(self):
         spec = DephasingSpec(tau=70e-6, envelope="gaussian")
-        assert apply_dephasing(1.0, spec, 70e-6) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert apply_dephasing(spec, 70e-6) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_gaussian_at_train_duration(self):
         spec = DephasingSpec(tau=70e-6, envelope="gaussian")
-        factor = apply_dephasing(1.0, spec, 23.1e-6)
+        factor = apply_dephasing(spec, 23.1e-6)
         assert factor == pytest.approx(0.897, abs=0.001)
 
     def test_exponential(self):
         spec = DephasingSpec(tau=50e-6, envelope="exponential")
-        assert apply_dephasing(0.5, spec, 50e-6) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
+        assert apply_dephasing(spec, 50e-6) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     @pytest.mark.parametrize("envelope", ["gaussian", "exponential"])
     @pytest.mark.parametrize("elapsed", [1.0e-140, 1.0, 1.0e10])
     def test_huge_elapsed_over_tau_is_zero(self, envelope, elapsed):
         # elapsed / tau of 1e160, whose square overflows a float, 1e300 and inf
-        assert apply_dephasing(0.8, DephasingSpec(tau=1.0e-300, envelope=envelope), elapsed) == 0.0
+        assert apply_dephasing(DephasingSpec(tau=1.0e-300, envelope=envelope), elapsed) == 0.0
 
 
 def dense_flash_unitary(pair):

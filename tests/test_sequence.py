@@ -153,7 +153,7 @@ def reference_observables(spec, phi):
     after any flash of any level.
     """
     levels, weights = thermal_ensemble(spec.mode.n_th, spec.hilbert)
-    envelope = apply_dephasing(1.0, spec.dephasing, spec.analysis.total_duration)
+    envelope = apply_dephasing(spec.dephasing, spec.analysis.total_duration)
     p_down = delta_n = sigma_z = tail = 0.0
     for w, level in zip(weights, levels):
         state, n_initial = reference_pre_train(spec, level)
@@ -366,13 +366,14 @@ class TestSequenceFringe:
                                                ("run_scan", r"at scan point \(outer=1\): ")],
                              ids=["sequence_fringes", "run_scan"])
     def test_watchdog_error_keeps_index_and_phase(self, layer, prefix):
-        # at eta = 2 the flashes push the |alpha| = 1 kick of the n_th = 0.15
-        # ensemble past 1e-9 in the top levels of a 32-level space (the
-        # no-kick states stay near 6e-12); the watchdog's error comes up
+        # at eta = 2 the flashes push the |alpha| = 1 kick of the n_th = 0.05
+        # ensemble past 1e-9 in the top levels of a 36-level space (the
+        # no-kick states stay near 1.5e-11); the watchdog's error comes up
         # through each layer with its index mapped to the excitation or
         # outer value, and its phase
-        spec = make_spec(fock_dim=32, eta=2.0, n_th=0.15)
-        spec = replace(spec, hilbert=HilbertSpec(fock_dim=32, tail_tol=1e-9))
+        spec = make_spec(fock_dim=36, eta=2.0, n_th=0.05)
+        spec = replace(spec, hilbert=HilbertSpec(fock_dim=36, tail_tol=1e-9))
+        assert sequence_fringes(spec, [None])[0].max_tail < spec.hilbert.tail_tol
         scan = ScanSpec(phi_grid=[0.0, 1.0], outer_grid=[0.0, 1.0], outer_var="alpha_abs",
                         interleave_reference=True)
         calls = {"sequence_fringes": (lambda: sequence_fringes(spec, [None, CoherentAmp(1.0, 1.0), None]),
