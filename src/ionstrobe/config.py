@@ -187,8 +187,9 @@ def merge_config(user: dict | None) -> dict:
     return merged
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 3e5 and 1e-9.
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """SafeLoader, through libyaml's parser where PyYAML was built with it,
+    that also reads YAML 1.2 floats such as 3e5 and 1e-9.
 
     PyYAML resolves plain scalars by YAML 1.1, where a float needs a dot
     and a signed exponent, so 3e5 would load as a string.

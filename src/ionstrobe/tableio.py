@@ -11,7 +11,6 @@ significant digits so every value reads back bit for bit; no seed line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -34,8 +33,17 @@ def format_number(value, digits: int = 12) -> str:
 
 
 def config_hash(config: dict) -> str:
+    """First 16 hex digits of the SHA-256 of the config's canonical JSON."""
+    # the interpreter's own SHA-256: hashlib loads OpenSSL's libcrypto, 3.5 MiB
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return sha256(canonical.encode()).hexdigest()[:16]
 
 
 def config_echo_lines(config: dict) -> list[str]:

@@ -1,6 +1,7 @@
 """Config validation and end-to-end CLI runs on small workloads."""
 
 import ast
+import hashlib
 import importlib
 import json
 import math
@@ -46,6 +47,7 @@ from ionstrobe.sequence import sample_scan, scan_fringes
 from ionstrobe.stability import simulate_phase_trace
 from ionstrobe.tableio import (
     config_echo_lines,
+    config_hash,
     format_number,
     read_decode_tables,
     read_table,
@@ -1043,7 +1045,9 @@ def test_table_bytes_need_no_blas_variable(tmp_path):
 
 def test_runtime_imports_are_stdlib_numpy_yaml():
     # every absolute import in the package, also those inside functions
-    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "ionstrobe"}
+    # _sha2 is the standard library's SHA-2 module from CPython 3.12 on, and is
+    # missing from sys.stdlib_module_names before
+    allowed = set(sys.stdlib_module_names) | {"_sha2", "numpy", "yaml", "ionstrobe"}
     package = Path(ionstrobe.__file__).resolve().parent
     found = set()
     for path in sorted(package.glob("*.py")):
@@ -1054,6 +1058,102 @@ def test_runtime_imports_are_stdlib_numpy_yaml():
                 found.add((path.name, node.module.split(".")[0]))
     assert {name for name in found if name[1] not in allowed} == set()
     assert ("calibrate.py", "numpy") in found
+
+
+
+# What one command loads, read in a fresh interpreter after the command returns:
+# the suite's own process already holds hashlib (pytest and hypothesis import it).
+LOADED_PROBE = (
+    "import json, sys\n"
+    "from ionstrobe.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, '_hashlib' in sys.modules, 'numpy.random' in sys.modules]))\n"
+)
+
+
+def modules_after(args) -> list:
+    """[exit code, _hashlib loaded, numpy.random loaded] after `ionstrobe args`."""
+    out = subprocess.run([sys.executable, "-c", LOADED_PROBE, *args], capture_output=True,
+                         text=True, env=blas_env(OPENBLAS_NUM_THREADS="1"), check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def sha256_hash(config: dict) -> str:
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+class TestConfigHash:
+    """The footer's config_hash is the SHA-256 of the canonical JSON, and no
+    command that draws nothing loads OpenSSL or numpy.random to write it."""
+
+    SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                        st.floats(), st.text(max_size=8))
+    SECTIONS = st.dictionaries(
+        st.text(max_size=6),
+        st.dictionaries(st.text(max_size=6),
+                        st.one_of(SCALARS, st.lists(SCALARS, max_size=4)), max_size=5),
+        max_size=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SECTIONS)
+    def test_hash_is_sha256_of_canonical_json(self, cfg):
+        assert config_hash(cfg) == sha256_hash(cfg)
+
+    def test_hash_is_sha256_on_demo_configs(self):
+        for path in sorted(Path("configs").glob("*.yaml")):
+            cfg = load_config(path)
+            assert config_hash(cfg) == sha256_hash(cfg), path
+
+    def test_no_openssl_or_numpy_random_without_draws(self, tmp_path):
+        scan = write_cfg(tmp_path, FAST_SCAN.replace("mode: shots, shots: 64", "mode: analytic"))
+        tables = write_cfg(tmp_path, SMALL_TRACE_CONFIG, name="tables.yaml")
+        for args in (["ramsey-scan", "--config", scan, "--out", str(tmp_path / "scan.txt")],
+                     ["build-tables", "--config", tables, "--out", str(tmp_path / "dec.txt")]):
+            assert modules_after(args) == [0, False, False], args[0]
+        assert read_table(tmp_path / "scan.txt")[2]["config_hash"] == sha256_hash(load_config(scan))
+
+    def test_shot_run_footer_hash_is_sha256(self, tmp_path):
+        cfg, out = write_cfg(tmp_path, FAST_SCAN), tmp_path / "shots.txt"
+        assert modules_after(["ramsey-scan", "--config", cfg, "--out", str(out)])[:1] == [0]
+        assert read_table(out)[2]["config_hash"] == sha256_hash(load_config(cfg))
+
+
+# the parser of _Loader without libyaml: the same resolvers on PyYAML's own parser
+class PythonLoader(yaml.SafeLoader):
+    yaml_implicit_resolvers = config_module._Loader.yaml_implicit_resolvers
+
+
+YAML_EDGES = [
+    "3e5", "1e-9", "-2.5E+3", ".5", "1.", "1_000", "0x1F", "0o17", "017", "0b101", "+12",
+    "yes", "No", "on", "~", "1:30", "190:20:30.15", "2001-12-14",
+    "2001-12-14t21:59:43.10-05:00", "1e400", "-.inf", ".NaN", "'3e5'", "!!float 1",
+]
+
+
+class TestYamlLoader:
+    """Configs read the same through libyaml's parser as through PyYAML's."""
+
+    def test_loader_uses_libyaml_where_built(self):
+        base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        assert issubclass(config_module._Loader, base)
+
+    def test_demo_configs_load_alike(self):
+        for path in sorted(Path("configs").glob("*.yaml")):
+            text = path.read_text()
+            fast = yaml.load(text, Loader=config_module._Loader)
+            assert repr(fast) == repr(yaml.load(text, Loader=PythonLoader)), path
+
+    @pytest.mark.parametrize("edge", YAML_EDGES)
+    def test_edge_scalars_load_alike(self, edge):
+        for text in (f"v: {edge}", f"v: [{edge}, {edge}]", f"s: {{v: {edge}}}\ns: {{w: {edge}}}"):
+            fast = yaml.load(text, Loader=config_module._Loader)
+            assert repr(fast) == repr(yaml.load(text, Loader=PythonLoader)), text
+
+    def test_syntax_error_names_file_line_and_column(self, tmp_path):
+        cfg = write_cfg(tmp_path, "hilbert:\n  fock_dim: [1, 2\ntrain: {n_flashes: 3}\n")
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(cfg))} is not valid YAML(.|\n)*line 3, column"):
+            load_config(cfg)
 
 
 def test_every_schema_key_is_read():
