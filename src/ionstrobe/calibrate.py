@@ -43,8 +43,8 @@ class TrainTuning:
 
     rabi_scale: float
     achieved_sigma_z: float
-    n_evaluations: int = 0
-    search_fock_dim: int = 0  # the Fock space the root was searched and polished in
+    n_evaluations: int
+    search_fock_dim: int  # the Fock space the root was searched and polished in
 
 
 def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -172,9 +172,9 @@ def _scaled_train(train: PulseTrainSpec, rabi_scale: float) -> PulseTrainSpec:
     return replace(train, drive=replace(train.drive, rabi=rabi))
 
 
-def apply_tuning(spec: SequenceSpec, tuning: TrainTuning) -> SequenceSpec:
-    """Sequence with the tuned Rabi scale folded into the train."""
-    return replace(spec, analysis=_scaled_train(spec.analysis, tuning.rabi_scale))
+def apply_tuning(spec: SequenceSpec, rabi_scale: float) -> SequenceSpec:
+    """Sequence with the Rabi scale, tuned or set, folded into the train."""
+    return replace(spec, analysis=_scaled_train(spec.analysis, rabi_scale))
 
 
 # The tuner searches in Fock spaces of 32, 64, 128, ... levels below the

@@ -1,11 +1,14 @@
-"""Command-line interface: config-driven scans, calibrations, and reports.
+"""Command-line interface: config-driven scans, decode tables, and reports.
 
 Commands: ramsey-scan, pattern-scan, trace-phase-space, squeeze-scan,
-calibrate-train, build-tables, stability. All take --config and --out, plus
-optional --seed (overrides detection.base_seed). Exit codes: 0 success, 2
-configuration error, 3 numerical failure. Same config and seed, same bytes,
-on any core count: OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
-trace-phase-space builds its decode tables in the run; build-tables exports them.
+build-tables, stability. All take --config and --out, plus optional --seed
+(overrides detection.base_seed). Exit codes: 0 success, 2 configuration
+error, 3 numerical failure. Same config and seed, same bytes, on any core
+count: OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
+trace-phase-space builds its decode tables in the run; build-tables exports
+them. Under train.rabi_scale: auto a command tunes its one sequence spec,
+and every table it writes records the tuning in three footer lines:
+tuned_rabi_scale, tune_evaluations and search_fock_dim.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .hilbert import CoherentAmp
 from .sequence import (
     PatternField,
     ScanSpec,
+    SequenceSpec,
     characterize_reference_fringe,
     run_scan,
     sample_detection,
@@ -41,7 +45,7 @@ from .sequence import (
     static_pattern_probe,
 )
 from .stability import apply_reference_correction, simulate_phase_trace, windowed_phase_stat
-from .tableio import write_decode_tables, write_table
+from .tableio import format_number, write_decode_tables, write_table
 
 REALIZATION_INTERVAL_S = 0.010  # experimental cadence of interleaved realizations
 
@@ -63,36 +67,47 @@ def _drift_for_scan(cfg: dict, scan: ScanSpec) -> np.ndarray | None:
     return trace.phase[:n_real]
 
 
-def _tuned_sequence(cfg: dict):
-    return apply_tuning(cfgmod.build_sequence_spec(cfg), cfgmod.resolve_tuning(cfg))
+def _tuned_sequence(cfg: dict, spec: SequenceSpec) -> tuple[SequenceSpec, list[str]]:
+    """`spec` with its train at train.rabi_scale, and the footer lines that
+    record the tuning: under auto the pi/2 tuner runs on `spec`, and the
+    lines give its scale, probe count and search space; a set scale has none."""
+    scale = cfg["train"]["rabi_scale"]
+    if scale != "auto":
+        return apply_tuning(spec, scale), []
+    tuning = tune_pulse_train(spec)
+    return apply_tuning(spec, tuning.rabi_scale), [
+        f"tuned_rabi_scale: {format_number(tuning.rabi_scale)}",
+        f"tune_evaluations: {tuning.n_evaluations}",
+        f"search_fock_dim: {tuning.search_fock_dim}",
+    ]
 
 
-def _write_scan(path, title: str, records, cfg: dict) -> None:
+def _write_scan(path, title: str, records, cfg: dict, tuning: list[str]) -> None:
     rows = [(r.outer, r.phi, r.p_down_mean, r.p_down_sem, r.sigma_z, r.delta_n) for r in records]
     write_table(path, title, ["outer", "phi_rad", "p_down", "p_down_sem", "sigma_z", "delta_n"],
-                rows, cfg, cfg["detection"]["base_seed"])
+                rows, cfg, cfg["detection"]["base_seed"], summary_lines=tuning)
 
 
 def cmd_ramsey_scan(cfg: dict, args) -> None:
     scan = cfgmod.build_scan_spec(cfg)  # its config checks come before the tuner
-    spec = _tuned_sequence(cfg)
+    spec, tuning = _tuned_sequence(cfg, cfgmod.build_sequence_spec(cfg))
     records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan))
-    _write_scan(args.out, "stroboscopic Ramsey scan", records, cfg)
+    _write_scan(args.out, "stroboscopic Ramsey scan", records, cfg, tuning)
 
 
 def cmd_squeeze_scan(cfg: dict, args) -> None:
     if cfg["state"]["zeta_abs"] <= 0:
         raise ConfigError("squeeze-scan needs state.zeta_abs > 0")
     scan = cfgmod.build_scan_spec(cfg)
-    spec = _tuned_sequence(cfg)
+    spec, tuning = _tuned_sequence(cfg, cfgmod.build_sequence_spec(cfg))
     fringes = scan_fringes(scan, spec)
     records = sample_scan(scan, fringes, _drift_for_scan(cfg, scan))
-    _write_scan(args.out, "squeezed-state stroboscopic scan", records, cfg)
+    _write_scan(args.out, "squeezed-state stroboscopic scan", records, cfg, tuning)
     # companion back-action table on the phi-decimated grid, from the same fringes
     ba_scan = replace(scan, phi_grid=scan.phi_grid[::2])
     ba_records = sample_scan(ba_scan, fringes, _drift_for_scan(cfg, ba_scan))
     _write_scan(_sibling_path(args.out, "backaction"), "squeezed-state back-action scan",
-                ba_records, cfg)
+                ba_records, cfg, tuning)
 
 
 def cmd_pattern_scan(cfg: dict, args) -> None:
@@ -144,11 +159,14 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
     write_table(args.out, "static pattern scan", columns, rows, cfg, seed0, summary_lines=summary)
 
 
-def _decode_grid(cfg: dict) -> np.ndarray:
-    """The decode amplitudes 0, alpha_step, ... up to alpha_max; at least 3.
+def _tuned_decode_tables(cfg: dict):
+    """(tuned spec, tuning lines, decode tables) of a decode command, the
+    tables over the amplitudes 0, alpha_step, ... up to alpha_max; at least 3.
     A decode reads fringe phases, so a coherence envelope under machine
     epsilon at the train's end, where every p_down rounds to a flat fringe,
-    is a config error naming dephasing.tau_us, before any tuning."""
+    is a config error naming dephasing.tau_us, before any tuning. A map that
+    is not monotone names the keys that turn it."""
+    spec = cfgmod.build_sequence_spec(cfg)
     dec = cfg["decode"]
     # a grid past numpy's size limit, or past memory
     with cfgmod.naming("decode.alpha_max and decode.alpha_step", cfgmod.CANNOT_RESERVE):
@@ -156,27 +174,22 @@ def _decode_grid(cfg: dict) -> np.ndarray:
     if len(alpha_grid) < 3:
         raise ConfigError(f"decode.alpha_max and decode.alpha_step give {len(alpha_grid)} "
                           "decode amplitudes, need at least 3")
-    elapsed = cfgmod.build_train(cfg).total_duration
-    envelope = apply_dephasing(cfgmod.build_dephasing(cfg), elapsed)
+    elapsed = spec.analysis.total_duration
+    envelope = apply_dephasing(spec.dephasing, elapsed)
     if envelope < sys.float_info.epsilon:
         raise ConfigError(f"dephasing.tau_us: the {cfg['dephasing']['envelope']} envelope is "
                           f"{envelope:g} at the train's end, {elapsed * 1e6:g} us, so there is no "
                           "fringe phase to decode")
-    return alpha_grid
-
-
-def _decode_tables(cfg: dict, spec, alpha_grid: np.ndarray):
-    """build_decode_tables over alpha_grid; a map that is not monotone names the keys that turn it."""
+    spec, tuning = _tuned_sequence(cfg, spec)
     try:
-        return build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
+        return spec, tuning, build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
     except DecodeError as exc:  # the contrast's first zero lies near eta |alpha| omega tau = pi
         raise DecodeError(f"{exc}; shorten train.flash_ns or lower decode.alpha_max") from exc
 
 
 def cmd_build_tables(cfg: dict, args) -> None:
-    alpha_grid = _decode_grid(cfg)
-    tables = _decode_tables(cfg, _tuned_sequence(cfg), alpha_grid)
-    write_decode_tables(tables, args.out, cfg)
+    _, tuning, tables = _tuned_decode_tables(cfg)
+    write_decode_tables(tables, args.out, cfg, tuning)
 
 
 def cmd_trace_phase_space(cfg: dict, args) -> None:
@@ -185,7 +198,8 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
         raise ConfigError("trace-phase-space decodes coherent displacements; unset state.zeta_abs")
     if cfg["scan"]["outer_var"] not in ("none", "theta0"):
         raise ConfigError("trace-phase-space scans theta0: scan.outer_var must be theta0 or none")
-    scan = replace(cfgmod.build_scan_spec(cfg), outer_var="theta0")
+    # the outer values are theta0 under outer_var none too, and bounded as such
+    scan = cfgmod.build_scan_spec({**cfg, "scan": {**cfg["scan"], "outer_var": "theta0"}})
     # every theta0 row is a fringe fit, so the phase grid must meet fit_cosine's conditions
     span = max(scan.phi_grid) - min(scan.phi_grid)
     if len(scan.phi_grid) < 5:
@@ -193,10 +207,8 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     if span < math.pi:
         raise ConfigError(f"scan.phi_start_rad and scan.phi_stop_rad give a phase span of "
                           f"{span:.3f} rad; the fringe fits need at least pi")
-    alpha_grid = _decode_grid(cfg)
-    spec = _tuned_sequence(cfg)
+    spec, tuning, tables = _tuned_decode_tables(cfg)
     alpha = cfg["state"]["alpha_abs"]
-    tables = _decode_tables(cfg, spec, alpha_grid)
     ref = characterize_reference_fringe(spec)
     anchor = ref.phase
 
@@ -226,22 +238,7 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
         rows,
         cfg,
         cfg["detection"]["base_seed"],
-    )
-
-
-def cmd_calibrate_train(cfg: dict, args) -> None:
-    base = cfgmod.build_sequence_spec(cfg)
-    tuning = tune_pulse_train(base)
-    duration_us = base.analysis.total_duration * 1e6
-    write_table(
-        args.out,
-        "pi/2 pulse-train tuning",
-        ["rabi_scale", "achieved_sigma_z", "n_evaluations", "total_duration_us"],
-        [(tuning.rabi_scale, tuning.achieved_sigma_z, tuning.n_evaluations, duration_us)],
-        cfg,
-        cfg["detection"]["base_seed"],
-        summary_lines=[f"total_duration_us: {duration_us:.6g}",
-                       f"search_fock_dim: {tuning.search_fock_dim}"],
+        summary_lines=tuning,
     )
 
 
@@ -290,7 +287,6 @@ COMMANDS = {
     "pattern-scan": cmd_pattern_scan,
     "trace-phase-space": cmd_trace_phase_space,
     "squeeze-scan": cmd_squeeze_scan,
-    "calibrate-train": cmd_calibrate_train,
     "build-tables": cmd_build_tables,
     "stability": cmd_stability,
 }

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .calibrate import TrainTuning, derive_lamb_dicke, tune_pulse_train
+from .calibrate import derive_lamb_dicke
 from .dynamics import DephasingSpec, PulseTrainSpec
 from .errors import ConfigError
 from .hilbert import (
@@ -349,7 +349,7 @@ def build_scan_spec(cfg: dict) -> ScanSpec:
     if outer == "alpha_abs" and min(scan["outer_values"]) < 0:
         raise ConfigError("scan.outer_values must be >= 0 when scan.outer_var is alpha_abs")
     if outer in ("theta0", "zeta0") and not _accepts(Key([0.0], ANGLE), scan["outer_values"]):
-        raise ConfigError(f"scan.outer_values must lie in {ANGLE} when scan.outer_var is {outer}")
+        raise ConfigError(f"scan.outer_values must lie in {ANGLE} as {outer} angles")
     with naming("scan.phi_num", CANNOT_RESERVE):
         phi_grid = np.linspace(scan["phi_start_rad"], scan["phi_stop_rad"], scan["phi_num"],
                                endpoint=False)
@@ -371,11 +371,3 @@ def build_noise_model(cfg: dict) -> PhaseNoiseModel:
         drift_rate=st["drift_rate_rad_per_s"],
         sample_interval=st["sample_interval_s"],
     )
-
-
-def resolve_tuning(cfg: dict) -> TrainTuning:
-    """The configured rabi_scale, or tune the bare train for it."""
-    scale = cfg["train"]["rabi_scale"]
-    if scale != "auto":
-        return TrainTuning(float(scale), math.nan)
-    return tune_pulse_train(build_sequence_spec(cfg))

@@ -449,10 +449,6 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
     (floor(log2 F) + popcount(F) - 1) D^3 / 4 + F t D^2 / 4 to build when
     it is not cached. The count leaves out the per-product overhead of the
     operator's thin chains and the arrays it holds, so it must save half.
-    Timed at the package's one OpenBLAS thread, the operator takes 0.34-0.41
-    of the flash-by-flash time where the count says 0.38 (fig4's tables)
-    and 0.30 where it says 0.20 (figS2); at 0.40 (figS3-compare) it took
-    0.52, about break-even.
 
     A build keeps the operator and the tail rows, 2N^2 + 2 F k_tail N
     complex values, which grow with F, and holds one more N x N matrix
@@ -461,10 +457,7 @@ def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached:
     and at most a block of tail rows). A build whose kept values outgrow
     three blocks of `width`, the whole evaluation's, is refused. So a wide
     enough evaluation still builds for a long train, whose rows grow with
-    F: at fock_dim 64 and F = 1,000, 2,000 one-level kicks build at a
-    10.2 MiB traced peak where 400 go flash by flash at 3.2 MiB. A rule on
-    the block's width would refuse fig4's tables: they keep 274,688 values
-    against 139,200 for a 50-state block (515,040 for all 185 states).
+    F; a rule on the block's width would refuse fig4's tables.
     """
     if not cached and (dim * dim + n_flashes * tail_rows * dim) / 2 > 3 * dim * width:
         return False
@@ -490,9 +483,8 @@ def _operator_block(
     reads the whole block, so fewer, taller ones read it less often. T then
     goes through the block a quarter of its columns at a time, each image
     written back over its slice, so the apply holds the block and half.
-    One product over the whole block would put the apply above the build:
-    the decode-trace benchmark's peak RSS rose from 45.94-45.96 to
-    46.60-46.66 MiB (3 runs each, 2-core VM).
+    One product over the whole block would put the apply's peak above the
+    build's.
     """
     t, rows = _train_operator(train, mode, hilbert)
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels

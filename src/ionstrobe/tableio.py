@@ -112,10 +112,12 @@ def read_table(path) -> tuple[list[str], np.ndarray, dict]:
     return columns, data, meta
 
 
-def write_decode_tables(tables: DecodeTables, path, config: dict) -> None:
+def write_decode_tables(tables: DecodeTables, path, config: dict,
+                        summary_lines: list[str] | None = None) -> None:
     """Write decode tables as a DECODE_TABLE_FORMAT table echoing `config`."""
     rows = zip(tables.x, tables.phi_plus, tables.p, tables.contrast)
-    write_table(path, DECODE_TABLE_FORMAT, DECODE_TABLE_COLUMNS, rows, config, None, digits=17)
+    write_table(path, DECODE_TABLE_FORMAT, DECODE_TABLE_COLUMNS, rows, config, None,
+                summary_lines=summary_lines, digits=17)
 
 
 def read_decode_tables(path) -> DecodeTables:

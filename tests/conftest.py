@@ -242,14 +242,14 @@ def headline_units() -> UnitScale:
 def tuned_headline_small():
     spec = headline_sequence_spec(64)
     tuning = tune_pulse_train(spec)
-    return apply_tuning(spec, tuning), tuning
+    return apply_tuning(spec, tuning.rabi_scale), tuning
 
 
 @pytest.fixture(scope="session")
 def tuned_headline_large():
     spec = headline_sequence_spec(232)
     tuning = tune_pulse_train(spec)
-    return apply_tuning(spec, tuning), tuning
+    return apply_tuning(spec, tuning.rabi_scale), tuning
 
 
 @pytest.fixture(scope="session")

@@ -234,7 +234,7 @@ def test_criterion_09_squeezed_scan():
     base = headline_sequence_spec(160)
     base = replace(base, analysis=replace(base.analysis, cycle_dur=2.0 * base.mode.period))
     tuning = tune_pulse_train(base)
-    spec = apply_tuning(base, tuning)
+    spec = apply_tuning(base, tuning.rabi_scale)
     phis = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
 
     # significance leg: shot-sampled scans at |zeta| = 1 with bootstrap refits
@@ -348,7 +348,6 @@ def test_criterion_11_cli_determinism(tmp_path):
             "scan: {phi_num: 5, outer_var: zeta0, outer_values: [0.0, 3.1415927]}\n"
             "detection: {mode: shots, shots: 64, base_seed: 10}\n"
         ),
-        "calibrate-train": "hilbert: {fock_dim: 48}\n",
         "build-tables": (
             "hilbert: {fock_dim: 64}\ntrain: {rabi_scale: 0.2795}\n"
             "decode: {alpha_max: 2.0, alpha_step: 0.5}\n"

@@ -74,7 +74,7 @@ def alpha_zero_spec(fock_dim=64, eta=0.4, n_th=0.15, envelope="gaussian"):
 def tuned_spec():
     spec = alpha_zero_spec()
     tuning = tune_pulse_train(spec)
-    return apply_tuning(spec, tuning), tuning
+    return apply_tuning(spec, tuning.rabi_scale), tuning
 
 
 class TestTunePulseTrain:
@@ -347,7 +347,7 @@ class TestSmallSpaceSearch:
         ref = reference_tune_in(spec, 64)
         small = HilbertSpec(fock_dim=FIRST_SEARCH_DIM, tail_tol=spec.hilbert.tail_tol)
         levels, _ = thermal_ensemble(spec.mode.n_th, spec.hilbert)
-        tuned = apply_tuning(spec, ref).analysis
+        tuned = apply_tuning(spec, ref.rabi_scale).analysis
         block = np.stack([make_initial_state(SPIN_DOWN, int(level), small).amplitudes
                           for level in levels], axis=1)
         _, _, tail = run_pulse_train_block(block, tuned, spec.mode, small)
@@ -396,7 +396,7 @@ class TestSmallSpaceSearch:
         assert builds.count(spec.hilbert.fock_dim) == 1
         assert len(runs) == len(levels)
 
-        tuned = apply_tuning(spec, tuning)
+        tuned = apply_tuning(spec, tuning.rabi_scale)
         before = dynamics_module._flash_unitary.cache_info()
         states = np.eye(2 * spec.hilbert.fock_dim, dtype=complex)[:, levels]
         dynamics_module.propagate_block(states, tuned.analysis, tuned.mode, tuned.hilbert)
@@ -558,7 +558,7 @@ class TestDecodeTables:
                 25 * ATOMIC_MASS, OMEGA, 140e-9, 0.840 + math.radians(angle_deg)
             )
             base = alpha_zero_spec(fock_dim=64, eta=eta)
-            tuned = apply_tuning(base, tune_pulse_train(base))
+            tuned = apply_tuning(base, tune_pulse_train(base).rabi_scale)
             tables = build_decode_tables(tuned, UNITS, [0.0, 1.0, 2.0])
             slopes[angle_deg] = np.polyfit(tables.pos_x, tables.pos_phi0, 1)[0]
         assert slopes[5.0] < slopes[0.0]
@@ -714,7 +714,7 @@ class TestFlashLengthDesign:
         spec = alpha_zero_spec(eta=self.ETA)
         spec = replace(spec, analysis=replace(spec.analysis, n_flashes=n_flashes,
                                               flash_dur=flash_dur))
-        spec = apply_tuning(spec, tune_pulse_train(spec))
+        spec = apply_tuning(spec, tune_pulse_train(spec).rabi_scale)
         still, moving = sequence_fringes(spec, [None, CoherentAmp(self.ALPHA, math.pi / 2.0)])
         return moving.contrast / still.contrast
 

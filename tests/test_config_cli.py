@@ -24,7 +24,7 @@ import ionstrobe.cli as cli_module
 import ionstrobe.config as config_module
 import ionstrobe.dynamics as dynamics_module
 import ionstrobe.fitting as fitting_module
-from ionstrobe.calibrate import DecodeTables, apply_tuning
+from ionstrobe.calibrate import DecodeTables, apply_tuning, tune_pulse_train
 from ionstrobe.cli import main
 from ionstrobe.config import (
     DEFAULTS,
@@ -40,7 +40,6 @@ from ionstrobe.config import (
     load_config,
     merge_config,
     resolve_eta,
-    resolve_tuning,
 )
 from ionstrobe.errors import ConfigError, FitError, TruncationError
 from ionstrobe.sequence import sample_scan, scan_fringes
@@ -148,9 +147,11 @@ class TestConfig:
 
     def test_tuning_follows_tail_tol(self):
         # the same train tuned under a looser watchdog must not stand in for a strict one
-        resolve_tuning(merge_config({"hilbert": {"fock_dim": 8, "tail_tol": 0.5}}))
+        tune_pulse_train(build_sequence_spec(merge_config({"hilbert": {"fock_dim": 8,
+                                                                       "tail_tol": 0.5}})))
         with pytest.raises(TruncationError, match="top 1 Fock levels"):
-            resolve_tuning(merge_config({"hilbert": {"fock_dim": 8, "tail_tol": 1e-6}}))
+            tune_pulse_train(build_sequence_spec(merge_config({"hilbert": {"fock_dim": 8,
+                                                                           "tail_tol": 1e-6}})))
 
     def test_every_demo_tuning_is_pinned(self):
         # (rabi_scale, n_evaluations) of each demo train under rabi_scale: auto,
@@ -162,7 +163,7 @@ class TestConfig:
         for name, (rabi_scale, n_evaluations) in pinned.items():
             cfg = load_config(f"configs/{name}.yaml")
             assert cfg["train"]["rabi_scale"] == "auto", name
-            tuning = resolve_tuning(cfg)
+            tuning = tune_pulse_train(build_sequence_spec(cfg))
             assert tuning.n_evaluations == n_evaluations, name
             assert abs(tuning.rabi_scale - rabi_scale) < 1e-12, name
             assert tuning.achieved_sigma_z <= 1e-13, name
@@ -286,13 +287,13 @@ EXTREME_INPUTS = [
     ("ramsey-scan-n-flashes", "ramsey-scan", "train: {n_flashes: 1000001}",
      ["train.n_flashes"]),
     # a Rabi rate from which the tuner's start or a flash unitary cannot be formed
-    ("calibrate-train-rabi-zero", "calibrate-train", "hilbert: {fock_dim: 24}\ndrive: {rabi_hz: 0.0}",
+    ("ramsey-scan-rabi-zero", "ramsey-scan", "hilbert: {fock_dim: 24}\ndrive: {rabi_hz: 0.0}",
      ["Rabi rate 0 Hz", "start rabi_scale inf"]),
-    ("calibrate-train-rabi-subnormal", "calibrate-train",
+    ("ramsey-scan-rabi-subnormal", "ramsey-scan",
      "hilbert: {fock_dim: 24}\ndrive: {rabi_hz: 1.0e-310}", ["Rabi rate 1e-310 Hz"]),
     # at eta = 2.5 the weighted sigma_z stays below the equator on [0.5, 1.5] x start;
     # only the tuner's CalibrationError (exit 3) prints this line
-    ("calibrate-train-no-sign-change", "calibrate-train",
+    ("ramsey-scan-no-sign-change", "ramsey-scan",
      "drive: {eta: 2.5}\nmode: {n_th: 0.0}\nhilbert: {fock_dim: 128, tail_tol: 1.0e-2}",
      ["no sign change of <sigma_z> in rabi_scale [3.1611, 9.48329]: -5.246e-01 at 3.1611"]),
     ("ramsey-scan-rabi-infinite", "ramsey-scan",
@@ -300,7 +301,7 @@ EXTREME_INPUTS = [
      ["Rabi rate 1e+300 Hz", "rabi_scale 1e+300"]),
     # a finite rate or frequency whose angular value, or whose cycle, overflows:
     # no spec dataclass takes a value that is not finite
-    ("calibrate-train-rabi-overflow", "calibrate-train",
+    ("ramsey-scan-rabi-overflow", "ramsey-scan",
      "hilbert: {fock_dim: 24}\ndrive: {rabi_hz: 1.0e308}", ["config error", "drive.rabi_hz"]),
     ("ramsey-scan-freq-overflow", "ramsey-scan",
      "hilbert: {fock_dim: 24}\ntrain: {rabi_scale: 0.28}\nmode: {freq_hz: 1.0e308}",
@@ -325,6 +326,12 @@ EXTREME_INPUTS = [
     ("ramsey-scan-theta0", "ramsey-scan", "hilbert: {fock_dim: 40}\ntrain: {rabi_scale: 0.28}\n"
      "state: {alpha_abs: 1.0}\nscan: {outer_var: theta0, outer_values: [1.0e308]}",
      ["config error", "scan.outer_values"]),
+    # trace-phase-space reads the outer values as theta0 under outer_var none too
+    ("trace-phase-space-theta0", "trace-phase-space", "hilbert: {fock_dim: 64}\n"
+     "train: {rabi_scale: 0.2795}\nstate: {alpha_abs: 1.0}\n"
+     "decode: {alpha_max: 2.0, alpha_step: 0.5}\n"
+     "scan: {phi_num: 8, outer_var: none, outer_values: [0.0, 1.0e308]}",
+     ["config error", "scan.outer_values"]),
     ("ramsey-scan-alpha-phase", "ramsey-scan", "hilbert: {fock_dim: 40}\ntrain: {rabi_scale: 0.28}\n"
      "state: {alpha_abs: 1.0, alpha_phase_rad: 1.0e308}", ["config error", "state.alpha_phase_rad"]),
     ("ramsey-scan-dphi", "ramsey-scan", "hilbert: {fock_dim: 24}\n"
@@ -336,7 +343,7 @@ EXTREME_INPUTS = [
     ("ramsey-scan-eta-geometry", "ramsey-scan", "hilbert: {fock_dim: 24}\ntrain: {rabi_scale: 1.0}\n"
      "drive: {eta: geometry, eff_wavelength_nm: 1.0e-300}",
      ["config error", "drive.eta", "drive.eff_wavelength_nm"]),
-    ("calibrate-train-eta-geometry", "calibrate-train", "hilbert: {fock_dim: 24}\n"
+    ("ramsey-scan-eta-geometry-tuned", "ramsey-scan", "hilbert: {fock_dim: 24}\n"
      "drive: {eta: geometry, eff_wavelength_nm: 1.0e-300}",
      ["config error", "drive.eta", "drive.eff_wavelength_nm"]),
     # a pattern extent whose fit phases overflow or underflow
@@ -529,7 +536,7 @@ class TestCliRamseyScan:
         # base_seed + 7, one sample per realization
         cfg = load_config(noisy)
         scan = build_scan_spec(cfg)
-        spec = apply_tuning(build_sequence_spec(cfg), resolve_tuning(cfg))
+        spec = apply_tuning(build_sequence_spec(cfg), cfg["train"]["rabi_scale"])
         n = scan.n_realizations
         model = replace(build_noise_model(cfg), sample_interval=0.01)
         drift = simulate_phase_trace(model, max(n, 10) * 0.01, seed=11 + 7).phase[:n]
@@ -650,25 +657,82 @@ class TestCliStability:
         assert not Path(out).exists()
 
 
-class TestCliCalibrateTrain:
-    def test_summary(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            "hilbert: {fock_dim: 48}\n",
-        )
-        out = str(tmp_path / "cal.txt")
-        assert main(["calibrate-train", "--config", cfg, "--out", out]) == 0
-        columns, rows, meta = read_table(out)
-        row = dict(zip(columns, rows[0]))
-        assert row["achieved_sigma_z"] < 0.01
-        assert row["total_duration_us"] == pytest.approx(23.08, abs=0.05)
+class TestCliTuningFooter:
+    """Every table a tuned train writes records its tuning; a set scale, none."""
 
     def test_footer_names_the_search_space(self, tmp_path):
         # the tuned bits depend on the space the root was searched in
-        cfg = write_cfg(tmp_path, "hilbert: {fock_dim: 48}\n")
-        out = str(tmp_path / "cal.txt")
-        assert main(["calibrate-train", "--config", cfg, "--out", out]) == 0
-        assert read_table(out)[2]["summary"] == ["total_duration_us: 23.0769", "search_fock_dim: 32"]
+        cfg = write_cfg(tmp_path, "hilbert: {fock_dim: 48}\nscan: {phi_num: 4}\n")
+        out = str(tmp_path / "scan.txt")
+        assert main(["ramsey-scan", "--config", cfg, "--out", out]) == 0
+        tuning = tune_pulse_train(build_sequence_spec(load_config(cfg)))
+        assert read_table(out)[2]["summary"] == [
+            f"tuned_rabi_scale: {format_number(tuning.rabi_scale)}",
+            f"tune_evaluations: {tuning.n_evaluations}",
+            "search_fock_dim: 32",
+        ]
+
+    def test_set_scale_writes_no_tuning_line(self, tmp_path):
+        cfg = write_cfg(tmp_path, "hilbert: {fock_dim: 48}\ntrain: {rabi_scale: 0.2795}\n"
+                        "scan: {phi_num: 4}\n")
+        out = str(tmp_path / "scan.txt")
+        assert main(["ramsey-scan", "--config", cfg, "--out", out]) == 0
+        assert read_table(out)[2]["summary"] == []
+
+    def test_decode_tables_record_the_tuning(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG.replace("rabi_scale: 0.2795", "rabi_scale: auto"))
+        out = str(tmp_path / "tables.txt")
+        assert main(["build-tables", "--config", cfg, "--out", out]) == 0
+        summary = read_table(out)[2]["summary"]
+        assert [line.split(":")[0] for line in summary] == ["tuned_rabi_scale", "tune_evaluations",
+                                                             "search_fock_dim"]
+        assert read_decode_tables(out).x.size == 7
+
+
+class TestTunedCommandsBuildOnce:
+    """A tuned command builds its sequence spec, and so its train, once."""
+
+    @pytest.mark.parametrize("command, text", [
+        ("ramsey-scan", "hilbert: {fock_dim: 48}\nscan: {phi_num: 4}\n"),
+        ("squeeze-scan", "hilbert: {fock_dim: 48}\nstate: {zeta_abs: 0.2}\n"
+         "scan: {phi_num: 4, outer_var: zeta0}\n"),
+        ("build-tables", "hilbert: {fock_dim: 64}\ndecode: {alpha_max: 1.0, alpha_step: 0.5}\n"),
+        ("trace-phase-space", "hilbert: {fock_dim: 64}\nstate: {alpha_abs: 1.0}\n"
+         "decode: {alpha_max: 2.0, alpha_step: 0.5}\nscan: {phi_num: 8, outer_values: [0.0]}\n"),
+    ], ids=["ramsey-scan", "squeeze-scan", "build-tables", "trace-phase-space"])
+    def test_one_build(self, tmp_path, monkeypatch, command, text):
+        calls = {"build_sequence_spec": 0, "build_train": 0}
+        for name in calls:
+            def counted(cfg, name=name, real=getattr(config_module, name)):
+                calls[name] += 1
+                return real(cfg)
+            monkeypatch.setattr(config_module, name, counted)
+        out = tmp_path / "out.txt"
+        assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        assert calls == {"build_sequence_spec": 1, "build_train": 1}
+        assert "tuned_rabi_scale" in out.read_text()
+
+
+def _command_list(text: str) -> list[str]:
+    """The names listed after 'Commands:', up to the sentence's full stop."""
+    listed = text.split("Commands:", 1)[1].split(".", 1)[0]
+    return [name.strip(" `\n") for name in listed.split(",")]
+
+
+def test_command_lists_agree():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert _command_list(readme) == _command_list(cli_module.__doc__) == list(cli_module.COMMANDS)
+
+
+def test_removed_calibrate_train_is_a_usage_error(tmp_path, capsys):
+    # the tables record the tuning, so the command that printed it alone is gone
+    out = tmp_path / "x.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate-train", "--config", "configs/fig4.yaml", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'calibrate-train'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 SMALL_SQUEEZE_CONFIG = (
@@ -741,7 +805,7 @@ class TestZeroedEnvelope:
     @pytest.mark.parametrize("command", ["trace-phase-space", "build-tables"])
     def test_decode_names_the_envelope_before_tuning(self, tmp_path, capsys, monkeypatch, cfg,
                                                      command):
-        monkeypatch.setattr(config_module, "tune_pulse_train",
+        monkeypatch.setattr(cli_module, "tune_pulse_train",
                             lambda spec: pytest.fail("tuned a train it cannot decode"))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 2
         assert capsys.readouterr().err == (
@@ -770,7 +834,7 @@ class TestUnreadableEnvelope:
     @pytest.mark.parametrize("command", ["trace-phase-space", "build-tables"])
     def test_decode_names_the_envelope_before_tuning(self, tmp_path, capsys, monkeypatch,
                                                      command, tau_us, envelope):
-        monkeypatch.setattr(config_module, "tune_pulse_train",
+        monkeypatch.setattr(cli_module, "tune_pulse_train",
                             lambda spec: pytest.fail("tuned a train it cannot decode"))
         out = tmp_path / "x.txt"
         assert main([command, "--config", self.cfg(tmp_path, tau_us), "--out", str(out)]) == 2
@@ -861,7 +925,7 @@ class TestCliBuildAndTrace:
 def tuner_calls(monkeypatch):
     """Records every call of the pi/2 tuner that rabi_scale: auto runs."""
     calls = []
-    monkeypatch.setattr(config_module, "tune_pulse_train", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli_module, "tune_pulse_train", lambda *a, **k: calls.append(a))
     return calls
 
 
