@@ -316,9 +316,11 @@ def build_excitation(cfg: dict):
 
 def build_dephasing(cfg: dict) -> DephasingSpec:
     deph = cfg["dephasing"]
-    if deph["envelope"] != "none" and deph["tau_us"] <= 0:
-        raise ConfigError("dephasing.tau_us must be > 0 unless dephasing.envelope is none")
-    return DephasingSpec(tau=deph["tau_us"] * 1e-6, envelope=deph["envelope"])
+    tau = deph["tau_us"] * 1e-6  # 0 for a tau_us below about 5e-318 as well
+    if deph["envelope"] != "none" and tau <= 0:
+        raise ConfigError(f"dephasing.tau_us must be > 0 s unless dephasing.envelope is none, "
+                          f"got {tau:g} s")
+    return DephasingSpec(tau=tau, envelope=deph["envelope"])
 
 
 def build_sequence_spec(cfg: dict) -> SequenceSpec:

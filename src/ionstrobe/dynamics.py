@@ -51,9 +51,9 @@ Train operator. M is the (2, N, N) stack Gap U_s, which acts on each
 sector alone, and M^F is powered per sector in floor(log2 F) +
 popcount(F) - 1 products (7 at F = 30); the watchdog's
 tail rows after flash j are P_top M^(j+1). M itself is never stored: a
-product by M is taken as (x Gap) U with the cached flash pair, and each
-sector is powered beside one N x N spare, so a build holds the rows, T and
-that spare. The operator and its rows are cached for one train at a time.
+product by M is taken as (x Gap) U with the cached flash pair, each sector
+is powered in the unformed rows' buffer, and a build holds U, T and the rows,
+then releases U. The operator and its rows are cached for one train at a time.
 propagate_block, the sequence layer's entry point, takes the operator when
 its cost, counted in sector multiply-adds as in _operator_pays with the
 build only when it is not cached, is at most half the flash-by-flash cost,
@@ -63,9 +63,10 @@ flash-by-flash working set; any other train goes flash by flash.
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -133,7 +134,38 @@ def _parity(fock_dim: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.arange(fock_dim) % 2)
 
 
-@lru_cache(maxsize=1)
+def _mapped(shape) -> np.ndarray:
+    """A complex array on pages of its own (mmap), for the flash pair, T and its
+    rows: from malloc they fragment the heap or raise the mmap threshold
+    (config._reserve), and later arrays stay resident by where they landed."""
+    return np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), complex).reshape(shape)
+
+
+class _OneEntryCache:
+    """lru_cache(maxsize=1) whose release() drops the entry but keeps the counts."""
+
+    def __init__(self, build):
+        functools.update_wrapper(self, build)
+        self.cache_clear()
+
+    def __call__(self, *key):
+        self._calls += 1
+        if key not in self._entry:
+            self._misses += 1
+            self._entry = {key: self.__wrapped__(*key)}
+        return self._entry[key]
+
+    def release(self) -> None:
+        self._entry = {}
+
+    def cache_info(self):
+        return functools._CacheInfo(self._calls - self._misses, self._misses, 1, len(self._entry))
+
+    def cache_clear(self) -> None:
+        self._entry, self._calls, self._misses = {}, 0, 0
+
+
+@_OneEntryCache
 def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: float) -> np.ndarray:
     """The flash propagator at drive phase zero as its (2, N, N) pair of sector blocks.
 
@@ -147,15 +179,18 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: floa
     The cache holds one pair: the pi/2 tuner tries a new Rabi rate on every
     probe, so its check's configured-size pair (1.7 MB at fock_dim 232) is
     what stays, for the scans and decode tables that follow to reuse, flash
-    by flash or as the factor the train operator M^F is built from.
+    by flash or as the factor the train operator M^F is built from, until
+    _train_operator releases it after that build; it is _mapped.
     """
     g = quadrature_gauge(fock_dim)
     c = coupling_operator(eta, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5))
-    r = (np.conj(g)[:, None] * c * g).real  # G^dag C G = exp[eta (a_dag - a)]
-    pr = _parity(fock_dim)[:, None] * r  # P r = r^T P, since P r P = r^T
-    coupling = (rabi / 4.0) * (pr + pr.T)
+    np.multiply(np.conj(g)[:, None], c, out=c)  # r = G^dag C G = exp[eta (a_dag - a)]
+    coupling = _parity(fock_dim)[:, None] * np.multiply(c, g, out=c).real  # P r = r^T P
+    del c  # so only the real coupling is held beside the eigh calls
+    coupling += coupling.T
+    coupling *= rabi / 4.0
     diag_mode = freq * np.arange(fock_dim)
-    u = np.empty((2, fock_dim, fock_dim), dtype=complex)
+    u = _mapped((2, fock_dim, fock_dim))
     for sign, block in zip((1.0, -1.0), u):
         h = sign * coupling
         h[np.diag_indices(fock_dim)] += diag_mode
@@ -378,6 +413,7 @@ def run_pulse_train_block(
 
 # The one cached train operator: {key: (T, tail rows)}, see _train_operator.
 _operator_cache: dict = {}
+_flash_cache = _flash_unitary  # released by this name, which a patched _flash_unitary leaves
 
 
 def _operator_key(train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec) -> tuple:
@@ -397,19 +433,17 @@ def _build_train_operator(
     stored: the tail rows are a chain of thin products, and M^F is taken
     by left-to-right binary powering, floor(log2 F) squarings and
     popcount(F) - 1 products by M, the power scaled by Gap in place before
-    each product by U. Each sector swaps between its slot of T and one
-    N x N spare, so the build holds the rows, T and that spare.
+    each product by U. Each sector swaps between its slot of T and an N x N
+    spare in the unformed rows' buffer, so the build holds U, T and the rows,
+    all three _mapped.
     """
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     drive = train.drive
     u = _flash_unitary(n, drive.eta, drive.rabi, mode.freq, train.flash_dur)
     gap = _gap_phases(train, mode, n)
-    rows = np.empty((2, train.n_flashes, k_tail, n), dtype=complex)
-    np.multiply(gap[n - k_tail :, None], u[:, n - k_tail :], out=rows[:, 0])
-    for j in range(1, train.n_flashes):
-        np.matmul(rows[:, j - 1] * gap, u, out=rows[:, j])
-    power = gap[:, None] * u
-    spare = np.empty((n, n), dtype=complex)
+    rows = _mapped((2, train.n_flashes, k_tail, n))
+    spare = rows.reshape(-1)[: n * n].reshape(n, n) if rows.size >= n * n else np.empty((n, n), complex)
+    power = np.multiply(gap[:, None], u, out=_mapped(u.shape))
     for sector, u_s in zip(power, u):
         out, free = sector, spare
         for bit in bin(train.n_flashes)[3:]:
@@ -421,6 +455,9 @@ def _build_train_operator(
                 out, free = free, out
         if out is not sector:  # the one copy
             sector[...] = out
+    np.multiply(gap[n - k_tail :, None], u[:, n - k_tail :], out=rows[:, 0])
+    for j in range(1, train.n_flashes):
+        np.matmul(rows[:, j - 1] * gap, u, out=rows[:, j])
     power.setflags(write=False)
     rows.setflags(write=False)
     return power, rows
@@ -434,6 +471,7 @@ def _train_operator(
     if key not in _operator_cache:
         _operator_cache.clear()  # drop the old operator before building the new one
         _operator_cache[key] = _build_train_operator(train, mode, hilbert)
+        _flash_cache.release()  # nothing after the build reads the flash pair
     return _operator_cache[key]
 
 

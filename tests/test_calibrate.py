@@ -396,12 +396,24 @@ class TestSmallSpaceSearch:
         assert builds.count(spec.hilbert.fock_dim) == 1
         assert len(runs) == len(levels)
 
+        # a block of the 16 lowest Fock levels of each spin is wide enough to
+        # build the train operator from the cached unitary, which the build
+        # then releases; the counts survive the release
         tuned = apply_tuning(spec, tuning.rabi_scale)
-        before = dynamics_module._flash_unitary.cache_info()
-        states = np.eye(2 * spec.hilbert.fock_dim, dtype=complex)[:, levels]
+        cache = dynamics_module._flash_unitary
+        before = cache.cache_info()
+        n = spec.hilbert.fock_dim
+        states = np.eye(2 * n, dtype=complex)[:, np.r_[:16, n : n + 16]]
         dynamics_module.propagate_block(states, tuned.analysis, tuned.mode, tuned.hilbert)
-        after = dynamics_module._flash_unitary.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert len(dynamics_module._operator_cache) == 1
+        after = cache.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 0)
+        # a second block of the same train takes the cached operator
+        dynamics_module.propagate_block(states[:, levels], tuned.analysis, tuned.mode,
+                                        tuned.hilbert, n_states=states.shape[1])
+        assert cache.cache_info() == after
+        cache.cache_clear()
+        assert cache.cache_info()[:2] == (0, 0)
 
     def test_search_never_takes_the_train_operator(self, monkeypatch, tuned_spec):
         # every probe is a new train: the tuner propagates flash by flash, so

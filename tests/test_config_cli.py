@@ -238,6 +238,8 @@ BAD_INPUTS = [
     ("pattern-scan", "pattern: {extent_nm: -200}", [], "pattern.extent_nm"),
     ("pattern-scan", "pattern: {nx: 0}", [], "pattern.nx"),
     ("pattern-scan", "pattern: {nz: 0}", [], "pattern.nz"),
+    # a subnormal tau_us underflows to 0 s
+    ("ramsey-scan", "dephasing: {tau_us: 5.0e-324}", [], "dephasing.tau_us"),
 ]
 
 

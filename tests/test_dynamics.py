@@ -619,13 +619,29 @@ class TestWorkingSet:
 
     def test_build_holds_rows_and_two_stacks(self, tuned_headline_large):
         # fig4's tuned train: T and its tail rows, which the build returns, are
-        # 2.55 (2, N, N) stacks, and the build holds one sector's N x N spare
-        # beside them (3.05; 3.13 with numpy's 128 KiB buffer while it scales
-        # by Gap), never M = Gap U or a second stack (3.63) as well
+        # 2.55 (2, N, N) stacks, and each sector is powered in the rows' buffer
+        # before the rows are formed (2.71 with the temporaries of the rows'
+        # chain), never beside an N x N spare of its own (3.05; 3.13 with
+        # numpy's buffer while it scales by Gap), M = Gap U or a second stack.
+        # T and the rows are mapped outside tracemalloc's sight, so they are
+        # added (a malloc'd pair of them would be counted twice)
         spec, _ = tuned_headline_large
-        n = spec.hilbert.fock_dim
-        peak = traced_peak(_build_train_operator, spec.analysis, spec.mode, spec.hilbert)
-        assert peak < 3.2 * (2 * n * n * 16)
+        n, args = spec.hilbert.fock_dim, (spec.analysis, spec.mode, spec.hilbert)
+        _build_train_operator(*args)  # fills the flash cache
+        (power, rows), peak = traced_call(_build_train_operator, *args)
+        assert peak + power.nbytes + rows.nbytes < 2.8 * (2 * n * n * 16)
+
+    def test_flash_pair_build_holds_the_pair_and_four_real_matrices(self, tuned_headline_large):
+        # at fig4's size: the mapped (2, N, N) pair it returns, one stack, added
+        # as for the build, and the real coupling, one sector's H_s, its
+        # eigenvectors and one scaled copy of them, a quarter stack each (2.08);
+        # the complex C, its real part and P r held beside the coupling as well
+        # took 3.29
+        spec, _ = tuned_headline_large
+        n, train = spec.hilbert.fock_dim, spec.analysis
+        args = (n, train.drive.eta, train.drive.rabi, spec.mode.freq, train.flash_dur)
+        pair, peak = traced_call(_flash_unitary.__wrapped__, *args)
+        assert peak + pair.nbytes < 2.2 * (2 * n * n * 16)
 
     def test_long_wide_train_goes_flash_by_flash(self, monkeypatch):
         # at 100 flashes the count says the operator pays, but a build, 2N^2 +

@@ -2,13 +2,14 @@
 
 regen_golden.py runs every demo at seed 1 in one subprocess at one OpenBLAS
 thread. Every numeric value is compared in units of its last printed
-digit: a table row prints 12 significant digits, and a footer value as many
-as the longer of its two printings. A move of up to MAX_DIGITS such units,
-one rounding flip, passes; ALLOWANCE widens that for ill-conditioned
-columns. Every other token is compared exactly. Rows pair by position and
-comment lines by difflib, so a footer line on one side only is reported as
-such. A failure names the table, the column, the worst row and its size in
-digit units, for every column that moved.
+digit, counted exactly from the printed decimals: a table row prints 12
+significant digits, and a footer value as many as the longer of its two
+printings. A move of up to MAX_DIGITS such units, one rounding flip,
+passes; ALLOWANCE widens that for ill-conditioned columns. Every other
+token is compared exactly. Rows pair by position and comment lines by
+difflib, so a footer line on one side only is reported as such. A failure
+names the table, the column, the worst row and its size in digit units,
+for every column that moved.
 """
 
 import difflib
@@ -18,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -38,24 +40,26 @@ def significant_digits(token: str) -> int:
     return max(len(mantissa.lstrip("0")), 1)
 
 
-def digit_unit(value: float, digits: int) -> float:
+def digit_unit(value: Decimal, digits: int) -> Decimal:
     """The place of the last of `digits` significant digits of `value`."""
-    if value == 0.0:
-        return math.inf
-    return 10.0 ** (math.floor(math.log10(abs(value))) - digits + 1)
+    if value == 0:
+        return Decimal("Infinity")
+    return Decimal(1).scaleb(value.adjusted() - digits + 1)
 
 
 def compare_tokens(old: str, new: str, digits: int | None) -> tuple[float, float]:
     """(digit units, |difference|) of the move from `old` to `new`, with
     `digits` significant digits (None: the longer printing's); a changed
-    text token is (inf, inf)."""
+    text token is (inf, inf). Both are counted exactly from the printed
+    decimals, so a one-unit flip reads 1."""
     if not (NUMBER.match(old) and NUMBER.match(new)):
         return (0.0, 0.0) if old == new else (math.inf, math.inf)
-    a, b = float(old), float(new)
+    a, b = Decimal(old), Decimal(new)
     if a == b:
         return 0.0, 0.0
     digits = digits or max(significant_digits(old), significant_digits(new))
-    return abs(a - b) / min(digit_unit(a, digits), digit_unit(b, digits)), abs(a - b)
+    size = abs(a - b)
+    return float(size / min(digit_unit(a, digits), digit_unit(b, digits))), float(size)
 
 
 def split_table(text: str) -> tuple[list[str], list[str]]:
@@ -161,6 +165,18 @@ def test_a_last_digit_move_is_reported():
     p_old, p_new = "# columns: P_zNus\n3.46910981355\n", "# columns: P_zNus\n3.46910981855\n"
     assert table_moves("fig4.txt", p_old, p_new) == {}
     assert table_moves("fig3b.txt", p_old, p_new)["P_zNus"][0] == pytest.approx(500.0, rel=1e-3)
+
+
+def test_a_one_unit_flip_reads_exactly_one_unit(tmp_path):
+    # fig3b's p_down at row 2: as floats the flip read 1.0000889 units, and so
+    # failed the gate; counted from the printed decimals it is one unit
+    old = "# columns: p_down\n0.852010761066\n"
+    assert table_moves("fig3b.txt", old, old.replace("066", "065"))["p_down"][0] == 1.0
+    assert table_moves("fig3b.txt", old, old.replace("066", "068"))["p_down"][0] == 2.0
+    for side, text in (("old", old), ("new", old.replace("066", "065"))):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "fig3b.txt").write_text(text)
+    assert report(tmp_path / "old", tmp_path / "new") == []
 
 
 def test_regeneration_prints_every_move_before_overwriting(tmp_path, monkeypatch, capsys):
