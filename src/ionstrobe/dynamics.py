@@ -53,7 +53,8 @@ popcount(F) - 1 products (7 at F = 30); the watchdog's
 tail rows after flash j are P_top M^(j+1). M itself is never stored: a
 product by M is taken as (x Gap) U with the cached flash pair, each sector
 is powered in the unformed rows' buffer, and a build holds U, T and the rows,
-then releases U. The operator and its rows are cached for one train at a time.
+then releases U. _train_operator caches the operator and its rows for one
+(train, mode, hilbert) at a time.
 propagate_block, the sequence layer's entry point, takes the operator when
 its cost, counted in sector multiply-adds as in _operator_pays with the
 build only when it is not cached, is at most half the flash-by-flash cost,
@@ -142,7 +143,10 @@ def _mapped(shape) -> np.ndarray:
 
 
 class _OneEntryCache:
-    """lru_cache(maxsize=1) whose release() drops the entry but keeps the counts."""
+    """The engine's memo: one entry, on positional arguments, with functools'
+    cache_info() and cache_clear(). A miss drops the entry before it builds
+    the next (a build that raises leaves none), `args in cache` counts no
+    call, and release() drops the entry but keeps the hits and misses."""
 
     def __init__(self, build):
         functools.update_wrapper(self, build)
@@ -152,8 +156,12 @@ class _OneEntryCache:
         self._calls += 1
         if key not in self._entry:
             self._misses += 1
+            self.release()
             self._entry = {key: self.__wrapped__(*key)}
         return self._entry[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._entry
 
     def release(self) -> None:
         self._entry = {}
@@ -180,7 +188,7 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: floa
     probe, so its check's configured-size pair (1.7 MB at fock_dim 232) is
     what stays, for the scans and decode tables that follow to reuse, flash
     by flash or as the factor the train operator M^F is built from, until
-    _train_operator releases it after that build; it is _mapped.
+    _train_operator releases it as the last step of that build; it is _mapped.
     """
     g = quadrature_gauge(fock_dim)
     c = coupling_operator(eta, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5))
@@ -411,22 +419,15 @@ def run_pulse_train_block(
     return (*_spin_output(block, train), max_tail)
 
 
-# The one cached train operator: {key: (T, tail rows)}, see _train_operator.
-_operator_cache: dict = {}
 _flash_cache = _flash_unitary  # released by this name, which a patched _flash_unitary leaves
 
 
-def _operator_key(train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec) -> tuple:
-    """Every field the train operator is built from."""
-    drive = train.drive
-    return (hilbert.fock_dim, mode.freq, drive.rabi, drive.eta, train.n_flashes,
-            train.flash_dur, train.cycle_dur)
-
-
-def _build_train_operator(
+@_OneEntryCache
+def _train_operator(
     train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """T = M^F and the tail rows P M^(j+1), j < F, as (2, F, k_tail, N), per sector.
+    """T = M^F and the tail rows P M^(j+1), j < F, as (2, F, k_tail, N), per
+    sector, cached for one (train, mode, hilbert).
 
     M = Gap blockdiag(U_+, U_-) is the (2, N, N) stack Gap U_s, and a
     product by M is taken as (x Gap) U_s with the cached U, so M is never
@@ -435,7 +436,7 @@ def _build_train_operator(
     popcount(F) - 1 products by M, the power scaled by Gap in place before
     each product by U. Each sector swaps between its slot of T and an N x N
     spare in the unformed rows' buffer, so the build holds U, T and the rows,
-    all three _mapped.
+    all three _mapped, and releases the flash pair as its last step.
     """
     n, k_tail = hilbert.fock_dim, hilbert.tail_levels
     drive = train.drive
@@ -460,19 +461,8 @@ def _build_train_operator(
         np.matmul(rows[:, j - 1] * gap, u, out=rows[:, j])
     power.setflags(write=False)
     rows.setflags(write=False)
+    _flash_cache.release()  # nothing after the build reads the flash pair
     return power, rows
-
-
-def _train_operator(
-    train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """The train operator and its tail rows, cached for one train."""
-    key = _operator_key(train, mode, hilbert)
-    if key not in _operator_cache:
-        _operator_cache.clear()  # drop the old operator before building the new one
-        _operator_cache[key] = _build_train_operator(train, mode, hilbert)
-        _flash_cache.release()  # nothing after the build reads the flash pair
-    return _operator_cache[key]
 
 
 def _operator_pays(n_flashes: int, dim: int, width: int, tail_rows: int, cached: bool) -> bool:
@@ -550,10 +540,11 @@ def propagate_block(
     operator when that halves the work (_operator_pays), else flash
     by flash. Both raise the same TruncationErrors and norm error. n_states,
     the width of a whole evaluation sent in blocks, stands in for the
-    block's: once the operator is cached the rule no longer reads the width,
-    so every block takes the first one's path, and builds at most once.
+    block's: once (train, mode, hilbert) is in _train_operator the rule no
+    longer reads the width, so every block takes the first one's path, and
+    builds at most once.
     """
-    cached = _operator_key(train, mode, hilbert) in _operator_cache
+    cached = (train, mode, hilbert) in _train_operator
     if _operator_pays(train.n_flashes, 2 * hilbert.fock_dim, 2 * (n_states or states.shape[1]),
                       2 * hilbert.tail_levels, cached):
         return _operator_block(states, train, mode, hilbert)

@@ -33,24 +33,24 @@ that halves the counted work for the whole evaluation, through the cached
 train operator (see the dynamics module docstring). A wide evaluation pays
 for building it, and the narrow ones that follow on the same train find it
 cached: on fig4 the 185-state decode-table evaluation builds it, and the
-anchor and the theta0 scan reuse it. A kick meets only the thermal Fock levels, so just
-their columns K|l> are formed (O(N^2 L), not O(N^3)), cached for one
-magnitude, which every caller applies in consecutive kicks. The sync pi/2
-pulse acts on the spin alone, so it commutes with the kick and the
-pre-delay and is applied once: one spinor serves every column.
+anchor and the theta0 scan reuse it. A kick meets only the thermal Fock
+levels, so just their columns K|l> are formed (O(N^2 L), not O(N^3)), kept
+in a dynamics._OneEntryCache for one magnitude, which every caller applies
+in consecutive kicks. The sync pi/2 pulse acts on the spin alone, so it
+commutes with the kick and the pre-delay: one spinor serves every column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .dynamics import (
     DephasingSpec,
     PulseTrainSpec,
+    _OneEntryCache,
     apply_dephasing,
     mw_rotation,
     propagate_block,
@@ -141,7 +141,7 @@ class PatternField:
             raise ValueError("wavelength must be positive")
 
 
-@lru_cache(maxsize=1)
+@_OneEntryCache
 def _excitation_matrix(kind: str, magnitude: float, fock_dim: int, levels: tuple) -> np.ndarray:
     """Columns `levels` of the phase-0 kick: the (fock_dim, len(levels)) K|l>."""
     kick = displacement_operator if kind == "coherent" else squeeze_operator

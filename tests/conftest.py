@@ -2,7 +2,8 @@
 counter of the sequence layer's block propagations, a dense reference train
 at any drive phase, a state-by-state reference for the sequence layer's
 fringes, the dense ladder operators and the observables built from them,
-the decoded noise floor, and a traced-memory probe."""
+the decoded noise floor, a traced-memory probe and a cold train-operator
+cache."""
 
 import math
 import os
@@ -39,6 +40,7 @@ from ionstrobe.calibrate import apply_tuning, build_decode_tables, fit_scan, tun
 from ionstrobe.dynamics import (
     DephasingSpec,
     PulseTrainSpec,
+    _train_operator,
     apply_dephasing,
     free_evolve,
     mw_rotation,
@@ -256,6 +258,16 @@ def tuned_headline_large():
 def headline_decode_tables(tuned_headline_large, headline_units):
     spec, _ = tuned_headline_large
     return build_decode_tables(spec, headline_units, np.arange(0.0, 7.3, 0.4))
+
+
+@pytest.fixture
+def cold_train_operator():
+    """The train-operator cache, empty when the test starts and emptied when it
+    ends: an operator built from a spied or faulty flash pair stays cached
+    for no later test on the same train."""
+    _train_operator.cache_clear()
+    yield _train_operator
+    _train_operator.cache_clear()
 
 
 @pytest.fixture

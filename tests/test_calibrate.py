@@ -378,7 +378,7 @@ class TestSmallSpaceSearch:
         spec = replace(spec, analysis=replace(spec.analysis, n_flashes=n_flashes))
         assert_agrees_with_oracle(tune_pulse_train(spec), spec)
 
-    def test_configured_size_runs_only_the_check(self, monkeypatch):
+    def test_configured_size_runs_only_the_check(self, monkeypatch, cold_train_operator):
         # one configured-size flash unitary, one per-state train per thermal
         # level, and the unitary stays cached for the tuned train's first block
         spec = headline_sequence_spec(64)
@@ -389,7 +389,6 @@ class TestSmallSpaceSearch:
                             lambda eta, hilbert: builds.append(hilbert.fock_dim)
                             or coupling(eta, hilbert))
         monkeypatch.setattr(calibrate, "run_pulse_train", lambda *args: runs.append(args) or run(*args))
-        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
         dynamics_module._flash_unitary.cache_clear()
         tuning = tune_pulse_train(spec)
         assert tuning.search_fock_dim == 32
@@ -405,13 +404,14 @@ class TestSmallSpaceSearch:
         n = spec.hilbert.fock_dim
         states = np.eye(2 * n, dtype=complex)[:, np.r_[:16, n : n + 16]]
         dynamics_module.propagate_block(states, tuned.analysis, tuned.mode, tuned.hilbert)
-        assert len(dynamics_module._operator_cache) == 1
+        assert cold_train_operator.cache_info() == (0, 1, 1, 1)
         after = cache.cache_info()
         assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 0)
         # a second block of the same train takes the cached operator
         dynamics_module.propagate_block(states[:, levels], tuned.analysis, tuned.mode,
                                         tuned.hilbert, n_states=states.shape[1])
         assert cache.cache_info() == after
+        assert cold_train_operator.cache_info()[:2] == (1, 1)
         cache.cache_clear()
         assert cache.cache_info()[:2] == (0, 0)
 
@@ -421,7 +421,7 @@ class TestSmallSpaceSearch:
         def refuse(*args):
             raise AssertionError("the tuner reached the train operator")
 
-        for name in ("propagate_block", "_operator_block", "_build_train_operator"):
+        for name in ("propagate_block", "_operator_block", "_train_operator"):
             monkeypatch.setattr(dynamics_module, name, refuse)
         assert tune_pulse_train(alpha_zero_spec()) == tuned_spec[1]
 
@@ -686,15 +686,10 @@ class TestNoiseFloor:
 
 
 def test_fig4_shape_builds_the_train_operator_once(tuned_headline_large, headline_units,
-                                                   fringe_evaluations, monkeypatch):
+                                                   fringe_evaluations, cold_train_operator):
     # fig4's decode-table evaluation pays for the build; its anchor and theta0
     # scan find the operator cached, and every block a budget's worth of kicks
     spec, _ = tuned_headline_large
-    builds = []
-    build = dynamics_module._build_train_operator
-    monkeypatch.setattr(dynamics_module, "_operator_cache", {})
-    monkeypatch.setattr(dynamics_module, "_build_train_operator",
-                        lambda *args: builds.append(args) or build(*args))
     build_decode_tables(spec, headline_units, np.arange(0.0, 7.3, 0.4))
     characterize_reference_fringe(spec)
     thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
@@ -707,7 +702,8 @@ def test_fig4_shape_builds_the_train_operator_once(tuned_headline_large, headlin
     assert len(fringe_evaluations[0]) > 1  # the tables take more than one block
     for widths in fringe_evaluations:  # whole kicks, each block's (2, N, 2S) within the budget
         assert all(w % 5 == 0 and 64 * n * w <= FRINGE_BLOCK_BYTES for w in widths)
-    assert len(builds) == 1
+    blocks = sum(len(widths) for widths in fringe_evaluations)
+    assert cold_train_operator.cache_info()[:2] == (blocks - 1, 1)  # one build, then hits
 
 
 class TestFlashLengthDesign:

@@ -979,17 +979,22 @@ DEMO_ENGINE_PATHS = {
     "figS3-compare": [(55, "build")],
     "figS4": [(100, "build")],  # two blocks; the back-action table reads the same fringes
 }
+# the train-operator cache's (hits, misses) after each demo: one build for
+# each evaluation that takes the operator, and a hit for every later block
+DEMO_OPERATOR_TRAFFIC = {"fig2b": (0, 0), "fig3b": (0, 0), "fig3c": (0, 0), "fig4": (7, 1),
+                         "figS2": (0, 1), "figS3-compare": (0, 1), "figS4": (1, 1)}
 
 
 @pytest.mark.parametrize("stem", DEMO_ENGINE_PATHS)
-def test_every_demo_engine_path(tmp_path, monkeypatch, fringe_evaluations, stem):
+def test_every_demo_engine_path(tmp_path, monkeypatch, fringe_evaluations, cold_train_operator,
+                                stem):
     taken = []  # each block's path, then "build" when that block built the operator
-    for name, path in (("run_pulse_train_block", "flash"), ("_operator_block", "operator"),
-                       ("_build_train_operator", "build")):
-        original = getattr(dynamics_module, name)
-        monkeypatch.setattr(dynamics_module, name,
+    for target, name, path in ((dynamics_module, "run_pulse_train_block", "flash"),
+                               (dynamics_module, "_operator_block", "operator"),
+                               (cold_train_operator, "__wrapped__", "build")):
+        original = getattr(target, name)
+        monkeypatch.setattr(target, name,
                             lambda *args, f=original, path=path: taken.append(path) or f(*args))
-    monkeypatch.setattr(dynamics_module, "_operator_cache", {})
     command = {"fig4": "trace-phase-space", "figS4": "squeeze-scan"}.get(stem, "ramsey-scan")
     assert main([command, "--config", f"configs/{stem}.yaml", "--out", str(tmp_path / "out.txt"),
                  "--seed", "1"]) == 0
@@ -1000,6 +1005,7 @@ def test_every_demo_engine_path(tmp_path, monkeypatch, fringe_evaluations, stem)
         assert set(rest) <= {first.replace("build", "operator")}, stem
         evaluations.append((sum(widths), first))
     assert evaluations == DEMO_ENGINE_PATHS[stem] and next(paths, None) is None
+    assert cold_train_operator.cache_info()[:2] == DEMO_OPERATOR_TRAFFIC[stem]
 
 
 def test_decode_tables_round_trip_exactly(tmp_path):
@@ -1271,20 +1277,71 @@ TUNED_TRACE_CONFIG = (
 )
 
 
+# small stand-ins for the demo configs the benchmark's workloads run, by stem;
+# each reaches every layer its workload expects to be called
+TRACED_CONFIGS = {
+    "fig4": TUNED_TRACE_CONFIG,
+    "figS2": ("hilbert: {fock_dim: 40}\nstate: {alpha_abs: 1.0}\n"
+              "scan: {phi_num: 6, outer_var: theta0, outer_values: [0.0, 1.5]}\n"
+              "detection: {mode: analytic, base_seed: 801}\n"),
+    "figS3-compare": ("hilbert: {fock_dim: 40}\nstate: {alpha_abs: 1.0}\n"
+                      "scan: {phi_num: 6, outer_var: theta0, outer_values: [0.0, 1.5]}\n"
+                      "detection: {mode: shots, shots: 20, base_seed: 802}\n"),
+    "figS4": ("hilbert: {fock_dim: 48}\ntrain: {cycles_per_flash: 2}\nstate: {zeta_abs: 0.3}\n"
+              "scan: {phi_num: 6, outer_var: zeta0, outer_values: [0.0, 1.5]}\n"
+              "detection: {mode: analytic, base_seed: 903}\n"),
+    "fig2c": ("pattern: {wavelength_nm: 138.0, rotation_rad: 0.84, contrast: 0.76, "
+              "extent_nm: 200.0, nx: 6, nz: 6}\ndetection: {mode: shots, shots: 50, base_seed: 510}\n"),
+    "fig2b": ("hilbert: {fock_dim: 24}\ntrain: {n_flashes: 1, flash_ns: 903.0, cycle_ns: 910.0}\n"
+              "state: {alpha_abs: 0.0}\ndephasing: {envelope: none}\n"
+              "scan: {phi_num: 8, outer_var: none, outer_values: [0.0], inject_phase_noise: true}\n"
+              "stability: {white_sigma_rad: 0.62, sample_interval_s: 0.01}\n"
+              "detection: {mode: shots, shots: 50, base_seed: 402}\n"),
+    "table-stability-ac": ("stability: {white_sigma_rad: 0.3, drift_rate_rad_per_s: 0.0007, "
+                           "sample_interval_s: 0.2, duration_s: 40.0, windows_s: [2.0, 10.0], "
+                           "reference_interval_s: 10.0}\ndetection: {base_seed: 1002}\n"),
+}
+
+
+def traced_workload(tmp_path, name):
+    """(expect_nonzero of the benchmark's workload `name`, the per-layer counts
+    of its commands, each run on its TRACED_CONFIGS stand-in through
+    bench/child.py --trace and summed over the commands). The workload is read
+    from bench/workloads.py in a fresh interpreter."""
+    bench = Path(ionstrobe.__file__).resolve().parents[2] / "bench"
+    code = (f"import json, sys; sys.path.insert(0, {str(bench)!r}); from workloads import WORKLOADS; "
+            f"w = WORKLOADS[{name!r}]; "
+            "print(json.dumps([[(c.command, c.config) for c in w.commands], w.expect_nonzero]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    commands, expected = json.loads(out.stdout)
+    layers: dict = {}
+    for command, stem in commands:
+        cfg, meta = write_cfg(tmp_path, TRACED_CONFIGS[stem], f"{stem}.yaml"), tmp_path / "meta.json"
+        subprocess.run([sys.executable, str(bench / "child.py"), "--meta", str(meta), "--trace", "--",
+                        command, "--config", cfg, "--out", str(tmp_path / f"{stem}.txt")],
+                       capture_output=True, check=True)
+        for key, value in json.loads(meta.read_text())["layers"].items():
+            layers[key] = layers.get(key, 0) + value
+    return expected, layers
+
+
 def test_bench_trace_sees_decode_trace_counters(tmp_path):
     # a traced trace-phase-space run through bench/child.py must call every layer
     # whose counter the benchmark's decode-trace workload requires to be nonzero
-    bench = Path(ionstrobe.__file__).resolve().parents[2] / "bench"
-    cfg, meta = write_cfg(tmp_path, TUNED_TRACE_CONFIG), tmp_path / "meta.json"
-    subprocess.run([sys.executable, str(bench / "child.py"), "--meta", str(meta), "--trace", "--",
-                    "trace-phase-space", "--config", cfg, "--out", str(tmp_path / "t.txt")],
-                   capture_output=True, check=True)
-    code = (f"import json, sys; sys.path.insert(0, {str(bench)!r}); from workloads import WORKLOADS; "
-            "print(json.dumps(WORKLOADS['decode-trace'].expect_nonzero))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    expected = json.loads(out.stdout)
-    layers = json.loads(meta.read_text())["layers"]
+    expected, layers = traced_workload(tmp_path, "decode-trace")
     assert "dynamics.run_pulse_train.calls" in expected
+    assert [name for name in expected if not layers.get(name)] == []
+
+
+@pytest.mark.parametrize("workload, counter", [
+    ("scan-surfaces", "sequence.excitation_builds"),  # read from _excitation_matrix.cache_info()
+    ("shot-analysis", "stability.simulate_phase_trace.calls"),
+])
+def test_bench_trace_sees_workload_counters(tmp_path, workload, counter):
+    # the same for the other workloads, over all of each one's commands; only
+    # scan-surfaces' squeeze scan builds squeeze columns
+    expected, layers = traced_workload(tmp_path, workload)
+    assert counter in expected
     assert [name for name in expected if not layers.get(name)] == []
 
 

@@ -24,13 +24,15 @@ from ionstrobe import (
 )
 from ionstrobe.hilbert import quadrature_gauge
 import ionstrobe.dynamics as dynamics_module
+import ionstrobe.sequence as sequence_module
 from ionstrobe.dynamics import (
-    _build_train_operator,
+    _OneEntryCache,
     _flash_unitary,
     _from_sectors,
     _operator_block,
     _operator_pays,
     _split_sectors,
+    _train_operator,
     DephasingSpec,
     PulseTrainSpec,
     apply_dephasing,
@@ -225,14 +227,13 @@ class TestPulseTrain:
         (run_pulse_train_block, math.nan), (_operator_block, math.nan),
     ], ids=["run_pulse_train_block", "_operator_block", "run_pulse_train_block-nan",
             "_operator_block-nan"])
-    def test_non_unitary_flash_raises(self, monkeypatch, propagate, scale):
+    def test_non_unitary_flash_raises(self, monkeypatch, cold_train_operator, propagate, scale):
         # the cached sector pair scaled by 1 + 1e-8 moves every norm by about
         # 2e-8 per flash, far past the 2e-10 + 30e-14 bound of 30 flashes;
         # scaled by NaN it leaves a NaN norm, which must fail the check too
         flash = dynamics_module._flash_unitary
         monkeypatch.setattr(dynamics_module, "_flash_unitary",
                             lambda *args: flash(*args) * scale)
-        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
         st = coherent_state(1.0, 0.5, 40)
         message = r"norm deviates from 1 by up to \S+ after 30 flashes \(tol 2e-10\)"
         with pytest.raises(IonstrobeError, match=message):
@@ -530,6 +531,55 @@ class TestRaggedRuns:
         assert op_phase == pytest.approx(phase, abs=1e-9)
 
 
+class TestOneEntryCache:
+    """The engine's one memo type: it holds the flash pair, the train operator
+    and the sequence layer's kick columns."""
+
+    def test_engine_memos_are_one_entry_caches(self):
+        for memo in (_flash_unitary, _train_operator, sequence_module._excitation_matrix):
+            assert isinstance(memo, _OneEntryCache), memo.__name__
+
+    def test_a_miss_drops_the_entry_before_building(self):
+        @_OneEntryCache
+        def square(x):
+            assert square.cache_info().currsize == 0 and (1,) not in square
+            return x * x
+
+        assert [square(1), square(1), square(2), square(1)] == [1, 1, 4, 1]
+        assert square.cache_info() == (1, 3, 1, 1)
+
+    def test_a_failed_build_leaves_the_cache_empty(self):
+        @_OneEntryCache
+        def checked(x):
+            if x < 0:
+                raise ValueError("negative")
+            return x
+
+        checked(1)
+        with pytest.raises(ValueError, match="negative"):
+            checked(-1)
+        assert (1,) not in checked and (-1,) not in checked
+        assert checked.cache_info() == (0, 2, 1, 0)
+
+    def test_membership_counts_no_call(self):
+        memo = _OneEntryCache(lambda x: [x])
+        assert (1,) not in memo and memo.cache_info() == (0, 0, 1, 0)
+        memo(1)
+        assert (1,) in memo and (2,) not in memo
+        assert memo.cache_info() == (0, 1, 1, 1)
+
+    def test_release_keeps_the_counts_and_clear_zeroes_them(self):
+        memo = _OneEntryCache(lambda x: [x])
+        first = memo(1)
+        assert memo(1) is first
+        memo.release()
+        assert (1,) not in memo and memo.cache_info() == (1, 1, 1, 0)
+        assert memo(1) == first and memo(1) is not first  # built again
+        assert memo.cache_info() == (2, 2, 1, 1)
+        memo.cache_clear()
+        assert (1,) not in memo and memo.cache_info() == (0, 0, 1, 0)
+
+
 class TestTrainOperator:
     """When propagate_block takes the cached train operator T = M^F, and what it caches."""
 
@@ -547,11 +597,10 @@ class TestTrainOperator:
     def test_choice_rule_on_demo_shapes(self, shape, cached, takes):
         assert _operator_pays(*shape, cached) is takes
 
-    def test_cache_holds_one_train(self, monkeypatch):
+    def test_cache_holds_one_train(self, monkeypatch, cold_train_operator):
         builds = []
-        build = dynamics_module._build_train_operator
-        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
-        monkeypatch.setattr(dynamics_module, "_build_train_operator",
+        build = cold_train_operator.__wrapped__
+        monkeypatch.setattr(cold_train_operator, "__wrapped__",
                             lambda *args: builds.append(args[0]) or build(*args))
         # 48 columns at 48 rows: the operator pays even when it must be built
         hilbert = HilbertSpec(fock_dim=24, tail_tol=0.5)
@@ -563,7 +612,7 @@ class TestTrainOperator:
             propagate_block(states, train, MODE, hilbert)
         # a new train replaces the old one
         assert builds == [first, second, first]
-        assert len(dynamics_module._operator_cache) == 1
+        assert cold_train_operator.cache_info() == (1, 3, 1, 1)
 
 
 def traced_peak(propagate, *args) -> int:
@@ -591,8 +640,8 @@ class TestWorkingSet:
         return np.ascontiguousarray((amps / np.linalg.norm(amps, axis=1, keepdims=True)).T)
 
     @pytest.mark.parametrize("n_flashes", [20, 40])
-    def test_operator_path_holds_the_block_and_a_quarter(self, monkeypatch, n_flashes):
-        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+    def test_operator_path_holds_the_block_and_a_quarter(self, monkeypatch, cold_train_operator,
+                                                          n_flashes):
         taken = []
         monkeypatch.setattr(dynamics_module, "_operator_block",
                             lambda *args: taken.append(1) or _operator_block(*args))
@@ -626,9 +675,11 @@ class TestWorkingSet:
         # T and the rows are mapped outside tracemalloc's sight, so they are
         # added (a malloc'd pair of them would be counted twice)
         spec, _ = tuned_headline_large
-        n, args = spec.hilbert.fock_dim, (spec.analysis, spec.mode, spec.hilbert)
-        _build_train_operator(*args)  # fills the flash cache
-        (power, rows), peak = traced_call(_build_train_operator, *args)
+        n, train = spec.hilbert.fock_dim, spec.analysis
+        # the build reads the cached pair and releases it, so the pair is filled here
+        _flash_unitary(n, train.drive.eta, train.drive.rabi, spec.mode.freq, train.flash_dur)
+        (power, rows), peak = traced_call(_train_operator.__wrapped__, train, spec.mode,
+                                          spec.hilbert)
         assert peak + power.nbytes + rows.nbytes < 2.8 * (2 * n * n * 16)
 
     def test_flash_pair_build_holds_the_pair_and_four_real_matrices(self, tuned_headline_large):
@@ -643,11 +694,10 @@ class TestWorkingSet:
         pair, peak = traced_call(_flash_unitary.__wrapped__, *args)
         assert peak + pair.nbytes < 2.2 * (2 * n * n * 16)
 
-    def test_long_wide_train_goes_flash_by_flash(self, monkeypatch):
+    def test_long_wide_train_goes_flash_by_flash(self, monkeypatch, cold_train_operator):
         # at 100 flashes the count says the operator pays, but a build, 2N^2 +
         # 2 F k_tail N values, would outgrow three sector blocks of 64 states
-        monkeypatch.setattr(dynamics_module, "_operator_cache", {})
-        monkeypatch.setattr(dynamics_module, "_build_train_operator",
+        monkeypatch.setattr(cold_train_operator, "__wrapped__",
                             lambda *args: pytest.fail("the operator was built"))
         states = self.states()[:, :64]
         train = replace(self.train, n_flashes=100)

@@ -428,7 +428,8 @@ class TestSequenceFringe:
 class TestFringeBlocks:
     """sequence_fringes propagates whole kicks a block at a time, each block's
     sector array within FRINGE_BLOCK_BYTES. A budget of 0 holds one kick per
-    block, and ONE_BLOCK holds every evaluation here in one."""
+    block, and ONE_BLOCK holds every evaluation here in one. Each budget
+    starts from an empty train-operator cache."""
 
     ONE_BLOCK = 2**40
 
@@ -437,12 +438,12 @@ class TestFringeBlocks:
         results = []
         for budget in (0, self.ONE_BLOCK):
             monkeypatch.setattr(sequence_module, "FRINGE_BLOCK_BYTES", budget)
-            monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+            dynamics_module._train_operator.cache_clear()
             results.append(call())
         return results
 
     @pytest.mark.parametrize("path", ["operator", "flash"])
-    def test_blocks_change_no_fringe(self, monkeypatch, path):
+    def test_blocks_change_no_fringe(self, monkeypatch, cold_train_operator, path):
         monkeypatch.setattr(dynamics_module, "_operator_pays", lambda *args: path == "operator")
         spec = make_spec(fock_dim=40, excitation=CoherentAmp(0.8, 0.3), n_th=0.4,
                          envelope="gaussian")
@@ -459,7 +460,7 @@ class TestFringeBlocks:
                     assert abs(getattr(got, name) - getattr(want, name)) <= 1e-13, name
                 assert got.max_tail == pytest.approx(want.max_tail, rel=1e-9, abs=0.0)
 
-    def test_every_block_takes_the_evaluation_path(self, monkeypatch):
+    def test_every_block_takes_the_evaluation_path(self, monkeypatch, cold_train_operator):
         # at fock_dim 40 the operator pays from about 17 states on, so four
         # kicks of 5 thermal levels build it and one alone would not: the
         # first block decides for all 20 states, and the rest find it cached
@@ -469,18 +470,20 @@ class TestFringeBlocks:
         shape = (spec.analysis.n_flashes, 2 * 40, 2 * len(levels), 2 * spec.hilbert.tail_levels)
         assert len(levels) == 5 and not dynamics_module._operator_pays(*shape, False)
         taken = []
-        for name in ("_build_train_operator", "_operator_block", "run_pulse_train_block"):
-            real = getattr(dynamics_module, name)
-            monkeypatch.setattr(dynamics_module, name,
+        for target, name in ((cold_train_operator, "__wrapped__"),
+                             (dynamics_module, "_operator_block"),
+                             (dynamics_module, "run_pulse_train_block")):
+            real = getattr(target, name)
+            monkeypatch.setattr(target, name,
                                 lambda *args, name=name, real=real: taken.append(name) or real(*args))
         self.budgets(monkeypatch, lambda: sequence_fringes(spec, kicks))
-        first = ["_operator_block", "_build_train_operator"]  # the apply builds, then reads
+        first = ["_operator_block", "__wrapped__"]  # the apply builds, then reads
         assert taken == first + ["_operator_block"] * 3 + first  # 4 blocks, then 1
 
     @pytest.mark.parametrize("case", ["leak-then-too-large", "tail-then-too-large",
                                       "two-too-large", "leak-in-a-later-block",
                                       "tail-in-a-later-block"])
-    def test_errors_name_a_failing_excitation(self, monkeypatch, case):
+    def test_errors_name_a_failing_excitation(self, monkeypatch, cold_train_operator, case):
         # fock_dim 32 at eta = 2 and tail_tol 1e-6: the flashes push the
         # |alpha| = 1 kick past tail_tol at flash 3, and the no-kick states
         # stay below 6e-9; fock_dim 33 at n_th = 2: D(1.5, 0.3) leaves its tail
@@ -502,7 +505,7 @@ class TestFringeBlocks:
         errors = []
         for budget in (0, self.ONE_BLOCK):
             monkeypatch.setattr(sequence_module, "FRINGE_BLOCK_BYTES", budget)
-            monkeypatch.setattr(dynamics_module, "_operator_cache", {})
+            cold_train_operator.cache_clear()
             with pytest.raises(TruncationError, match=message) as info:
                 sequence_fringes(spec, excitations)
             errors.append((str(info.value), info.value.index, info.value.phase))
@@ -522,7 +525,7 @@ class TestFringeBlocks:
         assert sequence_module.FRINGE_BLOCK_BYTES // (64 * 96 * 8) == 16
 
         def peak(n_kicks):
-            dynamics_module._operator_cache.clear()
+            dynamics_module._train_operator.cache_clear()
             thetas = np.linspace(0.0, 2.0 * math.pi, n_kicks, endpoint=False)
             return traced_call(sequence_fringes, spec, [CoherentAmp(1.0, t) for t in thetas])[1]
 
