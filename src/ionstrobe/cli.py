@@ -14,6 +14,7 @@ tuned_rabi_scale, tune_evaluations and search_fock_dim.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import sys
 from dataclasses import replace
@@ -159,6 +160,14 @@ def cmd_pattern_scan(cfg: dict, args) -> None:
     write_table(args.out, "static pattern scan", columns, rows, cfg, seed0, summary_lines=summary)
 
 
+def _envelope_refusal(cfg: dict, spec: SequenceSpec, reason: str) -> ConfigError:
+    """A config error naming dephasing.tau_us, with the envelope at the train's end."""
+    elapsed = spec.analysis.total_duration
+    return ConfigError(f"dephasing.tau_us: the {cfg['dephasing']['envelope']} envelope is "
+                       f"{apply_dephasing(spec.dephasing, elapsed):g} at the train's end, "
+                       f"{elapsed * 1e6:g} us, so {reason}")
+
+
 def _tuned_decode_tables(cfg: dict):
     """(tuned spec, tuning lines, decode tables) of a decode command, the
     tables over the amplitudes 0, alpha_step, ... up to alpha_max; at least 3.
@@ -174,12 +183,8 @@ def _tuned_decode_tables(cfg: dict):
     if len(alpha_grid) < 3:
         raise ConfigError(f"decode.alpha_max and decode.alpha_step give {len(alpha_grid)} "
                           "decode amplitudes, need at least 3")
-    elapsed = spec.analysis.total_duration
-    envelope = apply_dephasing(spec.dephasing, elapsed)
-    if envelope < sys.float_info.epsilon:
-        raise ConfigError(f"dephasing.tau_us: the {cfg['dephasing']['envelope']} envelope is "
-                          f"{envelope:g} at the train's end, {elapsed * 1e6:g} us, so there is no "
-                          "fringe phase to decode")
+    if apply_dephasing(spec.dephasing, spec.analysis.total_duration) < sys.float_info.epsilon:
+        raise _envelope_refusal(cfg, spec, "there is no fringe phase to decode")
     spec, tuning = _tuned_sequence(cfg, spec)
     try:
         return spec, tuning, build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
@@ -220,6 +225,12 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     ref_records = sample_scan(ref_scan, [ref] * len(scan.outer_grid), drift)
 
     sweep, refs = fit_scan(scan, records), fit_scan(ref_scan, ref_records)
+    # flat sweep fringes would decode their rounding noise as a trace
+    if not any(fit.phase_identifiable for fit in sweep):
+        reason = "no theta0 sweep fringe has an identifiable phase"
+        if spec.dephasing.envelope != "none":
+            raise _envelope_refusal(cfg, spec, reason)
+        raise DecodeError(reason)
     row_sets = (
         (alpha, sweep, unwrap_sweep_phases([f.phase - anchor for f in sweep])),
         (0.0, refs, [math.remainder(f.phase - anchor, 2.0 * math.pi) for f in refs]),
@@ -307,7 +318,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what hashlib falls back to when OpenSSL's _hashlib cannot be imported; without
+# one of them it would log an error to stderr for each hash it cannot build
+_BUILTIN_HASHES = ("_md5", "_sha1", "_blake2", "_sha3") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512"))
+
+
+def _keep_openssl_out() -> None:
+    """Block `_hashlib` for this process, unless it is loaded already or one
+    of hashlib's built-in fallbacks is missing."""
+    # numpy.random imports secrets, hmac and hashlib, which map OpenSSL's libcrypto
+    # for entropy that seeded draws never read. Nothing the CLI hashes is for
+    # security, and PCG64 and SeedSequence hash nothing, so the built-in hashes
+    # change no output.
+    if "_hashlib" not in sys.modules and all(map(importlib.util.find_spec, _BUILTIN_HASHES)):
+        sys.modules["_hashlib"] = None  # its import raises ImportError; hmac and hashlib catch it
+
+
 def main(argv=None) -> int:
+    _keep_openssl_out()
     args = _build_parser().parse_args(argv)
     try:
         with cfgmod.naming(f"--config {args.config}", OSError):

@@ -845,20 +845,22 @@ class TestUnreadableEnvelope:
             "the train's end, 23.0769 us, so there is no fringe phase to decode\n")
         assert not out.exists()
 
-    def test_decodes_just_above_epsilon(self, tmp_path):
-        # tau_us 3.9: the envelope is 6.2e-16, and a row outside its table is flagged
+    def test_decodes_just_above_epsilon(self, tmp_path, capsys):
+        # tau_us 3.9: the envelope is 6.2e-16, so the tables are built and the scan runs,
+        # but every sweep fringe is rounding residue with no identifiable phase, and the
+        # trace refuses it
         cfg = self.cfg(tmp_path, 3.9)
-        out_tab, out = str(tmp_path / "tables.txt"), str(tmp_path / "trace.txt")
+        out_tab, out_scan, out = (str(tmp_path / name) for name in ("tables.txt", "scan.txt",
+                                                                     "trace.txt"))
         assert main(["build-tables", "--config", cfg, "--out", out_tab]) == 0
-        assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 0
-        tables = read_decode_tables(out_tab)
-        columns, rows, _ = read_table(out)
-        assert rows.shape == (48, 7) and np.isfinite(rows).all()
-        flags = rows[:, columns.index("clamped")]
-        assert flags.any()
-        for phase, contrast, flag in zip(rows[:, 2], rows[:, 3], flags):
-            point = tables.decode(phase, contrast)
-            assert flag == float(point.x_clamped or point.p_clamped)
+        assert main(["ramsey-scan", "--config", cfg, "--out", out_scan]) == 0
+        assert all(np.isfinite(read_table(path)[1]).all() for path in (out_tab, out_scan))
+        capsys.readouterr()
+        assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "ionstrobe: config error: dephasing.tau_us: the gaussian envelope is 6.22505e-16 at "
+            "the train's end, 23.0769 us, so no theta0 sweep fringe has an identifiable phase\n")
+        assert not Path(out).exists()
 
     def test_scan_still_runs(self, tmp_path):
         out = str(tmp_path / "x.txt")
@@ -889,6 +891,35 @@ class TestCliBuildAndTrace:
         )
         refs = rows[rows[:, 1] == 0]
         assert np.max(np.abs(refs[:, 4])) < 1.0
+
+    def test_rows_outside_the_tables_are_flagged(self, tmp_path):
+        # |alpha| = 3.2 lies past decode.alpha_max = 3.0 where the momentum is largest
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG.replace("alpha_abs: 2.0", "alpha_abs: 3.2"))
+        out_tab, out = str(tmp_path / "tables.txt"), str(tmp_path / "trace.txt")
+        assert main(["build-tables", "--config", cfg, "--out", out_tab]) == 0
+        assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 0
+        tables = read_decode_tables(out_tab)
+        columns, rows, _ = read_table(out)
+        flags = rows[:, columns.index("clamped")]
+        assert flags.any() and not flags.all()
+        for phase, contrast, flag in zip(rows[:, 2], rows[:, 3], flags):
+            point = tables.decode(phase, contrast)
+            assert flag == float(point.x_clamped or point.p_clamped)
+
+    @pytest.mark.parametrize("envelope, code, err", [
+        ("gaussian", 2, "config error: dephasing.tau_us: the gaussian envelope is 0.897015 at "
+                        "the train's end, 23.0769 us, so no theta0 sweep fringe has an "
+                        "identifiable phase"),
+        ("none", 3, "no theta0 sweep fringe has an identifiable phase")], ids=["gaussian", "none"])
+    def test_unidentifiable_sweep_is_refused(self, tmp_path, capsys, monkeypatch,
+                                             envelope, code, err):
+        fit_scan = cli_module.fit_scan
+        monkeypatch.setattr(cli_module, "fit_scan", lambda scan, records: [
+            replace(fit, phase_identifiable=False) for fit in fit_scan(scan, records)])
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG + f"dephasing: {{envelope: {envelope}}}\n")
+        out = tmp_path / "t.txt"
+        assert main(["trace-phase-space", "--config", cfg, "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"ionstrobe: {err}\n" and not out.exists()
 
     @pytest.mark.parametrize("command", ["build-tables", "trace-phase-space"])
     def test_flash_past_the_contrast_zero_names_its_keys(self, tmp_path, capsys, command):
@@ -1135,19 +1166,32 @@ def test_runtime_imports_are_stdlib_numpy_yaml():
 
 # What one command loads, read in a fresh interpreter after the command returns:
 # the suite's own process already holds hashlib (pytest and hypothesis import it).
+# A None entry is the CLI's block on _hashlib, which no import gets past.
 LOADED_PROBE = (
-    "import json, sys\n"
+    "import json, os, sys\n"
     "from ionstrobe.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps([code, '_hashlib' in sys.modules, 'numpy.random' in sys.modules]))\n"
+    "maps = '/proc/self/maps'\n"
+    "mapped = 'libcrypto' in open(maps).read() if os.path.exists(maps) else None\n"
+    "print(json.dumps([[code, sys.modules.get('_hashlib') is not None,\n"
+    "                   'numpy.random' in sys.modules], mapped]))\n"
 )
+
+
+def probe_run(args, prelude: str = "") -> tuple[list, bool | None, str]:
+    """([exit code, _hashlib loaded, numpy.random loaded], libcrypto mapped or
+    None without /proc, stderr) after `ionstrobe args` in a fresh interpreter
+    that runs `prelude` first."""
+    out = subprocess.run([sys.executable, "-c", prelude + LOADED_PROBE, *args],
+                         capture_output=True, text=True,
+                         env=blas_env(OPENBLAS_NUM_THREADS="1"), check=True)
+    loaded, mapped = json.loads(out.stdout.splitlines()[-1])
+    return loaded, mapped, out.stderr
 
 
 def modules_after(args) -> list:
     """[exit code, _hashlib loaded, numpy.random loaded] after `ionstrobe args`."""
-    out = subprocess.run([sys.executable, "-c", LOADED_PROBE, *args], capture_output=True,
-                         text=True, env=blas_env(OPENBLAS_NUM_THREADS="1"), check=True)
-    return json.loads(out.stdout.splitlines()[-1])
+    return probe_run(args)[0]
 
 
 def sha256_hash(config: dict) -> str:
@@ -1189,6 +1233,62 @@ class TestConfigHash:
         cfg, out = write_cfg(tmp_path, FAST_SCAN), tmp_path / "shots.txt"
         assert modules_after(["ramsey-scan", "--config", cfg, "--out", str(out)])[:1] == [0]
         assert read_table(out)[2]["config_hash"] == sha256_hash(load_config(cfg))
+
+
+# a shot scan that also draws phase noise, and small pattern and stability runs
+DRAWING_CONFIGS = {
+    "ramsey-scan": FAST_SCAN.replace("scan:\n", "scan:\n  inject_phase_noise: true\n"),
+    "pattern-scan": "pattern: {nx: 6, nz: 6, extent_nm: 160.0, bootstrap: 8}\n"
+                    "detection: {mode: shots, shots: 50, base_seed: 21}\n",
+    "stability": "stability: {duration_s: 20.0, sample_interval_s: 0.5, windows_s: [1.0, 5.0], "
+                 "reference_interval_s: 2.0}\n",
+}
+# the SHA-256 module config_hash takes before hashlib's
+SHA256_MODULE = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+
+
+def drawing_run(tmp_path, command: str, prelude: str = "", tag: str = "") -> tuple:
+    """probe_run of `command` on its DRAWING_CONFIGS entry, and its config and output paths."""
+    cfg = write_cfg(tmp_path, DRAWING_CONFIGS[command], name=f"{command}{tag}.yaml")
+    out = tmp_path / f"{command}{tag}.txt"
+    return (*probe_run([command, "--config", cfg, "--out", str(out)], prelude), cfg, out)
+
+
+class TestCliKeepsOpenSSLOut:
+    """The CLI blocks _hashlib before its command, so a draw's numpy.random
+    (secrets, hmac, hashlib) maps no libcrypto; the library leaves it alone."""
+
+    @pytest.mark.parametrize("command", sorted(DRAWING_CONFIGS))
+    def test_draws_load_numpy_random_only(self, tmp_path, command):
+        loaded, mapped, err = drawing_run(tmp_path, command)[:3]
+        assert loaded == [0, False, True] and err == ""
+        assert mapped in (False, None)
+
+    def test_loaded_hashlib_is_kept_with_the_same_bytes(self, tmp_path):
+        blocked, _, blocked_err, _, blocked_out = drawing_run(tmp_path, "ramsey-scan")
+        kept, _, kept_err, _, kept_out = drawing_run(tmp_path, "ramsey-scan",
+                                                     "import _hashlib\n", tag="_kept")
+        assert blocked == [0, False, True] and kept == [0, True, True]
+        assert blocked_err == kept_err == ""
+        assert blocked_out.read_bytes() == kept_out.read_bytes()
+
+    @pytest.mark.parametrize("fallback", ["_md5", SHA256_MODULE])
+    def test_missing_fallback_keeps_openssl(self, tmp_path, fallback):
+        loaded, _, err, cfg, out = drawing_run(
+            tmp_path, "ramsey-scan", f"import sys\nsys.modules[{fallback!r}] = None\n")
+        assert loaded == [0, True, True] and err == ""
+        assert read_table(out)[2]["config_hash"] == sha256_hash(load_config(cfg))
+
+    def test_library_import_and_draw_leave_hashlib_alone(self):
+        code = ("import json, sys\n"
+                "import ionstrobe\n"
+                "before = '_hashlib' in sys.modules\n"
+                "from ionstrobe.sequence import sample_detection\n"
+                "sample_detection(0.5, 10, 1)\n"
+                "print(json.dumps([before, sys.modules.get('_hashlib') is not None]))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=blas_env(OPENBLAS_NUM_THREADS="1"), check=True)
+        assert json.loads(out.stdout) == [False, True]
 
 
 # the parser of _Loader without libyaml: the same resolvers on PyYAML's own parser
