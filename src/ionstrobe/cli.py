@@ -1,14 +1,14 @@
-"""Command-line interface: config-driven scans, decode tables, and reports.
+"""Command-line interface: config-driven scans, decoded traces, and reports.
 
 Commands: ramsey-scan, pattern-scan, trace-phase-space, squeeze-scan,
-build-tables, stability. All take --config and --out, plus optional --seed
-(overrides detection.base_seed). Exit codes: 0 success, 2 configuration
-error, 3 numerical failure. Same config and seed, same bytes, on any core
-count: OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
-trace-phase-space builds its decode tables in the run; build-tables exports
-them. Under train.rabi_scale: auto a command tunes its one sequence spec,
-and every table it writes records the tuning in three footer lines:
-tuned_rabi_scale, tune_evaluations and search_fock_dim.
+stability. All take --config and --out, plus optional --seed (overrides
+detection.base_seed). Exit codes: 0 success, 2 configuration error, 3
+numerical failure. Same config and seed, same bytes, on any core count:
+OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
+trace-phase-space builds its decode tables in the run and writes only the
+decoded trace. Under train.rabi_scale: auto a command tunes its one
+sequence spec, and every table it writes records the tuning in three
+footer lines: tuned_rabi_scale, tune_evaluations and search_fock_dim.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .sequence import (
     static_pattern_probe,
 )
 from .stability import apply_reference_correction, simulate_phase_trace, windowed_phase_stat
-from .tableio import format_number, write_decode_tables, write_table
+from .tableio import format_number, write_table
 
 REALIZATION_INTERVAL_S = 0.010  # experimental cadence of interleaved realizations
 
@@ -168,35 +168,6 @@ def _envelope_refusal(cfg: dict, spec: SequenceSpec, reason: str) -> ConfigError
                        f"{elapsed * 1e6:g} us, so {reason}")
 
 
-def _tuned_decode_tables(cfg: dict):
-    """(tuned spec, tuning lines, decode tables) of a decode command, the
-    tables over the amplitudes 0, alpha_step, ... up to alpha_max; at least 3.
-    A decode reads fringe phases, so a coherence envelope under machine
-    epsilon at the train's end, where every p_down rounds to a flat fringe,
-    is a config error naming dephasing.tau_us, before any tuning. A map that
-    is not monotone names the keys that turn it."""
-    spec = cfgmod.build_sequence_spec(cfg)
-    dec = cfg["decode"]
-    # a grid past numpy's size limit, or past memory
-    with cfgmod.naming("decode.alpha_max and decode.alpha_step", cfgmod.CANNOT_RESERVE):
-        alpha_grid = np.arange(0.0, dec["alpha_max"] + dec["alpha_step"] / 2.0, dec["alpha_step"])
-    if len(alpha_grid) < 3:
-        raise ConfigError(f"decode.alpha_max and decode.alpha_step give {len(alpha_grid)} "
-                          "decode amplitudes, need at least 3")
-    if apply_dephasing(spec.dephasing, spec.analysis.total_duration) < sys.float_info.epsilon:
-        raise _envelope_refusal(cfg, spec, "there is no fringe phase to decode")
-    spec, tuning = _tuned_sequence(cfg, spec)
-    try:
-        return spec, tuning, build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
-    except DecodeError as exc:  # the contrast's first zero lies near eta |alpha| omega tau = pi
-        raise DecodeError(f"{exc}; shorten train.flash_ns or lower decode.alpha_max") from exc
-
-
-def cmd_build_tables(cfg: dict, args) -> None:
-    _, tuning, tables = _tuned_decode_tables(cfg)
-    write_decode_tables(tables, args.out, cfg, tuning)
-
-
 def cmd_trace_phase_space(cfg: dict, args) -> None:
     # the config checks come before the tuner, which _tuned_sequence may run
     if cfg["state"]["zeta_abs"] > 0:
@@ -212,7 +183,21 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     if span < math.pi:
         raise ConfigError(f"scan.phi_start_rad and scan.phi_stop_rad give a phase span of "
                           f"{span:.3f} rad; the fringe fits need at least pi")
-    spec, tuning, tables = _tuned_decode_tables(cfg)
+    spec, dec = cfgmod.build_sequence_spec(cfg), cfg["decode"]
+    # the decode amplitudes 0, alpha_step, ... up to alpha_max; a grid past memory names them
+    with cfgmod.naming("decode.alpha_max and decode.alpha_step", cfgmod.CANNOT_RESERVE):
+        alpha_grid = np.arange(0.0, dec["alpha_max"] + dec["alpha_step"] / 2.0, dec["alpha_step"])
+    if len(alpha_grid) < 3:
+        raise ConfigError(f"decode.alpha_max and decode.alpha_step give {len(alpha_grid)} "
+                          "decode amplitudes, need at least 3")
+    # an envelope under machine epsilon at the train's end rounds every p_down to a flat fringe
+    if apply_dephasing(spec.dephasing, spec.analysis.total_duration) < sys.float_info.epsilon:
+        raise _envelope_refusal(cfg, spec, "there is no fringe phase to decode")
+    spec, tuning = _tuned_sequence(cfg, spec)
+    try:
+        tables = build_decode_tables(spec, cfgmod.build_units(cfg), alpha_grid)
+    except DecodeError as exc:  # the contrast's first zero lies near eta |alpha| omega tau = pi
+        raise DecodeError(f"{exc}; shorten train.flash_ns or lower decode.alpha_max") from exc
     alpha = cfg["state"]["alpha_abs"]
     ref = characterize_reference_fringe(spec)
     anchor = ref.phase
@@ -298,7 +283,6 @@ COMMANDS = {
     "pattern-scan": cmd_pattern_scan,
     "trace-phase-space": cmd_trace_phase_space,
     "squeeze-scan": cmd_squeeze_scan,
-    "build-tables": cmd_build_tables,
     "stability": cmd_stability,
 }
 

@@ -16,6 +16,7 @@ import math
 import mmap
 import re
 import sys
+from collections.abc import Hashable
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -192,8 +193,25 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     that also reads YAML 1.2 floats such as 3e5 and 1e-9.
 
     PyYAML resolves plain scalars by YAML 1.1, where a float needs a dot
-    and a signed exponent, so 3e5 would load as a string.
+    and a signed exponent, so 3e5 would load as a string. A key given twice in
+    one mapping is an error, not an override; merge keys (<<) keep YAML's rule.
     """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # which PyYAML's own construct_mapping refuses
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        # named, not super(), so that a loader on PyYAML's own parser can take this method
+        return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep=deep)
 
 
 _Loader.add_implicit_resolver(

@@ -419,9 +419,6 @@ def run_pulse_train_block(
     return (*_spin_output(block, train), max_tail)
 
 
-_flash_cache = _flash_unitary  # released by this name, which a patched _flash_unitary leaves
-
-
 @_OneEntryCache
 def _train_operator(
     train: PulseTrainSpec, mode: ModeParams, hilbert: HilbertSpec
@@ -461,7 +458,7 @@ def _train_operator(
         np.matmul(rows[:, j - 1] * gap, u, out=rows[:, j])
     power.setflags(write=False)
     rows.setflags(write=False)
-    _flash_cache.release()  # nothing after the build reads the flash pair
+    _flash_unitary.release()  # nothing after the build reads the flash pair
     return power, rows
 
 

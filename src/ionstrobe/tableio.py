@@ -1,12 +1,13 @@
-"""Bit-stable tabular text output and decode-table serialization.
+"""Bit-stable tabular text output, and a library-only decode-table file.
 
 Every table is plain whitespace-separated text: a comment header naming
 the columns (units embedded in the names), numeric rows at 12 significant
 digits, and a comment footer carrying the seed, the config hash, and the
 full effective config as a YAML block. Identical config and seed produce
-byte-identical files. Decode tables export as ordinary tables titled
-DECODE_TABLE_FORMAT, one row of DECODE_TABLE_COLUMNS per amplitude, at 17
-significant digits so every value reads back bit for bit; no seed line.
+byte-identical files. No command writes decode tables; the Python API
+still can, as an ordinary table titled DECODE_TABLE_FORMAT, one row of
+DECODE_TABLE_COLUMNS per amplitude, at 17 significant digits so every
+value reads back bit for bit; no seed line.
 """
 
 from __future__ import annotations
@@ -112,12 +113,10 @@ def read_table(path) -> tuple[list[str], np.ndarray, dict]:
     return columns, data, meta
 
 
-def write_decode_tables(tables: DecodeTables, path, config: dict,
-                        summary_lines: list[str] | None = None) -> None:
+def write_decode_tables(tables: DecodeTables, path, config: dict) -> None:
     """Write decode tables as a DECODE_TABLE_FORMAT table echoing `config`."""
     rows = zip(tables.x, tables.phi_plus, tables.p, tables.contrast)
-    write_table(path, DECODE_TABLE_FORMAT, DECODE_TABLE_COLUMNS, rows, config, None,
-                summary_lines=summary_lines, digits=17)
+    write_table(path, DECODE_TABLE_FORMAT, DECODE_TABLE_COLUMNS, rows, config, None, digits=17)
 
 
 def read_decode_tables(path) -> DecodeTables:

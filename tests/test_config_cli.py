@@ -229,8 +229,8 @@ BAD_INPUTS = [
     ("ramsey-scan", "detection: {shots: 0}", [], "detection.shots"),
     ("ramsey-scan", "detection: {base_seed: -1}", [], "detection.base_seed"),
     ("ramsey-scan", "units: {mass_amu: 0}\ndrive: {eta: geometry}", [], "units.mass_amu"),
-    ("build-tables", "decode: {alpha_step: 0}", [], "decode.alpha_step"),
-    ("build-tables", "decode: {phi_points: 2}", [], "decode.phi_points"),
+    ("trace-phase-space", "decode: {alpha_step: 0}", [], "decode.alpha_step"),
+    ("trace-phase-space", "decode: {phi_points: 2}", [], "decode.phi_points"),
     ("pattern-scan", "pattern: {wavelength_nm: 0}", [], "pattern.wavelength_nm"),
     ("stability", "stability: {windows_s: [0.1]}", [], "stability.windows_s"),
     ("stability", "", ["--seed", "-3"], "detection.base_seed"),
@@ -259,13 +259,11 @@ EXTREME_INPUTS = [
     ("ramsey-scan", "ramsey-scan", "hilbert: {fock_dim: 40}\ntrain: {rabi_scale: 0.28}\n"
      "scan: {outer_var: alpha_abs, outer_values: [1.0e200]}", ["outer=1e+200", "fock_dim=40"]),
     ("squeeze-scan", "squeeze-scan", "state: {zeta_abs: 400.0}", ["|zeta|=400", "fock_dim="]),
-    ("build-tables", "build-tables", "decode: {alpha_step: 1.0e-300}",
+    ("trace-phase-space", "trace-phase-space", "decode: {alpha_step: 1.0e-300}",
      ["decode.alpha_max", "decode.alpha_step"]),
     ("stability", "stability", "stability: {sample_interval_s: 1.0e-12}",
      ["stability.duration_s", "stability.sample_interval_s"]),
     # each key below sizes an array that cannot be reserved
-    ("build-tables-alpha-grid", "build-tables", "decode: {alpha_max: 1.0e14, alpha_step: 0.1}",
-     ["decode.alpha_max", "decode.alpha_step"]),
     ("trace-phase-space-alpha-grid", "trace-phase-space",
      "decode: {alpha_max: 1.0e14, alpha_step: 0.1}", ["decode.alpha_max", "decode.alpha_step"]),
     ("ramsey-scan-phi-num", "ramsey-scan", f"scan: {{phi_num: {HUGE}}}", ["scan.phi_num"]),
@@ -681,15 +679,6 @@ class TestCliTuningFooter:
         assert main(["ramsey-scan", "--config", cfg, "--out", out]) == 0
         assert read_table(out)[2]["summary"] == []
 
-    def test_decode_tables_record_the_tuning(self, tmp_path):
-        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG.replace("rabi_scale: 0.2795", "rabi_scale: auto"))
-        out = str(tmp_path / "tables.txt")
-        assert main(["build-tables", "--config", cfg, "--out", out]) == 0
-        summary = read_table(out)[2]["summary"]
-        assert [line.split(":")[0] for line in summary] == ["tuned_rabi_scale", "tune_evaluations",
-                                                             "search_fock_dim"]
-        assert read_decode_tables(out).x.size == 7
-
 
 class TestTunedCommandsBuildOnce:
     """A tuned command builds its sequence spec, and so its train, once."""
@@ -698,10 +687,9 @@ class TestTunedCommandsBuildOnce:
         ("ramsey-scan", "hilbert: {fock_dim: 48}\nscan: {phi_num: 4}\n"),
         ("squeeze-scan", "hilbert: {fock_dim: 48}\nstate: {zeta_abs: 0.2}\n"
          "scan: {phi_num: 4, outer_var: zeta0}\n"),
-        ("build-tables", "hilbert: {fock_dim: 64}\ndecode: {alpha_max: 1.0, alpha_step: 0.5}\n"),
         ("trace-phase-space", "hilbert: {fock_dim: 64}\nstate: {alpha_abs: 1.0}\n"
          "decode: {alpha_max: 2.0, alpha_step: 0.5}\nscan: {phi_num: 8, outer_values: [0.0]}\n"),
-    ], ids=["ramsey-scan", "squeeze-scan", "build-tables", "trace-phase-space"])
+    ], ids=["ramsey-scan", "squeeze-scan", "trace-phase-space"])
     def test_one_build(self, tmp_path, monkeypatch, command, text):
         calls = {"build_sequence_spec": 0, "build_train": 0}
         for name in calls:
@@ -726,15 +714,25 @@ def test_command_lists_agree():
     assert _command_list(readme) == _command_list(cli_module.__doc__) == list(cli_module.COMMANDS)
 
 
-def test_removed_calibrate_train_is_a_usage_error(tmp_path, capsys):
-    # the tables record the tuning, so the command that printed it alone is gone
+def assert_usage_error(tmp_path, capsys, command):
+    """`command` on fig4 is argparse's usage error: exit 2, no traceback, no output."""
     out = tmp_path / "x.txt"
     with pytest.raises(SystemExit) as exc:
-        main(["calibrate-train", "--config", "configs/fig4.yaml", "--out", str(out)])
+        main([command, "--config", "configs/fig4.yaml", "--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "invalid choice: 'calibrate-train'" in err and "Traceback" not in err
+    assert f"invalid choice: '{command}'" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_removed_calibrate_train_is_a_usage_error(tmp_path, capsys):
+    # the tables record the tuning, so the command that printed it alone is gone
+    assert_usage_error(tmp_path, capsys, "calibrate-train")
+
+
+def test_removed_build_tables_is_a_usage_error(tmp_path, capsys):
+    # trace-phase-space builds its decode tables in the run, and no command read the export
+    assert_usage_error(tmp_path, capsys, "build-tables")
 
 
 SMALL_SQUEEZE_CONFIG = (
@@ -804,7 +802,7 @@ class TestZeroedEnvelope:
         return write_cfg(tmp_path, Path("configs/fig4.yaml").read_text()
                          + "dephasing: {tau_us: 0.5}\n")
 
-    @pytest.mark.parametrize("command", ["trace-phase-space", "build-tables"])
+    @pytest.mark.parametrize("command", ["trace-phase-space"])
     def test_decode_names_the_envelope_before_tuning(self, tmp_path, capsys, monkeypatch, cfg,
                                                      command):
         monkeypatch.setattr(cli_module, "tune_pulse_train",
@@ -833,7 +831,7 @@ class TestUnreadableEnvelope:
 
     @pytest.mark.parametrize("tau_us, envelope", [
         (0.855, "4.17664e-317"), (0.9, "2.93627e-286"), (1.0, "5.23498e-232"), (2.0, "1.51262e-58")])
-    @pytest.mark.parametrize("command", ["trace-phase-space", "build-tables"])
+    @pytest.mark.parametrize("command", ["trace-phase-space"])
     def test_decode_names_the_envelope_before_tuning(self, tmp_path, capsys, monkeypatch,
                                                      command, tau_us, envelope):
         monkeypatch.setattr(cli_module, "tune_pulse_train",
@@ -845,22 +843,23 @@ class TestUnreadableEnvelope:
             "the train's end, 23.0769 us, so there is no fringe phase to decode\n")
         assert not out.exists()
 
-    def test_decodes_just_above_epsilon(self, tmp_path, capsys):
+    def test_decodes_just_above_epsilon(self, tmp_path, capsys, built_tables):
         # tau_us 3.9: the envelope is 6.2e-16, so the tables are built and the scan runs,
         # but every sweep fringe is rounding residue with no identifiable phase, and the
         # trace refuses it
         cfg = self.cfg(tmp_path, 3.9)
-        out_tab, out_scan, out = (str(tmp_path / name) for name in ("tables.txt", "scan.txt",
-                                                                     "trace.txt"))
-        assert main(["build-tables", "--config", cfg, "--out", out_tab]) == 0
+        out_scan, out = str(tmp_path / "scan.txt"), str(tmp_path / "trace.txt")
         assert main(["ramsey-scan", "--config", cfg, "--out", out_scan]) == 0
-        assert all(np.isfinite(read_table(path)[1]).all() for path in (out_tab, out_scan))
+        assert np.isfinite(read_table(out_scan)[1]).all()
         capsys.readouterr()
         assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err == (
             "ionstrobe: config error: dephasing.tau_us: the gaussian envelope is 6.22505e-16 at "
             "the train's end, 23.0769 us, so no theta0 sweep fringe has an identifiable phase\n")
         assert not Path(out).exists()
+        [tables] = built_tables
+        assert all(np.isfinite(column).all() for column in
+                   (tables.x, tables.phi_plus, tables.p, tables.contrast))
 
     def test_scan_still_runs(self, tmp_path):
         out = str(tmp_path / "x.txt")
@@ -868,17 +867,25 @@ class TestUnreadableEnvelope:
         assert np.isfinite(read_table(out)[1]).all()
 
 
-class TestCliBuildAndTrace:
-    def test_tables_then_trace(self, tmp_path):
-        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG)
-        out_tab = str(tmp_path / "built.txt")
-        assert main(["build-tables", "--config", cfg, "--out", out_tab]) == 0
-        assert read_decode_tables(out_tab).pos_x.size == 13
-        assert read_table(out_tab)[2]["config"] == load_config(cfg)  # the full config echo
+@pytest.fixture
+def built_tables(monkeypatch):
+    """Every DecodeTables the CLI builds, in call order."""
+    built = []
+    build = cli_module.build_decode_tables
+    monkeypatch.setattr(cli_module, "build_decode_tables",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    return built
 
+
+class TestCliBuildAndTrace:
+    def test_tables_then_trace(self, tmp_path, built_tables):
+        cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG)
         out = str(tmp_path / "trace.txt")
         assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 0
-        columns, rows, _ = read_table(out)
+        [tables] = built_tables
+        assert tables.pos_x.size == 13
+        columns, rows, meta = read_table(out)
+        assert meta["config"] == load_config(cfg)  # the full config echo
         assert columns == [
             "theta0_rad", "alpha_abs", "phi0_rad", "contrast", "X_nm", "P_zNus", "clamped",
         ]
@@ -892,13 +899,12 @@ class TestCliBuildAndTrace:
         refs = rows[rows[:, 1] == 0]
         assert np.max(np.abs(refs[:, 4])) < 1.0
 
-    def test_rows_outside_the_tables_are_flagged(self, tmp_path):
+    def test_rows_outside_the_tables_are_flagged(self, tmp_path, built_tables):
         # |alpha| = 3.2 lies past decode.alpha_max = 3.0 where the momentum is largest
         cfg = write_cfg(tmp_path, SMALL_TRACE_CONFIG.replace("alpha_abs: 2.0", "alpha_abs: 3.2"))
-        out_tab, out = str(tmp_path / "tables.txt"), str(tmp_path / "trace.txt")
-        assert main(["build-tables", "--config", cfg, "--out", out_tab]) == 0
+        out = str(tmp_path / "trace.txt")
         assert main(["trace-phase-space", "--config", cfg, "--out", out]) == 0
-        tables = read_decode_tables(out_tab)
+        [tables] = built_tables
         columns, rows, _ = read_table(out)
         flags = rows[:, columns.index("clamped")]
         assert flags.any() and not flags.all()
@@ -921,7 +927,7 @@ class TestCliBuildAndTrace:
         assert main(["trace-phase-space", "--config", cfg, "--out", str(out)]) == code
         assert capsys.readouterr().err == f"ionstrobe: {err}\n" and not out.exists()
 
-    @pytest.mark.parametrize("command", ["build-tables", "trace-phase-space"])
+    @pytest.mark.parametrize("command", ["trace-phase-space"])
     def test_flash_past_the_contrast_zero_names_its_keys(self, tmp_path, capsys, command):
         # at eta = 0.4 and 1.3 MHz the contrast's first zero lies near eta |alpha| omega
         # tau = pi, at 320 ns for |alpha| = 3: a 400 ns flash turns the momentum map
@@ -963,8 +969,8 @@ def tuner_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("command, text, keys", [
-    ("build-tables", "decode: {alpha_max: 0.5, alpha_step: 0.4}", ["decode.alpha_max",
-                                                                  "decode.alpha_step"]),
+    # the default 23 us train under a 0.5 us gaussian envelope leaves no fringe phase
+    ("trace-phase-space", "dephasing: {tau_us: 0.5}", ["dephasing.tau_us"]),
     ("trace-phase-space", "decode: {alpha_max: 0.5, alpha_step: 0.4}", ["decode.alpha_max",
                                                                        "decode.alpha_step"]),
     ("trace-phase-space", "state: {zeta_abs: 0.5}", ["state.zeta_abs"]),
@@ -1223,9 +1229,9 @@ class TestConfigHash:
 
     def test_no_openssl_or_numpy_random_without_draws(self, tmp_path):
         scan = write_cfg(tmp_path, FAST_SCAN.replace("mode: shots, shots: 64", "mode: analytic"))
-        tables = write_cfg(tmp_path, SMALL_TRACE_CONFIG, name="tables.yaml")
+        trace = write_cfg(tmp_path, SMALL_TRACE_CONFIG, name="trace.yaml")
         for args in (["ramsey-scan", "--config", scan, "--out", str(tmp_path / "scan.txt")],
-                     ["build-tables", "--config", tables, "--out", str(tmp_path / "dec.txt")]):
+                     ["trace-phase-space", "--config", trace, "--out", str(tmp_path / "tr.txt")]):
             assert modules_after(args) == [0, False, False], args[0]
         assert read_table(tmp_path / "scan.txt")[2]["config_hash"] == sha256_hash(load_config(scan))
 
@@ -1291,9 +1297,11 @@ class TestCliKeepsOpenSSLOut:
         assert json.loads(out.stdout) == [False, True]
 
 
-# the parser of _Loader without libyaml: the same resolvers on PyYAML's own parser
+# the parser of _Loader without libyaml: the same resolvers and duplicate-key
+# rule on PyYAML's own parser
 class PythonLoader(yaml.SafeLoader):
     yaml_implicit_resolvers = config_module._Loader.yaml_implicit_resolvers
+    construct_mapping = config_module._Loader.construct_mapping
 
 
 YAML_EDGES = [
@@ -1311,6 +1319,7 @@ class TestYamlLoader:
         assert issubclass(config_module._Loader, base)
 
     def test_demo_configs_load_alike(self):
+        # and so load at all: no demo config repeats a key
         for path in sorted(Path("configs").glob("*.yaml")):
             text = path.read_text()
             fast = yaml.load(text, Loader=config_module._Loader)
@@ -1318,7 +1327,7 @@ class TestYamlLoader:
 
     @pytest.mark.parametrize("edge", YAML_EDGES)
     def test_edge_scalars_load_alike(self, edge):
-        for text in (f"v: {edge}", f"v: [{edge}, {edge}]", f"s: {{v: {edge}}}\ns: {{w: {edge}}}"):
+        for text in (f"v: {edge}", f"v: [{edge}, {edge}]", f"s: {{v: {edge}}}\nt: {{w: {edge}}}"):
             fast = yaml.load(text, Loader=config_module._Loader)
             assert repr(fast) == repr(yaml.load(text, Loader=PythonLoader)), text
 
@@ -1326,6 +1335,31 @@ class TestYamlLoader:
         cfg = write_cfg(tmp_path, "hilbert:\n  fock_dim: [1, 2\ntrain: {n_flashes: 3}\n")
         with pytest.raises(ConfigError, match=rf"{re.escape(str(cfg))} is not valid YAML(.|\n)*line 3, column"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("text, key, where", [
+        # a second section of the same name would replace the first
+        ("scan: {phi_num: 10}\nhilbert: {fock_dim: 40}\ntrain: {rabi_scale: 0.2795}\n"
+         "scan: {outer_var: none}\n", "'scan'", "line 4, column 1"),
+        ("hilbert: {fock_dim: 40, fock_dim: 30}\n", "'fock_dim'", "line 1, column 25"),
+    ], ids=["section", "key"])
+    def test_duplicate_key_is_a_config_error(self, tmp_path, capsys, text, key, where):
+        cfg, out = write_cfg(tmp_path, text), tmp_path / "x.txt"
+        assert main(["ramsey-scan", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg} is not valid YAML" in err
+        assert f"found duplicate key {key}\n  in \"<unicode string>\", {where}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("loader", [config_module._Loader, PythonLoader],
+                             ids=["libyaml", "python"])
+    def test_duplicate_key_rule_on_either_parser(self, loader):
+        with pytest.raises(yaml.constructor.ConstructorError,
+                           match=r"found duplicate key 'v'\n  in .+, line 4, column 3"):
+            yaml.load("s:\n  v: 1\n  w: 2\n  v: 3\n", Loader=loader)
+        # a merge key (<<) keeps YAML's rule: the mapping's own key overrides the merged one
+        merged = "a: &x {p: 1, q: 2}\nb: {<<: *x, p: 3}\nc: {<<: [*x, {p: 9}], q: 5}\n"
+        assert yaml.load(merged, Loader=loader) == yaml.load(merged, Loader=yaml.SafeLoader) == {
+            "a": {"p": 1, "q": 2}, "b": {"p": 3, "q": 2}, "c": {"p": 1, "q": 5}}
 
 
 def test_every_schema_key_is_read():

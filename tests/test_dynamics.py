@@ -228,17 +228,22 @@ class TestPulseTrain:
     ], ids=["run_pulse_train_block", "_operator_block", "run_pulse_train_block-nan",
             "_operator_block-nan"])
     def test_non_unitary_flash_raises(self, monkeypatch, cold_train_operator, propagate, scale):
-        # the cached sector pair scaled by 1 + 1e-8 moves every norm by about
+        # the sector pair scaled by 1 + 1e-8 moves every norm by about
         # 2e-8 per flash, far past the 2e-10 + 30e-14 bound of 30 flashes;
-        # scaled by NaN it leaves a NaN norm, which must fail the check too
+        # scaled by NaN it leaves a NaN norm, which must fail the check too.
+        # The scaled pair is built into the flash cache, emptied on both sides
         flash = dynamics_module._flash_unitary
-        monkeypatch.setattr(dynamics_module, "_flash_unitary",
-                            lambda *args: flash(*args) * scale)
+        build = flash.__wrapped__
+        monkeypatch.setattr(flash, "__wrapped__", lambda *args: build(*args) * scale)
+        flash.cache_clear()
         st = coherent_state(1.0, 0.5, 40)
         message = r"norm deviates from 1 by up to \S+ after 30 flashes \(tol 2e-10\)"
-        with pytest.raises(IonstrobeError, match=message):
-            propagate(st.amplitudes[:, None], headline_train(rabi_scale=0.3), MODE,
-                      HilbertSpec(fock_dim=40))
+        try:
+            with pytest.raises(IonstrobeError, match=message):
+                propagate(st.amplitudes[:, None], headline_train(rabi_scale=0.3), MODE,
+                          HilbertSpec(fock_dim=40))
+        finally:
+            flash.cache_clear()
 
     def test_stroboscopic_pre_delay_invariance(self):
         # on resonance, adding full motional periods before the train changes nothing

@@ -16,8 +16,11 @@ from ionstrobe import (
     ModeParams,
     SpinMotionState,
     SqueezeParam,
+    UnitScale,
     check_truncation,
+    displacement_operator,
     expect_sigma_z,
+    squeeze_operator,
     thermal_ensemble,
 )
 from ionstrobe.dynamics import DephasingSpec, PulseTrainSpec, apply_dephasing
@@ -43,6 +46,7 @@ from ionstrobe.sequence import (
 from conftest import (
     dense_train,
     expect_n,
+    quadrature_variances,
     reference_fringe,
     reference_pre_train,
     run_sequence,
@@ -423,6 +427,91 @@ class TestSequenceFringe:
                         interleave_reference=True)
         with pytest.raises(TruncationError, match="in the alpha = 0 reference: flash 1"):
             run_scan(scan, spec)
+
+
+# zero-point units: x = a + a_dag
+ZERO_POINT = UnitScale(hbar=2.0, mass=1.0, x_zpf=1.0, p_zpf=1.0)
+CHI_OMEGA = 2.0 * math.pi * 1e6
+CHI_TOL = 1e-9
+
+
+def characteristic_misses(eta, n_th, kind, magnitude, phase, n_flashes, omega_dt):
+    """The fringe against the motional characteristic function chi = <e^{i eta x}>.
+
+    A resonant train of n_flashes flashes of total area pi/2 (Omega F dt =
+    pi/2), each short against the motion, maps the sync-rotated state to a
+    fringe whose coefficient is proportional to chi: its contrast is
+    |chi| = exp(-eta^2 <dx^2> / 2) for these Gaussian states, and its phase
+    relative to the unkicked fringe is arg chi = eta <x>, 2 eta Re alpha for
+    a coherent kick and 0 for a squeeze. The test side takes <dx^2> from the
+    dense quadrature_variances of each kicked thermal level, and shares no
+    propagation code with the engine.
+
+    Returns (contrast misses, phase misses) at omega dt and at omega dt / 2,
+    each over the kicks (none, `kind` at phase 0, `kind` at `phase`).
+    """
+    hilbert = HilbertSpec(fock_dim=120, tail_tol=1e-12)
+    kicks = [None, kind(magnitude, 0.0), kind(magnitude, phase)]
+    levels, weights = thermal_ensemble(n_th, hilbert)
+    law_contrast, law_phase = [], []
+    for kick in kicks:
+        if kick is None:
+            columns = np.eye(hilbert.fock_dim)[:, levels]
+        else:
+            kicked = displacement_operator if kind is CoherentAmp else squeeze_operator
+            columns = kicked(kick, hilbert, levels)
+        variance = sum(w * quadrature_variances(SpinMotionState(
+            np.concatenate([col, np.zeros_like(col)]), hilbert.fock_dim), ZERO_POINT)[0]
+            for w, col in zip(weights, columns.T))
+        law_contrast.append(math.exp(-eta**2 * variance / 2.0))
+        coherent = kind is CoherentAmp and kick is not None
+        law_phase.append(2.0 * eta * kick.magnitude * math.cos(kick.phase) if coherent else 0.0)
+    misses = []
+    for dt in (omega_dt / CHI_OMEGA, omega_dt / CHI_OMEGA / 2.0):
+        train = PulseTrainSpec(n_flashes=n_flashes, flash_dur=dt, cycle_dur=2.0 * math.pi / CHI_OMEGA,
+                               drive=DriveParams(rabi=math.pi / (2.0 * n_flashes * dt), eta=eta))
+        spec = SequenceSpec(hilbert=hilbert, mode=ModeParams(freq=CHI_OMEGA, n_th=n_th),
+                            analysis=train)
+        fringes = sequence_fringes(spec, kicks)
+        misses.append((
+            np.array([f.contrast for f in fringes]) - law_contrast,
+            np.array([math.remainder(f.phase - fringes[0].phase, 2.0 * math.pi)
+                      for f in fringes]) - law_phase,
+        ))
+    return misses
+
+
+class TestCharacteristicFunction:
+    """In the short-flash limit the fringe is the motional characteristic
+    function at eta (see characteristic_misses). The unkicked state, and a
+    kick at phase 0, are symmetric under the small rotation a flash of
+    length dt adds, and match within CHI_TOL. A kick at another phase meets
+    a term of first order in omega dt, which carries the momentum: in the
+    phase of a coherent kick, and in the contrast of a squeeze. That miss
+    must halve when dt halves, to within CHI_TOL."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(eta=st.floats(0.0, 0.5), n_th=st.floats(0.0, 1.0),
+           kick=st.one_of(st.tuples(st.just(CoherentAmp), st.floats(0.0, 2.0)),
+                          st.tuples(st.just(SqueezeParam), st.floats(0.0, 0.25))),
+           phase=st.floats(-math.pi, math.pi), n_flashes=st.sampled_from([1, 5, 30]),
+           omega_dt=st.floats(1e-8, 1e-6))
+    def test_fringe_is_the_characteristic_function(self, eta, n_th, kick, phase, n_flashes,
+                                                   omega_dt):
+        (contrast, phase_miss), (half_contrast, half_phase_miss) = characteristic_misses(
+            eta, n_th, *kick, phase, n_flashes, omega_dt)
+        assert np.max(np.abs(contrast[:2])) <= CHI_TOL
+        assert np.max(np.abs(phase_miss[:2])) <= CHI_TOL
+        assert abs(contrast[2] - 2.0 * half_contrast[2]) <= CHI_TOL
+        assert abs(phase_miss[2] - 2.0 * half_phase_miss[2]) <= CHI_TOL
+
+    def test_first_order_term_is_there(self):
+        # at alpha's phase 0.7 the phase misses by about 1e-7 at omega dt = 1e-6,
+        # far above CHI_TOL, and by half that at half the flash
+        (_, phase_miss), (_, half_phase_miss) = characteristic_misses(
+            0.3, 0.0, CoherentAmp, 2.0, 0.7, 1, 1e-6)
+        assert phase_miss[2] > 50 * CHI_TOL
+        assert half_phase_miss[2] == pytest.approx(phase_miss[2] / 2.0, rel=1e-3)
 
 
 class TestFringeBlocks:
