@@ -32,7 +32,6 @@ from .hilbert import (
     ModeParams,
     SpinMotionState,
     SqueezeParam,
-    TruncationReport,
     UnitScale,
     check_truncation,
     coupling_operator,

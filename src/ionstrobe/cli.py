@@ -33,7 +33,6 @@ from .calibrate import (
 from .dynamics import apply_dephasing
 from .errors import ConfigError, DecodeError, FitError, IonstrobeError
 from .fitting import bootstrap_pattern_uncertainty, fit_wave_pattern
-from .hilbert import CoherentAmp
 from .sequence import (
     PatternField,
     ScanSpec,
@@ -42,7 +41,6 @@ from .sequence import (
     run_scan,
     sample_detection,
     sample_scan,
-    scan_fringes,
     static_pattern_probe,
 )
 from .stability import apply_reference_correction, simulate_phase_trace, windowed_phase_stat
@@ -101,14 +99,12 @@ def cmd_squeeze_scan(cfg: dict, args) -> None:
         raise ConfigError("squeeze-scan needs state.zeta_abs > 0")
     scan = cfgmod.build_scan_spec(cfg)
     spec, tuning = _tuned_sequence(cfg, cfgmod.build_sequence_spec(cfg))
-    fringes = scan_fringes(scan, spec)
-    records = sample_scan(scan, fringes, _drift_for_scan(cfg, scan))
+    records = run_scan(scan, spec, drift_phases=_drift_for_scan(cfg, scan))
     _write_scan(args.out, "squeezed-state stroboscopic scan", records, cfg, tuning)
-    # companion back-action table on the phi-decimated grid, from the same fringes
-    ba_scan = replace(scan, phi_grid=scan.phi_grid[::2])
-    ba_records = sample_scan(ba_scan, fringes, _drift_for_scan(cfg, ba_scan))
+    # companion back-action table: the same records (outer-major) at every other phase
+    n_phi = len(scan.phi_grid)
     _write_scan(_sibling_path(args.out, "backaction"), "squeezed-state back-action scan",
-                ba_records, cfg, tuning)
+                [r for i, r in enumerate(records) if i % n_phi % 2 == 0], cfg, tuning)
 
 
 def cmd_pattern_scan(cfg: dict, args) -> None:
@@ -199,12 +195,11 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
     except DecodeError as exc:  # the contrast's first zero lies near eta |alpha| omega tau = pi
         raise DecodeError(f"{exc}; shorten train.flash_ns or lower decode.alpha_max") from exc
     alpha = cfg["state"]["alpha_abs"]
-    ref = characterize_reference_fringe(spec)
-    anchor = ref.phase
+    ref = characterize_reference_fringe(spec)  # its phase anchors every decoded phase
 
     # the reference scan differs only in its seeds, so it sees the same drift
     drift = _drift_for_scan(cfg, scan)
-    records = run_scan(scan, replace(spec, excitation=CoherentAmp(alpha, 0.0)), drift)
+    records = run_scan(scan, spec, drift)  # the configured kick at each theta0
     ref_scan = replace(scan, base_seed=scan.base_seed + (1 << 22))
     # every reference row, and its interleaved reference, is the anchor's alpha = 0 fringe
     ref_records = sample_scan(ref_scan, [ref] * len(scan.outer_grid), drift)
@@ -217,8 +212,8 @@ def cmd_trace_phase_space(cfg: dict, args) -> None:
             raise _envelope_refusal(cfg, spec, reason)
         raise DecodeError(reason)
     row_sets = (
-        (alpha, sweep, unwrap_sweep_phases([f.phase - anchor for f in sweep])),
-        (0.0, refs, [math.remainder(f.phase - anchor, 2.0 * math.pi) for f in refs]),
+        (alpha, sweep, unwrap_sweep_phases([f.phase - ref.phase for f in sweep])),
+        (0.0, refs, [math.remainder(f.phase - ref.phase, 2.0 * math.pi) for f in refs]),
     )
     rows = []
     # a phase or contrast outside the tables is clamped and flagged per row

@@ -226,7 +226,10 @@ def load_config(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        doc = yaml.load(p.read_text(), Loader=_Loader)
+        # YAML decodes the bytes, so bad UTF-8 is a YAMLError too, and the
+        # stream's name puts the path in every error mark
+        with p.open("rb") as stream:
+            doc = yaml.load(stream, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {p} is not valid YAML: {exc}") from exc
     return merge_config(doc)

@@ -185,10 +185,10 @@ def _flash_unitary(fock_dim: int, eta: float, rabi: float, freq: float, dt: floa
     (_split_sectors, _from_sectors).
 
     The cache holds one pair: the pi/2 tuner tries a new Rabi rate on every
-    probe, so its check's configured-size pair (1.7 MB at fock_dim 232) is
-    what stays, for the scans and decode tables that follow to reuse, flash
-    by flash or as the factor the train operator M^F is built from, until
-    _train_operator releases it as the last step of that build; it is _mapped.
+    probe, so its check's configured-size pair is what stays, for the scans
+    and decode tables that follow to reuse, flash by flash or as the factor
+    the train operator M^F is built from, until _train_operator releases it
+    as the last step of that build; it is _mapped.
     """
     g = quadrature_gauge(fock_dim)
     c = coupling_operator(eta, HilbertSpec(fock_dim=fock_dim, tail_tol=0.5))
@@ -260,12 +260,7 @@ def flash_evolve(
     block = u @ _split_sectors(state.amplitudes[:, None], n).sum(axis=2, keepdims=True)
     out = SpinMotionState(_from_sectors(block)[:, 0], n)
     if hilbert is not None:
-        report = check_truncation(out, hilbert)
-        if not report.passed:
-            raise TruncationError(
-                f"flash evolution leaked {report.tail_population:.3e} into the "
-                f"top {report.tail_levels} Fock levels (tol {report.tail_tol:g})"
-            )
+        check_truncation(out, hilbert)
     return out
 
 
@@ -319,9 +314,8 @@ def _spin_output(block: np.ndarray, train: PulseTrainSpec) -> tuple[np.ndarray, 
 
     Every state's norm is checked on the way: a deviation over
     2e-10 + F 1e-14, or one that is not a number, raises an IonstrobeError.
-    Rounding moves the norm by up to about 2.5e-15 per flash (measured at
-    fock_dim 40 and 232 up to F = 10^5), so a train of any length stays well
-    inside.
+    Rounding moves the norm by well under 1e-14 per flash, so a train of any
+    length stays inside.
     """
     out = _from_sectors(block)
     n_states = out.shape[1] // 2

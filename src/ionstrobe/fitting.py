@@ -7,10 +7,9 @@ reported non-negative with the sign absorbed into the phase.
 
 The wave-pattern fit's coarse grid goes through its rotations in blocks
 whose tables (exp(i u), the filler's factor and w (cos u, sin u), 48 bytes
-per rotation and point) fit GRID_BLOCK_BYTES, half a MiB: 16 rotations on
-a 26 x 26 scan, where the fit's traced peak is 0.72 MiB (2.56 MiB with
-tables of all 60 rotations). The bootstrap evaluates no grid: each refit
-starts at the fit, and a 32-resample bootstrap's traced peak is 0.35 MiB.
+per rotation and point) fit GRID_BLOCK_BYTES, so the tables held at once
+do not grow with the grid. The bootstrap evaluates no grid: each refit
+starts at the fit.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ class SpinMotionState:
                 f"expected {2 * self.fock_dim} amplitudes, got {self.amplitudes.shape}"
             )
         nrm = self.norm()
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise ValueError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
 
     def norm(self) -> float:
@@ -167,16 +167,6 @@ class UnitScale:
         x = math.sqrt(hbar / (2.0 * mass * freq))
         p = math.sqrt(hbar * mass * freq / 2.0)
         return cls(hbar=hbar, mass=mass, x_zpf=x, p_zpf=p)
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Result of a truncation-adequacy check."""
-
-    passed: bool
-    tail_population: float
-    tail_levels: int
-    tail_tol: float
 
 
 def quadrature_gauge(fock_dim: int) -> np.ndarray:
@@ -313,14 +303,10 @@ def expect_sigma_z(state: SpinMotionState) -> float:
     return float(np.sum(np.abs(up) ** 2) - np.sum(np.abs(down) ** 2))
 
 
-def check_truncation(state: SpinMotionState, spec: HilbertSpec) -> TruncationReport:
-    """Report whether population in the top 5% of Fock levels stays below tail_tol."""
-    pops = state.fock_populations()
-    k = spec.tail_levels
-    tail = float(np.sum(pops[-k:]))
-    return TruncationReport(
-        passed=tail < spec.tail_tol,
-        tail_population=tail,
-        tail_levels=k,
-        tail_tol=spec.tail_tol,
-    )
+def check_truncation(state: SpinMotionState, spec: HilbertSpec) -> None:
+    """Raise TruncationError unless the population in the top 5% of Fock
+    levels (spec.tail_levels) stays below spec.tail_tol."""
+    tail = float(np.sum(state.fock_populations()[-spec.tail_levels:]))
+    if not tail < spec.tail_tol:
+        raise TruncationError(f"state leaked {tail:.3e} into the top {spec.tail_levels} "
+                              f"Fock levels (tol {spec.tail_tol:g})")

@@ -32,12 +32,11 @@ Each block goes through dynamics.propagate_block: flash by flash, or, when
 that halves the counted work for the whole evaluation, through the cached
 train operator (see the dynamics module docstring). A wide evaluation pays
 for building it, and the narrow ones that follow on the same train find it
-cached: on fig4 the 185-state decode-table evaluation builds it, and the
-anchor and the theta0 scan reuse it. A kick meets only the thermal Fock
-levels, so just their columns K|l> are formed (O(N^2 L), not O(N^3)), kept
-in a dynamics._OneEntryCache for one magnitude, which every caller applies
-in consecutive kicks. The sync pi/2 pulse acts on the spin alone, so it
-commutes with the kick and the pre-delay: one spinor serves every column.
+cached. A kick meets only the thermal Fock levels, so just their columns
+K|l> are formed (O(N^2 L), not O(N^3)), kept in a dynamics._OneEntryCache
+for one magnitude, which every caller applies in consecutive kicks. The
+sync pi/2 pulse acts on the spin alone, so it commutes with the kick and
+the pre-delay: one spinor serves every column.
 """
 
 from __future__ import annotations

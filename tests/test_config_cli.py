@@ -774,6 +774,18 @@ class TestCliSqueezeScan:
                                    math.exp(-((elapsed / 70e-6) ** 2)) * (p_down["none"] - 0.5),
                                    rtol=0, atol=1e-12)
 
+    def test_backaction_rows_repeat_the_main_draws(self, tmp_path):
+        # under shot detection and injected phase noise the back-action table
+        # holds the main table's rows at every other phase, draws included
+        cfg = write_cfg(tmp_path, SMALL_SQUEEZE_CONFIG
+                        .replace("phi_num: 6", "phi_num: 6\n  inject_phase_noise: true")
+                        .replace("mode: analytic", "mode: shots, shots: 20"))
+        out = str(tmp_path / "sq.txt")
+        assert main(["squeeze-scan", "--config", cfg, "--out", out]) == 0
+        _, rows, _ = read_table(out)
+        _, ba_rows, _ = read_table(tmp_path / "sq_backaction.txt")
+        np.testing.assert_array_equal(ba_rows, rows.reshape(2, 6, -1)[:, ::2].reshape(6, -1))
+
     def test_requires_squeeze_state(self, tmp_path):
         cfg = write_cfg(tmp_path, "state: {alpha_abs: 1.0}\n")
         assert main(["squeeze-scan", "--config", cfg, "--out", str(tmp_path / "x.txt")]) == 2
@@ -1347,7 +1359,16 @@ class TestYamlLoader:
         assert main(["ramsey-scan", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config file {cfg} is not valid YAML" in err
-        assert f"found duplicate key {key}\n  in \"<unicode string>\", {where}" in err
+        assert f"found duplicate key {key}\n  in \"{cfg}\", {where}" in err
+        assert not out.exists()
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "run.yaml", tmp_path / "x.txt"
+        cfg.write_bytes(b"hilbert: {fock_dim: 40}\nname: \xff\n")
+        assert main(["ramsey-scan", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg} is not valid YAML" in err
+        assert f"in \"{cfg}\", position" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("loader", [config_module._Loader, PythonLoader],

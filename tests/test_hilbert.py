@@ -366,7 +366,7 @@ class TestTruncationCheck:
     def test_vacuum_passes(self):
         spec = HilbertSpec(fock_dim=12)
         st = make_initial_state(SPIN_DOWN, 0, spec)
-        assert check_truncation(st, spec).passed
+        assert check_truncation(st, spec) is None
 
     def test_displaced_fails_small_space(self):
         spec = HilbertSpec(fock_dim=12, tail_tol=1e-4)
@@ -379,20 +379,33 @@ class TestTruncationCheck:
         psi = psi / np.linalg.norm(psi)
         amps = np.zeros(2 * spec.fock_dim, dtype=complex)
         amps[: spec.fock_dim] = psi
-        report = check_truncation(SpinMotionState(amps, spec.fock_dim), spec)
-        assert not report.passed
+        with pytest.raises(TruncationError, match=r"top 1 Fock levels \(tol 0\.0001\)"):
+            check_truncation(SpinMotionState(amps, spec.fock_dim), spec)
 
     def test_displaced_passes_large_space(self):
         spec = HilbertSpec(fock_dim=80, tail_tol=1e-4)
         d = displacement_operator(CoherentAmp(3.0), spec)
         amps = np.zeros(2 * spec.fock_dim, dtype=complex)
         amps[: spec.fock_dim] = d[:, 0]
-        assert check_truncation(SpinMotionState(amps, spec.fock_dim), spec).passed
+        assert check_truncation(SpinMotionState(amps, spec.fock_dim), spec) is None
+
+    def test_tail_at_tol_raises(self):
+        # the tail must stay strictly below tail_tol: 0.25 in the top level is too much
+        spec = HilbertSpec(fock_dim=12, tail_tol=0.25)
+        amps = np.zeros(2 * spec.fock_dim, dtype=complex)
+        amps[0], amps[2 * spec.fock_dim - 1] = math.sqrt(0.75), 0.5
+        with pytest.raises(TruncationError, match=r"leaked 2\.500e-01 .*\(tol 0\.25\)"):
+            check_truncation(SpinMotionState(amps, spec.fock_dim), spec)
 
 
 def test_norm_guard_rejects_unnormalized():
     with pytest.raises(ValueError):
         SpinMotionState(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex), 2)
+
+
+def test_norm_guard_rejects_nan():
+    with pytest.raises(ValueError, match="nan"):
+        SpinMotionState(np.array([math.nan, 0.0, 0.0, 0.0], dtype=complex), 2)
 
 
 @pytest.mark.parametrize("mag,phase", [(0.5, 0.0), (1.5, 1.1), (2.5, -2.0)])
